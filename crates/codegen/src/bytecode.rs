@@ -379,17 +379,18 @@ pub(crate) struct Fused {
     pub bulk: BulkCounts,
     /// Pre-analyzed `(slot, bin, op, probe tensor)` of the plain
     /// intersection dot (`f[slot] op= bin(driver, probe)`, SSYRK's
-    /// shape) — lets the VM skip every entry-time shape check on a loop
-    /// it may enter tens of thousands of times per run.
+    /// shape) — lets the VM's closed-form dot skip its entry-time shape
+    /// resolution on a loop it may enter tens of thousands of times
+    /// per run.
     pub isect_dot: Option<(usize, BinOp, AssignOp, usize)>,
-    /// Virtual lane count the runners use under
+    /// Virtual lane count the runners may use under
     /// [`crate::LaneMode::Lanes`]: [`crate::vm::LANES`] when every
     /// register-held fold of the body reduces through an operator with
     /// an identity (so lanes can be seeded and merged in fixed order
     /// without changing which elements participate), `1` when any fold
-    /// pins the body to strict scalar order. Purely descriptive in the
-    /// bytecode (disassembly/goldens); the runners re-derive legality
-    /// from it at dispatch.
+    /// pins the body to strict scalar order. One of the three inputs of
+    /// the VM's per-entry lane gate (with the context's lane mode and
+    /// the drive window's size); also printed in disassembly/goldens.
     pub lanes: u8,
 }
 

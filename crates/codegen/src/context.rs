@@ -45,23 +45,26 @@ pub enum CounterMode {
     Off,
 }
 
-/// Which execution mode the fused-body runners use for their
-/// reduction accumulators.
+/// How many lanes the fused-body runners spread their reduction
+/// accumulators over.
 ///
-/// [`LaneMode::Lanes`] (the default) spreads register-held reductions
+/// The runners are written once, generic over a lane count. Under
+/// [`LaneMode::Lanes`] (the default) register-held reductions spread
 /// across a **fixed virtual lane count** ([`crate::vm::LANES`] = 8
-/// `f64` accumulators) and merges the lanes in a **fixed order** (lane
-/// 0 → 7) after the loop. Element *k* of a span always lands in lane
+/// `f64` accumulators) and merge in a **fixed order** (lane 0 → 7)
+/// after the loop. Element *k* of a drive segment always lands in lane
 /// `k % 8` regardless of thread count or chunking, so results are
 /// bit-deterministic across machines, thread counts and repeated runs
 /// — they are simply a *different* fixed association than the scalar
 /// left fold (within 1e-9 of the interpreter, exact counter parity).
 /// Breaking the loop-carried FP dependency is what lets the
-/// autovectorizer keep the accumulators in ymm/zmm.
+/// autovectorizer keep the accumulators in ymm/zmm. Windows too short
+/// to amortize the merge run at one lane even in this mode.
 ///
-/// [`LaneMode::Scalar`] keeps the strict left-to-right fold of the
-/// tree-walking interpreter — use it when bit-for-bit agreement with
-/// the scalar reference association matters more than speed.
+/// [`LaneMode::Scalar`] instantiates the same runners at one lane —
+/// the strict left-to-right fold of the tree-walking interpreter. Use
+/// it when bit-for-bit agreement with the scalar reference association
+/// matters more than speed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LaneMode {
     /// Strict left-to-right scalar accumulation.

@@ -65,18 +65,19 @@ const MAX_OUTS: usize = 8;
 const CHUNKS_PER_WORKER: usize = 8;
 /// The virtual lane count of the fused runners under
 /// [`LaneMode::Lanes`]: register-held reductions accumulate into a
-/// fixed-size `[f64; LANES]` array (element `k` of the drive window
+/// fixed-size `[f64; LANES]` array (element `k` of a drive segment
 /// lands in lane `k % LANES`), merged in fixed lane order at loop exit.
 /// The width is a *virtual* constant — independent of the machine's
 /// vector registers — so results are bit-deterministic across machines,
 /// thread counts, and repeated runs; the autovectorizer maps the
-/// straight-line lane bodies onto whatever ymm/zmm width exists.
+/// straight-line chunk bodies onto whatever ymm/zmm width exists.
+/// [`LaneMode::Scalar`] is the same folds instantiated at one lane.
 pub(crate) const LANES: usize = 8;
-/// Largest drive window the lane kernels still decline under
+/// Largest drive window [`lane_gate`] still declines under
 /// [`LaneMode::Lanes`]: at two full chunks or fewer the lane-merge /
 /// restructure tax outweighs any ILP win (measured: 16-wide dense
-/// factor loops lose ~10% laned), so those windows fold serially
-/// (identical to [`LaneMode::Scalar`]) and the kernels engage only
+/// factor loops lose ~10% laned), so those windows fold at one lane
+/// (identical to [`LaneMode::Scalar`]) and the lanes engage only
 /// strictly above it. The cutover is a pure function of the
 /// clamped window — not of thread count or timing — so determinism is
 /// unaffected: owned rows never split across chunks and always see the
@@ -92,12 +93,12 @@ enum Scratch<T, const N: usize> {
     Heap(Vec<T>),
 }
 
-impl<T: Copy + Default, const N: usize> Scratch<T, N> {
+impl<T: Default, const N: usize> Scratch<T, N> {
     fn new(len: usize) -> Self {
         if len <= N {
-            Scratch::Inline { buf: [T::default(); N], len }
+            Scratch::Inline { buf: std::array::from_fn(|_| T::default()), len }
         } else {
-            Scratch::Heap(vec![T::default(); len])
+            Scratch::Heap((0..len).map(|_| T::default()).collect())
         }
     }
 
@@ -117,29 +118,8 @@ struct OutBind<'a> {
     base: usize,
 }
 
-/// Inline-or-heap table of output bindings (`OutBind` is not `Copy`, so
-/// [`Scratch`] does not apply).
-enum OutTable<'a, const N: usize> {
-    Inline([Option<OutBind<'a>>; N], usize),
-    Heap(Vec<Option<OutBind<'a>>>),
-}
-
-impl<'a, const N: usize> OutTable<'a, N> {
-    fn new(len: usize) -> Self {
-        if len <= N {
-            OutTable::Inline(std::array::from_fn(|_| None), len)
-        } else {
-            OutTable::Heap((0..len).map(|_| None).collect())
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [Option<OutBind<'a>>] {
-        match self {
-            OutTable::Inline(buf, len) => &mut buf[..*len],
-            OutTable::Heap(v) => v,
-        }
-    }
-}
+/// The output binding table, indexed by output ordinal.
+type OutTable<'a> = Scratch<Option<OutBind<'a>>, MAX_OUTS>;
 
 /// One worker's coordinate chunk: top-level head `pc`s with their index
 /// extents, plus this chunk's ordinal out of the total chunk count.
@@ -163,19 +143,6 @@ impl Chunk<'_> {
             }
         }
         None
-    }
-}
-
-/// Intersects a loop head's clamped bounds with the chunk's coordinate
-/// window when `pc` is a split head — the one place chunking touches
-/// loop iteration, shared by every head kind.
-#[inline]
-fn clamp_to_chunk(chunk: Option<Chunk<'_>>, pc: usize, lo_v: &mut i64, hi_v: &mut i64) {
-    if let Some(c) = chunk {
-        if let Some((clo, chi)) = c.window(pc) {
-            *lo_v = (*lo_v).max(clo);
-            *hi_v = (*hi_v).min(chi);
-        }
     }
 }
 
@@ -241,66 +208,8 @@ fn fused_single<'p>(items: &'p [VItem], pass: &[bool], n_pass: usize) -> Option<
     items.iter().find(|item| pass[item.id]).and_then(|item| item.fused.as_ref())
 }
 
-/// Caches the loop-invariant base offsets of passing items and accounts
-/// the loop's *invariant* counters in bulk: every step of a passing
-/// item executes exactly once per coordinate, so its invariant counter
-/// contribution is a per-iteration constant times the iteration count —
-/// identical totals to bumping inside the loop, with no hot-loop
-/// counter traffic. Hit-dependent contributions (probe and gather
-/// reads, the store side of miss-checked folds) are counted by
-/// [`VecRun::exec_coord`] instead. Guards must already be evaluated
-/// ([`eval_guards`]).
-#[allow(clippy::too_many_arguments)]
-fn vec_prepare(
-    items: &[VItem],
-    u: &[usize],
-    iters: u64,
-    pass: &[bool],
-    bases: &mut [usize],
-    reads: &mut [u64],
-    flops: &mut u64,
-    writes: &mut u64,
-) {
-    for item in items {
-        if !pass[item.id] {
-            continue;
-        }
-        for step in item.steps.iter() {
-            match step {
-                VStep::Load { tensor, id, base, .. } => {
-                    bases[*id] = offset(u, base);
-                    reads[*tensor] += iters;
-                }
-                VStep::LoadVal { tensor, .. } => {
-                    reads[*tensor] += iters;
-                }
-                // Probe / gather reads count only on a hit.
-                VStep::LoadProbe { .. } | VStep::LoadGather { .. } => {}
-                VStep::FoldOut { tensor: _, id, base, op, srcs, check_miss, .. } => {
-                    bases[*id] = offset(u, base);
-                    // The fold always evaluates; with check_miss the
-                    // store (write + reduce flop) is hit-dependent.
-                    let mut per_iter = srcs.len() as u64 - 1;
-                    if !*check_miss {
-                        per_iter += u64::from(*op != AssignOp::Overwrite);
-                        *writes += iters;
-                    }
-                    *flops += per_iter * iters;
-                }
-                VStep::FoldScalar { op, srcs, check_miss, .. } => {
-                    let mut per_iter = srcs.len() as u64 - 1;
-                    if !*check_miss {
-                        per_iter += u64::from(*op != AssignOp::Overwrite);
-                    }
-                    *flops += per_iter * iters;
-                }
-            }
-        }
-    }
-}
-
 /// Folds registers through `bin`; the dominant binary shape is
-/// branch-free. Flops are accounted in bulk by [`vec_prepare`].
+/// branch-free. Flops are accounted in bulk by [`LoopRun::vec_prepare`].
 #[inline]
 fn fold(bin: &systec_ir::BinOp, srcs: &[usize], f: &[f64]) -> f64 {
     match srcs {
@@ -316,280 +225,26 @@ fn fold(bin: &systec_ir::BinOp, srcs: &[usize], f: &[f64]) -> f64 {
     }
 }
 
-/// Per-vector-loop execution state: the body items with their
-/// precomputed guard outcomes and bases, every binding table the steps
-/// touch, and the hit-dependent counter accumulators ([`vec_prepare`]
-/// bulk-counts only the invariant contributions).
-struct VecRun<'r, 'a, 'o> {
-    items: &'r [VItem],
-    idx: usize,
-    pass: &'r [bool],
-    bases: &'r [usize],
-    gathers: &'r mut GatherBank,
-    u: &'r mut [usize],
-    f: &'r mut [f64],
-    dense: &'r [&'a [f64]],
-    vals: &'r [&'a [f64]],
-    levels: &'r [Option<LevelView<'a>>],
-    lvl_base: &'r [usize],
-    outs: &'r mut [Option<OutBind<'o>>],
-    oo: &'r [usize],
-    reads: &'r mut [u64],
-    /// Hit-dependent flop / write counts, folded into the program
-    /// totals when the loop instruction finishes.
-    flops: u64,
-    writes: u64,
-    /// The per-coordinate miss flag (see [`VStep`]).
-    miss: bool,
-}
-
-/// Resolves the invariant prefix position (and forward cursor at the
-/// varying mode) of one single-varying-mode gather at loop entry.
-#[allow(clippy::too_many_arguments)]
-fn init_gather_cursor(
-    levels: &[Option<LevelView<'_>>],
-    lvl_base: &[usize],
-    u: &[usize],
-    gathers: &mut GatherBank,
-    tensor: usize,
-    id: usize,
-    modes: &[usize],
-    var_mode: usize,
-) {
-    let mut p = 0usize;
-    for (lv, &m) in modes.iter().enumerate().take(var_mode) {
-        match level(levels, lvl_base, tensor, lv).find(p, u[m]) {
-            Some(next) => p = next,
-            None => {
-                p = MISS;
-                break;
-            }
-        }
-    }
-    let cursor = if p == MISS {
-        0
-    } else {
-        match level(levels, lvl_base, tensor, var_mode) {
-            LevelView::Sparse { pos, .. } | LevelView::RunLength { pos, .. } => pos[p],
-            LevelView::Dense { .. } => 0,
-        }
-    };
-    gathers.prefix[id] = p;
-    gathers.cursor[id] = cursor;
-}
-
-/// Resolves a gather at `coord`. With `var_mode: Some(k)` the loop
-/// index appears at exactly one subscript position `k`: the invariant
-/// prefix position is cached ([`init_gather_cursor`]), position `k`
-/// advances a forward-only cursor (sparse gallop / run-length run
-/// cursor / dense direct index), and the invariant suffix descends per
-/// hit. With `None` the index appears at several positions, so no
-/// single monotone cursor exists and the full path is searched.
+/// Descends levels `lvs` of `tensor` from position `p`, following the
+/// subscripts `u[modes[lv]]`; `None` when the path is unstored.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn gather_find(
+fn descend(
     levels: &[Option<LevelView<'_>>],
     lvl_base: &[usize],
     u: &[usize],
-    gathers: &mut GatherBank,
     tensor: usize,
-    id: usize,
     modes: &[usize],
-    var_mode: Option<usize>,
-    coord: usize,
+    lvs: std::ops::Range<usize>,
+    mut p: usize,
 ) -> Option<usize> {
-    let Some(vm) = var_mode else {
-        let mut p = 0usize;
-        for (lv, &m) in modes.iter().enumerate() {
-            p = level(levels, lvl_base, tensor, lv).find(p, u[m])?;
-        }
-        return Some(p);
-    };
-    let prefix = gathers.prefix[id];
-    if prefix == MISS {
-        return None;
-    }
-    let mut p = match level(levels, lvl_base, tensor, vm) {
-        LevelView::Sparse { pos, crd, .. } => {
-            // Coordinates are monotone within the loop, so the cursor
-            // only moves forward; the remainder search gallops past
-            // gaps in one partition_point.
-            let cur = &mut gathers.cursor[id];
-            let end = pos[prefix + 1];
-            if *cur < end && crd[*cur] < coord {
-                *cur += crd[*cur..end].partition_point(|&c| c < coord);
-            }
-            if *cur < end && crd[*cur] == coord {
-                *cur
-            } else {
-                return None;
-            }
-        }
-        LevelView::RunLength { pos, run_start, run_end, .. } => {
-            // Runs are sorted and disjoint: walk forward one run at a
-            // time (runs passed once are never revisited).
-            let cur = &mut gathers.cursor[id];
-            let end = pos[prefix + 1];
-            while *cur < end && run_end[*cur] < coord {
-                *cur += 1;
-            }
-            if *cur < end && run_start[*cur] <= coord {
-                *cur
-            } else {
-                return None;
-            }
-        }
-        view => view.find(prefix, coord)?,
-    };
-    // Middle-mode-varying gathers descend the invariant suffix per hit
-    // (leaf-varying gathers have an empty suffix, so this is free).
-    for (lv, &m) in modes.iter().enumerate().skip(vm + 1) {
-        p = level(levels, lvl_base, tensor, lv).find(p, u[m])?;
+    for lv in lvs {
+        p = level(levels, lvl_base, tensor, lv).find(p, u[modes[lv]])?;
     }
     Some(p)
 }
 
-impl<'a> VecRun<'_, 'a, '_> {
-    /// Resolves the invariant prefix position (and varying-mode cursor)
-    /// of every single-varying-mode gather once per loop entry.
-    fn init_gathers(&mut self) {
-        if self.gathers.len() == 0 {
-            // No gathers anywhere in the plan (all eight paper
-            // kernels): skip the step scan on every loop entry.
-            return;
-        }
-        let items = self.items;
-        for item in items {
-            if !self.pass[item.id] {
-                continue;
-            }
-            for step in item.steps.iter() {
-                let VStep::LoadGather { tensor, id, modes, var_mode: Some(vm), .. } = step else {
-                    continue;
-                };
-                init_gather_cursor(
-                    self.levels,
-                    self.lvl_base,
-                    self.u,
-                    self.gathers,
-                    *tensor,
-                    *id,
-                    modes,
-                    *vm,
-                );
-            }
-        }
-    }
-
-    /// Executes the passing items for one coordinate. `leaf` carries the
-    /// driver's value position, `probe` the probed fiber's match (if the
-    /// loop intersects two fibers).
-    #[inline]
-    fn exec_coord(
-        &mut self,
-        coord: usize,
-        leaf: Option<(&'a [f64], usize)>,
-        probe: Option<(&'a [f64], Option<usize>)>,
-    ) {
-        self.u[self.idx] = coord;
-        self.miss = false;
-        let items = self.items;
-        for item in items {
-            if !self.pass[item.id] {
-                continue;
-            }
-            for step in item.steps.iter() {
-                match step {
-                    VStep::Load { dst, tensor, id, stride, .. } => {
-                        self.f[*dst] = self.dense[*tensor][self.bases[*id] + coord * stride];
-                    }
-                    VStep::LoadVal { dst, .. } => {
-                        let (vals, pos) = leaf.expect("driver value in a driven vector loop");
-                        self.f[*dst] = vals[pos];
-                    }
-                    VStep::LoadProbe { dst, tensor, set_miss } => {
-                        let (pvals, pmatch) = probe.expect("probe value in an intersection loop");
-                        match pmatch {
-                            Some(pos) => {
-                                self.f[*dst] = pvals[pos];
-                                self.reads[*tensor] += 1;
-                            }
-                            None => {
-                                self.f[*dst] = 0.0;
-                                self.miss |= *set_miss;
-                            }
-                        }
-                    }
-                    VStep::LoadGather { dst, tensor, id, modes, var_mode, set_miss } => {
-                        match self.gather(*tensor, *id, modes, *var_mode, coord) {
-                            Some(pos) => {
-                                self.f[*dst] = self.vals[*tensor][pos];
-                                self.reads[*tensor] += 1;
-                            }
-                            None => {
-                                self.f[*dst] = 0.0;
-                                self.miss |= *set_miss;
-                            }
-                        }
-                    }
-                    VStep::FoldOut { tensor, id, stride, bin, op, srcs, check_miss, .. } => {
-                        let v = fold(bin, srcs, self.f);
-                        if !(*check_miss && self.miss) {
-                            let off = self.bases[*id] + coord * stride;
-                            let ob = self.outs[self.oo[*tensor]].as_mut().expect("output bound");
-                            let cell = &mut ob.data[off - ob.base];
-                            *cell = op.apply(*cell, v);
-                            if *check_miss {
-                                self.writes += 1;
-                                if *op != AssignOp::Overwrite {
-                                    self.flops += 1;
-                                }
-                            }
-                        }
-                        self.miss = false;
-                    }
-                    VStep::FoldScalar { slot, bin, op, srcs, check_miss } => {
-                        let v = fold(bin, srcs, self.f);
-                        if !(*check_miss && self.miss) {
-                            self.f[*slot] = op.apply(self.f[*slot], v);
-                            if *check_miss && *op != AssignOp::Overwrite {
-                                self.flops += 1;
-                            }
-                        }
-                        self.miss = false;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Resolves a gather at `coord`: the cached-prefix cursor walk for
-    /// single-varying-mode gathers, a full per-level search otherwise.
-    #[inline]
-    fn gather(
-        &mut self,
-        tensor: usize,
-        id: usize,
-        modes: &[usize],
-        var_mode: Option<usize>,
-        coord: usize,
-    ) -> Option<usize> {
-        gather_find(
-            self.levels,
-            self.lvl_base,
-            self.u,
-            self.gathers,
-            tensor,
-            id,
-            modes,
-            var_mode,
-            coord,
-        )
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Fused-body execution
+// Semirings and lane primitives
 // ---------------------------------------------------------------------------
 
 /// Semiring monomorphization for the fused runners: the (bin, reduce)
@@ -646,72 +301,648 @@ impl Semi for DynSemi {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Lane primitives
-// ---------------------------------------------------------------------------
-
-/// The invariant prefix of a dot chain: `[lead ∘] a [∘ mid]`.
-#[inline(always)]
-fn chain_prefix<S: Semi>(s: S, bin: BinOp, lead: Option<f64>, a: f64, mid: Option<f64>) -> f64 {
-    let mut v = match lead {
-        Some(l) => s.bin(bin, l, a),
-        None => a,
+/// Evaluates `$body` with `$s` bound to the [`Semi`] instantiation for
+/// the `($bin, $op)` pair — the one place a runtime operator pair turns
+/// into a monomorphized loop. `$uniform` says every fold of the body
+/// uses exactly this pair; otherwise [`DynSemi`] applies each fold's own
+/// operators.
+macro_rules! with_semi {
+    ($uniform:expr, $bin:expr, $op:expr, |$s:ident| $body:expr) => {
+        match ($uniform, $bin, $op) {
+            (true, BinOp::Mul, AssignOp::Add) => {
+                let $s = MulAddSemi;
+                $body
+            }
+            (true, BinOp::Add, AssignOp::Min) => {
+                let $s = AddMinSemi;
+                $body
+            }
+            _ => {
+                let $s = DynSemi;
+                $body
+            }
+        }
     };
-    if let Some(k) = mid {
-        v = s.bin(bin, v, k);
-    }
-    v
-}
-
-/// One lane step over a full chunk: `lanes[k] op= va[k] bin xa[k]` for
-/// every lane. Both formulations apply the same operations in the same
-/// order per lane, so outputs are bit-identical across the feature
-/// gate; the `simd` build expresses the step as whole-array maps — the
-/// exact shape a `std::simd` drop-in would take — which the optimizer
-/// keeps in vector registers more reliably on some toolchains.
-#[cfg(not(feature = "simd"))]
-#[inline(always)]
-fn lane_accumulate<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    lanes: &mut [f64; LANES],
-    va: [f64; LANES],
-    xa: [f64; LANES],
-) {
-    for k in 0..LANES {
-        lanes[k] = s.red(op, lanes[k], s.bin(bin, va[k], xa[k]));
-    }
-}
-
-/// One lane step over a full chunk (whole-array formulation; see the
-/// default build's doc for the bit-identity argument).
-#[cfg(feature = "simd")]
-#[inline(always)]
-fn lane_accumulate<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    lanes: &mut [f64; LANES],
-    va: [f64; LANES],
-    xa: [f64; LANES],
-) {
-    let prod: [f64; LANES] = std::array::from_fn(|k| s.bin(bin, va[k], xa[k]));
-    *lanes = std::array::from_fn(|k| s.red(op, lanes[k], prod[k]));
 }
 
 /// Merges the lane accumulators into the caller's scalar accumulator in
-/// fixed lane order (`acc0`, then lane `0 → LANES-1`) — the one place
-/// lane values recombine, so the merge order alone fixes the result
-/// bits for a given lane assignment.
+/// fixed lane order (`acc0`, then lane `0 → L-1`) — the one place lane
+/// values recombine, so the merge order alone fixes the result bits for
+/// a given lane assignment.
 #[inline(always)]
-fn lane_merge<S: Semi>(s: S, op: AssignOp, acc0: f64, lanes: &[f64; LANES]) -> f64 {
+fn lane_merge<S: Semi, const L: usize>(s: S, op: AssignOp, acc0: f64, lanes: &[f64; L]) -> f64 {
     let mut acc = acc0;
     for &l in lanes {
         acc = s.red(op, acc, l);
     }
     acc
 }
+
+// ---------------------------------------------------------------------------
+// Drives: how a vector loop walks its coordinates
+// ---------------------------------------------------------------------------
+
+/// Forward-only cursor over the probed side of an intersection drive —
+/// one variant per level format, so probes into dense and run-length
+/// levels reach the fused tier through the same merge loop as
+/// compressed probes. Driver coordinates are monotone, so every
+/// variant's cursor only moves forward.
+#[derive(Clone, Copy)]
+enum ProbeCur<'a> {
+    /// The probed path prefix is unstored: every probe misses (the
+    /// driver still iterates, as in the interpreter).
+    Empty,
+    /// Compressed fiber: gallop over `crd[cur..end]`.
+    Crd { crd: &'a [usize], cur: usize, end: usize },
+    /// Dense fiber: direct index, hit iff `coord < size`.
+    Dense { base: usize, size: usize },
+    /// Run-length fiber: walk runs `cur..end`, hit iff the current
+    /// run covers `coord`; the hit position is the run index.
+    Runs { run_start: &'a [usize], run_end: &'a [usize], cur: usize, end: usize },
+}
+
+impl<'a> ProbeCur<'a> {
+    /// The cursor over fiber `p` of the probed level.
+    fn open(view: LevelView<'a>, p: usize) -> Self {
+        match view {
+            LevelView::Sparse { pos, crd, .. } => {
+                ProbeCur::Crd { crd, cur: pos[p], end: pos[p + 1] }
+            }
+            LevelView::Dense { size } => ProbeCur::Dense { base: p * size, size },
+            LevelView::RunLength { pos, run_start, run_end, .. } => {
+                ProbeCur::Runs { run_start, run_end, cur: pos[p], end: pos[p + 1] }
+            }
+        }
+    }
+
+    /// The cursor's position within the fiber (0 for the cursor-less
+    /// variants), and the same cursor resumed at a saved position —
+    /// gathers park theirs in the [`GatherBank`] between coordinates.
+    #[inline(always)]
+    fn cursor(&self) -> usize {
+        match self {
+            ProbeCur::Crd { cur, .. } | ProbeCur::Runs { cur, .. } => *cur,
+            ProbeCur::Empty | ProbeCur::Dense { .. } => 0,
+        }
+    }
+
+    #[inline(always)]
+    fn at(mut self, cursor: usize) -> Self {
+        if let ProbeCur::Crd { cur, .. } | ProbeCur::Runs { cur, .. } = &mut self {
+            *cur = cursor;
+        }
+        self
+    }
+
+    /// Advances the cursor to `coord` and returns the value position on
+    /// a hit. Coordinates are monotone within a loop, so the cursor only
+    /// moves forward: compressed fibers gallop past gaps in one
+    /// `partition_point`, run-length fibers walk one run at a time.
+    #[inline(always)]
+    fn find(&mut self, coord: usize) -> Option<usize> {
+        match self {
+            ProbeCur::Empty => None,
+            ProbeCur::Crd { crd, cur, end } => {
+                if *cur < *end && crd[*cur] < coord {
+                    *cur += crd[*cur..*end].partition_point(|&x| x < coord);
+                }
+                (*cur < *end && crd[*cur] == coord).then_some(*cur)
+            }
+            ProbeCur::Dense { base, size } => (coord < *size).then(|| *base + coord),
+            ProbeCur::Runs { run_start, run_end, cur, end } => {
+                while *cur < *end && run_end[*cur] < coord {
+                    *cur += 1;
+                }
+                (*cur < *end && run_start[*cur] <= coord).then_some(*cur)
+            }
+        }
+    }
+}
+
+/// One maximal stretch of a drive window: a coordinate source (a stored
+/// list or a contiguous span) paired with a value source (one value per
+/// position, or one value for the whole stretch). Element `k` of a
+/// segment is what the lane folds key on — lane indices restart at every
+/// segment.
+trait Segment {
+    /// Whether coordinates are consecutive, so a unit-stride operand
+    /// over `L` elements is one contiguous chunk.
+    const CONTIGUOUS: bool;
+    /// Number of coordinates.
+    fn len(&self) -> usize;
+    /// Coordinates of elements `base..base + L`.
+    fn coords<const L: usize>(&self, base: usize) -> [usize; L];
+    /// Driver values of elements `base..base + L`.
+    fn vals<const L: usize>(&self, base: usize) -> [f64; L];
+    /// Visits `(k, coordinate, driver value)` of elements `base + k`, in
+    /// order, through to the end of the segment (the value is `None` in
+    /// a dense range, which has no driver).
+    fn each(&self, base: usize, f: impl FnMut(usize, usize, Option<f64>));
+}
+
+/// Stored coordinates with one value per position (a compressed fiber
+/// window; both slices cover exactly the window).
+struct ListSeg<'a> {
+    crd: &'a [usize],
+    vals: &'a [f64],
+}
+
+impl Segment for ListSeg<'_> {
+    const CONTIGUOUS: bool = false;
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.crd.len()
+    }
+
+    // Fixed-size chunk references (`&[T; L]`) let the per-element
+    // bounds checks fold away.
+    #[inline(always)]
+    fn coords<const L: usize>(&self, base: usize) -> [usize; L] {
+        *<&[usize; L]>::try_from(&self.crd[base..base + L]).expect("exact chunk")
+    }
+
+    #[inline(always)]
+    fn vals<const L: usize>(&self, base: usize) -> [f64; L] {
+        *<&[f64; L]>::try_from(&self.vals[base..base + L]).expect("exact chunk")
+    }
+
+    #[inline(always)]
+    fn each(&self, base: usize, mut f: impl FnMut(usize, usize, Option<f64>)) {
+        for (k, (&c, &a)) in self.crd[base..].iter().zip(&self.vals[base..]).enumerate() {
+            f(k, c, Some(a));
+        }
+    }
+}
+
+/// Consecutive coordinates sharing one driver value (a clamped run) or
+/// none (a dense range).
+struct SpanSeg {
+    first: usize,
+    len: usize,
+    val: Option<f64>,
+}
+
+impl Segment for SpanSeg {
+    const CONTIGUOUS: bool = true;
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline(always)]
+    fn coords<const L: usize>(&self, base: usize) -> [usize; L] {
+        std::array::from_fn(|k| self.first + base + k)
+    }
+
+    #[inline(always)]
+    fn vals<const L: usize>(&self, _: usize) -> [f64; L] {
+        [self.val.unwrap_or(0.0); L]
+    }
+
+    #[inline(always)]
+    fn each(&self, base: usize, mut f: impl FnMut(usize, usize, Option<f64>)) {
+        for (k, c) in (self.first + base..self.first + self.len).enumerate() {
+            f(k, c, self.val);
+        }
+    }
+}
+
+/// How a vector loop iterates its coordinates — one implementation per
+/// vector-loop instruction kind, each a format's `iterate` capability
+/// reduced to "yield segments". Every consumer (the closed-form folds,
+/// the generic fused body, the step list) walks a window through
+/// [`Drive::segments`], so each format's walk is written exactly once.
+trait Drive<'a> {
+    type Seg: Segment;
+    /// Visits the window's segments in coordinate order and returns the
+    /// last coordinate covered (the loop index's value at exit).
+    fn segments(&self, f: impl FnMut(Self::Seg)) -> usize;
+    /// Upper bound on the coordinates the window executes — the lane
+    /// cutover's measure of work ([`lane_gate`]). The exact count unless
+    /// a drive has a cheaper bound.
+    #[inline(always)]
+    fn span(&self) -> usize {
+        let mut n = 0;
+        self.segments(|seg| n += seg.len());
+        n
+    }
+    /// The probed side of a two-way intersection, its cursor at the
+    /// start of the probed fiber.
+    #[inline(always)]
+    fn probe(&self) -> Option<Probed<'a>> {
+        None
+    }
+}
+
+/// Counted dense loop over `lo..=hi`.
+struct RangeDrive {
+    lo: usize,
+    hi: usize,
+}
+
+impl Drive<'_> for RangeDrive {
+    type Seg = SpanSeg;
+
+    #[inline(always)]
+    fn segments(&self, mut f: impl FnMut(SpanSeg)) -> usize {
+        f(SpanSeg { first: self.lo, len: self.hi - self.lo + 1, val: None });
+        self.hi
+    }
+}
+
+/// Compressed driver: a non-empty window of stored coordinates and the
+/// values at the same positions.
+struct CrdDrive<'a> {
+    crd: &'a [usize],
+    vals: &'a [f64],
+}
+
+impl<'a> Drive<'a> for CrdDrive<'a> {
+    type Seg = ListSeg<'a>;
+
+    #[inline(always)]
+    fn segments(&self, mut f: impl FnMut(ListSeg<'a>)) -> usize {
+        f(ListSeg { crd: self.crd, vals: self.vals });
+        self.crd[self.crd.len() - 1]
+    }
+}
+
+/// Run-length driver: runs `start..stop` clamped to `[lo, hi]`, value
+/// constant per run.
+struct RleDrive<'a> {
+    vals: &'a [f64],
+    run_start: &'a [usize],
+    run_end: &'a [usize],
+    start: usize,
+    stop: usize,
+    lo: usize,
+    hi: usize,
+}
+
+impl<'a> Drive<'a> for RleDrive<'a> {
+    type Seg = SpanSeg;
+
+    #[inline(always)]
+    fn segments(&self, mut f: impl FnMut(SpanSeg)) -> usize {
+        let mut last = self.lo;
+        for r in self.start..self.stop {
+            let c_lo = self.run_start[r].max(self.lo);
+            if c_lo > self.hi {
+                break;
+            }
+            let c_hi = self.run_end[r].min(self.hi);
+            f(SpanSeg { first: c_lo, len: c_hi - c_lo + 1, val: Some(self.vals[r]) });
+            last = c_hi;
+        }
+        last
+    }
+
+    /// First selected run's clamped start through last selected run's
+    /// clamped end. Unclamped loops carry a sentinel `hi` (`i64::MAX`),
+    /// so the raw `[lo, hi]` span saturates and would put every tiny
+    /// fiber over the lane cutover; bounding by the run extents keeps
+    /// the cutover a real measure of work (runs sparser than the extent
+    /// still fold fast in lanes).
+    fn span(&self) -> usize {
+        if self.start >= self.stop {
+            return 0;
+        }
+        let first = self.run_start[self.start].max(self.lo);
+        let last = self.run_end[self.stop - 1].min(self.hi);
+        last.saturating_add(1).saturating_sub(first)
+    }
+}
+
+/// Two-way intersection: the compressed driver window merged against
+/// the probed fiber with a forward-only cursor.
+struct IsectDrive<'a> {
+    crd: CrdDrive<'a>,
+    probe: Probed<'a>,
+}
+
+impl<'a> Drive<'a> for IsectDrive<'a> {
+    type Seg = ListSeg<'a>;
+
+    #[inline(always)]
+    fn segments(&self, f: impl FnMut(ListSeg<'a>)) -> usize {
+        self.crd.segments(f)
+    }
+
+    #[inline(always)]
+    fn probe(&self) -> Option<Probed<'a>> {
+        Some(self.probe)
+    }
+}
+
+/// The probed fiber of an intersection: its values and a forward-only
+/// cursor.
+#[derive(Clone, Copy)]
+struct Probed<'a> {
+    vals: &'a [f64],
+    cur: ProbeCur<'a>,
+}
+
+/// The per-coordinate walk over any drive: `f(coord, driver value,
+/// probe)` for every coordinate of the window in order, the probe
+/// cursor advancing alongside (`probe` is `None` outside intersections,
+/// `Some(None)` on an intersection miss). Returns the last coordinate
+/// covered.
+#[inline(always)]
+fn for_each<'a, D: Drive<'a>>(
+    drive: &D,
+    mut f: impl FnMut(usize, Option<f64>, Option<Option<f64>>),
+) -> usize {
+    let mut probe = drive.probe();
+    drive.segments(|seg| seg.each(0, |_, c, val| f(c, val, probe.as_mut().map(|p| p.at(c)))))
+}
+
+/// The lane cutover, decided once per loop entry from three inputs:
+///
+/// * `lanes_on` — the context asked for [`LaneMode::Lanes`] and the
+///   body's plan-level lane count ([`Fused::lanes`]) allows it;
+/// * `span` — the drive's work measure ([`Drive::span`]) must exceed
+///   [`LANE_MIN`], so the lane-merge tax is never paid on windows too
+///   short to amortize it;
+/// * `probe` — for the closed-form intersection dot only: lanes pay off
+///   when the probe is a constant-time dense index (near-every position
+///   hits, so the fold chain is what's on the critical path). Against
+///   galloping compressed or run-walking probes the serial cursor
+///   advance dominates and hits are sparse — the lane merge is pure tax
+///   there (measured ~10% loss on SSYRK), so those fold serially.
+///
+/// Every input is a pure function of the plan, the clamped window and
+/// the probed level's format — never of thread count or timing — so
+/// the choice is deterministic.
+#[inline(always)]
+fn lane_gate(lanes_on: bool, span: usize, probe: Option<&ProbeCur<'_>>) -> bool {
+    lanes_on && span > LANE_MIN && probe.is_none_or(|p| matches!(p, ProbeCur::Dense { .. }))
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form folds
+// ---------------------------------------------------------------------------
+
+/// A strided dense operand: `xs[base + coord·stride]`.
+struct Strided<'a> {
+    xs: &'a [f64],
+    base: usize,
+    stride: usize,
+}
+
+impl Strided<'_> {
+    /// The operand at each of `cs`. `unit` promises the coordinates are
+    /// consecutive, so a unit stride reads one contiguous chunk — the
+    /// one laned load the optimizer turns into straight vector loads.
+    #[inline(always)]
+    fn load<const L: usize>(&self, cs: &[usize; L], unit: bool) -> [f64; L] {
+        if unit && self.stride == 1 {
+            let o = self.base + cs[0];
+            *<&[f64; L]>::try_from(&self.xs[o..o + L]).expect("exact chunk")
+        } else {
+            std::array::from_fn(|k| self.xs[self.base + cs[k] * self.stride])
+        }
+    }
+}
+
+/// The non-driver operand of a closed-form dot.
+trait DotOperand {
+    /// The operand at `coord`; `None` is a probe miss (the element is
+    /// skipped: the fold's value is unused and its store suppressed).
+    fn at(&mut self, coord: usize) -> Option<f64>;
+    /// The operand at each of `cs`, fetched in order (`unit` as in
+    /// [`Strided::load`]).
+    #[inline(always)]
+    fn chunk<const L: usize>(&mut self, cs: &[usize; L], _unit: bool) -> [Option<f64>; L] {
+        std::array::from_fn(|k| self.at(cs[k]))
+    }
+}
+
+impl DotOperand for Strided<'_> {
+    #[inline(always)]
+    fn at(&mut self, coord: usize) -> Option<f64> {
+        Some(self.xs[self.base + coord * self.stride])
+    }
+
+    #[inline(always)]
+    fn chunk<const L: usize>(&mut self, cs: &[usize; L], unit: bool) -> [Option<f64>; L] {
+        let xa = self.load(cs, unit);
+        std::array::from_fn(|k| Some(xa[k]))
+    }
+}
+
+impl DotOperand for Probed<'_> {
+    /// Advances the cursor to `coord`; the probed value on a hit.
+    #[inline(always)]
+    fn at(&mut self, coord: usize) -> Option<f64> {
+        self.cur.find(coord).map(|p| self.vals[p])
+    }
+}
+
+/// The operators and loop-invariant operands of a dot chain
+/// `acc op= [lead ∘] a [∘ mid] ∘ b` (`a` the driver value, `b` the
+/// [`DotOperand`]).
+struct DotChain {
+    bin: BinOp,
+    op: AssignOp,
+    /// Absent invariants hold `1.0`, never stack garbage: the optimizer
+    /// may evaluate `lead ∘ a` speculatively and blend it away, and an
+    /// arbitrary bit pattern there can be a subnormal — a microcode
+    /// assist per chunk (measured 7× on CSR row dots).
+    lead: f64,
+    has_lead: bool,
+    mid: f64,
+    has_mid: bool,
+}
+
+impl DotChain {
+    fn new(bin: BinOp, op: AssignOp, lead: Option<f64>, mid: Option<f64>) -> Self {
+        DotChain {
+            bin,
+            op,
+            lead: lead.unwrap_or(1.0),
+            has_lead: lead.is_some(),
+            mid: mid.unwrap_or(1.0),
+            has_mid: mid.is_some(),
+        }
+    }
+
+    /// The chain up to the driver value: `[lead ∘] a [∘ mid]`.
+    #[inline(always)]
+    fn prefix<S: Semi>(&self, s: S, a: f64) -> f64 {
+        let mut v = if self.has_lead { s.bin(self.bin, self.lead, a) } else { a };
+        if self.has_mid {
+            v = s.bin(self.bin, v, self.mid);
+        }
+        v
+    }
+}
+
+/// The closed-form dot over any drive, with the accumulator(s) in
+/// machine registers for the whole window. Element `k` of a segment
+/// reduces into lane `k % L`: `L = 1` **is** the strict left-to-right
+/// scalar fold ([`LaneMode::Scalar`]; the single lane starts at `acc0`
+/// and no merge happens), `L = LANES` seeds the lanes with the
+/// reduction's identity, runs full chunks as straight-line code the
+/// autovectorizer keeps in vector registers, continues the remainder
+/// from lane 0, and merges in fixed lane order. Lane assignment is
+/// keyed on the element's position in its segment — independent of
+/// where probe misses fall (a missed position leaves its lane untouched
+/// that round) — so it is a pure function of the drive window. Returns
+/// the accumulator, the last coordinate, and the number of operand hits
+/// (for per-hit probe accounting).
+fn fold_dot<'a, S: Semi, D: Drive<'a>, B: DotOperand, const L: usize>(
+    s: S,
+    ch: &DotChain,
+    acc0: f64,
+    drive: &D,
+    mut b: B,
+) -> (f64, usize, u64) {
+    let (bin, op) = (ch.bin, ch.op);
+    let unit = <D::Seg as Segment>::CONTIGUOUS;
+    let mut lanes = [if L == 1 { acc0 } else { op.identity().unwrap_or(0.0) }; L];
+    let mut hits = 0u64;
+    let last = drive.segments(|seg| {
+        let mut base = 0;
+        // Full chunks as straight-line code (`L = 1` has none to gain
+        // from: the element loop below is already its whole fold).
+        while L > 1 && base + L <= seg.len() {
+            let a8 = seg.vals::<L>(base);
+            let va: [f64; L] = std::array::from_fn(|k| ch.prefix(s, a8[k]));
+            let xa = b.chunk(&seg.coords::<L>(base), unit);
+            for k in 0..L {
+                if let Some(x) = xa[k] {
+                    lanes[k] = s.red(op, lanes[k], s.bin(bin, va[k], x));
+                    hits += 1;
+                }
+            }
+            base += L;
+        }
+        seg.each(base, |k, c, a| {
+            if let Some(x) = b.at(c) {
+                let v = ch.prefix(s, a.unwrap_or(0.0));
+                lanes[k % L] = s.red(op, lanes[k % L], s.bin(bin, v, x));
+                hits += 1;
+            }
+        });
+    });
+    let acc = if L == 1 { lanes[0] } else { lane_merge(s, op, acc0, &lanes) };
+    (acc, last, hits)
+}
+
+/// The strided reducing store of a dot-axpy pair:
+/// `data[off + coord·stride − origin] op= a ∘ scale` (or `scale ∘ a`).
+struct AxpyOut<'d> {
+    data: &'d mut [f64],
+    off: usize,
+    stride: usize,
+    /// Element offset of `data[0]` within the full tensor.
+    origin: usize,
+    bin: BinOp,
+    op: AssignOp,
+    scale: f64,
+    scale_first: bool,
+}
+
+/// SSYMV's symmetric pair over any drive: a register-held dot plus a
+/// strided reducing store sharing the driver value (`w ∘= a ∘ x[c];
+/// y[c] ∘= a ∘ scale`). The dot side lanes exactly like [`fold_dot`]; the
+/// axpy side keeps its per-element stores in coordinate order in either
+/// mode (the cells are distinct — driver coordinates are strictly
+/// increasing — so store order carries no FP dependency). Over a
+/// contiguous segment with a unit-stride output the store loop is a
+/// contiguous read-modify-write of one hoisted constant, the shape the
+/// autovectorizer turns into straight vector ops.
+fn fold_dot_axpy<'a, S: Semi, D: Drive<'a>, const L: usize>(
+    s: S,
+    dot: (BinOp, AssignOp),
+    acc0: f64,
+    drive: &D,
+    x: Strided<'_>,
+    out: &mut AxpyOut<'_>,
+) -> (f64, usize) {
+    let unit = <D::Seg as Segment>::CONTIGUOUS;
+    let (scale, scale_first, obin, oop) = (out.scale, out.scale_first, out.bin, out.op);
+    let scaled = |a: f64| if scale_first { s.bin(obin, scale, a) } else { s.bin(obin, a, scale) };
+    let mut lanes = [if L == 1 { acc0 } else { dot.1.identity().unwrap_or(0.0) }; L];
+    let last = drive.segments(|seg| {
+        let mut base = 0;
+        while L > 1 && base + L <= seg.len() {
+            let cs = seg.coords::<L>(base);
+            let va = seg.vals::<L>(base);
+            let xa = x.load(&cs, unit);
+            for k in 0..L {
+                lanes[k] = s.red(dot.1, lanes[k], s.bin(dot.0, va[k], xa[k]));
+            }
+            if unit && out.stride == 1 {
+                let o = out.off + cs[0] - out.origin;
+                let cells: &mut [f64; L] =
+                    (&mut out.data[o..o + L]).try_into().expect("exact chunk");
+                for k in 0..L {
+                    cells[k] = s.red(oop, cells[k], scaled(va[k]));
+                }
+            } else {
+                for k in 0..L {
+                    let cell = &mut out.data[out.off + cs[k] * out.stride - out.origin];
+                    *cell = s.red(oop, *cell, scaled(va[k]));
+                }
+            }
+            base += L;
+        }
+        seg.each(base, |k, c, a| {
+            let a = a.unwrap_or(0.0);
+            let xv = x.xs[x.base + c * x.stride];
+            lanes[k % L] = s.red(dot.1, lanes[k % L], s.bin(dot.0, a, xv));
+            let cell = &mut out.data[out.off + c * out.stride - out.origin];
+            *cell = s.red(oop, *cell, scaled(a));
+        });
+    });
+    let acc = if L == 1 { lanes[0] } else { lane_merge(s, dot.1, acc0, &lanes) };
+    (acc, last)
+}
+
+/// Splits a two-load body's fold into the canonical dot chain
+/// `[lead regs..., Local(a), (Reg mid)?, Local(b)]` where load `a` is
+/// the driver value, snapshotting (and pre-folding) the invariant
+/// registers. `None` = some other shape.
+#[inline]
+fn split_dot(
+    f: &[f64],
+    loads: &[FLoad],
+    fold: &FFold,
+) -> Option<(Option<f64>, usize, Option<f64>, usize)> {
+    let mut srcs = fold.srcs.iter();
+    let mut lead: Option<f64> = None;
+    let a = loop {
+        match srcs.next()? {
+            FOp::Reg(r) => {
+                let v = f[*r];
+                lead = Some(match lead {
+                    None => v,
+                    Some(l) => fold.bin.apply(l, v),
+                });
+            }
+            FOp::Local(l) => break *l,
+        }
+    };
+    let (mid, b) = match srcs.next()? {
+        FOp::Reg(r) => {
+            let FOp::Local(l) = srcs.next()? else {
+                return None;
+            };
+            (Some(f[*r]), *l)
+        }
+        FOp::Local(l) => (None, *l),
+    };
+    let canonical =
+        srcs.next().is_none() && loads.len() == 2 && a != b && matches!(loads[a], FLoad::Val);
+    canonical.then_some((lead, a, mid, b))
+}
+
+// ---------------------------------------------------------------------------
+// Vector-loop execution
+// ---------------------------------------------------------------------------
 
 /// An entry-resolved per-coordinate load: dense operands are concrete
 /// slices with their invariant base offsets folded in.
@@ -723,7 +954,7 @@ enum RLoad<'a, 'p> {
     Probe { tensor: usize, set_miss: bool },
     /// `slice[base + coord * stride]`.
     Dense { slice: &'a [f64], base: usize, stride: usize },
-    /// Random-access gather (shares [`gather_find`] with the step path).
+    /// Random-access gather (shares [`LoopRun::gather`] with the step path).
     Gather { tensor: usize, id: usize, modes: &'p [usize], var_mode: Option<usize>, set_miss: bool },
 }
 
@@ -785,126 +1016,12 @@ struct RBody<'a, 'p> {
     idx: usize,
     needs_u_idx: bool,
     /// Whether register-held folds accumulate into [`RFold::lanev`]
-    /// (the body's plan-level lane count is > 1 and the context asked
-    /// for [`LaneMode::Lanes`]).
+    /// (the [`lane_gate`] decision for this loop entry).
     use_lanes: bool,
     /// The lane the *next* coordinate's folds land in. Advances once
     /// per executed coordinate — including all-miss coordinates — so
     /// the lane assignment is a pure function of the drive window.
     lane_k: usize,
-}
-
-/// How a fused loop iterates its coordinates — one variant per
-/// vector-loop instruction kind.
-enum FDrive<'a> {
-    /// Counted dense loop over `lo..=hi`.
-    Range { lo: usize, hi: usize },
-    /// Compressed driver: positions `start..stop` of `crd`, values at
-    /// the same positions.
-    Crd { vals: &'a [f64], crd: &'a [usize], start: usize, stop: usize },
-    /// Run-length driver: runs `start..stop` clamped to `[lo, hi]`,
-    /// value constant per run.
-    Rle {
-        vals: &'a [f64],
-        run_start: &'a [usize],
-        run_end: &'a [usize],
-        start: usize,
-        stop: usize,
-        lo: usize,
-        hi: usize,
-    },
-    /// Two-way intersection: the driver window merged against the
-    /// probed fiber with a forward-only cursor ([`ProbeCur`]).
-    Isect {
-        vals: &'a [f64],
-        crd: &'a [usize],
-        start: usize,
-        stop: usize,
-        bvals: &'a [f64],
-        probe: ProbeCur<'a>,
-    },
-}
-
-/// Upper bound on the number of coordinates a drive window executes —
-/// the generic fused path's lane cutover measure (compressed and
-/// intersection drivers count stored positions; dense drivers count
-/// the clamped coordinate span; run-length drivers measure against the
-/// run extents via [`rle_extent`]).
-fn drive_span(drive: &FDrive<'_>) -> usize {
-    match drive {
-        FDrive::Range { lo, hi } => hi.saturating_add(1).saturating_sub(*lo),
-        FDrive::Crd { start, stop, .. } | FDrive::Isect { start, stop, .. } => {
-            stop.saturating_sub(*start)
-        }
-        FDrive::Rle { run_start, run_end, start, stop, lo, hi, .. } => {
-            rle_extent(run_start, run_end, *start, *stop, *lo, *hi)
-        }
-    }
-}
-
-/// Upper bound on the coordinates a run-length window covers: first
-/// selected run's clamped start through last selected run's clamped
-/// end. Unclamped loops carry a sentinel `hi` (`i64::MAX`), so the raw
-/// `[lo, hi]` span saturates and would put every tiny fiber over the
-/// lane cutover; bounding by the run extents keeps the cutover a real
-/// measure of work.
-fn rle_extent(
-    run_start: &[usize],
-    run_end: &[usize],
-    start: usize,
-    stop: usize,
-    lo: usize,
-    hi: usize,
-) -> usize {
-    if start >= stop {
-        return 0;
-    }
-    let first = run_start[start].max(lo);
-    let last = run_end[stop - 1].min(hi);
-    last.saturating_add(1).saturating_sub(first)
-}
-
-/// Forward-only cursor over the probed side of an intersection drive —
-/// one variant per level format, so probes into dense and run-length
-/// levels reach the fused tier through the same merge loop as
-/// compressed probes. Driver coordinates are monotone, so every
-/// variant's cursor only moves forward.
-#[derive(Clone, Copy)]
-enum ProbeCur<'a> {
-    /// The probed path prefix is unstored: every probe misses (the
-    /// driver still iterates, as in the interpreter).
-    Empty,
-    /// Compressed fiber: gallop over `crd[cur..end]`.
-    Crd { crd: &'a [usize], cur: usize, end: usize },
-    /// Dense fiber: direct index, hit iff `coord < size`.
-    Dense { base: usize, size: usize },
-    /// Run-length fiber: walk runs `cur..end`, hit iff the current
-    /// run covers `coord`; the hit position is the run index.
-    Runs { run_start: &'a [usize], run_end: &'a [usize], cur: usize, end: usize },
-}
-
-impl ProbeCur<'_> {
-    /// Advances the cursor to `coord` and returns the value position on
-    /// a hit.
-    #[inline(always)]
-    fn find(&mut self, coord: usize) -> Option<usize> {
-        match self {
-            ProbeCur::Empty => None,
-            ProbeCur::Crd { crd, cur, end } => {
-                if *cur < *end && crd[*cur] < coord {
-                    *cur += crd[*cur..*end].partition_point(|&x| x < coord);
-                }
-                (*cur < *end && crd[*cur] == coord).then_some(*cur)
-            }
-            ProbeCur::Dense { base, size } => (coord < *size).then(|| *base + coord),
-            ProbeCur::Runs { run_start, run_end, cur, end } => {
-                while *cur < *end && run_end[*cur] < coord {
-                    *cur += 1;
-                }
-                (*cur < *end && run_start[*cur] <= coord).then_some(*cur)
-            }
-        }
-    }
 }
 
 #[inline(always)]
@@ -915,14 +1032,23 @@ fn src_val(src: RSrc, locals: &[f64; MAX_FUSED_LOADS]) -> f64 {
     }
 }
 
-/// The fused analogue of [`VecRun`]: binding tables plus hit-dependent
-/// counter accumulators. Bulk (per-iteration) counters come from the
-/// body's compile-time recipe; with [`CounterMode::Off`] the `COUNT`
-/// flag compiles all counter maintenance out of the loops.
-struct FusedRun<'r, 'a, 'o> {
+/// Per-vector-loop execution state: every binding table and scratch a
+/// loop body touches, plus the loop's counter contributions (folded
+/// into the program totals when the loop instruction finishes). One
+/// [`LoopRun::run`] serves all four vector-loop instructions; it picks
+/// the tier — the closed-form folds, the generic fused body, or the
+/// step list — and every tier walks the same [`Drive`].
+///
+/// Bulk (per-iteration) counters come from the body's compile-time
+/// recipe ([`LoopRun::vec_prepare`] for step lists); only hit-dependent
+/// work is counted per element. With [`CounterMode::Off`] the `COUNT`
+/// flag compiles all counter maintenance out of the fused loops.
+struct LoopRun<'r, 'a, 'o> {
+    pass: &'r mut [bool],
+    bases: &'r mut [usize],
+    gathers: &'r mut GatherBank,
     u: &'r mut [usize],
     f: &'r mut [f64],
-    gathers: &'r mut GatherBank,
     dense: &'r [&'a [f64]],
     vals: &'r [&'a [f64]],
     levels: &'r [Option<LevelView<'a>>],
@@ -932,30 +1058,259 @@ struct FusedRun<'r, 'a, 'o> {
     reads: &'r mut [u64],
     flops: u64,
     writes: u64,
+    iterations: u64,
+    /// Per-kind dispatch tally (see `run_range`).
+    dispatch: &'r mut [u64; telemetry::BODY_KINDS.len()],
+    mode: CounterMode,
     /// The context's [`LaneMode`], as a bool: lane execution applies
     /// only where the body's plan-level lane count also allows it.
     lanes: bool,
 }
 
-impl<'a> FusedRun<'_, 'a, '_> {
-    /// Executes one fused loop under the context's counter mode.
-    #[inline]
-    fn run_mode(
-        &mut self,
-        mode: CounterMode,
-        fu: &Fused,
-        drive: FDrive<'a>,
-        idx: usize,
-        iters: u64,
-    ) {
-        match mode {
-            CounterMode::Exact => self.run::<true>(fu, drive, idx, iters),
-            CounterMode::Off => self.run::<false>(fu, drive, idx, iters),
+impl<'a> LoopRun<'_, 'a, '_> {
+    /// Executes one vector loop over `drive`: the fused body when
+    /// exactly one guarded item passes and carries one, the step list
+    /// when several pass (coordinate-major is then the only
+    /// order-preserving strategy), and just the loop index's exit value
+    /// when none does.
+    fn run<D: Drive<'a>>(&mut self, items: &[VItem], idx: usize, drive: &D) {
+        let mut iters = 0u64;
+        let last = drive.segments(|seg| iters += seg.len() as u64);
+        if iters == 0 {
+            return;
+        }
+        self.iterations += iters;
+        let n_pass = eval_guards(items, self.u, self.pass);
+        if let Some(fu) = fused_single(items, self.pass, n_pass) {
+            self.dispatch[body_kind(fu.kind).index()] += 1;
+            match self.mode {
+                CounterMode::Exact => self.fused::<true, D>(fu, idx, iters, drive),
+                CounterMode::Off => self.fused::<false, D>(fu, idx, iters, drive),
+            }
+        } else if n_pass > 0 {
+            self.dispatch[telemetry::BodyKind::Steps.index()] += 1;
+            self.vec_prepare(items, iters);
+            self.init_gathers(items);
+            for_each(drive, |c, val, probe| self.exec_coord(items, idx, c, val, probe));
+        } else {
+            self.u[idx] = last;
         }
     }
 
+    // -- Step tier ----------------------------------------------------------
+
+    /// Caches the loop-invariant base offsets of passing items and accounts
+    /// the loop's *invariant* counters in bulk: every step of a passing
+    /// item executes exactly once per coordinate, so its invariant counter
+    /// contribution is a per-iteration constant times the iteration count —
+    /// identical totals to bumping inside the loop, with no hot-loop
+    /// counter traffic. Hit-dependent contributions (probe and gather
+    /// reads, the store side of miss-checked folds) are counted by
+    /// [`Self::exec_coord`] instead. Guards must already be evaluated
+    /// ([`eval_guards`]).
+    fn vec_prepare(&mut self, items: &[VItem], iters: u64) {
+        for item in items {
+            if !self.pass[item.id] {
+                continue;
+            }
+            for step in item.steps.iter() {
+                match step {
+                    VStep::Load { tensor, id, base, .. } => {
+                        self.bases[*id] = offset(self.u, base);
+                        self.reads[*tensor] += iters;
+                    }
+                    VStep::LoadVal { tensor, .. } => {
+                        self.reads[*tensor] += iters;
+                    }
+                    // Probe / gather reads count only on a hit.
+                    VStep::LoadProbe { .. } | VStep::LoadGather { .. } => {}
+                    VStep::FoldOut { tensor: _, id, base, op, srcs, check_miss, .. } => {
+                        self.bases[*id] = offset(self.u, base);
+                        // The fold always evaluates; with check_miss the
+                        // store (write + reduce flop) is hit-dependent.
+                        let mut per_iter = srcs.len() as u64 - 1;
+                        if !*check_miss {
+                            per_iter += u64::from(*op != AssignOp::Overwrite);
+                            self.writes += iters;
+                        }
+                        self.flops += per_iter * iters;
+                    }
+                    VStep::FoldScalar { op, srcs, check_miss, .. } => {
+                        let mut per_iter = srcs.len() as u64 - 1;
+                        if !*check_miss {
+                            per_iter += u64::from(*op != AssignOp::Overwrite);
+                        }
+                        self.flops += per_iter * iters;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Resolves the invariant prefix position (and varying-mode cursor)
+    /// of every single-varying-mode gather once per loop entry.
+    fn init_gathers(&mut self, items: &[VItem]) {
+        if self.gathers.len() == 0 {
+            // No gathers anywhere in the plan (all eight paper
+            // kernels): skip the step scan on every loop entry.
+            return;
+        }
+        for item in items {
+            if !self.pass[item.id] {
+                continue;
+            }
+            for step in item.steps.iter() {
+                if let VStep::LoadGather { tensor, id, modes, var_mode: Some(vm), .. } = step {
+                    self.init_gather(*tensor, *id, modes, *vm);
+                }
+            }
+        }
+    }
+
+    /// Resolves the invariant prefix position (and forward cursor at the
+    /// varying mode) of one single-varying-mode gather at loop entry.
+    fn init_gather(&mut self, tensor: usize, id: usize, modes: &[usize], var_mode: usize) {
+        let prefix = descend(self.levels, self.lvl_base, self.u, tensor, modes, 0..var_mode, 0);
+        self.gathers.prefix[id] = prefix.unwrap_or(MISS);
+        self.gathers.cursor[id] = prefix.map_or(0, |p| {
+            ProbeCur::open(level(self.levels, self.lvl_base, tensor, var_mode), p).cursor()
+        });
+    }
+
+    /// Resolves a gather at `coord` to its value. With `var_mode:
+    /// Some(k)` the loop index appears at exactly one subscript position
+    /// `k`: the invariant prefix position is cached
+    /// ([`Self::init_gather`]), position `k` advances a forward-only
+    /// [`ProbeCur`], and the invariant suffix descends per hit
+    /// (leaf-varying gathers have an empty suffix, so this is free).
+    /// With `None` the index appears at several positions, so no single
+    /// monotone cursor exists and the full path is searched.
     #[inline]
-    fn run<const COUNT: bool>(&mut self, fu: &Fused, drive: FDrive<'a>, idx: usize, iters: u64) {
+    fn gather(
+        &mut self,
+        tensor: usize,
+        id: usize,
+        modes: &[usize],
+        var_mode: Option<usize>,
+        coord: usize,
+    ) -> Option<f64> {
+        let (levels, lvl_base) = (self.levels, self.lvl_base);
+        let pos = match var_mode {
+            None => descend(levels, lvl_base, self.u, tensor, modes, 0..modes.len(), 0)?,
+            Some(_) if self.gathers.prefix[id] == MISS => return None,
+            Some(vm) => {
+                let view = level(levels, lvl_base, tensor, vm);
+                let mut cur =
+                    ProbeCur::open(view, self.gathers.prefix[id]).at(self.gathers.cursor[id]);
+                let hit = cur.find(coord);
+                self.gathers.cursor[id] = cur.cursor();
+                descend(levels, lvl_base, self.u, tensor, modes, vm + 1..modes.len(), hit?)?
+            }
+        };
+        Some(self.vals[tensor][pos])
+    }
+
+    /// Executes the passing items' step lists for one coordinate. `val`
+    /// is the driver's value, `probe` the probed fiber's value (if the
+    /// loop intersects two fibers).
+    #[inline]
+    fn exec_coord(
+        &mut self,
+        items: &[VItem],
+        idx: usize,
+        coord: usize,
+        val: Option<f64>,
+        probe: Option<Option<f64>>,
+    ) {
+        self.u[idx] = coord;
+        // The per-coordinate miss flag (see [`VStep`]).
+        let mut miss = false;
+        for item in items {
+            if !self.pass[item.id] {
+                continue;
+            }
+            for step in item.steps.iter() {
+                // Probe / gather loads: the value and a counted read on
+                // a hit, the fill (and the armed miss flag) otherwise.
+                let (dst, tensor, set_miss, hit) = match step {
+                    VStep::Load { dst, tensor, id, stride, .. } => {
+                        self.f[*dst] = self.dense[*tensor][self.bases[*id] + coord * stride];
+                        continue;
+                    }
+                    VStep::LoadVal { dst, .. } => {
+                        self.f[*dst] = val.expect("driver value in a driven vector loop");
+                        continue;
+                    }
+                    VStep::LoadProbe { dst, tensor, set_miss } => {
+                        (dst, tensor, set_miss, probe.expect("probe in an intersection loop"))
+                    }
+                    VStep::LoadGather { dst, tensor, id, modes, var_mode, set_miss } => {
+                        (dst, tensor, set_miss, self.gather(*tensor, *id, modes, *var_mode, coord))
+                    }
+                    VStep::FoldOut { tensor, id, stride, bin, op, srcs, check_miss, .. } => {
+                        let v = fold(bin, srcs, self.f);
+                        if !(*check_miss && miss) {
+                            let off = self.bases[*id] + coord * stride;
+                            let ob = self.outs[self.oo[*tensor]].as_mut().expect("output bound");
+                            let cell = &mut ob.data[off - ob.base];
+                            *cell = op.apply(*cell, v);
+                            if *check_miss {
+                                self.writes += 1;
+                                if *op != AssignOp::Overwrite {
+                                    self.flops += 1;
+                                }
+                            }
+                        }
+                        miss = false;
+                        continue;
+                    }
+                    VStep::FoldScalar { slot, bin, op, srcs, check_miss } => {
+                        let v = fold(bin, srcs, self.f);
+                        if !(*check_miss && miss) {
+                            self.f[*slot] = op.apply(self.f[*slot], v);
+                            if *check_miss && *op != AssignOp::Overwrite {
+                                self.flops += 1;
+                            }
+                        }
+                        miss = false;
+                        continue;
+                    }
+                };
+                self.f[*dst] = hit.unwrap_or(0.0);
+                match hit {
+                    Some(_) => self.reads[*tensor] += 1,
+                    None => miss |= *set_miss,
+                }
+            }
+        }
+    }
+
+    // -- Fused tier ---------------------------------------------------------
+
+    /// The cell behind a register-held accumulator target: read at loop
+    /// entry, written back at exit (`None` for strided stores, which are
+    /// never held).
+    #[inline]
+    fn acc_cell(&mut self, acc: RAcc) -> Option<&mut f64> {
+        match acc {
+            RAcc::Slot { slot } => Some(&mut self.f[slot]),
+            RAcc::Cell { ord, off } => {
+                let ob = self.outs[ord].as_mut().expect("output bound");
+                Some(&mut ob.data[off - ob.base])
+            }
+            RAcc::Out { .. } => None,
+        }
+    }
+
+    /// Executes one fused loop: the closed-form folds for the canonical
+    /// dot / dot-axpy shapes, the generic resolved body otherwise.
+    fn fused<const COUNT: bool, D: Drive<'a>>(
+        &mut self,
+        fu: &Fused,
+        idx: usize,
+        iters: u64,
+        drive: &D,
+    ) {
         if COUNT {
             // Invariant contributions in bulk, from the recipe derived
             // off the step list this body replaces.
@@ -965,71 +1320,42 @@ impl<'a> FusedRun<'_, 'a, '_> {
             self.flops += fu.bulk.flops * iters;
             self.writes += fu.bulk.writes * iters;
         }
-        // Closed-form loops for the canonical shapes run straight off
-        // the compile-time form — entry cost is a handful of scalar
-        // resolutions, which matters for short fibers entered many
-        // times (SSYRK's intersection).
-        //
-        // The short-fiber cutover applies to the generic path too: a
-        // window below [`LANE_MIN`] folds serially (in interpreter
-        // order), so the lane-merge tax is never paid on fibers too
-        // short to amortize it. The gate is a pure function of the
-        // drive window — deterministic, like the special runners'.
-        let use_lanes = self.lanes && fu.lanes > 1 && drive_span(&drive) > LANE_MIN;
-        if matches!(fu.kind, FusedBody::Dot | FusedBody::DotAxpy)
-            && self.run_special::<COUNT>(fu, &drive, idx, use_lanes)
-        {
+        let lanes_on = self.lanes && fu.lanes > 1;
+        // Closed-form loops run straight off the compile-time form —
+        // entry cost is a handful of scalar resolutions, which matters
+        // for short fibers entered many times (SSYRK's intersection).
+        let closed = match fu.kind {
+            FusedBody::Dot => self.closed_dot::<COUNT, D>(fu, idx, drive, lanes_on),
+            FusedBody::DotAxpy => self.closed_dot_axpy(fu, idx, drive, lanes_on),
+            _ => false,
+        };
+        if closed {
             return;
         }
-        let mut body = self.resolve(fu, idx, use_lanes);
+        let mut body = self.resolve(fu, idx, lane_gate(lanes_on, drive.span(), None));
         for ld in fu.loads.iter() {
             if let FLoad::Gather { tensor, id, modes, var_mode: Some(vm), .. } = ld {
-                init_gather_cursor(
-                    self.levels,
-                    self.lvl_base,
-                    self.u,
-                    self.gathers,
-                    *tensor,
-                    *id,
-                    modes,
-                    *vm,
-                );
+                self.init_gather(*tensor, *id, modes, *vm);
             }
         }
         // One semiring for the whole body → monomorphized loops.
         let folds = &body.folds[..body.n_folds];
         let (bin0, op0) = (folds[0].bin, folds[0].op);
         let uniform = folds.iter().all(|fo| fo.bin == bin0 && fo.op == op0);
-        match (uniform, bin0, op0) {
-            (true, BinOp::Mul, AssignOp::Add) => {
-                self.drive_shape::<MulAddSemi, COUNT>(&mut body, MulAddSemi, drive)
-            }
-            (true, BinOp::Add, AssignOp::Min) => {
-                self.drive_shape::<AddMinSemi, COUNT>(&mut body, AddMinSemi, drive)
-            }
-            _ => self.drive_shape::<DynSemi, COUNT>(&mut body, DynSemi, drive),
-        }
+        with_semi!(uniform, bin0, op0, |s| self.drive_shape::<_, COUNT, D>(&mut body, s, drive));
         // Flush register-held accumulators: under lanes, merge the lane
         // array into the entry-seeded accumulator in fixed lane order.
         // `op.apply` is exactly the reduction the loop ran (the
         // semiring dispatch above proved the op pair), so the merge is
         // bit-identical whichever `Semi` drove the loop.
-        let use_lanes = body.use_lanes;
         for fold in &body.folds[..body.n_folds] {
-            let mut acc = fold.accv;
-            if use_lanes {
-                for &l in &fold.lanev {
-                    acc = fold.op.apply(acc, l);
-                }
-            }
-            match fold.acc {
-                RAcc::Slot { slot } => self.f[slot] = acc,
-                RAcc::Cell { ord, off } => {
-                    let ob = self.outs[ord].as_mut().expect("output bound");
-                    let i = off - ob.base;
-                    ob.data[i] = acc;
-                }
-                RAcc::Out { .. } => {}
+            let acc = if body.use_lanes {
+                lane_merge(DynSemi, fold.op, fold.accv, &fold.lanev)
+            } else {
+                fold.accv
+            };
+            if let Some(cell) = self.acc_cell(fold.acc) {
+                *cell = acc;
             }
         }
     }
@@ -1119,14 +1445,7 @@ impl<'a> FusedRun<'_, 'a, '_> {
                     }
                 }
             };
-            rf.accv = match rf.acc {
-                RAcc::Slot { slot } => self.f[slot],
-                RAcc::Cell { ord, off } => {
-                    let ob = self.outs[ord].as_ref().expect("output bound");
-                    ob.data[off - ob.base]
-                }
-                RAcc::Out { .. } => 0.0,
-            };
+            rf.accv = self.acc_cell(rf.acc).map_or(0.0, |cell| *cell);
             rf.lanev = [fold.op.identity().unwrap_or(0.0); LANES];
             rf.bin = fold.bin;
             rf.op = fold.op;
@@ -1143,72 +1462,37 @@ impl<'a> FusedRun<'_, 'a, '_> {
     /// per-shape unrolled instantiations of [`Self::drive`] whose inner
     /// loops have compile-time trip counts; `(0, 0)` is the dynamic
     /// fallback for everything else.
-    fn drive_shape<S: Semi, const COUNT: bool>(
+    fn drive_shape<S: Semi, const COUNT: bool, D: Drive<'a>>(
         &mut self,
         body: &mut RBody<'a, '_>,
         s: S,
-        drive: FDrive<'a>,
+        drive: &D,
     ) {
         match (body.n_loads, body.n_folds) {
-            (2, 1) => self.drive::<S, COUNT, 2, 1>(body, s, drive),
-            (3, 2) => self.drive::<S, COUNT, 3, 2>(body, s, drive),
-            (4, 3) => self.drive::<S, COUNT, 4, 3>(body, s, drive),
-            (5, 4) => self.drive::<S, COUNT, 5, 4>(body, s, drive),
-            _ => self.drive::<S, COUNT, 0, 0>(body, s, drive),
+            (2, 1) => self.drive::<S, COUNT, 2, 1, D>(body, s, drive),
+            (3, 2) => self.drive::<S, COUNT, 3, 2, D>(body, s, drive),
+            (4, 3) => self.drive::<S, COUNT, 4, 3, D>(body, s, drive),
+            (5, 4) => self.drive::<S, COUNT, 5, 4, D>(body, s, drive),
+            _ => self.drive::<S, COUNT, 0, 0, D>(body, s, drive),
         }
     }
 
     /// Drives the body over the loop's coordinates. `NL` / `NF` pin the
     /// load and fold counts at compile time (0 = read them from the
-    /// body at runtime).
-    fn drive<S: Semi, const COUNT: bool, const NL: usize, const NF: usize>(
+    /// body at runtime). Never inlined: as one arm of its dispatcher's
+    /// body the loop loses its registers to the other fifteen (measured
+    /// 12–22% on the `Jam` bodies of MTTKRP and TTM).
+    #[inline(never)]
+    fn drive<S: Semi, const COUNT: bool, const NL: usize, const NF: usize, D: Drive<'a>>(
         &mut self,
         body: &mut RBody<'a, '_>,
         s: S,
-        drive: FDrive<'a>,
+        drive: &D,
     ) {
-        match drive {
-            FDrive::Range { lo, hi } => {
-                for c in lo..=hi {
-                    self.coord::<S, COUNT, NL, NF>(body, s, c, None, None);
-                }
-                self.u[body.idx] = hi;
-            }
-            FDrive::Crd { vals, crd, start, stop } => {
-                for (pos, &c) in crd.iter().enumerate().take(stop).skip(start) {
-                    self.coord::<S, COUNT, NL, NF>(body, s, c, Some((vals, pos)), None);
-                }
-                self.u[body.idx] = crd[stop - 1];
-            }
-            FDrive::Rle { vals, run_start, run_end, start, stop, lo, hi } => {
-                let mut last = lo;
-                for r in start..stop {
-                    let c_lo = run_start[r].max(lo);
-                    if c_lo > hi {
-                        break;
-                    }
-                    let c_hi = run_end[r].min(hi);
-                    for c in c_lo..=c_hi {
-                        self.coord::<S, COUNT, NL, NF>(body, s, c, Some((vals, r)), None);
-                    }
-                    last = c_hi;
-                }
-                self.u[body.idx] = last;
-            }
-            FDrive::Isect { vals, crd, start, stop, bvals, mut probe } => {
-                for (pos, &c) in crd.iter().enumerate().take(stop).skip(start) {
-                    let pmatch = probe.find(c);
-                    self.coord::<S, COUNT, NL, NF>(
-                        body,
-                        s,
-                        c,
-                        Some((vals, pos)),
-                        Some((bvals, pmatch)),
-                    );
-                }
-                self.u[body.idx] = crd[stop - 1];
-            }
-        }
+        let last = for_each(drive, |c, val, probe| {
+            self.coord::<S, COUNT, NL, NF>(body, s, c, val, probe);
+        });
+        self.u[body.idx] = last;
     }
 
     /// Executes the body for one coordinate (the generic fused path:
@@ -1219,8 +1503,8 @@ impl<'a> FusedRun<'_, 'a, '_> {
         body: &mut RBody<'a, '_>,
         s: S,
         coord: usize,
-        leaf: Option<(&'a [f64], usize)>,
-        probe: Option<(&'a [f64], Option<usize>)>,
+        val: Option<f64>,
+        probe: Option<Option<f64>>,
     ) {
         if body.needs_u_idx {
             self.u[body.idx] = coord;
@@ -1232,54 +1516,29 @@ impl<'a> FusedRun<'_, 'a, '_> {
         let mut locals = [0f64; MAX_FUSED_LOADS];
         let mut miss: u32 = 0;
         for (i, ld) in body.loads[..n_loads].iter().enumerate() {
-            match *ld {
+            // Probe / gather loads: the value and a counted read on a
+            // hit, the fill and the load's miss bit otherwise.
+            let (tensor, set_miss, hit) = match *ld {
                 RLoad::Val => {
-                    let (v, pos) = leaf.expect("driver value in a driven fused loop");
-                    locals[i] = v[pos];
+                    locals[i] = val.expect("driver value in a driven fused loop");
+                    continue;
                 }
                 RLoad::Dense { slice, base, stride } => {
                     locals[i] = slice[base + coord * stride];
+                    continue;
                 }
                 RLoad::Probe { tensor, set_miss } => {
-                    let (pv, pmatch) = probe.expect("probe value in an intersection loop");
-                    match pmatch {
-                        Some(p) => {
-                            locals[i] = pv[p];
-                            if COUNT {
-                                self.reads[tensor] += 1;
-                            }
-                        }
-                        None => {
-                            locals[i] = 0.0;
-                            miss |= u32::from(set_miss) << i;
-                        }
-                    }
+                    (tensor, set_miss, probe.expect("probe in an intersection loop"))
                 }
                 RLoad::Gather { tensor, id, modes, var_mode, set_miss } => {
-                    let found = gather_find(
-                        self.levels,
-                        self.lvl_base,
-                        self.u,
-                        self.gathers,
-                        tensor,
-                        id,
-                        modes,
-                        var_mode,
-                        coord,
-                    );
-                    match found {
-                        Some(p) => {
-                            locals[i] = self.vals[tensor][p];
-                            if COUNT {
-                                self.reads[tensor] += 1;
-                            }
-                        }
-                        None => {
-                            locals[i] = 0.0;
-                            miss |= u32::from(set_miss) << i;
-                        }
-                    }
+                    (tensor, set_miss, self.gather(tensor, id, modes, var_mode, coord))
                 }
+            };
+            locals[i] = hit.unwrap_or(0.0);
+            match hit {
+                Some(_) if COUNT => self.reads[tensor] += 1,
+                Some(_) => {}
+                None => miss |= u32::from(set_miss) << i,
             }
         }
         for fold in body.folds[..n_folds].iter_mut() {
@@ -1325,166 +1584,106 @@ impl<'a> FusedRun<'_, 'a, '_> {
         }
     }
 
-    /// Closed-form loops for the canonical dot / dot-axpy shapes,
-    /// running straight off the compile-time [`Fused`] form (no operand
-    /// arrays, accumulators and operands pinned in machine registers).
+    /// `acc ∘= [lead ∘] a [∘ mid] ∘ b` where `a` is the driver value
+    /// and `b` a strided dense element (SpMV/SYPRD row dots) or the
+    /// probed value (SSYRK's intersection dot), through [`fold_dot`].
     /// Returns `false` when the shape or drive doesn't match — the
     /// generic fused path then runs.
     #[inline]
-    fn run_special<const COUNT: bool>(
+    fn closed_dot<const COUNT: bool, D: Drive<'a>>(
         &mut self,
         fu: &Fused,
-        drive: &FDrive<'a>,
         idx: usize,
-        lanes: bool,
+        drive: &D,
+        lanes_on: bool,
     ) -> bool {
-        match (fu.kind, fu.folds.as_ref()) {
-            (FusedBody::Dot, [fold]) => {
-                self.special_dot::<COUNT>(fold, &fu.loads, drive, idx, lanes)
-            }
-            (FusedBody::DotAxpy, [dot, axpy]) => {
-                self.special_dot_axpy::<COUNT>(dot, axpy, &fu.loads, drive, idx, lanes)
-            }
-            _ => false,
-        }
-    }
-
-    /// `acc ∘= [lead ∘] a [∘ mid] ∘ b` where `a` is the driver value
-    /// and `b` a strided dense element (SpMV/SYPRD row dots) or the
-    /// probed value (SSYRK's intersection dot), with the accumulator in
-    /// a machine register for the whole loop.
-    #[inline]
-    fn special_dot<const COUNT: bool>(
-        &mut self,
-        fold: &FFold,
-        loads: &[FLoad],
-        drive: &FDrive<'a>,
-        idx: usize,
-        lanes: bool,
-    ) -> bool {
-        if loads.len() != 2 {
-            return false;
-        }
-        let Some((lead, a, mid, b)) = split_dot(self.f, fold) else {
+        let [fold] = fu.folds.as_ref() else {
             return false;
         };
-        if a == b || !matches!(loads[a], FLoad::Val) {
-            return false;
-        }
-        // Register-held accumulator: a scalar slot or an invariant cell.
-        let cell = match &fold.acc {
-            FAcc::Scalar { .. } => None,
-            FAcc::Out { tensor, base, stride: 0 } => Some((self.oo[*tensor], offset(self.u, base))),
-            FAcc::Out { .. } => return false,
-        };
-        let acc0 = match (&fold.acc, cell) {
-            (FAcc::Scalar { slot }, _) => self.f[*slot],
-            (_, Some((ord, off))) => {
-                let ob = self.outs[ord].as_ref().expect("output bound");
-                ob.data[off - ob.base]
-            }
-            _ => unreachable!(),
-        };
-        let (bin, op) = (fold.bin, fold.op);
-        // Lane mode applies when the fold's reduction has an identity
-        // to seed the lanes with (always true for the proven-uniform
-        // semirings; checked for the dynamic fallback).
-        let lane_ident = if lanes { op.identity() } else { None };
-        let acc = match &loads[b] {
-            FLoad::Dense { tensor, base, stride } if !fold.check_miss => {
-                let xs = self.dense[*tensor];
-                let xb = offset(self.u, base);
-                let xst = *stride;
-                match *drive {
-                    FDrive::Crd { vals, crd, start, stop } => {
-                        let (crd, avals) = (&crd[start..stop], &vals[start..stop]);
-                        let acc = dot_crd_dispatch(
-                            bin, op, lane_ident, lead, mid, acc0, crd, avals, xs, xb, xst,
-                        );
-                        self.u[idx] = crd[crd.len() - 1];
-                        acc
-                    }
-                    FDrive::Rle { vals, run_start, run_end, start, stop, lo, hi } => {
-                        let args = RleArgs { vals, run_start, run_end, start, stop, lo, hi };
-                        let (acc, last) = dot_rle_dispatch(
-                            bin, op, lane_ident, lead, mid, acc0, &args, xs, xb, xst,
-                        );
-                        self.u[idx] = last;
-                        acc
-                    }
-                    _ => return false,
+        // The plain intersection dot is pre-analyzed at compile time
+        // ([`Fused::isect_dot`]): no entry-time shape resolution at all
+        // on a loop entered per (i, j) pair.
+        let (ch, acc, b) = if let Some((slot, bin, op, _)) = fu.isect_dot {
+            (DotChain::new(bin, op, None, None), RAcc::Slot { slot }, 1)
+        } else {
+            let Some((lead, _, mid, b)) = split_dot(self.f, &fu.loads, fold) else {
+                return false;
+            };
+            // Register-held accumulator: a scalar slot or an invariant cell.
+            let acc = match &fold.acc {
+                FAcc::Scalar { slot } => RAcc::Slot { slot: *slot },
+                FAcc::Out { tensor, base, stride: 0 } => {
+                    RAcc::Cell { ord: self.oo[*tensor], off: offset(self.u, base) }
                 }
+                FAcc::Out { .. } => return false,
+            };
+            (DotChain::new(fold.bin, fold.op, lead, mid), acc, b)
+        };
+        let acc0 = *self.acc_cell(acc).expect("dot accumulators are register-held");
+        let (acc1, last) = match (&fu.loads[b], drive.probe()) {
+            (FLoad::Dense { tensor, base, stride }, None) if !fold.check_miss => {
+                let x = Strided {
+                    xs: self.dense[*tensor],
+                    base: offset(self.u, base),
+                    stride: *stride,
+                };
+                let lanes = lane_gate(lanes_on, drive.span(), None);
+                let (acc1, last, _) = run_dot(&ch, acc0, drive, x, lanes);
+                (acc1, last)
             }
-            FLoad::Probe { tensor: pt, set_miss: true }
+            (FLoad::Probe { tensor: pt, set_miss: true }, Some(probed))
                 if fold.check_miss && fold.miss.as_ref() == [b] =>
             {
-                let FDrive::Isect { vals, crd, start, stop, bvals, probe } = *drive else {
-                    return false;
-                };
-                let (crd, avals) = (&crd[start..stop], &vals[start..stop]);
-                let (acc, hits) = isect_dot_dispatch(
-                    bin, op, lane_ident, lead, mid, acc0, crd, avals, bvals, probe,
-                );
+                let lanes = lane_gate(lanes_on, drive.span(), Some(&probed.cur));
+                let (acc1, last, hits) = run_dot(&ch, acc0, drive, probed, lanes);
                 if COUNT {
                     // Per hit: one probe read plus the store side of the
                     // miss-checked fold.
                     self.reads[*pt] += hits;
-                    if op != AssignOp::Overwrite {
+                    if ch.op != AssignOp::Overwrite {
                         self.flops += hits;
                     }
-                    if matches!(fold.acc, FAcc::Out { .. }) {
+                    if matches!(acc, RAcc::Cell { .. }) {
                         self.writes += hits;
                     }
                 }
-                self.u[idx] = crd[crd.len() - 1];
-                acc
+                (acc1, last)
             }
             _ => return false,
         };
-        match (&fold.acc, cell) {
-            (FAcc::Scalar { slot }, _) => self.f[*slot] = acc,
-            (_, Some((ord, off))) => {
-                let ob = self.outs[ord].as_mut().expect("output bound");
-                let i = off - ob.base;
-                ob.data[i] = acc;
-            }
-            _ => unreachable!(),
-        }
+        *self.acc_cell(acc).expect("dot accumulators are register-held") = acc1;
+        self.u[idx] = last;
         true
     }
 
-    /// SSYMV's symmetric pair over a compressed or run-length driver:
-    /// a register-held scalar dot plus a strided reducing store,
-    /// sharing the driver value (`w ∘= a ∘ x[c]; y[c] ∘= a ∘ k`).
-    fn special_dot_axpy<const COUNT: bool>(
+    /// SSYMV's symmetric pair over an unprobed driver: a register-held
+    /// scalar dot plus a strided reducing store sharing the driver
+    /// value, through [`fold_dot_axpy`]. Returns `false` when the shape
+    /// doesn't match.
+    fn closed_dot_axpy<D: Drive<'a>>(
         &mut self,
-        dot: &FFold,
-        axpy: &FFold,
-        loads: &[FLoad],
-        drive: &FDrive<'a>,
+        fu: &Fused,
         idx: usize,
-        lanes: bool,
+        drive: &D,
+        lanes_on: bool,
     ) -> bool {
-        if !matches!(drive, FDrive::Crd { .. } | FDrive::Rle { .. }) {
-            return false;
-        }
-        if loads.len() != 2 || dot.check_miss || axpy.check_miss {
-            return false;
-        }
-        let Some((None, a, None, b)) = split_dot(self.f, dot) else {
+        let [dot, axpy] = fu.folds.as_ref() else {
             return false;
         };
-        if a == b || !matches!(loads[a], FLoad::Val) {
+        if drive.probe().is_some() || dot.check_miss || axpy.check_miss {
             return false;
         }
-        let FLoad::Dense { tensor: xt, base: xbase, stride: xst } = &loads[b] else {
+        let Some((None, a, None, b)) = split_dot(self.f, &fu.loads, dot) else {
+            return false;
+        };
+        let FLoad::Dense { tensor: xt, base: xbase, stride: xst } = &fu.loads[b] else {
             return false;
         };
         let FAcc::Scalar { slot } = dot.acc else {
             return false;
         };
         // The axpy side: driver value times one invariant register.
-        let (k, k_first) = match axpy.srcs.as_ref() {
+        let (scale, scale_first) = match axpy.srcs.as_ref() {
             [FOp::Local(l), FOp::Reg(r)] if *l == a => (self.f[*r], false),
             [FOp::Reg(r), FOp::Local(l)] if *l == a => (self.f[*r], true),
             _ => return false,
@@ -1492,754 +1691,64 @@ impl<'a> FusedRun<'_, 'a, '_> {
         let FAcc::Out { tensor: ot, base: obase, stride: ost } = &axpy.acc else {
             return false;
         };
-        let xs = self.dense[*xt];
-        let xb = offset(self.u, xbase);
-        let ooff = offset(self.u, obase);
-        let ord = self.oo[*ot];
-        let ob = self.outs[ord].as_mut().expect("output bound");
+        let x = Strided { xs: self.dense[*xt], base: offset(self.u, xbase), stride: *xst };
+        let ob = self.outs[self.oo[*ot]].as_mut().expect("output bound");
+        let mut out = AxpyOut {
+            data: &mut *ob.data,
+            off: offset(self.u, obase),
+            stride: *ost,
+            origin: ob.base,
+            bin: axpy.bin,
+            op: axpy.op,
+            scale,
+            scale_first,
+        };
         let acc0 = self.f[slot];
-        // Only the dot side is register-held, so only its reduction
-        // needs an identity for lane mode; the axpy stores stay
-        // elementwise in original order either way.
-        let lane_ident = if lanes { dot.op.identity() } else { None };
+        // Only the dot side is register-held, so only it lanes; the
+        // axpy stores stay elementwise in original order either way.
+        let lanes = lane_gate(lanes_on, drive.span(), None);
         let uniform = dot.bin == axpy.bin && dot.op == axpy.op;
-        match *drive {
-            FDrive::Crd { vals, crd, start, stop } => {
-                let args = DotAxpyArgs {
-                    k,
-                    k_first,
-                    crd: &crd[start..stop],
-                    avals: &vals[start..stop],
-                    xs,
-                    xb,
-                    xst: *xst,
-                    ooff,
-                    ob_base: ob.base,
-                    ost: *ost,
-                };
-                let acc = match (uniform, dot.bin, dot.op) {
-                    (true, BinOp::Mul, AssignOp::Add) => {
-                        dot_axpy_dispatch(MulAddSemi, dot, axpy, lane_ident, acc0, &args, ob.data)
-                    }
-                    (true, BinOp::Add, AssignOp::Min) => {
-                        dot_axpy_dispatch(AddMinSemi, dot, axpy, lane_ident, acc0, &args, ob.data)
-                    }
-                    _ => dot_axpy_dispatch(DynSemi, dot, axpy, lane_ident, acc0, &args, ob.data),
-                };
-                self.f[slot] = acc;
-                self.u[idx] = crd[stop - 1];
-            }
-            FDrive::Rle { vals, run_start, run_end, start, stop, lo, hi } => {
-                let args = DotAxpyRleArgs {
-                    k,
-                    k_first,
-                    rle: RleArgs { vals, run_start, run_end, start, stop, lo, hi },
-                    xs,
-                    xb,
-                    xst: *xst,
-                    ooff,
-                    ob_base: ob.base,
-                    ost: *ost,
-                };
-                let (acc, last) = match (uniform, dot.bin, dot.op) {
-                    (true, BinOp::Mul, AssignOp::Add) => dot_axpy_rle_dispatch(
-                        MulAddSemi, dot, axpy, lane_ident, acc0, &args, ob.data,
-                    ),
-                    (true, BinOp::Add, AssignOp::Min) => dot_axpy_rle_dispatch(
-                        AddMinSemi, dot, axpy, lane_ident, acc0, &args, ob.data,
-                    ),
-                    _ => {
-                        dot_axpy_rle_dispatch(DynSemi, dot, axpy, lane_ident, acc0, &args, ob.data)
-                    }
-                };
-                self.f[slot] = acc;
-                self.u[idx] = last;
-            }
-            _ => unreachable!("drive shape checked above"),
-        }
+        let pair = (dot.bin, dot.op);
+        let (acc, last) = with_semi!(uniform, dot.bin, dot.op, |s| if lanes {
+            fold_dot_axpy::<_, D, LANES>(s, pair, acc0, drive, x, &mut out)
+        } else {
+            fold_dot_axpy::<_, D, 1>(s, pair, acc0, drive, x, &mut out)
+        });
+        self.f[slot] = acc;
+        self.u[idx] = last;
         true
     }
 }
 
-/// Splits a fold's operand list into the canonical dot chain
-/// `[lead regs..., Local(a), (Reg mid)?, Local(b)]`, snapshotting (and
-/// pre-folding) the invariant registers. `None` = some other shape.
+/// Selects the semiring instantiation and lane count of [`fold_dot`].
 #[inline]
-fn split_dot(f: &[f64], fold: &FFold) -> Option<(Option<f64>, usize, Option<f64>, usize)> {
-    let mut srcs = fold.srcs.iter();
-    let mut lead: Option<f64> = None;
-    let a = loop {
-        match srcs.next()? {
-            FOp::Reg(r) => {
-                let v = f[*r];
-                lead = Some(match lead {
-                    None => v,
-                    Some(l) => fold.bin.apply(l, v),
-                });
-            }
-            FOp::Local(l) => break *l,
-        }
-    };
-    let (mid, b) = match srcs.next()? {
-        FOp::Reg(r) => {
-            let FOp::Local(l) = srcs.next()? else {
-                return None;
-            };
-            (Some(f[*r]), *l)
-        }
-        FOp::Local(l) => (None, *l),
-    };
-    if srcs.next().is_some() {
-        return None;
-    }
-    Some((lead, a, mid, b))
-}
-
-/// One element of the dot chain: `red(acc, ([lead ∘] a [∘ mid]) ∘ b)`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn dot_chain<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    acc: f64,
-    lead: Option<f64>,
-    a: f64,
-    mid: Option<f64>,
-    b: f64,
-) -> f64 {
-    let v = chain_prefix(s, bin, lead, a, mid);
-    s.red(op, acc, s.bin(bin, v, b))
-}
-
-/// Dot over a compressed driver window (strict left-to-right scalar
-/// accumulation — [`LaneMode::Scalar`]).
-#[allow(clippy::too_many_arguments)]
-fn dot_crd<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    lead: Option<f64>,
-    mid: Option<f64>,
+fn run_dot<'a, D: Drive<'a>, B: DotOperand>(
+    ch: &DotChain,
     acc0: f64,
-    crd: &[usize],
-    avals: &[f64],
-    xs: &[f64],
-    xb: usize,
-    xst: usize,
-) -> f64 {
-    let mut acc = acc0;
-    for (&c, &a) in crd.iter().zip(avals) {
-        acc = dot_chain(s, bin, op, acc, lead, a, mid, xs[xb + c * xst]);
-    }
-    acc
+    drive: &D,
+    b: B,
+    lanes: bool,
+) -> (f64, usize, u64) {
+    with_semi!(true, ch.bin, ch.op, |s| if lanes {
+        fold_dot::<_, D, B, LANES>(s, ch, acc0, drive, b)
+    } else {
+        fold_dot::<_, D, B, 1>(s, ch, acc0, drive, b)
+    })
 }
 
-/// Lane-mode dot over a compressed driver window: element `k` of the
-/// window reduces into lane `k % LANES`; the chunked main loop is the
-/// straight-line shape the autovectorizer keeps in vector registers,
-/// the remainder continues from lane 0 (window length mod `LANES`
-/// elements, so lane assignment stays position-pure).
-#[allow(clippy::too_many_arguments)]
-fn dot_crd_lanes<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    ident: f64,
-    lead: Option<f64>,
-    mid: Option<f64>,
-    acc0: f64,
-    crd: &[usize],
-    avals: &[f64],
-    xs: &[f64],
-    xb: usize,
-    xst: usize,
-) -> f64 {
-    let mut lanes = [ident; LANES];
-    let n = crd.len().min(avals.len());
-    // Fixed-size chunk references (`&[T; LANES]`) let the per-element
-    // bounds checks fold away; the gather into `xs` is the one load the
-    // optimizer still has to check.
-    let mut base = 0;
-    while base + LANES <= n {
-        let c8: &[usize; LANES] = crd[base..base + LANES].try_into().expect("exact chunk");
-        let a8: &[f64; LANES] = avals[base..base + LANES].try_into().expect("exact chunk");
-        let va: [f64; LANES] = std::array::from_fn(|k| chain_prefix(s, bin, lead, a8[k], mid));
-        let xa: [f64; LANES] = std::array::from_fn(|k| xs[xb + c8[k] * xst]);
-        lane_accumulate(s, bin, op, &mut lanes, va, xa);
-        base += LANES;
-    }
-    for (k, p) in (base..n).enumerate() {
-        lanes[k] = dot_chain(s, bin, op, lanes[k], lead, avals[p], mid, xs[xb + crd[p] * xst]);
-    }
-    lane_merge(s, op, acc0, &lanes)
-}
-
-/// Selects the semiring instantiation and lane/scalar variant of the
-/// compressed-driver dot. `lane_ident` is the lane seed under
-/// [`LaneMode::Lanes`] (`None` = scalar accumulation); windows shorter
-/// than [`LANE_MIN`] fold serially even in lane mode.
-#[allow(clippy::too_many_arguments)]
-fn dot_crd_dispatch(
-    bin: BinOp,
-    op: AssignOp,
-    lane_ident: Option<f64>,
-    lead: Option<f64>,
-    mid: Option<f64>,
-    acc0: f64,
-    crd: &[usize],
-    avals: &[f64],
-    xs: &[f64],
-    xb: usize,
-    xst: usize,
-) -> f64 {
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn go<S: Semi>(
-        s: S,
-        bin: BinOp,
-        op: AssignOp,
-        lane_ident: Option<f64>,
-        lead: Option<f64>,
-        mid: Option<f64>,
-        acc0: f64,
-        crd: &[usize],
-        avals: &[f64],
-        xs: &[f64],
-        xb: usize,
-        xst: usize,
-    ) -> f64 {
-        match lane_ident {
-            Some(id) if crd.len() > LANE_MIN => {
-                dot_crd_lanes(s, bin, op, id, lead, mid, acc0, crd, avals, xs, xb, xst)
-            }
-            _ => dot_crd(s, bin, op, lead, mid, acc0, crd, avals, xs, xb, xst),
-        }
-    }
-    match (bin, op) {
-        (BinOp::Mul, AssignOp::Add) => {
-            go(MulAddSemi, bin, op, lane_ident, lead, mid, acc0, crd, avals, xs, xb, xst)
-        }
-        (BinOp::Add, AssignOp::Min) => {
-            go(AddMinSemi, bin, op, lane_ident, lead, mid, acc0, crd, avals, xs, xb, xst)
-        }
-        _ => go(DynSemi, bin, op, lane_ident, lead, mid, acc0, crd, avals, xs, xb, xst),
-    }
-}
-
-/// The run-length drive window (bundled to keep signatures readable).
-struct RleArgs<'a> {
-    vals: &'a [f64],
-    run_start: &'a [usize],
-    run_end: &'a [usize],
-    start: usize,
-    stop: usize,
-    lo: usize,
-    hi: usize,
-}
-
-impl RleArgs<'_> {
-    /// See [`rle_extent`] — the lane cutover measure for this window.
-    fn extent(&self) -> usize {
-        rle_extent(self.run_start, self.run_end, self.start, self.stop, self.lo, self.hi)
-    }
-}
-
-/// Dot over a run-length driver window: the driver value is constant
-/// per run, so its chain prefix hoists out of the inner strided loop.
-/// Strict left-to-right scalar accumulation ([`LaneMode::Scalar`]).
-#[allow(clippy::too_many_arguments)]
-fn dot_rle<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    lead: Option<f64>,
-    mid: Option<f64>,
-    acc0: f64,
-    args: &RleArgs<'_>,
-    xs: &[f64],
-    xb: usize,
-    xst: usize,
-) -> (f64, usize) {
-    let mut acc = acc0;
-    let mut last = args.lo;
-    for r in args.start..args.stop {
-        let c_lo = args.run_start[r].max(args.lo);
-        if c_lo > args.hi {
-            break;
-        }
-        let c_hi = args.run_end[r].min(args.hi);
-        let v = chain_prefix(s, bin, lead, args.vals[r], mid);
-        for c in c_lo..=c_hi {
-            acc = s.red(op, acc, s.bin(bin, v, xs[xb + c * xst]));
-        }
-        last = c_hi;
-    }
-    (acc, last)
-}
-
-/// Lane-mode dot over a run-length driver window: within each clamped
-/// run, offset `d` from the run's clamped start reduces into lane
-/// `d % LANES` (the hoisted run value broadcast across the chunk), so
-/// the lane assignment depends only on the clamped run layout.
-#[allow(clippy::too_many_arguments)]
-fn dot_rle_lanes<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    ident: f64,
-    lead: Option<f64>,
-    mid: Option<f64>,
-    acc0: f64,
-    args: &RleArgs<'_>,
-    xs: &[f64],
-    xb: usize,
-    xst: usize,
-) -> (f64, usize) {
-    let mut lanes = [ident; LANES];
-    let mut last = args.lo;
-    for r in args.start..args.stop {
-        let c_lo = args.run_start[r].max(args.lo);
-        if c_lo > args.hi {
-            break;
-        }
-        let c_hi = args.run_end[r].min(args.hi);
-        let v = chain_prefix(s, bin, lead, args.vals[r], mid);
-        let va = [v; LANES];
-        let mut c = c_lo;
-        while c + LANES <= c_hi + 1 {
-            // Unit stride reads a contiguous chunk — the one laned load
-            // the optimizer can turn into straight vector loads.
-            let xa: [f64; LANES] = if xst == 1 {
-                *<&[f64; LANES]>::try_from(&xs[xb + c..xb + c + LANES]).expect("exact chunk")
-            } else {
-                std::array::from_fn(|k| xs[xb + (c + k) * xst])
-            };
-            lane_accumulate(s, bin, op, &mut lanes, va, xa);
-            c += LANES;
-        }
-        let mut k = 0usize;
-        while c <= c_hi {
-            lanes[k] = s.red(op, lanes[k], s.bin(bin, v, xs[xb + c * xst]));
-            k += 1;
-            c += 1;
-        }
-        last = c_hi;
-    }
-    (lane_merge(s, op, acc0, &lanes), last)
-}
-
-/// Selects the semiring instantiation and lane/scalar variant of the
-/// run-length dot (see [`dot_crd_dispatch`]).
-#[allow(clippy::too_many_arguments)]
-fn dot_rle_dispatch(
-    bin: BinOp,
-    op: AssignOp,
-    lane_ident: Option<f64>,
-    lead: Option<f64>,
-    mid: Option<f64>,
-    acc0: f64,
-    args: &RleArgs<'_>,
-    xs: &[f64],
-    xb: usize,
-    xst: usize,
-) -> (f64, usize) {
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn go<S: Semi>(
-        s: S,
-        bin: BinOp,
-        op: AssignOp,
-        lane_ident: Option<f64>,
-        lead: Option<f64>,
-        mid: Option<f64>,
-        acc0: f64,
-        args: &RleArgs<'_>,
-        xs: &[f64],
-        xb: usize,
-        xst: usize,
-    ) -> (f64, usize) {
-        // The run extent bounds the element count from above; runs
-        // sparser than the extent still fold fast in the lane kernel.
-        match lane_ident {
-            Some(id) if args.extent() > LANE_MIN => {
-                dot_rle_lanes(s, bin, op, id, lead, mid, acc0, args, xs, xb, xst)
-            }
-            _ => dot_rle(s, bin, op, lead, mid, acc0, args, xs, xb, xst),
-        }
-    }
-    match (bin, op) {
-        (BinOp::Mul, AssignOp::Add) => {
-            go(MulAddSemi, bin, op, lane_ident, lead, mid, acc0, args, xs, xb, xst)
-        }
-        (BinOp::Add, AssignOp::Min) => {
-            go(AddMinSemi, bin, op, lane_ident, lead, mid, acc0, args, xs, xb, xst)
-        }
-        _ => go(DynSemi, bin, op, lane_ident, lead, mid, acc0, args, xs, xb, xst),
-    }
-}
-
-/// Intersection dot: the driver window merged against the probed fiber
-/// with a forward-only cursor; on a miss the fold's value is unused and
-/// the store skipped, so the merge skips computing it without changing
-/// any state. Returns the accumulator and the hit count (for per-hit
-/// probe-read / store-side accounting). Strict left-to-right scalar
-/// accumulation ([`LaneMode::Scalar`]).
-#[allow(clippy::too_many_arguments)]
-fn isect_dot<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    lead: Option<f64>,
-    mid: Option<f64>,
-    acc0: f64,
-    crd: &[usize],
-    avals: &[f64],
-    bvals: &[f64],
-    mut probe: ProbeCur<'_>,
-) -> (f64, u64) {
-    let mut acc = acc0;
-    let mut hits = 0u64;
-    for (&c, &a) in crd.iter().zip(avals) {
-        if let Some(p) = probe.find(c) {
-            acc = dot_chain(s, bin, op, acc, lead, a, mid, bvals[p]);
-            hits += 1;
-        }
-    }
-    (acc, hits)
-}
-
-/// Lane-mode intersection dot: driver position `p` reduces into lane
-/// `p % LANES` — a pure function of the driver window, independent of
-/// where misses fall (a missed position simply leaves its lane
-/// untouched that round). Position-keyed lanes keep the chunked loop's
-/// lane indices compile-time constants, so the accumulators live in
-/// registers even though hits are data-dependent. Dispatched only for
-/// dense probes, where hits are the common case (see
-/// [`isect_dot_dispatch`]).
-#[allow(clippy::too_many_arguments)]
-fn isect_dot_lanes<S: Semi>(
-    s: S,
-    bin: BinOp,
-    op: AssignOp,
-    ident: f64,
-    lead: Option<f64>,
-    mid: Option<f64>,
-    acc0: f64,
-    crd: &[usize],
-    avals: &[f64],
-    bvals: &[f64],
-    mut probe: ProbeCur<'_>,
-) -> (f64, u64) {
-    let mut lanes = [ident; LANES];
-    let mut hits = 0u64;
-    let n = crd.len().min(avals.len());
-    let mut base = 0;
-    while base + LANES <= n {
-        let c8: &[usize; LANES] = crd[base..base + LANES].try_into().expect("exact chunk");
-        let a8: &[f64; LANES] = avals[base..base + LANES].try_into().expect("exact chunk");
-        for k in 0..LANES {
-            if let Some(p) = probe.find(c8[k]) {
-                lanes[k] = dot_chain(s, bin, op, lanes[k], lead, a8[k], mid, bvals[p]);
-                hits += 1;
-            }
-        }
-        base += LANES;
-    }
-    for (k, p) in (base..n).enumerate() {
-        if let Some(q) = probe.find(crd[p]) {
-            lanes[k] = dot_chain(s, bin, op, lanes[k], lead, avals[p], mid, bvals[q]);
-            hits += 1;
-        }
-    }
-    (lane_merge(s, op, acc0, &lanes), hits)
-}
-
-/// Selects the semiring instantiation and lane/scalar variant of the
-/// intersection dot (see [`dot_crd_dispatch`]).
-#[allow(clippy::too_many_arguments)]
-fn isect_dot_dispatch(
-    bin: BinOp,
-    op: AssignOp,
-    lane_ident: Option<f64>,
-    lead: Option<f64>,
-    mid: Option<f64>,
-    acc0: f64,
-    crd: &[usize],
-    avals: &[f64],
-    bvals: &[f64],
-    probe: ProbeCur<'_>,
-) -> (f64, u64) {
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn go<S: Semi>(
-        s: S,
-        bin: BinOp,
-        op: AssignOp,
-        lane_ident: Option<f64>,
-        lead: Option<f64>,
-        mid: Option<f64>,
-        acc0: f64,
-        crd: &[usize],
-        avals: &[f64],
-        bvals: &[f64],
-        probe: ProbeCur<'_>,
-    ) -> (f64, u64) {
-        // Lanes pay off only when the probe is a constant-time dense
-        // index (near-every position hits, so the fold chain is what's
-        // on the critical path). Against galloping compressed or
-        // run-walking probes the serial cursor advance dominates and
-        // hits are sparse — the lane merge is pure tax there (measured
-        // ~10% loss on SSYRK), so those fold serially. The gate is a
-        // pure function of the probed level's format: deterministic.
-        match (lane_ident, probe) {
-            (Some(id), ProbeCur::Dense { .. }) if crd.len() > LANE_MIN => {
-                isect_dot_lanes(s, bin, op, id, lead, mid, acc0, crd, avals, bvals, probe)
-            }
-            _ => isect_dot(s, bin, op, lead, mid, acc0, crd, avals, bvals, probe),
-        }
-    }
-    match (bin, op) {
-        (BinOp::Mul, AssignOp::Add) => {
-            go(MulAddSemi, bin, op, lane_ident, lead, mid, acc0, crd, avals, bvals, probe)
-        }
-        (BinOp::Add, AssignOp::Min) => {
-            go(AddMinSemi, bin, op, lane_ident, lead, mid, acc0, crd, avals, bvals, probe)
-        }
-        _ => go(DynSemi, bin, op, lane_ident, lead, mid, acc0, crd, avals, bvals, probe),
-    }
-}
-
-/// The dot-axpy drive window (bundled to keep signatures readable).
-struct DotAxpyArgs<'a> {
-    k: f64,
-    k_first: bool,
-    crd: &'a [usize],
-    avals: &'a [f64],
-    xs: &'a [f64],
-    xb: usize,
-    xst: usize,
-    ooff: usize,
-    ob_base: usize,
-    ost: usize,
-}
-
-/// The symmetric dot + axpy pair over a compressed driver window.
-/// Strict left-to-right scalar accumulation ([`LaneMode::Scalar`]).
-fn dot_axpy_crd<S: Semi>(
-    s: S,
-    dot: &FFold,
-    axpy: &FFold,
-    acc0: f64,
-    args: &DotAxpyArgs<'_>,
-    data: &mut [f64],
-) -> f64 {
-    let mut acc = acc0;
-    for (&c, &a) in args.crd.iter().zip(args.avals) {
-        acc = s.red(dot.op, acc, s.bin(dot.bin, a, args.xs[args.xb + c * args.xst]));
-        let v = if args.k_first { s.bin(axpy.bin, args.k, a) } else { s.bin(axpy.bin, a, args.k) };
-        let cell = &mut data[args.ooff + c * args.ost - args.ob_base];
-        *cell = s.red(axpy.op, *cell, v);
-    }
-    acc
-}
-
-/// Lane-mode dot + axpy: the dot side lanes by window position
-/// (element `p` → lane `p % LANES`); the axpy side keeps its
-/// per-element stores in original order (the scattered cells are
-/// distinct — driver coordinates are strictly increasing — so store
-/// order carries no FP dependency anyway).
-fn dot_axpy_crd_lanes<S: Semi>(
-    s: S,
-    dot: &FFold,
-    axpy: &FFold,
-    ident: f64,
-    acc0: f64,
-    args: &DotAxpyArgs<'_>,
-    data: &mut [f64],
-) -> f64 {
-    let mut lanes = [ident; LANES];
-    let n = args.crd.len().min(args.avals.len());
-    // Chunked so `lanes[k]` is a compile-time index (register-resident
-    // accumulators); element `base + k` lands in lane `k`, the same
-    // position-pure `p % LANES` assignment as the remainder loop.
-    let mut base = 0;
-    while base + LANES <= n {
-        let c8: &[usize; LANES] = args.crd[base..base + LANES].try_into().expect("exact chunk");
-        let a8: &[f64; LANES] = args.avals[base..base + LANES].try_into().expect("exact chunk");
-        for k in 0..LANES {
-            let (c, a) = (c8[k], a8[k]);
-            lanes[k] = s.red(dot.op, lanes[k], s.bin(dot.bin, a, args.xs[args.xb + c * args.xst]));
-            let v =
-                if args.k_first { s.bin(axpy.bin, args.k, a) } else { s.bin(axpy.bin, a, args.k) };
-            let cell = &mut data[args.ooff + c * args.ost - args.ob_base];
-            *cell = s.red(axpy.op, *cell, v);
-        }
-        base += LANES;
-    }
-    for (k, p) in (base..n).enumerate() {
-        let (c, a) = (args.crd[p], args.avals[p]);
-        lanes[k] = s.red(dot.op, lanes[k], s.bin(dot.bin, a, args.xs[args.xb + c * args.xst]));
-        let v = if args.k_first { s.bin(axpy.bin, args.k, a) } else { s.bin(axpy.bin, a, args.k) };
-        let cell = &mut data[args.ooff + c * args.ost - args.ob_base];
-        *cell = s.red(axpy.op, *cell, v);
-    }
-    lane_merge(s, dot.op, acc0, &lanes)
-}
-
-/// Selects the lane/scalar variant of the dot + axpy pair (the
-/// semiring is already chosen at the call site).
-fn dot_axpy_dispatch<S: Semi>(
-    s: S,
-    dot: &FFold,
-    axpy: &FFold,
-    lane_ident: Option<f64>,
-    acc0: f64,
-    args: &DotAxpyArgs<'_>,
-    data: &mut [f64],
-) -> f64 {
-    match lane_ident {
-        Some(id) if args.crd.len() > LANE_MIN => {
-            dot_axpy_crd_lanes(s, dot, axpy, id, acc0, args, data)
-        }
-        _ => dot_axpy_crd(s, dot, axpy, acc0, args, data),
-    }
-}
-
-/// The run-length dot + axpy window: the compressed-driver bundle's
-/// scalars plus the clamped run layout.
-struct DotAxpyRleArgs<'a> {
-    k: f64,
-    k_first: bool,
-    rle: RleArgs<'a>,
-    xs: &'a [f64],
-    xb: usize,
-    xst: usize,
-    ooff: usize,
-    ob_base: usize,
-    ost: usize,
-}
-
-/// The symmetric dot + axpy pair over a run-length driver: both sides
-/// share the run's constant driver value, so the axpy contribution
-/// (`a ∘ k`) hoists out of the inner loop entirely. Strict
-/// left-to-right scalar accumulation ([`LaneMode::Scalar`]).
-fn dot_axpy_rle<S: Semi>(
-    s: S,
-    dot: &FFold,
-    axpy: &FFold,
-    acc0: f64,
-    args: &DotAxpyRleArgs<'_>,
-    data: &mut [f64],
-) -> (f64, usize) {
-    let r = &args.rle;
-    let mut acc = acc0;
-    let mut last = r.lo;
-    for run in r.start..r.stop {
-        let c_lo = r.run_start[run].max(r.lo);
-        if c_lo > r.hi {
-            break;
-        }
-        let c_hi = r.run_end[run].min(r.hi);
-        let a = r.vals[run];
-        let v = if args.k_first { s.bin(axpy.bin, args.k, a) } else { s.bin(axpy.bin, a, args.k) };
-        for c in c_lo..=c_hi {
-            acc = s.red(dot.op, acc, s.bin(dot.bin, a, args.xs[args.xb + c * args.xst]));
-            let cell = &mut data[args.ooff + c * args.ost - args.ob_base];
-            *cell = s.red(axpy.op, *cell, v);
-        }
-        last = c_hi;
-    }
-    (acc, last)
-}
-
-/// Lane-mode dot + axpy over a run-length driver: the dot side lanes
-/// exactly like [`dot_rle_lanes`] (offset `d` from each clamped run's
-/// start → lane `d % LANES`, run value broadcast); the axpy side stays
-/// elementwise in original order — with a unit-stride output the store
-/// loop is a contiguous read-modify-write of one hoisted constant, the
-/// shape the autovectorizer turns into straight vector ops.
-fn dot_axpy_rle_lanes<S: Semi>(
-    s: S,
-    dot: &FFold,
-    axpy: &FFold,
-    ident: f64,
-    acc0: f64,
-    args: &DotAxpyRleArgs<'_>,
-    data: &mut [f64],
-) -> (f64, usize) {
-    let r = &args.rle;
-    let mut lanes = [ident; LANES];
-    let mut last = r.lo;
-    for run in r.start..r.stop {
-        let c_lo = r.run_start[run].max(r.lo);
-        if c_lo > r.hi {
-            break;
-        }
-        let c_hi = r.run_end[run].min(r.hi);
-        let a = r.vals[run];
-        let va = [a; LANES];
-        let v = if args.k_first { s.bin(axpy.bin, args.k, a) } else { s.bin(axpy.bin, a, args.k) };
-        let mut c = c_lo;
-        while c + LANES <= c_hi + 1 {
-            let xa: [f64; LANES] = if args.xst == 1 {
-                *<&[f64; LANES]>::try_from(&args.xs[args.xb + c..args.xb + c + LANES])
-                    .expect("exact chunk")
-            } else {
-                std::array::from_fn(|kk| args.xs[args.xb + (c + kk) * args.xst])
-            };
-            lane_accumulate(s, dot.bin, dot.op, &mut lanes, va, xa);
-            if args.ost == 1 {
-                let o = args.ooff + c - args.ob_base;
-                let d8: &mut [f64; LANES] =
-                    (&mut data[o..o + LANES]).try_into().expect("exact chunk");
-                for cell in d8 {
-                    *cell = s.red(axpy.op, *cell, v);
-                }
-            } else {
-                for kk in 0..LANES {
-                    let cell = &mut data[args.ooff + (c + kk) * args.ost - args.ob_base];
-                    *cell = s.red(axpy.op, *cell, v);
-                }
-            }
-            c += LANES;
-        }
-        let mut kk = 0usize;
-        while c <= c_hi {
-            lanes[kk] =
-                s.red(dot.op, lanes[kk], s.bin(dot.bin, a, args.xs[args.xb + c * args.xst]));
-            let cell = &mut data[args.ooff + c * args.ost - args.ob_base];
-            *cell = s.red(axpy.op, *cell, v);
-            kk += 1;
-            c += 1;
-        }
-        last = c_hi;
-    }
-    (lane_merge(s, dot.op, acc0, &lanes), last)
-}
-
-/// Selects the lane/scalar variant of the run-length dot + axpy pair
-/// (the semiring is already chosen at the call site); the run extent
-/// gates the cutover exactly like [`dot_rle_dispatch`].
-fn dot_axpy_rle_dispatch<S: Semi>(
-    s: S,
-    dot: &FFold,
-    axpy: &FFold,
-    lane_ident: Option<f64>,
-    acc0: f64,
-    args: &DotAxpyRleArgs<'_>,
-    data: &mut [f64],
-) -> (f64, usize) {
-    match lane_ident {
-        Some(id) if args.rle.extent() > LANE_MIN => {
-            dot_axpy_rle_lanes(s, dot, axpy, id, acc0, args, data)
-        }
-        _ => dot_axpy_rle(s, dot, axpy, acc0, args, data),
-    }
-}
-
+/// A loop head's bounds: the `lo` / `hi` register bounds clamped
+/// against `hi_start`, intersected with the chunk's coordinate window
+/// when `pc` is a split head — the one place chunking touches loop
+/// iteration, shared by every head kind.
 #[inline]
-fn clamp_bounds(u: &[usize], lo: &[Bound], hi: &[Bound], hi_start: i64) -> (i64, i64) {
+fn loop_window(
+    u: &[usize],
+    lo: &[Bound],
+    hi: &[Bound],
+    hi_start: i64,
+    chunk: Option<Chunk<'_>>,
+    pc: usize,
+) -> (i64, i64) {
     let mut lo_v = 0i64;
     for b in lo {
         lo_v = lo_v.max(u[b.reg] as i64 + b.delta);
@@ -2248,7 +1757,43 @@ fn clamp_bounds(u: &[usize], lo: &[Bound], hi: &[Bound], hi_start: i64) -> (i64,
     for b in hi {
         hi_v = hi_v.min(u[b.reg] as i64 + b.delta);
     }
+    if let Some((clo, chi)) = chunk.and_then(|c| c.window(pc)) {
+        lo_v = lo_v.max(clo);
+        hi_v = hi_v.min(chi);
+    }
     (lo_v, hi_v)
+}
+
+/// Positions `start..stop` of compressed fiber `p` whose coordinates
+/// fall in `[lo_v, hi_v]`.
+#[inline]
+fn crd_window(pos: &[usize], crd: &[usize], p: usize, lo_v: i64, hi_v: i64) -> (usize, usize) {
+    let begin = pos[p];
+    let slice = &crd[begin..pos[p + 1]];
+    let start = begin + slice.partition_point(|&c| (c as i64) < lo_v);
+    let stop = begin + slice.partition_point(|&c| (c as i64) <= hi_v);
+    (start, stop)
+}
+
+/// The compressed drive over fiber `p` of `fiber` clamped to
+/// `[lo_v, hi_v]`; `None` when the parent path is unstored or the
+/// window is empty.
+#[inline]
+fn crd_drive<'a>(
+    fiber: LevelView<'a>,
+    vals: &'a [f64],
+    p: usize,
+    lo_v: i64,
+    hi_v: i64,
+) -> Option<CrdDrive<'a>> {
+    if p == MISS {
+        return None;
+    }
+    let LevelView::Sparse { pos, crd, .. } = fiber else {
+        unreachable!("compressed vector loop over a non-sparse level");
+    };
+    let (start, stop) = crd_window(pos, crd, p, lo_v, hi_v);
+    (start < stop).then(|| CrdDrive { crd: &crd[start..stop], vals: &vals[start..stop] })
 }
 
 /// Per-loop fiber cache: the loop head resolves the driver's packed
@@ -2312,40 +1857,38 @@ fn run_range<'a>(
     // parallel workers never contend on a shared counter cache line.
     let mut dispatch = [0u64; telemetry::BODY_KINDS.len()];
 
-    /// Builds the per-loop [`VecRun`] over this function's binding
-    /// tables and scratch (one point of truth for the field set; the
-    /// free identifiers resolve to the locals above).
-    macro_rules! vec_run {
-        ($items:expr, $idx:expr) => {
-            VecRun {
-                items: $items,
-                idx: $idx,
-                pass: vec_pass,
-                bases: vec_bases,
-                gathers: &mut *gathers,
-                u: &mut *u,
-                f: &mut *f,
-                dense,
-                vals,
-                levels,
-                lvl_base,
-                outs: &mut *outs,
-                oo,
-                reads: &mut reads[..],
-                flops: 0,
-                writes: 0,
-                miss: false,
-            }
-        };
+    /// `out[terms] op= v`, counted as one write plus the reduction flop.
+    macro_rules! store_out {
+        ($tensor:expr, $terms:expr, $op:expr, $v:expr) => {{
+            let off = offset(u, $terms);
+            let ob = outs[oo[$tensor]].as_mut().expect("output bound");
+            let cell = &mut ob.data[off - ob.base];
+            *cell = $op.apply(*cell, $v);
+            writes += 1;
+            flops += u64::from($op != AssignOp::Overwrite);
+        }};
     }
 
-    /// Builds the per-loop [`FusedRun`] over the same tables.
-    macro_rules! fused_run {
-        () => {
-            FusedRun {
+    /// `f[slot] op= v`, counted as the reduction flop.
+    macro_rules! store_scalar {
+        ($slot:expr, $op:expr, $v:expr) => {{
+            f[$slot] = $op.apply(f[$slot], $v);
+            flops += u64::from($op != AssignOp::Overwrite);
+        }};
+    }
+
+    /// Runs one vector loop over `$drive` through a [`LoopRun`] built
+    /// over this function's binding tables and scratch (one point of
+    /// truth for the field set; the free identifiers resolve to the
+    /// locals above), then folds its counters into the totals.
+    macro_rules! vec_loop {
+        ($items:expr, $idx:expr, $drive:expr) => {{
+            let mut lr = LoopRun {
+                pass: &mut *vec_pass,
+                bases: &mut *vec_bases,
+                gathers: &mut *gathers,
                 u: &mut *u,
                 f: &mut *f,
-                gathers: &mut *gathers,
                 dense,
                 vals,
                 levels,
@@ -2355,9 +1898,16 @@ fn run_range<'a>(
                 reads: &mut reads[..],
                 flops: 0,
                 writes: 0,
+                iterations: 0,
+                dispatch: &mut dispatch,
+                mode,
                 lanes,
-            }
-        };
+            };
+            lr.run($items, $idx, &$drive);
+            flops += lr.flops;
+            writes += lr.writes;
+            iterations += lr.iterations;
+        }};
     }
 
     let instrs = &program.instrs;
@@ -2368,8 +1918,7 @@ fn run_range<'a>(
                 pc = *to;
             }
             Instr::DenseLoopHead { idx, cur, end, extent, lo, hi, exit } => {
-                let (mut lo_v, mut hi_v) = clamp_bounds(u, lo, hi, *extent as i64 - 1);
-                clamp_to_chunk(chunk, pc, &mut lo_v, &mut hi_v);
+                let (lo_v, hi_v) = loop_window(u, lo, hi, *extent as i64 - 1, chunk, pc);
                 if lo_v > hi_v {
                     pc = *exit;
                 } else {
@@ -2409,17 +1958,12 @@ fn run_range<'a>(
                     pc = *exit;
                     continue;
                 }
-                let (mut lo_v, mut hi_v) = clamp_bounds(u, lo, hi, i64::MAX);
-                clamp_to_chunk(chunk, pc, &mut lo_v, &mut hi_v);
+                let (lo_v, hi_v) = loop_window(u, lo, hi, i64::MAX, chunk, pc);
                 let LevelView::Sparse { pos, crd, .. } = level(levels, lvl_base, *tensor, *lv)
                 else {
                     unreachable!("sparse loop over a non-sparse level");
                 };
-                let begin = pos[p];
-                let stop = pos[p + 1];
-                let slice = &crd[begin..stop];
-                let start = begin + slice.partition_point(|&c| (c as i64) < lo_v);
-                let stop = begin + slice.partition_point(|&c| (c as i64) <= hi_v);
+                let (start, stop) = crd_window(pos, crd, p, lo_v, hi_v);
                 if start >= stop {
                     pc = *exit;
                 } else {
@@ -2467,8 +2011,7 @@ fn run_range<'a>(
                     pc = *exit;
                     continue;
                 }
-                let (mut lo_v, mut hi_v) = clamp_bounds(u, lo, hi, i64::MAX);
-                clamp_to_chunk(chunk, pc, &mut lo_v, &mut hi_v);
+                let (lo_v, hi_v) = loop_window(u, lo, hi, i64::MAX, chunk, pc);
                 if lo_v > hi_v {
                     pc = *exit;
                     continue;
@@ -2596,25 +2139,15 @@ fn run_range<'a>(
                 pc += 1;
             }
             Instr::ReadSparseRandom { dst, tensor, modes, annihilator } => {
-                let mut p = 0usize;
-                let mut found = true;
-                for (lv, &m) in modes.iter().enumerate() {
-                    match level(levels, lvl_base, *tensor, lv).find(p, u[m]) {
-                        Some(next) => p = next,
-                        None => {
-                            found = false;
-                            break;
-                        }
+                match descend(levels, lvl_base, u, *tensor, modes, 0..modes.len(), 0) {
+                    Some(p) => {
+                        f[*dst] = vals[*tensor][p];
+                        reads[*tensor] += 1;
                     }
-                }
-                if found {
-                    f[*dst] = vals[*tensor][p];
-                    reads[*tensor] += 1;
-                } else {
-                    if *annihilator {
-                        missing = true;
+                    None => {
+                        missing |= *annihilator;
+                        f[*dst] = 0.0;
                     }
-                    f[*dst] = 0.0;
                 }
                 pc += 1;
             }
@@ -2638,35 +2171,18 @@ fn run_range<'a>(
                 pc = if u[*reg] == MISS { *to } else { pc + 1 };
             }
             Instr::WriteOutput { tensor, terms, op, src } => {
-                let off = offset(u, terms);
-                let ob = outs[oo[*tensor]].as_mut().expect("output bound");
-                let cell = &mut ob.data[off - ob.base];
-                *cell = op.apply(*cell, f[*src]);
-                writes += 1;
-                if *op != AssignOp::Overwrite {
-                    flops += 1;
-                }
+                store_out!(*tensor, terms, *op, f[*src]);
                 pc += 1;
             }
             Instr::WriteScalar { slot, op, src } => {
-                f[*slot] = op.apply(f[*slot], f[*src]);
-                if *op != AssignOp::Overwrite {
-                    flops += 1;
-                }
+                store_scalar!(*slot, *op, f[*src]);
                 pc += 1;
             }
             Instr::FusedWriteOutput { tensor, terms, bin, op, a, b, check_miss } => {
                 let v = bin.apply(f[*a], f[*b]);
                 flops += 1;
                 if !(*check_miss && missing) {
-                    let off = offset(u, terms);
-                    let ob = outs[oo[*tensor]].as_mut().expect("output bound");
-                    let cell = &mut ob.data[off - ob.base];
-                    *cell = op.apply(*cell, v);
-                    writes += 1;
-                    if *op != AssignOp::Overwrite {
-                        flops += 1;
-                    }
+                    store_out!(*tensor, terms, *op, v);
                 }
                 pc += 1;
             }
@@ -2674,44 +2190,23 @@ fn run_range<'a>(
                 let v = bin.apply(f[*a], f[*b]);
                 flops += 1;
                 if !(*check_miss && missing) {
-                    f[*slot] = op.apply(f[*slot], v);
-                    if *op != AssignOp::Overwrite {
-                        flops += 1;
-                    }
+                    store_scalar!(*slot, *op, v);
                 }
                 pc += 1;
             }
             Instr::FoldWriteOutput { tensor, terms, bin, op, srcs, check_miss } => {
-                let (first, rest) = srcs.split_first().expect("folds have operands");
-                let mut v = f[*first];
-                for s in rest {
-                    v = bin.apply(v, f[*s]);
-                }
-                flops += rest.len() as u64;
+                let v = fold(bin, srcs, f);
+                flops += srcs.len() as u64 - 1;
                 if !(*check_miss && missing) {
-                    let off = offset(u, terms);
-                    let ob = outs[oo[*tensor]].as_mut().expect("output bound");
-                    let cell = &mut ob.data[off - ob.base];
-                    *cell = op.apply(*cell, v);
-                    writes += 1;
-                    if *op != AssignOp::Overwrite {
-                        flops += 1;
-                    }
+                    store_out!(*tensor, terms, *op, v);
                 }
                 pc += 1;
             }
             Instr::FoldWriteScalar { slot, bin, op, srcs, check_miss } => {
-                let (first, rest) = srcs.split_first().expect("folds have operands");
-                let mut v = f[*first];
-                for s in rest {
-                    v = bin.apply(v, f[*s]);
-                }
-                flops += rest.len() as u64;
+                let v = fold(bin, srcs, f);
+                flops += srcs.len() as u64 - 1;
                 if !(*check_miss && missing) {
-                    f[*slot] = op.apply(f[*slot], v);
-                    if *op != AssignOp::Overwrite {
-                        flops += 1;
-                    }
+                    store_scalar!(*slot, *op, v);
                 }
                 pc += 1;
             }
@@ -2720,182 +2215,42 @@ fn run_range<'a>(
                 pc += 1;
             }
             Instr::VecDenseLoop { idx, extent, lo, hi, items } => {
-                let (mut lo_v, mut hi_v) = clamp_bounds(u, lo, hi, *extent as i64 - 1);
-                clamp_to_chunk(chunk, pc, &mut lo_v, &mut hi_v);
+                let (lo_v, hi_v) = loop_window(u, lo, hi, *extent as i64 - 1, chunk, pc);
                 if lo_v <= hi_v {
-                    let iters = (hi_v - lo_v + 1) as u64;
-                    iterations += iters;
-                    let n_pass = eval_guards(items, u, vec_pass);
-                    if let Some(fu) = fused_single(items, vec_pass, n_pass) {
-                        dispatch[body_kind(fu.kind).index()] += 1;
-                        let mut fr = fused_run!();
-                        let drive = FDrive::Range { lo: lo_v as usize, hi: hi_v as usize };
-                        fr.run_mode(mode, fu, drive, *idx, iters);
-                        flops += fr.flops;
-                        writes += fr.writes;
-                    } else if n_pass > 0 {
-                        dispatch[telemetry::BodyKind::Steps.index()] += 1;
-                        vec_prepare(
-                            items,
-                            u,
-                            iters,
-                            vec_pass,
-                            vec_bases,
-                            reads,
-                            &mut flops,
-                            &mut writes,
-                        );
-                        let mut vr = vec_run!(items, *idx);
-                        vr.init_gathers();
-                        for j in lo_v as usize..=hi_v as usize {
-                            vr.exec_coord(j, None, None);
-                        }
-                        flops += vr.flops;
-                        writes += vr.writes;
-                    } else {
-                        u[*idx] = hi_v as usize;
-                    }
+                    vec_loop!(items, *idx, RangeDrive { lo: lo_v as usize, hi: hi_v as usize });
                 }
                 pc += 1;
             }
             Instr::VecSparseLoop { tensor, level: lv, idx, parent, lo, hi, items } => {
-                let p = u[*parent];
-                if p != MISS {
-                    let LevelView::Sparse { pos, crd, .. } = level(levels, lvl_base, *tensor, *lv)
-                    else {
-                        unreachable!("vector sparse loop over a non-sparse level");
-                    };
-                    let (mut lo_v, mut hi_v) = clamp_bounds(u, lo, hi, i64::MAX);
-                    clamp_to_chunk(chunk, pc, &mut lo_v, &mut hi_v);
-                    let begin = pos[p];
-                    let fiber_end = pos[p + 1];
-                    let slice = &crd[begin..fiber_end];
-                    let start = begin + slice.partition_point(|&c| (c as i64) < lo_v);
-                    let stop = begin + slice.partition_point(|&c| (c as i64) <= hi_v);
-                    if start < stop {
-                        let iters = (stop - start) as u64;
-                        iterations += iters;
-                        let tvals = vals[*tensor];
-                        let n_pass = eval_guards(items, u, vec_pass);
-                        if let Some(fu) = fused_single(items, vec_pass, n_pass) {
-                            dispatch[body_kind(fu.kind).index()] += 1;
-                            let mut fr = fused_run!();
-                            let drive = FDrive::Crd { vals: tvals, crd, start, stop };
-                            fr.run_mode(mode, fu, drive, *idx, iters);
-                            flops += fr.flops;
-                            writes += fr.writes;
-                        } else if n_pass > 0 {
-                            dispatch[telemetry::BodyKind::Steps.index()] += 1;
-                            vec_prepare(
-                                items,
-                                u,
-                                iters,
-                                vec_pass,
-                                vec_bases,
-                                reads,
-                                &mut flops,
-                                &mut writes,
-                            );
-                            let mut vr = vec_run!(items, *idx);
-                            vr.init_gathers();
-                            for (posn, &coord) in crd.iter().enumerate().take(stop).skip(start) {
-                                vr.exec_coord(coord, Some((tvals, posn)), None);
-                            }
-                            flops += vr.flops;
-                            writes += vr.writes;
-                        } else {
-                            u[*idx] = crd[stop - 1];
-                        }
-                    }
+                let fiber = level(levels, lvl_base, *tensor, *lv);
+                let (lo_v, hi_v) = loop_window(u, lo, hi, i64::MAX, chunk, pc);
+                if let Some(drive) = crd_drive(fiber, vals[*tensor], u[*parent], lo_v, hi_v) {
+                    vec_loop!(items, *idx, drive);
                 }
                 pc += 1;
             }
             Instr::VecRleLoop { tensor, level: lv, idx, parent, lo, hi, items } => {
                 let p = u[*parent];
-                if p != MISS {
-                    let (mut lo_v, mut hi_v) = clamp_bounds(u, lo, hi, i64::MAX);
-                    clamp_to_chunk(chunk, pc, &mut lo_v, &mut hi_v);
-                    if lo_v <= hi_v {
-                        let LevelView::RunLength { pos, run_start, run_end, .. } =
-                            level(levels, lvl_base, *tensor, *lv)
-                        else {
-                            unreachable!("vector rle loop over a non-rle level");
-                        };
-                        let begin = pos[p];
-                        let stop = pos[p + 1];
-                        let start =
-                            begin + run_end[begin..stop].partition_point(|&c| (c as i64) < lo_v);
-                        let (lo_u, hi_u) = (lo_v as usize, hi_v as usize);
-                        // Pass 1: the covered coordinate count, so the
-                        // bulk accounting matches the general walk.
-                        let mut iters = 0u64;
-                        for r in start..stop {
-                            let c_lo = run_start[r].max(lo_u);
-                            if c_lo > hi_u {
-                                break;
-                            }
-                            iters += (run_end[r].min(hi_u) - c_lo + 1) as u64;
-                        }
-                        if iters > 0 {
-                            iterations += iters;
-                            let tvals = vals[*tensor];
-                            let n_pass = eval_guards(items, u, vec_pass);
-                            if let Some(fu) = fused_single(items, vec_pass, n_pass) {
-                                dispatch[body_kind(fu.kind).index()] += 1;
-                                let mut fr = fused_run!();
-                                let drive = FDrive::Rle {
-                                    vals: tvals,
-                                    run_start,
-                                    run_end,
-                                    start,
-                                    stop,
-                                    lo: lo_u,
-                                    hi: hi_u,
-                                };
-                                fr.run_mode(mode, fu, drive, *idx, iters);
-                                flops += fr.flops;
-                                writes += fr.writes;
-                            } else if n_pass > 0 {
-                                dispatch[telemetry::BodyKind::Steps.index()] += 1;
-                                vec_prepare(
-                                    items,
-                                    u,
-                                    iters,
-                                    vec_pass,
-                                    vec_bases,
-                                    reads,
-                                    &mut flops,
-                                    &mut writes,
-                                );
-                                let mut vr = vec_run!(items, *idx);
-                                vr.init_gathers();
-                                // Pass 2: expand each run into strided
-                                // body applications at its constant
-                                // value slot.
-                                for r in start..stop {
-                                    let c_lo = run_start[r].max(lo_u);
-                                    if c_lo > hi_u {
-                                        break;
-                                    }
-                                    let c_hi = run_end[r].min(hi_u);
-                                    for c in c_lo..=c_hi {
-                                        vr.exec_coord(c, Some((tvals, r)), None);
-                                    }
-                                }
-                                flops += vr.flops;
-                                writes += vr.writes;
-                            } else {
-                                let mut last = lo_u;
-                                for r in start..stop {
-                                    if run_start[r].max(lo_u) > hi_u {
-                                        break;
-                                    }
-                                    last = run_end[r].min(hi_u);
-                                }
-                                u[*idx] = last;
-                            }
-                        }
-                    }
+                let (lo_v, hi_v) = loop_window(u, lo, hi, i64::MAX, chunk, pc);
+                if p != MISS && lo_v <= hi_v {
+                    let LevelView::RunLength { pos, run_start, run_end, .. } =
+                        level(levels, lvl_base, *tensor, *lv)
+                    else {
+                        unreachable!("vector rle loop over a non-rle level");
+                    };
+                    let (begin, stop) = (pos[p], pos[p + 1]);
+                    let start =
+                        begin + run_end[begin..stop].partition_point(|&c| (c as i64) < lo_v);
+                    let drive = RleDrive {
+                        vals: vals[*tensor],
+                        run_start,
+                        run_end,
+                        start,
+                        stop,
+                        lo: lo_v as usize,
+                        hi: hi_v as usize,
+                    };
+                    vec_loop!(items, *idx, drive);
                 }
                 pc += 1;
             }
@@ -2911,130 +2266,22 @@ fn run_range<'a>(
                 hi,
                 items,
             } => {
-                let p = u[*parent];
-                if p != MISS {
-                    let LevelView::Sparse { pos, crd, .. } = level(levels, lvl_base, *tensor, *lv)
-                    else {
-                        unreachable!("vector intersection loop over a non-sparse level");
+                let fiber = level(levels, lvl_base, *tensor, *lv);
+                let (lo_v, hi_v) = loop_window(u, lo, hi, i64::MAX, chunk, pc);
+                if let Some(crd) = crd_drive(fiber, vals[*tensor], u[*parent], lo_v, hi_v) {
+                    // The probed fiber as a forward-only cursor — empty
+                    // when its own path prefix is unstored (every probe
+                    // misses, but the driver still iterates, as in the
+                    // interpreter). All three level formats probe
+                    // through the same cursor.
+                    let cur = match u[*probe_parent] {
+                        MISS => ProbeCur::Empty,
+                        pb => {
+                            ProbeCur::open(level(levels, lvl_base, *probe_tensor, *probe_level), pb)
+                        }
                     };
-                    let (mut lo_v, mut hi_v) = clamp_bounds(u, lo, hi, i64::MAX);
-                    clamp_to_chunk(chunk, pc, &mut lo_v, &mut hi_v);
-                    let begin = pos[p];
-                    let fiber_end = pos[p + 1];
-                    let slice = &crd[begin..fiber_end];
-                    let start = begin + slice.partition_point(|&c| (c as i64) < lo_v);
-                    let stop = begin + slice.partition_point(|&c| (c as i64) <= hi_v);
-                    if start < stop {
-                        let iters = (stop - start) as u64;
-                        iterations += iters;
-                        let n_pass = eval_guards(items, u, vec_pass);
-                        let fused = fused_single(items, vec_pass, n_pass);
-                        if let Some(fu) = fused {
-                            dispatch[body_kind(fu.kind).index()] += 1;
-                        } else if n_pass > 0 {
-                            dispatch[telemetry::BodyKind::Steps.index()] += 1;
-                        }
-                        if n_pass > 0 && fused.is_none() {
-                            vec_prepare(
-                                items,
-                                u,
-                                iters,
-                                vec_pass,
-                                vec_bases,
-                                reads,
-                                &mut flops,
-                                &mut writes,
-                            );
-                        }
-                        // The probed fiber as a forward-only cursor —
-                        // empty when its own path prefix is unstored
-                        // (every probe misses, but the driver still
-                        // iterates, as in the interpreter). All three
-                        // level formats probe through the same cursor.
-                        let pb = u[*probe_parent];
-                        let (bvals, probe_cur) = if pb == MISS {
-                            (&[][..], ProbeCur::Empty)
-                        } else {
-                            let bv = vals[*probe_tensor];
-                            match level(levels, lvl_base, *probe_tensor, *probe_level) {
-                                LevelView::Sparse { pos, crd, .. } => {
-                                    (bv, ProbeCur::Crd { crd, cur: pos[pb], end: pos[pb + 1] })
-                                }
-                                LevelView::Dense { size } => {
-                                    (bv, ProbeCur::Dense { base: pb * size, size })
-                                }
-                                LevelView::RunLength { pos, run_start, run_end, .. } => (
-                                    bv,
-                                    ProbeCur::Runs {
-                                        run_start,
-                                        run_end,
-                                        cur: pos[pb],
-                                        end: pos[pb + 1],
-                                    },
-                                ),
-                            }
-                        };
-                        let tvals = vals[*tensor];
-                        if let Some(fu) = fused {
-                            if let Some((slot, bin, op, pt)) = fu.isect_dot {
-                                // The dominant shape, pre-analyzed at
-                                // compile time: no entry-time shape
-                                // resolution at all (this loop is
-                                // entered per (i, j) pair).
-                                let count = mode == CounterMode::Exact;
-                                if count {
-                                    for &(t, n) in fu.bulk.reads.iter() {
-                                        reads[t] += n * iters;
-                                    }
-                                    flops += fu.bulk.flops * iters;
-                                }
-                                let (cw, aw) = (&crd[start..stop], &tvals[start..stop]);
-                                let acc0 = f[slot];
-                                let lane_ident =
-                                    if lanes && fu.lanes > 1 { op.identity() } else { None };
-                                let (acc, hits) = isect_dot_dispatch(
-                                    bin, op, lane_ident, None, None, acc0, cw, aw, bvals, probe_cur,
-                                );
-                                f[slot] = acc;
-                                u[*idx] = crd[stop - 1];
-                                if count {
-                                    reads[pt] += hits;
-                                    if op != AssignOp::Overwrite {
-                                        flops += hits;
-                                    }
-                                }
-                            } else {
-                                let mut fr = fused_run!();
-                                let drive = FDrive::Isect {
-                                    vals: tvals,
-                                    crd,
-                                    start,
-                                    stop,
-                                    bvals,
-                                    probe: probe_cur,
-                                };
-                                fr.run_mode(mode, fu, drive, *idx, iters);
-                                flops += fr.flops;
-                                writes += fr.writes;
-                            }
-                        } else if n_pass > 0 {
-                            let mut vr = vec_run!(items, *idx);
-                            vr.init_gathers();
-                            // Forward-only merge: both sides are sorted,
-                            // so the probe cursor never revisits — one
-                            // gallop / run-walk per step instead of the
-                            // general path's full-fiber binary search.
-                            let mut probe = probe_cur;
-                            for (posa, &c) in crd.iter().enumerate().take(stop).skip(start) {
-                                let pmatch = probe.find(c);
-                                vr.exec_coord(c, Some((tvals, posa)), Some((bvals, pmatch)));
-                            }
-                            flops += vr.flops;
-                            writes += vr.writes;
-                        } else {
-                            u[*idx] = crd[stop - 1];
-                        }
-                    }
+                    let probe = Probed { vals: vals[*probe_tensor], cur };
+                    vec_loop!(items, *idx, IsectDrive { crd, probe });
                 }
                 pc += 1;
             }
@@ -3135,7 +2382,7 @@ fn execute_inner(
     }
     // Borrow every output mutably in place (one pass over the map — the
     // iterator hands out disjoint `&mut`s, so no tensors move).
-    let mut outs_t: OutTable<'_, MAX_OUTS> = OutTable::new(program.n_outputs);
+    let mut outs_t: OutTable<'_> = Scratch::new(program.n_outputs);
     let outs = outs_t.as_mut_slice();
     for (name, tensor) in outputs.iter_mut() {
         if let Some(slot) = program
@@ -3285,7 +2532,7 @@ fn run_parallel<'a>(
                 }
                 let Bank { u, f, vec_pass, vec_bases, gathers, counters, reduce } = bank;
                 for (k, owned) in chunks {
-                    let mut outs_t: OutTable<'_, MAX_OUTS> = OutTable::new(program.n_outputs);
+                    let mut outs_t: OutTable<'_> = Scratch::new(program.n_outputs);
                     let w_outs = outs_t.as_mut_slice();
                     for (slot, ob) in owned {
                         w_outs[oo[slot]] = Some(ob);

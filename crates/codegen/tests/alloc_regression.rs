@@ -4,36 +4,52 @@
 //! allocations — register files, scratch, binding tables and counter
 //! assembly all reuse caller-owned or stack storage. A counting global
 //! allocator makes any regression an immediate test failure.
+//!
+//! The count is per thread and armed only around the measured runs, so
+//! the tests of this file (which the harness runs on parallel threads)
+//! and the harness's own bookkeeping cannot charge each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use systec_codegen::{CompiledKernel, ExecContext, Parallelism};
-use systec_exec::{alloc_outputs, hoist_conditions, lower, Counters};
+use systec_codegen::{CompiledKernel, ExecContext, LaneMode, Parallelism};
+use systec_core::Compiler;
+use systec_exec::{alloc_outputs, hoist_conditions, lower, prepare_variants, Counters};
 use systec_ir::build::*;
 use systec_ir::{AssignOp, Einsum, Stmt};
+use systec_kernels::defs;
 use systec_tensor::{CooTensor, DenseTensor, LevelFormat, SparseTensor, Tensor};
 
-/// Counts every allocation (alloc, alloc_zeroed, realloc) forwarded to
-/// the system allocator.
+/// Counts every allocation (alloc, alloc_zeroed, realloc) the armed
+/// thread forwards to the system allocator.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count while armed (`None` = disarmed).
+    /// Const-initialized and destructor-free, so touching it from
+    /// inside the allocator never allocates.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn bump() {
+    // `try_with`: the allocator also runs during thread teardown.
+    let _ = ALLOCS.try_with(|a| a.set(a.get().map(|n| n + 1)));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -45,8 +61,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+/// The number of allocations this thread performs inside `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    ALLOCS.set(Some(0));
+    f();
+    ALLOCS.replace(None).expect("armed above")
 }
 
 fn compile(
@@ -75,24 +94,30 @@ fn assert_steady_state_alloc_free(
     kernel: &CompiledKernel,
     inputs: &HashMap<String, Tensor>,
     outputs: &mut HashMap<String, DenseTensor>,
+    mut ctx: ExecContext,
     label: &str,
 ) {
-    let mut ctx = ExecContext::new();
     let mut counters = Counters::new();
-    for _ in 0..3 {
-        kernel.run_with(inputs, outputs, &mut ctx, Parallelism::Serial, &mut counters).unwrap();
-    }
-    let before = allocations();
-    for _ in 0..10 {
-        kernel.run_with(inputs, outputs, &mut ctx, Parallelism::Serial, &mut counters).unwrap();
-    }
-    let after = allocations();
+    let mut run = |n: usize| {
+        for _ in 0..n {
+            kernel.run_with(inputs, outputs, &mut ctx, Parallelism::Serial, &mut counters).unwrap();
+        }
+    };
+    run(3);
+    let allocs = allocations_in(|| run(10));
     assert_eq!(
-        after - before,
-        0,
-        "{label}: steady-state serial execution must not allocate (saw {} allocations over 10 runs)",
-        after - before
+        allocs, 0,
+        "{label}: steady-state serial execution must not allocate (saw {allocs} allocations over 10 runs)"
     );
+}
+
+#[test]
+fn armed_counter_sees_this_threads_allocations() {
+    // The guard below is only as good as the counter: one allocation
+    // inside the armed region must register (and none outside it).
+    assert_eq!(allocations_in(|| drop(std::hint::black_box(vec![0u8; 64]))), 1);
+    drop(std::hint::black_box(vec![0u8; 64]));
+    assert_eq!(allocations_in(|| ()), 0);
 }
 
 #[test]
@@ -113,7 +138,7 @@ fn spmv_steady_state_is_allocation_free() {
     );
     let (kernel, outputs_init) = compile(&einsum.naive_program(), &inputs);
     let mut outputs = outputs_init;
-    assert_steady_state_alloc_free(&kernel, &inputs, &mut outputs, "spmv");
+    assert_steady_state_alloc_free(&kernel, &inputs, &mut outputs, ExecContext::new(), "spmv");
 }
 
 #[test]
@@ -139,7 +164,7 @@ fn min_plus_with_guards_steady_state_is_allocation_free() {
     );
     let (kernel, outputs_init) = compile(&prog, &inputs);
     let mut outputs = outputs_init;
-    assert_steady_state_alloc_free(&kernel, &inputs, &mut outputs, "min-plus");
+    assert_steady_state_alloc_free(&kernel, &inputs, &mut outputs, ExecContext::new(), "min-plus");
 }
 
 #[test]
@@ -170,34 +195,68 @@ fn context_growth_settles_across_plans() {
     let mut counters = Counters::new();
     let mut outputs_small = out_small;
     let mut outputs_big = out_big;
-    for _ in 0..3 {
-        k_small
-            .run_with(
-                &inputs_small,
-                &mut outputs_small,
-                &mut ctx,
-                Parallelism::Serial,
-                &mut counters,
-            )
-            .unwrap();
-        k_big
-            .run_with(&inputs_big, &mut outputs_big, &mut ctx, Parallelism::Serial, &mut counters)
-            .unwrap();
+    let mut run = |n: usize| {
+        for _ in 0..n {
+            k_small
+                .run_with(
+                    &inputs_small,
+                    &mut outputs_small,
+                    &mut ctx,
+                    Parallelism::Serial,
+                    &mut counters,
+                )
+                .unwrap();
+            k_big
+                .run_with(
+                    &inputs_big,
+                    &mut outputs_big,
+                    &mut ctx,
+                    Parallelism::Serial,
+                    &mut counters,
+                )
+                .unwrap();
+        }
+    };
+    run(3);
+    assert_eq!(allocations_in(|| run(6)), 0, "interleaved steady state must not allocate");
+}
+
+#[test]
+fn run_length_dot_axpy_steady_state_is_allocation_free_in_both_lane_modes() {
+    // The symmetric SSYMV pair over a run-length leaf: the closed-form
+    // dot-axpy fold on the one drive kind the cases above do not reach,
+    // in both lane modes. Plateau rows are long enough to clear the lane
+    // cutover, so lane mode really runs the chunked fold.
+    let n = 48;
+    let mut coo = CooTensor::new(vec![n, n]);
+    for i in 0..n {
+        for j in 0..n {
+            if (i / 6 + j / 6) % 2 == 0 {
+                coo.set(&[i, j], 0.5 + ((i / 6) * (j / 6)) as f64);
+            }
+        }
     }
-    let before = allocations();
-    for _ in 0..6 {
-        k_small
-            .run_with(
-                &inputs_small,
-                &mut outputs_small,
-                &mut ctx,
-                Parallelism::Serial,
-                &mut counters,
-            )
-            .unwrap();
-        k_big
-            .run_with(&inputs_big, &mut outputs_big, &mut ctx, Parallelism::Serial, &mut counters)
-            .unwrap();
+    let def = defs::ssymv();
+    let a = SparseTensor::from_coo(&coo, &[LevelFormat::Dense, LevelFormat::RunLength]).unwrap();
+    let mut inputs = HashMap::from([
+        ("A".to_string(), Tensor::Sparse(a)),
+        ("x".to_string(), Tensor::Dense(DenseTensor::filled(vec![n], 1.5))),
+    ]);
+    let main = Compiler::new().compile(&def.einsum, &def.symmetry).unwrap().main;
+    let variants = prepare_variants(&hoist_conditions(main.clone()), &inputs).unwrap();
+    inputs.extend(variants);
+    let (kernel, outputs_init) = compile(&main, &inputs);
+    let dis = kernel.disassemble();
+    assert!(dis.contains("VecRleLoop") && dis.contains("kind: DotAxpy"), "{dis}");
+    for mode in [LaneMode::Lanes, LaneMode::Scalar] {
+        let mut outputs = outputs_init.clone();
+        let ctx = ExecContext::new().with_lane_mode(mode);
+        assert_steady_state_alloc_free(
+            &kernel,
+            &inputs,
+            &mut outputs,
+            ctx,
+            &format!("rle dot-axpy {mode:?}"),
+        );
     }
-    assert_eq!(allocations() - before, 0, "interleaved steady state must not allocate");
 }
