@@ -214,6 +214,110 @@ impl Figure {
     }
 }
 
+/// One series of the row-overhead cell set: a least-squares fit of
+/// `time = ns_per_row · rows + ns_per_pair · pairs` over matrices that
+/// share their off-diagonal pair count and differ only in row count.
+#[derive(Clone, Debug)]
+pub struct RowFit {
+    /// `"symmetric"` / `"naive"` (compiled-VM plans) or `"native"` (the
+    /// hand-written symmetric CSR loop).
+    pub series: &'static str,
+    /// Fitted cost of one more row (its diagonal entry included).
+    pub ns_per_row: f64,
+    /// Fitted cost of one off-diagonal pair (the symmetric plan and the
+    /// native loop read it once, the naive plan as two stored entries).
+    pub ns_per_pair: f64,
+    /// The measured `(rows, ns per run)` cells behind the fit.
+    pub cells: Vec<(usize, f64)>,
+}
+
+/// A symmetric `n`×`n` COO matrix with a full diagonal and exactly
+/// `pairs` off-diagonal pairs placed uniformly (splitmix64 stream, so
+/// the cells do not depend on the `rand` stand-in).
+fn symmetric_with_pairs(n: usize, pairs: usize, seed: u64) -> systec_tensor::CooTensor {
+    assert!(pairs <= n * (n - 1) / 4, "matrix too dense to place {pairs} pairs");
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut coo = systec_tensor::CooTensor::new(vec![n, n]);
+    for i in 0..n {
+        coo.set(&[i, i], 1.0 + i as f64 / n as f64);
+    }
+    let mut seen = std::collections::HashSet::with_capacity(pairs);
+    while seen.len() < pairs {
+        let (i, j) = ((next() % n as u64) as usize, (next() % n as u64) as usize);
+        if i != j && seen.insert((i.min(j), i.max(j))) {
+            let v = 0.5 + (next() >> 11) as f64 / (1u64 << 53) as f64;
+            coo.set(&[i, j], v);
+            coo.set(&[j, i], v);
+        }
+    }
+    coo
+}
+
+/// The row-overhead cell set: SSYMV over CSR matrices with `pairs`
+/// off-diagonal pairs and each of `rows` row counts, timed (minimum over
+/// `budget`) for the symmetric and naive compiled plans and the native
+/// symmetric loop, then fitted per series. With the pair count fixed,
+/// what grows with the row count is per-row interpretation — the cost
+/// the VM's row nest exists to remove.
+pub fn row_overhead(pairs: usize, rows: &[usize], budget: Duration) -> Vec<RowFit> {
+    use std::collections::HashMap;
+    use systec_kernels::{defs, native, Counters, ExecContext, Prepared};
+    use systec_tensor::{DenseTensor, SparseTensor, CSR};
+
+    let def = defs::ssymv();
+    let mut cells: [Vec<(usize, f64)>; 3] = Default::default();
+    for (k, &n) in rows.iter().enumerate() {
+        let coo = symmetric_with_pairs(n, pairs, 0x5eed_0000 + k as u64);
+        let x = DenseTensor::from_vec(vec![n], (0..n).map(|i| 0.25 + (i % 7) as f64).collect())
+            .expect("dense dims");
+        let inputs =
+            def.inputs([("A", coo.clone().into()), ("x", x.clone().into())]).expect("inputs pack");
+        let plans = [
+            Prepared::compile(&def, &inputs).expect("prepare symmetric"),
+            Prepared::naive(&def, &inputs).expect("prepare naive"),
+        ];
+        for (series, plan) in cells.iter_mut().zip(&plans) {
+            let mut outputs = HashMap::new();
+            let mut ctx = ExecContext::new();
+            let mut counters = Counters::new();
+            let best = time_min(budget, 3, || {
+                plan.run_timed_into(&mut outputs, &mut ctx, &mut counters).expect("run");
+            });
+            series.push((n, best.as_secs_f64() * 1e9));
+        }
+        let csr = SparseTensor::from_coo(&coo, &CSR).expect("pack csr");
+        let best = time_min(budget, 3, || {
+            std::hint::black_box(native::symmetric_csr_spmv(&csr, &x));
+        });
+        cells[2].push((n, best.as_secs_f64() * 1e9));
+    }
+    ["symmetric", "naive", "native"]
+        .into_iter()
+        .zip(cells)
+        .map(|(series, cells)| {
+            // Least squares over (rows, ns): slope = ns/row, intercept =
+            // the pair work every cell shares.
+            let m = cells.len() as f64;
+            let (mx, my) =
+                cells.iter().fold((0.0, 0.0), |(sx, sy), &(n, t)| (sx + n as f64 / m, sy + t / m));
+            let (sxy, sxx) = cells.iter().fold((0.0, 0.0), |(sxy, sxx), &(n, t)| {
+                let dx = n as f64 - mx;
+                (sxy + dx * (t - my), sxx + dx * dx)
+            });
+            let ns_per_row = if sxx > 0.0 { sxy / sxx } else { 0.0 };
+            let ns_per_pair = (my - ns_per_row * mx) / pairs.max(1) as f64;
+            RowFit { series, ns_per_row, ns_per_pair, cells }
+        })
+        .collect()
+}
+
 /// Generates the (scaled) Table 2 suite, symmetrized as `A + Aᵀ`
 /// (§5.2: "the asymmetric matrices in the suite were symmetrized by
 /// summing the transpose"). Prints progress, since full-scale

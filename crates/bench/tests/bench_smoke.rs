@@ -156,3 +156,17 @@ fn every_bench_kernel_runs_at_tiny_size() {
     let inputs = def.inputs([("A", a5.into()), ("B", b.into())]).unwrap();
     drive("mttkrp5", &def, &inputs);
 }
+
+/// The row-overhead cell set (`benches/row_overhead.rs`) at toy size:
+/// all three series measure every cell and the fit stays finite.
+#[test]
+fn row_overhead_cells_run_at_tiny_size() {
+    let fits = systec_bench::row_overhead(300, &[40, 80, 160], std::time::Duration::ZERO);
+    let series: Vec<&str> = fits.iter().map(|fit| fit.series).collect();
+    assert_eq!(series, ["symmetric", "naive", "native"]);
+    for fit in &fits {
+        assert_eq!(fit.cells.len(), 3, "{}: one cell per row count", fit.series);
+        assert!(fit.cells.iter().all(|&(_, ns)| ns > 0.0), "{}: {:?}", fit.series, fit.cells);
+        assert!(fit.ns_per_row.is_finite() && fit.ns_per_pair.is_finite(), "{fit:?}");
+    }
+}

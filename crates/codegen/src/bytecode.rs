@@ -234,8 +234,64 @@ pub(crate) enum Instr {
         hi: Box<[Bound]>,
         items: Box<[VItem]>,
     },
+    /// A whole two-deep loop nest — a row loop around one innermost
+    /// closed-form vector loop — as one instruction (see [`RowNest`]).
+    RowNest(Box<RowNest>),
     /// End of program.
     Halt,
+}
+
+/// How a [`RowNest`] enumerates its rows.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum NestRows {
+    /// Every coordinate `0..extent` (a [`Instr::DenseLoopHead`]); the
+    /// row's position in the driven level is probed per coordinate (the
+    /// head's [`Instr::Probe`]).
+    Counted { extent: usize },
+    /// The stored coordinates of the driven compressed level (an
+    /// [`Instr::SparseLoopHead`]).
+    Stored,
+}
+
+/// The row nest: `*LoopHead [Probe] pre… Vec{Sparse,Rle}Loop post…
+/// *LoopNext` where the row body is straight-line scalar work around
+/// exactly one innermost vector loop whose single unguarded item
+/// carries a closed-form `Dot` / `DotAxpy` body
+/// (`crate::fuse::row_nest` is the selector). The sequence is
+/// *replaced* by this instruction: the VM resolves every operand once
+/// per run (or chunk) and then walks rows in one native loop, calling
+/// the same closed-form folds a per-row `Vec*Loop` entry would —
+/// outputs and counters are those of the instruction sequence, bit for
+/// bit. Like the head it replaces, a top-level nest is a split head
+/// and clamps its rows to the chunk's coordinate window.
+#[derive(Clone, Debug)]
+pub(crate) struct RowNest {
+    /// The row loop's index register.
+    pub idx: usize,
+    /// The driven tensor: rows walk its `level`, the inner loop
+    /// `level + 1`.
+    pub tensor: usize,
+    pub level: usize,
+    /// Position register of the fiber the rows live in.
+    pub parent: usize,
+    pub rows: NestRows,
+    /// Row bounds (as on the head).
+    pub lo: Box<[Bound]>,
+    pub hi: Box<[Bound]>,
+    /// Per-row prologue: [`Instr::InitScalar`] / [`Instr::ReadDense`].
+    pub pre: Box<[Instr]>,
+    /// The inner driver walks a run-length level (else compressed).
+    pub rle: bool,
+    /// Inner-loop bounds, over the row index and outer registers.
+    pub inner_lo: Box<[Bound]>,
+    pub inner_hi: Box<[Bound]>,
+    /// The inner loop's body (`crate::fuse::closed` resolves it).
+    pub fused: Fused,
+    /// Per-row epilogue: [`Instr::WriteOutput`] / [`Instr::WriteScalar`].
+    pub post: Box<[Instr]>,
+    /// What `pre` and `post` count per row, as the instructions
+    /// themselves would (the body's own recipe is [`Fused::bulk`]).
+    pub per_row: BulkCounts,
 }
 
 /// One (possibly guarded) group of straight-line work inside a vector

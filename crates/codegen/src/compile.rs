@@ -750,6 +750,14 @@ impl Compiler<'_> {
                         });
                     }
                 }
+                // A row nest replaces the whole head … advance run with
+                // one instruction at the head's pc (so a recorded split
+                // head stays valid). Nothing outside the run jumps into
+                // it, and its own labels die with it.
+                if let Some(nest) = crate::fuse::row_nest(&self.instrs[head_pc..]) {
+                    self.instrs.truncate(head_pc);
+                    self.emit(Instr::RowNest(Box::new(nest)));
+                }
                 self.bind(exit);
             }
             LStmt::If { cond, body } => {

@@ -35,6 +35,15 @@
 //! results or counters, only the execution strategy
 //! (`tests/fused_bodies.rs` pins both directions).
 //!
+//! ## Row nests
+//!
+//! One level up, [`row_nest`] recognizes a whole two-deep loop nest — a
+//! row loop whose body is scalar prologue / epilogue steps around one
+//! innermost vector loop with a structurally [`closed`] body — in the
+//! instruction run a loop just emitted, and `crate::compile` replaces
+//! that run with a single [`RowNest`] instruction the VM resolves once
+//! per run instead of once per row.
+//!
 //! ## Exactness
 //!
 //! Loads never depend on fold side effects (they read inputs, folds
@@ -47,8 +56,11 @@
 //! exactly the `set_miss` loads between it and the previous fold as its
 //! miss mask, which reproduces that scoping without a mutable flag.
 
-use crate::bytecode::{BulkCounts, FAcc, FFold, FLoad, FOp, Fused, FusedBody, VStep};
-use systec_ir::AssignOp;
+use crate::bytecode::{
+    BulkCounts, FAcc, FFold, FLoad, FOp, Fused, FusedBody, Instr, NestRows, RowNest, Term, VItem,
+    VStep,
+};
+use systec_ir::{AssignOp, BinOp};
 
 /// Load cap: bodies with more per-coordinate loads than this keep the
 /// step list (the largest paper kernel, 5-d MTTKRP, uses 5).
@@ -277,10 +289,7 @@ fn resolve_srcs(
 /// hit (in the runners).
 fn bulk_counts(steps: &[VStep]) -> BulkCounts {
     let mut reads: Vec<(usize, u64)> = Vec::new();
-    let mut bump = |tensor: usize| match reads.iter_mut().find(|(t, _)| *t == tensor) {
-        Some((_, n)) => *n += 1,
-        None => reads.push((tensor, 1)),
-    };
+    let mut bump = |tensor: usize| bump_read(&mut reads, tensor);
     let mut flops = 0u64;
     let mut writes = 0u64;
     for step in steps {
@@ -303,6 +312,14 @@ fn bulk_counts(steps: &[VStep]) -> BulkCounts {
         }
     }
     BulkCounts { reads: reads.into(), flops, writes }
+}
+
+/// One more element read of `tensor` in a per-tensor read recipe.
+fn bump_read(reads: &mut Vec<(usize, u64)>, tensor: usize) {
+    match reads.iter_mut().find(|(t, _)| *t == tensor) {
+        Some((_, n)) => *n += 1,
+        None => reads.push((tensor, 1)),
+    }
 }
 
 /// Names the recognized pattern (for disassembly, golden snapshots, and
@@ -331,4 +348,221 @@ fn classify(loads: &[FLoad], folds: &[FFold]) -> FusedBody {
         [dot, axpy] if is_dot(dot) && !is_dot(axpy) && !gathered => FusedBody::DotAxpy,
         _ => FusedBody::Jam,
     }
+}
+
+// ---------------------------------------------------------------------------
+// Closed forms and row nests
+// ---------------------------------------------------------------------------
+
+/// The canonical dot chain `[lead regs…, Local(a), (Reg mid)?, Local(b)]`
+/// of a two-load body whose load `a` is the driver value:
+/// `fold.srcs[..n_lead]` are the leading invariant registers.
+#[derive(Clone, Copy)]
+pub(crate) struct DotShape {
+    pub n_lead: usize,
+    pub a: usize,
+    pub mid: Option<usize>,
+    pub b: usize,
+}
+
+/// Matches `fold` against the canonical dot chain; `None` = some other
+/// shape.
+#[inline]
+pub(crate) fn dot_shape(loads: &[FLoad], fold: &FFold) -> Option<DotShape> {
+    let n_lead = fold.srcs.iter().take_while(|op| matches!(op, FOp::Reg(_))).count();
+    let (a, mid, b) = match fold.srcs[n_lead..] {
+        [FOp::Local(a), FOp::Reg(mid), FOp::Local(b)] => (a, Some(mid), b),
+        [FOp::Local(a), FOp::Local(b)] => (a, None, b),
+        _ => return None,
+    };
+    let canonical = loads.len() == 2 && a != b && matches!(loads[a], FLoad::Val);
+    canonical.then_some(DotShape { n_lead, a, mid, b })
+}
+
+/// The axpy side of a dot-axpy pair — the driver value (load `a`) times
+/// one invariant register — as `(register, register comes first)`.
+fn axpy_scale(axpy: &FFold, a: usize) -> Option<(usize, bool)> {
+    match axpy.srcs.as_ref() {
+        [FOp::Local(l), FOp::Reg(r)] if *l == a => Some((*r, false)),
+        [FOp::Reg(r), FOp::Local(l)] if *l == a => Some((*r, true)),
+        _ => None,
+    }
+}
+
+/// A strided dense operand or store target, as the plan names it.
+#[derive(Clone, Copy)]
+pub(crate) struct DenseRef<'p> {
+    pub tensor: usize,
+    pub base: &'p [Term],
+    pub stride: usize,
+}
+
+/// A fused body resolved, from its structure alone, to one of the VM's
+/// closed-form folds over an unprobed driver and a strided dense
+/// operand — what a [`RowNest`] requires of its inner loop, so the nest
+/// resolves its body once per run with no fallback tier.
+#[derive(Clone, Copy)]
+pub(crate) enum Closed<'p> {
+    /// `acc op= [lead ∘] a [∘ mid] ∘ x[coord]` with `acc` a scalar slot
+    /// or a loop-invariant output cell.
+    Dot { fold: &'p FFold, shape: DotShape, x: DenseRef<'p> },
+    /// `f[slot] op= a ∘ x[coord]; out[coord] oop= a ∘ f[scale]`.
+    DotAxpy {
+        dot: &'p FFold,
+        slot: usize,
+        x: DenseRef<'p>,
+        axpy: &'p FFold,
+        scale: usize,
+        scale_first: bool,
+        out: DenseRef<'p>,
+    },
+}
+
+impl<'p> Closed<'p> {
+    /// The strided dense operand, the accumulator through which the body
+    /// itself may write an output, and the body's semiring as
+    /// `(every fold uses it, bin, op)`.
+    pub(crate) fn parts(&self) -> (DenseRef<'p>, &'p FAcc, (bool, BinOp, AssignOp)) {
+        match *self {
+            Closed::Dot { fold, x, .. } => (x, &fold.acc, (true, fold.bin, fold.op)),
+            Closed::DotAxpy { dot, x, axpy, .. } => {
+                (x, &axpy.acc, (dot.bin == axpy.bin && dot.op == axpy.op, dot.bin, dot.op))
+            }
+        }
+    }
+}
+
+/// The closed form of `fu`, if it has one.
+pub(crate) fn closed(fu: &Fused) -> Option<Closed<'_>> {
+    let dense = |b: usize| match &fu.loads[b] {
+        FLoad::Dense { tensor, base, stride } => {
+            Some(DenseRef { tensor: *tensor, base, stride: *stride })
+        }
+        _ => None,
+    };
+    match (fu.kind, fu.folds.as_ref()) {
+        (FusedBody::Dot, [fold]) if !fold.check_miss => {
+            let shape = dot_shape(&fu.loads, fold)?;
+            let held = matches!(fold.acc, FAcc::Scalar { .. } | FAcc::Out { stride: 0, .. });
+            held.then_some(Closed::Dot { fold, shape, x: dense(shape.b)? })
+        }
+        (FusedBody::DotAxpy, [dot, axpy]) if !dot.check_miss && !axpy.check_miss => {
+            let shape = dot_shape(&fu.loads, dot)?;
+            let (FAcc::Scalar { slot }, 0, None) = (&dot.acc, shape.n_lead, shape.mid) else {
+                return None;
+            };
+            let (scale, scale_first) = axpy_scale(axpy, shape.a)?;
+            let FAcc::Out { tensor, base, stride } = &axpy.acc else {
+                return None;
+            };
+            Some(Closed::DotAxpy {
+                dot,
+                slot: *slot,
+                x: dense(shape.b)?,
+                axpy,
+                scale,
+                scale_first,
+                out: DenseRef { tensor: *tensor, base, stride: *stride },
+            })
+        }
+        _ => None,
+    }
+}
+
+/// Prologue / epilogue cap per side (the paper kernels use at most two).
+pub(crate) const MAX_NEST_STEPS: usize = 4;
+
+/// Recognizes a [`RowNest`] in the instruction run one just-compiled
+/// loop emitted (head through advance). `None` keeps the sequence.
+pub(crate) fn row_nest(instrs: &[Instr]) -> Option<RowNest> {
+    let (head, body) = instrs.split_first()?;
+    let (next, body) = body.split_last()?;
+    // The row loop: a counted head whose first body instruction probes
+    // the row's position, or a compressed head binding it directly.
+    // Either way `child` is the position register the inner loop must
+    // descend from.
+    let (idx, tensor, level, parent, child, rows, lo, hi, body) = match (head, next, body) {
+        (
+            Instr::DenseLoopHead { idx, extent, lo, hi, .. },
+            Instr::DenseLoopNext { .. },
+            [Instr::Probe { tensor, level, parent, child, idx: pidx }, body @ ..],
+        ) if pidx == idx => (
+            *idx,
+            *tensor,
+            *level,
+            *parent,
+            *child,
+            NestRows::Counted { extent: *extent },
+            lo,
+            hi,
+            body,
+        ),
+        (
+            Instr::SparseLoopHead { tensor, level, idx, parent, child, lo, hi, .. },
+            Instr::SparseLoopNext { .. },
+            body,
+        ) => (*idx, *tensor, *level, *parent, *child, NestRows::Stored, lo, hi, body),
+        _ => return None,
+    };
+    let n_pre = body
+        .iter()
+        .take_while(|i| matches!(i, Instr::InitScalar { .. } | Instr::ReadDense { .. }))
+        .count();
+    let (pre, rest) = body.split_at(n_pre);
+    let (inner, post) = rest.split_first()?;
+    let (rle, inner_lo, inner_hi, items) = match inner {
+        Instr::VecSparseLoop { tensor: t, level: l, parent: p, lo, hi, items, .. }
+            if (*t, *l, *p) == (tensor, level + 1, child) =>
+        {
+            (false, lo, hi, items)
+        }
+        Instr::VecRleLoop { tensor: t, level: l, parent: p, lo, hi, items, .. }
+            if (*t, *l, *p) == (tensor, level + 1, child) =>
+        {
+            (true, lo, hi, items)
+        }
+        _ => return None,
+    };
+    let [VItem { guard, fused: Some(fused), .. }] = items.as_ref() else {
+        return None;
+    };
+    // Inner bounds over the row index only: the VM keeps them as deltas.
+    let fits = guard.is_empty()
+        && inner_lo.iter().chain(inner_hi.iter()).all(|b| b.reg == idx)
+        && closed(fused).is_some()
+        && pre.len() <= MAX_NEST_STEPS
+        && post.len() <= MAX_NEST_STEPS
+        && post.iter().all(|i| matches!(i, Instr::WriteOutput { .. } | Instr::WriteScalar { .. }));
+    // The scalar steps' counters, per row: a read per `ReadDense`, a
+    // write and its reduce flop per `WriteOutput`, the reduce flop of a
+    // `WriteScalar`.
+    let mut per_row = BulkCounts::default();
+    let mut reads: Vec<(usize, u64)> = Vec::new();
+    for step in pre.iter().chain(post) {
+        match step {
+            Instr::ReadDense { tensor, .. } => bump_read(&mut reads, *tensor),
+            Instr::WriteOutput { op, .. } | Instr::WriteScalar { op, .. } => {
+                per_row.writes += u64::from(matches!(step, Instr::WriteOutput { .. }));
+                per_row.flops += u64::from(*op != AssignOp::Overwrite);
+            }
+            _ => {}
+        }
+    }
+    per_row.reads = reads.into();
+    fits.then(|| RowNest {
+        idx,
+        tensor,
+        level,
+        parent,
+        rows,
+        lo: lo.clone(),
+        hi: hi.clone(),
+        pre: pre.into(),
+        rle,
+        inner_lo: inner_lo.clone(),
+        inner_hi: inner_hi.clone(),
+        fused: fused.clone(),
+        post: post.into(),
+        per_row,
+    })
 }

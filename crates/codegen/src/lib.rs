@@ -31,6 +31,12 @@
 //!   selection never changes results or counters. A caller can
 //!   additionally trade counter exactness for speed with
 //!   [`CounterMode::Off`] on the [`ExecContext`].
+//! * **Row nests** — a row loop around one closed-form compressed or
+//!   run-length vector loop (SSYMV, SYPRD, Bellman-Ford) compiles to a
+//!   single `RowNest` instruction, replacing the per-row head / vector
+//!   loop / advance sequence: the VM resolves operands, addresses and
+//!   the semiring once per run and walks rows in one native loop over
+//!   the same folds, with counters tallied by multiplication.
 //! * **Hoisted branches** — residual conditionals become explicit
 //!   compare-and-jump chains between basic blocks; loop bounds are
 //!   evaluated once at loop entry.
@@ -600,7 +606,12 @@ mod tests {
         inputs.insert("A".to_string(), rle_matrix(5));
         inputs.insert("x".to_string(), dense_vec(&[1.0, 10.0, 100.0, 1000.0, 0.5]));
         let dis = disassembly(&prog, &inputs);
-        assert!(dis.contains("VecRleLoop"), "run-length driver loop vectorizes:\n{dis}");
+        // The vectorized run-length loop and its row loop collapse into
+        // one row nest over the run-length leaf.
+        assert!(
+            dis.contains("RowNest") && dis.contains("rle: true"),
+            "run-length driver loop vectorizes into a row nest:\n{dis}"
+        );
         let (out, c) = both(&prog, &inputs);
         assert_eq!(out["y"].get(&[0]), 2.0 * (10.0 + 100.0 + 1000.0));
         assert_eq!(c.reads_of("A"), 15, "one driver read per covered coordinate");

@@ -45,11 +45,14 @@ use systec_tensor::{DenseTensor, LevelView, Tensor};
 use systec_ir::BinOp;
 
 use crate::bytecode::{
-    Bound, BytecodeProgram, FAcc, FFold, FLoad, FOp, Fused, FusedBody, Instr, ParOut, SplitInfo,
-    Term, VItem, VStep, MISS,
+    Bound, BulkCounts, BytecodeProgram, FAcc, FFold, FLoad, FOp, Fused, FusedBody, Instr, NestRows,
+    ParOut, RowNest, SplitInfo, Term, VItem, VStep, MISS,
 };
 use crate::context::{Bank, CounterMode, ExecContext, GatherBank, LaneMode};
-use crate::fuse::{MAX_FUSED_FOLDS, MAX_FUSED_LOADS, MAX_FUSED_SRCS};
+use crate::fuse::{
+    closed, dot_shape, Closed, DotShape, MAX_FUSED_FOLDS, MAX_FUSED_LOADS, MAX_FUSED_SRCS,
+    MAX_NEST_STEPS,
+};
 use crate::Parallelism;
 
 /// Inline capacity for per-slot binding tables.
@@ -519,14 +522,15 @@ trait Drive<'a> {
     /// Visits the window's segments in coordinate order and returns the
     /// last coordinate covered (the loop index's value at exit).
     fn segments(&self, f: impl FnMut(Self::Seg)) -> usize;
+    /// Number of coordinates the window executes, without walking them:
+    /// O(1) for ranges and compressed windows, O(runs) for run-length.
+    fn len(&self) -> usize;
     /// Upper bound on the coordinates the window executes — the lane
     /// cutover's measure of work ([`lane_gate`]). The exact count unless
     /// a drive has a cheaper bound.
     #[inline(always)]
     fn span(&self) -> usize {
-        let mut n = 0;
-        self.segments(|seg| n += seg.len());
-        n
+        self.len()
     }
     /// The probed side of a two-way intersection, its cursor at the
     /// start of the probed fiber.
@@ -547,8 +551,13 @@ impl Drive<'_> for RangeDrive {
 
     #[inline(always)]
     fn segments(&self, mut f: impl FnMut(SpanSeg)) -> usize {
-        f(SpanSeg { first: self.lo, len: self.hi - self.lo + 1, val: None });
+        f(SpanSeg { first: self.lo, len: self.len(), val: None });
         self.hi
+    }
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.hi - self.lo + 1
     }
 }
 
@@ -566,6 +575,11 @@ impl<'a> Drive<'a> for CrdDrive<'a> {
     fn segments(&self, mut f: impl FnMut(ListSeg<'a>)) -> usize {
         f(ListSeg { crd: self.crd, vals: self.vals });
         self.crd[self.crd.len() - 1]
+    }
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.crd.len()
     }
 }
 
@@ -599,6 +613,13 @@ impl<'a> Drive<'a> for RleDrive<'a> {
         last
     }
 
+    #[inline(always)]
+    fn len(&self) -> usize {
+        let mut n = 0;
+        self.segments(|seg| n += seg.len);
+        n
+    }
+
     /// First selected run's clamped start through last selected run's
     /// clamped end. Unclamped loops carry a sentinel `hi` (`i64::MAX`),
     /// so the raw `[lo, hi]` span saturates and would put every tiny
@@ -628,6 +649,11 @@ impl<'a> Drive<'a> for IsectDrive<'a> {
     #[inline(always)]
     fn segments(&self, f: impl FnMut(ListSeg<'a>)) -> usize {
         self.crd.segments(f)
+    }
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.crd.len()
     }
 
     #[inline(always)]
@@ -768,6 +794,21 @@ impl DotChain {
         }
     }
 
+    /// The chain of `fold` (a [`dot_shape`] match) over the current
+    /// registers: the leading invariants `fold.srcs[..n_lead]` pre-folded
+    /// (exact — the chain is left-associative), the middle one snapshot.
+    #[inline(always)]
+    fn of(f: &[f64], fold: &FFold, shape: DotShape) -> Self {
+        let mut lead: Option<f64> = None;
+        for op in &fold.srcs[..shape.n_lead] {
+            let FOp::Reg(r) = op else {
+                unreachable!("a dot chain leads with invariant registers");
+            };
+            lead = Some(lead.map_or(f[*r], |l| fold.bin.apply(l, f[*r])));
+        }
+        DotChain::new(fold.bin, fold.op, lead, shape.mid.map(|r| f[r]))
+    }
+
     /// The chain up to the driver value: `[lead ∘] a [∘ mid]`.
     #[inline(always)]
     fn prefix<S: Semi>(&self, s: S, a: f64) -> f64 {
@@ -902,44 +943,6 @@ fn fold_dot_axpy<'a, S: Semi, D: Drive<'a>, const L: usize>(
     (acc, last)
 }
 
-/// Splits a two-load body's fold into the canonical dot chain
-/// `[lead regs..., Local(a), (Reg mid)?, Local(b)]` where load `a` is
-/// the driver value, snapshotting (and pre-folding) the invariant
-/// registers. `None` = some other shape.
-#[inline]
-fn split_dot(
-    f: &[f64],
-    loads: &[FLoad],
-    fold: &FFold,
-) -> Option<(Option<f64>, usize, Option<f64>, usize)> {
-    let mut srcs = fold.srcs.iter();
-    let mut lead: Option<f64> = None;
-    let a = loop {
-        match srcs.next()? {
-            FOp::Reg(r) => {
-                let v = f[*r];
-                lead = Some(match lead {
-                    None => v,
-                    Some(l) => fold.bin.apply(l, v),
-                });
-            }
-            FOp::Local(l) => break *l,
-        }
-    };
-    let (mid, b) = match srcs.next()? {
-        FOp::Reg(r) => {
-            let FOp::Local(l) = srcs.next()? else {
-                return None;
-            };
-            (Some(f[*r]), *l)
-        }
-        FOp::Local(l) => (None, *l),
-    };
-    let canonical =
-        srcs.next().is_none() && loads.len() == 2 && a != b && matches!(loads[a], FLoad::Val);
-    canonical.then_some((lead, a, mid, b))
-}
-
 // ---------------------------------------------------------------------------
 // Vector-loop execution
 // ---------------------------------------------------------------------------
@@ -1038,6 +1041,7 @@ fn src_val(src: RSrc, locals: &[f64; MAX_FUSED_LOADS]) -> f64 {
 /// [`LoopRun::run`] serves all four vector-loop instructions; it picks
 /// the tier — the closed-form folds, the generic fused body, or the
 /// step list — and every tier walks the same [`Drive`].
+/// [`LoopRun::nest`] runs a whole [`RowNest`] over the same state.
 ///
 /// Bulk (per-iteration) counters come from the body's compile-time
 /// recipe ([`LoopRun::vec_prepare`] for step lists); only hit-dependent
@@ -1074,8 +1078,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
     /// order-preserving strategy), and just the loop index's exit value
     /// when none does.
     fn run<D: Drive<'a>>(&mut self, items: &[VItem], idx: usize, drive: &D) {
-        let mut iters = 0u64;
-        let last = drive.segments(|seg| iters += seg.len() as u64);
+        let iters = drive.len() as u64;
         if iters == 0 {
             return;
         }
@@ -1093,7 +1096,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
             self.init_gathers(items);
             for_each(drive, |c, val, probe| self.exec_coord(items, idx, c, val, probe));
         } else {
-            self.u[idx] = last;
+            self.u[idx] = drive.segments(|_| {});
         }
     }
 
@@ -1302,6 +1305,17 @@ impl<'a> LoopRun<'_, 'a, '_> {
         }
     }
 
+    /// Accounts `times` applications of a per-application counter
+    /// recipe — identical totals to bumping per application, with no
+    /// hot-loop counter traffic.
+    fn tally(&mut self, recipe: &BulkCounts, times: u64) {
+        for &(t, n) in recipe.reads.iter() {
+            self.reads[t] += n * times;
+        }
+        self.flops += recipe.flops * times;
+        self.writes += recipe.writes * times;
+    }
+
     /// Executes one fused loop: the closed-form folds for the canonical
     /// dot / dot-axpy shapes, the generic resolved body otherwise.
     fn fused<const COUNT: bool, D: Drive<'a>>(
@@ -1314,22 +1328,22 @@ impl<'a> LoopRun<'_, 'a, '_> {
         if COUNT {
             // Invariant contributions in bulk, from the recipe derived
             // off the step list this body replaces.
-            for &(t, n) in fu.bulk.reads.iter() {
-                self.reads[t] += n * iters;
-            }
-            self.flops += fu.bulk.flops * iters;
-            self.writes += fu.bulk.writes * iters;
+            self.tally(&fu.bulk, iters);
         }
         let lanes_on = self.lanes && fu.lanes > 1;
         // Closed-form loops run straight off the compile-time form —
         // entry cost is a handful of scalar resolutions, which matters
         // for short fibers entered many times (SSYRK's intersection).
-        let closed = match fu.kind {
-            FusedBody::Dot => self.closed_dot::<COUNT, D>(fu, idx, drive, lanes_on),
-            FusedBody::DotAxpy => self.closed_dot_axpy(fu, idx, drive, lanes_on),
+        let done = match (fu.kind, drive.probe()) {
+            (FusedBody::Dot | FusedBody::DotAxpy, None) => {
+                self.closed_dense(fu, idx, drive, lanes_on)
+            }
+            (FusedBody::Dot, Some(probed)) => {
+                self.closed_probe_dot::<COUNT, D>(fu, idx, drive, probed, lanes_on)
+            }
             _ => false,
         };
-        if closed {
+        if done {
             return;
         }
         let mut body = self.resolve(fu, idx, lane_gate(lanes_on, drive.span(), None));
@@ -1584,17 +1598,106 @@ impl<'a> LoopRun<'_, 'a, '_> {
         }
     }
 
-    /// `acc ∘= [lead ∘] a [∘ mid] ∘ b` where `a` is the driver value
-    /// and `b` a strided dense element (SpMV/SYPRD row dots) or the
-    /// probed value (SSYRK's intersection dot), through [`fold_dot`].
-    /// Returns `false` when the shape or drive doesn't match — the
-    /// generic fused path then runs.
-    #[inline]
-    fn closed_dot<const COUNT: bool, D: Drive<'a>>(
+    /// The structurally closed forms ([`closed`]: a dot or SSYMV's
+    /// dot-axpy pair over a strided dense operand) on an unprobed
+    /// driver — one loop entry is one window of [`Self::fold_closed`].
+    /// Returns `false` when the body has no closed form; the generic
+    /// fused path then runs.
+    fn closed_dense<D: Drive<'a>>(
         &mut self,
         fu: &Fused,
         idx: usize,
         drive: &D,
+        lanes_on: bool,
+    ) -> bool {
+        let Some(body) = closed(fu) else {
+            return false;
+        };
+        let (x, acc, (uniform, bin, op)) = body.parts();
+        let x =
+            Strided { xs: self.dense[x.tensor], base: offset(self.u, x.base), stride: x.stride };
+        let out = match acc {
+            FAcc::Scalar { .. } => (0, 0),
+            FAcc::Out { tensor, base, .. } => (self.oo[*tensor], offset(self.u, base)),
+        };
+        let lanes = lane_gate(lanes_on, drive.span(), None);
+        self.u[idx] =
+            with_semi!(uniform, bin, op, |s| self.fold_closed(s, body, x, out, lanes, drive));
+        true
+    }
+
+    /// One window of a closed-form body over its resolved operands: `x`
+    /// the strided dense operand, `out = (ordinal, offset)` the output
+    /// the body itself writes (a dot's invariant accumulator cell, the
+    /// axpy side's target). Shared by fused-loop entries and row-nest
+    /// rows, so both run the same folds on the same arguments. Returns
+    /// the last coordinate.
+    #[inline(always)]
+    fn fold_closed<S: Semi, D: Drive<'a>>(
+        &mut self,
+        s: S,
+        body: Closed<'_>,
+        x: Strided<'_>,
+        (ord, off): (usize, usize),
+        lanes: bool,
+        drive: &D,
+    ) -> usize {
+        match body {
+            Closed::Dot { fold, shape, .. } => {
+                let ch = DotChain::of(self.f, fold, shape);
+                // Register-held accumulator: a scalar slot or the cell.
+                let acc = match fold.acc {
+                    FAcc::Scalar { slot } => &mut self.f[slot],
+                    FAcc::Out { .. } => {
+                        let ob = self.outs[ord].as_mut().expect("output bound");
+                        &mut ob.data[off - ob.base]
+                    }
+                };
+                let (acc1, last, _) = if lanes {
+                    fold_dot::<S, D, _, LANES>(s, &ch, *acc, drive, x)
+                } else {
+                    fold_dot::<S, D, _, 1>(s, &ch, *acc, drive, x)
+                };
+                *acc = acc1;
+                last
+            }
+            Closed::DotAxpy { dot, slot, axpy, scale, scale_first, out, .. } => {
+                let ob = self.outs[ord].as_mut().expect("output bound");
+                let mut out = AxpyOut {
+                    data: &mut *ob.data,
+                    off,
+                    stride: out.stride,
+                    origin: ob.base,
+                    bin: axpy.bin,
+                    op: axpy.op,
+                    scale: self.f[scale],
+                    scale_first,
+                };
+                // Only the dot side is register-held, so only it lanes;
+                // the axpy stores stay elementwise in original order.
+                let (pair, acc0) = ((dot.bin, dot.op), self.f[slot]);
+                let (acc, last) = if lanes {
+                    fold_dot_axpy::<S, D, LANES>(s, pair, acc0, drive, x, &mut out)
+                } else {
+                    fold_dot_axpy::<S, D, 1>(s, pair, acc0, drive, x, &mut out)
+                };
+                self.f[slot] = acc;
+                last
+            }
+        }
+    }
+
+    /// `acc ∘= [lead ∘] a [∘ mid] ∘ b` where `a` is the driver value
+    /// and `b` the probed value (SSYRK's intersection dot), through
+    /// [`fold_dot`]. Returns `false` when the shape doesn't match — the
+    /// generic fused path then runs.
+    #[inline]
+    fn closed_probe_dot<const COUNT: bool, D: Drive<'a>>(
+        &mut self,
+        fu: &Fused,
+        idx: usize,
+        drive: &D,
+        probed: Probed<'a>,
         lanes_on: bool,
     ) -> bool {
         let [fold] = fu.folds.as_ref() else {
@@ -1606,7 +1709,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
         let (ch, acc, b) = if let Some((slot, bin, op, _)) = fu.isect_dot {
             (DotChain::new(bin, op, None, None), RAcc::Slot { slot }, 1)
         } else {
-            let Some((lead, _, mid, b)) = split_dot(self.f, &fu.loads, fold) else {
+            let Some(shape) = dot_shape(&fu.loads, fold) else {
                 return false;
             };
             // Register-held accumulator: a scalar slot or an invariant cell.
@@ -1617,104 +1720,29 @@ impl<'a> LoopRun<'_, 'a, '_> {
                 }
                 FAcc::Out { .. } => return false,
             };
-            (DotChain::new(fold.bin, fold.op, lead, mid), acc, b)
+            (DotChain::of(self.f, fold, shape), acc, shape.b)
         };
-        let acc0 = *self.acc_cell(acc).expect("dot accumulators are register-held");
-        let (acc1, last) = match (&fu.loads[b], drive.probe()) {
-            (FLoad::Dense { tensor, base, stride }, None) if !fold.check_miss => {
-                let x = Strided {
-                    xs: self.dense[*tensor],
-                    base: offset(self.u, base),
-                    stride: *stride,
-                };
-                let lanes = lane_gate(lanes_on, drive.span(), None);
-                let (acc1, last, _) = run_dot(&ch, acc0, drive, x, lanes);
-                (acc1, last)
-            }
-            (FLoad::Probe { tensor: pt, set_miss: true }, Some(probed))
-                if fold.check_miss && fold.miss.as_ref() == [b] =>
-            {
-                let lanes = lane_gate(lanes_on, drive.span(), Some(&probed.cur));
-                let (acc1, last, hits) = run_dot(&ch, acc0, drive, probed, lanes);
-                if COUNT {
-                    // Per hit: one probe read plus the store side of the
-                    // miss-checked fold.
-                    self.reads[*pt] += hits;
-                    if ch.op != AssignOp::Overwrite {
-                        self.flops += hits;
-                    }
-                    if matches!(acc, RAcc::Cell { .. }) {
-                        self.writes += hits;
-                    }
-                }
-                (acc1, last)
-            }
-            _ => return false,
-        };
-        *self.acc_cell(acc).expect("dot accumulators are register-held") = acc1;
-        self.u[idx] = last;
-        true
-    }
-
-    /// SSYMV's symmetric pair over an unprobed driver: a register-held
-    /// scalar dot plus a strided reducing store sharing the driver
-    /// value, through [`fold_dot_axpy`]. Returns `false` when the shape
-    /// doesn't match.
-    fn closed_dot_axpy<D: Drive<'a>>(
-        &mut self,
-        fu: &Fused,
-        idx: usize,
-        drive: &D,
-        lanes_on: bool,
-    ) -> bool {
-        let [dot, axpy] = fu.folds.as_ref() else {
+        let FLoad::Probe { tensor: pt, set_miss: true } = &fu.loads[b] else {
             return false;
         };
-        if drive.probe().is_some() || dot.check_miss || axpy.check_miss {
+        if !(fold.check_miss && fold.miss.as_ref() == [b]) {
             return false;
         }
-        let Some((None, a, None, b)) = split_dot(self.f, &fu.loads, dot) else {
-            return false;
-        };
-        let FLoad::Dense { tensor: xt, base: xbase, stride: xst } = &fu.loads[b] else {
-            return false;
-        };
-        let FAcc::Scalar { slot } = dot.acc else {
-            return false;
-        };
-        // The axpy side: driver value times one invariant register.
-        let (scale, scale_first) = match axpy.srcs.as_ref() {
-            [FOp::Local(l), FOp::Reg(r)] if *l == a => (self.f[*r], false),
-            [FOp::Reg(r), FOp::Local(l)] if *l == a => (self.f[*r], true),
-            _ => return false,
-        };
-        let FAcc::Out { tensor: ot, base: obase, stride: ost } = &axpy.acc else {
-            return false;
-        };
-        let x = Strided { xs: self.dense[*xt], base: offset(self.u, xbase), stride: *xst };
-        let ob = self.outs[self.oo[*ot]].as_mut().expect("output bound");
-        let mut out = AxpyOut {
-            data: &mut *ob.data,
-            off: offset(self.u, obase),
-            stride: *ost,
-            origin: ob.base,
-            bin: axpy.bin,
-            op: axpy.op,
-            scale,
-            scale_first,
-        };
-        let acc0 = self.f[slot];
-        // Only the dot side is register-held, so only it lanes; the
-        // axpy stores stay elementwise in original order either way.
-        let lanes = lane_gate(lanes_on, drive.span(), None);
-        let uniform = dot.bin == axpy.bin && dot.op == axpy.op;
-        let pair = (dot.bin, dot.op);
-        let (acc, last) = with_semi!(uniform, dot.bin, dot.op, |s| if lanes {
-            fold_dot_axpy::<_, D, LANES>(s, pair, acc0, drive, x, &mut out)
-        } else {
-            fold_dot_axpy::<_, D, 1>(s, pair, acc0, drive, x, &mut out)
-        });
-        self.f[slot] = acc;
+        let acc0 = *self.acc_cell(acc).expect("dot accumulators are register-held");
+        let lanes = lane_gate(lanes_on, drive.span(), Some(&probed.cur));
+        let (acc1, last, hits) = run_dot(&ch, acc0, drive, probed, lanes);
+        if COUNT {
+            // Per hit: one probe read plus the store side of the
+            // miss-checked fold.
+            self.reads[*pt] += hits;
+            if ch.op != AssignOp::Overwrite {
+                self.flops += hits;
+            }
+            if matches!(acc, RAcc::Cell { .. }) {
+                self.writes += hits;
+            }
+        }
+        *self.acc_cell(acc).expect("dot accumulators are register-held") = acc1;
         self.u[idx] = last;
         true
     }
@@ -1765,20 +1793,34 @@ fn loop_window(
 }
 
 /// Positions `start..stop` of compressed fiber `p` whose coordinates
-/// fall in `[lo_v, hi_v]`.
-#[inline]
+/// fall in `[lo_v, hi_v]`. Each side is searched only when it can cut:
+/// a bound the fiber's first / last coordinate already satisfies (the
+/// vacuous bounds of unclamped loops, a diagonal window over its own
+/// one-entry fiber) costs one comparison.
+#[inline(always)]
 fn crd_window(pos: &[usize], crd: &[usize], p: usize, lo_v: i64, hi_v: i64) -> (usize, usize) {
-    let begin = pos[p];
-    let slice = &crd[begin..pos[p + 1]];
-    let start = begin + slice.partition_point(|&c| (c as i64) < lo_v);
-    let stop = begin + slice.partition_point(|&c| (c as i64) <= hi_v);
+    let (begin, end) = (pos[p], pos[p + 1]);
+    let slice = &crd[begin..end];
+    let (Some(&first), Some(&last)) = (slice.first(), slice.last()) else {
+        return (begin, begin);
+    };
+    let start = if first as i64 >= lo_v {
+        begin
+    } else {
+        begin + slice.partition_point(|&c| (c as i64) < lo_v)
+    };
+    let stop = if last as i64 <= hi_v {
+        end
+    } else {
+        begin + slice.partition_point(|&c| (c as i64) <= hi_v)
+    };
     (start, stop)
 }
 
 /// The compressed drive over fiber `p` of `fiber` clamped to
 /// `[lo_v, hi_v]`; `None` when the parent path is unstored or the
 /// window is empty.
-#[inline]
+#[inline(always)]
 fn crd_drive<'a>(
     fiber: LevelView<'a>,
     vals: &'a [f64],
@@ -1794,6 +1836,247 @@ fn crd_drive<'a>(
     };
     let (start, stop) = crd_window(pos, crd, p, lo_v, hi_v);
     (start < stop).then(|| CrdDrive { crd: &crd[start..stop], vals: &vals[start..stop] })
+}
+
+/// The run-length drive over fiber `p` of `fiber` clamped to
+/// `[lo_v, hi_v]` (possibly empty — [`Drive::len`] tells); `None` when
+/// the parent path is unstored or the bounds cross.
+#[inline(always)]
+fn rle_drive<'a>(
+    fiber: LevelView<'a>,
+    vals: &'a [f64],
+    p: usize,
+    lo_v: i64,
+    hi_v: i64,
+) -> Option<RleDrive<'a>> {
+    if p == MISS || lo_v > hi_v {
+        return None;
+    }
+    let LevelView::RunLength { pos, run_start, run_end, .. } = fiber else {
+        unreachable!("vector rle loop over a non-rle level");
+    };
+    let (begin, stop) = (pos[p], pos[p + 1]);
+    // As in [`crd_window`]: search only when the bound can cut.
+    let start = if begin == stop || run_end[begin] as i64 >= lo_v {
+        begin
+    } else {
+        begin + run_end[begin..stop].partition_point(|&c| (c as i64) < lo_v)
+    };
+    Some(RleDrive { vals, run_start, run_end, start, stop, lo: lo_v as usize, hi: hi_v as usize })
+}
+
+// ---------------------------------------------------------------------------
+// Row nests
+// ---------------------------------------------------------------------------
+
+/// A strided address with everything but the row index folded in at
+/// nest entry: `base + row · stride`.
+#[derive(Clone, Copy, Default)]
+struct Affine {
+    base: usize,
+    stride: usize,
+}
+
+impl Affine {
+    fn resolve(u: &[usize], terms: &[Term], idx: usize) -> Affine {
+        let mut a = Affine::default();
+        for t in terms {
+            if t.reg == idx {
+                a.stride += t.stride;
+            } else {
+                a.base += u[t.reg] * t.stride;
+            }
+        }
+        a
+    }
+
+    #[inline(always)]
+    fn at(self, row: usize) -> usize {
+        self.base + row * self.stride
+    }
+}
+
+/// The rows of a nest, already clamped to its window.
+#[derive(Clone, Copy)]
+enum Rows<'a> {
+    /// Coordinates `lo..` of a dense level: `c` sits at `base + c`.
+    Dense { lo: usize, base: usize },
+    /// Coordinates `lo..`, each probed in `view` under fiber `p`
+    /// ([`MISS`]: unstored — every row then skips its inner loop).
+    Probed { lo: usize, view: LevelView<'a>, p: usize },
+    /// Stored positions `start..`, their coordinates in `crd`.
+    Stored { crd: &'a [usize], start: usize },
+}
+
+impl Rows<'_> {
+    /// `(row index, position in the row level)` of the `r`-th row.
+    #[inline(always)]
+    fn at(&self, r: usize) -> (usize, usize) {
+        match *self {
+            Rows::Dense { lo, base } => (lo + r, base + lo + r),
+            Rows::Probed { lo, p: MISS, .. } => (lo + r, MISS),
+            Rows::Probed { lo, view, p } => (lo + r, view.find(p, lo + r).unwrap_or(MISS)),
+            Rows::Stored { crd, start } => (crd[start + r], start + r),
+        }
+    }
+}
+
+/// A [`RowNest`] resolved against one run's bindings — operand slices,
+/// address bases, the window recipe, the body's closed form — so a row
+/// costs its position, its window, its few scalar steps and one direct
+/// fold call. Everything a per-row `Vec*Loop` entry re-derives (window
+/// registers, a [`LoopRun`], guards, the body's shape, bulk counters)
+/// happens once per run, in [`LoopRun::nest`].
+struct NestRun<'a, 'p> {
+    pre: &'p [Instr],
+    post: &'p [Instr],
+    /// Addresses of the `pre` then `post` steps that have one.
+    at: [Affine; 2 * MAX_NEST_STEPS],
+    /// Inner bounds, as deltas on the row index (`None`: unbounded).
+    lo: Option<i64>,
+    hi: Option<i64>,
+    body: Closed<'p>,
+    /// The body's strided dense operand.
+    xs: &'a [f64],
+    x: Affine,
+    x_stride: usize,
+    /// The output the body itself writes, by ordinal (as
+    /// [`LoopRun::fold_closed`] takes it).
+    out: (usize, Affine),
+    /// [`LaneMode::Lanes`] and the body's plan-level lane count allow
+    /// lanes; [`lane_gate`] still decides per row, on the row's window.
+    lanes_on: bool,
+}
+
+impl<'a> LoopRun<'_, 'a, '_> {
+    /// Executes a whole [`RowNest`] at `pc`: resolves it once, walks its
+    /// rows in one native loop, and tallies its counters as products —
+    /// the scalar steps' recipe per row, the body's per inner
+    /// coordinate, one dispatch per non-empty inner-loop entry — which
+    /// is what the replaced instruction sequence adds up to.
+    fn nest(&mut self, nest: &RowNest, chunk: Option<Chunk<'_>>, pc: usize) {
+        let (u, idx) = (&*self.u, nest.idx);
+        let p = u[nest.parent];
+        let view = level(self.levels, self.lvl_base, nest.tensor, nest.level);
+        // The row window, exactly as the replaced head computes it.
+        let (rows, n) = match nest.rows {
+            NestRows::Counted { extent } => {
+                let (lo, hi) = loop_window(u, &nest.lo, &nest.hi, extent as i64 - 1, chunk, pc);
+                let rows = match view {
+                    LevelView::Dense { size } if p != MISS && hi < size as i64 => {
+                        Rows::Dense { lo: lo as usize, base: p * size }
+                    }
+                    _ => Rows::Probed { lo: lo as usize, view, p },
+                };
+                (rows, (hi - lo + 1).max(0) as usize)
+            }
+            NestRows::Stored if p == MISS => return,
+            NestRows::Stored => {
+                let (lo, hi) = loop_window(u, &nest.lo, &nest.hi, i64::MAX, chunk, pc);
+                let LevelView::Sparse { pos, crd, .. } = view else {
+                    unreachable!("stored rows over a non-sparse level");
+                };
+                let (start, stop) = crd_window(pos, crd, p, lo, hi);
+                (Rows::Stored { crd, start }, stop.saturating_sub(start))
+            }
+        };
+
+        let body = closed(&nest.fused).expect("nests carry a closed-form body");
+        // One semiring for the whole nest, as at a fused loop entry.
+        let (x, out, (uniform, bin, op)) = body.parts();
+        let mut at = [Affine::default(); 2 * MAX_NEST_STEPS];
+        for (at, step) in at.iter_mut().zip(nest.pre.iter().chain(nest.post.iter())) {
+            if let Instr::ReadDense { terms, .. } | Instr::WriteOutput { terms, .. } = step {
+                *at = Affine::resolve(u, terms, idx);
+            }
+        }
+        let run = NestRun {
+            pre: &nest.pre,
+            post: &nest.post,
+            at,
+            lo: nest.inner_lo.iter().map(|b| b.delta).max(),
+            hi: nest.inner_hi.iter().map(|b| b.delta).min(),
+            body,
+            xs: self.dense[x.tensor],
+            x: Affine::resolve(u, x.base, idx),
+            x_stride: x.stride,
+            out: match out {
+                FAcc::Scalar { .. } => (0, Affine::default()),
+                FAcc::Out { tensor, base, .. } => (self.oo[*tensor], Affine::resolve(u, base, idx)),
+            },
+            lanes_on: self.lanes && nest.fused.lanes > 1,
+        };
+        let fiber = level(self.levels, self.lvl_base, nest.tensor, nest.level + 1);
+        let a = self.vals[nest.tensor];
+        let (iters, entries) = with_semi!(uniform, bin, op, |s| if nest.rle {
+            self.nest_rows(s, &run, rows, n, |p, lo, hi| rle_drive(fiber, a, p, lo, hi))
+        } else {
+            self.nest_rows(s, &run, rows, n, |p, lo, hi| crd_drive(fiber, a, p, lo, hi))
+        });
+
+        self.iterations += n as u64 + iters;
+        self.dispatch[body_kind(nest.fused.kind).index()] += entries;
+        self.tally(&nest.per_row, n as u64);
+        if self.mode == CounterMode::Exact {
+            self.tally(&nest.fused.bulk, iters);
+        }
+    }
+
+    /// Walks `n` rows (`drive` opens row position `p`'s inner window)
+    /// and returns the inner-loop coordinates executed and the number
+    /// of non-empty inner-loop entries.
+    fn nest_rows<S: Semi, D: Drive<'a>>(
+        &mut self,
+        s: S,
+        run: &NestRun<'a, '_>,
+        rows: Rows<'a>,
+        n: usize,
+        drive: impl Fn(usize, i64, i64) -> Option<D>,
+    ) -> (u64, u64) {
+        let (mut iters, mut entries) = (0u64, 0u64);
+        let (at_pre, at_post) = run.at.split_at(run.pre.len());
+        for r in 0..n {
+            let (row, p) = rows.at(r);
+            self.nest_steps(run.pre, at_pre, row);
+            // The row's window — what [`loop_window`] computes per
+            // inner-loop entry.
+            let lo = run.lo.map_or(0, |d| (row as i64 + d).max(0));
+            let hi = run.hi.map_or(i64::MAX, |d| row as i64 + d);
+            if let Some(d) = drive(p, lo, hi).filter(|d| d.len() > 0) {
+                iters += d.len() as u64;
+                entries += 1;
+                // Exactly a fused-loop entry, minus the resolution.
+                let lanes = lane_gate(run.lanes_on, d.span(), None);
+                let x = Strided { xs: run.xs, base: run.x.at(row), stride: run.x_stride };
+                self.fold_closed(s, run.body, x, (run.out.0, run.out.1.at(row)), lanes, &d);
+            }
+            self.nest_steps(run.post, at_post, row);
+        }
+        (iters, entries)
+    }
+
+    /// One row's prologue or epilogue: the instructions' own semantics
+    /// (their counters are tallied per nest).
+    #[inline(always)]
+    fn nest_steps(&mut self, steps: &[Instr], at: &[Affine], row: usize) {
+        for (step, at) in steps.iter().zip(at) {
+            match step {
+                Instr::InitScalar { slot, val } => self.f[*slot] = *val,
+                Instr::ReadDense { dst, tensor, .. } => {
+                    self.f[*dst] = self.dense[*tensor][at.at(row)];
+                }
+                Instr::WriteOutput { tensor, op, src, .. } => {
+                    let ob = self.outs[self.oo[*tensor]].as_mut().expect("output bound");
+                    let cell = &mut ob.data[at.at(row) - ob.base];
+                    *cell = op.apply(*cell, self.f[*src]);
+                }
+                Instr::WriteScalar { slot, op, src } => {
+                    self.f[*slot] = op.apply(self.f[*slot], self.f[*src]);
+                }
+                _ => unreachable!("row nests carry scalar prologue / epilogue steps only"),
+            }
+        }
+    }
 }
 
 /// Per-loop fiber cache: the loop head resolves the driver's packed
@@ -1877,13 +2160,13 @@ fn run_range<'a>(
         }};
     }
 
-    /// Runs one vector loop over `$drive` through a [`LoopRun`] built
+    /// Runs one vector loop or row nest (`$run`) on a [`LoopRun`] built
     /// over this function's binding tables and scratch (one point of
     /// truth for the field set; the free identifiers resolve to the
     /// locals above), then folds its counters into the totals.
     macro_rules! vec_loop {
-        ($items:expr, $idx:expr, $drive:expr) => {{
-            let mut lr = LoopRun {
+        (|$lr:ident| $run:expr) => {{
+            let mut $lr = LoopRun {
                 pass: &mut *vec_pass,
                 bases: &mut *vec_bases,
                 gathers: &mut *gathers,
@@ -1903,10 +2186,10 @@ fn run_range<'a>(
                 mode,
                 lanes,
             };
-            lr.run($items, $idx, &$drive);
-            flops += lr.flops;
-            writes += lr.writes;
-            iterations += lr.iterations;
+            $run;
+            flops += $lr.flops;
+            writes += $lr.writes;
+            iterations += $lr.iterations;
         }};
     }
 
@@ -2217,7 +2500,11 @@ fn run_range<'a>(
             Instr::VecDenseLoop { idx, extent, lo, hi, items } => {
                 let (lo_v, hi_v) = loop_window(u, lo, hi, *extent as i64 - 1, chunk, pc);
                 if lo_v <= hi_v {
-                    vec_loop!(items, *idx, RangeDrive { lo: lo_v as usize, hi: hi_v as usize });
+                    vec_loop!(|lr| lr.run(
+                        items,
+                        *idx,
+                        &RangeDrive { lo: lo_v as usize, hi: hi_v as usize }
+                    ));
                 }
                 pc += 1;
             }
@@ -2225,32 +2512,15 @@ fn run_range<'a>(
                 let fiber = level(levels, lvl_base, *tensor, *lv);
                 let (lo_v, hi_v) = loop_window(u, lo, hi, i64::MAX, chunk, pc);
                 if let Some(drive) = crd_drive(fiber, vals[*tensor], u[*parent], lo_v, hi_v) {
-                    vec_loop!(items, *idx, drive);
+                    vec_loop!(|lr| lr.run(items, *idx, &drive));
                 }
                 pc += 1;
             }
             Instr::VecRleLoop { tensor, level: lv, idx, parent, lo, hi, items } => {
-                let p = u[*parent];
+                let fiber = level(levels, lvl_base, *tensor, *lv);
                 let (lo_v, hi_v) = loop_window(u, lo, hi, i64::MAX, chunk, pc);
-                if p != MISS && lo_v <= hi_v {
-                    let LevelView::RunLength { pos, run_start, run_end, .. } =
-                        level(levels, lvl_base, *tensor, *lv)
-                    else {
-                        unreachable!("vector rle loop over a non-rle level");
-                    };
-                    let (begin, stop) = (pos[p], pos[p + 1]);
-                    let start =
-                        begin + run_end[begin..stop].partition_point(|&c| (c as i64) < lo_v);
-                    let drive = RleDrive {
-                        vals: vals[*tensor],
-                        run_start,
-                        run_end,
-                        start,
-                        stop,
-                        lo: lo_v as usize,
-                        hi: hi_v as usize,
-                    };
-                    vec_loop!(items, *idx, drive);
+                if let Some(drive) = rle_drive(fiber, vals[*tensor], u[*parent], lo_v, hi_v) {
+                    vec_loop!(|lr| lr.run(items, *idx, &drive));
                 }
                 pc += 1;
             }
@@ -2281,8 +2551,12 @@ fn run_range<'a>(
                         }
                     };
                     let probe = Probed { vals: vals[*probe_tensor], cur };
-                    vec_loop!(items, *idx, IsectDrive { crd, probe });
+                    vec_loop!(|lr| lr.run(items, *idx, &IsectDrive { crd, probe }));
                 }
+                pc += 1;
+            }
+            Instr::RowNest(nest) => {
+                vec_loop!(|lr| lr.nest(nest, chunk, pc));
                 pc += 1;
             }
             Instr::Halt => break,

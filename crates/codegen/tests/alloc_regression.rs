@@ -247,7 +247,10 @@ fn run_length_dot_axpy_steady_state_is_allocation_free_in_both_lane_modes() {
     inputs.extend(variants);
     let (kernel, outputs_init) = compile(&main, &inputs);
     let dis = kernel.disassemble();
-    assert!(dis.contains("VecRleLoop") && dis.contains("kind: DotAxpy"), "{dis}");
+    assert!(
+        dis.contains("RowNest") && dis.contains("rle: true") && dis.contains("kind: DotAxpy"),
+        "{dis}"
+    );
     for mode in [LaneMode::Lanes, LaneMode::Scalar] {
         let mut outputs = outputs_init.clone();
         let ctx = ExecContext::new().with_lane_mode(mode);

@@ -89,7 +89,8 @@ const COMPRESSED: &[&[LevelFormat]] =
     &[&[LevelFormat::Dense, LevelFormat::Sparse], &[LevelFormat::Sparse, LevelFormat::Sparse]];
 
 /// `y[i] += A[i,j] * x[j]` — a row dot into a loop-invariant output
-/// cell: `FusedBody::Dot` with the register-held accumulator.
+/// cell: `FusedBody::Dot` with the register-held accumulator, its row
+/// loop and compressed inner loop collapsed into one row nest.
 #[test]
 fn dot_ladder() {
     for (k, formats) in COMPRESSED.iter().enumerate() {
@@ -106,7 +107,7 @@ fn dot_ladder() {
             select_and_match(
                 &prog,
                 &inputs,
-                &["kind: Dot", "VecSparseLoop"],
+                &["kind: Dot", "RowNest", "rle: false"],
                 &format!("dot formats={formats:?} seed={seed}"),
             );
         }
@@ -192,7 +193,7 @@ fn gather_dot_ladder() {
 }
 
 /// The dot ladder over a run-length driver: `FusedBody::Dot` executed
-/// by the run-expanding strided loop (`VecRleLoop`).
+/// by the run-expanding strided drive of a run-length row nest.
 #[test]
 fn rle_strided_dot_ladder() {
     for (k, formats) in [
@@ -215,7 +216,7 @@ fn rle_strided_dot_ladder() {
             select_and_match(
                 &prog,
                 &inputs,
-                &["kind: Dot", "VecRleLoop"],
+                &["kind: Dot", "RowNest", "rle: true"],
                 &format!("rle-dot formats={formats:?} seed={seed}"),
             );
         }

@@ -213,8 +213,8 @@ proptest! {
         let lowered = lower(&hoisted, &inputs, &outputs_init).unwrap();
         let compiled = CompiledKernel::compile(&lowered, &inputs, &outputs_init).unwrap();
         prop_assert!(
-            compiled.disassemble().contains("VecRleLoop"),
-            "windowed rle case must take the rle vector loop"
+            compiled.disassemble().contains("rle: true"),
+            "windowed rle case must take the run-length row nest"
         );
 
         let mut out_interp = outputs_init.clone();

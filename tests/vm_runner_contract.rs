@@ -15,7 +15,7 @@ use systec::kernels::{Backend, Counters, ExecContext, KernelDef, LaneMode, Prepa
 use systec::tensor::generate::{
     random_dense, rng, sprand, symmetric_block_plateau, symmetric_erdos_renyi,
 };
-use systec::tensor::{DenseTensor, LevelFormat, Tensor};
+use systec::tensor::{CooTensor, DenseTensor, LevelFormat, Tensor};
 
 /// (root, leaf) level formats; middle levels of a rank-3 tensor stay
 /// compressed.
@@ -99,6 +99,33 @@ fn rank2_symmetric_kernels_match_the_interpreter() {
         {
             let inputs = pack(&def, root, leaf, a.clone().into(), Some((vec_name, x.clone())));
             assert_contract(&def, &inputs, &format!("{} {fname}", def.name));
+        }
+    }
+}
+
+#[test]
+fn many_short_rows_match_the_interpreter() {
+    // 6 000 rows of about four stored entries each, some with no
+    // diagonal and some with nothing right of it: a run that is all row
+    // overhead, which is what the VM's row nest executes — every row's
+    // window, prologue and epilogue must still land where the
+    // interpreter puts them.
+    let n = 6_000;
+    let mut a = CooTensor::new(vec![n, n]);
+    for i in 0..n {
+        let right = [i + 1, i + 5].into_iter().take(1 + i % 2).filter(|&j| i % 7 != 0 && j < n);
+        for j in right.chain((i % 3 != 0).then_some(i)) {
+            a.set(&[i, j], 0.25 + (i % 11) as f64);
+            a.set(&[j, i], 0.25 + (i % 11) as f64);
+        }
+    }
+    let x = random_dense(vec![n], &mut rng(14));
+    for &(fname, root, leaf) in FORMATS {
+        for (def, vec_name) in
+            [(defs::ssymv(), "x"), (defs::syprd(), "x"), (defs::bellman_ford(), "d")]
+        {
+            let inputs = pack(&def, root, leaf, a.clone().into(), Some((vec_name, x.clone())));
+            assert_contract(&def, &inputs, &format!("{} {fname} short rows", def.name));
         }
     }
 }
