@@ -1,5 +1,5 @@
 //! CI smoke for the perf path: drives every bench kernel once at tiny
-//! sizes across the same axes as `benches/kernels.rs` — both variants
+//! sizes across the axes the repo benchmark sweeps — both variants
 //! (symmetric / naive), both backends, a threads cell, the counter-off
 //! mode, and the scalar lane-mode cell — so a panic on a hot path
 //! fails the build instead of the next bench run. Output agreement

@@ -13,7 +13,6 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use systec_telemetry as telemetry;
 use systec_tensor::{LevelFormat, Tensor};
 
 /// Recovers a lock even when a panic elsewhere poisoned it: the guarded
@@ -141,12 +140,10 @@ impl<V> PlanCache<V> {
             Some((plan, used)) => {
                 *used = self.tick;
                 self.hits += 1;
-                telemetry::global().plan_cache_hits.inc();
                 Some(Arc::clone(plan))
             }
             None => {
                 self.misses += 1;
-                telemetry::global().plan_cache_misses.inc();
                 None
             }
         }
@@ -161,7 +158,6 @@ impl<V> PlanCache<V> {
         let (plan, used) = self.map.get_mut(key)?;
         *used = self.tick;
         self.hits += 1;
-        telemetry::global().plan_cache_hits.inc();
         Some(Arc::clone(plan))
     }
 
@@ -177,7 +173,6 @@ impl<V> PlanCache<V> {
             {
                 self.map.remove(&oldest);
                 self.evictions += 1;
-                telemetry::global().plan_cache_evictions.inc();
             }
         }
         self.map.insert(key, (plan, self.tick));
@@ -334,14 +329,12 @@ impl<V> SharedPlanCache<V> {
             };
             if !is_builder {
                 self.waits.fetch_add(1, Ordering::Relaxed);
-                telemetry::global().plan_cache_waits.inc();
                 match state.wait() {
                     Some(plan) => return Ok((plan, None)),
                     None => continue, // builder failed; retry (maybe build)
                 }
             }
             self.builds.fetch_add(1, Ordering::Relaxed);
-            telemetry::global().plan_cache_builds.inc();
             let cleanup = BuildCleanup { cache: self, key, state: &state };
             // The build runs with no lock held; a panic here unwinds
             // through `cleanup`, which wakes waiters and clears the

@@ -2567,12 +2567,10 @@ fn run_range<'a>(
     counters.writes += writes;
     counters.iterations += iterations;
 
-    if telemetry::enabled() {
-        let metrics = telemetry::global();
-        for (kind, n) in telemetry::BODY_KINDS.iter().zip(dispatch) {
-            if n > 0 {
-                metrics.fused(*kind).add(n);
-            }
+    let metrics = telemetry::global();
+    for (kind, n) in telemetry::BODY_KINDS.iter().zip(dispatch) {
+        if n > 0 {
+            metrics.fused(*kind).add(n);
         }
     }
 }
@@ -2617,8 +2615,7 @@ fn execute_inner(
     shard: Option<(usize, usize)>,
 ) -> Result<(), ExecError> {
     // Run-phase telemetry: one clock read on entry, one on success.
-    // When telemetry is off the clock is never touched.
-    let run_start = telemetry::enabled().then(std::time::Instant::now);
+    let run_start = std::time::Instant::now();
     // Bind tensor slots, validating that shapes still match the plan.
     // The tables live on the stack (inline for typical plan sizes) so
     // the steady-state path never allocates.
@@ -2717,11 +2714,9 @@ fn execute_inner(
             );
         }
     }
-    if let Some(start) = run_start {
-        let metrics = telemetry::global();
-        metrics.vm_runs.inc();
-        metrics.vm_run_ns.add(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
+    let metrics = telemetry::global();
+    metrics.vm_runs.inc();
+    metrics.vm_run_ns.add(u64::try_from(run_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
     Ok(())
 }
 

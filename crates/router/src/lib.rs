@@ -10,8 +10,10 @@
 //! The load-bearing invariant, enforced by the cluster differential
 //! tier at the repo root: a router in front of N workers answers every
 //! request **byte-for-byte identically** to one worker fed the same
-//! stream — including merged sharded-run outputs and their work
-//! counters, and including error lines.
+//! stream — handles, error lines, work counters, and merged sharded-run
+//! outputs, with one stated exception: an output merged with `add`
+//! equals the fold of the same N chunk windows bit for bit, but agrees
+//! with the *unsharded* fold only to 1e-9 (see [`router`]).
 
 pub mod ring;
 pub mod router;

@@ -19,10 +19,17 @@
 //!   sub-request per shard (`"shard":[k,n]`), pipelined — all requests
 //!   written before any response is read — then merges the partials in
 //!   fixed shard order: row-owned outputs window-concatenate,
-//!   reduction outputs fold with the advertised operator. Because
+//!   reduction outputs fold with the advertised rule's operator
+//!   (`MergeRule::fold`, the compiler's own `AssignOp::apply`). Because
 //!   every worker initializes reduced outputs to the fold identity and
 //!   counters are integers, the merged response is **byte-identical**
-//!   to a single process running the whole kernel.
+//!   to one process executing the same n chunk windows in shard order.
+//!   Against the *unsharded* run that is also byte-identical for
+//!   counters and row-owned outputs, and for `min` / `max` folds
+//!   (associative, so order-free up to the sign of a zero); an `add`
+//!   output agrees to 1e-9, not bitwise — the fold associates the same
+//!   terms differently (the cluster differential tier passes bitwise
+//!   only because its script is dyadic).
 //!
 //! ## Fault surface
 //!
@@ -46,8 +53,10 @@ use systec_serve::protocol::{
     CounterPayload, ErrorCode, MergeRule, OutputPayload, Placement, Request, Response,
     RouterCountsPayload, ShardStatPayload,
 };
-use systec_serve::RetryPolicy;
-use systec_telemetry::RouterMetrics;
+use systec_serve::wire::Record as _;
+use systec_serve::{record, RetryPolicy};
+use systec_telemetry::prom::{counter, gauge, histogram, Metric, PromWriter};
+use systec_telemetry::Histogram;
 
 use crate::relock;
 use crate::ring::{HashRing, DEFAULT_VNODES};
@@ -139,24 +148,70 @@ enum HandleKey {
     Sharded(Vec<(u64, u64)>),
 }
 
-#[derive(Default)]
-struct Counts {
-    register_tensor: u64,
-    prepare: u64,
-    run: u64,
-    sharded_runs: u64,
-    fanouts: u64,
-    replicated: u64,
-    errors: u64,
-}
-
 struct State {
     shards: Vec<Shard>,
     handles: Vec<HandleEntry>,
     dedup: HashMap<HandleKey, u64>,
     placements: HashMap<String, Placement>,
-    counts: Counts,
+    /// The `router` section of `cluster_stats`, counted in place.
+    counts: RouterCountsPayload,
 }
+
+record! {
+    /// One scrape's worth of [`RouterMetrics`]: the values behind the
+    /// router's own Prometheus families.
+    #[derive(Clone, Copy, Debug)]
+    pub struct RouterScrape {
+        /// Requests forwarded to a single owning shard.
+        pub forwarded: u64 => counter(
+            "systec_router_forwarded_total",
+            "Requests forwarded to a single owning shard.",
+        ),
+        /// Sharded runs fanned out to every shard.
+        pub fanouts: u64 => counter(
+            "systec_router_fanouts_total",
+            "Sharded runs fanned out as row-range sub-requests.",
+        ),
+        /// Requests broadcast to all shards (replicated registers,
+        /// sharded prepares, shutdown).
+        pub broadcasts: u64
+            => counter("systec_router_broadcasts_total", "Requests broadcast to every shard."),
+        /// Sharded-run merges performed (one per fan-out that came back
+        /// healthy on every shard).
+        pub merges: u64
+            => counter("systec_router_merges_total", "Sharded-run merges performed."),
+        /// Transport failures talking to shards (dropped connections,
+        /// refused connects).
+        pub shard_errors: u64 => counter(
+            "systec_router_shard_errors_total",
+            "Transport failures talking to shards.",
+        ),
+        /// Requests answered `shard_unavailable` because the owning shard
+        /// was down.
+        pub shard_unavailable: u64 => counter(
+            "systec_router_shard_unavailable_total",
+            "Requests refused because the owning shard was down.",
+        ),
+        /// Successful shard reconnects (each bumps the shard's handle
+        /// epoch, invalidating handles minted before the restart).
+        pub reconnects: u64 => counter(
+            "systec_router_reconnects_total",
+            "Successful shard reconnects (each invalidates the shard's handles).",
+        ),
+        /// Shards currently connected.
+        pub shards_healthy: u64
+            => gauge("systec_router_shards_healthy", "Shards currently connected."),
+    }
+    /// Cluster-router metrics, owned by one router instance (the same
+    /// ownership model as a worker's `ServeMetrics`) and rendered
+    /// through its `metrics` verb.
+    live pub struct RouterMetrics;
+}
+
+/// Merge latency in microseconds (split extraction + reduction fold +
+/// re-encode).
+const MERGE_US: Metric =
+    histogram("systec_router_merge_us", "Sharded-run merge latency in microseconds.");
 
 /// The shared router core: ring, upstream state, metrics.
 ///
@@ -169,6 +224,7 @@ pub struct Router {
     ring: HashRing,
     state: Mutex<State>,
     metrics: RouterMetrics,
+    merge_us: Histogram,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -216,9 +272,10 @@ impl Router {
                 handles: Vec::new(),
                 dedup: HashMap::new(),
                 placements: HashMap::new(),
-                counts: Counts::default(),
+                counts: RouterCountsPayload::default(),
             }),
-            metrics: RouterMetrics::new(),
+            metrics: RouterMetrics::default(),
+            merge_us: Histogram::new(),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -301,7 +358,7 @@ impl Router {
                 self.shutdown.store(true, Ordering::SeqCst);
                 // Best-effort broadcast; a dead shard is already down
                 // and the supervisor sees the flag before reaping.
-                self.metrics.broadcasts.inc_always();
+                self.metrics.broadcasts.inc();
                 for k in 0..st.shards.len() {
                     if self.shard_send(st, k, line).is_ok() {
                         let _ = self.shard_recv(st, k);
@@ -319,11 +376,11 @@ impl Router {
     fn shard_ensure(&self, st: &mut State, k: usize) -> std::io::Result<()> {
         if st.shards[k].conn.is_none() {
             let conn = ShardConn::connect(&st.shards[k].addr).inspect_err(|_| {
-                self.metrics.shard_errors.inc_always();
+                self.metrics.shard_errors.inc();
             })?;
             st.shards[k].conn = Some(conn);
             st.shards[k].epoch += 1;
-            self.metrics.reconnects.inc_always();
+            self.metrics.reconnects.inc();
         }
         Ok(())
     }
@@ -338,7 +395,7 @@ impl Router {
             }
             Err(e) => {
                 shard.conn = None;
-                self.metrics.shard_errors.inc_always();
+                self.metrics.shard_errors.inc();
                 Err(e)
             }
         }
@@ -361,7 +418,7 @@ impl Router {
             }
             Err(e) => {
                 shard.conn = None;
-                self.metrics.shard_errors.inc_always();
+                self.metrics.shard_errors.inc();
                 Err(e)
             }
         }
@@ -371,7 +428,7 @@ impl Router {
     /// response bytes verbatim; transport failure becomes a retryable
     /// `shard_unavailable`.
     fn forward(&self, st: &mut State, k: usize, line: &str) -> String {
-        self.metrics.forwarded.inc_always();
+        self.metrics.forwarded.inc();
         match self.shard_send(st, k, line).and_then(|()| self.shard_recv(st, k)) {
             Ok(response) => response,
             Err(_) => self.unavailable(st, k),
@@ -385,7 +442,7 @@ impl Router {
     /// per-shard streams must stay in lockstep).
     fn broadcast(&self, st: &mut State, line: &str) -> String {
         st.counts.fanouts += 1;
-        self.metrics.broadcasts.inc_always();
+        self.metrics.broadcasts.inc();
         match self.fan_out_lines(st, |_| line.to_string()) {
             Ok(mut responses) => responses.swap_remove(0),
             Err(k) => self.unavailable(st, k),
@@ -428,7 +485,7 @@ impl Router {
     }
 
     fn unavailable(&self, st: &mut State, k: usize) -> String {
-        self.metrics.shard_unavailable.inc_always();
+        self.metrics.shard_unavailable.inc();
         st.shards[k].errors += 1;
         let addr = &st.shards[k].addr;
         Response::error(
@@ -453,7 +510,7 @@ impl Router {
             Ok(owner) => owner,
             Err(response) => return response,
         };
-        self.metrics.forwarded.inc_always();
+        self.metrics.forwarded.inc();
         let response =
             match self.shard_send(st, owner, line).and_then(|()| self.shard_recv(st, owner)) {
                 Ok(r) => r,
@@ -502,7 +559,7 @@ impl Router {
             .encode();
         }
         st.counts.fanouts += 1;
-        self.metrics.broadcasts.inc_always();
+        self.metrics.broadcasts.inc();
         let responses = match self.fan_out_lines(st, |_| line.to_string()) {
             Ok(responses) => responses,
             Err(k) => return self.unavailable(st, k),
@@ -678,7 +735,7 @@ impl Router {
         merge: &[(String, MergeRule)],
     ) -> String {
         st.counts.sharded_runs += 1;
-        self.metrics.fanouts.inc_always();
+        self.metrics.fanouts.inc();
         let n = handles.len() as u64;
         let responses = match self.fan_out_lines(st, |k| {
             Request::Run { kernel: handles[k].1, full: false, shard: Some((k as u64, n)) }.encode()
@@ -709,9 +766,9 @@ impl Router {
             Ok(response) => response.encode(),
             Err(message) => Response::error(ErrorCode::Internal, message).encode(),
         };
-        self.metrics.merges.inc_always();
+        self.metrics.merges.inc();
         let us = started.elapsed().as_micros();
-        self.metrics.merge_us.record(u64::try_from(us).unwrap_or(u64::MAX));
+        self.merge_us.record(u64::try_from(us).unwrap_or(u64::MAX));
         merged
     }
 
@@ -719,15 +776,6 @@ impl Router {
 
     fn cluster_stats(&self, st: &mut State) -> String {
         let occupancy = self.ring.occupancy();
-        let router = RouterCountsPayload {
-            register_tensor: st.counts.register_tensor,
-            prepare: st.counts.prepare,
-            run: st.counts.run,
-            sharded_runs: st.counts.sharded_runs,
-            fanouts: st.counts.fanouts,
-            replicated: st.counts.replicated,
-            errors: st.counts.errors,
-        };
         let shards = st
             .shards
             .iter()
@@ -748,7 +796,7 @@ impl Router {
                 errors: shard.errors,
             })
             .collect();
-        Response::ClusterStats { router, shards }.encode()
+        Response::ClusterStats { router: st.counts, shards }.encode()
     }
 
     /// The router's own Prometheus exposition — families in sorted
@@ -757,50 +805,9 @@ impl Router {
     fn metrics_text(&self, st: &mut State) -> String {
         let healthy = st.shards.iter().filter(|s| s.conn.is_some()).count() as u64;
         self.metrics.shards_healthy.set(healthy);
-        let m = &self.metrics;
-        let mut w = systec_telemetry::prom::PromWriter::new();
-        w.family("systec_router_broadcasts_total", "counter", "Requests broadcast to every shard.");
-        w.sample("systec_router_broadcasts_total", &[], m.broadcasts.get());
-        w.family(
-            "systec_router_fanouts_total",
-            "counter",
-            "Sharded runs fanned out as row-range sub-requests.",
-        );
-        w.sample("systec_router_fanouts_total", &[], m.fanouts.get());
-        w.family(
-            "systec_router_forwarded_total",
-            "counter",
-            "Requests forwarded to a single owning shard.",
-        );
-        w.sample("systec_router_forwarded_total", &[], m.forwarded.get());
-        w.family(
-            "systec_router_merge_us",
-            "histogram",
-            "Sharded-run merge latency in microseconds.",
-        );
-        w.histogram("systec_router_merge_us", &[], &m.merge_us.snapshot());
-        w.family("systec_router_merges_total", "counter", "Sharded-run merges performed.");
-        w.sample("systec_router_merges_total", &[], m.merges.get());
-        w.family(
-            "systec_router_reconnects_total",
-            "counter",
-            "Successful shard reconnects (each invalidates the shard's handles).",
-        );
-        w.sample("systec_router_reconnects_total", &[], m.reconnects.get());
-        w.family(
-            "systec_router_shard_errors_total",
-            "counter",
-            "Transport failures talking to shards.",
-        );
-        w.sample("systec_router_shard_errors_total", &[], m.shard_errors.get());
-        w.family(
-            "systec_router_shard_unavailable_total",
-            "counter",
-            "Requests refused because the owning shard was down.",
-        );
-        w.sample("systec_router_shard_unavailable_total", &[], m.shard_unavailable.get());
-        w.family("systec_router_shards_healthy", "gauge", "Shards currently connected.");
-        w.sample("systec_router_shards_healthy", &[], m.shards_healthy.get());
+        let mut w = PromWriter::new();
+        self.metrics.snapshot().expose(&mut w);
+        w.histogram(&MERGE_US, &[], &self.merge_us.snapshot());
         Response::Metrics { text: w.finish() }.encode()
     }
 }
@@ -827,11 +834,12 @@ fn referenced_inputs(einsum: &str, bindings: &[(String, String)]) -> Option<Vec<
     Some(names)
 }
 
-/// Merges per-shard `Ran` legs into the single-process response:
-/// row-owned outputs take each shard's row window, reduction outputs
-/// fold in fixed shard order starting from leg 0 (exact, because every
-/// worker initializes reduced outputs to the fold identity), counters
-/// sum (exact, integers).
+/// Merges per-shard `Ran` legs into the response of one process that
+/// ran the same windows in shard order: row-owned outputs take each
+/// shard's row window, reduction outputs fold in fixed shard order
+/// starting from leg 0 (every worker initializes reduced outputs to the
+/// fold identity, so leg 0 seeds the fold), counters sum (exact,
+/// integers).
 fn merge_legs(
     legs: Vec<(Vec<OutputPayload>, CounterPayload)>,
     merge: &[(String, MergeRule)],
@@ -859,8 +867,8 @@ fn merge_legs(
                 .find(|(name, _)| *name == accumulated.name)
                 .map(|(_, rule)| *rule)
                 .ok_or_else(|| format!("no merge rule for output `{}`", accumulated.name))?;
-            match rule {
-                MergeRule::Rows => {
+            match rule.fold() {
+                None => {
                     // Shard k owns head rows [k*E/n, (k+1)*E/n) — the
                     // same integer window arithmetic the workers chunk
                     // by, so concatenation is exact.
@@ -870,19 +878,9 @@ fn merge_legs(
                     let hi = (k + 1) * rows / shards * stride;
                     accumulated.values[lo..hi].copy_from_slice(&leg.values[lo..hi]);
                 }
-                MergeRule::Add => {
+                Some(op) => {
                     for (a, v) in accumulated.values.iter_mut().zip(&leg.values) {
-                        *a += v;
-                    }
-                }
-                MergeRule::Min => {
-                    for (a, v) in accumulated.values.iter_mut().zip(&leg.values) {
-                        *a = a.min(*v);
-                    }
-                }
-                MergeRule::Max => {
-                    for (a, v) in accumulated.values.iter_mut().zip(&leg.values) {
-                        *a = a.max(*v);
+                        *a = op.apply(*a, *v);
                     }
                 }
             }

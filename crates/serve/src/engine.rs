@@ -32,18 +32,20 @@ use crate::durability::{Durability, Record, Recovery, DEFAULT_SNAPSHOT_EVERY};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::relock;
 
-use systec_codegen::{ContextPool, MergeKind, Parallelism, PooledContext};
+use systec_codegen::{ContextPool, Parallelism, PooledContext};
 use systec_exec::{Counters, ExecError};
-use systec_ir::{parse_einsum, AssignOp};
+use systec_ir::parse_einsum;
 use systec_kernels::{parse_symmetry, plan_cache_stats, serial_fallback_note, Prepared};
+use systec_telemetry::prom::{counter, gauge, histogram, Metric, PromWriter};
 use systec_telemetry::{self as telemetry, Histogram, Snapshot};
 use systec_tensor::{csf, CooTensor, DenseTensor, SparseTensor, Tensor};
 
 use crate::protocol::{
     CachePayload, CounterPayload, ErrorCode, KernelStatPayload, MergeRule, OutputPayload,
-    PoolPayload, Request, RequestCountsPayload, Response, ServePayload, SlowRunPayload,
-    StorageFormat, TensorPayload, Variant, Warning, WarningKind,
+    PoolPayload, Request, RequestMetrics, Response, ServeMetrics, SlowRunPayload, StorageFormat,
+    TensorPayload, Variant, Warning, WarningKind,
 };
+use crate::wire::Record as _;
 
 /// Runs slower than this are counted as slow and logged (overridable
 /// via [`Engine::with_slow_threshold`]).
@@ -170,19 +172,6 @@ impl Drop for RunLease {
     }
 }
 
-/// Request counters (atomics; incremented per handled request).
-#[derive(Debug, Default)]
-struct RequestCounts {
-    register_tensor: AtomicU64,
-    unregister: AtomicU64,
-    prepare: AtomicU64,
-    run: AtomicU64,
-    stats: AtomicU64,
-    metrics: AtomicU64,
-    ping: AtomicU64,
-    errors: AtomicU64,
-}
-
 /// One registered tensor plus its lifecycle bookkeeping.
 #[derive(Debug)]
 struct TensorEntry {
@@ -211,8 +200,6 @@ struct Registry {
     pins: HashMap<(String, u64), u64>,
     /// Total estimated bytes of live tensors.
     bytes: u64,
-    /// LRU evictions performed to admit new registrations.
-    evictions: u64,
     /// Logical clock driving `last_used`.
     clock: u64,
 }
@@ -329,11 +316,13 @@ pub struct Engine {
     registry_epoch: AtomicU64,
     kernels: RwLock<Vec<Arc<KernelEntry>>>,
     contexts: ContextPool,
-    counts: RequestCounts,
+    counts: RequestMetrics,
     /// Per-engine serving metrics (batching, admission, registry
     /// lifecycle); owned here so parallel tests never bleed into each
     /// other's scrapes.
-    serve: telemetry::ServeMetrics,
+    serve: ServeMetrics,
+    /// Distribution of runs per coalesced dispatch.
+    batch_size: Histogram,
     /// Admission cap on total estimated registered bytes (`None` =
     /// unlimited).
     max_registered_bytes: Option<u64>,
@@ -345,8 +334,6 @@ pub struct Engine {
     durability: Option<Mutex<Durability>>,
     /// Snapshot cadence handed to [`Durability`] at `with_data_dir`.
     snapshot_every: u64,
-    /// Kernel handles quarantined so far (drives the gauge).
-    quarantined_count: AtomicU64,
     /// Consecutive panicking runs per spec dedup key, shared with the
     /// spec's kernel entries. Bounds the quarantine → re-prepare →
     /// panic bounce: at `panic_budget` the spec is refused at `prepare`.
@@ -379,15 +366,15 @@ impl Engine {
             registry_epoch: AtomicU64::new(0),
             kernels: RwLock::new(Vec::new()),
             contexts: ContextPool::new(),
-            counts: RequestCounts::default(),
-            serve: telemetry::ServeMetrics::new(),
+            counts: RequestMetrics::default(),
+            serve: ServeMetrics::default(),
+            batch_size: Histogram::new(),
             max_registered_bytes: None,
             default_parallelism,
             slow_threshold_ns: u64::try_from(DEFAULT_SLOW_THRESHOLD.as_nanos()).unwrap_or(u64::MAX),
             slow_log: Mutex::new(SlowLog::new()),
             durability: None,
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-            quarantined_count: AtomicU64::new(0),
             panic_counts: Mutex::new(HashMap::new()),
             panic_budget: DEFAULT_PANIC_BUDGET,
             fault_plan: None,
@@ -490,8 +477,8 @@ impl Engine {
             self.serve.registry_bytes.set(reg.bytes);
             self.serve.registry_tensors.set(reg.tensors.len() as u64);
         }
-        self.serve.recovery_replayed.add_always(replayed);
-        self.serve.recovery_truncated.add_always(recovery.truncated);
+        self.serve.recovery_replayed.add(replayed);
+        self.serve.recovery_truncated.add(recovery.truncated);
     }
 
     /// Appends one record to the journal (write-ahead) and fsyncs it,
@@ -504,9 +491,9 @@ impl Engine {
             }
         }
         let bytes = dur.append(record)?;
-        self.serve.journal_records.inc_always();
-        self.serve.journal_bytes.add_always(bytes);
-        self.serve.journal_fsyncs.inc_always();
+        self.serve.journal_records.inc();
+        self.serve.journal_bytes.add(bytes);
+        self.serve.journal_fsyncs.inc();
         Ok(())
     }
 
@@ -532,8 +519,8 @@ impl Engine {
             });
         }
         if let Ok((bytes, fsyncs)) = dur.write_snapshot(&records) {
-            self.serve.journal_bytes.add_always(bytes);
-            self.serve.journal_fsyncs.add_always(fsyncs);
+            self.serve.journal_bytes.add(bytes);
+            self.serve.journal_fsyncs.add(fsyncs);
         }
     }
 
@@ -542,7 +529,7 @@ impl Engine {
     pub fn flush_journal(&self) {
         if let Some(dur) = &self.durability {
             if relock(dur).sync().is_ok() {
-                self.serve.journal_fsyncs.inc_always();
+                self.serve.journal_fsyncs.inc();
             }
         }
     }
@@ -554,31 +541,31 @@ impl Engine {
             // `placement` is a routing concern: a single worker stores
             // every tensor it is asked to, wherever a router would put it.
             Request::RegisterTensor { name, dims, payload, format, placement: _ } => {
-                self.counts.register_tensor.fetch_add(1, Ordering::Relaxed);
+                self.counts.register_tensor.inc();
                 self.register(name, dims, payload, *format)
             }
             Request::Unregister { name } => {
-                self.counts.unregister.fetch_add(1, Ordering::Relaxed);
+                self.counts.unregister.inc();
                 self.unregister(name)
             }
             Request::Prepare { einsum, sym, inputs, variant, threads, sharded } => {
-                self.counts.prepare.fetch_add(1, Ordering::Relaxed);
+                self.counts.prepare.inc();
                 self.prepare(einsum, sym, inputs, *variant, *threads, *sharded)
             }
             Request::Run { kernel, full, shard } => {
-                self.counts.run.fetch_add(1, Ordering::Relaxed);
+                self.counts.run.inc();
                 self.run_coalesced(*kernel, *full, *shard, 1)
             }
             Request::Stats => {
-                self.counts.stats.fetch_add(1, Ordering::Relaxed);
+                self.counts.stats.inc();
                 Ok(self.stats())
             }
             Request::Metrics => {
-                self.counts.metrics.fetch_add(1, Ordering::Relaxed);
+                self.counts.metrics.inc();
                 Ok(Response::Metrics { text: self.metrics_text() })
             }
             Request::Ping => {
-                self.counts.ping.fetch_add(1, Ordering::Relaxed);
+                self.counts.ping.inc();
                 Ok(Response::Pong)
             }
             Request::Shutdown => Ok(Response::ShuttingDown),
@@ -593,7 +580,7 @@ impl Engine {
     /// transport's parse failures), so `stats.requests.errors` covers
     /// every error response the server ever wrote.
     pub fn count_error(&self) {
-        self.counts.errors.fetch_add(1, Ordering::Relaxed);
+        self.counts.errors.inc();
     }
 
     fn register(
@@ -678,7 +665,7 @@ impl Engine {
                 // Decide feasibility up front so a refused registration
                 // has no side effects — rejection must not evict.
                 if projected.saturating_sub(reg.evictable_bytes(name)) > cap {
-                    self.serve.admission_rejected_bytes.inc_always();
+                    self.serve.rejected_bytes.inc();
                     return Err(EngineError::new(
                         ErrorCode::AdmissionRejected,
                         format!(
@@ -730,10 +717,7 @@ impl Engine {
                 ));
             }
         }
-        for (_, _) in &victims {
-            reg.evictions += 1;
-            self.serve.registry_evictions.inc_always();
-        }
+        self.serve.registry_evictions.add(victims.len() as u64);
         drop(victims);
         reg.generations.insert(name.to_string(), generation);
         reg.bytes = (reg.bytes - freed) + bytes;
@@ -947,6 +931,7 @@ impl Engine {
         for (name, generation) in &entry.pinned {
             *reg.pins.entry((name.clone(), *generation)).or_insert(0) += 1;
         }
+        self.serve.pinned.set(reg.pins.len() as u64);
         drop(reg);
         Ok(Response::Prepared {
             kernel,
@@ -1019,10 +1004,7 @@ impl Engine {
         }
         let mut slot = relock(&entry.slots).pop().unwrap_or_default();
         let mut ctx = self.contexts.checkout();
-        // With telemetry off the clock is never read: the run path is
-        // then byte-for-byte the pre-telemetry one (the alloc tier's
-        // parity test).
-        let started = telemetry::enabled().then(Instant::now);
+        let started = Instant::now();
         // The catch covers the vendored rayon pool too: its workers
         // catch task panics and resume them on the joining caller, so a
         // parallel run's panic lands right here. `AssertUnwindSafe` is
@@ -1060,15 +1042,13 @@ impl Engine {
         }
         entry.runs.fetch_add(n, Ordering::Relaxed);
         entry.panic_count.store(0, Ordering::Release);
-        if let Some(started) = started {
-            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            for _ in 0..n {
-                entry.latency.record(nanos);
-            }
-            if nanos >= self.slow_threshold_ns {
-                entry.slow.fetch_add(n, Ordering::Relaxed);
-                relock(&self.slow_log).record(SlowRunPayload { kernel, us: nanos / 1_000 });
-            }
+        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        for _ in 0..n {
+            entry.latency.record(nanos);
+        }
+        if nanos >= self.slow_threshold_ns {
+            entry.slow.fetch_add(n, Ordering::Relaxed);
+            relock(&self.slow_log).record(SlowRunPayload { kernel, us: nanos / 1_000 });
         }
         Ok(RunLease { entry, slot: Some(slot), _ctx: ctx })
     }
@@ -1092,10 +1072,9 @@ impl Engine {
     /// `internal_error` reply for the victims. The first quarantining
     /// thread bumps the gauge; every caught panic bumps the counter.
     fn quarantine(&self, kernel: u64, entry: &KernelEntry) -> EngineError {
-        self.serve.panics_caught.inc_always();
+        self.serve.panics_caught.inc();
         if !entry.quarantined.swap(true, Ordering::AcqRel) {
-            let n = self.quarantined_count.fetch_add(1, Ordering::Relaxed) + 1;
-            self.serve.quarantined_kernels.set(n);
+            self.serve.quarantined_kernels.inc();
             // One spec-level strike per quarantined handle (not per
             // victim request racing into this panic).
             entry.panic_count.fetch_add(1, Ordering::AcqRel);
@@ -1139,7 +1118,7 @@ impl Engine {
             let current = reg.generations.get(name).copied().unwrap_or(*pinned);
             if current != *pinned {
                 drop(reg);
-                self.serve.stale_runs.inc_always();
+                self.serve.stale_runs.inc();
                 return Err(EngineError::new(
                     ErrorCode::StaleTensor,
                     format!(
@@ -1155,9 +1134,10 @@ impl Engine {
     }
 
     /// Handles `n` coalesced identical `run` requests with a single
-    /// execution and returns the one response every requester receives.
-    /// Request and error accounting both count all `n`, so wire-level
-    /// totals are indistinguishable from `n` serial requests.
+    /// execution — one batch dispatch — and returns the one response
+    /// every requester receives. Request and error accounting both
+    /// count all `n`, so wire-level totals are indistinguishable from
+    /// `n` serial requests.
     pub fn run_batch(
         &self,
         kernel: u64,
@@ -1165,9 +1145,12 @@ impl Engine {
         shard: Option<(u64, u64)>,
         n: u64,
     ) -> Response {
-        self.counts.run.fetch_add(n, Ordering::Relaxed);
+        self.serve.batch_dispatches.inc();
+        self.serve.batched_runs.add(n);
+        self.batch_size.record(n);
+        self.counts.run.add(n);
         self.run_coalesced(kernel, full, shard, n).unwrap_or_else(|e| {
-            self.counts.errors.fetch_add(n, Ordering::Relaxed);
+            self.counts.errors.add(n);
             Response::error(e.code, e.message)
         })
     }
@@ -1218,8 +1201,6 @@ impl Engine {
     }
 
     fn stats(&self) -> Response {
-        let cache = plan_cache_stats();
-        let pool = rayon::pool_stats();
         let kernels = self.kernels.read().unwrap_or_else(PoisonError::into_inner);
         let kernel_stats = kernels
             .iter()
@@ -1239,68 +1220,18 @@ impl Engine {
             })
             .collect();
         Response::Stats {
-            cache: CachePayload {
-                hits: cache.hits,
-                misses: cache.misses,
-                builds: cache.builds,
-                evictions: cache.evictions,
-                waits: cache.waits,
-                entries: cache.entries as u64,
-            },
-            requests: RequestCountsPayload {
-                register_tensor: self.counts.register_tensor.load(Ordering::Relaxed),
-                prepare: self.counts.prepare.load(Ordering::Relaxed),
-                run: self.counts.run.load(Ordering::Relaxed),
-                stats: self.counts.stats.load(Ordering::Relaxed),
-                metrics: self.counts.metrics.load(Ordering::Relaxed),
-                ping: self.counts.ping.load(Ordering::Relaxed),
-                unregister: self.counts.unregister.load(Ordering::Relaxed),
-                errors: self.counts.errors.load(Ordering::Relaxed),
-            },
-            pool: PoolPayload {
-                workers: pool.workers_spawned as u64,
-                submitted: pool.tasks_submitted as u64,
-                executed: pool.tasks_executed as u64,
-                helped: pool.tasks_helped as u64,
-                parks: pool.parks as u64,
-                wakeups: pool.wakeups as u64,
-            },
-            serve: self.serve_payload(),
+            cache: cache_payload(),
+            requests: self.counts.snapshot(),
+            pool: pool_payload(),
+            serve: self.serve.snapshot(),
             kernels: kernel_stats,
             slow: relock(&self.slow_log).snapshot(),
         }
     }
 
-    fn serve_payload(&self) -> ServePayload {
-        let reg = self.registry.read().unwrap_or_else(PoisonError::into_inner);
-        ServePayload {
-            registry_tensors: reg.tensors.len() as u64,
-            registry_bytes: reg.bytes,
-            registry_evictions: reg.evictions,
-            pinned: reg.pins.len() as u64,
-            batch_dispatches: self.serve.batch_dispatches.get(),
-            batched_runs: self.serve.batched_runs.get(),
-            offloaded_replications: self.serve.offloaded_replications.get(),
-            queued: self.serve.queue_depth.get(),
-            rejected_conns: self.serve.admission_rejected_conns.get(),
-            rejected_bytes: self.serve.admission_rejected_bytes.get(),
-            deadline_exceeded: self.serve.deadline_exceeded.get(),
-            stale_runs: self.serve.stale_runs.get(),
-            panics_caught: self.serve.panics_caught.get(),
-            quarantined_kernels: self.serve.quarantined_kernels.get(),
-            journal_records: self.serve.journal_records.get(),
-            journal_bytes: self.serve.journal_bytes.get(),
-            journal_fsyncs: self.serve.journal_fsyncs.get(),
-            recovery_replayed: self.serve.recovery_replayed.get(),
-            recovery_truncated: self.serve.recovery_truncated.get(),
-        }
-    }
-
     /// Per-engine serving metrics (batching, admission, registry
-    /// lifecycle). The transport and scheduler record into these; the
-    /// counters use the ungated paths so — like request counts — the
-    /// accounting survives `--telemetry off`.
-    pub fn serve_metrics(&self) -> &telemetry::ServeMetrics {
+    /// lifecycle). The transport and scheduler record into these.
+    pub fn serve_metrics(&self) -> &ServeMetrics {
         &self.serve
     }
 
@@ -1308,321 +1239,47 @@ impl Engine {
     /// appear in sorted name order and every value is an integer, so
     /// two scrapes of an idle server are byte-identical — the `metrics`
     /// verb's own request count is deliberately excluded from
-    /// `systec_requests_total` for exactly that reason.
+    /// `systec_requests_total` for exactly that reason. Every family a
+    /// stats record declares comes from the record; what is written out
+    /// here is only what no record carries.
     fn metrics_text(&self) -> String {
+        let mut w = PromWriter::new();
+        cache_payload().expose(&mut w);
+        pool_payload().expose(&mut w);
+        self.counts.snapshot().expose(&mut w);
+        self.serve.snapshot().expose(&mut w);
+        w.histogram(&BATCH_SIZE, &[], &self.batch_size.snapshot());
+
         let m = telemetry::global();
-        let cache = plan_cache_stats();
-        let pool = rayon::pool_stats();
-        let mut w = telemetry::prom::PromWriter::new();
-
-        // -- admission control ---------------------------------------
-        w.family(
-            "systec_admission_rejects_total",
-            "counter",
-            "Requests refused by admission control, by reason.",
-        );
-        w.sample(
-            "systec_admission_rejects_total",
-            &[("reason", "deadline")],
-            self.serve.deadline_exceeded.get(),
-        );
-        w.sample(
-            "systec_admission_rejects_total",
-            &[("reason", "max_bytes")],
-            self.serve.admission_rejected_bytes.get(),
-        );
-        w.sample(
-            "systec_admission_rejects_total",
-            &[("reason", "max_conns")],
-            self.serve.admission_rejected_conns.get(),
-        );
-
-        // -- compile phases ------------------------------------------
-        w.family(
-            "systec_compile_phase_max_ns",
-            "gauge",
-            "Longest recorded span of each compile phase, in nanoseconds.",
-        );
         for phase in telemetry::PHASES {
-            w.sample(
-                "systec_compile_phase_max_ns",
-                &[("phase", phase.name())],
-                m.phase(phase).max_ns(),
-            );
+            let stat = m.phase(phase);
+            w.sample(&COMPILE_PHASE_MAX_NS, &[("phase", phase.name())], stat.max_ns());
+            w.sample(&COMPILE_PHASE_NS, &[("phase", phase.name())], stat.total_ns());
+            w.sample(&COMPILE_PHASE_SPANS, &[("phase", phase.name())], stat.count());
         }
-        w.family(
-            "systec_compile_phase_ns_total",
-            "counter",
-            "Total nanoseconds spent in each compile phase.",
-        );
-        for phase in telemetry::PHASES {
-            w.sample(
-                "systec_compile_phase_ns_total",
-                &[("phase", phase.name())],
-                m.phase(phase).total_ns(),
-            );
-        }
-        w.family("systec_compile_phase_total", "counter", "Spans recorded for each compile phase.");
-        for phase in telemetry::PHASES {
-            w.sample(
-                "systec_compile_phase_total",
-                &[("phase", phase.name())],
-                m.phase(phase).count(),
-            );
-        }
-
-        // -- standalone counters -------------------------------------
-        w.family(
-            "systec_fallback_serial_total",
-            "counter",
-            "Prepare responses that degraded a parallel request to serial.",
-        );
-        w.sample("systec_fallback_serial_total", &[], m.fallback_serial.get());
-        w.family(
-            "systec_faults_injected_total",
-            "counter",
-            "Faults injected by the installed fault plan, by site (all zero in production).",
-        );
+        w.sample(&FALLBACK_SERIAL, &[], m.fallback_serial.get());
         for site in crate::fault::FAULT_SITES {
-            w.sample(
-                "systec_faults_injected_total",
-                &[("site", site.name())],
-                self.fault_plan.as_ref().map_or(0, |p| p.injected(site)),
-            );
+            let injected = self.fault_plan.as_ref().map_or(0, |p| p.injected(site));
+            w.sample(&FAULTS_INJECTED, &[("site", site.name())], injected);
         }
-        w.family(
-            "systec_fused_dispatch_total",
-            "counter",
-            "VM vector-loop dispatches by fused-body kind.",
-        );
         for kind in telemetry::BODY_KINDS {
-            w.sample("systec_fused_dispatch_total", &[("kind", kind.name())], m.fused(kind).get());
+            w.sample(&FUSED_DISPATCH, &[("kind", kind.name())], m.fused(kind).get());
         }
-        w.family(
-            "systec_journal_bytes_total",
-            "counter",
-            "Bytes appended to the durability write-ahead journal.",
-        );
-        w.sample("systec_journal_bytes_total", &[], self.serve.journal_bytes.get());
-        w.family(
-            "systec_journal_fsyncs_total",
-            "counter",
-            "fsyncs issued by the journal/snapshot writer.",
-        );
-        w.sample("systec_journal_fsyncs_total", &[], self.serve.journal_fsyncs.get());
-        w.family(
-            "systec_journal_records_total",
-            "counter",
-            "Records appended to the durability write-ahead journal.",
-        );
-        w.sample("systec_journal_records_total", &[], self.serve.journal_records.get());
+        w.sample(&VM_RUN_NS, &[], m.vm_run_ns.get());
+        w.sample(&VM_RUNS, &[], m.vm_runs.get());
 
-        // -- per-kernel ----------------------------------------------
+        // Declared up front: an engine with no kernels still lists them.
+        w.family(&KERNEL_LATENCY);
+        w.family(&KERNEL_RUNS);
+        w.family(&KERNEL_SLOW);
         let kernels = self.kernels.read().unwrap_or_else(PoisonError::into_inner);
-        w.family(
-            "systec_kernel_latency_ns",
-            "histogram",
-            "Pooled main-program run latency per kernel handle, in nanoseconds.",
-        );
         for (k, entry) in kernels.iter().enumerate() {
             let label = k.to_string();
-            w.histogram(
-                "systec_kernel_latency_ns",
-                &[("kernel", &label)],
-                &entry.latency.snapshot(),
-            );
+            let kernel = [("kernel", label.as_str())];
+            w.histogram(&KERNEL_LATENCY, &kernel, &entry.latency.snapshot());
+            w.sample(&KERNEL_RUNS, &kernel, entry.runs.load(Ordering::Relaxed));
+            w.sample(&KERNEL_SLOW, &kernel, entry.slow.load(Ordering::Relaxed));
         }
-        w.family("systec_kernel_runs_total", "counter", "Completed runs per kernel handle.");
-        for (k, entry) in kernels.iter().enumerate() {
-            let label = k.to_string();
-            w.sample(
-                "systec_kernel_runs_total",
-                &[("kernel", &label)],
-                entry.runs.load(Ordering::Relaxed),
-            );
-        }
-        w.family(
-            "systec_kernel_slow_total",
-            "counter",
-            "Runs over the slow threshold per kernel handle.",
-        );
-        for (k, entry) in kernels.iter().enumerate() {
-            let label = k.to_string();
-            w.sample(
-                "systec_kernel_slow_total",
-                &[("kernel", &label)],
-                entry.slow.load(Ordering::Relaxed),
-            );
-        }
-        drop(kernels);
-
-        // -- fault tolerance -----------------------------------------
-        w.family(
-            "systec_panics_caught_total",
-            "counter",
-            "Executor panics caught and answered with internal_error.",
-        );
-        w.sample("systec_panics_caught_total", &[], self.serve.panics_caught.get());
-
-        // -- plan cache ----------------------------------------------
-        w.family("systec_plan_cache_builds_total", "counter", "Plan builds actually executed.");
-        w.sample("systec_plan_cache_builds_total", &[], cache.builds);
-        w.family("systec_plan_cache_entries", "gauge", "Plans currently cached.");
-        w.sample("systec_plan_cache_entries", &[], cache.entries as u64);
-        w.family(
-            "systec_plan_cache_evictions_total",
-            "counter",
-            "Plans evicted by the LRU policy.",
-        );
-        w.sample("systec_plan_cache_evictions_total", &[], cache.evictions);
-        w.family(
-            "systec_plan_cache_hits_total",
-            "counter",
-            "Plan-cache lookups served from cache.",
-        );
-        w.sample("systec_plan_cache_hits_total", &[], cache.hits);
-        w.family("systec_plan_cache_misses_total", "counter", "Plan-cache lookups that missed.");
-        w.sample("systec_plan_cache_misses_total", &[], cache.misses);
-        w.family(
-            "systec_plan_cache_waits_total",
-            "counter",
-            "Single-flight lookups that blocked on another thread's build.",
-        );
-        w.sample("systec_plan_cache_waits_total", &[], cache.waits);
-
-        // -- worker pool ---------------------------------------------
-        w.family("systec_pool_executed_total", "counter", "Tasks executed by pool worker threads.");
-        w.sample("systec_pool_executed_total", &[], pool.tasks_executed as u64);
-        w.family(
-            "systec_pool_helped_total",
-            "counter",
-            "Tasks drained by the submitting thread (chunk-imbalance signal).",
-        );
-        w.sample("systec_pool_helped_total", &[], pool.tasks_helped as u64);
-        w.family("systec_pool_parks_total", "counter", "Times a worker parked waiting for work.");
-        w.sample("systec_pool_parks_total", &[], pool.parks as u64);
-        w.family("systec_pool_submitted_total", "counter", "Tasks handed to the worker pool.");
-        w.sample("systec_pool_submitted_total", &[], pool.tasks_submitted as u64);
-        w.family("systec_pool_wakeups_total", "counter", "Times a parked worker was woken.");
-        w.sample("systec_pool_wakeups_total", &[], pool.wakeups as u64);
-        w.family("systec_pool_workers", "gauge", "Worker threads spawned so far.");
-        w.sample("systec_pool_workers", &[], pool.workers_spawned as u64);
-
-        // -- quarantine + recovery -----------------------------------
-        w.family(
-            "systec_quarantined_kernels",
-            "gauge",
-            "Kernel handles quarantined after a caught panic.",
-        );
-        w.sample("systec_quarantined_kernels", &[], self.serve.quarantined_kernels.get());
-        w.family(
-            "systec_recovery_replayed_total",
-            "counter",
-            "Durable records replayed at startup recovery.",
-        );
-        w.sample("systec_recovery_replayed_total", &[], self.serve.recovery_replayed.get());
-        w.family(
-            "systec_recovery_truncated_total",
-            "counter",
-            "Torn-tail bytes truncated from the journal at recovery.",
-        );
-        w.sample("systec_recovery_truncated_total", &[], self.serve.recovery_truncated.get());
-
-        // -- tensor registry -----------------------------------------
-        w.family("systec_registry_bytes", "gauge", "Estimated bytes of live registered tensors.");
-        w.sample("systec_registry_bytes", &[], self.serve.registry_bytes.get());
-        w.family(
-            "systec_registry_evictions_total",
-            "counter",
-            "Tensors LRU-evicted to admit new registrations.",
-        );
-        w.sample("systec_registry_evictions_total", &[], self.serve.registry_evictions.get());
-        w.family("systec_registry_tensors", "gauge", "Tensors currently registered.");
-        w.sample("systec_registry_tensors", &[], self.serve.registry_tensors.get());
-
-        // -- requests ------------------------------------------------
-        w.family(
-            "systec_requests_total",
-            "counter",
-            "Requests handled by verb; the metrics verb itself is excluded \
-             so idle scrapes are byte-stable.",
-        );
-        w.sample(
-            "systec_requests_total",
-            &[("verb", "errors")],
-            self.counts.errors.load(Ordering::Relaxed),
-        );
-        w.sample(
-            "systec_requests_total",
-            &[("verb", "ping")],
-            self.counts.ping.load(Ordering::Relaxed),
-        );
-        w.sample(
-            "systec_requests_total",
-            &[("verb", "prepare")],
-            self.counts.prepare.load(Ordering::Relaxed),
-        );
-        w.sample(
-            "systec_requests_total",
-            &[("verb", "register_tensor")],
-            self.counts.register_tensor.load(Ordering::Relaxed),
-        );
-        w.sample(
-            "systec_requests_total",
-            &[("verb", "run")],
-            self.counts.run.load(Ordering::Relaxed),
-        );
-        w.sample(
-            "systec_requests_total",
-            &[("verb", "stats")],
-            self.counts.stats.load(Ordering::Relaxed),
-        );
-        w.sample(
-            "systec_requests_total",
-            &[("verb", "unregister")],
-            self.counts.unregister.load(Ordering::Relaxed),
-        );
-
-        // -- serving -------------------------------------------------
-        w.family(
-            "systec_serve_batch_dispatches_total",
-            "counter",
-            "Coalesced pool dispatches (each covers one or more runs).",
-        );
-        w.sample("systec_serve_batch_dispatches_total", &[], self.serve.batch_dispatches.get());
-        w.family(
-            "systec_serve_batch_runs_total",
-            "counter",
-            "Run requests served through coalesced dispatches.",
-        );
-        w.sample("systec_serve_batch_runs_total", &[], self.serve.batched_runs.get());
-        w.family("systec_serve_batch_size", "histogram", "Runs coalesced per dispatch.");
-        w.histogram("systec_serve_batch_size", &[], &self.serve.batch_size.snapshot());
-        w.family(
-            "systec_serve_offloaded_replications_total",
-            "counter",
-            "Large batch responses encoded and fanned out on the replicator thread.",
-        );
-        w.sample(
-            "systec_serve_offloaded_replications_total",
-            &[],
-            self.serve.offloaded_replications.get(),
-        );
-        w.family("systec_serve_queue_depth", "gauge", "Requests waiting in the scheduler queue.");
-        w.sample("systec_serve_queue_depth", &[], self.serve.queue_depth.get());
-        w.family(
-            "systec_serve_stale_runs_total",
-            "counter",
-            "Runs refused because a pinned tensor was re-registered.",
-        );
-        w.sample("systec_serve_stale_runs_total", &[], self.serve.stale_runs.get());
-
-        // -- VM ------------------------------------------------------
-        w.family("systec_vm_run_ns_total", "counter", "Total wall nanoseconds inside VM execute.");
-        w.sample("systec_vm_run_ns_total", &[], m.vm_run_ns.get());
-        w.family("systec_vm_runs_total", "counter", "VM execute entries.");
-        w.sample("systec_vm_runs_total", &[], m.vm_runs.get());
-
         w.finish()
     }
 
@@ -1632,30 +1289,82 @@ impl Engine {
     }
 }
 
+// The families no stats record carries: process-global compile / VM
+// telemetry, the fault plan, the batch-size histogram, and the
+// per-kernel trio.
+const BATCH_SIZE: Metric = histogram("systec_serve_batch_size", "Runs coalesced per dispatch.");
+const COMPILE_PHASE_MAX_NS: Metric = gauge(
+    "systec_compile_phase_max_ns",
+    "Longest recorded span of each compile phase, in nanoseconds.",
+);
+const COMPILE_PHASE_NS: Metric =
+    counter("systec_compile_phase_ns_total", "Total nanoseconds spent in each compile phase.");
+const COMPILE_PHASE_SPANS: Metric =
+    counter("systec_compile_phase_total", "Spans recorded for each compile phase.");
+const FALLBACK_SERIAL: Metric = counter(
+    "systec_fallback_serial_total",
+    "Prepare responses that degraded a parallel request to serial.",
+);
+const FAULTS_INJECTED: Metric = counter(
+    "systec_faults_injected_total",
+    "Faults injected by the installed fault plan, by site (all zero in production).",
+);
+const FUSED_DISPATCH: Metric =
+    counter("systec_fused_dispatch_total", "VM vector-loop dispatches by fused-body kind.");
+const KERNEL_LATENCY: Metric = histogram(
+    "systec_kernel_latency_ns",
+    "Pooled main-program run latency per kernel handle, in nanoseconds.",
+);
+const KERNEL_RUNS: Metric =
+    counter("systec_kernel_runs_total", "Completed runs per kernel handle.");
+const KERNEL_SLOW: Metric =
+    counter("systec_kernel_slow_total", "Runs over the slow threshold per kernel handle.");
+const VM_RUN_NS: Metric =
+    counter("systec_vm_run_ns_total", "Total wall nanoseconds inside VM execute.");
+const VM_RUNS: Metric = counter("systec_vm_runs_total", "VM execute entries.");
+
+/// The process-wide plan cache's statistics as the `cache` record.
+fn cache_payload() -> CachePayload {
+    let cache = plan_cache_stats();
+    CachePayload {
+        hits: cache.hits,
+        misses: cache.misses,
+        builds: cache.builds,
+        evictions: cache.evictions,
+        waits: cache.waits,
+        entries: cache.entries as u64,
+    }
+}
+
+/// The vendored worker pool's counters as the `pool` record.
+fn pool_payload() -> PoolPayload {
+    let pool = rayon::pool_stats();
+    PoolPayload {
+        workers: pool.workers_spawned as u64,
+        submitted: pool.tasks_submitted as u64,
+        executed: pool.tasks_executed as u64,
+        helped: pool.tasks_helped as u64,
+        parks: pool.parks as u64,
+        wakeups: pool.wakeups as u64,
+    }
+}
+
 /// Converts a histogram quantile (nanoseconds) to microseconds for the
 /// stats payload; `None` before the first recorded run.
 fn quantile_us(snapshot: &Snapshot, q: f64) -> Option<f64> {
     snapshot.quantile(q).map(|ns| ns as f64 / 1_000.0)
 }
 
-/// The structured serial-fallback warning for a degraded prepare, also
-/// bumping the `fallback_serial` counter when one is issued.
 /// Maps a splittable plan's per-output classification onto wire merge
 /// rules for a `"sharded":true` prepare, sorted by output name. `None`
 /// when the plan is not splittable — or reduces with an op that has no
 /// identity (overwrite), which no fixed-order fold can merge exactly.
 fn split_payload(prepared: &Prepared) -> Option<Vec<(String, MergeRule)>> {
-    let mut split: Vec<(String, MergeRule)> = Vec::new();
-    for (name, kind) in prepared.split_outputs()? {
-        let rule = match kind {
-            MergeKind::Rows => MergeRule::Rows,
-            MergeKind::Reduce(AssignOp::Add) => MergeRule::Add,
-            MergeKind::Reduce(AssignOp::Min) => MergeRule::Min,
-            MergeKind::Reduce(AssignOp::Max) => MergeRule::Max,
-            MergeKind::Reduce(AssignOp::Overwrite) => return None,
-        };
-        split.push((name, rule));
-    }
+    let mut split = prepared
+        .split_outputs()?
+        .into_iter()
+        .map(|(name, kind)| Some((name, MergeRule::of(kind)?)))
+        .collect::<Option<Vec<(String, MergeRule)>>>()?;
     split.sort_by(|a, b| a.0.cmp(&b.0));
     Some(split)
 }
@@ -1667,6 +1376,8 @@ fn shard_overflow(value: u64) -> EngineError {
     )
 }
 
+/// The structured serial-fallback warning for a degraded prepare, also
+/// bumping the `fallback_serial` counter when one is issued.
 fn fallback_warning(parallelism: Parallelism, splittable: bool) -> Option<Warning> {
     serial_fallback_note(parallelism, splittable).map(|message| {
         telemetry::global().fallback_serial.inc();
@@ -1976,21 +1687,16 @@ mod tests {
         let Response::Metrics { text } = engine.handle(&Request::Metrics) else {
             panic!("metrics failed")
         };
-        for family in [
-            "systec_compile_phase_ns_total",
-            "systec_compile_phase_total",
-            "systec_fallback_serial_total",
-            "systec_fused_dispatch_total",
-            "systec_kernel_latency_ns_bucket",
-            "systec_kernel_latency_ns_count",
-            "systec_kernel_runs_total",
-            "systec_plan_cache_hits_total",
-            "systec_plan_cache_misses_total",
-            "systec_pool_submitted_total",
-            "systec_requests_total",
-            "systec_vm_runs_total",
-        ] {
-            assert!(text.contains(family), "missing {family} in:\n{text}");
+        // Every family a stats record declares is in the scrape.
+        let declared = [
+            CachePayload::FIELDS,
+            PoolPayload::FIELDS,
+            crate::protocol::RequestCountsPayload::FIELDS,
+            crate::protocol::ServePayload::FIELDS,
+        ];
+        for metric in declared.into_iter().flatten().filter_map(|field| field.metric) {
+            let header = format!("# TYPE {} {}\n", metric.name, metric.kind);
+            assert!(text.contains(&header), "missing {} in:\n{text}", metric.name);
         }
         assert!(
             text.contains("systec_kernel_latency_ns_count{kernel=\"0\"} 1\n"),

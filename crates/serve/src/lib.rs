@@ -53,6 +53,7 @@ pub mod json;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
+pub mod wire;
 
 /// Recovers a mutex even when a panic elsewhere poisoned it: every
 /// guarded structure in this crate stays consistent across panics

@@ -47,6 +47,12 @@
 //! blocked on another thread's build). The `metrics` reply carries the
 //! same data as Prometheus text exposition format 0.0.4 in `text`.
 //!
+//! Every stats record, wire enum and structural verb below is a single
+//! declaration ([`crate::wire`] derives its struct, codec, exposition
+//! and field list): to add a field, a code or a metric family, add its
+//! line here. Only `register_tensor`'s `dense`-xor-`coo` payload, the
+//! `shard` range check and the hot `run` reply are written out by hand.
+//!
 //! Determinism: run responses contain **no timing** (latency lives in
 //! `stats` medians), output/counter maps are serialized in sorted name
 //! order, and values use shortest-round-trip `f64` printing — so equal
@@ -55,87 +61,59 @@
 
 use std::fmt;
 
-use crate::json::Json;
+use systec_codegen::MergeKind;
+use systec_ir::AssignOp;
+use systec_telemetry::prom::{counter, gauge, Metric};
 
-/// Kind of a protocol failure, echoed in error responses as a stable
-/// machine-readable string.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ErrorCode {
-    /// The request line was not valid JSON or not a valid request shape.
-    Parse,
-    /// A named tensor is not in the registry.
-    UnknownTensor,
-    /// A kernel handle does not exist.
-    UnknownKernel,
-    /// The einsum or symmetry spec was rejected by the compiler.
-    InvalidKernel,
-    /// Registered tensor data failed validation (dims, bounds, finiteness).
-    BadTensor,
-    /// The request line exceeded the server's size cap. The connection
-    /// receives this reply and is then closed after the reply drains.
-    LineTooLong,
-    /// The request sat in the scheduler past the server's per-request
-    /// deadline and was answered without being executed.
-    DeadlineExceeded,
-    /// Admission control refused the work: the connection cap or the
-    /// registered-bytes cap was reached.
-    AdmissionRejected,
-    /// A tensor pinned by this prepared kernel was re-registered since
-    /// `prepare`; the kernel's snapshot is stale. Re-`prepare` to bind
-    /// the new generation.
-    StaleTensor,
-    /// The executor hit an unexpected failure (including a caught panic)
-    /// while serving this request. The request was not executed — or its
-    /// output was discarded — and may be retried after the offending
-    /// kernel is re-prepared.
-    Internal,
-    /// The kernel handle was quarantined after a panic during a previous
-    /// run. The handle never serves again; `prepare` the same spec again
-    /// to mint a fresh handle.
-    KernelQuarantined,
-    /// The shard that owns the requested key is down. Emitted by a
-    /// router, never by a worker; retryable — the shard supervisor
-    /// restarts dead workers and recovered tensors rejoin the ring.
-    ShardUnavailable,
+use crate::json::Json;
+use crate::wire::{need, opt, pairs_from_json, pairs_to_json, Field, Obj, Wire};
+use crate::{record, wire_enum};
+
+wire_enum! {
+    /// Kind of a protocol failure, echoed in error responses as a stable
+    /// machine-readable string.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum ErrorCode {
+        /// The request line was not valid JSON or not a valid request shape.
+        Parse = "parse",
+        /// A named tensor is not in the registry.
+        UnknownTensor = "unknown_tensor",
+        /// A kernel handle does not exist.
+        UnknownKernel = "unknown_kernel",
+        /// The einsum or symmetry spec was rejected by the compiler.
+        InvalidKernel = "invalid_kernel",
+        /// Registered tensor data failed validation (dims, bounds, finiteness).
+        BadTensor = "bad_tensor",
+        /// The request line exceeded the server's size cap. The connection
+        /// receives this reply and is then closed after the reply drains.
+        LineTooLong = "line_too_long",
+        /// The request sat in the scheduler past the server's per-request
+        /// deadline and was answered without being executed.
+        DeadlineExceeded = "deadline_exceeded",
+        /// Admission control refused the work: the connection cap or the
+        /// registered-bytes cap was reached.
+        AdmissionRejected = "admission_rejected",
+        /// A tensor pinned by this prepared kernel was re-registered since
+        /// `prepare`; the kernel's snapshot is stale. Re-`prepare` to bind
+        /// the new generation.
+        StaleTensor = "stale_tensor",
+        /// The executor hit an unexpected failure (including a caught panic)
+        /// while serving this request. The request was not executed — or its
+        /// output was discarded — and may be retried after the offending
+        /// kernel is re-prepared.
+        Internal = "internal_error",
+        /// The kernel handle was quarantined after a panic during a previous
+        /// run. The handle never serves again; `prepare` the same spec again
+        /// to mint a fresh handle.
+        KernelQuarantined = "kernel_quarantined",
+        /// The shard that owns the requested key is down. Emitted by a
+        /// router, never by a worker; retryable — the shard supervisor
+        /// restarts dead workers and recovered tensors rejoin the ring.
+        ShardUnavailable = "shard_unavailable",
+    }
 }
 
 impl ErrorCode {
-    /// The stable wire string.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::Parse => "parse",
-            ErrorCode::UnknownTensor => "unknown_tensor",
-            ErrorCode::UnknownKernel => "unknown_kernel",
-            ErrorCode::InvalidKernel => "invalid_kernel",
-            ErrorCode::BadTensor => "bad_tensor",
-            ErrorCode::LineTooLong => "line_too_long",
-            ErrorCode::DeadlineExceeded => "deadline_exceeded",
-            ErrorCode::AdmissionRejected => "admission_rejected",
-            ErrorCode::StaleTensor => "stale_tensor",
-            ErrorCode::Internal => "internal_error",
-            ErrorCode::KernelQuarantined => "kernel_quarantined",
-            ErrorCode::ShardUnavailable => "shard_unavailable",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "parse" => ErrorCode::Parse,
-            "unknown_tensor" => ErrorCode::UnknownTensor,
-            "unknown_kernel" => ErrorCode::UnknownKernel,
-            "invalid_kernel" => ErrorCode::InvalidKernel,
-            "bad_tensor" => ErrorCode::BadTensor,
-            "line_too_long" => ErrorCode::LineTooLong,
-            "deadline_exceeded" => ErrorCode::DeadlineExceeded,
-            "admission_rejected" => ErrorCode::AdmissionRejected,
-            "stale_tensor" => ErrorCode::StaleTensor,
-            "internal_error" => ErrorCode::Internal,
-            "kernel_quarantined" => ErrorCode::KernelQuarantined,
-            "shard_unavailable" => ErrorCode::ShardUnavailable,
-            _ => return None,
-        })
-    }
-
     /// Whether a client may transparently retry the same request after a
     /// backoff. Transient conditions (queueing past the deadline,
     /// admission pressure, an executor fault that quarantined a kernel
@@ -167,7 +145,7 @@ pub struct ProtoError {
 }
 
 impl ProtoError {
-    fn new(message: impl Into<String>) -> ProtoError {
+    pub(crate) fn new(message: impl Into<String>) -> ProtoError {
         ProtoError { message: message.into() }
     }
 }
@@ -189,114 +167,127 @@ pub enum TensorPayload {
     Coo(Vec<(Vec<usize>, f64)>),
 }
 
-/// Requested storage for a registered tensor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum StorageFormat {
-    /// Pick from the payload: dense values stay dense, coordinates pack
-    /// to CSF.
-    #[default]
-    Auto,
-    /// Force dense storage.
-    Dense,
-    /// Force compressed (CSF) storage.
-    Csf,
+wire_enum! {
+    /// Requested storage for a registered tensor.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub enum StorageFormat {
+        /// Pick from the payload: dense values stay dense, coordinates pack
+        /// to CSF. Spelled by leaving `format` out.
+        #[default]
+        Auto,
+        /// Force dense storage.
+        Dense = "dense",
+        /// Force compressed (CSF) storage.
+        Csf = "csf",
+    }
 }
 
-/// Where a router places a registered tensor. A single worker accepts
-/// the field and ignores it (placement is a routing concern).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// Consistent-hash the name to one owning shard (default).
-    #[default]
-    Hash,
-    /// Copy the tensor to every shard, as sharded kernels require for
-    /// their inputs.
-    Replicate,
+wire_enum! {
+    /// Where a router places a registered tensor. A single worker accepts
+    /// the field and ignores it (placement is a routing concern).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub enum Placement {
+        /// Consistent-hash the name to one owning shard (default).
+        #[default]
+        Hash = "hash",
+        /// Copy the tensor to every shard, as sharded kernels require for
+        /// their inputs.
+        Replicate = "replicate",
+    }
 }
 
-/// How a router combines one output's per-shard results into the
-/// single-process answer, as reported by a `"sharded":true` prepare.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MergeRule {
-    /// Each shard owns a disjoint top-level row range: take shard k's
-    /// rows `[k·E/n, (k+1)·E/n)` and concatenate in shard order.
-    Rows,
-    /// Fold per-shard partials elementwise with `+` in fixed shard
-    /// order.
-    Add,
-    /// Fold per-shard partials elementwise with `min` in fixed shard
-    /// order.
-    Min,
-    /// Fold per-shard partials elementwise with `max` in fixed shard
-    /// order.
-    Max,
+wire_enum! {
+    /// How a router combines one output's per-shard results into the
+    /// single-process answer, as reported by a `"sharded":true` prepare.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum MergeRule {
+        /// Each shard owns a disjoint top-level row range: take shard k's
+        /// rows `[k·E/n, (k+1)·E/n)` and concatenate in shard order.
+        Rows = "rows",
+        /// Fold per-shard partials elementwise with `+` in fixed shard
+        /// order.
+        Add = "add",
+        /// Fold per-shard partials elementwise with `min` in fixed shard
+        /// order.
+        Min = "min",
+        /// Fold per-shard partials elementwise with `max` in fixed shard
+        /// order.
+        Max = "max",
+    }
 }
+
+/// The one table between the wire's merge rules and the compiler's
+/// per-output classification. `Reduce(Overwrite)` has no row: an
+/// overwrite has no identity, so no fixed-order fold merges it exactly.
+const MERGE_KINDS: [(MergeRule, MergeKind); 4] = [
+    (MergeRule::Rows, MergeKind::Rows),
+    (MergeRule::Add, MergeKind::Reduce(AssignOp::Add)),
+    (MergeRule::Min, MergeKind::Reduce(AssignOp::Min)),
+    (MergeRule::Max, MergeKind::Reduce(AssignOp::Max)),
+];
 
 impl MergeRule {
-    /// The stable wire string.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MergeRule::Rows => "rows",
-            MergeRule::Add => "add",
-            MergeRule::Min => "min",
-            MergeRule::Max => "max",
-        }
+    /// The wire rule for a compiler classification; `None` for an
+    /// output no shard merge can reproduce (an overwrite reduction).
+    pub fn of(kind: MergeKind) -> Option<MergeRule> {
+        MERGE_KINDS.iter().find(|(_, k)| *k == kind).map(|(rule, _)| *rule)
     }
 
-    fn from_str(s: &str) -> Option<MergeRule> {
-        Some(match s {
-            "rows" => MergeRule::Rows,
-            "add" => MergeRule::Add,
-            "min" => MergeRule::Min,
-            "max" => MergeRule::Max,
-            _ => return None,
+    /// The operator a merge folds this rule's per-shard partials with
+    /// (`AssignOp::apply`, in fixed shard order); `None` for `Rows`,
+    /// which concatenates row windows instead of folding.
+    pub fn fold(self) -> Option<AssignOp> {
+        MERGE_KINDS.iter().find_map(|(rule, kind)| match kind {
+            MergeKind::Reduce(op) if *rule == self => Some(*op),
+            _ => None,
         })
     }
 }
 
-/// Which compilation the `prepare` verb performs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Variant {
-    /// The symmetry-exploiting SySTeC compilation (default).
-    #[default]
-    Systec,
-    /// The symmetry-oblivious naive kernel.
-    Naive,
-}
-
-/// Kind of a structured warning attached to an otherwise-successful
-/// response, echoed on the wire as a stable machine-readable string.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WarningKind {
-    /// Worker threads were requested but the plan is not
-    /// row-splittable; the kernel runs serially.
-    SerialFallback,
-}
-
-impl WarningKind {
-    /// The stable wire string.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WarningKind::SerialFallback => "serial_fallback",
-        }
+/// Output name → merge rule (the `split` of a sharded `prepared`).
+impl Wire for Vec<(String, MergeRule)> {
+    const KIND: &'static str = "object";
+    fn to_json(&self) -> Json {
+        pairs_to_json(self)
     }
-
-    fn from_str(s: &str) -> Option<WarningKind> {
-        match s {
-            "serial_fallback" => Some(WarningKind::SerialFallback),
-            _ => None,
-        }
+    fn from_json(v: &Json, field: &str) -> Result<Self, ProtoError> {
+        pairs_from_json(v, field, "known merge rules")
     }
 }
 
-/// A structured warning: a stable `kind` for machines plus a
-/// human-readable `message`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Warning {
-    /// Machine-readable warning kind.
-    pub kind: WarningKind,
-    /// Human-readable description.
-    pub message: String,
+wire_enum! {
+    /// Which compilation the `prepare` verb performs.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub enum Variant {
+        /// The symmetry-exploiting SySTeC compilation (default).
+        #[default]
+        Systec = "systec",
+        /// The symmetry-oblivious naive kernel.
+        Naive = "naive",
+    }
+}
+
+wire_enum! {
+    /// Kind of a structured warning attached to an otherwise-successful
+    /// response, echoed on the wire as a stable machine-readable string.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum WarningKind {
+        /// Worker threads were requested but the plan is not
+        /// row-splittable; the kernel runs serially.
+        SerialFallback = "serial_fallback",
+    }
+}
+
+record! {
+    /// A structured warning: a stable `kind` for machines plus a
+    /// human-readable `message`.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Warning {
+        /// Machine-readable warning kind.
+        pub kind: WarningKind,
+        /// Human-readable description.
+        pub message: String,
+    }
 }
 
 /// A client request.
@@ -387,182 +378,274 @@ pub struct CounterPayload {
     pub reads: Vec<(String, u64)>,
 }
 
-/// Plan-cache statistics in a stats response.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct CachePayload {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to build.
-    pub misses: u64,
-    /// Build closures actually executed (single-flight: one per
-    /// concurrently requested key).
-    pub builds: u64,
-    /// Plans evicted by the LRU policy.
-    pub evictions: u64,
-    /// Single-flight lookups that blocked on another thread's build.
-    pub waits: u64,
-    /// Plans currently cached.
-    pub entries: u64,
+record! {
+    /// Plan-cache statistics in a stats response.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub struct CachePayload {
+        /// Lookups served from the cache.
+        pub hits: u64
+            => counter("systec_plan_cache_hits_total", "Plan-cache lookups served from cache."),
+        /// Lookups that had to build.
+        pub misses: u64
+            => counter("systec_plan_cache_misses_total", "Plan-cache lookups that missed."),
+        /// Build closures actually executed (single-flight: one per
+        /// concurrently requested key).
+        pub builds: u64
+            => counter("systec_plan_cache_builds_total", "Plan builds actually executed."),
+        /// Plans evicted by the LRU policy.
+        pub evictions: u64
+            => counter("systec_plan_cache_evictions_total", "Plans evicted by the LRU policy."),
+        /// Single-flight lookups that blocked on another thread's build.
+        pub waits: u64 => counter(
+            "systec_plan_cache_waits_total",
+            "Single-flight lookups that blocked on another thread's build.",
+        ),
+        /// Plans currently cached.
+        pub entries: u64 => gauge("systec_plan_cache_entries", "Plans currently cached."),
+    }
 }
 
-/// Worker-pool statistics in a stats response (process-wide counters
-/// from the vendored pool; all monotonic except `workers`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct PoolPayload {
-    /// Worker threads spawned so far.
-    pub workers: u64,
-    /// Tasks handed to the pool.
-    pub submitted: u64,
-    /// Tasks executed by worker threads.
-    pub executed: u64,
-    /// Tasks drained by the submitting thread while it waited (a
-    /// chunk-imbalance signal: helpers pick up leftover work).
-    pub helped: u64,
-    /// Times a worker parked waiting for work.
-    pub parks: u64,
-    /// Times a parked worker was woken.
-    pub wakeups: u64,
+record! {
+    /// Worker-pool statistics in a stats response (process-wide counters
+    /// from the vendored pool; all monotonic except `workers`).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub struct PoolPayload {
+        /// Worker threads spawned so far.
+        pub workers: u64 => gauge("systec_pool_workers", "Worker threads spawned so far."),
+        /// Tasks handed to the pool.
+        pub submitted: u64
+            => counter("systec_pool_submitted_total", "Tasks handed to the worker pool."),
+        /// Tasks executed by worker threads.
+        pub executed: u64
+            => counter("systec_pool_executed_total", "Tasks executed by pool worker threads."),
+        /// Tasks drained by the submitting thread while it waited (a
+        /// chunk-imbalance signal: helpers pick up leftover work).
+        pub helped: u64 => counter(
+            "systec_pool_helped_total",
+            "Tasks drained by the submitting thread (chunk-imbalance signal).",
+        ),
+        /// Times a worker parked waiting for work.
+        pub parks: u64
+            => counter("systec_pool_parks_total", "Times a worker parked waiting for work."),
+        /// Times a parked worker was woken.
+        pub wakeups: u64
+            => counter("systec_pool_wakeups_total", "Times a parked worker was woken."),
+    }
 }
 
-/// One over-threshold run in a stats response.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlowRunPayload {
-    /// The kernel handle.
-    pub kernel: u64,
-    /// The run's latency in microseconds.
-    pub us: u64,
+record! {
+    /// One over-threshold run in a stats response.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct SlowRunPayload {
+        /// The kernel handle.
+        pub kernel: u64,
+        /// The run's latency in microseconds.
+        pub us: u64,
+    }
 }
 
-/// Request counts in a stats response.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct RequestCountsPayload {
-    /// `register_tensor` requests handled.
-    pub register_tensor: u64,
-    /// `prepare` requests handled.
-    pub prepare: u64,
-    /// `run` requests handled.
-    pub run: u64,
-    /// `stats` requests handled.
-    pub stats: u64,
-    /// `metrics` requests handled.
-    pub metrics: u64,
-    /// `ping` requests handled.
-    pub ping: u64,
-    /// `unregister` requests handled.
-    pub unregister: u64,
-    /// Requests answered with an error (including parse failures).
-    pub errors: u64,
+/// The per-verb request family. The `metrics` verb's own count stays
+/// out of it so two scrapes of an idle server are byte-identical.
+const REQUESTS: Metric = counter(
+    "systec_requests_total",
+    "Requests handled by verb; the metrics verb itself is excluded \
+     so idle scrapes are byte-stable.",
+);
+
+record! {
+    /// Request counts in a stats response.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub struct RequestCountsPayload {
+        /// `register_tensor` requests handled.
+        pub register_tensor: u64 => REQUESTS.with("verb", "register_tensor"),
+        /// `prepare` requests handled.
+        pub prepare: u64 => REQUESTS.with("verb", "prepare"),
+        /// `run` requests handled.
+        pub run: u64 => REQUESTS.with("verb", "run"),
+        /// `stats` requests handled.
+        pub stats: u64 => REQUESTS.with("verb", "stats"),
+        /// `metrics` requests handled.
+        pub metrics: u64,
+        /// `ping` requests handled.
+        pub ping: u64 => REQUESTS.with("verb", "ping"),
+        /// `unregister` requests handled.
+        pub unregister: u64 => REQUESTS.with("verb", "unregister"),
+        /// Requests answered with an error (including parse failures).
+        pub errors: u64 => REQUESTS.with("verb", "errors"),
+    }
+    /// The live request counters of one engine (incremented per handled
+    /// request); [`RequestMetrics::snapshot`] is the `requests` section.
+    live pub struct RequestMetrics;
 }
 
-/// Serving-engine statistics in a stats response: registry lifecycle,
-/// run-batch coalescing, and admission control.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct ServePayload {
-    /// Tensors currently registered.
-    pub registry_tensors: u64,
-    /// Estimated bytes currently held by the registry.
-    pub registry_bytes: u64,
-    /// Unpinned tensors evicted by the LRU policy (monotonic).
-    pub registry_evictions: u64,
-    /// Live (name, generation) pins held by prepared kernels.
-    pub pinned: u64,
-    /// Worker-pool dispatches issued by the run scheduler (each may
-    /// carry several coalesced runs).
-    pub batch_dispatches: u64,
-    /// Run requests served through batched dispatches.
-    pub batched_runs: u64,
-    /// Batch responses large enough to be encoded and fanned out on
-    /// the dedicated replicator thread instead of the executor.
-    pub offloaded_replications: u64,
-    /// Requests currently queued in the scheduler.
-    pub queued: u64,
-    /// Connections refused at accept (`max-conns`).
-    pub rejected_conns: u64,
-    /// Registrations refused by the bytes cap (`max-bytes`).
-    pub rejected_bytes: u64,
-    /// Requests answered with `deadline_exceeded` before execution.
-    pub deadline_exceeded: u64,
-    /// Runs refused with `stale_tensor` (pinned data re-registered).
-    pub stale_runs: u64,
-    /// Executor panics caught and converted into `internal_error`
-    /// replies (monotonic). The process never aborts on these.
-    pub panics_caught: u64,
-    /// Kernel handles quarantined after a caught panic. Quarantined
-    /// handles answer `kernel_quarantined` until re-`prepare`d.
-    pub quarantined_kernels: u64,
-    /// Records appended to the write-ahead journal (monotonic; zero
-    /// when the server runs without `--data-dir`).
-    pub journal_records: u64,
-    /// Bytes appended to the write-ahead journal (monotonic).
-    pub journal_bytes: u64,
-    /// fsync calls issued by the journal/snapshot writer (monotonic).
-    pub journal_fsyncs: u64,
-    /// Durable records replayed at the last startup recovery.
-    pub recovery_replayed: u64,
-    /// Torn-tail bytes truncated from the journal at the last recovery.
-    pub recovery_truncated: u64,
+/// The admission-control family, one series per refusal reason.
+const ADMISSION: Metric =
+    counter("systec_admission_rejects_total", "Requests refused by admission control, by reason.");
+
+record! {
+    /// Serving-engine statistics in a stats response: registry lifecycle,
+    /// run-batch coalescing, and admission control.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub struct ServePayload {
+        /// Tensors currently registered.
+        pub registry_tensors: u64
+            => gauge("systec_registry_tensors", "Tensors currently registered."),
+        /// Estimated bytes currently held by the registry.
+        pub registry_bytes: u64
+            => gauge("systec_registry_bytes", "Estimated bytes of live registered tensors."),
+        /// Unpinned tensors evicted by the LRU policy (monotonic).
+        pub registry_evictions: u64 => counter(
+            "systec_registry_evictions_total",
+            "Tensors LRU-evicted to admit new registrations.",
+        ),
+        /// Live (name, generation) pins held by prepared kernels.
+        pub pinned: u64,
+        /// Worker-pool dispatches issued by the run scheduler (each may
+        /// carry several coalesced runs).
+        pub batch_dispatches: u64 => counter(
+            "systec_serve_batch_dispatches_total",
+            "Coalesced pool dispatches (each covers one or more runs).",
+        ),
+        /// Run requests served through batched dispatches.
+        pub batched_runs: u64 => counter(
+            "systec_serve_batch_runs_total",
+            "Run requests served through coalesced dispatches.",
+        ),
+        /// Batch responses large enough to be encoded and fanned out on
+        /// the dedicated replicator thread instead of the executor.
+        pub offloaded_replications: u64 => counter(
+            "systec_serve_offloaded_replications_total",
+            "Large batch responses encoded and fanned out on the replicator thread.",
+        ),
+        /// Requests currently queued in the scheduler.
+        pub queued: u64
+            => gauge("systec_serve_queue_depth", "Requests waiting in the scheduler queue."),
+        /// Connections refused at accept (`max-conns`).
+        pub rejected_conns: u64 => ADMISSION.with("reason", "max_conns"),
+        /// Registrations refused by the bytes cap (`max-bytes`).
+        pub rejected_bytes: u64 => ADMISSION.with("reason", "max_bytes"),
+        /// Requests answered with `deadline_exceeded` before execution.
+        pub deadline_exceeded: u64 => ADMISSION.with("reason", "deadline"),
+        /// Runs refused with `stale_tensor` (pinned data re-registered).
+        pub stale_runs: u64 => counter(
+            "systec_serve_stale_runs_total",
+            "Runs refused because a pinned tensor was re-registered.",
+        ),
+        /// Executor panics caught and converted into `internal_error`
+        /// replies (monotonic). The process never aborts on these.
+        pub panics_caught: u64 => counter(
+            "systec_panics_caught_total",
+            "Executor panics caught and answered with internal_error.",
+        ),
+        /// Kernel handles quarantined after a caught panic. Quarantined
+        /// handles answer `kernel_quarantined` until re-`prepare`d.
+        pub quarantined_kernels: u64 => gauge(
+            "systec_quarantined_kernels",
+            "Kernel handles quarantined after a caught panic.",
+        ),
+        /// Records appended to the write-ahead journal (monotonic; zero
+        /// when the server runs without `--data-dir`).
+        pub journal_records: u64 => counter(
+            "systec_journal_records_total",
+            "Records appended to the durability write-ahead journal.",
+        ),
+        /// Bytes appended to the write-ahead journal (monotonic).
+        pub journal_bytes: u64 => counter(
+            "systec_journal_bytes_total",
+            "Bytes appended to the durability write-ahead journal.",
+        ),
+        /// fsync calls issued by the journal/snapshot writer (monotonic).
+        pub journal_fsyncs: u64 => counter(
+            "systec_journal_fsyncs_total",
+            "fsyncs issued by the journal/snapshot writer.",
+        ),
+        /// Durable records replayed at the last startup recovery.
+        pub recovery_replayed: u64 => counter(
+            "systec_recovery_replayed_total",
+            "Durable records replayed at startup recovery.",
+        ),
+        /// Torn-tail bytes truncated from the journal at the last recovery.
+        pub recovery_truncated: u64 => counter(
+            "systec_recovery_truncated_total",
+            "Torn-tail bytes truncated from the journal at recovery.",
+        ),
+    }
+    /// The live serving metrics of one engine — owned per engine (not in
+    /// the global registry) so engines in the same process, e.g.
+    /// parallel tests, never bleed into each other's scrapes. The engine,
+    /// the scheduler and the transport record into these;
+    /// [`ServeMetrics::snapshot`] is the `serve` section of `stats`.
+    live pub struct ServeMetrics;
 }
 
-/// Per-kernel statistics in a stats response.
-#[derive(Clone, Debug, PartialEq)]
-pub struct KernelStatPayload {
-    /// The kernel handle.
-    pub kernel: u64,
-    /// The kernel's spec string (einsum + variant + symmetry).
-    pub spec: String,
-    /// Completed runs.
-    pub runs: u64,
-    /// Median run latency in microseconds, from the kernel's latency
-    /// histogram (`None` before the first run).
-    pub median_us: Option<f64>,
-    /// 90th-percentile run latency in microseconds.
-    pub p90_us: Option<f64>,
-    /// 99th-percentile run latency in microseconds.
-    pub p99_us: Option<f64>,
-    /// Maximum observed run latency in microseconds.
-    pub max_us: Option<f64>,
-    /// Runs that exceeded the server's slow-run threshold.
-    pub slow: u64,
+record! {
+    /// Per-kernel statistics in a stats response.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct KernelStatPayload {
+        /// The kernel handle.
+        pub kernel: u64,
+        /// The kernel's spec string (einsum + variant + symmetry).
+        pub spec: String,
+        /// Completed runs.
+        pub runs: u64,
+        /// Median run latency in microseconds, from the kernel's latency
+        /// histogram (`None` before the first run).
+        pub median_us: Option<f64>,
+        /// 90th-percentile run latency in microseconds.
+        pub p90_us: Option<f64>,
+        /// 99th-percentile run latency in microseconds.
+        pub p99_us: Option<f64>,
+        /// Maximum observed run latency in microseconds.
+        pub max_us: Option<f64>,
+        /// Runs that exceeded the server's slow-run threshold.
+        pub slow: u64,
+    }
 }
 
-/// Router-level request counts in a cluster-stats response.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct RouterCountsPayload {
-    /// `register_tensor` requests routed.
-    pub register_tensor: u64,
-    /// `prepare` requests routed.
-    pub prepare: u64,
-    /// `run` requests routed.
-    pub run: u64,
-    /// Runs that fanned out as per-shard sub-ranges and were merged.
-    pub sharded_runs: u64,
-    /// Requests broadcast to every shard (replicated registrations and
-    /// sharded prepares).
-    pub fanouts: u64,
-    /// Tensor registrations replicated to every shard.
-    pub replicated: u64,
-    /// Requests answered with an error (including `shard_unavailable`).
-    pub errors: u64,
+record! {
+    /// Router-level request counts in a cluster-stats response (the
+    /// router keeps one of these under its state lock and counts into
+    /// it directly).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+    pub struct RouterCountsPayload {
+        /// `register_tensor` requests routed.
+        pub register_tensor: u64,
+        /// `prepare` requests routed.
+        pub prepare: u64,
+        /// `run` requests routed.
+        pub run: u64,
+        /// Runs that fanned out as per-shard sub-ranges and were merged.
+        pub sharded_runs: u64,
+        /// Requests broadcast to every shard (replicated registrations and
+        /// sharded prepares).
+        pub fanouts: u64,
+        /// Tensor registrations replicated to every shard.
+        pub replicated: u64,
+        /// Requests answered with an error (including `shard_unavailable`).
+        pub errors: u64,
+    }
 }
 
-/// One shard's row in a cluster-stats response.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardStatPayload {
-    /// Shard ordinal (fixed merge order).
-    pub shard: u64,
-    /// The worker's listen address.
-    pub addr: String,
-    /// Whether the router currently holds a live connection.
-    pub healthy: bool,
-    /// Virtual nodes this shard occupies on the hash ring.
-    pub vnodes: u64,
-    /// Hash-placed tensors currently owned by this shard.
-    pub keys: u64,
-    /// Requests forwarded to this shard.
-    pub forwarded: u64,
-    /// Forwarded requests that failed at the transport (connection
-    /// refused, reset, or timed out).
-    pub errors: u64,
+record! {
+    /// One shard's row in a cluster-stats response.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ShardStatPayload {
+        /// Shard ordinal (fixed merge order).
+        pub shard: u64,
+        /// The worker's listen address.
+        pub addr: String,
+        /// Whether the router currently holds a live connection.
+        pub healthy: bool,
+        /// Virtual nodes this shard occupies on the hash ring.
+        pub vnodes: u64,
+        /// Hash-placed tensors currently owned by this shard.
+        pub keys: u64,
+        /// Requests forwarded to this shard.
+        pub forwarded: u64,
+        /// Forwarded requests that failed at the transport (connection
+        /// refused, reset, or timed out).
+        pub errors: u64,
+    }
 }
 
 /// A server response.
@@ -708,91 +791,47 @@ pub(crate) fn values_json(values: &[f64]) -> Json {
 impl Request {
     /// Serializes to one line (no trailing newline).
     pub fn encode(&self) -> String {
-        let json = match self {
+        let obj = match self {
             Request::RegisterTensor { name, dims, payload, format, placement } => {
-                let mut pairs = vec![
-                    ("op", Json::Str("register_tensor".into())),
-                    ("name", Json::Str(name.clone())),
-                    ("dims", dims_json(dims)),
-                ];
-                match payload {
-                    TensorPayload::Dense(values) => pairs.push(("dense", values_json(values))),
-                    TensorPayload::Coo(entries) => pairs.push((
-                        "coo",
-                        Json::Arr(
-                            entries
-                                .iter()
-                                .map(|(coords, v)| {
-                                    let mut item: Vec<Json> =
-                                        coords.iter().map(|&c| Json::num_usize(c)).collect();
-                                    item.push(value_json(*v));
-                                    Json::Arr(item)
-                                })
-                                .collect(),
-                        ),
-                    )),
-                }
-                match format {
-                    StorageFormat::Auto => {}
-                    StorageFormat::Dense => pairs.push(("format", Json::Str("dense".into()))),
-                    StorageFormat::Csf => pairs.push(("format", Json::Str("csf".into()))),
-                }
-                if *placement == Placement::Replicate {
-                    pairs.push(("placement", Json::Str("replicate".into())));
-                }
-                Json::obj(pairs)
+                let (key, data) = match payload {
+                    TensorPayload::Dense(values) => ("dense", values_json(values)),
+                    TensorPayload::Coo(entries) => {
+                        let entry = |(coords, v): &(Vec<usize>, f64)| {
+                            let mut item: Vec<Json> =
+                                coords.iter().map(|&c| Json::num_usize(c)).collect();
+                            item.push(value_json(*v));
+                            Json::Arr(item)
+                        };
+                        ("coo", Json::Arr(entries.iter().map(entry).collect()))
+                    }
+                };
+                Obj::op("register_tensor")
+                    .with("name", name)
+                    .raw("dims", dims_json(dims))
+                    .raw(key, data)
+                    .unless_default("format", format)
+                    .unless_default("placement", placement)
             }
-            Request::Unregister { name } => Json::obj([
-                ("op", Json::Str("unregister".into())),
-                ("name", Json::Str(name.clone())),
-            ]),
+            Request::Unregister { name } => Obj::op("unregister").with("name", name),
             Request::Prepare { einsum, sym, inputs, variant, threads, sharded } => {
-                let mut pairs = vec![
-                    ("op", Json::Str("prepare".into())),
-                    ("einsum", Json::Str(einsum.clone())),
-                ];
-                if !sym.is_empty() {
-                    pairs.push((
-                        "sym",
-                        Json::Arr(sym.iter().map(|s| Json::Str(s.clone())).collect()),
-                    ));
-                }
-                if !inputs.is_empty() {
-                    pairs.push((
-                        "inputs",
-                        Json::Obj(
-                            inputs.iter().map(|(k, v)| (k.clone(), Json::Str(v.clone()))).collect(),
-                        ),
-                    ));
-                }
-                if *variant == Variant::Naive {
-                    pairs.push(("variant", Json::Str("naive".into())));
-                }
-                if let Some(threads) = threads {
-                    pairs.push(("threads", Json::num_usize(*threads)));
-                }
-                if *sharded {
-                    pairs.push(("sharded", Json::Bool(true)));
-                }
-                Json::obj(pairs)
+                Obj::op("prepare")
+                    .with("einsum", einsum)
+                    .unless_default("sym", sym)
+                    .unless_default("inputs", inputs)
+                    .unless_default("variant", variant)
+                    .with("threads", threads)
+                    .unless_default("sharded", sharded)
             }
-            Request::Run { kernel, full, shard } => {
-                let mut pairs =
-                    vec![("op", Json::Str("run".into())), ("kernel", Json::num_u64(*kernel))];
-                if *full {
-                    pairs.push(("full", Json::Bool(true)));
-                }
-                if let Some((k, n)) = shard {
-                    pairs.push(("shard", Json::Arr(vec![Json::num_u64(*k), Json::num_u64(*n)])));
-                }
-                Json::obj(pairs)
-            }
-            Request::Stats => Json::obj([("op", Json::Str("stats".into()))]),
-            Request::Metrics => Json::obj([("op", Json::Str("metrics".into()))]),
-            Request::Ping => Json::obj([("op", Json::Str("ping".into()))]),
-            Request::Shutdown => Json::obj([("op", Json::Str("shutdown".into()))]),
+            Request::Run { kernel, full, shard } => Obj::op("run")
+                .with("kernel", kernel)
+                .unless_default("full", full)
+                .with("shard", shard),
+            Request::Stats => Obj::op("stats"),
+            Request::Metrics => Obj::op("metrics"),
+            Request::Ping => Obj::op("ping"),
+            Request::Shutdown => Obj::op("shutdown"),
         };
-        json.to_string()
+        obj.json().to_string()
     }
 
     /// Parses one request line.
@@ -847,109 +886,29 @@ impl Request {
                         ))
                     }
                 };
-                let format = match json.get("format").map(|f| f.as_str()) {
-                    None => StorageFormat::Auto,
-                    Some(Some("dense")) => StorageFormat::Dense,
-                    Some(Some("csf")) => StorageFormat::Csf,
-                    Some(other) => {
-                        return Err(ProtoError::new(format!(
-                            "unknown `format` {other:?} (expected \"dense\" or \"csf\")"
-                        )))
-                    }
-                };
-                let placement = match json.get("placement").map(|p| p.as_str()) {
-                    None | Some(Some("hash")) => Placement::Hash,
-                    Some(Some("replicate")) => Placement::Replicate,
-                    Some(other) => {
-                        return Err(ProtoError::new(format!(
-                            "unknown `placement` {other:?} (expected \"hash\" or \"replicate\")"
-                        )))
-                    }
-                };
+                let format = opt(&json, "format")?.unwrap_or_default();
+                let placement = opt(&json, "placement")?.unwrap_or_default();
                 Ok(Request::RegisterTensor { name, dims, payload, format, placement })
             }
             "unregister" => Ok(Request::Unregister { name: require_str(&json, "name")? }),
-            "prepare" => {
-                let einsum = require_str(&json, "einsum")?;
-                let sym = match json.get("sym") {
-                    None => Vec::new(),
-                    Some(s) => s
-                        .as_arr()
-                        .ok_or_else(|| ProtoError::new("`sym` must be an array of strings"))?
-                        .iter()
-                        .map(|d| {
-                            d.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| ProtoError::new("`sym` must be an array of strings"))
-                        })
-                        .collect::<Result<Vec<String>, ProtoError>>()?,
-                };
-                let inputs = match json.get("inputs") {
-                    None => Vec::new(),
-                    Some(m) => m
-                        .as_obj()
-                        .ok_or_else(|| ProtoError::new("`inputs` must be an object"))?
-                        .iter()
-                        .map(|(k, v)| {
-                            v.as_str().map(|v| (k.clone(), v.to_string())).ok_or_else(|| {
-                                ProtoError::new("`inputs` values must be registry names")
-                            })
-                        })
-                        .collect::<Result<Vec<(String, String)>, ProtoError>>()?,
-                };
-                let variant = match json.get("variant").map(|v| v.as_str()) {
-                    None | Some(Some("systec")) => Variant::Systec,
-                    Some(Some("naive")) => Variant::Naive,
-                    Some(other) => {
-                        return Err(ProtoError::new(format!(
-                            "unknown `variant` {other:?} (expected \"systec\" or \"naive\")"
-                        )))
-                    }
-                };
-                let threads = match json.get("threads") {
-                    None => None,
-                    Some(t) => Some(t.as_usize().ok_or_else(|| {
-                        ProtoError::new("`threads` must be a non-negative integer")
-                    })?),
-                };
-                let sharded = match json.get("sharded") {
-                    None => false,
-                    Some(s) => {
-                        s.as_bool().ok_or_else(|| ProtoError::new("`sharded` must be a boolean"))?
-                    }
-                };
-                Ok(Request::Prepare { einsum, sym, inputs, variant, threads, sharded })
-            }
+            "prepare" => Ok(Request::Prepare {
+                einsum: require_str(&json, "einsum")?,
+                sym: opt(&json, "sym")?.unwrap_or_default(),
+                inputs: opt(&json, "inputs")?.unwrap_or_default(),
+                variant: opt(&json, "variant")?.unwrap_or_default(),
+                threads: opt(&json, "threads")?,
+                sharded: opt(&json, "sharded")?.unwrap_or_default(),
+            }),
             "run" => {
-                let kernel = json
-                    .get("kernel")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| ProtoError::new("run needs an integer `kernel` handle"))?;
-                let full = match json.get("full") {
-                    None => false,
-                    Some(f) => {
-                        f.as_bool().ok_or_else(|| ProtoError::new("`full` must be a boolean"))?
-                    }
-                };
-                let shard = match json.get("shard") {
-                    None => None,
-                    Some(s) => {
-                        let pair = s
-                            .as_arr()
-                            .filter(|pair| pair.len() == 2)
-                            .and_then(|pair| Some((pair[0].as_u64()?, pair[1].as_u64()?)))
-                            .ok_or_else(|| {
-                                ProtoError::new("`shard` must be a `[k, n]` pair of integers")
-                            })?;
-                        if pair.1 == 0 || pair.0 >= pair.1 {
-                            return Err(ProtoError::new(format!(
-                                "`shard` ordinal {} of {} is out of range",
-                                pair.0, pair.1
-                            )));
-                        }
-                        Some(pair)
-                    }
-                };
+                let kernel =
+                    need(&json, "kernel", || "run needs an integer `kernel` handle".into())?;
+                let full = opt(&json, "full")?.unwrap_or_default();
+                let shard: Option<(u64, u64)> = opt(&json, "shard")?;
+                if let Some((k, n)) = shard.filter(|(k, n)| k >= n) {
+                    return Err(ProtoError::new(format!(
+                        "`shard` ordinal {k} of {n} is out of range"
+                    )));
+                }
                 Ok(Request::Run { kernel, full, shard })
             }
             "stats" => Ok(Request::Stats),
@@ -962,20 +921,7 @@ impl Request {
 }
 
 fn require_str(json: &Json, field: &str) -> Result<String, ProtoError> {
-    json.get(field)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| ProtoError::new(format!("missing string field `{field}`")))
-}
-
-fn optional_f64(json: &Json, field: &str) -> Result<Option<f64>, ProtoError> {
-    match json.get(field) {
-        None => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| ProtoError::new(format!("`{field}` must be a number"))),
-    }
+    need(json, field, || format!("missing string field `{field}`"))
 }
 
 pub(crate) fn usize_array(json: &Json, field: &str) -> Result<Vec<usize>, ProtoError> {
@@ -1008,48 +954,21 @@ impl Response {
     /// encode byte-identically.
     pub fn encode(&self) -> String {
         let json = match self {
-            Response::Registered { name, nnz, generation } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("reply", Json::Str("registered".into())),
-                ("name", Json::Str(name.clone())),
-                ("nnz", Json::num_u64(*nnz)),
-                ("generation", Json::num_u64(*generation)),
-            ]),
-            Response::Unregistered { name, existed } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("reply", Json::Str("unregistered".into())),
-                ("name", Json::Str(name.clone())),
-                ("existed", Json::Bool(*existed)),
-            ]),
-            Response::Prepared { kernel, splittable, split, warning } => {
-                let mut pairs = vec![
-                    ("ok", Json::Bool(true)),
-                    ("reply", Json::Str("prepared".into())),
-                    ("kernel", Json::num_u64(*kernel)),
-                    ("splittable", Json::Bool(*splittable)),
-                ];
-                if let Some(split) = split {
-                    pairs.push((
-                        "split",
-                        Json::Obj(
-                            split
-                                .iter()
-                                .map(|(name, rule)| (name.clone(), Json::Str(rule.as_str().into())))
-                                .collect(),
-                        ),
-                    ));
-                }
-                if let Some(warning) = warning {
-                    pairs.push((
-                        "warning",
-                        Json::obj([
-                            ("kind", Json::Str(warning.kind.as_str().into())),
-                            ("message", Json::Str(warning.message.clone())),
-                        ]),
-                    ));
-                }
-                Json::obj(pairs)
+            Response::Registered { name, nnz, generation } => Obj::reply("registered")
+                .with("name", name)
+                .with("nnz", nnz)
+                .with("generation", generation)
+                .json(),
+            Response::Unregistered { name, existed } => {
+                Obj::reply("unregistered").with("name", name).with("existed", existed).json()
             }
+            Response::Prepared { kernel, splittable, split, warning } => Obj::reply("prepared")
+                .with("kernel", kernel)
+                .with("splittable", splittable)
+                .with("split", split)
+                .with("warning", warning)
+                .json(),
+            // The hot reply: built straight into the JSON tree.
             Response::Ran { outputs, counters } => Json::obj([
                 ("ok", Json::Bool(true)),
                 ("reply", Json::Str("run".into())),
@@ -1089,162 +1008,23 @@ impl Response {
                     ]),
                 ),
             ]),
-            Response::Stats { cache, requests, pool, serve, kernels, slow } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("reply", Json::Str("stats".into())),
-                (
-                    "cache",
-                    Json::obj([
-                        ("hits", Json::num_u64(cache.hits)),
-                        ("misses", Json::num_u64(cache.misses)),
-                        ("builds", Json::num_u64(cache.builds)),
-                        ("evictions", Json::num_u64(cache.evictions)),
-                        ("waits", Json::num_u64(cache.waits)),
-                        ("entries", Json::num_u64(cache.entries)),
-                    ]),
-                ),
-                (
-                    "requests",
-                    Json::obj([
-                        ("register_tensor", Json::num_u64(requests.register_tensor)),
-                        ("prepare", Json::num_u64(requests.prepare)),
-                        ("run", Json::num_u64(requests.run)),
-                        ("stats", Json::num_u64(requests.stats)),
-                        ("metrics", Json::num_u64(requests.metrics)),
-                        ("ping", Json::num_u64(requests.ping)),
-                        ("unregister", Json::num_u64(requests.unregister)),
-                        ("errors", Json::num_u64(requests.errors)),
-                    ]),
-                ),
-                (
-                    "pool",
-                    Json::obj([
-                        ("workers", Json::num_u64(pool.workers)),
-                        ("submitted", Json::num_u64(pool.submitted)),
-                        ("executed", Json::num_u64(pool.executed)),
-                        ("helped", Json::num_u64(pool.helped)),
-                        ("parks", Json::num_u64(pool.parks)),
-                        ("wakeups", Json::num_u64(pool.wakeups)),
-                    ]),
-                ),
-                (
-                    "serve",
-                    Json::obj([
-                        ("registry_tensors", Json::num_u64(serve.registry_tensors)),
-                        ("registry_bytes", Json::num_u64(serve.registry_bytes)),
-                        ("registry_evictions", Json::num_u64(serve.registry_evictions)),
-                        ("pinned", Json::num_u64(serve.pinned)),
-                        ("batch_dispatches", Json::num_u64(serve.batch_dispatches)),
-                        ("batched_runs", Json::num_u64(serve.batched_runs)),
-                        ("offloaded_replications", Json::num_u64(serve.offloaded_replications)),
-                        ("queued", Json::num_u64(serve.queued)),
-                        ("rejected_conns", Json::num_u64(serve.rejected_conns)),
-                        ("rejected_bytes", Json::num_u64(serve.rejected_bytes)),
-                        ("deadline_exceeded", Json::num_u64(serve.deadline_exceeded)),
-                        ("stale_runs", Json::num_u64(serve.stale_runs)),
-                        ("panics_caught", Json::num_u64(serve.panics_caught)),
-                        ("quarantined_kernels", Json::num_u64(serve.quarantined_kernels)),
-                        ("journal_records", Json::num_u64(serve.journal_records)),
-                        ("journal_bytes", Json::num_u64(serve.journal_bytes)),
-                        ("journal_fsyncs", Json::num_u64(serve.journal_fsyncs)),
-                        ("recovery_replayed", Json::num_u64(serve.recovery_replayed)),
-                        ("recovery_truncated", Json::num_u64(serve.recovery_truncated)),
-                    ]),
-                ),
-                (
-                    "kernels",
-                    Json::Arr(
-                        kernels
-                            .iter()
-                            .map(|k| {
-                                let mut pairs = vec![
-                                    ("kernel", Json::num_u64(k.kernel)),
-                                    ("spec", Json::Str(k.spec.clone())),
-                                    ("runs", Json::num_u64(k.runs)),
-                                ];
-                                if let Some(m) = k.median_us {
-                                    pairs.push(("median_us", Json::Num(m)));
-                                }
-                                if let Some(m) = k.p90_us {
-                                    pairs.push(("p90_us", Json::Num(m)));
-                                }
-                                if let Some(m) = k.p99_us {
-                                    pairs.push(("p99_us", Json::Num(m)));
-                                }
-                                if let Some(m) = k.max_us {
-                                    pairs.push(("max_us", Json::Num(m)));
-                                }
-                                pairs.push(("slow", Json::num_u64(k.slow)));
-                                Json::obj(pairs)
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "slow",
-                    Json::Arr(
-                        slow.iter()
-                            .map(|s| {
-                                Json::obj([
-                                    ("kernel", Json::num_u64(s.kernel)),
-                                    ("us", Json::num_u64(s.us)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::ClusterStats { router, shards } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("reply", Json::Str("cluster_stats".into())),
-                (
-                    "router",
-                    Json::obj([
-                        ("register_tensor", Json::num_u64(router.register_tensor)),
-                        ("prepare", Json::num_u64(router.prepare)),
-                        ("run", Json::num_u64(router.run)),
-                        ("sharded_runs", Json::num_u64(router.sharded_runs)),
-                        ("fanouts", Json::num_u64(router.fanouts)),
-                        ("replicated", Json::num_u64(router.replicated)),
-                        ("errors", Json::num_u64(router.errors)),
-                    ]),
-                ),
-                (
-                    "shards",
-                    Json::Arr(
-                        shards
-                            .iter()
-                            .map(|s| {
-                                Json::obj([
-                                    ("shard", Json::num_u64(s.shard)),
-                                    ("addr", Json::Str(s.addr.clone())),
-                                    ("healthy", Json::Bool(s.healthy)),
-                                    ("vnodes", Json::num_u64(s.vnodes)),
-                                    ("keys", Json::num_u64(s.keys)),
-                                    ("forwarded", Json::num_u64(s.forwarded)),
-                                    ("errors", Json::num_u64(s.errors)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::Metrics { text } => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("reply", Json::Str("metrics".into())),
-                ("text", Json::Str(text.clone())),
-            ]),
-            Response::Pong => {
-                Json::obj([("ok", Json::Bool(true)), ("reply", Json::Str("pong".into()))])
+            Response::Stats { cache, requests, pool, serve, kernels, slow } => Obj::reply("stats")
+                .with("cache", cache)
+                .with("requests", requests)
+                .with("pool", pool)
+                .with("serve", serve)
+                .with("kernels", kernels)
+                .with("slow", slow)
+                .json(),
+            Response::ClusterStats { router, shards } => {
+                Obj::reply("cluster_stats").with("router", router).with("shards", shards).json()
             }
-            Response::ShuttingDown => {
-                Json::obj([("ok", Json::Bool(true)), ("reply", Json::Str("shutting_down".into()))])
+            Response::Metrics { text } => Obj::reply("metrics").with("text", text).json(),
+            Response::Pong => Obj::reply("pong").json(),
+            Response::ShuttingDown => Obj::reply("shutting_down").json(),
+            Response::Error { code, message } => {
+                Obj::default().with("ok", &false).with("code", code).with("error", message).json()
             }
-            Response::Error { code, message } => Json::obj([
-                ("ok", Json::Bool(false)),
-                ("code", Json::Str(code.as_str().into())),
-                ("error", Json::Str(message.clone())),
-            ]),
         };
         json.to_string()
     }
@@ -1257,18 +1037,12 @@ impl Response {
     /// panics, whatever the input.
     pub fn decode(line: &str) -> Result<Response, ProtoError> {
         let json = Json::parse(line).map_err(|e| ProtoError::new(e.to_string()))?;
-        let ok = json
-            .get("ok")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| ProtoError::new("response object needs a boolean `ok` field"))?;
+        let ok: bool = need(&json, "ok", || "response object needs a boolean `ok` field".into())?;
         if !ok {
-            let code = json
-                .get("code")
-                .and_then(Json::as_str)
-                .and_then(ErrorCode::from_str)
-                .ok_or_else(|| ProtoError::new("error response needs a known `code`"))?;
-            let message = require_str(&json, "error")?;
-            return Ok(Response::Error { code, message });
+            return Ok(Response::Error {
+                code: Field::take(&json, "code", "error response")?,
+                message: Field::take(&json, "error", "error response")?,
+            });
         }
         let reply = json
             .get("reply")
@@ -1276,59 +1050,19 @@ impl Response {
             .ok_or_else(|| ProtoError::new("ok response needs a `reply` tag"))?;
         match reply {
             "registered" => Ok(Response::Registered {
-                name: require_str(&json, "name")?,
-                nnz: json
-                    .get("nnz")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| ProtoError::new("registered reply needs integer `nnz`"))?,
-                generation: json.get("generation").and_then(Json::as_u64).ok_or_else(|| {
-                    ProtoError::new("registered reply needs integer `generation`")
-                })?,
+                name: Field::take(&json, "name", "registered reply")?,
+                nnz: Field::take(&json, "nnz", "registered reply")?,
+                generation: Field::take(&json, "generation", "registered reply")?,
             }),
             "unregistered" => Ok(Response::Unregistered {
-                name: require_str(&json, "name")?,
-                existed: json
-                    .get("existed")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| ProtoError::new("unregistered reply needs boolean `existed`"))?,
+                name: Field::take(&json, "name", "unregistered reply")?,
+                existed: Field::take(&json, "existed", "unregistered reply")?,
             }),
             "prepared" => Ok(Response::Prepared {
-                kernel: json
-                    .get("kernel")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| ProtoError::new("prepared reply needs integer `kernel`"))?,
-                splittable: json
-                    .get("splittable")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| ProtoError::new("prepared reply needs boolean `splittable`"))?,
-                split: match json.get("split") {
-                    None => None,
-                    Some(s) => Some(
-                        s.as_obj()
-                            .ok_or_else(|| ProtoError::new("`split` must be an object"))?
-                            .iter()
-                            .map(|(name, rule)| {
-                                rule.as_str()
-                                    .and_then(MergeRule::from_str)
-                                    .map(|rule| (name.clone(), rule))
-                                    .ok_or_else(|| {
-                                        ProtoError::new("`split` values must be known merge rules")
-                                    })
-                            })
-                            .collect::<Result<Vec<(String, MergeRule)>, ProtoError>>()?,
-                    ),
-                },
-                warning: match json.get("warning") {
-                    None => None,
-                    Some(w) => {
-                        let kind = w
-                            .get("kind")
-                            .and_then(Json::as_str)
-                            .and_then(WarningKind::from_str)
-                            .ok_or_else(|| ProtoError::new("`warning` needs a known `kind`"))?;
-                        Some(Warning { kind, message: require_str(w, "message")? })
-                    }
-                },
+                kernel: Field::take(&json, "kernel", "prepared reply")?,
+                splittable: Field::take(&json, "splittable", "prepared reply")?,
+                split: Field::take(&json, "split", "prepared reply")?,
+                warning: Field::take(&json, "warning", "prepared reply")?,
             }),
             "run" => {
                 let outputs = json
@@ -1351,15 +1085,10 @@ impl Response {
                 let c = json
                     .get("counters")
                     .ok_or_else(|| ProtoError::new("run reply needs `counters`"))?;
-                let counter_u64 = |field: &str| {
-                    c.get(field)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ProtoError::new(format!("counters need integer `{field}`")))
-                };
                 let counters = CounterPayload {
-                    flops: counter_u64("flops")?,
-                    writes: counter_u64("writes")?,
-                    iterations: counter_u64("iterations")?,
+                    flops: Field::take(c, "flops", "counters")?,
+                    writes: Field::take(c, "writes", "counters")?,
+                    iterations: Field::take(c, "iterations", "counters")?,
                     reads: c
                         .get("reads")
                         .and_then(Json::as_obj)
@@ -1374,178 +1103,21 @@ impl Response {
                 };
                 Ok(Response::Ran { outputs, counters })
             }
-            "stats" => {
-                let cache_json = json
-                    .get("cache")
-                    .ok_or_else(|| ProtoError::new("stats reply needs `cache`"))?;
-                let g = |field: &str| {
-                    cache_json
-                        .get(field)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ProtoError::new(format!("cache needs integer `{field}`")))
-                };
-                let cache = CachePayload {
-                    hits: g("hits")?,
-                    misses: g("misses")?,
-                    builds: g("builds")?,
-                    evictions: g("evictions")?,
-                    waits: g("waits")?,
-                    entries: g("entries")?,
-                };
-                let req_json = json
-                    .get("requests")
-                    .ok_or_else(|| ProtoError::new("stats reply needs `requests`"))?;
-                let r = |field: &str| {
-                    req_json
-                        .get(field)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ProtoError::new(format!("requests need integer `{field}`")))
-                };
-                let requests = RequestCountsPayload {
-                    register_tensor: r("register_tensor")?,
-                    prepare: r("prepare")?,
-                    run: r("run")?,
-                    stats: r("stats")?,
-                    metrics: r("metrics")?,
-                    ping: r("ping")?,
-                    unregister: r("unregister")?,
-                    errors: r("errors")?,
-                };
-                let pool_json =
-                    json.get("pool").ok_or_else(|| ProtoError::new("stats reply needs `pool`"))?;
-                let p = |field: &str| {
-                    pool_json
-                        .get(field)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ProtoError::new(format!("pool needs integer `{field}`")))
-                };
-                let pool = PoolPayload {
-                    workers: p("workers")?,
-                    submitted: p("submitted")?,
-                    executed: p("executed")?,
-                    helped: p("helped")?,
-                    parks: p("parks")?,
-                    wakeups: p("wakeups")?,
-                };
-                let serve_json = json
-                    .get("serve")
-                    .ok_or_else(|| ProtoError::new("stats reply needs `serve`"))?;
-                let sv = |field: &str| {
-                    serve_json
-                        .get(field)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ProtoError::new(format!("serve needs integer `{field}`")))
-                };
-                let serve = ServePayload {
-                    registry_tensors: sv("registry_tensors")?,
-                    registry_bytes: sv("registry_bytes")?,
-                    registry_evictions: sv("registry_evictions")?,
-                    pinned: sv("pinned")?,
-                    batch_dispatches: sv("batch_dispatches")?,
-                    batched_runs: sv("batched_runs")?,
-                    offloaded_replications: sv("offloaded_replications")?,
-                    queued: sv("queued")?,
-                    rejected_conns: sv("rejected_conns")?,
-                    rejected_bytes: sv("rejected_bytes")?,
-                    deadline_exceeded: sv("deadline_exceeded")?,
-                    stale_runs: sv("stale_runs")?,
-                    panics_caught: sv("panics_caught")?,
-                    quarantined_kernels: sv("quarantined_kernels")?,
-                    journal_records: sv("journal_records")?,
-                    journal_bytes: sv("journal_bytes")?,
-                    journal_fsyncs: sv("journal_fsyncs")?,
-                    recovery_replayed: sv("recovery_replayed")?,
-                    recovery_truncated: sv("recovery_truncated")?,
-                };
-                let kernels = json
-                    .get("kernels")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ProtoError::new("stats reply needs a `kernels` array"))?
-                    .iter()
-                    .map(|k| {
-                        Ok(KernelStatPayload {
-                            kernel: k
-                                .get("kernel")
-                                .and_then(Json::as_u64)
-                                .ok_or_else(|| ProtoError::new("kernel stat needs `kernel`"))?,
-                            spec: require_str(k, "spec")?,
-                            runs: k
-                                .get("runs")
-                                .and_then(Json::as_u64)
-                                .ok_or_else(|| ProtoError::new("kernel stat needs `runs`"))?,
-                            median_us: optional_f64(k, "median_us")?,
-                            p90_us: optional_f64(k, "p90_us")?,
-                            p99_us: optional_f64(k, "p99_us")?,
-                            max_us: optional_f64(k, "max_us")?,
-                            slow: k
-                                .get("slow")
-                                .and_then(Json::as_u64)
-                                .ok_or_else(|| ProtoError::new("kernel stat needs `slow`"))?,
-                        })
-                    })
-                    .collect::<Result<Vec<KernelStatPayload>, ProtoError>>()?;
-                let slow = json
-                    .get("slow")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ProtoError::new("stats reply needs a `slow` array"))?
-                    .iter()
-                    .map(|s| {
-                        let f = |field: &str| {
-                            s.get(field).and_then(Json::as_u64).ok_or_else(|| {
-                                ProtoError::new(format!("slow entry needs integer `{field}`"))
-                            })
-                        };
-                        Ok(SlowRunPayload { kernel: f("kernel")?, us: f("us")? })
-                    })
-                    .collect::<Result<Vec<SlowRunPayload>, ProtoError>>()?;
-                Ok(Response::Stats { cache, requests, pool, serve, kernels, slow })
+            "stats" => Ok(Response::Stats {
+                cache: Field::take(&json, "cache", "stats reply")?,
+                requests: Field::take(&json, "requests", "stats reply")?,
+                pool: Field::take(&json, "pool", "stats reply")?,
+                serve: Field::take(&json, "serve", "stats reply")?,
+                kernels: Field::take(&json, "kernels", "stats reply")?,
+                slow: Field::take(&json, "slow", "stats reply")?,
+            }),
+            "cluster_stats" => Ok(Response::ClusterStats {
+                router: Field::take(&json, "router", "cluster_stats reply")?,
+                shards: Field::take(&json, "shards", "cluster_stats reply")?,
+            }),
+            "metrics" => {
+                Ok(Response::Metrics { text: Field::take(&json, "text", "metrics reply")? })
             }
-            "cluster_stats" => {
-                let router_json = json
-                    .get("router")
-                    .ok_or_else(|| ProtoError::new("cluster_stats reply needs `router`"))?;
-                let rc = |field: &str| {
-                    router_json
-                        .get(field)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ProtoError::new(format!("router needs integer `{field}`")))
-                };
-                let router = RouterCountsPayload {
-                    register_tensor: rc("register_tensor")?,
-                    prepare: rc("prepare")?,
-                    run: rc("run")?,
-                    sharded_runs: rc("sharded_runs")?,
-                    fanouts: rc("fanouts")?,
-                    replicated: rc("replicated")?,
-                    errors: rc("errors")?,
-                };
-                let shards = json
-                    .get("shards")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ProtoError::new("cluster_stats reply needs a `shards` array"))?
-                    .iter()
-                    .map(|s| {
-                        let f = |field: &str| {
-                            s.get(field).and_then(Json::as_u64).ok_or_else(|| {
-                                ProtoError::new(format!("shard entry needs integer `{field}`"))
-                            })
-                        };
-                        Ok(ShardStatPayload {
-                            shard: f("shard")?,
-                            addr: require_str(s, "addr")?,
-                            healthy: s.get("healthy").and_then(Json::as_bool).ok_or_else(|| {
-                                ProtoError::new("shard entry needs boolean `healthy`")
-                            })?,
-                            vnodes: f("vnodes")?,
-                            keys: f("keys")?,
-                            forwarded: f("forwarded")?,
-                            errors: f("errors")?,
-                        })
-                    })
-                    .collect::<Result<Vec<ShardStatPayload>, ProtoError>>()?;
-                Ok(Response::ClusterStats { router, shards })
-            }
-            "metrics" => Ok(Response::Metrics { text: require_str(&json, "text")? }),
             "pong" => Ok(Response::Pong),
             "shutting_down" => Ok(Response::ShuttingDown),
             other => Err(ProtoError::new(format!("unknown reply tag `{other}`"))),
@@ -1556,6 +1128,15 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{FieldSpec, Record};
+
+    /// A record whose k-th declared field holds `base + k`: every field
+    /// distinct, whatever the declaration grows to.
+    fn numbered<R: Record>(base: u64) -> R {
+        let values = R::FIELDS.iter().zip(base..);
+        let pairs = values.map(|(f, v)| (f.name.to_string(), Json::num_u64(v))).collect();
+        R::from_json(&Json::Obj(pairs), "record").expect("an integer per declared field")
+    }
 
     #[test]
     fn request_encodings_roundtrip() {
@@ -1659,53 +1240,10 @@ mod tests {
                 },
             },
             Response::Stats {
-                cache: CachePayload {
-                    hits: 1,
-                    misses: 2,
-                    builds: 2,
-                    evictions: 0,
-                    waits: 1,
-                    entries: 2,
-                },
-                requests: RequestCountsPayload {
-                    register_tensor: 1,
-                    prepare: 2,
-                    run: 30,
-                    stats: 1,
-                    metrics: 2,
-                    ping: 0,
-                    unregister: 1,
-                    errors: 3,
-                },
-                pool: PoolPayload {
-                    workers: 4,
-                    submitted: 128,
-                    executed: 120,
-                    helped: 8,
-                    parks: 17,
-                    wakeups: 17,
-                },
-                serve: ServePayload {
-                    registry_tensors: 2,
-                    registry_bytes: 4096,
-                    registry_evictions: 1,
-                    pinned: 3,
-                    batch_dispatches: 12,
-                    batched_runs: 30,
-                    offloaded_replications: 2,
-                    queued: 0,
-                    rejected_conns: 2,
-                    rejected_bytes: 1,
-                    deadline_exceeded: 4,
-                    stale_runs: 1,
-                    panics_caught: 1,
-                    quarantined_kernels: 1,
-                    journal_records: 9,
-                    journal_bytes: 2048,
-                    journal_fsyncs: 10,
-                    recovery_replayed: 5,
-                    recovery_truncated: 13,
-                },
+                cache: numbered(1),
+                requests: numbered(10),
+                pool: numbered(20),
+                serve: numbered(30),
                 kernels: vec![
                     KernelStatPayload {
                         kernel: 0,
@@ -1731,15 +1269,7 @@ mod tests {
                 slow: vec![SlowRunPayload { kernel: 0, us: 40 }],
             },
             Response::ClusterStats {
-                router: RouterCountsPayload {
-                    register_tensor: 6,
-                    prepare: 2,
-                    run: 40,
-                    sharded_runs: 10,
-                    fanouts: 4,
-                    replicated: 2,
-                    errors: 1,
-                },
+                router: numbered(50),
                 shards: vec![
                     ShardStatPayload {
                         shard: 0,
@@ -1841,34 +1371,57 @@ mod tests {
     }
 
     #[test]
-    fn error_codes_are_stable_strings() {
-        for code in [
-            ErrorCode::Parse,
-            ErrorCode::UnknownTensor,
-            ErrorCode::UnknownKernel,
-            ErrorCode::InvalidKernel,
-            ErrorCode::BadTensor,
-            ErrorCode::LineTooLong,
-            ErrorCode::DeadlineExceeded,
-            ErrorCode::AdmissionRejected,
-            ErrorCode::StaleTensor,
-            ErrorCode::Internal,
-            ErrorCode::KernelQuarantined,
-            ErrorCode::ShardUnavailable,
-        ] {
-            assert_eq!(ErrorCode::from_str(code.as_str()), Some(code));
+    fn wire_enums_roundtrip_every_variant_and_reject_strangers() {
+        macro_rules! check {
+            ($($e:ident),+) => {$(
+                for &v in $e::ALL {
+                    // A variant with no spelling (the omitted default)
+                    // parses from nothing, not from "".
+                    let want = (!v.as_str().is_empty()).then_some(v);
+                    assert_eq!($e::parse(v.as_str()), want, "{v:?}");
+                }
+                assert_eq!($e::parse("nope"), None);
+            )+};
         }
-        assert_eq!(ErrorCode::from_str("nope"), None);
-        assert_eq!(ErrorCode::from_str("internal"), None, "renamed wire code");
+        check!(ErrorCode, MergeRule, WarningKind, Variant, StorageFormat, Placement);
+        assert_eq!(ErrorCode::ALL.len(), 12);
+        assert_eq!(ErrorCode::parse("internal"), None, "renamed wire code");
+        assert_eq!(MergeRule::parse("overwrite"), None, "not a mergeable reduction");
+        assert_eq!(StorageFormat::parse("auto"), None, "auto is spelled by omission");
     }
 
     #[test]
-    fn merge_rules_are_stable_strings() {
-        for rule in [MergeRule::Rows, MergeRule::Add, MergeRule::Min, MergeRule::Max] {
-            assert_eq!(MergeRule::from_str(rule.as_str()), Some(rule));
+    fn merge_rules_map_onto_the_compiler_classification_and_back() {
+        assert_eq!(MergeRule::of(MergeKind::Rows), Some(MergeRule::Rows));
+        assert_eq!(MergeRule::Rows.fold(), None, "rows concatenate, they do not fold");
+        for (rule, op) in [
+            (MergeRule::Add, AssignOp::Add),
+            (MergeRule::Min, AssignOp::Min),
+            (MergeRule::Max, AssignOp::Max),
+        ] {
+            assert_eq!(MergeRule::of(MergeKind::Reduce(op)), Some(rule));
+            assert_eq!(rule.fold(), Some(op));
         }
-        assert_eq!(MergeRule::from_str("concat"), None);
-        assert_eq!(MergeRule::from_str("overwrite"), None, "not a mergeable reduction");
+        assert_eq!(MergeRule::of(MergeKind::Reduce(AssignOp::Overwrite)), None);
+    }
+
+    #[test]
+    fn records_list_their_fields_in_wire_order() {
+        let names = |fields: &[FieldSpec]| -> Vec<&str> { fields.iter().map(|f| f.name).collect() };
+        assert_eq!(
+            names(CachePayload::FIELDS),
+            ["hits", "misses", "builds", "evictions", "waits", "entries"]
+        );
+        assert_eq!(ServePayload::FIELDS.len(), 19);
+        assert_eq!(RouterCountsPayload::FIELDS.len(), 7);
+        // The wire object and the declaration agree key for key.
+        let Json::Obj(pairs) = Record::to_json(&ServePayload::default()) else { panic!() };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, names(ServePayload::FIELDS));
+        // `metrics` is the one request count kept out of the exposition.
+        let silent: Vec<FieldSpec> =
+            RequestCountsPayload::FIELDS.iter().filter(|f| f.metric.is_none()).copied().collect();
+        assert_eq!(names(&silent), ["metrics"]);
     }
 
     #[test]

@@ -187,7 +187,7 @@ impl Scheduler {
             _ => st.general.push_back(task),
         }
         st.depth += 1;
-        self.shared.engine.serve_metrics().queue_depth.set(st.depth as u64);
+        self.shared.engine.serve_metrics().queued.set(st.depth as u64);
         drop(st);
         self.shared.work.notify_one();
     }
@@ -252,7 +252,7 @@ fn executor(shared: &Shared) {
             if !st.paused {
                 if let Some(task) = st.general.pop_front() {
                     st.depth -= 1;
-                    shared.engine.serve_metrics().queue_depth.set(st.depth as u64);
+                    shared.engine.serve_metrics().queued.set(st.depth as u64);
                     break Work::One(task);
                 }
                 if let Some(key) = st.run_order.pop_front() {
@@ -266,7 +266,7 @@ fn executor(shared: &Shared) {
                         st.run_order.push_back(key);
                     }
                     st.depth -= batch.len();
-                    shared.engine.serve_metrics().queue_depth.set(st.depth as u64);
+                    shared.engine.serve_metrics().queued.set(st.depth as u64);
                     break Work::Batch(key, batch);
                 }
             }
@@ -285,7 +285,7 @@ fn executor(shared: &Shared) {
             Work::One(task) => {
                 let line = catch_unwind(AssertUnwindSafe(|| one_reply(shared, &task)))
                     .unwrap_or_else(|_panic| {
-                        shared.engine.serve_metrics().panics_caught.inc_always();
+                        shared.engine.serve_metrics().panics_caught.inc();
                         shared.engine.count_error();
                         internal_reply()
                     });
@@ -310,7 +310,7 @@ fn executor(shared: &Shared) {
                 let outcome =
                     catch_unwind(AssertUnwindSafe(|| dispatch_batch(shared, key, &mut live)));
                 if outcome.is_err() {
-                    shared.engine.serve_metrics().panics_caught.inc_always();
+                    shared.engine.serve_metrics().panics_caught.inc();
                     let line = internal_reply();
                     for task in live.drain(..) {
                         shared.engine.count_error();
@@ -374,10 +374,6 @@ fn dispatch_batch(shared: &Shared, (kernel, full, shard): RunKey, live: &mut Vec
         return;
     }
     let n = live.len() as u64;
-    let m = shared.engine.serve_metrics();
-    m.batch_dispatches.inc_always();
-    m.batched_runs.add_always(n);
-    m.batch_size.record(n);
     let response = shared.engine.run_batch(kernel, full, shard, n);
     let response = if response_elems(&response) >= LARGE_OUTPUT_ELEMS {
         // Hand the body off: encoding a multi-megabyte line
@@ -389,7 +385,7 @@ fn dispatch_batch(shared: &Shared, (kernel, full, shard): RunKey, live: &mut Vec
         };
         match sent {
             Ok(()) => {
-                m.offloaded_replications.inc_always();
+                shared.engine.serve_metrics().offloaded_replications.inc();
                 live.clear();
                 return;
             }
@@ -413,7 +409,7 @@ fn expired(shared: &Shared, task: &Task) -> bool {
 fn deadline_reply(shared: &Shared, task: &Task) -> Arc<String> {
     let limit = shared.deadline.expect("only expired tasks get here");
     shared.engine.count_error();
-    shared.engine.serve_metrics().deadline_exceeded.inc_always();
+    shared.engine.serve_metrics().deadline_exceeded.inc();
     Arc::new(
         Response::error(
             ErrorCode::DeadlineExceeded,
@@ -517,7 +513,7 @@ mod tests {
         for conn in 0..5 {
             scheduler.submit(conn, Request::Run { kernel, full: false, shard: None });
         }
-        assert_eq!(engine.serve_metrics().queue_depth.get(), 5);
+        assert_eq!(engine.serve_metrics().queued.get(), 5);
         scheduler.resume();
         let completions = log.wait_for(5);
         assert_eq!(completions.len(), 5, "every requester must be answered");
@@ -527,7 +523,7 @@ mod tests {
         let m = engine.serve_metrics();
         assert_eq!(m.batch_dispatches.get() - dispatches_before, 1, "5 runs, one dispatch");
         assert_eq!(m.batched_runs.get(), 5);
-        assert_eq!(m.queue_depth.get(), 0, "queue drained");
+        assert_eq!(m.queued.get(), 0, "queue drained");
         scheduler.shutdown();
         // Request accounting is indistinguishable from serial serving:
         // the oracle run plus the 5 coalesced ones.

@@ -562,7 +562,7 @@ fn token(conn: u64) -> usize {
 /// closes it. The write is best-effort and nonblocking — a fresh
 /// socket's send buffer always holds one short line.
 fn reject_connection(shared: &Arc<Shared>, stream: TcpStream, live: usize) {
-    shared.engine.serve_metrics().admission_rejected_conns.inc_always();
+    shared.engine.serve_metrics().rejected_conns.inc();
     shared.engine.count_error();
     let mut line = Response::error(
         ErrorCode::AdmissionRejected,

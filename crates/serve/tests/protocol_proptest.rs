@@ -7,16 +7,35 @@
 //!   which is what keeps a connection alive after garbage.
 
 use proptest::prelude::*;
+use systec_serve::json::Json;
 use systec_serve::protocol::{
-    CachePayload, CounterPayload, ErrorCode, KernelStatPayload, MergeRule, OutputPayload,
-    Placement, PoolPayload, Request, RequestCountsPayload, Response, RouterCountsPayload,
-    ServePayload, ShardStatPayload, SlowRunPayload, StorageFormat, TensorPayload, Variant, Warning,
-    WarningKind,
+    CounterPayload, ErrorCode, KernelStatPayload, MergeRule, OutputPayload, Placement, Request,
+    Response, ShardStatPayload, StorageFormat, TensorPayload, Variant, Warning, WarningKind,
 };
+use systec_serve::wire::Record;
 
 // ---------------------------------------------------------------------
 // Strategies
 // ---------------------------------------------------------------------
+
+/// Any variant of a wire enum, drawn from its declared `ALL` list.
+fn one_of<T: Copy + std::fmt::Debug + 'static>(all: &'static [T]) -> impl Strategy<Value = T> {
+    (0..all.len()).prop_map(move |k| all[k])
+}
+
+/// An all-integer stats record with every declared field drawn
+/// independently: built from `FIELDS`, so a field added to the
+/// declaration is covered without this file changing.
+fn record_strategy<R: Record + std::fmt::Debug>() -> impl Strategy<Value = R> {
+    prop::collection::vec(0u64..9000, R::FIELDS.len()).prop_map(|values| {
+        let pairs = R::FIELDS
+            .iter()
+            .zip(values)
+            .map(|(field, v)| (field.name.to_string(), Json::num_u64(v)))
+            .collect();
+        R::from_json(&Json::Obj(pairs), "record").expect("an integer per declared field decodes")
+    })
+}
 
 /// Names exercising escaping: quotes, backslashes, newlines, non-ASCII.
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -64,25 +83,25 @@ fn payload_strategy() -> impl Strategy<Value = (Vec<usize>, TensorPayload)> {
 }
 
 fn request_strategy() -> impl Strategy<Value = Request> {
-    let register = (name_strategy(), payload_strategy(), 0usize..3, any::<bool>()).prop_map(
-        |(name, (dims, payload), fmt, replicate)| Request::RegisterTensor {
-            name,
-            dims,
-            payload,
-            format: [StorageFormat::Auto, StorageFormat::Dense, StorageFormat::Csf][fmt],
-            placement: if replicate { Placement::Replicate } else { Placement::Hash },
-        },
-    );
+    let register =
+        (name_strategy(), payload_strategy(), one_of(StorageFormat::ALL), one_of(Placement::ALL))
+            .prop_map(|(name, (dims, payload), format, placement)| Request::RegisterTensor {
+                name,
+                dims,
+                payload,
+                format,
+                placement,
+            });
     let prepare = (
         name_strategy(),
         prop::collection::vec(name_strategy(), 0..3),
         prop::collection::vec((name_strategy(), name_strategy()), 0..3),
-        any::<bool>(),
+        one_of(Variant::ALL),
         any::<bool>(),
         0usize..5,
         any::<bool>(),
     )
-        .prop_map(|(einsum, sym, mut inputs, naive, with_threads, threads, sharded)| {
+        .prop_map(|(einsum, sym, mut inputs, variant, with_threads, threads, sharded)| {
             // Duplicate mapping keys decode ambiguously by design; make
             // keys unique for the round-trip property.
             inputs.sort();
@@ -91,7 +110,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                 einsum,
                 sym,
                 inputs,
-                variant: if naive { Variant::Naive } else { Variant::Systec },
+                variant,
                 threads: with_threads.then_some(threads),
                 sharded,
             }
@@ -159,25 +178,27 @@ fn response_strategy() -> impl Strategy<Value = Response> {
         .prop_map(|(name, nnz, generation)| Response::Registered { name, nnz, generation });
     let unregistered = (name_strategy(), any::<bool>())
         .prop_map(|(name, existed)| Response::Unregistered { name, existed });
-    let split_strategy = prop::collection::vec((name_strategy(), 0usize..4), 0..3).prop_map(
-        |mut entries| -> Vec<(String, MergeRule)> {
-            entries.sort();
+    let split_strategy = prop::collection::vec((name_strategy(), one_of(MergeRule::ALL)), 0..3)
+        .prop_map(|mut entries| -> Vec<(String, MergeRule)> {
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
             entries.dedup_by(|a, b| a.0 == b.0);
             entries
-                .into_iter()
-                .map(|(name, rule)| {
-                    (name, [MergeRule::Rows, MergeRule::Add, MergeRule::Min, MergeRule::Max][rule])
-                })
-                .collect()
-        },
-    );
-    let prepared = (0u64..1000, any::<bool>(), any::<bool>(), split_strategy, name_strategy())
-        .prop_map(|(kernel, splittable, with_split, split, message)| Response::Prepared {
-            kernel,
-            splittable,
-            split: with_split.then_some(split),
-            warning: (!with_split)
-                .then_some(Warning { kind: WarningKind::SerialFallback, message }),
+        });
+    let prepared = (
+        0u64..1000,
+        any::<bool>(),
+        any::<bool>(),
+        split_strategy,
+        one_of(WarningKind::ALL),
+        name_strategy(),
+    )
+        .prop_map(|(kernel, splittable, with_split, split, kind, message)| {
+            Response::Prepared {
+                kernel,
+                splittable,
+                split: with_split.then_some(split),
+                warning: (!with_split).then_some(Warning { kind, message }),
+            }
         });
     let ran = (outputs_strategy(), counters_strategy())
         .prop_map(|(outputs, counters)| Response::Ran { outputs, counters });
@@ -200,72 +221,20 @@ fn response_strategy() -> impl Strategy<Value = Response> {
             slow,
         });
     let stats = (
-        (0u64..9000, 0u64..9000, 0u64..9000, 0u64..9000, 0u64..9000, 0u64..9000),
-        (
-            0u64..9000,
-            0u64..9000,
-            0u64..9000,
-            0u64..9000,
-            0u64..9000,
-            0u64..9000,
-            0u64..9000,
-            0u64..9000,
-        ),
-        (0u64..64, 0u64..9000, 0u64..9000, 0u64..9000, 0u64..9000, 0u64..9000),
-        prop::collection::vec(0u64..9000, 19),
+        record_strategy(),
+        record_strategy(),
+        record_strategy(),
+        record_strategy(),
         prop::collection::vec(kernel_stat, 0..3),
-        prop::collection::vec((0u64..100, 0u64..1_000_000), 0..4),
+        prop::collection::vec(record_strategy(), 0..4),
     )
-        .prop_map(|(c, r, p, s, kernels, slow)| Response::Stats {
-            cache: CachePayload {
-                hits: c.0,
-                misses: c.1,
-                builds: c.2,
-                evictions: c.3,
-                waits: c.4,
-                entries: c.5,
-            },
-            requests: RequestCountsPayload {
-                register_tensor: r.0,
-                prepare: r.1,
-                run: r.2,
-                unregister: r.3,
-                stats: r.4,
-                metrics: r.5,
-                ping: r.6,
-                errors: r.7,
-            },
-            pool: PoolPayload {
-                workers: p.0,
-                submitted: p.1,
-                executed: p.2,
-                helped: p.3,
-                parks: p.4,
-                wakeups: p.5,
-            },
-            serve: ServePayload {
-                registry_tensors: s[0],
-                registry_bytes: s[1],
-                registry_evictions: s[2],
-                pinned: s[3],
-                batch_dispatches: s[4],
-                batched_runs: s[5],
-                offloaded_replications: s[6],
-                queued: s[7],
-                rejected_conns: s[8],
-                rejected_bytes: s[9],
-                deadline_exceeded: s[10],
-                stale_runs: s[11],
-                panics_caught: s[12],
-                quarantined_kernels: s[13],
-                journal_records: s[14],
-                journal_bytes: s[15],
-                journal_fsyncs: s[16],
-                recovery_replayed: s[17],
-                recovery_truncated: s[18],
-            },
+        .prop_map(|(cache, requests, pool, serve, kernels, slow)| Response::Stats {
+            cache,
+            requests,
+            pool,
+            serve,
             kernels,
-            slow: slow.into_iter().map(|(kernel, us)| SlowRunPayload { kernel, us }).collect(),
+            slow,
         });
     let metrics = name_strategy().prop_map(|salt| Response::Metrics {
         // Realistic multi-line exposition text plus escaping stress
@@ -288,38 +257,10 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                 errors: v[3],
             },
         );
-    let cluster_stats =
-        (prop::collection::vec(0u64..9000, 7), prop::collection::vec(shard_stat, 0..4)).prop_map(
-            |(r, shards)| Response::ClusterStats {
-                router: RouterCountsPayload {
-                    register_tensor: r[0],
-                    prepare: r[1],
-                    run: r[2],
-                    sharded_runs: r[3],
-                    fanouts: r[4],
-                    replicated: r[5],
-                    errors: r[6],
-                },
-                shards,
-            },
-        );
-    let error = (0usize..12, name_strategy()).prop_map(|(code, message)| Response::Error {
-        code: [
-            ErrorCode::Parse,
-            ErrorCode::UnknownTensor,
-            ErrorCode::UnknownKernel,
-            ErrorCode::InvalidKernel,
-            ErrorCode::BadTensor,
-            ErrorCode::Internal,
-            ErrorCode::LineTooLong,
-            ErrorCode::DeadlineExceeded,
-            ErrorCode::AdmissionRejected,
-            ErrorCode::StaleTensor,
-            ErrorCode::KernelQuarantined,
-            ErrorCode::ShardUnavailable,
-        ][code],
-        message,
-    });
+    let cluster_stats = (record_strategy(), prop::collection::vec(shard_stat, 0..4))
+        .prop_map(|(router, shards)| Response::ClusterStats { router, shards });
+    let error = (one_of(ErrorCode::ALL), name_strategy())
+        .prop_map(|(code, message)| Response::Error { code, message });
     prop_oneof![
         registered,
         unregistered,

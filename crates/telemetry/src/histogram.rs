@@ -62,9 +62,6 @@ pub fn export_ladder() -> impl Iterator<Item = u64> {
 /// A wait-free, allocation-free histogram with `BUCKETS` fixed atomic
 /// buckets plus count / sum / max. Construction is `const`, so these
 /// can live in `static`s; recording is a few relaxed RMWs.
-///
-/// Recording respects the process-wide [`crate::TelemetryMode`]: when
-/// telemetry is off, [`Histogram::record`] is a single relaxed load.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -90,18 +87,9 @@ impl Histogram {
         }
     }
 
-    /// Records one observation (gated on the global telemetry mode).
+    /// Records one observation.
     #[inline]
     pub fn record(&self, value: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.record_always(value);
-    }
-
-    /// Records one observation regardless of the global mode.
-    #[inline]
-    pub fn record_always(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -230,7 +218,7 @@ mod tests {
     fn quantiles_of_uniform_ramp() {
         let h = Histogram::new();
         for v in 1..=1000u64 {
-            h.record_always(v);
+            h.record(v);
         }
         let s = h.snapshot();
         assert_eq!(s.count, 1000);

@@ -1,11 +1,11 @@
 //! # systec-telemetry
 //!
 //! A lock-free, preallocated metrics and tracing core for the systec
-//! workspace. Every layer of the compiler and server reports into this
-//! crate — compile-phase spans, plan-cache events, VM dispatch counts,
-//! worker-pool utilization, per-kernel latency histograms — and the
-//! serve crate renders the result as an expanded `stats` verb, a
-//! Prometheus `metrics` verb, and the `systec top` CLI table.
+//! workspace. The compiler and the server report into this crate —
+//! compile-phase spans, VM dispatch counts and run time, per-kernel
+//! latency histograms, the serving counters — and the serve crate
+//! renders the result as an expanded `stats` verb, a Prometheus
+//! `metrics` verb, and the `systec top` CLI table.
 //!
 //! Design constraints, in priority order:
 //!
@@ -13,18 +13,17 @@
 //!    fixed `[AtomicU64; N]` arrays ([`Histogram`]), counters are
 //!    single atomics, and both are `const`-constructible so the global
 //!    registry is a `static` with no lazy-init branch.
-//! 2. **Recording is globally gateable.** [`TelemetryMode::Off`]
-//!    reduces every record call to one relaxed load, mirroring the
-//!    exact-parity counters' `CounterMode::Off`, and is used by the
-//!    serve alloc-regression tier to prove on/off output parity.
+//! 2. **Recording is unconditional.** There is no off switch: a
+//!    record call is a few relaxed RMWs, cheap enough to leave on, and
+//!    counters double as request accounting that tests assert exact
+//!    identities over.
 //! 3. **Exposition is deterministic.** All exported values are
 //!    integers (nanoseconds, counts); the [`prom`] writer emits
-//!    families in the order the caller composes them, so a scrape of
-//!    an idle process is byte-stable.
+//!    families in sorted name order, so a scrape of an idle process is
+//!    byte-stable.
 //!
 //! Counters here are process-lifetime monotonic (Prometheus
-//! semantics): they are never reset, even when e.g. the plan cache
-//! they describe is cleared.
+//! semantics): they are never reset.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,53 +33,17 @@ pub mod prom;
 
 pub use histogram::{bucket_index, bucket_upper, export_ladder, Histogram, Snapshot, BUCKETS};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// Global mode
+// Counters
 // ---------------------------------------------------------------------------
 
-/// Process-wide recording switch, mirroring the exact-parity work
-/// counters' `CounterMode`: `Off` turns every record call into a
-/// single relaxed load so telemetry can be excluded as a variable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TelemetryMode {
-    /// Record everything (the default).
-    On,
-    /// Drop every observation; counters and histograms freeze.
-    Off,
-}
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide telemetry mode.
-pub fn set_mode(mode: TelemetryMode) {
-    ENABLED.store(matches!(mode, TelemetryMode::On), Ordering::Relaxed);
-}
-
-/// The current process-wide telemetry mode.
-pub fn mode() -> TelemetryMode {
-    if enabled() {
-        TelemetryMode::On
-    } else {
-        TelemetryMode::Off
-    }
-}
-
-/// `true` when recording is enabled. One relaxed load; hot paths may
-/// use this to skip `Instant::now()` calls entirely.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------------
-// Counters and gauges
-// ---------------------------------------------------------------------------
-
-/// A monotonic counter: one atomic, `const`-constructible, gated on
-/// the global mode.
+/// One atomic `u64` cell, `const`-constructible. A monotonic counter
+/// only ever calls [`Counter::inc`] / [`Counter::add`]; a gauge (queue
+/// depth, registry bytes) overwrites with [`Counter::set`]. Which of
+/// the two a cell is lives in its exposition family's type, not here.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -99,47 +62,10 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds one regardless of the global mode. For counters that are
-    /// request *accounting* rather than observability — admission
-    /// rejections, batch dispatches — where freezing under
-    /// [`TelemetryMode::Off`] would break exactness invariants the
-    /// serving tests rely on (mirrors [`Gauge`]'s ungated rationale).
-    #[inline]
-    pub fn inc_always(&self) {
-        self.add_always(1);
-    }
-
-    /// Adds `n` regardless of the global mode (see
-    /// [`Counter::inc_always`]).
-    #[inline]
-    pub fn add_always(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value-wins gauge. Unlike [`Counter`], `set` is not gated on
-/// the global mode: gauges describe current state (pool sizes, cache
-/// entries), not accumulated events, so freezing them would lie.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Overwrites the value.
+    /// Overwrites the value (gauges).
     #[inline]
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
@@ -187,15 +113,10 @@ impl Phase {
         }
     }
 
-    /// Position in [`PHASES`] (stable; usable as an array index).
+    /// Position in [`PHASES`] — the declaration order (stable; usable
+    /// as an array index).
     pub fn index(self) -> usize {
-        match self {
-            Phase::Parse => 0,
-            Phase::Symmetrize => 1,
-            Phase::Lower => 2,
-            Phase::Fuse => 3,
-            Phase::Bytecode => 4,
-        }
+        self as usize
     }
 }
 
@@ -213,12 +134,9 @@ impl PhaseStat {
         Self { count: AtomicU64::new(0), total_ns: AtomicU64::new(0), max_ns: AtomicU64::new(0) }
     }
 
-    /// Records one span of `ns` nanoseconds (gated on the global mode).
+    /// Records one span of `ns` nanoseconds.
     #[inline]
     pub fn record(&self, ns: u64) {
-        if !enabled() {
-            return;
-        }
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
@@ -241,25 +159,22 @@ impl PhaseStat {
 }
 
 /// A scope timer: records the elapsed wall time into the global
-/// [`PhaseStat`] for `phase` when dropped. When telemetry is off the
-/// clock is never read.
+/// [`PhaseStat`] for `phase` when dropped.
 #[must_use = "a span records on drop; binding it to _ ends it immediately"]
 pub struct Span {
     phase: Phase,
-    start: Option<Instant>,
+    start: Instant,
 }
 
 /// Starts a [`Span`] for `phase`.
 pub fn span(phase: Phase) -> Span {
-    Span { phase, start: enabled().then(Instant::now) }
+    Span { phase, start: Instant::now() }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            global().phase(self.phase).record(ns);
-        }
+        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        global().phase(self.phase).record(ns);
     }
 }
 
@@ -317,165 +232,10 @@ impl BodyKind {
         }
     }
 
-    /// Position in [`BODY_KINDS`] (stable; usable as an array index).
+    /// Position in [`BODY_KINDS`] — the declaration order (stable;
+    /// usable as an array index).
     pub fn index(self) -> usize {
-        match self {
-            BodyKind::Dot => 0,
-            BodyKind::Axpy => 1,
-            BodyKind::ScaleStore => 2,
-            BodyKind::DotAxpy => 3,
-            BodyKind::GatherDot => 4,
-            BodyKind::GatherAxpy => 5,
-            BodyKind::Jam => 6,
-            BodyKind::Steps => 7,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serving metrics
-// ---------------------------------------------------------------------------
-
-/// Metrics for one serving engine: request batching, queue depth,
-/// admission control, and tensor-registry lifecycle. Owned per-engine
-/// (not in the global registry) so engines in the same process — e.g.
-/// parallel tests — never bleed into each other's scrapes.
-///
-/// The counters here are **accounting**, not sampling: admission
-/// rejections and batch dispatches must stay exact even under
-/// [`TelemetryMode::Off`] (the serving tests assert arithmetic
-/// identities over them), so recording uses the ungated
-/// [`Counter::add_always`] paths. The one exception is
-/// [`ServeMetrics::batch_size`]: a latency-class histogram, gated like
-/// every other histogram.
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    /// Worker-pool dispatches issued by the run scheduler (each may
-    /// carry several coalesced run requests).
-    pub batch_dispatches: Counter,
-    /// Run requests served through batched dispatches.
-    pub batched_runs: Counter,
-    /// Distribution of runs per dispatch (gated on the global mode).
-    pub batch_size: Histogram,
-    /// Requests currently queued in the scheduler.
-    pub queue_depth: Gauge,
-    /// Connections refused because `--max-conns` was reached.
-    pub admission_rejected_conns: Counter,
-    /// Registrations refused because `--max-bytes` was reached.
-    pub admission_rejected_bytes: Counter,
-    /// Requests answered with `deadline_exceeded` before dispatch.
-    pub deadline_exceeded: Counter,
-    /// Batch responses large enough to be encoded and fanned out on
-    /// the dedicated replicator thread instead of the executor.
-    pub offloaded_replications: Counter,
-    /// Runs refused because a pinned tensor was re-registered since
-    /// the kernel was prepared (`stale_tensor` errors).
-    pub stale_runs: Counter,
-    /// Unpinned tensors evicted from the registry by the LRU policy.
-    pub registry_evictions: Counter,
-    /// Estimated bytes currently held by the tensor registry.
-    pub registry_bytes: Gauge,
-    /// Tensors currently registered.
-    pub registry_tensors: Gauge,
-    /// Executor panics caught and converted into structured
-    /// `internal_error` replies. Accounting — counted unconditionally,
-    /// like the admission counters, because a caught panic must never
-    /// disappear from view when recording is off.
-    pub panics_caught: Counter,
-    /// Kernel handles currently quarantined after a caught panic.
-    pub quarantined_kernels: Gauge,
-    /// Records appended to the durability write-ahead journal.
-    pub journal_records: Counter,
-    /// Bytes appended to the durability write-ahead journal.
-    pub journal_bytes: Counter,
-    /// fsyncs issued by the journal/snapshot writer.
-    pub journal_fsyncs: Counter,
-    /// Durable records replayed during startup recovery.
-    pub recovery_replayed: Counter,
-    /// Torn-tail bytes truncated from the journal during recovery.
-    pub recovery_truncated: Counter,
-}
-
-impl ServeMetrics {
-    /// A zeroed set.
-    pub const fn new() -> Self {
-        Self {
-            batch_dispatches: Counter::new(),
-            batched_runs: Counter::new(),
-            batch_size: Histogram::new(),
-            queue_depth: Gauge::new(),
-            admission_rejected_conns: Counter::new(),
-            admission_rejected_bytes: Counter::new(),
-            deadline_exceeded: Counter::new(),
-            offloaded_replications: Counter::new(),
-            stale_runs: Counter::new(),
-            registry_evictions: Counter::new(),
-            registry_bytes: Gauge::new(),
-            registry_tensors: Gauge::new(),
-            panics_caught: Counter::new(),
-            quarantined_kernels: Gauge::new(),
-            journal_records: Counter::new(),
-            journal_bytes: Counter::new(),
-            journal_fsyncs: Counter::new(),
-            recovery_replayed: Counter::new(),
-            recovery_truncated: Counter::new(),
-        }
-    }
-}
-
-/// Cluster-router metrics, owned by one `systec-router` instance (the
-/// same ownership model as [`ServeMetrics`]): the router holds one set
-/// and renders it through the `metrics` verb. Traffic counters use the
-/// ungated paths so the accounting survives `--telemetry off`; the
-/// merge-latency histogram stays gated like every other histogram.
-#[derive(Debug)]
-pub struct RouterMetrics {
-    /// Requests forwarded to a single owning shard.
-    pub forwarded: Counter,
-    /// Sharded runs fanned out to every shard.
-    pub fanouts: Counter,
-    /// Requests broadcast to all shards (replicated registers,
-    /// sharded prepares, shutdown).
-    pub broadcasts: Counter,
-    /// Sharded-run merges performed (one per fan-out that came back
-    /// healthy on every shard).
-    pub merges: Counter,
-    /// Merge latency in microseconds (split extraction + reduction
-    /// fold + re-encode), gated on the global mode.
-    pub merge_us: Histogram,
-    /// Transport failures talking to shards (dropped connections,
-    /// refused connects).
-    pub shard_errors: Counter,
-    /// Requests answered `shard_unavailable` because the owning shard
-    /// was down.
-    pub shard_unavailable: Counter,
-    /// Successful shard reconnects (each bumps the shard's handle
-    /// epoch, invalidating handles minted before the restart).
-    pub reconnects: Counter,
-    /// Shards currently connected.
-    pub shards_healthy: Gauge,
-}
-
-impl RouterMetrics {
-    /// A zeroed set.
-    pub const fn new() -> Self {
-        Self {
-            forwarded: Counter::new(),
-            fanouts: Counter::new(),
-            broadcasts: Counter::new(),
-            merges: Counter::new(),
-            merge_us: Histogram::new(),
-            shard_errors: Counter::new(),
-            shard_unavailable: Counter::new(),
-            reconnects: Counter::new(),
-            shards_healthy: Gauge::new(),
-        }
-    }
-}
-
-impl Default for RouterMetrics {
-    fn default() -> Self {
-        Self::new()
+        self as usize
     }
 }
 
@@ -488,16 +248,6 @@ impl Default for RouterMetrics {
 /// across the workspace; the serve crate reads them at scrape time.
 #[derive(Debug)]
 pub struct Metrics {
-    /// Plan-cache lookups that found a live entry.
-    pub plan_cache_hits: Counter,
-    /// Plan-cache lookups that missed.
-    pub plan_cache_misses: Counter,
-    /// Plans actually built (misses that became the builder).
-    pub plan_cache_builds: Counter,
-    /// Entries evicted by the LRU policy.
-    pub plan_cache_evictions: Counter,
-    /// Single-flight lookups that waited on another thread's build.
-    pub plan_cache_waits: Counter,
     /// Prepares whose parallelism request silently degraded to serial
     /// because the plan was not splittable.
     pub fallback_serial: Counter,
@@ -512,11 +262,6 @@ pub struct Metrics {
 impl Metrics {
     const fn new() -> Self {
         Self {
-            plan_cache_hits: Counter::new(),
-            plan_cache_misses: Counter::new(),
-            plan_cache_builds: Counter::new(),
-            plan_cache_evictions: Counter::new(),
-            plan_cache_waits: Counter::new(),
             fallback_serial: Counter::new(),
             vm_runs: Counter::new(),
             vm_run_ns: Counter::new(),
@@ -547,28 +292,18 @@ pub fn global() -> &'static Metrics {
 mod tests {
     use super::*;
 
-    /// The mode is process-global; tests that flip it (or depend on
-    /// it being `On`) serialize here and restore `On` on the way out.
-    fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
-    fn counter_gated_by_mode() {
-        let _serialized = mode_lock();
+    fn counter_counts_and_gauges_overwrite() {
         let c = Counter::new();
         c.inc();
-        set_mode(TelemetryMode::Off);
-        c.inc();
-        set_mode(TelemetryMode::On);
         c.add(2);
         assert_eq!(c.get(), 3);
+        c.set(7);
+        assert_eq!(c.get(), 7);
     }
 
     #[test]
     fn span_records_into_global_phase() {
-        let _serialized = mode_lock();
         let before = global().phase(Phase::Parse).count();
         {
             let _s = span(Phase::Parse);
@@ -577,27 +312,9 @@ mod tests {
     }
 
     #[test]
-    fn ungated_counter_ops_ignore_mode() {
-        let _serialized = mode_lock();
-        let serve = ServeMetrics::new();
-        set_mode(TelemetryMode::Off);
-        serve.admission_rejected_conns.inc_always();
-        serve.batched_runs.add_always(4);
-        serve.batch_size.record(4); // gated: frozen while Off
-        set_mode(TelemetryMode::On);
-        assert_eq!(serve.admission_rejected_conns.get(), 1);
-        assert_eq!(serve.batched_runs.get(), 4);
-        assert_eq!(serve.batch_size.count(), 0, "histograms stay gated");
-    }
-
-    #[test]
-    fn gauge_ignores_mode() {
-        let _serialized = mode_lock();
-        let g = Gauge::new();
-        set_mode(TelemetryMode::Off);
-        g.set(7);
-        set_mode(TelemetryMode::On);
-        assert_eq!(g.get(), 7);
+    fn indices_follow_the_exposition_tables() {
+        assert!(PHASES.iter().enumerate().all(|(k, p)| p.index() == k));
+        assert!(BODY_KINDS.iter().enumerate().all(|(k, b)| b.index() == k));
     }
 
     #[test]

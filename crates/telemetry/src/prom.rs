@@ -3,16 +3,56 @@
 //! Emits version 0.0.4 text format: `# HELP` / `# TYPE` headers
 //! followed by samples. Determinism is the point — every value written
 //! through this module is an integer, label values are escaped per the
-//! spec, and samples appear exactly in the order the caller writes
-//! them — so two scrapes of an idle process produce byte-identical
-//! documents. The serve crate composes families in sorted name order.
+//! spec, families come out in sorted name order whatever order the
+//! caller wrote them in, and the samples of one family stay in write
+//! order — so two scrapes of an idle process produce byte-identical
+//! documents.
+
+use std::collections::BTreeMap;
 
 use crate::Snapshot;
 
-/// Accumulates an exposition document.
+/// An exposition family's declaration — or, [`Metric::with`] a label,
+/// one labelled series of it. `const`-constructible so a stats field
+/// can name its family in the same table that declares the field.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Metric {
+    /// The family name (`systec_…`).
+    pub name: &'static str,
+    /// `counter`, `gauge`, or `histogram`.
+    pub kind: &'static str,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    /// The fixed label of this series, if the family has several.
+    pub label: Option<(&'static str, &'static str)>,
+}
+
+/// A counter family.
+pub const fn counter(name: &'static str, help: &'static str) -> Metric {
+    Metric { name, kind: "counter", help, label: None }
+}
+
+/// A gauge family.
+pub const fn gauge(name: &'static str, help: &'static str) -> Metric {
+    Metric { name, kind: "gauge", help, label: None }
+}
+
+/// A histogram family.
+pub const fn histogram(name: &'static str, help: &'static str) -> Metric {
+    Metric { name, kind: "histogram", help, label: None }
+}
+
+impl Metric {
+    /// The series of this family labelled `key="value"`.
+    pub const fn with(self, key: &'static str, value: &'static str) -> Metric {
+        Metric { label: Some((key, value)), ..self }
+    }
+}
+
+/// Accumulates an exposition document, one text block per family.
 #[derive(Debug, Default)]
 pub struct PromWriter {
-    out: String,
+    families: BTreeMap<&'static str, String>,
 }
 
 impl PromWriter {
@@ -21,68 +61,74 @@ impl PromWriter {
         Self::default()
     }
 
-    /// Writes the `# HELP` and `# TYPE` headers for a family. `kind`
-    /// is one of `counter`, `gauge`, or `histogram`.
-    pub fn family(&mut self, name: &str, kind: &str, help: &str) {
-        self.out.push_str("# HELP ");
-        self.out.push_str(name);
-        self.out.push(' ');
-        self.out.push_str(help);
-        self.out.push_str("\n# TYPE ");
-        self.out.push_str(name);
-        self.out.push(' ');
-        self.out.push_str(kind);
-        self.out.push('\n');
+    /// The family's block, starting it with its `# HELP` and `# TYPE`
+    /// headers on first use. Sample writers call this themselves; call
+    /// it directly only for a family that may have no samples.
+    pub fn family(&mut self, metric: &Metric) -> &mut String {
+        self.families.entry(metric.name).or_insert_with(|| {
+            format!(
+                "# HELP {name} {}\n# TYPE {name} {}\n",
+                metric.help,
+                metric.kind,
+                name = metric.name
+            )
+        })
     }
 
-    /// Writes one sample line: `name{labels} value`.
-    pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.out.push_str(name);
-        self.write_labels(labels);
-        self.out.push(' ');
-        self.out.push_str(&value.to_string());
-        self.out.push('\n');
+    /// Writes one sample line, `name{labels} value`: the metric's own
+    /// label first, then `labels`.
+    pub fn sample(&mut self, metric: &Metric, labels: &[(&str, &str)], value: u64) {
+        self.line(metric, "", labels, None, value);
     }
 
-    /// Writes a full histogram family body for one label set: the
-    /// cumulative `_bucket` ladder (rungs from
-    /// [`crate::export_ladder`] plus `+Inf`), `_sum`, and `_count`.
-    /// `labels` are prepended before the `le` label on bucket lines.
-    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], snapshot: &Snapshot) {
-        let rungs: Vec<(u64, String)> =
-            crate::export_ladder().map(|r| (r, r.to_string())).collect();
-        for (rung, le) in &rungs {
-            let mut bucket_labels: Vec<(&str, &str)> = labels.to_vec();
-            bucket_labels.push(("le", le));
-            self.sample(&format!("{name}_bucket"), &bucket_labels, snapshot.cumulative_le(*rung));
+    /// Writes a full histogram body for one label set: the cumulative
+    /// `_bucket` ladder (rungs from [`crate::export_ladder`] plus
+    /// `+Inf`), `_sum`, and `_count`. The `le` label comes last on
+    /// bucket lines.
+    pub fn histogram(&mut self, metric: &Metric, labels: &[(&str, &str)], snapshot: &Snapshot) {
+        for rung in crate::export_ladder() {
+            let le = rung.to_string();
+            self.line(metric, "_bucket", labels, Some(&le), snapshot.cumulative_le(rung));
         }
-        let mut inf_labels: Vec<(&str, &str)> = labels.to_vec();
-        inf_labels.push(("le", "+Inf"));
-        self.sample(&format!("{name}_bucket"), &inf_labels, snapshot.count);
-        self.sample(&format!("{name}_sum"), labels, snapshot.sum);
-        self.sample(&format!("{name}_count"), labels, snapshot.count);
+        self.line(metric, "_bucket", labels, Some("+Inf"), snapshot.count);
+        self.line(metric, "_sum", labels, None, snapshot.sum);
+        self.line(metric, "_count", labels, None, snapshot.count);
     }
 
-    fn write_labels(&mut self, labels: &[(&str, &str)]) {
-        if labels.is_empty() {
-            return;
-        }
-        self.out.push('{');
-        for (i, (key, value)) in labels.iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
+    fn line(
+        &mut self,
+        metric: &Metric,
+        suffix: &str,
+        labels: &[(&str, &str)],
+        le: Option<&str>,
+        value: u64,
+    ) {
+        let out = self.family(metric);
+        out.push_str(metric.name);
+        out.push_str(suffix);
+        let le = le.map(|le| ("le", le));
+        let mut labels = metric.label.iter().chain(labels).chain(&le).peekable();
+        if labels.peek().is_some() {
+            out.push('{');
+            for (i, (key, value)) in labels.enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(key);
+                out.push_str("=\"");
+                out.push_str(&escape_label(value));
+                out.push('"');
             }
-            self.out.push_str(key);
-            self.out.push_str("=\"");
-            self.out.push_str(&escape_label(value));
-            self.out.push('"');
+            out.push('}');
         }
-        self.out.push('}');
+        out.push(' ');
+        out.push_str(&value.to_string());
+        out.push('\n');
     }
 
-    /// The finished document.
+    /// The finished document: every family block, in name order.
     pub fn finish(self) -> String {
-        self.out
+        self.families.into_values().collect()
     }
 }
 
@@ -107,14 +153,18 @@ mod tests {
     use crate::Histogram;
 
     #[test]
-    fn renders_counter_family() {
+    fn renders_families_sorted_and_samples_in_write_order() {
+        const X: Metric = counter("systec_x_total", "Test counter.");
+        const A: Metric = gauge("systec_a", "Test gauge.");
         let mut w = PromWriter::new();
-        w.family("systec_x_total", "counter", "Test counter.");
-        w.sample("systec_x_total", &[("verb", "run")], 3);
+        w.sample(&X.with("verb", "run"), &[], 3);
+        w.sample(&X.with("verb", "ping"), &[("shard", "0")], 1);
+        w.family(&A);
         assert_eq!(
             w.finish(),
-            "# HELP systec_x_total Test counter.\n# TYPE systec_x_total counter\n\
-             systec_x_total{verb=\"run\"} 3\n"
+            "# HELP systec_a Test gauge.\n# TYPE systec_a gauge\n\
+             # HELP systec_x_total Test counter.\n# TYPE systec_x_total counter\n\
+             systec_x_total{verb=\"run\"} 3\nsystec_x_total{verb=\"ping\",shard=\"0\"} 1\n"
         );
     }
 
@@ -125,12 +175,13 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_and_end_at_inf() {
+        const LAT: Metric = histogram("systec_lat_ns", "Test histogram.");
         let h = Histogram::new();
-        h.record_always(100); // below the first 255ns rung
-        h.record_always(300); // in (255, 511]
-        h.record_always(u64::MAX); // only counted by +Inf
+        h.record(100); // below the first 255ns rung
+        h.record(300); // in (255, 511]
+        h.record(u64::MAX); // only counted by +Inf
         let mut w = PromWriter::new();
-        w.histogram("systec_lat_ns", &[("kernel", "0")], &h.snapshot());
+        w.histogram(&LAT, &[("kernel", "0")], &h.snapshot());
         let text = w.finish();
         assert!(text.contains("systec_lat_ns_bucket{kernel=\"0\",le=\"255\"} 1\n"));
         assert!(text.contains("systec_lat_ns_bucket{kernel=\"0\",le=\"511\"} 2\n"));
@@ -138,7 +189,7 @@ mod tests {
         assert!(text.contains("systec_lat_ns_count{kernel=\"0\"} 3\n"));
         // Two renders of the same data are byte-identical.
         let mut w2 = PromWriter::new();
-        w2.histogram("systec_lat_ns", &[("kernel", "0")], &h.snapshot());
+        w2.histogram(&LAT, &[("kernel", "0")], &h.snapshot());
         assert_eq!(text, w2.finish());
     }
 }

@@ -27,8 +27,8 @@ fn bucket_boundary_values_land_on_their_own_side() {
     }
     // Cumulative counts at a boundary are exact, not interpolated.
     let h = Histogram::new();
-    h.record_always(1023);
-    h.record_always(1024);
+    h.record(1023);
+    h.record(1024);
     let s = h.snapshot();
     assert_eq!(s.cumulative_le(1023), 1);
     assert_eq!(s.cumulative_le(2047), 2);
@@ -38,7 +38,7 @@ fn bucket_boundary_values_land_on_their_own_side() {
 fn overflow_saturates_into_top_bucket_without_losing_counts() {
     let h = Histogram::new();
     for huge in [u64::MAX, u64::MAX - 1, 1u64 << 63, (1u64 << 63) + 12345] {
-        h.record_always(huge);
+        h.record(huge);
     }
     let s = h.snapshot();
     assert_eq!(s.count, 4, "no observation may be dropped");
@@ -63,7 +63,7 @@ fn no_wraparound_past_old_ring_capacity() {
         // First 7/8 of samples are fast (~1us), the last 1/8 slow
         // (~1ms). A 512-sample window would only see the slow tail.
         let v = if i < total - OLD_RING_CAPACITY { 1_000 } else { 1_000_000 };
-        h.record_always(v);
+        h.record(v);
     }
     let s = h.snapshot();
     assert_eq!(s.count, total, "every sample retained");
@@ -92,8 +92,8 @@ fn concurrent_recording_is_deterministic_after_join() {
         handles.push(std::thread::spawn(move || {
             let private = Histogram::new();
             for v in values(t) {
-                shared.record_always(v);
-                private.record_always(v);
+                shared.record(v);
+                private.record(v);
             }
             private.snapshot()
         }));
@@ -106,7 +106,7 @@ fn concurrent_recording_is_deterministic_after_join() {
     let reference = Histogram::new();
     for t in 0..threads {
         for v in values(t) {
-            reference.record_always(v);
+            reference.record(v);
         }
     }
 

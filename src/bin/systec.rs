@@ -24,6 +24,7 @@ use systec::exec::reference::reference_einsum;
 use systec::ir::{parse_einsum, Einsum};
 use systec::kernels::{parse_symmetry, serial_fallback_note, Backend, Parallelism, Prepared};
 use systec::serve::protocol::{Request, Response};
+use systec::serve::wire::Record;
 use systec::serve::{serve_with, Client, Engine, RetryPolicy, ServerConfig};
 use systec::tensor::generate::{random_dense, rng};
 use systec::tensor::{csf, CooTensor, SparseTensor, Tensor};
@@ -503,8 +504,18 @@ fn top_main(args: &[String]) -> ExitCode {
     }
 }
 
+/// One flat stats record as a `section: key=value …` line, straight
+/// from its declaration — a field added to the record shows up here
+/// without this file changing.
+fn record_line(section: &str, record: &impl Record) -> String {
+    let fields = record.to_json();
+    let pairs = fields.as_obj().unwrap_or_default();
+    let cells: Vec<String> = pairs.iter().map(|(key, value)| format!("{key}={value}")).collect();
+    format!("{section}: {}", cells.join(" "))
+}
+
 /// One `systec top` refresh: a per-kernel latency table plus one-line
-/// cache / pool / request summaries.
+/// cache / pool / request / serve summaries.
 fn render_top(
     addr: &str,
     cache: &systec::serve::protocol::CachePayload,
@@ -516,51 +527,10 @@ fn render_top(
 ) {
     let us = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format!("{x:.1}"));
     println!("systec top — {addr}");
-    println!(
-        "requests: register={} prepare={} run={} unregister={} stats={} metrics={} ping={} errors={}",
-        requests.register_tensor,
-        requests.prepare,
-        requests.run,
-        requests.unregister,
-        requests.stats,
-        requests.metrics,
-        requests.ping,
-        requests.errors
-    );
-    println!(
-        "cache: hits={} misses={} builds={} evictions={} waits={} entries={}",
-        cache.hits, cache.misses, cache.builds, cache.evictions, cache.waits, cache.entries
-    );
-    println!(
-        "pool: workers={} submitted={} executed={} helped={} parks={} wakeups={}",
-        pool.workers, pool.submitted, pool.executed, pool.helped, pool.parks, pool.wakeups
-    );
-    println!(
-        "registry: tensors={} bytes={} evictions={} pinned={}",
-        serve.registry_tensors, serve.registry_bytes, serve.registry_evictions, serve.pinned
-    );
-    println!(
-        "serve: dispatches={} batched_runs={} queued={} rejected_conns={} rejected_bytes={} \
-         deadline_exceeded={} stale_runs={}",
-        serve.batch_dispatches,
-        serve.batched_runs,
-        serve.queued,
-        serve.rejected_conns,
-        serve.rejected_bytes,
-        serve.deadline_exceeded,
-        serve.stale_runs
-    );
-    println!(
-        "faults: panics_caught={} quarantined={} journal: records={} bytes={} fsyncs={} \
-         recovery: replayed={} truncated={}",
-        serve.panics_caught,
-        serve.quarantined_kernels,
-        serve.journal_records,
-        serve.journal_bytes,
-        serve.journal_fsyncs,
-        serve.recovery_replayed,
-        serve.recovery_truncated
-    );
+    println!("{}", record_line("requests", requests));
+    println!("{}", record_line("cache", cache));
+    println!("{}", record_line("pool", pool));
+    println!("{}", record_line("serve", serve));
     println!(
         "{:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>6}  spec",
         "kernel", "runs", "p50us", "p90us", "p99us", "maxus", "slow"
