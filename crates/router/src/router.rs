@@ -43,12 +43,13 @@
 //! re-prepare against the recovered durable registry.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use systec_serve::client::write_line;
 use systec_serve::protocol::{
     CounterPayload, ErrorCode, MergeRule, OutputPayload, Placement, Request, Response,
     RouterCountsPayload, ShardStatPayload,
@@ -90,14 +91,13 @@ struct ShardConn {
 impl ShardConn {
     fn connect(addr: &str) -> std::io::Result<ShardConn> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(ShardConn { writer, reader })
     }
 
     fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        write_line(&mut self.writer, line)
     }
 
     fn recv_line(&mut self) -> std::io::Result<String> {
@@ -977,13 +977,12 @@ fn serve_conn(stream: &TcpStream, router: &Arc<Router>) {
         Ok(w) => w,
         Err(_) => return,
     };
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     for line in BufReader::new(read_half).lines() {
         let Ok(line) = line else { break };
-        let response = router.respond(&line);
-        if writer.write_all(response.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-            || writer.flush().is_err()
-        {
+        if write_line(&mut writer, &router.respond(&line)).is_err() {
             break;
         }
         if router.shutdown.load(Ordering::SeqCst) {

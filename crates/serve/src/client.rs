@@ -8,7 +8,7 @@
 //! `admission_rejected`, `internal_error`). `kernel_quarantined` is
 //! deliberately *not* retried: the handle is dead until re-`prepare`.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, IoSlice, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -47,14 +47,47 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
+/// What is left of a line once `written` of its bytes — the newline
+/// after `line` counts as one — have gone out, as the two slices of one
+/// `writev`. A separate write for the newline would be a second
+/// segment: it wakes the peer twice and, without `TCP_NODELAY`, waits
+/// out the peer's delayed ACK first. A line is done when `written`
+/// exceeds `line.len()`.
+pub(crate) fn line_tail(line: &[u8], written: usize) -> [IoSlice<'_>; 2] {
+    [IoSlice::new(&line[written.min(line.len())..]), IoSlice::new(b"\n")]
+}
+
+/// Writes `line` and its newline to a blocking stream in **one** write
+/// (as many as a partial write forces), then flushes. Every line this
+/// crate and the router put on a socket goes through here or through
+/// the server's nonblocking equivalent.
+///
+/// # Errors
+///
+/// Propagates socket errors.
+pub fn write_line(stream: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut written = 0;
+    while written <= line.len() {
+        match stream.write_vectored(&line_tail(line.as_bytes(), written)) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    stream.flush()
+}
+
 impl Client {
-    /// Connects to a running server.
+    /// Connects to a running server. The socket is `TCP_NODELAY`: a
+    /// request is one small write and must not wait for an ACK.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader })
     }
@@ -68,9 +101,7 @@ impl Client {
     /// Propagates socket errors; a closed connection surfaces as
     /// [`std::io::ErrorKind::UnexpectedEof`].
     pub fn send_raw(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, line)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {
@@ -192,6 +223,44 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Accepts at most `self.1` bytes per write, like a full socket —
+    /// across the slices of a vectored write, so a count can end inside
+    /// the line, between the line and its newline, or after both.
+    struct Trickle(Vec<u8>, usize);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let before = self.0.len();
+            for buf in bufs {
+                let room = self.1 - (self.0.len() - before);
+                self.0.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.0.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_survives_partial_writes_at_every_boundary() {
+        for line in ["", "x", r#"{"op":"ping"}"#] {
+            for step in 1..=line.len() + 2 {
+                let mut sink = Trickle(Vec::new(), step);
+                write_line(&mut sink, line).unwrap();
+                assert_eq!(sink.0, format!("{line}\n").into_bytes(), "step {step}");
+            }
+        }
+        let mut full = Trickle(Vec::new(), 0);
+        let err = write_line(&mut full, "x").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+    }
 
     #[test]
     fn delay_grows_exponentially_and_caps() {

@@ -1,15 +1,20 @@
-//! The TCP transport: a nonblocking event loop speaking the line
+//! The TCP transport: a readiness-driven event loop speaking the line
 //! protocol.
 //!
-//! One loop thread owns the listener and every connection (std sockets
-//! in nonblocking mode, parked on the vendored [`polling`] shim), and a
-//! small executor pool ([`crate::scheduler`]) runs the engine work. The
-//! loop reads request lines, submits them to the scheduler tagged with
-//! a connection id, and writes completed response lines back; at most
-//! **one request per connection is in flight at a time**, so responses
-//! on a connection always come back in request order, while `run`
-//! requests from *different* connections hitting the same prepared
-//! kernel coalesce into one engine dispatch.
+//! One loop thread owns the listener and every connection (nonblocking
+//! std sockets with `TCP_NODELAY`), and a small executor pool
+//! ([`crate::scheduler`]) runs the engine work. The loop blocks in the
+//! vendored [`polling`] selector (`poll(2)`) with no timeout and, per
+//! wake-up, touches only what fired: the listener readable → the accept
+//! sweep; a connection readable → read, split lines, submit them to the
+//! scheduler tagged with a connection id; a scheduler completion (a
+//! cross-thread `notify`) → queue the response line and write it at
+//! once, line and newline in one `writev`; a `WouldBlock` on that write
+//! → ask for writability until the queue empties. An idle server makes
+//! no wake-ups. At most **one request per connection is in flight at a
+//! time**, so responses on a connection always come back in request
+//! order, while `run` requests from *different* connections hitting the
+//! same prepared kernel coalesce into one engine dispatch.
 //!
 //! ## Admission control
 //!
@@ -48,11 +53,12 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::client::line_tail;
 use crate::engine::Engine;
 use crate::fault::FaultSite;
 use crate::protocol::{ErrorCode, Request, Response};
@@ -68,13 +74,15 @@ use crate::scheduler::Scheduler;
 /// impossible).
 pub const MAX_REQUEST_LINE: usize = 64 * 1024 * 1024;
 
-/// Shortest idle park between event-loop sweeps; doubles per idle
-/// sweep up to [`PARK_MAX`], and any progress (or a scheduler
-/// completion's wakeup) resets it.
-const PARK_MIN: Duration = Duration::from_micros(50);
-/// Longest idle park — bounds worst-case latency for newly arrived
-/// bytes, since the poll shim cannot observe socket readiness itself.
-const PARK_MAX: Duration = Duration::from_millis(2);
+/// How long the loop looks away from the listener after `accept`
+/// failed for want of descriptors (`EMFILE` / `ENFILE`): the backlog
+/// keeps the listener readable, so waiting on it again at once would
+/// spin. The only timed wait outside the drain, and off the request
+/// path.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// The listener's poller key; connections count up from it.
+const LISTENER: usize = 0;
 
 /// Transport tuning for [`serve_with`].
 #[derive(Debug, Clone)]
@@ -116,12 +124,15 @@ struct Shared {
     shutdown: AtomicBool,
     /// Connections currently owned by the event loop.
     active: AtomicUsize,
-    /// Parks the event loop between sweeps; completions and shutdown
-    /// notify it.
+    /// Where the event loop blocks; completions and shutdown notify it.
     poller: polling::Poller,
     /// Completed `(conn, line)` pairs from the scheduler executors,
-    /// drained by the loop each sweep.
+    /// drained by the loop each wake-up.
     completions: Mutex<Vec<(u64, Arc<String>)>>,
+    /// Times the loop woke ([`RunningServer::loop_wakeups`]).
+    wakeups: AtomicU64,
+    /// Times `accept` failed and paused the listener.
+    accept_backoffs: AtomicU64,
 }
 
 /// A serving instance bound to an address, running its event loop in a
@@ -160,8 +171,10 @@ pub fn serve_with(
         addr,
         shutdown: AtomicBool::new(false),
         active: AtomicUsize::new(0),
-        poller: polling::Poller::new(),
+        poller: polling::Poller::new()?,
         completions: Mutex::new(Vec::new()),
+        wakeups: AtomicU64::new(0),
+        accept_backoffs: AtomicU64::new(0),
     });
     let sink_shared = Arc::clone(&shared);
     let scheduler = Scheduler::new(
@@ -189,8 +202,8 @@ enum InEvent {
     TooLong,
 }
 
-/// A queued outgoing line; the terminating newline is written when
-/// `written` passes the line length.
+/// A queued outgoing line; `written` counts its terminating newline as
+/// one more byte, so the message is out once it passes the line length.
 struct OutMsg {
     line: Arc<String>,
     written: usize,
@@ -218,6 +231,8 @@ struct Conn {
     eof: bool,
     /// Hard socket error; drop without further IO.
     dead: bool,
+    /// The `(read, write)` interest the poller currently holds.
+    interest: (bool, bool),
 }
 
 impl Conn {
@@ -233,6 +248,7 @@ impl Conn {
             discarding: false,
             eof: false,
             dead: false,
+            interest: (true, false),
         }
     }
 
@@ -313,38 +329,37 @@ impl Conn {
         self.out.push_back(OutMsg { line, written: 0 });
     }
 
-    /// Nonblocking write sweep over the outgoing queue. Returns whether
-    /// bytes were written.
-    fn write_output(&mut self) -> bool {
-        if self.dead {
-            return false;
-        }
-        let mut progress = false;
-        while let Some(front) = self.out.front_mut() {
-            let bytes = front.line.as_bytes();
-            let chunk: &[u8] =
-                if front.written < bytes.len() { &bytes[front.written..] } else { b"\n" };
-            match self.stream.write(chunk) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
+    /// Nonblocking write sweep over the outgoing queue. A line and its
+    /// newline leave in one `writev`, so the peer wakes once per reply.
+    fn write_output(&mut self) {
+        while !self.dead {
+            let Some(front) = self.out.front_mut() else { break };
+            match self.stream.write_vectored(&line_tail(front.line.as_bytes(), front.written)) {
+                Ok(0) => self.dead = true,
                 Ok(n) => {
-                    progress = true;
                     front.written += n;
-                    if front.written > bytes.len() {
+                    if front.written > front.line.len() {
                         self.out.pop_front();
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
+                Err(_) => self.dead = true,
             }
         }
-        progress
+    }
+
+    /// Readiness is level-triggered, so interest follows what the next
+    /// turn will do: read unless the stream ended or the server drains
+    /// (input nobody will consume would keep the loop awake for good),
+    /// write only while a `WouldBlock` has left output queued.
+    fn sync_interest(&mut self, poller: &polling::Poller, key: usize, draining: bool) {
+        let want = (!draining && !self.eof, !self.out.is_empty());
+        if want != self.interest {
+            self.interest = want;
+            let interest = polling::Event { key, readable: want.0, writable: want.1 };
+            let _ = poller.modify(&self.stream, interest);
+        }
     }
 
     /// Nothing left to do for this connection: closed by error, or all
@@ -373,189 +388,195 @@ fn event_loop(
     config: &ServerConfig,
     scheduler: &Scheduler,
 ) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_id: u64 = 0;
+    let poller = &shared.poller;
+    // Connections by poller key, which is also the id the scheduler
+    // tags their requests with.
+    let mut conns: HashMap<usize, Conn> = HashMap::new();
+    let mut next_key = LISTENER + 1;
     let mut events: Vec<polling::Event> = Vec::new();
+    let mut completed: Vec<(u64, Arc<String>)> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
-    let mut park = PARK_MIN;
-    let faults = shared.engine.fault_plan().cloned();
+    let faults = shared.engine.fault_plan();
     // Set when shutdown was requested (by verb or programmatically):
     // the drain deadline. While draining, no new connections are
     // accepted and no new request lines consumed, but completions keep
     // flowing out until everything in flight is answered and flushed.
     let mut drain_deadline: Option<Instant> = None;
+    // Set when `accept` failed: when to look at the listener again.
+    let mut accept_retry: Option<Instant> = None;
+    poller.add(listener, polling::Event::readable(LISTENER)).expect("an empty poller");
+
+    // One connection's turn, after a readiness event or a completion
+    // (`reply`): read if the socket has input, submit what may run,
+    // write what is queued, then retire the connection or re-arm it.
+    let mut turn = |conns: &mut HashMap<usize, Conn>, key, readable, reply, draining: bool| {
+        // A completion for a connection that died in the meantime is
+        // dropped; its work was already accounted.
+        let Some(conn) = conns.get_mut(&key) else { return };
+        if let Some(line) = reply {
+            conn.in_flight = false;
+            conn.push_line(line);
+        }
+        // A draining loop stops consuming input — completions and
+        // writes only. An injected read fault severs the connection
+        // exactly as a peer reset would — the isolation the chaos tier
+        // asserts is that *other* connections never notice. It fires
+        // only on reads that actually carried bytes, so the Nth
+        // injection is the Nth data-bearing read.
+        if readable
+            && !draining
+            && conn.read_input(&mut scratch)
+            && faults.is_some_and(|p| p.fire(FaultSite::ConnRead))
+        {
+            conn.dead = true;
+            conn.pending.clear();
+        }
+        while !draining && !conn.in_flight && !conn.closing {
+            let Some(event) = conn.pending.pop_front() else { break };
+            match event {
+                InEvent::TooLong => {
+                    shared.engine.count_error();
+                    conn.push_line(Arc::new(
+                        Response::error(
+                            ErrorCode::LineTooLong,
+                            format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+                        )
+                        .encode(),
+                    ));
+                    // The reply drains below; then the conn closes.
+                    conn.closing = true;
+                }
+                InEvent::Line(text) => {
+                    let trimmed = text.trim_end_matches(['\n', '\r']);
+                    if trimmed.is_empty() {
+                        continue; // blank keep-alive lines are not requests
+                    }
+                    match Request::decode(trimmed) {
+                        Ok(Request::Shutdown) => {
+                            // Acknowledge, then enter the drain: the
+                            // ack and every in-flight response flush
+                            // before the loop exits.
+                            conn.push_line(Arc::new(Response::ShuttingDown.encode()));
+                            conn.closing = true;
+                            shared.shutdown.store(true, Ordering::SeqCst);
+                        }
+                        Ok(request) => {
+                            conn.in_flight = true;
+                            scheduler.submit(key as u64, request);
+                        }
+                        Err(e) => {
+                            // Parse errors answer inline — they never
+                            // reach the scheduler, and ordering holds
+                            // because nothing from this connection is
+                            // in flight here.
+                            shared.engine.count_error();
+                            conn.push_line(Arc::new(
+                                Response::error(ErrorCode::Parse, e.message).encode(),
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        // An injected write fault severs the connection before its
+        // queued bytes go out, as a peer reset mid-response would.
+        if !conn.dead
+            && !conn.out.is_empty()
+            && faults.is_some_and(|p| p.fire(FaultSite::ConnWrite))
+        {
+            conn.dead = true;
+        }
+        conn.write_output();
+        if conn.done() {
+            let _ = poller.delete(&conn.stream);
+            conns.remove(&key);
+        } else {
+            conn.sync_interest(poller, key, draining);
+        }
+    };
+
     loop {
         if shared.shutdown.load(Ordering::SeqCst) && drain_deadline.is_none() {
             drain_deadline = Some(Instant::now() + config.drain_timeout);
+            for (&key, conn) in &mut conns {
+                conn.sync_interest(poller, key, true);
+            }
         }
         let draining = drain_deadline.is_some();
-        let mut progress = false;
-
-        // 1. Deliver scheduler completions to their connections.
-        let completed: Vec<(u64, Arc<String>)> = std::mem::take(&mut *relock(&shared.completions));
-        for (conn_id, line) in completed {
-            progress = true;
-            if let Some(conn) = conns.get_mut(&conn_id) {
-                conn.in_flight = false;
-                conn.push_line(line);
-            }
-            // A completion for a connection that died in the meantime
-            // is dropped; its work was already accounted.
-        }
-
-        // 2. Accept sweep, with connection admission.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    progress = true;
-                    if draining {
-                        continue; // shutting down: late connections drop
-                    }
-                    if faults.as_ref().is_some_and(|p| p.fire(FaultSite::Accept)) {
-                        continue; // injected accept failure: drop the socket
-                    }
-                    if config.max_conns.is_some_and(|cap| conns.len() >= cap) {
-                        reject_connection(shared, stream, conns.len());
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let id = next_id;
-                    next_id += 1;
-                    // Tokens are bookkeeping for the poll shim's source
-                    // set; the sweep below visits every connection and
-                    // treats `WouldBlock` as not-ready.
-                    shared.poller.register(token(id));
-                    conns.insert(id, Conn::new(stream));
-                    shared.active.store(conns.len(), Ordering::SeqCst);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break, // transient accept failure; retry next sweep
-            }
-        }
-
-        // 3. Per-connection IO and request processing. A draining loop
-        // stops consuming input — completions and writes only.
-        let mut finished: Vec<u64> = Vec::new();
-        for (&id, conn) in &mut conns {
-            if !draining {
-                let read = conn.read_input(&mut scratch);
-                // An injected read fault severs the connection exactly
-                // as a peer reset would — the isolation the chaos tier
-                // asserts is that *other* connections never notice. It
-                // fires only on sweeps that actually carried bytes, so
-                // the Nth injection is the Nth data-bearing read.
-                if read && faults.as_ref().is_some_and(|p| p.fire(FaultSite::ConnRead)) {
-                    conn.dead = true;
-                    conn.pending.clear();
-                }
-                progress |= read;
-            }
-            while !draining && !conn.in_flight && !conn.closing {
-                let Some(event) = conn.pending.pop_front() else { break };
-                progress = true;
-                match event {
-                    InEvent::TooLong => {
-                        shared.engine.count_error();
-                        conn.push_line(Arc::new(
-                            Response::error(
-                                ErrorCode::LineTooLong,
-                                format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
-                            )
-                            .encode(),
-                        ));
-                        // The reply drains below; then the conn closes.
-                        conn.closing = true;
-                    }
-                    InEvent::Line(text) => {
-                        let trimmed = text.trim_end_matches(['\n', '\r']);
-                        if trimmed.is_empty() {
-                            continue; // blank keep-alive lines are not requests
-                        }
-                        match Request::decode(trimmed) {
-                            Ok(Request::Shutdown) => {
-                                // Acknowledge, then enter the drain: the
-                                // ack and every in-flight response flush
-                                // before the loop exits.
-                                conn.push_line(Arc::new(Response::ShuttingDown.encode()));
-                                conn.closing = true;
-                                shared.shutdown.store(true, Ordering::SeqCst);
-                            }
-                            Ok(request) => {
-                                conn.in_flight = true;
-                                scheduler.submit(id, request);
-                            }
-                            Err(e) => {
-                                // Parse errors answer inline — they never
-                                // reach the scheduler, and ordering holds
-                                // because nothing from this connection is
-                                // in flight here.
-                                shared.engine.count_error();
-                                conn.push_line(Arc::new(
-                                    Response::error(ErrorCode::Parse, e.message).encode(),
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-            // An injected write fault severs the connection before its
-            // queued bytes go out, as a peer reset mid-response would.
-            if !conn.dead
-                && !conn.out.is_empty()
-                && faults.as_ref().is_some_and(|p| p.fire(FaultSite::ConnWrite))
-            {
-                conn.dead = true;
-            }
-            progress |= conn.write_output();
-            if conn.done() {
-                finished.push(id);
-            }
-        }
-        for id in finished {
-            progress = true;
-            conns.remove(&id);
-            shared.poller.deregister(token(id));
-        }
-        shared.active.store(conns.len(), Ordering::SeqCst);
-
-        // 4. The drain completes once every in-flight request has been
+        let now = Instant::now();
+        // The drain completes once every in-flight request has been
         // answered and every queued response byte flushed — or the
         // deadline passes and the stragglers are severed.
         if let Some(deadline) = drain_deadline {
             let quiesced = conns.values().all(|c| c.dead || (!c.in_flight && c.out.is_empty()));
-            if quiesced || Instant::now() >= deadline {
+            if quiesced || now >= deadline {
                 break;
             }
         }
-
-        if progress {
-            park = PARK_MIN;
-            continue;
+        if accept_retry.is_some_and(|at| now >= at) {
+            accept_retry = None;
+            let _ = poller.modify(listener, polling::Event::readable(LISTENER));
         }
-        // The shim cannot observe socket readiness, so idle sweeps park
-        // briefly and back off; completions and shutdown cut the park
-        // short via `notify`.
-        shared.poller.wait(&mut events, Some(park));
-        park = park.saturating_mul(2).min(PARK_MAX);
+        // Nothing on the request path is timed: only the drain deadline
+        // and the accept back-off bound the wait.
+        let until = [drain_deadline, accept_retry].into_iter().flatten().min();
+        if poller.wait(&mut events, until.map(|at| at.saturating_duration_since(now))).is_err() {
+            std::thread::sleep(ACCEPT_BACKOFF); // `poll` itself failed (ENOMEM): do not spin
+        }
+        shared.wakeups.fetch_add(1, Ordering::Relaxed);
+
+        // Scheduler completions (a notify): queue each reply and write
+        // it at once.
+        std::mem::swap(&mut completed, &mut *relock(&shared.completions));
+        for (id, line) in completed.drain(..) {
+            turn(&mut conns, id as usize, false, Some(line), draining);
+        }
+        for event in &events {
+            if event.key != LISTENER {
+                turn(&mut conns, event.key, event.readable, None, draining);
+                continue;
+            }
+            // Accept sweep, with connection admission.
+            loop {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::ConnectionAborted => continue,
+                    Err(_) => {
+                        shared.accept_backoffs.fetch_add(1, Ordering::Relaxed);
+                        let _ = poller.modify(listener, polling::Event::none(LISTENER));
+                        accept_retry = Some(Instant::now() + ACCEPT_BACKOFF);
+                        break;
+                    }
+                };
+                if draining {
+                    continue; // shutting down: late connections drop
+                }
+                if faults.is_some_and(|p| p.fire(FaultSite::Accept)) {
+                    continue; // injected accept failure: drop the socket
+                }
+                if config.max_conns.is_some_and(|cap| conns.len() >= cap) {
+                    reject_connection(shared, stream, conns.len());
+                    continue;
+                }
+                if stream.set_nonblocking(true).is_ok()
+                    && stream.set_nodelay(true).is_ok()
+                    && poller.add(&stream, polling::Event::readable(next_key)).is_ok()
+                {
+                    conns.insert(next_key, Conn::new(stream));
+                    next_key += 1;
+                }
+            }
+        }
+        shared.active.store(conns.len(), Ordering::SeqCst);
     }
     // Sever everything; dropping the streams closes them, and the
     // scheduler (dropped by the caller) drains and joins its executors.
-    for id in conns.keys() {
-        shared.poller.deregister(token(*id));
-    }
     conns.clear();
     shared.active.store(0, Ordering::SeqCst);
     // The drain is over: make the durable registry state current on
     // disk before the process counts as stopped.
     shared.engine.flush_journal();
-}
-
-/// The poll-shim token for a connection id (token 0 is reserved for
-/// the listener by convention).
-fn token(conn: u64) -> usize {
-    usize::try_from(conn).unwrap_or(usize::MAX).saturating_add(1)
 }
 
 /// Answers an over-cap connection with one structured error line and
@@ -590,8 +611,21 @@ impl RunningServer {
         self.shared.active.load(Ordering::SeqCst)
     }
 
-    /// Initiates shutdown (idempotent): the event loop exits its next
-    /// sweep, severing every connection. Does not wait — see
+    /// Times the event loop has woken from its wait since start. An
+    /// idle server does not move it — the readiness tier's instrument,
+    /// test-facing like [`RunningServer::active_connections`].
+    pub fn loop_wakeups(&self) -> u64 {
+        self.shared.wakeups.load(Ordering::Relaxed)
+    }
+
+    /// Times `accept` failed (descriptor exhaustion) and the listener
+    /// was left alone for one back-off.
+    pub fn accept_backoffs(&self) -> u64 {
+        self.shared.accept_backoffs.load(Ordering::Relaxed)
+    }
+
+    /// Initiates shutdown (idempotent): the event loop drains and exits,
+    /// severing every connection. Does not wait — see
     /// [`RunningServer::wait`].
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);

@@ -99,7 +99,16 @@ fn faulty_connections_are_isolated_and_shutdown_leaks_nothing() {
 
     // Let the victim overlap the faults for a while, then take the
     // pool-reuse snapshot: steady-state parallel serving must not keep
-    // spawning pool workers (PR 4's persistent-pool guarantee).
+    // spawning pool workers (PR 4's persistent-pool guarantee). The
+    // churn runs below overlap the victim's — all the time at wire
+    // speed, where 88 ms of socket stalls per round trip used to keep
+    // the two apart — and the harness warmed the pool from a single
+    // connection, so first bring it to one worker per task the
+    // executors can have outstanding at once (the harness kernel runs
+    // on 2 threads). From there on nothing may spawn, with no gap
+    // between runs.
+    let outstanding = common::executors() * 2;
+    rayon::scope(|s| s.spawn_batch((0..outstanding).map(|_| |_: &rayon::Scope<'_, '_>| {})));
     let workers_after_warmup = rayon::pool_workers_spawned();
     let mut churn = Client::connect(addr).unwrap();
     for _ in 0..50 {
