@@ -118,7 +118,8 @@ mod vm;
 
 use std::collections::HashMap;
 
-use systec_exec::{Counters, ExecError, LoweredProgram};
+pub use systec_exec::Counters;
+use systec_exec::{ExecError, LoweredProgram};
 use systec_tensor::{DenseTensor, Tensor};
 
 pub use cache::{BindingSig, CacheStats, PlanCache, PlanKey, SharedPlanCache};
@@ -145,6 +146,49 @@ pub enum MergeKind {
     /// operator over identity-initialized cells; the merged result folds
     /// the partials elementwise in fixed shard order.
     Reduce(AssignOp),
+}
+
+/// The half-open index range `[k·extent/n, (k+1)·extent/n)` that chunk
+/// `k` of `n` owns — of a split loop's coordinates and of a row-owned
+/// output's leading dimension alike. VM workers, engine shard runs and
+/// router legs all cut by this one rule, so their windows line up.
+#[inline]
+pub fn chunk_window(extent: usize, k: usize, n: usize) -> std::ops::Range<usize> {
+    k * extent / n..(k + 1) * extent / n
+}
+
+/// `acc[i] = op(acc[i], part[i])`: one step of a fixed-order reduction.
+pub(crate) fn fold_into(op: AssignOp, acc: &mut [f64], part: &[f64]) {
+    for (cell, v) in acc.iter_mut().zip(part) {
+        *cell = op.apply(*cell, *v);
+    }
+}
+
+impl MergeKind {
+    /// Folds chunk `k` of `n`'s full-shape buffer `part` into `acc`
+    /// (both row-major with shape `dims`): `Rows` copies the chunk's
+    /// window of leading rows, `Reduce` folds elementwise. Seed `acc`
+    /// with chunk 0's buffer and call this for `k = 1..n` in order to
+    /// reproduce the single-process result; work counters merge
+    /// alongside by integer sums ([`Counters::merge`]).
+    ///
+    /// # Panics
+    ///
+    /// If the buffers differ in length, or `k ≥ n`.
+    pub fn merge_into(self, acc: &mut [f64], part: &[f64], dims: &[usize], k: usize, n: usize) {
+        assert_eq!(acc.len(), part.len(), "chunk buffers keep the full output shape");
+        assert!(k < n, "chunk ordinal {k} of {n} is out of range");
+        match self {
+            MergeKind::Rows => {
+                let extent = dims.first().copied().unwrap_or(1).max(1);
+                let stride = acc.len() / extent;
+                let rows = chunk_window(extent, k, n);
+                let window = rows.start * stride..rows.end * stride;
+                acc[window.clone()].copy_from_slice(&part[window]);
+            }
+            MergeKind::Reduce(op) => fold_into(op, acc, part),
+        }
+    }
 }
 
 /// How many workers execute a kernel invocation.
@@ -708,46 +752,23 @@ mod tests {
         let serial_c = kernel.run(&inputs, &mut serial).unwrap();
 
         for n in [1usize, 2, 3, 4] {
-            let mut merged = outputs_init.clone();
+            // Chunk 0 seeds the accumulators; later chunks merge in order.
+            let mut merged = HashMap::new();
             let mut merged_c = Counters::new();
-            let mut first_reduce = true;
             for k in 0..n {
                 let mut outs = outputs_init.clone();
                 let mut ctx = ExecContext::new();
                 let mut c = Counters::new();
                 kernel.run_chunk_with(&inputs, &mut outs, &mut ctx, &mut c, k, n).unwrap();
-                merged_c.flops += c.flops;
-                merged_c.writes += c.writes;
-                merged_c.iterations += c.iterations;
-                for (name, reads) in &c.reads {
-                    *merged_c.reads.entry(name.clone()).or_insert(0) += reads;
+                merged_c.merge(&c);
+                if k == 0 {
+                    merged = outs;
+                    continue;
                 }
                 for (name, kind) in &classes {
-                    let partial = &outs[name];
-                    match kind {
-                        MergeKind::Rows => {
-                            let extent = partial.dims()[0];
-                            let stride = partial.as_slice().len() / extent;
-                            let (lo, hi) = (k * extent / n * stride, (k + 1) * extent / n * stride);
-                            let target = merged.get_mut(name).unwrap();
-                            target.as_mut_slice()[lo..hi]
-                                .copy_from_slice(&partial.as_slice()[lo..hi]);
-                        }
-                        MergeKind::Reduce(op) => {
-                            let target = merged.get_mut(name).unwrap();
-                            if first_reduce {
-                                target.as_mut_slice().copy_from_slice(partial.as_slice());
-                            } else {
-                                for (cell, v) in
-                                    target.as_mut_slice().iter_mut().zip(partial.as_slice())
-                                {
-                                    *cell = op.apply(*cell, *v);
-                                }
-                            }
-                        }
-                    }
+                    let (acc, part) = (merged.get_mut(name).unwrap(), &outs[name]);
+                    kind.merge_into(acc.as_mut_slice(), part.as_slice(), part.dims(), k, n);
                 }
-                first_reduce = false;
             }
             for (name, t) in &serial {
                 assert_eq!(merged[name], *t, "output {name} differs at n={n}");

@@ -138,14 +138,9 @@ impl Chunk<'_> {
     /// or `None` when `pc` is not a split head (inner loops).
     #[inline]
     fn window(&self, pc: usize) -> Option<(i64, i64)> {
-        for &(head_pc, extent) in self.heads {
-            if head_pc == pc {
-                let lo = (self.k * extent / self.n) as i64;
-                let hi = ((self.k + 1) * extent / self.n) as i64 - 1;
-                return Some((lo, hi));
-            }
-        }
-        None
+        let &(_, extent) = self.heads.iter().find(|(head_pc, _)| *head_pc == pc)?;
+        let window = crate::chunk_window(extent, self.k, self.n);
+        Some((window.start as i64, window.end as i64 - 1))
     }
 }
 
@@ -2764,7 +2759,7 @@ fn run_parallel<'a>(
                 let mut rest = bind.data;
                 let mut consumed = 0usize;
                 for (k, owned) in chunk_owned.iter_mut().enumerate() {
-                    let end = ((k + 1) * extent / n_chunks) * stride;
+                    let end = crate::chunk_window(extent, k, n_chunks).end * stride;
                     let (piece, tail) = rest.split_at_mut(end - consumed);
                     owned.push((slot, OutBind { data: piece, base: consumed }));
                     consumed = end;
@@ -2841,9 +2836,7 @@ fn run_parallel<'a>(
     for (r, main) in reduced_mains.into_iter().enumerate() {
         let op = reduced_meta[r].1;
         for bank in banks.iter() {
-            for (cell, v) in main.iter_mut().zip(&bank.reduce[r]) {
-                *cell = op.apply(*cell, *v);
-            }
+            crate::fold_into(op, main, &bank.reduce[r]);
         }
     }
 }

@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 
-use systec_codegen::{CompiledKernel, ExecContext, LaneMode, MergeKind, Parallelism};
+use systec_codegen::{CompiledKernel, ExecContext, LaneMode, Parallelism};
 use systec_core::Compiler;
 use systec_exec::{
     alloc_outputs, hoist_conditions, lower, prepare_variants, run_lowered, Counters,
@@ -164,7 +164,7 @@ fn check_plan(programs: &[Stmt], inputs: &HashMap<String, Tensor>, nests: bool, 
         let classes = kernel.split_outputs().expect("rank-2 plans are splittable");
         for n in [1usize, 2, 3, 7] {
             let label = format!("{label} {mode:?} chunks-of-{n}");
-            let mut merged = outputs_init.clone();
+            let mut merged = HashMap::new();
             let mut counters = Counters::new();
             for k in 0..n {
                 let mut part = outputs_init.clone();
@@ -173,22 +173,13 @@ fn check_plan(programs: &[Stmt], inputs: &HashMap<String, Tensor>, nests: bool, 
                     .run_chunk_with(&all_inputs, &mut part, &mut ctx, &mut c, k, n)
                     .expect(&label);
                 counters.merge(&c);
+                if k == 0 {
+                    merged = part;
+                    continue;
+                }
                 for (name, kind) in &classes {
-                    let (src, dst) = (part[name].as_slice(), merged.get_mut(name).unwrap());
-                    match kind {
-                        MergeKind::Rows => {
-                            let extent = part[name].dims()[0];
-                            let stride = src.len() / extent;
-                            let (lo, hi) = (k * extent / n * stride, (k + 1) * extent / n * stride);
-                            dst.as_mut_slice()[lo..hi].copy_from_slice(&src[lo..hi]);
-                        }
-                        MergeKind::Reduce(_) if k == 0 => dst.as_mut_slice().copy_from_slice(src),
-                        MergeKind::Reduce(op) => {
-                            for (cell, v) in dst.as_mut_slice().iter_mut().zip(src) {
-                                *cell = op.apply(*cell, *v);
-                            }
-                        }
-                    }
+                    let (acc, src) = (merged.get_mut(name).unwrap(), &part[name]);
+                    kind.merge_into(acc.as_mut_slice(), src.as_slice(), src.dims(), k, n);
                 }
             }
             assert_eq!(counters, want_counters, "{label}: merged counters differ");

@@ -20,7 +20,7 @@
 //!   written before any response is read — then merges the partials in
 //!   fixed shard order: row-owned outputs window-concatenate,
 //!   reduction outputs fold with the advertised rule's operator
-//!   (`MergeRule::fold`, the compiler's own `AssignOp::apply`). Because
+//!   (`MergeRule::kind`, the compiler's own `MergeKind::merge_into`). Because
 //!   every worker initializes reduced outputs to the fold identity and
 //!   counters are integers, the merged response is **byte-identical**
 //!   to one process executing the same n chunk windows in shard order.
@@ -835,11 +835,10 @@ fn referenced_inputs(einsum: &str, bindings: &[(String, String)]) -> Option<Vec<
 }
 
 /// Merges per-shard `Ran` legs into the response of one process that
-/// ran the same windows in shard order: row-owned outputs take each
-/// shard's row window, reduction outputs fold in fixed shard order
-/// starting from leg 0 (every worker initializes reduced outputs to the
-/// fold identity, so leg 0 seeds the fold), counters sum (exact,
-/// integers).
+/// ran the same windows in shard order, with the compiler's own fold
+/// (`MergeKind::merge_into`): leg 0 seeds the accumulators (every worker
+/// initializes reduced outputs to the fold identity), later legs merge
+/// in fixed shard order, counters sum (exact, integers).
 fn merge_legs(
     legs: Vec<(Vec<OutputPayload>, CounterPayload)>,
     merge: &[(String, MergeRule)],
@@ -867,37 +866,12 @@ fn merge_legs(
                 .find(|(name, _)| *name == accumulated.name)
                 .map(|(_, rule)| *rule)
                 .ok_or_else(|| format!("no merge rule for output `{}`", accumulated.name))?;
-            match rule.fold() {
-                None => {
-                    // Shard k owns head rows [k*E/n, (k+1)*E/n) — the
-                    // same integer window arithmetic the workers chunk
-                    // by, so concatenation is exact.
-                    let rows = accumulated.dims.first().copied().unwrap_or(1).max(1);
-                    let stride = accumulated.values.len() / rows.max(1);
-                    let lo = k * rows / shards * stride;
-                    let hi = (k + 1) * rows / shards * stride;
-                    accumulated.values[lo..hi].copy_from_slice(&leg.values[lo..hi]);
-                }
-                Some(op) => {
-                    for (a, v) in accumulated.values.iter_mut().zip(&leg.values) {
-                        *a = op.apply(*a, *v);
-                    }
-                }
-            }
+            rule.kind().merge_into(&mut accumulated.values, &leg.values, &leg.dims, k, shards);
         }
-        counters.flops += leg_counters.flops;
-        counters.writes += leg_counters.writes;
-        counters.iterations += leg_counters.iterations;
-        for (name, count) in leg_counters.reads {
-            match counters.reads.iter_mut().find(|(have, _)| *have == name) {
-                Some((_, total)) => *total += count,
-                None => counters.reads.push((name, count)),
-            }
-        }
+        // A leg only reports tensors its row window touched; the sum
+        // keeps the union sorted by name, as the single process does.
+        counters.merge(leg_counters);
     }
-    // A leg only reports tensors its row window touched, so the union
-    // can arrive in any order; the single process sorts by name.
-    counters.reads.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(Response::Ran { outputs, counters })
 }
 

@@ -23,19 +23,24 @@
 //! over-long length, a CRC mismatch, or an undecodable payload all
 //! mark a torn tail, which is truncated (and counted in
 //! `systec_recovery_truncated_total`) so the journal can be appended
-//! to again. A torn tail can only lose the *last* record — every
-//! append is fsynced before the mutation is applied in memory.
+//! to again. One mutation is one *batch* — an eviction's `Unregister`s
+//! and the `Register` that caused them — appended in one write and one
+//! fsync before any of it is applied in memory, and a failed append
+//! rolls the file back to its old length: a crash can tear only the
+//! batch in flight, and a refused one leaves nothing behind.
 //!
 //! Snapshots are written to a temp file, fsynced, and renamed over the
 //! old snapshot before the journal is reset, so a crash at any point
 //! leaves either the old snapshot + full journal or the new snapshot.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use crate::fault::{FaultPlan, FaultSite};
 use crate::json::Json;
-use crate::protocol::{dims_json, f64_array, value_from_json, value_json, TensorPayload};
+use crate::protocol::{dims_json, usize_array, TensorPayload};
+use crate::wire::{opt, Obj, Wire as _};
 
 /// Records between automatic snapshot folds (overridable for tests via
 /// [`crate::Engine::with_snapshot_every`]).
@@ -83,107 +88,46 @@ pub enum Record {
 impl Record {
     /// Renders the JSON payload (no framing).
     pub fn encode(&self) -> String {
-        match self {
+        let rec = |tag: &str| Obj::default().with("rec", &tag.to_string());
+        let obj = match self {
             Record::Register { name, dims, generation, payload } => {
-                let data = match payload {
-                    TensorPayload::Dense(values) => {
-                        ("dense", Json::Arr(values.iter().map(|&v| value_json(v)).collect()))
-                    }
-                    TensorPayload::Coo(entries) => (
-                        "coo",
-                        Json::Arr(
-                            entries
-                                .iter()
-                                .map(|(coords, v)| {
-                                    let mut row: Vec<Json> =
-                                        coords.iter().map(|&c| Json::num_usize(c)).collect();
-                                    row.push(value_json(*v));
-                                    Json::Arr(row)
-                                })
-                                .collect(),
-                        ),
-                    ),
-                };
-                Json::obj([
-                    ("rec", Json::Str("register".into())),
-                    ("name", Json::Str(name.clone())),
-                    ("dims", dims_json(dims)),
-                    ("generation", Json::num_u64(*generation)),
-                    data,
-                ])
-                .to_string()
+                let (key, data) = payload.to_json();
+                rec("register")
+                    .with("name", name)
+                    .raw("dims", dims_json(dims))
+                    .with("generation", generation)
+                    .raw(key, data)
             }
-            Record::Unregister { name } => Json::obj([
-                ("rec", Json::Str("unregister".into())),
-                ("name", Json::Str(name.clone())),
-            ])
-            .to_string(),
-            Record::Generations { generations } => Json::obj([
-                ("rec", Json::Str("generations".into())),
-                (
-                    "generations",
-                    Json::Arr(
-                        generations
-                            .iter()
-                            .map(|(name, g)| {
-                                Json::Arr(vec![Json::Str(name.clone()), Json::num_u64(*g)])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-            .to_string(),
-        }
+            Record::Unregister { name } => rec("unregister").with("name", name),
+            Record::Generations { generations } => {
+                let pair = |(name, g): &(String, u64)| Json::Arr(vec![name.to_json(), g.to_json()]);
+                rec("generations")
+                    .raw("generations", Json::Arr(generations.iter().map(pair).collect()))
+            }
+        };
+        obj.json().to_string()
     }
 
     /// Parses a record payload; `None` for anything malformed (the
     /// caller treats it as a torn tail).
     pub fn decode(text: &str) -> Option<Record> {
         let json = Json::parse(text).ok()?;
+        let name = || opt::<String>(&json, "name").ok().flatten();
         match json.get("rec")?.as_str()? {
             "register" => {
-                let name = json.get("name")?.as_str()?.to_string();
-                let dims: Vec<usize> = json
-                    .get("dims")?
-                    .as_arr()?
-                    .iter()
-                    .map(Json::as_usize)
-                    .collect::<Option<_>>()?;
-                let generation = json.get("generation")?.as_u64()?;
-                let payload = if let Some(dense) = json.get("dense") {
-                    TensorPayload::Dense(f64_array(dense, "dense").ok()?)
-                } else {
-                    let rows = json.get("coo")?.as_arr()?;
-                    let mut entries = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        let cells = row.as_arr()?;
-                        if cells.len() != dims.len() + 1 {
-                            return None;
-                        }
-                        let coords: Vec<usize> = cells[..dims.len()]
-                            .iter()
-                            .map(Json::as_usize)
-                            .collect::<Option<_>>()?;
-                        entries.push((coords, value_from_json(&cells[dims.len()])?));
-                    }
-                    TensorPayload::Coo(entries)
-                };
-                Some(Record::Register { name, dims, generation, payload })
+                let dims = usize_array(&json, "dims").ok()?;
+                let generation = opt(&json, "generation").ok()??;
+                let payload = TensorPayload::from_json(&json, dims.len()).ok()?;
+                Some(Record::Register { name: name()?, dims, generation, payload })
             }
-            "unregister" => {
-                Some(Record::Unregister { name: json.get("name")?.as_str()?.to_string() })
-            }
+            "unregister" => Some(Record::Unregister { name: name()? }),
             "generations" => {
-                let pairs = json.get("generations")?.as_arr()?;
-                let mut generations = Vec::with_capacity(pairs.len());
-                for pair in pairs {
-                    let cells = pair.as_arr()?;
-                    if cells.len() != 2 {
-                        return None;
-                    }
-                    generations.push((cells[0].as_str()?.to_string(), cells[1].as_u64()?));
-                }
-                Some(Record::Generations { generations })
+                let pair = |pair: &Json| match pair.as_arr()? {
+                    [name, g] => Some((name.as_str()?.to_string(), g.as_u64()?)),
+                    _ => None,
+                };
+                let generations = json.get("generations")?.as_arr()?.iter().map(pair);
+                Some(Record::Generations { generations: generations.collect::<Option<_>>()? })
             }
             _ => None,
         }
@@ -265,6 +209,13 @@ pub struct Recovery {
 pub struct Durability {
     root: PathBuf,
     journal: File,
+    /// Length of the journal's valid contents — where a failed append
+    /// rolls the file back to.
+    len: u64,
+    /// Set when that rollback itself failed: torn bytes sit at the tail,
+    /// and a record appended behind them would be acknowledged now and
+    /// truncated by the next recovery, so every later append is refused.
+    torn: bool,
     /// Journal records since the last snapshot fold.
     since_snapshot: u64,
     /// Fold the journal into a snapshot after this many records.
@@ -277,44 +228,57 @@ impl Durability {
     /// tail so the journal is appendable again.
     pub fn open(root: &Path, snapshot_every: u64) -> io::Result<(Durability, Recovery)> {
         fs::create_dir_all(root)?;
-        let mut recovery = Recovery::default();
-        let snap = read_if_exists(&root.join(SNAPSHOT_FILE))?;
-        let snap_decoded = decode_stream(&snap);
-        recovery.truncated += snap_decoded.truncated;
-        recovery.records = snap_decoded.records;
-
+        let snapshot = decode_stream(&read_if_exists(&root.join(SNAPSHOT_FILE))?);
         let journal_path = root.join(JOURNAL_FILE);
-        let bytes = read_if_exists(&journal_path)?;
-        let decoded = decode_stream(&bytes);
-        recovery.truncated += decoded.truncated;
-        let replayed_journal = decoded.records.len() as u64;
-        recovery.records.extend(decoded.records);
-
+        let decoded = decode_stream(&read_if_exists(&journal_path)?);
         let journal = OpenOptions::new().create(true).append(true).open(&journal_path)?;
         if decoded.truncated > 0 {
             journal.set_len(decoded.valid_len as u64)?;
             journal.sync_all()?;
         }
-        Ok((
-            Durability {
-                root: root.to_path_buf(),
-                journal,
-                since_snapshot: replayed_journal,
-                snapshot_every: snapshot_every.max(1),
-            },
-            recovery,
-        ))
+        let durability = Durability {
+            root: root.to_path_buf(),
+            journal,
+            len: decoded.valid_len as u64,
+            torn: false,
+            since_snapshot: decoded.records.len() as u64,
+            snapshot_every: snapshot_every.max(1),
+        };
+        let truncated = snapshot.truncated + decoded.truncated;
+        let records = snapshot.records.into_iter().chain(decoded.records).collect();
+        Ok((durability, Recovery { records, truncated }))
     }
 
-    /// Appends one record and fsyncs it. Returns the framed bytes
-    /// written. The caller applies the mutation in memory only after
-    /// this returns `Ok` — write-ahead, not write-behind.
-    pub fn append(&mut self, record: &Record) -> io::Result<u64> {
-        let frame = record.frame();
-        self.journal.write_all(&frame)?;
-        self.journal.sync_data()?;
-        self.since_snapshot += 1;
-        Ok(frame.len() as u64)
+    /// Appends `records` as one batch — one write, one fsync — and
+    /// returns the framed bytes written. The caller applies the batch in
+    /// memory only after this returns `Ok` (write-ahead); on any write or
+    /// sync error the file is rolled back to its pre-append length, so a
+    /// refused batch leaves no record behind. `faults` is the chaos seam:
+    /// a firing `JournalWrite` tears the append half way, like a disk
+    /// filling up mid-write.
+    pub fn append(&mut self, records: &[Record], faults: Option<&FaultPlan>) -> io::Result<u64> {
+        if self.torn {
+            return Err(io::Error::other(
+                "an earlier failed append could not be rolled back; refusing to append behind it",
+            ));
+        }
+        let batch: Vec<u8> = records.iter().flat_map(Record::frame).collect();
+        let written = if faults.is_some_and(|plan| plan.fire(FaultSite::JournalWrite)) {
+            self.journal
+                .write_all(&batch[..batch.len() / 2])
+                .and(Err(io::Error::other("injected journal write failure")))
+        } else {
+            self.journal.write_all(&batch).and_then(|()| self.journal.sync_data())
+        };
+        if let Err(e) = written {
+            let rolled_back =
+                self.journal.set_len(self.len).and_then(|()| self.journal.sync_data());
+            self.torn = rolled_back.is_err();
+            return Err(e);
+        }
+        self.len += batch.len() as u64;
+        self.since_snapshot += records.len() as u64;
+        Ok(batch.len() as u64)
     }
 
     /// Flushes the journal to disk (a formality — every append syncs).
@@ -346,21 +310,17 @@ impl Durability {
         fs::rename(&tmp, self.root.join(SNAPSHOT_FILE))?;
         // Reset the journal only after the snapshot is durable.
         self.journal.set_len(0)?;
-        self.journal.sync_all()?;
+        self.len = 0;
         self.since_snapshot = 0;
+        self.journal.sync_all()?;
         Ok((bytes, 2))
     }
 }
 
 fn read_if_exists(path: &Path) -> io::Result<Vec<u8>> {
-    match File::open(path) {
-        Ok(mut f) => {
-            let mut bytes = Vec::new();
-            f.read_to_end(&mut bytes)?;
-            Ok(bytes)
-        }
+    match fs::read(path) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(e),
+        read => read,
     }
 }
 
@@ -394,8 +354,17 @@ mod tests {
 
     #[test]
     fn records_roundtrip_through_encode_decode() {
-        for record in sample_records() {
-            let decoded = Record::decode(&record.encode()).expect("decodes");
+        // The payloads are an on-disk format: a data dir written by an
+        // older build must keep replaying, so the bytes are pinned.
+        let on_disk = [
+            r#"{"rec":"register","name":"a\"\\\u0001","dims":[2,2],"generation":3,"dense":[1,0,-2.5,"nan"]}"#,
+            r#"{"rec":"register","name":"s","dims":[3,3],"generation":0,"coo":[[0,1,2],[2,2,"inf"]]}"#,
+            r#"{"rec":"unregister","name":"gone"}"#,
+            r#"{"rec":"generations","generations":[["a",7],["weird\nname",0]]}"#,
+        ];
+        for (record, bytes) in sample_records().into_iter().zip(on_disk) {
+            assert_eq!(record.encode(), bytes);
+            let decoded = Record::decode(bytes).expect("decodes");
             assert!(same(&record, &decoded), "{record:?} vs {decoded:?}");
         }
     }
@@ -450,9 +419,7 @@ mod tests {
         {
             let (mut dur, recovery) = Durability::open(&dir, 1024).unwrap();
             assert!(recovery.records.is_empty());
-            for r in &records {
-                dur.append(r).unwrap();
-            }
+            dur.append(&records, None).unwrap();
         }
         // Torn tail: append garbage that looks like a half-written frame.
         {

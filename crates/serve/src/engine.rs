@@ -1,8 +1,11 @@
 //! The serving engine: everything behind the protocol, independent of
 //! the transport.
 //!
-//! An [`Engine`] owns the tensor registry, the kernel table, a shared
-//! [`ContextPool`], and the request/latency metrics. The TCP layer
+//! An [`Engine`] dispatches requests over the tensor registry
+//! ([`crate::registry`]: one state machine, journaled write-ahead), the
+//! kernel table ([`crate::kernel_table`]: prepared handles and the
+//! guards around running one) and a shared [`ContextPool`], and owns
+//! the request/latency metrics and their exposition. The TCP layer
 //! ([`crate::server`]) decodes request lines and calls
 //! [`Engine::handle`]; tests drive the engine directly (the
 //! counting-allocator tier calls [`Engine::execute`] to isolate the
@@ -12,40 +15,44 @@
 //!
 //! Plans are compiled once (process-wide single-flight plan cache, see
 //! `systec_kernels::Prepared`), and every kernel handle keeps a pool of
-//! warmed [`RunSlot`]s — output tensors plus a `Counters` value sized on
+//! warmed run slots — output tensors plus a `Counters` value sized on
 //! first use. A `run` request checks out one slot and one pooled
 //! [`ExecContext`], calls `run_timed_into`, and returns both on drop:
 //! once as many slots/contexts exist as there are concurrent runners,
 //! the steady-state execution path performs **zero** heap allocations
 //! (`tests/serve_alloc_regression.rs`). Response serialization happens
 //! after the lease is taken and is allowed to allocate.
+//!
+//! [`ExecContext`]: systec_codegen::ExecContext
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::durability::{Durability, Record, Recovery, DEFAULT_SNAPSHOT_EVERY};
-use crate::fault::{FaultPlan, FaultSite};
+use crate::durability::DEFAULT_SNAPSHOT_EVERY;
+use crate::fault::FaultPlan;
+use crate::kernel_table::{KernelEntry, KernelTable};
+use crate::registry::{build_tensor, SharedRegistry};
 use crate::relock;
 
-use systec_codegen::{ContextPool, Parallelism, PooledContext};
+use systec_codegen::{ContextPool, Parallelism};
 use systec_exec::{Counters, ExecError};
 use systec_ir::parse_einsum;
-use systec_kernels::{parse_symmetry, plan_cache_stats, serial_fallback_note, Prepared};
+use systec_kernels::{parse_symmetry, plan_cache_stats, Prepared};
 use systec_telemetry::prom::{counter, gauge, histogram, Metric, PromWriter};
-use systec_telemetry::{self as telemetry, Histogram, Snapshot};
-use systec_tensor::{csf, CooTensor, DenseTensor, SparseTensor, Tensor};
+use systec_telemetry::{self as telemetry, Histogram};
+use systec_tensor::{DenseTensor, Tensor};
 
 use crate::protocol::{
-    CachePayload, CounterPayload, ErrorCode, KernelStatPayload, MergeRule, OutputPayload,
-    PoolPayload, Request, RequestMetrics, Response, ServeMetrics, SlowRunPayload, StorageFormat,
-    TensorPayload, Variant, Warning, WarningKind,
+    CachePayload, CounterPayload, ErrorCode, OutputPayload, PoolPayload, Request, RequestMetrics,
+    Response, ServeMetrics, SlowRunPayload, StorageFormat, TensorPayload, Variant,
 };
 use crate::wire::Record as _;
+
+pub use crate::kernel_table::RunLease;
 
 /// Runs slower than this are counted as slow and logged (overridable
 /// via [`Engine::with_slow_threshold`]).
@@ -54,241 +61,15 @@ const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_millis(10);
 /// Capacity of the engine-wide slow-run log.
 const SLOW_LOG_CAPACITY: usize = 32;
 
-/// Consecutive panicking runs of one spec before `prepare` itself is
-/// circuit-broken (overridable via [`Engine::with_panic_budget`]). A
-/// successful run of the spec resets the count.
-const DEFAULT_PANIC_BUDGET: u32 = 3;
-
-/// A fixed-capacity ring of the most recent over-threshold runs. The
-/// buffer is allocated once at engine construction, so appending on
-/// the run path is a lock plus an index write — no allocation.
-#[derive(Debug)]
-struct SlowLog {
-    entries: Vec<SlowRunPayload>,
-    next: usize,
-    recorded: u64,
-}
-
-impl SlowLog {
-    fn new() -> SlowLog {
-        SlowLog { entries: Vec::with_capacity(SLOW_LOG_CAPACITY), next: 0, recorded: 0 }
+/// Records one over-threshold run in the slow log: a ring of the most
+/// recent [`SLOW_LOG_CAPACITY`], oldest first. The buffer is allocated
+/// once at engine construction, so appending on the run path is a lock
+/// plus a slot write — no allocation.
+fn record_slow(log: &mut VecDeque<SlowRunPayload>, entry: SlowRunPayload) {
+    if log.len() == SLOW_LOG_CAPACITY {
+        log.pop_front();
     }
-
-    fn record(&mut self, entry: SlowRunPayload) {
-        if self.entries.len() < SLOW_LOG_CAPACITY {
-            self.entries.push(entry);
-        } else {
-            self.entries[self.next] = entry;
-        }
-        self.next = (self.next + 1) % SLOW_LOG_CAPACITY;
-        self.recorded = self.recorded.saturating_add(1);
-    }
-
-    /// The retained entries, oldest first. The all-time `recorded`
-    /// count is compared in u64 — casting it *down* to usize, as an
-    /// earlier revision did, would wrap on 32-bit targets after 2^32
-    /// slow runs and misreport a long-rotated ring as unrotated.
-    fn snapshot(&self) -> Vec<SlowRunPayload> {
-        if self.recorded <= self.entries.len() as u64 {
-            self.entries.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.entries.len());
-            out.extend_from_slice(&self.entries[self.next..]);
-            out.extend_from_slice(&self.entries[..self.next]);
-            out
-        }
-    }
-}
-
-/// Reusable per-run state for one kernel: initialized outputs and a
-/// counters value, both retaining capacity between runs.
-#[derive(Debug, Default)]
-struct RunSlot {
-    outputs: HashMap<String, DenseTensor>,
-    counters: Counters,
-}
-
-/// One prepared kernel handle.
-struct KernelEntry {
-    /// Human-readable spec (variant + einsum + symmetry + bindings).
-    spec: String,
-    /// Dedup identity: two `prepare` requests with this exact key share
-    /// a handle.
-    dedup: String,
-    prepared: Prepared,
-    slots: Mutex<Vec<RunSlot>>,
-    /// Run latencies in nanoseconds: a fixed array of atomic buckets,
-    /// so recording is wait-free and allocation-free.
-    latency: Histogram,
-    runs: AtomicU64,
-    /// Runs that exceeded the engine's slow threshold.
-    slow: AtomicU64,
-    /// Registry pins: each bound input's registered name and the
-    /// generation whose data this kernel cloned at prepare time.
-    pinned: Vec<(String, u64)>,
-    /// Registry epoch at which the pins were last verified fresh. A
-    /// matching load lets the run path skip the registry entirely —
-    /// the epoch only moves on (re-)registration.
-    valid_epoch: AtomicU64,
-    /// Set when a run of this handle panicked. A quarantined handle
-    /// never executes again (`kernel_quarantined`), and the dedup
-    /// searches skip it so re-`prepare` mints a fresh handle over the
-    /// same spec.
-    quarantined: AtomicBool,
-    /// Consecutive panics of this handle's *spec* (shared across the
-    /// handles a re-prepared spec mints): quarantine increments it, a
-    /// successful run resets it, and `prepare` circuit-breaks the spec
-    /// once it reaches the engine's panic budget.
-    panic_count: Arc<AtomicU32>,
-}
-
-/// A completed execution, borrowing nothing: holds the kernel entry, the
-/// checked-out slot and context, and returns the slot to its pools on
-/// drop. Accessors expose the results for serialization.
-pub struct RunLease {
-    entry: Arc<KernelEntry>,
-    slot: Option<RunSlot>,
-    _ctx: PooledContext,
-}
-
-impl RunLease {
-    /// The executed kernel's outputs (main program only, the paper's
-    /// timed region).
-    pub fn outputs(&self) -> &HashMap<String, DenseTensor> {
-        &self.slot.as_ref().expect("present until drop").outputs
-    }
-
-    /// Exact work counters of this run.
-    pub fn counters(&self) -> &Counters {
-        &self.slot.as_ref().expect("present until drop").counters
-    }
-}
-
-impl Drop for RunLease {
-    fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            relock(&self.entry.slots).push(slot);
-        }
-    }
-}
-
-/// One registered tensor plus its lifecycle bookkeeping.
-#[derive(Debug)]
-struct TensorEntry {
-    data: Tensor,
-    /// 0 on first registration of the name, +1 per re-registration;
-    /// survives unregister and eviction (see [`Registry::generations`]).
-    generation: u64,
-    /// Estimated payload size charged against the byte cap.
-    bytes: u64,
-    /// Logical clock of the last registration or prepare binding —
-    /// the LRU eviction order.
-    last_used: u64,
-}
-
-/// The tensor registry: live tensors, the per-name generation history,
-/// and the pin refcounts held by prepared kernels.
-#[derive(Debug, Default)]
-struct Registry {
-    tensors: HashMap<String, TensorEntry>,
-    /// Highest generation ever assigned per name. Kept after eviction
-    /// and unregister so a name can never be reborn at a generation a
-    /// stale kernel still pins (the classic ABA).
-    generations: HashMap<String, u64>,
-    /// Refcounts of `(name, generation)` pins held by kernel entries;
-    /// a tensor pinned at its current generation is never evicted.
-    pins: HashMap<(String, u64), u64>,
-    /// Total estimated bytes of live tensors.
-    bytes: u64,
-    /// Logical clock driving `last_used`.
-    clock: u64,
-}
-
-impl Registry {
-    /// Marks `name` as just used (registration or prepare binding).
-    fn touch(&mut self, name: &str) {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(entry) = self.tensors.get_mut(name) {
-            entry.last_used = clock;
-        }
-    }
-
-    /// The least-recently-used live tensor that is not pinned at its
-    /// current generation, excluding `keep` (the name being replaced —
-    /// its bytes are already credited, so evicting it would
-    /// double-count).
-    fn lru_unpinned(&self, keep: &str) -> Option<String> {
-        self.tensors
-            .iter()
-            .filter(|(name, e)| {
-                name.as_str() != keep && !self.pins.contains_key(&((*name).clone(), e.generation))
-            })
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(name, _)| name.clone())
-    }
-
-    /// Total bytes the LRU policy could free for a registration of
-    /// `keep` (every live, unpinned tensor except `keep` itself).
-    fn evictable_bytes(&self, keep: &str) -> u64 {
-        self.tensors
-            .iter()
-            .filter(|(name, e)| {
-                name.as_str() != keep && !self.pins.contains_key(&((*name).clone(), e.generation))
-            })
-            .map(|(_, e)| e.bytes)
-            .sum()
-    }
-}
-
-/// Estimated payload bytes of a registered tensor — the unit of the
-/// `--max-bytes` admission cap. Dense values cost 8 bytes each; sparse
-/// entries charge one value plus one coordinate per level.
-fn tensor_bytes(tensor: &Tensor) -> u64 {
-    match tensor {
-        Tensor::Dense(d) => 8 * d.as_slice().len() as u64,
-        Tensor::Sparse(s) => (8 + 8 * s.dims().len() as u64) * s.nnz() as u64,
-    }
-}
-
-/// The dimensions of a stored tensor (for durable records).
-fn tensor_dims(tensor: &Tensor) -> Vec<usize> {
-    match tensor {
-        Tensor::Dense(d) => d.dims().to_vec(),
-        Tensor::Sparse(s) => s.dims().to_vec(),
-    }
-}
-
-/// Serializes stored tensor data for a durable record: dense stays a
-/// value list, sparse enumerates COO entries. The payload kind encodes
-/// the storage, so replay rebuilds the same representation.
-fn tensor_payload(tensor: &Tensor) -> TensorPayload {
-    match tensor {
-        Tensor::Dense(d) => TensorPayload::Dense(d.as_slice().to_vec()),
-        Tensor::Sparse(s) => {
-            let coo = s.to_coo();
-            TensorPayload::Coo(coo.entries().map(|(c, v)| (c.to_vec(), v)).collect())
-        }
-    }
-}
-
-/// Rebuilds stored tensor data from a recovered record; `None` if the
-/// record does not describe a valid tensor (skipped during replay —
-/// the record passed its CRC, so this would indicate a writer bug, and
-/// recovery must still never panic).
-fn rebuild_tensor(dims: &[usize], payload: &TensorPayload) -> Option<Tensor> {
-    match payload {
-        TensorPayload::Dense(values) => {
-            DenseTensor::from_vec(dims.to_vec(), values.clone()).ok().map(Tensor::Dense)
-        }
-        TensorPayload::Coo(entries) => {
-            let mut coo = CooTensor::new(dims.to_vec());
-            for (coords, v) in entries {
-                coo.try_push(coords, *v).ok()?;
-            }
-            SparseTensor::from_coo(&coo, &csf(dims.len())).ok().map(Tensor::Sparse)
-        }
-    }
+    log.push_back(entry);
 }
 
 /// An engine-level failure, mapped onto a protocol error response.
@@ -301,7 +82,7 @@ pub struct EngineError {
 }
 
 impl EngineError {
-    fn new(code: ErrorCode, message: impl Into<String>) -> EngineError {
+    pub(crate) fn new(code: ErrorCode, message: impl Into<String>) -> EngineError {
         EngineError { code, message: message.into() }
     }
 }
@@ -309,12 +90,8 @@ impl EngineError {
 /// The protocol-independent serving core. Shared across connections
 /// behind an `Arc`; all methods take `&self`.
 pub struct Engine {
-    registry: RwLock<Registry>,
-    /// Bumped on every (re-)registration. Kernel entries cache the
-    /// epoch at which their pins last verified fresh, so steady-state
-    /// runs check freshness with two relaxed atomic loads and no lock.
-    registry_epoch: AtomicU64,
-    kernels: RwLock<Vec<Arc<KernelEntry>>>,
+    tensors: SharedRegistry,
+    kernels: KernelTable,
     contexts: ContextPool,
     counts: RequestMetrics,
     /// Per-engine serving metrics (batching, admission, registry
@@ -323,23 +100,11 @@ pub struct Engine {
     serve: ServeMetrics,
     /// Distribution of runs per coalesced dispatch.
     batch_size: Histogram,
-    /// Admission cap on total estimated registered bytes (`None` =
-    /// unlimited).
-    max_registered_bytes: Option<u64>,
     default_parallelism: Parallelism,
     slow_threshold_ns: u64,
-    slow_log: Mutex<SlowLog>,
-    /// Optional durable registry (`--data-dir`): a write-ahead journal
-    /// consulted *before* every registry mutation is applied.
-    durability: Option<Mutex<Durability>>,
-    /// Snapshot cadence handed to [`Durability`] at `with_data_dir`.
+    slow_log: Mutex<VecDeque<SlowRunPayload>>,
+    /// Snapshot cadence handed to the journal at `with_data_dir`.
     snapshot_every: u64,
-    /// Consecutive panicking runs per spec dedup key, shared with the
-    /// spec's kernel entries. Bounds the quarantine → re-prepare →
-    /// panic bounce: at `panic_budget` the spec is refused at `prepare`.
-    panic_counts: Mutex<HashMap<String, Arc<AtomicU32>>>,
-    /// Consecutive panics after which a spec is circuit-broken.
-    panic_budget: u32,
     /// Optional deterministic fault schedule (chaos tests only).
     fault_plan: Option<Arc<FaultPlan>>,
 }
@@ -362,21 +127,16 @@ impl Engine {
     /// split run serially either way).
     pub fn with_parallelism(default_parallelism: Parallelism) -> Engine {
         Engine {
-            registry: RwLock::new(Registry::default()),
-            registry_epoch: AtomicU64::new(0),
-            kernels: RwLock::new(Vec::new()),
+            tensors: SharedRegistry::default(),
+            kernels: KernelTable::new(),
             contexts: ContextPool::new(),
             counts: RequestMetrics::default(),
             serve: ServeMetrics::default(),
             batch_size: Histogram::new(),
-            max_registered_bytes: None,
             default_parallelism,
             slow_threshold_ns: u64::try_from(DEFAULT_SLOW_THRESHOLD.as_nanos()).unwrap_or(u64::MAX),
-            slow_log: Mutex::new(SlowLog::new()),
-            durability: None,
+            slow_log: Mutex::new(VecDeque::with_capacity(SLOW_LOG_CAPACITY)),
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-            panic_counts: Mutex::new(HashMap::new()),
-            panic_budget: DEFAULT_PANIC_BUDGET,
             fault_plan: None,
         }
     }
@@ -386,7 +146,7 @@ impl Engine {
     /// `prepare` is refused with `kernel_quarantined` instead of
     /// minting yet another doomed handle.
     pub fn with_panic_budget(mut self, budget: u32) -> Engine {
-        self.panic_budget = budget.max(1);
+        self.kernels.panic_budget = budget.max(1);
         self
     }
 
@@ -395,7 +155,7 @@ impl Engine {
     /// every unpinned tensor is refused with `admission_rejected`, and
     /// nothing is evicted for a refused registration.
     pub fn with_max_registered_bytes(mut self, cap: u64) -> Engine {
-        self.max_registered_bytes = Some(cap);
+        self.tensors.max_bytes = Some(cap);
         self
     }
 
@@ -433,105 +193,14 @@ impl Engine {
     /// Generation counters are part of the records, so stale-pin
     /// semantics survive the restart.
     pub fn with_data_dir(mut self, dir: impl AsRef<Path>) -> io::Result<Engine> {
-        let (durability, recovery) = Durability::open(dir.as_ref(), self.snapshot_every)?;
-        self.apply_recovery(recovery);
-        self.durability = Some(Mutex::new(durability));
+        self.tensors.open(dir.as_ref(), self.snapshot_every, &self.serve)?;
         Ok(self)
-    }
-
-    /// Replays recovered records into the (still single-owner) registry.
-    fn apply_recovery(&mut self, recovery: Recovery) {
-        let mut replayed = 0u64;
-        {
-            let reg = self.registry.get_mut().unwrap_or_else(PoisonError::into_inner);
-            for record in recovery.records {
-                match record {
-                    Record::Register { name, dims, generation, payload } => {
-                        let Some(data) = rebuild_tensor(&dims, &payload) else { continue };
-                        let bytes = tensor_bytes(&data);
-                        let freed = reg.tensors.get(&name).map_or(0, |e| e.bytes);
-                        reg.bytes = (reg.bytes - freed) + bytes;
-                        let prior = reg.generations.get(&name).copied();
-                        reg.generations
-                            .insert(name.clone(), prior.map_or(generation, |g| g.max(generation)));
-                        reg.clock += 1;
-                        let last_used = reg.clock;
-                        reg.tensors
-                            .insert(name, TensorEntry { data, generation, bytes, last_used });
-                    }
-                    Record::Unregister { name } => {
-                        if let Some(entry) = reg.tensors.remove(&name) {
-                            reg.bytes -= entry.bytes;
-                        }
-                    }
-                    Record::Generations { generations } => {
-                        for (name, generation) in generations {
-                            let prior = reg.generations.get(&name).copied();
-                            reg.generations
-                                .insert(name, prior.map_or(generation, |g| g.max(generation)));
-                        }
-                    }
-                }
-                replayed += 1;
-            }
-            self.serve.registry_bytes.set(reg.bytes);
-            self.serve.registry_tensors.set(reg.tensors.len() as u64);
-        }
-        self.serve.recovery_replayed.add(replayed);
-        self.serve.recovery_truncated.add(recovery.truncated);
-    }
-
-    /// Appends one record to the journal (write-ahead) and fsyncs it,
-    /// honoring an injected `JournalWrite` fault. No-op without
-    /// `--data-dir`.
-    fn journal_append(&self, dur: &mut Durability, record: &Record) -> io::Result<()> {
-        if let Some(plan) = &self.fault_plan {
-            if plan.fire(FaultSite::JournalWrite) {
-                return Err(io::Error::other("injected journal write failure"));
-            }
-        }
-        let bytes = dur.append(record)?;
-        self.serve.journal_records.inc();
-        self.serve.journal_bytes.add(bytes);
-        self.serve.journal_fsyncs.inc();
-        Ok(())
-    }
-
-    /// Folds the journal into a snapshot when due. Snapshot failure is
-    /// non-fatal: the journal remains the source of truth.
-    fn maybe_snapshot(&self, dur: &mut Durability, reg: &Registry) {
-        if !dur.wants_snapshot() {
-            return;
-        }
-        let mut generations: Vec<(String, u64)> =
-            reg.generations.iter().map(|(n, g)| (n.clone(), *g)).collect();
-        generations.sort();
-        let mut records = vec![Record::Generations { generations }];
-        let mut names: Vec<&String> = reg.tensors.keys().collect();
-        names.sort();
-        for name in names {
-            let entry = &reg.tensors[name];
-            records.push(Record::Register {
-                name: name.clone(),
-                dims: tensor_dims(&entry.data),
-                generation: entry.generation,
-                payload: tensor_payload(&entry.data),
-            });
-        }
-        if let Ok((bytes, fsyncs)) = dur.write_snapshot(&records) {
-            self.serve.journal_bytes.add(bytes);
-            self.serve.journal_fsyncs.add(fsyncs);
-        }
     }
 
     /// Fsyncs the journal if one is open (graceful-drain hook; every
     /// append already syncs, so this is cheap).
     pub fn flush_journal(&self) {
-        if let Some(dur) = &self.durability {
-            if relock(dur).sync().is_ok() {
-                self.serve.journal_fsyncs.inc();
-            }
-        }
+        self.tensors.flush(&self.serve);
     }
 
     /// Handles one request, returning the response to write back.
@@ -546,7 +215,9 @@ impl Engine {
             }
             Request::Unregister { name } => {
                 self.counts.unregister.inc();
-                self.unregister(name)
+                self.tensors
+                    .unregister(name, self.fault_plan.as_deref(), &self.serve)
+                    .map(|existed| Response::Unregistered { name: name.clone(), existed })
             }
             Request::Prepare { einsum, sym, inputs, variant, threads, sharded } => {
                 self.counts.prepare.inc();
@@ -593,191 +264,11 @@ impl Engine {
         if name.is_empty() {
             return Err(EngineError::new(ErrorCode::BadTensor, "tensor name must be non-empty"));
         }
-        if dims.is_empty() || dims.contains(&0) {
-            return Err(EngineError::new(
-                ErrorCode::BadTensor,
-                format!("dims must be non-empty and positive, got {dims:?}"),
-            ));
-        }
-        let bad = |message: String| EngineError::new(ErrorCode::BadTensor, message);
-        let coo = match payload {
-            TensorPayload::Dense(values) => {
-                let expect: usize = dims.iter().product();
-                if values.len() != expect {
-                    return Err(bad(format!(
-                        "dense payload has {} values but dims {dims:?} need {expect}",
-                        values.len()
-                    )));
-                }
-                if !values.iter().all(|v| v.is_finite()) {
-                    return Err(bad("tensor values must be finite".into()));
-                }
-                if format == StorageFormat::Dense || format == StorageFormat::Auto {
-                    let dense = DenseTensor::from_vec(dims.to_vec(), values.clone())
-                        .map_err(|e| bad(e.to_string()))?;
-                    let nnz = values.len() as u64;
-                    return self.insert_tensor(name, Tensor::Dense(dense), nnz);
-                }
-                let dense = DenseTensor::from_vec(dims.to_vec(), values.clone())
-                    .map_err(|e| bad(e.to_string()))?;
-                CooTensor::from_dense(&dense)
-            }
-            TensorPayload::Coo(entries) => {
-                let mut coo = CooTensor::new(dims.to_vec());
-                for (coords, v) in entries {
-                    if !v.is_finite() {
-                        return Err(bad("tensor values must be finite".into()));
-                    }
-                    coo.try_push(coords, *v).map_err(|e| bad(e.to_string()))?;
-                }
-                if format == StorageFormat::Dense {
-                    let dense = coo.to_dense();
-                    let nnz = dense.as_slice().len() as u64;
-                    return self.insert_tensor(name, Tensor::Dense(dense), nnz);
-                }
-                coo
-            }
-        };
-        let sparse = SparseTensor::from_coo(&coo, &csf(dims.len()))
-            .map_err(|e| bad(format!("packing to CSF: {e}")))?;
-        let nnz = sparse.nnz() as u64;
-        self.insert_tensor(name, Tensor::Sparse(sparse), nnz)
-    }
-
-    /// Admits validated tensor data under `name`: charges its estimated
-    /// bytes against the registry cap (LRU-evicting unpinned tensors to
-    /// make room), assigns the next generation for the name, and
-    /// publishes the new registry epoch so kernels pinning an older
-    /// generation fail their next freshness check loudly.
-    fn insert_tensor(&self, name: &str, data: Tensor, nnz: u64) -> Result<Response, EngineError> {
-        let bytes = tensor_bytes(&data);
-        let mut reg = self.registry.write().unwrap_or_else(PoisonError::into_inner);
-        // A replacement frees the old entry's bytes before the cap
-        // check, and the replaced name itself is never an LRU victim.
-        let freed = reg.tensors.get(name).map_or(0, |e| e.bytes);
-        // Victims are *staged* (removed but held aside) rather than
-        // dropped: if the journal append below fails, they go back and
-        // the refused registration has no side effects at all.
-        let mut victims: Vec<(String, TensorEntry)> = Vec::new();
-        if let Some(cap) = self.max_registered_bytes {
-            let mut projected = (reg.bytes - freed).saturating_add(bytes);
-            if projected > cap {
-                // Decide feasibility up front so a refused registration
-                // has no side effects — rejection must not evict.
-                if projected.saturating_sub(reg.evictable_bytes(name)) > cap {
-                    self.serve.rejected_bytes.inc();
-                    return Err(EngineError::new(
-                        ErrorCode::AdmissionRejected,
-                        format!(
-                            "registering `{name}` ({bytes} bytes) would exceed the \
-                             registered-bytes cap ({cap} bytes) even after evicting \
-                             every unpinned tensor"
-                        ),
-                    ));
-                }
-                while projected > cap {
-                    let victim = reg.lru_unpinned(name).expect("evictable bytes checked above");
-                    let evicted = reg.tensors.remove(&victim).expect("victim is live");
-                    reg.bytes -= evicted.bytes;
-                    projected -= evicted.bytes;
-                    victims.push((victim, evicted));
-                }
-            }
-        }
-        let generation = reg.generations.get(name).map_or(0, |g| g + 1);
-        // Write-ahead: evictions and the registration hit the journal
-        // (fsynced) before any of it becomes visible. A failed append
-        // restores the staged victims and changes nothing.
-        if let Some(dur) = &self.durability {
-            let mut dur = relock(dur);
-            let result = victims
-                .iter()
-                .try_for_each(|(victim, _)| {
-                    self.journal_append(&mut dur, &Record::Unregister { name: victim.clone() })
-                })
-                .and_then(|()| {
-                    self.journal_append(
-                        &mut dur,
-                        &Record::Register {
-                            name: name.to_string(),
-                            dims: tensor_dims(&data),
-                            generation,
-                            payload: tensor_payload(&data),
-                        },
-                    )
-                });
-            if let Err(e) = result {
-                for (victim, entry) in victims {
-                    reg.bytes += entry.bytes;
-                    reg.tensors.insert(victim, entry);
-                }
-                return Err(EngineError::new(
-                    ErrorCode::Internal,
-                    format!("journal write failed, registration not applied: {e}"),
-                ));
-            }
-        }
-        self.serve.registry_evictions.add(victims.len() as u64);
-        drop(victims);
-        reg.generations.insert(name.to_string(), generation);
-        reg.bytes = (reg.bytes - freed) + bytes;
-        reg.clock += 1;
-        let last_used = reg.clock;
-        reg.tensors.insert(name.to_string(), TensorEntry { data, generation, bytes, last_used });
-        self.serve.registry_bytes.set(reg.bytes);
-        self.serve.registry_tensors.set(reg.tensors.len() as u64);
-        // Fold the journal into a snapshot only after the mutation is
-        // visible in `reg` — the snapshot replaces the journal, so it
-        // must contain everything journaled so far.
-        if let Some(dur) = &self.durability {
-            self.maybe_snapshot(&mut relock(dur), &reg);
-        }
-        drop(reg);
-        // Publish after the registry write: a run that observes the new
-        // epoch re-verifies its pins under the registry lock and is
-        // guaranteed to see the new generation there.
-        self.registry_epoch.fetch_add(1, Ordering::Release);
+        let (data, nnz) = build_tensor(dims, payload, format)
+            .map_err(|message| EngineError::new(ErrorCode::BadTensor, message))?;
+        let generation =
+            self.tensors.register(name, data, self.fault_plan.as_deref(), &self.serve)?;
         Ok(Response::Registered { name: name.to_string(), nnz, generation })
-    }
-
-    fn unregister(&self, name: &str) -> Result<Response, EngineError> {
-        let mut reg = self.registry.write().unwrap_or_else(PoisonError::into_inner);
-        // Write-ahead: journal the removal before applying it. A name
-        // that was never registered journals nothing.
-        if reg.tensors.contains_key(name) {
-            if let Some(dur) = &self.durability {
-                self.journal_append(
-                    &mut relock(dur),
-                    &Record::Unregister { name: name.to_string() },
-                )
-                .map_err(|e| {
-                    EngineError::new(
-                        ErrorCode::Internal,
-                        format!("journal write failed, unregister not applied: {e}"),
-                    )
-                })?;
-            }
-        }
-        let existed = match reg.tensors.remove(name) {
-            Some(entry) => {
-                reg.bytes -= entry.bytes;
-                true
-            }
-            None => false,
-        };
-        self.serve.registry_bytes.set(reg.bytes);
-        self.serve.registry_tensors.set(reg.tensors.len() as u64);
-        if existed {
-            if let Some(dur) = &self.durability {
-                self.maybe_snapshot(&mut relock(dur), &reg);
-            }
-        }
-        drop(reg);
-        // `generations` is deliberately retained: a later re-register
-        // still advances the name's generation, and kernels pinning the
-        // removed data keep serving their own snapshot — removal
-        // invalidates nothing, so the epoch does not move either.
-        Ok(Response::Unregistered { name: name.to_string(), existed })
     }
 
     fn prepare(
@@ -789,181 +280,56 @@ impl Engine {
         threads: Option<usize>,
         sharded: bool,
     ) -> Result<Response, EngineError> {
+        let invalid = |message: String| EngineError::new(ErrorCode::InvalidKernel, message);
         let parse_span = telemetry::span(telemetry::Phase::Parse);
-        let einsum = parse_einsum(einsum_text)
-            .map_err(|e| EngineError::new(ErrorCode::InvalidKernel, e.to_string()))?;
-        let symmetry = parse_symmetry(&einsum, sym)
-            .map_err(|message| EngineError::new(ErrorCode::InvalidKernel, message))?;
+        let einsum = parse_einsum(einsum_text).map_err(|e| invalid(e.to_string()))?;
+        let symmetry = parse_symmetry(&einsum, sym).map_err(invalid)?;
         drop(parse_span);
 
         // Resolve einsum tensor names to registered data. Unmapped names
         // default to themselves.
-        let mut bindings: Vec<(String, String)> = Vec::new();
-        for access in einsum.rhs.accesses() {
-            let tensor = access.tensor.name.clone();
-            if bindings.iter().any(|(t, _)| *t == tensor) {
-                continue;
-            }
-            let registered = input_map
-                .iter()
-                .find(|(t, _)| *t == tensor)
-                .map_or_else(|| tensor.clone(), |(_, r)| r.clone());
-            bindings.push((tensor, registered));
-        }
+        let mut bindings: Vec<(String, String)> = (einsum.rhs.accesses().iter())
+            .map(|access| {
+                let tensor = &access.tensor.name;
+                let registered =
+                    input_map.iter().find(|(t, _)| t == tensor).map_or(tensor, |m| &m.1);
+                (tensor.clone(), registered.clone())
+            })
+            .collect();
         bindings.sort();
-        // Snapshot the epoch BEFORE reading the bindings: if a
-        // re-register lands in between, the cached epoch is already
-        // behind and the first run re-verifies the pins (never the
-        // reverse, which would let a stale pin ride a fresh epoch).
-        let epoch_at_prepare = self.registry_epoch.load(Ordering::Acquire);
-        let (inputs, pinned) = {
-            let mut registry = self.registry.write().unwrap_or_else(PoisonError::into_inner);
-            let mut inputs: HashMap<String, Tensor> = HashMap::new();
-            let mut pinned: Vec<(String, u64)> = Vec::new();
-            for (tensor, registered) in &bindings {
-                let (data, generation) = match registry.tensors.get(registered) {
-                    Some(entry) => (entry.data.clone(), entry.generation),
-                    None => {
-                        return Err(EngineError::new(
-                            ErrorCode::UnknownTensor,
-                            format!("tensor `{registered}` (for `{tensor}`) is not registered"),
-                        ))
-                    }
-                };
-                inputs.insert(tensor.clone(), data);
-                if !pinned.iter().any(|(n, g)| n == registered && *g == generation) {
-                    pinned.push((registered.clone(), generation));
-                }
-                registry.touch(registered);
-            }
-            (inputs, pinned)
-        };
+        bindings.dedup();
+        let (inputs, pinned, epoch) = self.tensors.bind(&bindings)?;
 
         // Canonical identity for handle dedup: the einsum re-rendered,
         // the declarations as sent, the bindings *and the generations
         // they resolved to* (so a prepare after a re-register mints a
         // fresh handle over the new data), the variant, threads.
-        let variant_tag = match variant {
-            Variant::Systec => "systec",
-            Variant::Naive => "naive",
-        };
+        let spec = format!("{}::{einsum}", variant.as_str());
         let dedup = format!(
-            "{variant_tag}::{einsum}::sym={sym:?}::inputs={bindings:?}::gens={pinned:?}::threads={threads:?}"
+            "{spec}::sym={sym:?}::inputs={bindings:?}::gens={pinned:?}::threads={threads:?}"
         );
-        // Circuit breaker on the quarantine → re-prepare bounce: a spec
-        // whose runs panicked `panic_budget` consecutive times is refused
-        // here, before compiling yet another doomed handle. The count is
-        // shared with every handle the spec mints and resets on any
-        // successful run.
-        let panic_count = {
-            let mut counts = relock(&self.panic_counts);
-            Arc::clone(counts.entry(dedup.clone()).or_default())
-        };
-        let panics = panic_count.load(Ordering::Acquire);
-        if panics >= self.panic_budget {
-            return Err(EngineError::new(
-                ErrorCode::KernelQuarantined,
-                format!(
-                    "this spec panicked on {panics} consecutive runs and is circuit-broken — \
-                     re-register its data (or fix the spec) before preparing it again"
-                ),
-            ));
-        }
-        if let Some(found) = self.find_kernel(&dedup, sharded) {
-            return Ok(found);
-        }
-
-        // Compile outside any engine lock: concurrent prepares of
-        // different kernels must not serialize, and concurrent prepares
-        // of the same kernel single-flight inside the plan cache.
-        let prepared = match variant {
-            Variant::Systec => Prepared::compile_einsum(&einsum, &symmetry, &inputs),
-            Variant::Naive => Prepared::naive_einsum(&einsum, &inputs),
-        }
-        .map_err(|e| match e {
-            ExecError::InvalidKernel { message } => {
-                EngineError::new(ErrorCode::InvalidKernel, message)
+        let compile = || {
+            // The deep copy `Prepared` works on, taken from the shared
+            // handles — outside the registry lock.
+            let inputs: HashMap<String, Tensor> =
+                inputs.iter().map(|(t, data)| (t.clone(), Tensor::clone(data))).collect();
+            let prepared = match variant {
+                Variant::Systec => Prepared::compile_einsum(&einsum, &symmetry, &inputs),
+                Variant::Naive => Prepared::naive_einsum(&einsum, &inputs),
             }
-            other => EngineError::new(ErrorCode::InvalidKernel, other.to_string()),
-        })?;
-        let parallelism = threads.map_or(self.default_parallelism, Parallelism::threads);
-        let prepared = prepared.with_parallelism(parallelism);
-        let splittable = prepared.splittable();
-        let warning = fallback_warning(parallelism, splittable);
-        let entry = Arc::new(KernelEntry {
-            spec: format!("{variant_tag}::{einsum}"),
-            dedup,
-            prepared,
-            slots: Mutex::new(Vec::new()),
-            latency: Histogram::new(),
-            runs: AtomicU64::new(0),
-            slow: AtomicU64::new(0),
-            pinned,
-            valid_epoch: AtomicU64::new(epoch_at_prepare),
-            quarantined: AtomicBool::new(false),
-            panic_count,
-        });
-
-        let mut kernels = self.kernels.write().unwrap_or_else(PoisonError::into_inner);
-        // Re-check under the write lock: a racing prepare of the same
-        // spec may have inserted between our check and here. Quarantined
-        // handles are invisible to dedup — re-preparing a panicked spec
-        // must mint a fresh handle.
-        if let Some(k) = kernels
-            .iter()
-            .position(|k| k.dedup == entry.dedup && !k.quarantined.load(Ordering::Acquire))
-        {
-            let existing = &kernels[k];
-            return Ok(Response::Prepared {
-                kernel: k as u64,
-                splittable: existing.prepared.splittable(),
-                split: sharded.then(|| split_payload(&existing.prepared)).flatten(),
-                warning: warning.clone(),
-            });
-        }
-        kernels.push(Arc::clone(&entry));
-        let kernel = (kernels.len() - 1) as u64;
-        drop(kernels);
-        // Pin the bound generations only after winning the insert race:
-        // the losing duplicate above never pinned, so the refcounts
-        // track exactly the kernel entries that hold a data snapshot.
-        let mut reg = self.registry.write().unwrap_or_else(PoisonError::into_inner);
-        for (name, generation) in &entry.pinned {
-            *reg.pins.entry((name.clone(), *generation)).or_insert(0) += 1;
-        }
-        self.serve.pinned.set(reg.pins.len() as u64);
-        drop(reg);
-        Ok(Response::Prepared {
-            kernel,
-            splittable,
-            split: sharded.then(|| split_payload(&entry.prepared)).flatten(),
-            warning,
-        })
-    }
-
-    fn find_kernel(&self, dedup: &str, sharded: bool) -> Option<Response> {
-        let kernels = self.kernels.read().unwrap_or_else(PoisonError::into_inner);
-        kernels.iter().position(|k| k.dedup == dedup && !k.quarantined.load(Ordering::Acquire)).map(
-            |k| Response::Prepared {
-                kernel: k as u64,
-                splittable: kernels[k].prepared.splittable(),
-                split: sharded.then(|| split_payload(&kernels[k].prepared)).flatten(),
-                warning: fallback_warning(
-                    kernels[k].prepared.parallelism(),
-                    kernels[k].prepared.splittable(),
-                ),
-            },
-        )
-    }
-
-    fn entry(&self, kernel: u64) -> Result<Arc<KernelEntry>, EngineError> {
-        let kernels = self.kernels.read().unwrap_or_else(PoisonError::into_inner);
-        usize::try_from(kernel).ok().and_then(|k| kernels.get(k)).cloned().ok_or_else(|| {
-            EngineError::new(
-                ErrorCode::UnknownKernel,
-                format!("no kernel with handle {kernel} (have {})", kernels.len()),
-            )
-        })
+            .map_err(|e| match e {
+                ExecError::InvalidKernel { message } => invalid(message),
+                other => invalid(other.to_string()),
+            })?;
+            let parallelism = threads.map_or(self.default_parallelism, Parallelism::threads);
+            Ok(prepared.with_parallelism(parallelism))
+        };
+        let (kernel, entry) =
+            self.kernels.get_or_insert_with(dedup, spec, pinned, epoch, compile)?;
+        // Pin only what a kernel entry holds a copy of — after the
+        // compile, so a refused prepare pins nothing.
+        self.tensors.pin(&entry.pinned, &self.serve);
+        Ok(entry.prepared_reply(kernel, sharded))
     }
 
     /// Executes a prepared kernel on the pooled path (main program only)
@@ -980,6 +346,14 @@ impl Engine {
         self.execute_coalesced(kernel, None, 1)
     }
 
+    /// The handle a `run` may execute: known, not quarantined, and its
+    /// pinned tensors still the current generations.
+    fn admit(&self, kernel: u64) -> Result<Arc<KernelEntry>, EngineError> {
+        let entry = self.kernels.runnable(kernel)?;
+        self.tensors.ensure_fresh(&entry.pinned, &entry.valid_epoch, &self.serve)?;
+        Ok(entry)
+    }
+
     /// [`Engine::execute`] for a coalesced batch: one execution that
     /// accounts for `n` identical requests — `runs += n`, `n` latency
     /// samples of the shared wall time, and at most one slow-log entry
@@ -993,144 +367,42 @@ impl Engine {
         shard: Option<(usize, usize)>,
         n: u64,
     ) -> Result<RunLease, EngineError> {
-        let entry = self.entry(kernel)?;
-        self.check_quarantine(kernel, &entry)?;
-        self.ensure_fresh(&entry)?;
+        let entry = self.admit(kernel)?;
         if shard.is_some() && entry.prepared.split_outputs().is_none() {
-            return Err(EngineError::new(
-                ErrorCode::InvalidKernel,
-                format!("kernel {kernel} is not row-splittable; `shard` needs a splittable plan"),
-            ));
+            let message =
+                format!("kernel {kernel} is not row-splittable; `shard` needs a splittable plan");
+            return Err(EngineError::new(ErrorCode::InvalidKernel, message));
         }
         let mut slot = relock(&entry.slots).pop().unwrap_or_default();
         let mut ctx = self.contexts.checkout();
         let started = Instant::now();
-        // The catch covers the vendored rayon pool too: its workers
-        // catch task panics and resume them on the joining caller, so a
-        // parallel run's panic lands right here. `AssertUnwindSafe` is
-        // sound because a panicking run's slot and context are
-        // discarded below, never repooled.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.inject_exec_faults();
-            match shard {
-                None => {
-                    entry.prepared.run_timed_into(&mut slot.outputs, &mut ctx, &mut slot.counters)
-                }
-                Some((k, shards)) => entry.prepared.run_shard_into(
-                    &mut slot.outputs,
-                    &mut ctx,
-                    &mut slot.counters,
-                    k,
-                    shards,
-                ),
-            }
-        }));
-        let result = match result {
-            Ok(result) => result,
-            Err(_panic) => {
-                // Poisoned intermediate state: drop the slot and the
-                // context rather than returning them to their pools.
-                drop(slot);
-                ctx.discard();
-                return Err(self.quarantine(kernel, &entry));
-            }
-        };
+        let faults = self.fault_plan.as_deref();
+        let result = entry.guarded(kernel, n, faults, &self.serve, || match shard {
+            None => entry.prepared.run_timed_into(&mut slot.outputs, &mut ctx, &mut slot.counters),
+            Some((k, shards)) => entry.prepared.run_shard_into(
+                &mut slot.outputs,
+                &mut ctx,
+                &mut slot.counters,
+                k,
+                shards,
+            ),
+        });
         if let Err(e) = result {
-            // Return the slot before surfacing the failure.
-            relock(&entry.slots).push(slot);
-            return Err(EngineError::new(ErrorCode::Internal, e.to_string()));
+            // Poisoned intermediate state: drop the slot and the context
+            // rather than returning them to their pools.
+            ctx.discard();
+            return Err(e);
         }
-        entry.runs.fetch_add(n, Ordering::Relaxed);
-        entry.panic_count.store(0, Ordering::Release);
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         for _ in 0..n {
             entry.latency.record(nanos);
         }
         if nanos >= self.slow_threshold_ns {
             entry.slow.fetch_add(n, Ordering::Relaxed);
-            relock(&self.slow_log).record(SlowRunPayload { kernel, us: nanos / 1_000 });
+            let entry = SlowRunPayload { kernel, us: nanos / 1_000 };
+            record_slow(&mut relock(&self.slow_log), entry);
         }
-        Ok(RunLease { entry, slot: Some(slot), _ctx: ctx })
-    }
-
-    /// Refuses execution of a quarantined handle with the structured
-    /// `kernel_quarantined` code.
-    fn check_quarantine(&self, kernel: u64, entry: &KernelEntry) -> Result<(), EngineError> {
-        if entry.quarantined.load(Ordering::Acquire) {
-            return Err(EngineError::new(
-                ErrorCode::KernelQuarantined,
-                format!(
-                    "kernel {kernel} was quarantined after a panicking run — \
-                     re-prepare the same spec to mint a fresh handle"
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Quarantines a handle whose run panicked and builds the
-    /// `internal_error` reply for the victims. The first quarantining
-    /// thread bumps the gauge; every caught panic bumps the counter.
-    fn quarantine(&self, kernel: u64, entry: &KernelEntry) -> EngineError {
-        self.serve.panics_caught.inc();
-        if !entry.quarantined.swap(true, Ordering::AcqRel) {
-            self.serve.quarantined_kernels.inc();
-            // One spec-level strike per quarantined handle (not per
-            // victim request racing into this panic).
-            entry.panic_count.fetch_add(1, Ordering::AcqRel);
-        }
-        EngineError::new(
-            ErrorCode::Internal,
-            format!(
-                "execution of kernel {kernel} panicked; the handle is quarantined — \
-                 re-prepare to mint a fresh one"
-            ),
-        )
-    }
-
-    /// Chaos-test hooks on the execution path: a forced slow run and a
-    /// forced panic. Without a plan this is one branch on a `None`.
-    fn inject_exec_faults(&self) {
-        if let Some(plan) = &self.fault_plan {
-            if plan.fire(FaultSite::ExecDelay) {
-                std::thread::sleep(plan.delay());
-            }
-            if plan.fire(FaultSite::ExecPanic) {
-                panic!("injected kernel execution panic");
-            }
-        }
-    }
-
-    /// Verifies the kernel's pinned tensors are still the current
-    /// generations. Steady state is two relaxed-ish atomic loads: the
-    /// registry epoch only moves on (re-)registration, so a matching
-    /// cached epoch proves nothing was re-registered since the last
-    /// check. On an epoch change the pins re-verify under the registry
-    /// lock; an *unregistered* name does not invalidate (the kernel
-    /// keeps serving its snapshot), a *re-registered* one does.
-    fn ensure_fresh(&self, entry: &KernelEntry) -> Result<(), EngineError> {
-        let epoch = self.registry_epoch.load(Ordering::Acquire);
-        if entry.valid_epoch.load(Ordering::Relaxed) == epoch {
-            return Ok(());
-        }
-        let reg = self.registry.read().unwrap_or_else(PoisonError::into_inner);
-        for (name, pinned) in &entry.pinned {
-            let current = reg.generations.get(name).copied().unwrap_or(*pinned);
-            if current != *pinned {
-                drop(reg);
-                self.serve.stale_runs.inc();
-                return Err(EngineError::new(
-                    ErrorCode::StaleTensor,
-                    format!(
-                        "tensor `{name}` was re-registered (now generation {current}; this \
-                         kernel pinned generation {pinned}) — re-prepare to pick up the new data"
-                    ),
-                ));
-            }
-        }
-        drop(reg);
-        entry.valid_epoch.store(epoch, Ordering::Relaxed);
-        Ok(())
+        Ok(RunLease { entry, slot, _ctx: ctx })
     }
 
     /// Handles `n` coalesced identical `run` requests with a single
@@ -1162,6 +434,12 @@ impl Engine {
         shard: Option<(u64, u64)>,
         n: u64,
     ) -> Result<Response, EngineError> {
+        let fit = |value: u64| {
+            usize::try_from(value).map_err(|_| {
+                let message = format!("shard value {value} does not fit this platform's usize");
+                EngineError::new(ErrorCode::InvalidKernel, message)
+            })
+        };
         let shard = match shard {
             None => None,
             Some(_) if full => {
@@ -1171,61 +449,33 @@ impl Engine {
                      complete result, not one row range",
                 ))
             }
-            Some((k, shards)) => Some((
-                usize::try_from(k).map_err(|_| shard_overflow(k))?,
-                usize::try_from(shards).map_err(|_| shard_overflow(shards))?,
-            )),
+            Some((k, shards)) => Some((fit(k)?, fit(shards)?)),
         };
         if full {
             // The complete result (main + output replication): a fresh
             // allocation per request, documented as off the hot path.
-            let entry = self.entry(kernel)?;
-            self.check_quarantine(kernel, &entry)?;
-            self.ensure_fresh(&entry)?;
-            let (outputs, counters) = catch_unwind(AssertUnwindSafe(|| {
-                self.inject_exec_faults();
-                entry.prepared.run_full()
-            }))
-            .map_err(|_panic| self.quarantine(kernel, &entry))?
-            .map_err(|e| EngineError::new(ErrorCode::Internal, e.to_string()))?;
-            entry.runs.fetch_add(n, Ordering::Relaxed);
-            entry.panic_count.store(0, Ordering::Release);
             // Deliberately NOT recorded in the latency histogram: the
             // quantiles report the paper's timed region (pooled
             // main-program runs), and replication + fresh allocation
             // would skew them.
-            return Ok(ran_response(&outputs, &counters));
+            let entry = self.admit(kernel)?;
+            let faults = self.fault_plan.as_deref();
+            let (outputs, counters) =
+                entry.guarded(kernel, n, faults, &self.serve, || entry.prepared.run_full())?;
+            return Ok(oracle_response(&outputs, &counters));
         }
         let lease = self.execute_coalesced(kernel, shard, n)?;
-        Ok(ran_response(lease.outputs(), lease.counters()))
+        Ok(oracle_response(lease.outputs(), lease.counters()))
     }
 
     fn stats(&self) -> Response {
-        let kernels = self.kernels.read().unwrap_or_else(PoisonError::into_inner);
-        let kernel_stats = kernels
-            .iter()
-            .enumerate()
-            .map(|(k, entry)| {
-                let snapshot = entry.latency.snapshot();
-                KernelStatPayload {
-                    kernel: k as u64,
-                    spec: entry.spec.clone(),
-                    runs: entry.runs.load(Ordering::Relaxed),
-                    median_us: quantile_us(&snapshot, 0.5),
-                    p90_us: quantile_us(&snapshot, 0.9),
-                    p99_us: quantile_us(&snapshot, 0.99),
-                    max_us: (snapshot.count > 0).then(|| snapshot.max as f64 / 1_000.0),
-                    slow: entry.slow.load(Ordering::Relaxed),
-                }
-            })
-            .collect();
         Response::Stats {
             cache: cache_payload(),
             requests: self.counts.snapshot(),
             pool: pool_payload(),
             serve: self.serve.snapshot(),
-            kernels: kernel_stats,
-            slow: relock(&self.slow_log).snapshot(),
+            kernels: self.kernels.stats(),
+            slow: relock(&self.slow_log).iter().cloned().collect(),
         }
     }
 
@@ -1267,19 +517,7 @@ impl Engine {
         }
         w.sample(&VM_RUN_NS, &[], m.vm_run_ns.get());
         w.sample(&VM_RUNS, &[], m.vm_runs.get());
-
-        // Declared up front: an engine with no kernels still lists them.
-        w.family(&KERNEL_LATENCY);
-        w.family(&KERNEL_RUNS);
-        w.family(&KERNEL_SLOW);
-        let kernels = self.kernels.read().unwrap_or_else(PoisonError::into_inner);
-        for (k, entry) in kernels.iter().enumerate() {
-            let label = k.to_string();
-            let kernel = [("kernel", label.as_str())];
-            w.histogram(&KERNEL_LATENCY, &kernel, &entry.latency.snapshot());
-            w.sample(&KERNEL_RUNS, &kernel, entry.runs.load(Ordering::Relaxed));
-            w.sample(&KERNEL_SLOW, &kernel, entry.slow.load(Ordering::Relaxed));
-        }
+        self.kernels.expose(&mut w);
         w.finish()
     }
 
@@ -1290,8 +528,8 @@ impl Engine {
 }
 
 // The families no stats record carries: process-global compile / VM
-// telemetry, the fault plan, the batch-size histogram, and the
-// per-kernel trio.
+// telemetry, the fault plan and the batch-size histogram (the
+// per-kernel trio lives with the kernel table).
 const BATCH_SIZE: Metric = histogram("systec_serve_batch_size", "Runs coalesced per dispatch.");
 const COMPILE_PHASE_MAX_NS: Metric = gauge(
     "systec_compile_phase_max_ns",
@@ -1311,14 +549,6 @@ const FAULTS_INJECTED: Metric = counter(
 );
 const FUSED_DISPATCH: Metric =
     counter("systec_fused_dispatch_total", "VM vector-loop dispatches by fused-body kind.");
-const KERNEL_LATENCY: Metric = histogram(
-    "systec_kernel_latency_ns",
-    "Pooled main-program run latency per kernel handle, in nanoseconds.",
-);
-const KERNEL_RUNS: Metric =
-    counter("systec_kernel_runs_total", "Completed runs per kernel handle.");
-const KERNEL_SLOW: Metric =
-    counter("systec_kernel_slow_total", "Runs over the slow threshold per kernel handle.");
 const VM_RUN_NS: Metric =
     counter("systec_vm_run_ns_total", "Total wall nanoseconds inside VM execute.");
 const VM_RUNS: Metric = counter("systec_vm_runs_total", "VM execute entries.");
@@ -1349,45 +579,11 @@ fn pool_payload() -> PoolPayload {
     }
 }
 
-/// Converts a histogram quantile (nanoseconds) to microseconds for the
-/// stats payload; `None` before the first recorded run.
-fn quantile_us(snapshot: &Snapshot, q: f64) -> Option<f64> {
-    snapshot.quantile(q).map(|ns| ns as f64 / 1_000.0)
-}
-
-/// Maps a splittable plan's per-output classification onto wire merge
-/// rules for a `"sharded":true` prepare, sorted by output name. `None`
-/// when the plan is not splittable — or reduces with an op that has no
-/// identity (overwrite), which no fixed-order fold can merge exactly.
-fn split_payload(prepared: &Prepared) -> Option<Vec<(String, MergeRule)>> {
-    let mut split = prepared
-        .split_outputs()?
-        .into_iter()
-        .map(|(name, kind)| Some((name, MergeRule::of(kind)?)))
-        .collect::<Option<Vec<(String, MergeRule)>>>()?;
-    split.sort_by(|a, b| a.0.cmp(&b.0));
-    Some(split)
-}
-
-fn shard_overflow(value: u64) -> EngineError {
-    EngineError::new(
-        ErrorCode::InvalidKernel,
-        format!("shard value {value} does not fit this platform's usize"),
-    )
-}
-
-/// The structured serial-fallback warning for a degraded prepare, also
-/// bumping the `fallback_serial` counter when one is issued.
-fn fallback_warning(parallelism: Parallelism, splittable: bool) -> Option<Warning> {
-    serial_fallback_note(parallelism, splittable).map(|message| {
-        telemetry::global().fallback_serial.inc();
-        Warning { kind: WarningKind::SerialFallback, message }
-    })
-}
-
-/// Builds the deterministic run response: outputs and read counters in
-/// sorted name order.
-fn ran_response(outputs: &HashMap<String, DenseTensor>, counters: &Counters) -> Response {
+/// Builds the deterministic run response — outputs and read counters in
+/// sorted name order — for the server's own runs and, serializing a
+/// direct `Prepared` execution exactly like them, as the e2e oracle: a
+/// byte-identical line proves the served execution equals the direct one.
+pub fn oracle_response(outputs: &HashMap<String, DenseTensor>, counters: &Counters) -> Response {
     let mut out: Vec<OutputPayload> = outputs
         .iter()
         .map(|(name, t)| OutputPayload {
@@ -1397,31 +593,15 @@ fn ran_response(outputs: &HashMap<String, DenseTensor>, counters: &Counters) -> 
         })
         .collect();
     out.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut reads: Vec<(String, u64)> =
-        counters.reads.iter().map(|(name, n)| (name.clone(), *n)).collect();
-    reads.sort();
-    Response::Ran {
-        outputs: out,
-        counters: CounterPayload {
-            flops: counters.flops,
-            writes: counters.writes,
-            iterations: counters.iterations,
-            reads,
-        },
-    }
-}
-
-/// Serializes a direct `Prepared` execution exactly like the server
-/// serializes a `run` response — the e2e oracle: a byte-identical
-/// response line proves the served execution equals the direct one.
-pub fn oracle_response(outputs: &HashMap<String, DenseTensor>, counters: &Counters) -> Response {
-    ran_response(outputs, counters)
+    Response::Ran { outputs: out, counters: CounterPayload::from(counters) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Placement;
+    use crate::fault::FaultSite;
+    use crate::kernel_table::DEFAULT_PANIC_BUDGET;
+    use crate::protocol::{MergeRule, Placement, WarningKind};
 
     fn register(engine: &Engine, name: &str, dims: &[usize], entries: &[(Vec<usize>, f64)]) {
         let resp = engine.handle(&Request::RegisterTensor {
@@ -1434,14 +614,18 @@ mod tests {
         assert!(matches!(resp, Response::Registered { .. }), "{resp:?}");
     }
 
-    fn register_dense(engine: &Engine, name: &str, dims: &[usize], values: &[f64]) {
-        let resp = engine.handle(&Request::RegisterTensor {
+    fn try_register_dense(engine: &Engine, name: &str, dims: &[usize], values: &[f64]) -> Response {
+        engine.handle(&Request::RegisterTensor {
             name: name.into(),
             dims: dims.to_vec(),
             payload: TensorPayload::Dense(values.to_vec()),
             format: StorageFormat::Auto,
             placement: Placement::Hash,
-        });
+        })
+    }
+
+    fn register_dense(engine: &Engine, name: &str, dims: &[usize], values: &[f64]) {
+        let resp = try_register_dense(engine, name, dims, values);
         assert!(matches!(resp, Response::Registered { .. }), "{resp:?}");
     }
 
@@ -1781,49 +965,23 @@ mod tests {
         assert!(c(&timed, 1, 0) != c(&full, 1, 0) || c(&full, 0, 1) == 0.0);
     }
 
-    fn slow_entry(k: u64) -> SlowRunPayload {
-        SlowRunPayload { kernel: k, us: k }
-    }
-
     #[test]
-    fn slow_log_at_exact_capacity_is_unrotated_and_oldest_first() {
-        let mut log = SlowLog::new();
+    fn slow_log_rotates_out_exactly_the_oldest_and_never_grows() {
+        let mut log = VecDeque::with_capacity(SLOW_LOG_CAPACITY);
+        let allocated = log.capacity();
+        let kernels = |log: &VecDeque<SlowRunPayload>| -> Vec<u64> {
+            log.iter().map(|entry| entry.kernel).collect()
+        };
         for k in 0..SLOW_LOG_CAPACITY as u64 {
-            log.record(slow_entry(k));
+            record_slow(&mut log, SlowRunPayload { kernel: k, us: k });
         }
-        let snap = log.snapshot();
-        assert_eq!(snap.len(), SLOW_LOG_CAPACITY);
-        assert_eq!(snap.first().unwrap().kernel, 0, "nothing rotated out yet");
-        assert_eq!(snap.last().unwrap().kernel, SLOW_LOG_CAPACITY as u64 - 1);
-    }
-
-    #[test]
-    fn slow_log_one_past_capacity_rotates_out_exactly_the_oldest() {
-        let mut log = SlowLog::new();
-        for k in 0..=SLOW_LOG_CAPACITY as u64 {
-            log.record(slow_entry(k));
-        }
-        let snap = log.snapshot();
-        assert_eq!(snap.len(), SLOW_LOG_CAPACITY, "capacity is a hard bound");
-        assert_eq!(snap.first().unwrap().kernel, 1, "entry 0 rotated out");
-        assert_eq!(snap.last().unwrap().kernel, SLOW_LOG_CAPACITY as u64);
-        // Oldest-first across the wrap point.
-        for pair in snap.windows(2) {
-            assert!(pair[0].kernel < pair[1].kernel, "{snap:?}");
-        }
-    }
-
-    #[test]
-    fn slow_log_recorded_counter_saturates_instead_of_wrapping() {
-        let mut log = SlowLog::new();
-        for k in 0..SLOW_LOG_CAPACITY as u64 {
-            log.record(slow_entry(k));
-        }
-        log.recorded = u64::MAX;
-        log.record(slow_entry(99));
-        assert_eq!(log.recorded, u64::MAX, "the all-time count must saturate");
-        // Saturated counts still classify the ring as rotated.
-        assert_eq!(log.snapshot().len(), SLOW_LOG_CAPACITY);
+        // At exact capacity nothing has rotated out yet.
+        assert_eq!(kernels(&log), (0..SLOW_LOG_CAPACITY as u64).collect::<Vec<u64>>());
+        // One past it, entry 0 is gone and the order is still oldest first.
+        let last = SLOW_LOG_CAPACITY as u64;
+        record_slow(&mut log, SlowRunPayload { kernel: last, us: last });
+        assert_eq!(kernels(&log), (1..=last).collect::<Vec<u64>>());
+        assert_eq!(log.capacity(), allocated, "recording must never reallocate the ring");
     }
 
     #[test]
@@ -2103,7 +1261,7 @@ mod tests {
         // *consecutive* panics, not lifetime panics.
         let resp = engine.handle(&Request::Run { kernel: second, full: false, shard: None });
         assert!(matches!(resp, Response::Ran { .. }), "{resp:?}");
-        let counts = relock(&engine.panic_counts);
+        let counts = relock(&engine.kernels.panic_counts);
         assert!(
             counts.values().all(|c| c.load(Ordering::Acquire) == 0),
             "a successful run must zero the spec's streak"
@@ -2183,39 +1341,28 @@ mod tests {
         assert_eq!(split[0].1, MergeRule::Add);
         let resp = engine.handle(&Request::Run { kernel, full: false, shard: None });
         let Response::Ran { outputs: full, counters: serial } = resp else { panic!("{resp:?}") };
-        // Run both halves and fold them the way the router does:
-        // partial 0 first, later shards applied in fixed shard order.
-        let mut partials = Vec::new();
-        let mut summed = CounterPayload::default();
-        for k in 0..2 {
+        // Run both halves and fold them the way the router does, with
+        // the compiler's own merge: leg 0 seeds, leg 1 folds in.
+        let run_shard = |k| {
             let resp = engine.handle(&Request::Run { kernel, full: false, shard: Some((k, 2)) });
-            let Response::Ran { outputs, counters } = resp else { panic!("{resp:?}") };
+            let Response::Ran { mut outputs, counters } = resp else { panic!("{resp:?}") };
             assert_eq!(outputs.len(), 1);
             assert_eq!(outputs[0].dims, full[0].dims, "shard partials keep the full shape");
-            summed.flops += counters.flops;
-            summed.writes += counters.writes;
-            summed.iterations += counters.iterations;
-            for (name, n) in counters.reads {
-                match summed.reads.iter_mut().find(|(have, _)| *have == name) {
-                    Some((_, total)) => *total += n,
-                    None => summed.reads.push((name, n)),
-                }
-            }
-            partials.push(outputs.into_iter().next().unwrap().values);
-        }
-        let merged: Vec<u64> =
-            partials[0].iter().zip(&partials[1]).map(|(a, b)| (a + b).to_bits()).collect();
-        let want: Vec<u64> = full[0].values.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(merged, want, "folded shard partials must be bit-identical to the full run");
+            (outputs.remove(0), counters)
+        };
+        let (mut merged, mut summed) = run_shard(0);
+        let (leg, counters) = run_shard(1);
+        split[0].1.kind().merge_into(&mut merged.values, &leg.values, &leg.dims, 1, 2);
+        summed.merge(counters);
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(
+            bits(&merged.values),
+            bits(&full[0].values),
+            "folded shard partials must be bit-identical to the full run"
+        );
         // Counters are integers, so the shard sum is exact — the
         // cluster's merged counters must equal a single process's.
-        summed.reads.sort();
-        let mut serial_reads = serial.reads.clone();
-        serial_reads.sort();
-        assert_eq!(summed.flops, serial.flops);
-        assert_eq!(summed.writes, serial.writes);
-        assert_eq!(summed.iterations, serial.iterations);
-        assert_eq!(summed.reads, serial_reads);
+        assert_eq!(summed, serial);
     }
 
     #[test]
@@ -2281,6 +1428,98 @@ mod tests {
         let Response::Stats { serve, .. } = recovered.handle(&Request::Stats) else { panic!() };
         assert_eq!(serve.registry_tensors, 1);
         assert_eq!(serve.recovery_replayed, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Whether `name` is registered, probed with a one-tensor prepare.
+    fn is_live(engine: &Engine, name: &str) -> bool {
+        let resp = engine.handle(&Request::Prepare {
+            einsum: "for i: y[i] = t[i]".into(),
+            sym: vec![],
+            inputs: vec![("t".into(), name.into())],
+            variant: Variant::Naive,
+            threads: Some(1),
+            sharded: false,
+        });
+        match resp {
+            Response::Prepared { .. } => true,
+            Response::Error { code: ErrorCode::UnknownTensor, .. } => false,
+            other => panic!("probe of `{name}` failed: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn journal_batch_failure_leaves_no_orphan_eviction_records() {
+        // A 64-byte cap holds two 32-byte vectors, so every registration
+        // from `c` on evicts the LRU tensor: one mutation, journaled as
+        // one batch (its evictions, then the registration). Whichever
+        // journal write fails — the 3rd is `c`'s batch; when evictions
+        // were appended one by one, the 4th was `c`'s registration,
+        // *after* `a`'s eviction was already on disk — the refused
+        // request must leave nothing behind, in memory or on disk: a
+        // restart recovers exactly the registry the live server kept.
+        for n in [3, 4] {
+            let dir = std::env::temp_dir()
+                .join(format!("systec-engine-orphan-{n}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let plan = Arc::new(FaultPlan::seeded(8).nth(FaultSite::JournalWrite, n));
+            let engine = Engine::new()
+                .with_fault_plan(plan)
+                .with_max_registered_bytes(64)
+                .with_data_dir(&dir)
+                .expect("open data dir");
+            let refused = ["a", "b", "c", "d"].into_iter().find(|name| {
+                match try_register_dense(&engine, name, &[4], &[1.0; 4]) {
+                    Response::Registered { .. } => false,
+                    Response::Error { code: ErrorCode::Internal, .. } => true,
+                    other => panic!("{other:?}"),
+                }
+            });
+            let refused = refused.expect("the injected failure refuses one registration");
+            let Response::Stats { serve: live, .. } = engine.handle(&Request::Stats) else {
+                panic!()
+            };
+            let recovered = Engine::new().with_data_dir(&dir).expect("reopen data dir");
+            let Response::Stats { serve, .. } = recovered.handle(&Request::Stats) else { panic!() };
+            assert_eq!(serve.recovery_replayed, live.journal_records, "write {n}: orphan records");
+            assert_eq!(serve.recovery_truncated, 0, "write {n}: the failed batch was rolled back");
+            assert_eq!(serve.registry_bytes, live.registry_bytes);
+            for name in ["a", "b", "c", "d"] {
+                assert_eq!(
+                    is_live(&recovered, name),
+                    is_live(&engine, name),
+                    "write {n} refused `{refused}`: `{name}` differs after a restart"
+                );
+            }
+            if refused == "c" {
+                assert!(is_live(&recovered, "a"), "the refused `c` must not have evicted `a`");
+                assert_eq!(serve.recovery_replayed, 2, "`a` and `b`, nothing of `c`'s batch");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn journal_append_after_a_failed_append_is_recovered() {
+        // The injected failure tears like a real one — half the frame
+        // reaches the file. Unless that append is rolled back, the next
+        // (acknowledged, fsynced) record lands behind the torn bytes and
+        // recovery's longest-valid-prefix rule truncates it away.
+        let dir = std::env::temp_dir().join(format!("systec-engine-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = Arc::new(FaultPlan::seeded(1).nth(FaultSite::JournalWrite, 1));
+        let engine =
+            Engine::new().with_fault_plan(plan).with_data_dir(&dir).expect("open data dir");
+        let resp = try_register_dense(&engine, "a", &[4], &[1.0; 4]);
+        assert!(matches!(resp, Response::Error { code: ErrorCode::Internal, .. }), "{resp:?}");
+        register_dense(&engine, "b", &[4], &[2.0; 4]);
+        drop(engine);
+        let recovered = Engine::new().with_data_dir(&dir).expect("reopen data dir");
+        let Response::Stats { serve, .. } = recovered.handle(&Request::Stats) else { panic!() };
+        assert_eq!(serve.recovery_truncated, 0, "a failed append must leave no bytes behind");
+        assert_eq!(serve.recovery_replayed, 1);
+        assert!(is_live(&recovered, "b"), "the acknowledged registration must survive");
+        assert!(!is_live(&recovered, "a"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

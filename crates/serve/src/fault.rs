@@ -39,7 +39,7 @@ pub enum FaultSite {
     ExecPanic,
     /// Sleep inside kernel execution (forced slow run).
     ExecDelay,
-    /// Fail a durability journal append with an I/O error.
+    /// Tear a durability journal append half way with an I/O error.
     JournalWrite,
 }
 

@@ -50,7 +50,9 @@ pub mod durability;
 pub mod engine;
 pub mod fault;
 pub mod json;
+mod kernel_table;
 pub mod protocol;
+mod registry;
 pub mod scheduler;
 pub mod server;
 pub mod wire;

@@ -61,7 +61,7 @@
 
 use std::fmt;
 
-use systec_codegen::MergeKind;
+use systec_codegen::{Counters, MergeKind};
 use systec_ir::AssignOp;
 use systec_telemetry::prom::{counter, gauge, Metric};
 
@@ -233,14 +233,11 @@ impl MergeRule {
         MERGE_KINDS.iter().find(|(_, k)| *k == kind).map(|(rule, _)| *rule)
     }
 
-    /// The operator a merge folds this rule's per-shard partials with
-    /// (`AssignOp::apply`, in fixed shard order); `None` for `Rows`,
-    /// which concatenates row windows instead of folding.
-    pub fn fold(self) -> Option<AssignOp> {
-        MERGE_KINDS.iter().find_map(|(rule, kind)| match kind {
-            MergeKind::Reduce(op) if *rule == self => Some(*op),
-            _ => None,
-        })
+    /// The compiler classification behind this rule: a merge folds
+    /// per-shard buffers with its [`MergeKind::merge_into`].
+    pub fn kind(self) -> MergeKind {
+        let (_, kind) = MERGE_KINDS.iter().find(|(rule, _)| *rule == self).expect("every rule");
+        *kind
     }
 }
 
@@ -376,6 +373,34 @@ pub struct CounterPayload {
     pub iterations: u64,
     /// Element loads per tensor, sorted by name.
     pub reads: Vec<(String, u64)>,
+}
+
+/// The wire form of a run's counters: reads in sorted name order.
+impl From<&Counters> for CounterPayload {
+    fn from(counters: &Counters) -> CounterPayload {
+        let mut reads: Vec<(String, u64)> =
+            counters.reads.iter().map(|(name, n)| (name.clone(), *n)).collect();
+        reads.sort();
+        let Counters { flops, writes, iterations, .. } = *counters;
+        CounterPayload { flops, writes, iterations, reads }
+    }
+}
+
+impl CounterPayload {
+    /// Sums another run's counters into these with the executor's one
+    /// counter sum, [`Counters::merge`] (exact, integers); reads stay
+    /// sorted by name.
+    pub fn merge(&mut self, other: CounterPayload) {
+        let counters = |CounterPayload { flops, writes, iterations, reads }| Counters {
+            flops,
+            writes,
+            iterations,
+            reads: reads.into_iter().collect(),
+        };
+        let mut sum = counters(std::mem::take(self));
+        sum.merge(&counters(other));
+        *self = CounterPayload::from(&sum);
+    }
 }
 
 record! {
@@ -788,23 +813,59 @@ pub(crate) fn values_json(values: &[f64]) -> Json {
     Json::Arr(values.iter().map(|&v| value_json(v)).collect())
 }
 
+/// The `dense`-xor-`coo` field a `register_tensor` request and a durable
+/// `register` record both carry.
+impl TensorPayload {
+    pub(crate) fn to_json(&self) -> (&'static str, Json) {
+        match self {
+            TensorPayload::Dense(values) => ("dense", values_json(values)),
+            TensorPayload::Coo(entries) => {
+                let entry = |(coords, v): &(Vec<usize>, f64)| {
+                    let mut item: Vec<Json> = coords.iter().map(|&c| Json::num_usize(c)).collect();
+                    item.push(value_json(*v));
+                    Json::Arr(item)
+                };
+                ("coo", Json::Arr(entries.iter().map(entry).collect()))
+            }
+        }
+    }
+
+    /// Reads the field off `json`, an object describing a rank-`rank`
+    /// tensor.
+    pub(crate) fn from_json(json: &Json, rank: usize) -> Result<TensorPayload, ProtoError> {
+        match (json.get("dense"), json.get("coo")) {
+            (Some(d), None) => Ok(TensorPayload::Dense(f64_array(d, "dense")?)),
+            (None, Some(c)) => {
+                let rows = c.as_arr().ok_or_else(|| ProtoError::new("`coo` must be an array"))?;
+                let coord = |c: &Json| {
+                    let bad = "`coo` coordinates must be non-negative integers";
+                    c.as_usize().ok_or_else(|| ProtoError::new(bad))
+                };
+                let entry = |row: &Json| {
+                    let cells = row.as_arr().filter(|cells| cells.len() == rank + 1);
+                    let cells = cells.ok_or_else(|| {
+                        ProtoError::new(format!(
+                            "each `coo` entry must be an array of {rank} coordinates + a value"
+                        ))
+                    })?;
+                    let coords = cells[..rank].iter().map(coord).collect::<Result<_, _>>()?;
+                    let v = value_from_json(&cells[rank])
+                        .ok_or_else(|| ProtoError::new("`coo` values must be numbers"))?;
+                    Ok((coords, v))
+                };
+                Ok(TensorPayload::Coo(rows.iter().map(entry).collect::<Result<_, _>>()?))
+            }
+            _ => Err(ProtoError::new("register_tensor needs exactly one of `dense` or `coo`")),
+        }
+    }
+}
+
 impl Request {
     /// Serializes to one line (no trailing newline).
     pub fn encode(&self) -> String {
         let obj = match self {
             Request::RegisterTensor { name, dims, payload, format, placement } => {
-                let (key, data) = match payload {
-                    TensorPayload::Dense(values) => ("dense", values_json(values)),
-                    TensorPayload::Coo(entries) => {
-                        let entry = |(coords, v): &(Vec<usize>, f64)| {
-                            let mut item: Vec<Json> =
-                                coords.iter().map(|&c| Json::num_usize(c)).collect();
-                            item.push(value_json(*v));
-                            Json::Arr(item)
-                        };
-                        ("coo", Json::Arr(entries.iter().map(entry).collect()))
-                    }
-                };
+                let (key, data) = payload.to_json();
                 Obj::op("register_tensor")
                     .with("name", name)
                     .raw("dims", dims_json(dims))
@@ -850,42 +911,7 @@ impl Request {
             "register_tensor" => {
                 let name = require_str(&json, "name")?;
                 let dims = usize_array(&json, "dims")?;
-                let payload = match (json.get("dense"), json.get("coo")) {
-                    (Some(d), None) => TensorPayload::Dense(f64_array(d, "dense")?),
-                    (None, Some(c)) => {
-                        let rank = dims.len();
-                        let rows =
-                            c.as_arr().ok_or_else(|| ProtoError::new("`coo` must be an array"))?;
-                        let mut entries = Vec::with_capacity(rows.len());
-                        for row in rows {
-                            let cells = row.as_arr().filter(|cells| cells.len() == rank + 1);
-                            let cells = cells.ok_or_else(|| {
-                                ProtoError::new(format!(
-                                    "each `coo` entry must be an array of {rank} coordinates + a value"
-                                ))
-                            })?;
-                            let coords = cells[..rank]
-                                .iter()
-                                .map(|c| {
-                                    c.as_usize().ok_or_else(|| {
-                                        ProtoError::new(
-                                            "`coo` coordinates must be non-negative integers",
-                                        )
-                                    })
-                                })
-                                .collect::<Result<Vec<usize>, ProtoError>>()?;
-                            let v = value_from_json(&cells[rank])
-                                .ok_or_else(|| ProtoError::new("`coo` values must be numbers"))?;
-                            entries.push((coords, v));
-                        }
-                        TensorPayload::Coo(entries)
-                    }
-                    _ => {
-                        return Err(ProtoError::new(
-                            "register_tensor needs exactly one of `dense` or `coo`",
-                        ))
-                    }
-                };
+                let payload = TensorPayload::from_json(&json, dims.len())?;
                 let format = opt(&json, "format")?.unwrap_or_default();
                 let placement = opt(&json, "placement")?.unwrap_or_default();
                 Ok(Request::RegisterTensor { name, dims, payload, format, placement })
@@ -1393,14 +1419,14 @@ mod tests {
     #[test]
     fn merge_rules_map_onto_the_compiler_classification_and_back() {
         assert_eq!(MergeRule::of(MergeKind::Rows), Some(MergeRule::Rows));
-        assert_eq!(MergeRule::Rows.fold(), None, "rows concatenate, they do not fold");
+        assert_eq!(MergeRule::Rows.kind(), MergeKind::Rows);
         for (rule, op) in [
             (MergeRule::Add, AssignOp::Add),
             (MergeRule::Min, AssignOp::Min),
             (MergeRule::Max, AssignOp::Max),
         ] {
             assert_eq!(MergeRule::of(MergeKind::Reduce(op)), Some(rule));
-            assert_eq!(rule.fold(), Some(op));
+            assert_eq!(rule.kind(), MergeKind::Reduce(op));
         }
         assert_eq!(MergeRule::of(MergeKind::Reduce(AssignOp::Overwrite)), None);
     }

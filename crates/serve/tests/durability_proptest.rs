@@ -7,11 +7,24 @@
 //!   longest valid record prefix without ever panicking — the property
 //!   behind torn-tail crash recovery;
 //! * arbitrary garbage appended after a valid prefix never corrupts the
-//!   prefix and never panics.
+//!   prefix and never panics;
+//! * **replay ≡ live**: after every request of an arbitrary register /
+//!   re-register / unregister sequence — acknowledged or refused, under
+//!   a byte cap that forces evictions, snapshot folds every few records
+//!   and injected journal failures — a second engine opened on a copy of
+//!   the data dir holds the same names, generations and bytes as the
+//!   live one, and serves them byte-identically.
+
+use std::collections::HashMap;
+use std::path::Path;
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use systec_serve::durability::{decode_stream, Record};
-use systec_serve::protocol::TensorPayload;
+use systec_serve::durability::{decode_stream, Record, JOURNAL_FILE, SNAPSHOT_FILE};
+use systec_serve::protocol::{
+    ErrorCode, Placement, Request, Response, ServePayload, StorageFormat, TensorPayload, Variant,
+};
+use systec_serve::{Engine, FaultPlan, FaultSite};
 
 /// Names exercising escaping: quotes, backslashes, newlines, non-ASCII.
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -96,6 +109,197 @@ fn records_equal(a: &Record, b: &Record) -> bool {
                 }
         }
         (a, b) => a == b,
+    }
+}
+
+/// The registered names the replay property draws from.
+const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+
+/// Byte cap of the replay property's live engine: three 4-vectors, or
+/// an 8-vector and a 4-vector (8 estimated bytes per dense value); a
+/// 16-vector never fits.
+const CAP: u64 = 96;
+
+/// One request of the replay property: `values` registers them under
+/// the name, `None` unregisters it.
+type Op = (usize, Option<Vec<f64>>);
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    // Three registrations to one unregister.
+    (0..NAMES.len(), 0u32..4, 0usize..4, -8i32..8).prop_map(|(name, kind, len, v)| {
+        (name, (kind > 0).then(|| vec![f64::from(v) / 4.0; [4, 4, 8, 16][len]]))
+    })
+}
+
+fn register(name: &str, values: &[f64]) -> Request {
+    Request::RegisterTensor {
+        name: name.into(),
+        dims: vec![values.len()],
+        payload: TensorPayload::Dense(values.to_vec()),
+        format: StorageFormat::Auto,
+        placement: Placement::Hash,
+    }
+}
+
+fn stats(engine: &Engine) -> ServePayload {
+    match engine.handle(&Request::Stats) {
+        Response::Stats { serve, .. } => serve,
+        other => panic!("stats failed: {other:?}"),
+    }
+}
+
+/// Prepares and runs `y[i] = t[i]` over the tensor registered as `name`;
+/// `None` when nothing is registered under it.
+fn serve_copy(engine: &Engine, name: &str) -> Option<String> {
+    let resp = engine.handle(&Request::Prepare {
+        einsum: "for i: y[i] = t[i]".into(),
+        sym: vec![],
+        inputs: vec![("t".into(), name.into())],
+        variant: Variant::Naive,
+        threads: Some(1),
+        sharded: false,
+    });
+    match resp {
+        Response::Prepared { kernel, .. } => {
+            Some(engine.handle(&Request::Run { kernel, full: false, shard: None }).encode())
+        }
+        Response::Error { code: ErrorCode::UnknownTensor, .. } => None,
+        other => panic!("prepare over `{name}` failed: {other:?}"),
+    }
+}
+
+/// What the live engine must hold, kept by an independent statement of
+/// the admission policy: live tensors in LRU order (oldest first — the
+/// property prepares nothing on the live engine, so use order is
+/// registration order) and every generation ever acknowledged.
+#[derive(Default)]
+struct Model {
+    live: Vec<(&'static str, Vec<f64>)>,
+    generations: HashMap<&'static str, u64>,
+}
+
+impl Model {
+    fn bytes(&self) -> u64 {
+        self.live.iter().map(|(_, values)| 8 * values.len() as u64).sum()
+    }
+
+    /// The names a registration of `len` values under `name` evicts, or
+    /// `None` when it cannot fit even with everything else evicted.
+    fn victims(&self, name: &str, len: usize) -> Option<Vec<&'static str>> {
+        let others = || self.live.iter().filter(|(other, _)| *other != name);
+        let mut projected = others().map(|(_, values)| 8 * values.len() as u64).sum::<u64>();
+        projected += 8 * len as u64;
+        let mut victims = Vec::new();
+        for (victim, values) in others() {
+            if projected <= CAP {
+                break;
+            }
+            projected -= 8 * values.len() as u64;
+            victims.push(*victim);
+        }
+        (projected <= CAP).then_some(victims)
+    }
+}
+
+/// Opens a second engine on a copy of `dir` and checks it against the
+/// model: same bytes and tensor count, every name live or not as the
+/// model says and served byte-identically to a never-restarted engine
+/// holding the same values, every generation counter resumed.
+fn assert_replay_matches(dir: &Path, model: &Model, step: usize) {
+    let copy = dir.with_extension("copy");
+    let _ = std::fs::remove_dir_all(&copy);
+    std::fs::create_dir_all(&copy).unwrap();
+    for file in [JOURNAL_FILE, SNAPSHOT_FILE] {
+        if dir.join(file).exists() {
+            std::fs::copy(dir.join(file), copy.join(file)).unwrap();
+        }
+    }
+    // No byte cap here: the probes below re-register every name, and an
+    // eviction among them would hide what recovery itself produced.
+    let recovered = Engine::new().with_data_dir(&copy).expect("open the copied data dir");
+    let serve = stats(&recovered);
+    assert_eq!(serve.recovery_truncated, 0, "step {step}: torn bytes in the journal");
+    assert_eq!(serve.registry_bytes, model.bytes(), "step {step}: registry_bytes");
+    assert_eq!(serve.registry_tensors as usize, model.live.len(), "step {step}");
+    for name in NAMES {
+        let expected = model.live.iter().find(|(live, _)| *live == name).map(|(_, values)| {
+            let fresh = Engine::new();
+            fresh.handle(&register(name, values));
+            serve_copy(&fresh, name).expect("just registered")
+        });
+        assert_eq!(serve_copy(&recovered, name), expected, "step {step}: `{name}`");
+    }
+    for name in NAMES {
+        let next = model.generations.get(name).map_or(0, |g| g + 1);
+        let resp = recovered.handle(&register(name, &[0.0; 4]));
+        let resumed = matches!(resp, Response::Registered { generation, .. } if generation == next);
+        assert!(resumed, "step {step}: `{name}` must resume at generation {next}: {resp:?}");
+    }
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&copy);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Replay ≡ live, after every request.
+    #[test]
+    fn a_reopened_copy_matches_the_live_engine_after_every_request(
+        ops in prop::collection::vec(op_strategy(), 1..12),
+        seed in 0u64..1_000_000,
+    ) {
+        let dir = std::env::temp_dir()
+            .join(format!("systec-replay-prop-{}-{seed}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // One journal append in five fails, torn half way.
+        let plan = Arc::new(FaultPlan::seeded(seed).rate(FaultSite::JournalWrite, 200_000));
+        let live = Engine::new()
+            .with_fault_plan(plan)
+            .with_max_registered_bytes(CAP)
+            .with_snapshot_every(3)
+            .with_data_dir(&dir)
+            .expect("open data dir");
+        let mut model = Model::default();
+        for (step, (name, values)) in ops.into_iter().enumerate() {
+            let name = NAMES[name];
+            match values {
+                Some(values) => {
+                    let victims = model.victims(name, values.len());
+                    match (live.handle(&register(name, &values)), victims) {
+                        (Response::Registered { generation, .. }, Some(victims)) => {
+                            let next = model.generations.get(name).map_or(0, |g| g + 1);
+                            assert_eq!(generation, next, "step {step}: `{name}`");
+                            model.generations.insert(name, generation);
+                            model.live.retain(|(n, _)| *n != name && !victims.contains(n));
+                            model.live.push((name, values));
+                        }
+                        // An injected journal failure, or no room even
+                        // with everything evicted: refused, no effect.
+                        (Response::Error { code: ErrorCode::Internal, .. }, Some(_))
+                        | (Response::Error { code: ErrorCode::AdmissionRejected, .. }, None) => {}
+                        (resp, victims) => {
+                            panic!("step {step}: {resp:?} where the policy evicts {victims:?}")
+                        }
+                    }
+                }
+                None => {
+                    let existed = model.live.iter().any(|(n, _)| *n == name);
+                    match live.handle(&Request::Unregister { name: name.into() }) {
+                        Response::Unregistered { existed: was, .. } => {
+                            assert_eq!(was, existed, "step {step}: `{name}`");
+                            model.live.retain(|(n, _)| *n != name);
+                        }
+                        Response::Error { code: ErrorCode::Internal, .. } if existed => {}
+                        resp => panic!("step {step}: {resp:?}"),
+                    }
+                }
+            }
+            let serve = stats(&live);
+            assert_eq!(serve.registry_bytes, model.bytes(), "step {step}: live bytes");
+            assert_eq!(serve.registry_tensors as usize, model.live.len(), "step {step}");
+            assert_replay_matches(&dir, &model, step);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
