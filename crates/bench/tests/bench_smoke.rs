@@ -1,7 +1,7 @@
 //! CI smoke for the perf path: drives every bench kernel once at tiny
 //! sizes across the axes the repo benchmark sweeps — both variants
-//! (symmetric / naive), both backends, a threads cell, the counter-off
-//! mode, and the scalar lane-mode cell — so a panic on a hot path
+//! (symmetric / naive), both backends, a threads cell and the scalar
+//! lane-mode cell — so a panic on a hot path
 //! fails the build instead of the next bench run. Output agreement
 //! between backends rides along (byte-identical at these tiny sizes:
 //! every fiber is below the lane kernels' short-fiber cutover, so even
@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use systec_kernels::{
-    defs, Backend, CounterMode, Counters, ExecContext, KernelDef, LaneMode, Parallelism, Prepared,
+    defs, Backend, Counters, ExecContext, KernelDef, LaneMode, Parallelism, Prepared,
 };
 use systec_tensor::generate::{
     random_dense, rng, sprand, symmetric_block_plateau, symmetric_erdos_renyi,
@@ -41,9 +41,8 @@ fn drive(name: &str, def: &KernelDef, inputs: &HashMap<String, Tensor>) {
                 }
             }
         }
-        // Compiled extras: a threads cell (degrades to serial when the
-        // plan is not splittable — still must not panic) and the
-        // counter-off fused-runner mode.
+        // Compiled extra: a threads cell (degrades to serial when the
+        // plan is not splittable — still must not panic).
         let threaded = prepared
             .clone()
             .with_backend(Backend::Compiled)
@@ -52,20 +51,6 @@ fn drive(name: &str, def: &KernelDef, inputs: &HashMap<String, Tensor>) {
         let mut ctx = ExecContext::new();
         let mut counters = Counters::new();
         threaded.run_timed_into(&mut outputs, &mut ctx, &mut counters).expect("threads run");
-
-        let nocount = prepared.clone().with_backend(Backend::Compiled);
-        let mut outputs = HashMap::new();
-        let mut ctx = ExecContext::new().with_counter_mode(CounterMode::Off);
-        let mut counters = Counters::new();
-        nocount.run_timed_into(&mut outputs, &mut ctx, &mut counters).expect("nocount run");
-        if let Some(expected) = &reference {
-            for (out_name, t) in expected {
-                assert_eq!(
-                    &outputs[out_name], t,
-                    "{name}: counter-off outputs diverge on {out_name}"
-                );
-            }
-        }
 
         // The lanes axis: the serial compiled path with the explicit
         // lane runners pinned off, as in the `-scalar` bench cells.

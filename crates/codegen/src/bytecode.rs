@@ -20,6 +20,7 @@
 
 use systec_exec::lowered::SlotKind;
 use systec_ir::{AssignOp, BinOp, CmpOp};
+use systec_tensor::LevelFormat;
 
 /// Sentinel for "position unstored" in `u` position registers.
 pub(crate) const MISS: usize = usize::MAX;
@@ -179,9 +180,9 @@ pub(crate) enum Instr {
     /// Workspace initialization: `f[slot] = val` (uncounted).
     InitScalar { slot: usize, val: f64 },
     /// A whole innermost dense loop as one instruction: guards are
-    /// loop-invariant (evaluated once at entry), strided bases are
-    /// precomputed, and the body is a flat step list. Counter semantics
-    /// are identical to executing the equivalent instruction sequence.
+    /// loop-invariant (evaluated once at entry) and every body is a
+    /// [`Fused`] load/fold list. Counter semantics are identical to
+    /// executing the equivalent instruction sequence.
     VecDenseLoop {
         idx: usize,
         extent: usize,
@@ -218,10 +219,10 @@ pub(crate) enum Instr {
     /// (exactly as [`Instr::VecSparseLoop`]) while a galloping merge
     /// cursor tracks the probed fiber, replacing the per-step
     /// `Probe` binary search of the general path. The body observes the
-    /// probe through [`VStep::LoadProbe`] (value on a hit, fill + miss
-    /// flag on a miss), so per-step counters — iterations and driver
-    /// reads per driver coordinate, probe reads and guarded stores per
-    /// hit — match the interpreter exactly.
+    /// probe through [`FLoad::Probe`] (value on a hit, fill + miss bit
+    /// on a miss), so per-step counters — iterations and driver reads
+    /// per driver coordinate, probe reads and guarded stores per hit —
+    /// match the interpreter exactly.
     VecIsectLoop {
         tensor: usize,
         level: usize,
@@ -302,20 +303,16 @@ pub(crate) struct VItem {
     pub id: usize,
     /// Conjunction of comparisons over loop-invariant registers.
     pub guard: Box<[(CmpOp, usize, usize)]>,
-    /// The body, executed in order for each coordinate.
-    pub steps: Box<[VStep]>,
-    /// Compile-time specialization of `steps` (see `crate::fuse`): when
-    /// exactly one item of the loop passes its guard and carries a
-    /// fused body, the VM runs the monomorphized fused loop instead of
-    /// dispatching the step list per coordinate. `None` = the body did
-    /// not match any fused pattern (the step list always remains the
-    /// semantic reference, and runs whenever several guarded items pass
-    /// at once).
-    pub fused: Option<Fused>,
+    /// The body, executed for each coordinate while the guard passes.
+    /// When exactly one item of the loop passes, the VM runs it through
+    /// its monomorphized runner; when several pass they run
+    /// coordinate-major, in item order, at one lane (the compiler only
+    /// vectorizes loops whose items `crate::fuse::independent` admits).
+    pub body: Fused,
 }
 
-/// Classification of a fused loop body — the pattern the selector
-/// recognized. Purely descriptive (disassembly, golden snapshots, and
+/// Classification of a fused loop body — the pattern its load/fold
+/// lists form. Purely descriptive (disassembly, golden snapshots, and
 /// runner dispatch); the executable form is the [`Fused`] load/fold
 /// lists.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -333,15 +330,14 @@ pub(crate) enum FusedBody {
     /// SSYMV's symmetric pair: a scalar dot and a strided axpy sharing
     /// the driver value in one body.
     DotAxpy,
-    /// A dot whose second operand gathers through
-    /// [`VStep::LoadGather`].
+    /// A dot whose second operand gathers through [`FLoad::Gather`].
     GatherDot,
     /// An axpy whose operand gathers.
     GatherAxpy,
     /// Any other conforming load/fold body (MTTKRP's three-way factor
     /// updates, TTM's slice axpys): still monomorphized — loads resolve
-    /// to slices once per loop, folds skip the step machinery — but
-    /// with more than one store per coordinate.
+    /// to slices once per loop — but with more than one store per
+    /// coordinate.
     Jam,
 }
 
@@ -359,8 +355,18 @@ pub(crate) enum FLoad {
     /// Strided dense element `dense[tensor][offset(u, base) + coord·stride]`
     /// (counted per iteration, in bulk).
     Dense { tensor: usize, base: Box<[Term]>, stride: usize },
-    /// Random-access gather — same contract (and cursor scratch slot)
-    /// as [`VStep::LoadGather`]; counted per hit.
+    /// Non-concordant (`ReadSparseRandom`) read: a per-level search from
+    /// the tensor's root at the current index values. When the loop
+    /// index appears in exactly one subscript position (`var_mode =
+    /// Some(k)`, the position of that mode in `modes`), the invariant
+    /// prefix path `modes[..k]` resolves once at loop entry, position
+    /// `k` advances a monotone cursor in the scratch slot `id` (a gallop
+    /// for compressed levels, a run cursor for run-length levels, direct
+    /// addressing for dense levels), and the loop-invariant suffix
+    /// `modes[k+1..]` descends per hit. `var_mode = None` (the index
+    /// appears in several positions) searches the full path per
+    /// coordinate. Counted on a hit; fill + miss bit (when `set_miss`)
+    /// otherwise.
     Gather {
         tensor: usize,
         id: usize,
@@ -376,7 +382,7 @@ pub(crate) enum FOp {
     /// A per-coordinate load, by position in the body's load list.
     Local(usize),
     /// A loop-invariant `f` register, snapshot once at loop entry (the
-    /// selector proves no step of the body writes it).
+    /// compiler proves nothing in the loop writes it).
     Reg(usize),
 }
 
@@ -384,15 +390,16 @@ pub(crate) enum FOp {
 #[derive(Clone, Debug)]
 pub(crate) enum FAcc {
     /// `f[slot]` — held in a machine register across the whole loop
-    /// (the selector proves no operand reads it).
+    /// (the compiler proves no operand reads it).
     Scalar { slot: usize },
     /// `out[offset(u, base) + coord·stride]`.
     Out { tensor: usize, base: Box<[Term]>, stride: usize },
 }
 
-/// One fold of a fused body: `acc op= fold(bin, srcs)`, with the same
-/// evaluate-fully-then-miss-check store semantics as
-/// [`VStep::FoldOut`] / [`VStep::FoldScalar`].
+/// One fold of a fused body: `acc op= fold(bin, srcs)`. The fold always
+/// evaluates (and counts its flops); with `check_miss` the store — its
+/// write and reduce flop — is skipped while a load of `miss` missed, as
+/// in the interpreter's miss-checked assignment.
 #[derive(Clone, Debug)]
 pub(crate) struct FFold {
     pub acc: FAcc,
@@ -402,15 +409,16 @@ pub(crate) struct FFold {
     pub check_miss: bool,
     /// Load locals whose miss state gates this fold's store — exactly
     /// the `set_miss` loads between the previous fold and this one in
-    /// the original step order, so the positional miss-flag scoping of
-    /// the step list is preserved.
+    /// body order (an assignment's operand loads directly precede its
+    /// fold), mirroring the interpreter's per-assignment `ClearMiss`
+    /// scoping without a mutable flag.
     pub miss: Box<[usize]>,
 }
 
-/// Per-iteration loop-invariant counter contributions of a fused body,
-/// derived from the step list it replaces: the fused runners account
-/// these in bulk (`recipe × iterations`) and count only hit-dependent
-/// work (probe/gather reads, miss-checked store sides) per element.
+/// Per-iteration loop-invariant counter contributions of a fused body:
+/// the fused runners account these in bulk (`recipe × iterations`) and
+/// count only hit-dependent work (probe/gather reads, miss-checked
+/// store sides) per element.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BulkCounts {
     /// Element reads per iteration, per tensor slot.
@@ -421,8 +429,9 @@ pub(crate) struct BulkCounts {
     pub writes: u64,
 }
 
-/// A fused loop body: the closed-form, monomorphized alternative to a
-/// [`VItem`] step list (see `crate::fuse` for the selection rules).
+/// A fused loop body — the one executable form of a vector-loop body:
+/// per-coordinate loads into local slots feeding straight-line folds
+/// (see `crate::fuse` for the conformance rules).
 #[derive(Clone, Debug)]
 pub(crate) struct Fused {
     /// The recognized pattern.
@@ -450,73 +459,6 @@ pub(crate) struct Fused {
     pub lanes: u8,
 }
 
-/// One step of a vector-loop body. `base`-bearing steps carry a scratch
-/// index (`id`) where the loop entry caches `offset(u, base)`; the
-/// per-coordinate address is `bases[id] + coord * stride`.
-///
-/// The step list is the *general* body form, dispatched per coordinate.
-/// Bodies matching a common pattern (axpy, dot, scale-store,
-/// gather-dot/-axpy, and their combinations — see [`FusedBody`]) are
-/// additionally lowered to a [`Fused`] form on their [`VItem`] and
-/// executed by dedicated monomorphized loops instead.
-///
-/// ## Per-coordinate miss flag
-///
-/// Steps that can miss ([`VStep::LoadProbe`], [`VStep::LoadGather`])
-/// raise a transient miss flag when `set_miss` is set; fold steps with
-/// `check_miss` skip their store while the flag is up, and every fold
-/// step lowers the flag — mirroring the interpreter's per-assignment
-/// `ClearMiss` scoping (an assignment's operand loads directly precede
-/// its fold in the step list).
-#[derive(Clone, Debug)]
-pub(crate) enum VStep {
-    /// `f[dst] = dense[tensor][bases[id] + coord * stride]` (counted).
-    Load { dst: usize, tensor: usize, id: usize, base: Box<[Term]>, stride: usize },
-    /// `f[dst] = vals[position]` of the driving level (counted).
-    LoadVal { dst: usize, tensor: usize },
-    /// Probed read in a [`Instr::VecIsectLoop`]: the probed fiber's
-    /// value at the current coordinate when the intersection hit
-    /// (counted), fill (0) otherwise (raising the miss flag when
-    /// `set_miss`).
-    LoadProbe { dst: usize, tensor: usize, set_miss: bool },
-    /// Non-concordant (`ReadSparseRandom`) read inside a vector loop:
-    /// a per-level search from the tensor's root at the current index
-    /// values. When the loop index appears in exactly one subscript
-    /// position (`var_mode = Some(k)`, the position of that mode in
-    /// `modes`), the invariant prefix path `modes[..k]` resolves once
-    /// at loop entry, position `k` advances a monotone cursor in the
-    /// scratch slot `id` (a gallop for compressed levels, a run cursor
-    /// for run-length levels, direct addressing for dense levels), and
-    /// the loop-invariant suffix `modes[k+1..]` descends per hit.
-    /// `var_mode = None` (the index appears in several positions)
-    /// searches the full path per coordinate. Counted on a hit; fill +
-    /// miss flag (when `set_miss`) otherwise.
-    LoadGather {
-        dst: usize,
-        tensor: usize,
-        id: usize,
-        modes: Box<[usize]>,
-        var_mode: Option<usize>,
-        set_miss: bool,
-    },
-    /// `out[bases[id] + coord*stride] op= fold(bin, f[srcs])`; with
-    /// `check_miss` the store (and its reduce flop / write count) is
-    /// skipped while the miss flag is up — the fold itself always
-    /// evaluates and counts, as in the interpreter.
-    FoldOut {
-        tensor: usize,
-        id: usize,
-        base: Box<[Term]>,
-        stride: usize,
-        bin: BinOp,
-        op: AssignOp,
-        srcs: Box<[usize]>,
-        check_miss: bool,
-    },
-    /// `f[slot] op= fold(bin, f[srcs])` (same `check_miss` contract).
-    FoldScalar { slot: usize, bin: BinOp, op: AssignOp, srcs: Box<[usize]>, check_miss: bool },
-}
-
 /// Per-tensor-slot binding metadata, validated when the program binds
 /// concrete tensors.
 #[derive(Clone, Debug)]
@@ -527,6 +469,10 @@ pub(crate) struct TensorInfo {
     pub kind: SlotKind,
     /// Shape the plan was compiled against.
     pub dims: Vec<usize>,
+    /// Level formats the plan was compiled against (sparse inputs; the
+    /// loop heads and `never_miss` elisions are monomorphized per
+    /// format, so a same-shaped tensor packed differently must not bind).
+    pub formats: Vec<LevelFormat>,
 }
 
 /// How one output tensor is bound under row-parallel execution.
@@ -575,11 +521,9 @@ pub(crate) struct BytecodeProgram {
     pub tables: Vec<Box<[f64]>>,
     /// Number of per-loop fiber caches (one per driven loop).
     pub n_caches: usize,
-    /// Scratch sizes for vector loops (guard passes / cached bases).
+    /// Scratch size for vector-loop guard passes.
     pub n_vec_items: usize,
-    /// See [`BytecodeProgram::n_vec_items`].
-    pub n_vec_bases: usize,
-    /// Number of gather-cursor scratch slots ([`VStep::LoadGather`]).
+    /// Number of gather-cursor scratch slots ([`FLoad::Gather`]).
     pub n_vec_gathers: usize,
     /// Per-slot binding metadata, in slot order.
     pub tensors: Vec<TensorInfo>,

@@ -19,8 +19,10 @@ use systec_tensor::{DenseTensor, LevelFormat, Tensor};
 use systec_ir::{AssignOp, CmpOp};
 
 use crate::bytecode::{
-    Bound, BytecodeProgram, Instr, ParOut, SplitInfo, TensorInfo, Term, VItem, VStep, MISS,
+    Bound, BytecodeProgram, FAcc, FLoad, FOp, Instr, ParOut, SplitInfo, TensorInfo, Term, VItem,
+    MISS,
 };
+use crate::fuse::{independent, BodyBuilder};
 
 /// Per-slot compile-time binding info.
 enum SlotLayout {
@@ -59,8 +61,12 @@ pub(crate) fn compile(
                 None => return Err(ExecError::UnknownTensor { name: slot.name.clone() }),
             },
         };
+        let formats = match &layout {
+            SlotLayout::Sparse { formats } => formats.clone(),
+            _ => Vec::new(),
+        };
         layouts.push(layout);
-        infos.push(TensorInfo { name: slot.name.clone(), kind: slot.kind, dims });
+        infos.push(TensorInfo { name: slot.name.clone(), kind: slot.kind, dims, formats });
     }
 
     // Flattened binding-table layout: one run of level views per sparse
@@ -137,7 +143,6 @@ pub(crate) fn compile(
         tables: Vec::new(),
         n_caches: 0,
         n_vec_items: 0,
-        n_vec_bases: 0,
         n_vec_gathers: 0,
         never_miss,
         split_pending,
@@ -169,7 +174,6 @@ pub(crate) fn compile(
         tensors: infos,
         n_caches: c.n_caches,
         n_vec_items: c.n_vec_items,
-        n_vec_bases: c.n_vec_bases,
         n_vec_gathers: c.n_vec_gathers,
         level_base,
         n_levels,
@@ -389,41 +393,39 @@ fn prescan(stmt: &LStmt, written: &mut [bool], on_lit: &mut impl FnMut(f64)) {
 struct Label(usize);
 
 /// Accumulates vector-loop items during [`Compiler::try_vectorize`]:
-/// steps gather under the current guard; a guard change seals the open
-/// steps into an item.
+/// loads and folds gather into the open body under the current guard; a
+/// guard change seals it into an item.
+#[derive(Default)]
 struct VecBuilder {
     items: Vec<VItem>,
     open_guard: Vec<(CmpOp, usize, usize)>,
-    open_steps: Vec<VStep>,
+    open: BodyBuilder,
+    /// Every register a load of the loop binds.
+    bound: Vec<usize>,
 }
 
 impl VecBuilder {
-    fn flush(&mut self, c: &mut Compiler<'_>) {
-        if !self.open_steps.is_empty() {
-            let steps: Box<[VStep]> = std::mem::take(&mut self.open_steps).into();
-            // Fused-body selection: recognize the common load/fold
-            // shapes and attach their monomorphized form alongside the
-            // step list (the VM picks at loop entry; see crate::fuse).
-            let fuse_span = systec_telemetry::span(systec_telemetry::Phase::Fuse);
-            let fused = crate::fuse::fuse_item(&steps);
-            drop(fuse_span);
-            self.items.push(VItem {
-                id: c.alloc_vec_item(),
-                guard: self.open_guard.clone().into(),
-                steps,
-                fused,
-            });
+    /// Seals the open body, if any, into an item; `false` = it does not
+    /// conform (see `crate::fuse`).
+    fn flush(&mut self, c: &mut Compiler<'_>) -> bool {
+        if self.open.is_empty() {
+            return true;
         }
-    }
-
-    fn push_guard(&mut self, c: &mut Compiler<'_>, conjuncts: Vec<(CmpOp, usize, usize)>) {
-        self.flush(c);
-        self.open_guard.extend(conjuncts);
-    }
-
-    fn pop_guard(&mut self, c: &mut Compiler<'_>, depth: usize) {
-        self.flush(c);
-        self.open_guard.truncate(depth);
+        let open = std::mem::take(&mut self.open);
+        self.bound.extend(open.bound());
+        let sealed = {
+            let _fuse_span = systec_telemetry::span(systec_telemetry::Phase::Fuse);
+            open.seal()
+        };
+        let Some(body) = sealed else {
+            return false;
+        };
+        self.items.push(VItem {
+            id: c.alloc_vec_item(),
+            guard: self.open_guard.clone().into(),
+            body,
+        });
+        true
     }
 }
 
@@ -488,7 +490,6 @@ struct Compiler<'a> {
     tables: Vec<Box<[f64]>>,
     n_caches: usize,
     n_vec_items: usize,
-    n_vec_bases: usize,
     n_vec_gathers: usize,
     /// Per (access, level): whether the position register is provably
     /// never [`MISS`] in the current scope — levels bound by a driver
@@ -892,11 +893,11 @@ impl Compiler<'_> {
     /// comparisons over *outer* indices (loop-invariant after
     /// hoisting), `let`s binding dense reads, the driver's value, the
     /// probed value, or random-access gathers, and assignments folding
-    /// scalars / literals / any of those loads. Drivers may walk a
-    /// compressed or run-length level; one extra tracked access at a
-    /// compressed level becomes the probed side of a two-way
-    /// intersection. Miss bookkeeping for probes and gathers uses the
-    /// per-coordinate flag described on [`VStep`].
+    /// scalars / literals / any of those loads — and every item seals
+    /// into a fused body the loop's other items are independent of
+    /// (`crate::fuse` has the rules). Drivers may walk a compressed or
+    /// run-length level; one extra tracked access at a compressed level
+    /// becomes the probed side of a two-way intersection.
     #[allow(clippy::too_many_arguments)]
     fn try_vectorize(
         &mut self,
@@ -945,33 +946,23 @@ impl Compiler<'_> {
             probe: probe_info,
         };
 
-        let mut builder =
-            VecBuilder { items: Vec::new(), open_guard: Vec::new(), open_steps: Vec::new() };
-        let saved = (self.temp_next, self.n_vec_items, self.n_vec_bases, self.n_vec_gathers);
-        let ok = self.vec_stmt(body, idx, shape, &mut builder);
-        let restore = |c: &mut Self| {
-            (c.temp_next, c.n_vec_items, c.n_vec_bases, c.n_vec_gathers) = saved;
-        };
+        let mut builder = VecBuilder::default();
+        let saved = (self.n_vec_items, self.n_vec_gathers);
+        let ok = self.vec_stmt(body, idx, shape, &mut builder)
+            && builder.flush(self)
+            && !builder.items.is_empty()
+            && independent(&builder.items, &builder.bound);
         if !ok {
-            restore(self);
+            (self.n_vec_items, self.n_vec_gathers) = saved;
             return false;
         }
-        builder.flush(self);
-        if builder.items.is_empty() {
-            restore(self);
-            return false;
-        }
-        let items: Box<[crate::bytecode::VItem]> = builder.items.into();
+        let items: Box<[VItem]> = builder.items.into();
         let lo = self.bounds(lo);
         let hi = self.bounds(hi);
         match (shape.driver, shape.probe) {
             (Some(d), Some(p)) => {
                 let parent = self.pos_base[d.access] + d.level;
                 let probe_parent = self.pos_base[p.access] + p.level;
-                // The dominant `acc op= bin(driver, probe)` body is now
-                // covered by the general fused-body selection
-                // (`FusedBody::Dot` on the item), so intersection, RLE
-                // and plain drivers all share one body-selection path.
                 self.emit(Instr::VecIsectLoop {
                     tensor: d.tensor,
                     level: d.level,
@@ -998,23 +989,23 @@ impl Compiler<'_> {
                 self.emit(Instr::VecDenseLoop { idx, extent, lo, hi, items });
             }
         }
-        self.temp_next = saved.0;
         true
     }
 
-    /// Walks a vector-loop body, appending steps; `false` = bail.
+    /// Walks a vector-loop body, appending loads and folds; `false` =
+    /// bail.
     fn vec_stmt(&mut self, stmt: &LStmt, idx: usize, shape: VecShape, b: &mut VecBuilder) -> bool {
         match stmt {
             LStmt::Seq(ss) => ss.iter().all(|s| self.vec_stmt(s, idx, shape, b)),
             LStmt::If { cond, body } => {
                 let mut conjuncts = Vec::new();
-                if !flatten_guard(cond, idx, &mut conjuncts) {
+                if !(flatten_guard(cond, idx, &mut conjuncts) && b.flush(self)) {
                     return false;
                 }
                 let depth = b.open_guard.len();
-                b.push_guard(self, conjuncts);
-                let ok = self.vec_stmt(body, idx, shape, b);
-                b.pop_guard(self, depth);
+                b.open_guard.extend(conjuncts);
+                let ok = self.vec_stmt(body, idx, shape, b) && b.flush(self);
+                b.open_guard.truncate(depth);
                 ok
             }
             LStmt::Let { slot, value, skip_if_missing, body } => {
@@ -1040,17 +1031,15 @@ impl Compiler<'_> {
                         return false;
                     }
                 }
-                if !self.vec_load_into(value, *slot, idx, shape, b, false, &mut false) {
-                    return false;
-                }
-                self.vec_stmt(body, idx, shape, b)
+                self.vec_load(value, Some(*slot), idx, shape, b, &mut false).is_some()
+                    && self.vec_stmt(body, idx, shape, b)
             }
             LStmt::Assign { target, op, rhs, can_miss } => {
                 // Operand loads that can actually miss (probes, gathers)
-                // raise the per-coordinate flag; the fold step then
-                // guards its store exactly like the interpreter's
-                // miss-checked assignment. Bodies without such operands
-                // keep the unguarded form (and its bulk counters).
+                // set their miss bit; the fold then guards its store
+                // exactly like the interpreter's miss-checked
+                // assignment. Bodies without such operands keep the
+                // unguarded form (and its bulk counters).
                 let (bin, args): (systec_ir::BinOp, Vec<&LExpr>) = match rhs {
                     LExpr::Call { op: bin, args } if args.len() >= 2 => {
                         (*bin, args.iter().collect())
@@ -1061,38 +1050,19 @@ impl Compiler<'_> {
                 let mut missable = false;
                 for a in args {
                     match self.vec_operand(a, idx, shape, b, &mut missable) {
-                        Some(r) => srcs.push(r),
+                        Some(src) => srcs.push(src),
                         None => return false,
                     }
                 }
-                let check_miss = *can_miss && missable;
-                match target {
+                let acc = match target {
                     LTarget::Output { tensor, modes } => {
                         let (base, stride) = self.split_terms(*tensor, modes, idx);
-                        let id = self.alloc_vec_base();
-                        b.open_steps.push(VStep::FoldOut {
-                            tensor: *tensor,
-                            id,
-                            base,
-                            stride,
-                            bin,
-                            op: *op,
-                            srcs: srcs.into(),
-                            check_miss,
-                        });
-                        true
+                        FAcc::Out { tensor: *tensor, base, stride }
                     }
-                    LTarget::Scalar(slot) => {
-                        b.open_steps.push(VStep::FoldScalar {
-                            slot: *slot,
-                            bin,
-                            op: *op,
-                            srcs: srcs.into(),
-                            check_miss,
-                        });
-                        true
-                    }
-                }
+                    LTarget::Scalar(slot) => FAcc::Scalar { slot: *slot },
+                };
+                b.open.fold(acc, bin, *op, srcs, *can_miss && missable);
+                true
             }
             LStmt::Loop { .. } | LStmt::Workspace { .. } => false,
         }
@@ -1109,10 +1079,9 @@ impl Compiler<'_> {
         }
     }
 
-    /// Returns the register an operand can be read from, emitting a load
-    /// step for dense / driver / probe / gather reads. `None` = not
-    /// vectorizable. Sets `missable` when the emitted load can raise
-    /// the per-coordinate miss flag.
+    /// The fold operand for `e`, appending a load for dense / driver /
+    /// probe / gather reads. `None` = not vectorizable. Sets `missable`
+    /// when the appended load can miss.
     fn vec_operand(
         &mut self,
         e: &LExpr,
@@ -1120,66 +1089,52 @@ impl Compiler<'_> {
         shape: VecShape,
         b: &mut VecBuilder,
         missable: &mut bool,
-    ) -> Option<usize> {
+    ) -> Option<FOp> {
         match e {
-            LExpr::Scalar(slot) => Some(self.alias[*slot]),
-            LExpr::Lit(v) => Some(self.const_reg(*v)),
-            LExpr::ReadDense { .. }
-            | LExpr::ReadSparsePath { .. }
-            | LExpr::ReadSparseRandom { .. } => {
-                let t = self.alloc_temp();
-                self.vec_load_into(e, t, idx, shape, b, true, missable).then_some(t)
-            }
-            _ => None,
+            LExpr::Scalar(slot) => Some(b.open.operand(self.alias[*slot])),
+            LExpr::Lit(v) => Some(FOp::Reg(self.const_reg(*v))),
+            _ => self.vec_load(e, None, idx, shape, b, missable),
         }
     }
 
-    /// Emits a load step binding `e` into `dst`. `false` = bail.
+    /// Appends a load of `e` binding `dst`. `None` = bail.
     ///
-    /// `in_assign` distinguishes assignment operands (whose annihilator
-    /// misses must raise the per-coordinate flag) from `let` bindings
-    /// (whose misses are cleared before any assignment evaluates, as in
-    /// the interpreter).
-    #[allow(clippy::too_many_arguments)]
-    fn vec_load_into(
+    /// `dst` distinguishes `let` bindings (`Some(slot)`, whose misses
+    /// are cleared before any assignment evaluates, as in the
+    /// interpreter) from assignment operands (whose annihilator misses
+    /// must gate the store).
+    fn vec_load(
         &mut self,
         e: &LExpr,
-        dst: usize,
+        dst: Option<usize>,
         idx: usize,
         shape: VecShape,
         b: &mut VecBuilder,
-        in_assign: bool,
         missable: &mut bool,
-    ) -> bool {
+    ) -> Option<FOp> {
+        let in_assign = dst.is_none();
         match e {
             LExpr::ReadDense { tensor, modes } => {
                 let (base, stride) = self.split_terms(*tensor, modes, idx);
-                let id = self.alloc_vec_base();
-                b.open_steps.push(VStep::Load { dst, tensor: *tensor, id, base, stride });
-                true
+                let load = FLoad::Dense { tensor: *tensor, base, stride };
+                Some(b.open.load(dst, load, Some(*tensor)))
             }
             LExpr::ReadSparsePath { access, tensor, rank, annihilator } => {
                 // The driver's leaf value reads positionally; the probed
                 // access's leaf value reads through the intersection.
-                if let Some(d) = shape.driver {
-                    if d.access == *access
-                        && d.level + 1 == *rank
-                        && d.tensor == *tensor
-                        && self.never_miss[*access][d.level]
-                    {
-                        b.open_steps.push(VStep::LoadVal { dst, tensor: *tensor });
-                        return true;
-                    }
+                let leaf = |a: VecAccess| {
+                    a.access == *access && a.level + 1 == *rank && a.tensor == *tensor
+                };
+                if shape.driver.is_some_and(|d| leaf(d) && self.never_miss[*access][d.level]) {
+                    return Some(b.open.load(dst, FLoad::Val, Some(*tensor)));
                 }
-                if let Some(p) = shape.probe {
-                    if p.access == *access && p.level + 1 == *rank && p.tensor == *tensor {
-                        let set_miss = in_assign && *annihilator;
-                        *missable |= set_miss;
-                        b.open_steps.push(VStep::LoadProbe { dst, tensor: *tensor, set_miss });
-                        return true;
-                    }
+                if shape.probe.is_some_and(leaf) {
+                    let set_miss = in_assign && *annihilator;
+                    *missable |= set_miss;
+                    let load = FLoad::Probe { tensor: *tensor, set_miss };
+                    return Some(b.open.load(dst, load, None));
                 }
-                false
+                None
             }
             LExpr::ReadSparseRandom { tensor, modes, annihilator } => {
                 // A monotone cursor exists exactly when the loop index
@@ -1192,18 +1147,16 @@ impl Compiler<'_> {
                     (occurrences == 1).then(|| modes.iter().position(|&m| m == idx).unwrap());
                 let set_miss = in_assign && *annihilator;
                 *missable |= set_miss;
-                let id = self.alloc_vec_gather();
-                b.open_steps.push(VStep::LoadGather {
-                    dst,
+                let load = FLoad::Gather {
                     tensor: *tensor,
-                    id,
+                    id: self.alloc_vec_gather(),
                     modes: modes.iter().copied().collect(),
                     var_mode,
                     set_miss,
-                });
-                true
+                };
+                Some(b.open.load(dst, load, None))
             }
-            _ => false,
+            _ => None,
         }
     }
 
@@ -1219,11 +1172,6 @@ impl Compiler<'_> {
             }
         }
         (base.into(), stride)
-    }
-
-    fn alloc_vec_base(&mut self) -> usize {
-        self.n_vec_bases += 1;
-        self.n_vec_bases - 1
     }
 
     fn alloc_vec_item(&mut self) -> usize {

@@ -25,26 +25,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use systec_exec::CounterBank;
 
-/// How much counter bookkeeping an execution performs.
-///
-/// [`CounterMode::Exact`] (the default) maintains full
-/// [`systec_exec::Counters`] parity with the tree-walking interpreter —
-/// bulk accounting outside the hot loops plus per-hit bumps where miss
-/// semantics require them. [`CounterMode::Off`] compiles the per-hit
-/// bumps (and the fused bulk recipes) out of the fused-body runners via
-/// a const-generic flag: the counters returned from such a run are **not
-/// meaningful** and must not be compared against the interpreter. Use it
-/// when only the outputs matter and every nanosecond counts; parity
-/// tests always run in `Exact`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CounterMode {
-    /// Exact interpreter-parity counters (the default).
-    #[default]
-    Exact,
-    /// Skip counter maintenance in the fused-body runners.
-    Off,
-}
-
 /// How many lanes the fused-body runners spread their reduction
 /// accumulators over.
 ///
@@ -76,7 +56,7 @@ pub enum LaneMode {
 
 /// Per-vector-loop gather state in structure-of-arrays layout: for
 /// gather slot `i`, `prefix[i]` is the invariant-prefix position a
-/// mode-varying `LoadGather` resolved at loop entry (or the miss
+/// mode-varying gather load resolved at loop entry (or the miss
 /// sentinel) and `cursor[i]` is the monotone merge cursor into the
 /// varying-mode fiber. Splitting the two keeps the per-coordinate
 /// cursor updates on a dense `usize` stream the vectorizer can
@@ -97,11 +77,6 @@ impl GatherBank {
         self.cursor.clear();
         self.cursor.resize(n, 0);
     }
-
-    /// Number of gather slots.
-    pub fn len(&self) -> usize {
-        self.prefix.len()
-    }
 }
 
 /// Per-worker execution state: register files, vector-loop scratch, a
@@ -114,10 +89,8 @@ pub(crate) struct Bank {
     pub f: Vec<f64>,
     /// Vector-loop guard outcomes.
     pub vec_pass: Vec<bool>,
-    /// Vector-loop cached base offsets.
-    pub vec_bases: Vec<usize>,
-    /// Vector-loop gather cursors (probe state for `LoadGather` steps),
-    /// SoA so the per-coordinate cursor stream stays lane-friendly.
+    /// Vector-loop gather cursors (probe state for gather loads), SoA
+    /// so the per-coordinate cursor stream stays lane-friendly.
     pub gathers: GatherBank,
     /// This worker's work counters.
     pub counters: CounterBank,
@@ -155,32 +128,13 @@ impl Bank {
 #[derive(Debug, Default)]
 pub struct ExecContext {
     banks: Vec<Bank>,
-    counter_mode: CounterMode,
     lane_mode: LaneMode,
 }
 
 impl ExecContext {
-    /// A fresh context with no warmed buffers (and [`CounterMode::Exact`],
-    /// [`LaneMode::Lanes`]).
+    /// A fresh context with no warmed buffers (and [`LaneMode::Lanes`]).
     pub fn new() -> Self {
         ExecContext::default()
-    }
-
-    /// The counter mode runs through this context use.
-    pub fn counter_mode(&self) -> CounterMode {
-        self.counter_mode
-    }
-
-    /// Sets the counter mode for subsequent runs (see [`CounterMode`]).
-    pub fn set_counter_mode(&mut self, mode: CounterMode) {
-        self.counter_mode = mode;
-    }
-
-    /// Builder-style [`ExecContext::set_counter_mode`].
-    #[must_use]
-    pub fn with_counter_mode(mut self, mode: CounterMode) -> Self {
-        self.counter_mode = mode;
-        self
     }
 
     /// The lane mode runs through this context use.
@@ -222,9 +176,8 @@ impl ExecContext {
 /// `Mutex<Vec>` pop/push — **no allocation** once as many contexts exist
 /// as there are concurrent callers.
 ///
-/// Returned contexts keep their configuration ([`CounterMode`],
-/// [`LaneMode`]); callers that change it should set it explicitly after
-/// checkout.
+/// Returned contexts keep their configuration ([`LaneMode`]); callers
+/// that change it should set it explicitly after checkout.
 #[derive(Clone, Debug, Default)]
 pub struct ContextPool {
     inner: Arc<PoolInner>,
@@ -319,9 +272,7 @@ mod tests {
     fn serial_reuse_creates_one_context() {
         let pool = ContextPool::new();
         for _ in 0..5 {
-            let mut ctx = pool.checkout();
-            ctx.set_counter_mode(CounterMode::Exact);
-            drop(ctx);
+            drop(pool.checkout());
         }
         assert_eq!(pool.created(), 1, "serial checkout/return must reuse one context");
         assert_eq!(pool.idle(), 1);
@@ -358,12 +309,10 @@ mod tests {
         let pool = ContextPool::new();
         {
             let mut ctx = pool.checkout();
-            ctx.set_counter_mode(CounterMode::Off);
             ctx.set_lane_mode(LaneMode::Scalar);
         }
         let ctx = pool.checkout();
-        assert_eq!(ctx.counter_mode(), CounterMode::Off, "contexts keep their configuration");
-        assert_eq!(ctx.lane_mode(), LaneMode::Scalar, "lane mode survives the round trip");
+        assert_eq!(ctx.lane_mode(), LaneMode::Scalar, "contexts keep their configuration");
     }
 
     #[test]

@@ -1,38 +1,33 @@
-//! Fused-body selection: compile-time specialization of vector-loop
-//! step lists into closed-form [`Fused`] bodies.
+//! Fused bodies: the one executable form of a vector-loop body.
 //!
-//! A [`crate::bytecode::VItem`] step list is a tiny interpreted program
-//! the VM dispatches *per coordinate* — a match per step, operand
-//! traffic through the `f` register file, and per-step miss/guard
-//! bookkeeping. For the bodies that dominate real kernels (axpy, dot,
-//! scale-store, gathered variants, and MTTKRP/TTM-style multi-store
-//! jams) that machinery is pure overhead: the body is a fixed sequence
-//! of loads feeding a fixed sequence of folds. This module recognizes
-//! those shapes at compile time and lowers them to the [`Fused`] form —
-//! loads into local slots, folds over locals and loop-invariant
-//! registers, a positional miss mask per fold, and a bulk counter
-//! recipe — which `crate::vm` executes with monomorphized unit-stride
-//! loops (no step dispatch, no register-file traffic, accumulators held
-//! in machine registers, invariant counter contributions accounted in
-//! bulk).
+//! An innermost loop body that dominates a real kernel (axpy, dot,
+//! scale-store, gathered variants, MTTKRP/TTM-style multi-store jams)
+//! is a fixed sequence of loads feeding a fixed sequence of folds.
+//! `crate::compile` appends exactly that — loads into local slots, folds
+//! over locals and loop-invariant registers, a positional miss mask per
+//! fold, a bulk counter recipe — through a [`BodyBuilder`] as it walks
+//! the body, and `crate::vm` executes the sealed [`Fused`] form with
+//! monomorphized unit-stride loops (no register-file traffic,
+//! accumulators held in machine registers, invariant counter
+//! contributions accounted in bulk).
 //!
-//! ## What fuses
+//! ## What conforms
 //!
-//! A body fuses when it is a straight line of load steps
-//! ([`VStep::Load`] / [`VStep::LoadVal`] / [`VStep::LoadProbe`] /
-//! [`VStep::LoadGather`]) and fold steps ([`VStep::FoldOut`] /
-//! [`VStep::FoldScalar`]) such that:
+//! A loop vectorizes when every guarded item of its body seals
+//! ([`BodyBuilder::seal`]: at least one fold, within the load / fold /
+//! operand caps below) and the items are [`independent`]:
 //!
-//! * every fold operand is either a load of this body or a register no
-//!   step of the body writes (so its value is loop-invariant and can be
-//!   snapshot once at loop entry);
-//! * no fold operand reads a scalar slot some fold of the body
-//!   accumulates into (the runners hold accumulators in machine
-//!   registers, so intra-loop read-back would observe stale values);
-//! * the body fits the (generous) load/fold/operand caps below.
+//! * every fold operand is an earlier load of its own body or a register
+//!   nothing in the loop writes (so its value is loop-invariant and can
+//!   be snapshot once at loop entry);
+//! * no operand reads, and no load rebinds, a scalar slot some fold of
+//!   the loop accumulates into, and each such slot has one fold (the
+//!   runners hold accumulators in machine registers, so intra-loop
+//!   read-back would observe stale values);
+//! * no loop-invariant output cell is accumulated by two items.
 //!
-//! Everything else keeps the step list — selection never changes
-//! results or counters, only the execution strategy
+//! Everything else stays on the general `*LoopHead` / `*LoopNext` path,
+//! which is the semantic reference for every non-conforming loop
 //! (`tests/fused_bodies.rs` pins both directions).
 //!
 //! ## Row nests
@@ -49,194 +44,167 @@
 //! Loads never depend on fold side effects (they read inputs, folds
 //! write outputs and scalar slots), so hoisting all loads of a
 //! coordinate before its folds preserves values exactly; fold order —
-//! and each fold's left-to-right operand order — is preserved verbatim,
-//! so floating-point results are bit-identical to the step list. Miss
-//! scoping is positional in the step list (a `set_miss` load arms the
-//! flag, the next fold consumes and clears it): each [`FFold`] records
-//! exactly the `set_miss` loads between it and the previous fold as its
-//! miss mask, which reproduces that scoping without a mutable flag.
+//! and each fold's left-to-right operand order — is the body's, so
+//! floating-point results are bit-identical to the interpreter's. Miss
+//! scoping is positional (a `set_miss` load arms the flag, the next
+//! fold consumes and clears it): each [`FFold`] records exactly the
+//! `set_miss` loads between it and the previous fold as its miss mask,
+//! which reproduces that scoping without a mutable flag.
 
 use crate::bytecode::{
     BulkCounts, FAcc, FFold, FLoad, FOp, Fused, FusedBody, Instr, NestRows, RowNest, Term, VItem,
-    VStep,
 };
 use systec_ir::{AssignOp, BinOp};
 
-/// Load cap: bodies with more per-coordinate loads than this keep the
-/// step list (the largest paper kernel, 5-d MTTKRP, uses 5).
+/// Load cap: bodies with more per-coordinate loads than this do not
+/// vectorize (the largest paper kernel, 5-d MTTKRP, uses 5).
 pub(crate) const MAX_FUSED_LOADS: usize = 6;
 /// Fold cap (5-d MTTKRP's canonical body stores into 5 factor rows).
 pub(crate) const MAX_FUSED_FOLDS: usize = 6;
 /// Per-fold operand cap (MTTKRP-5's folds are 6-ary).
 pub(crate) const MAX_FUSED_SRCS: usize = 6;
 
-/// Attempts to lower a vector-loop body to its fused form. `None` means
-/// the body keeps (only) the general step list.
-pub(crate) fn fuse_item(steps: &[VStep]) -> Option<Fused> {
-    // Scalar slots any fold of the body accumulates into: reads of
-    // these are not loop-invariant, and the runners keep them in
-    // machine registers, so no operand may reference them. Registers
-    // any load of the body writes: reads of these are only valid
-    // *after* the load in step order (a forward reference would see the
-    // previous coordinate's value, which no snapshot can reproduce).
-    let mut acc_slots: Vec<usize> = Vec::new();
-    let mut load_dsts: Vec<usize> = Vec::new();
-    for step in steps {
-        match step {
-            VStep::FoldScalar { slot, .. } => acc_slots.push(*slot),
-            VStep::Load { dst, .. }
-            | VStep::LoadVal { dst, .. }
-            | VStep::LoadProbe { dst, .. }
-            | VStep::LoadGather { dst, .. } => load_dsts.push(*dst),
-            VStep::FoldOut { .. } => {}
+/// A fused body under construction: `crate::compile` appends loads and
+/// folds in body order, then [`BodyBuilder::seal`]s it into an item.
+#[derive(Default)]
+pub(crate) struct BodyBuilder {
+    loads: Vec<FLoad>,
+    /// The register each load binds, by local (`None`: an anonymous
+    /// assignment operand, only ever read through its local).
+    dsts: Vec<Option<usize>>,
+    folds: Vec<FFold>,
+    /// Per-iteration element reads (driver and dense loads).
+    reads: Vec<(usize, u64)>,
+    /// `set_miss` locals since the previous fold (positional miss scope).
+    pending_miss: Vec<usize>,
+}
+
+impl BodyBuilder {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.loads.is_empty() && self.folds.is_empty()
+    }
+
+    /// Appends a load binding `dst` and returns its local. `counted` is
+    /// the tensor whose element read the load counts per iteration
+    /// (probe and gather reads count per hit, in the runners).
+    pub(crate) fn load(&mut self, dst: Option<usize>, load: FLoad, counted: Option<usize>) -> FOp {
+        let local = self.loads.len();
+        if let FLoad::Probe { set_miss: true, .. } | FLoad::Gather { set_miss: true, .. } = load {
+            self.pending_miss.push(local);
+        }
+        if let Some(tensor) = counted {
+            bump_read(&mut self.reads, tensor);
+        }
+        self.loads.push(load);
+        self.dsts.push(dst);
+        FOp::Local(local)
+    }
+
+    /// The operand reading register `reg`: the latest load that bound
+    /// it, else the register itself ([`independent`] then requires it
+    /// loop-invariant).
+    pub(crate) fn operand(&self, reg: usize) -> FOp {
+        match self.dsts.iter().rposition(|&d| d == Some(reg)) {
+            Some(local) => FOp::Local(local),
+            None => FOp::Reg(reg),
         }
     }
-    // An accumulator register a load also writes cannot be held in a
-    // machine register across the loop (the step list re-bases the
-    // accumulation on the loaded value every coordinate).
-    if acc_slots.iter().any(|slot| load_dsts.contains(slot)) {
-        return None;
+
+    /// Appends `acc op= fold(bin, srcs)`, gated by the `set_miss` loads
+    /// since the previous fold.
+    pub(crate) fn fold(
+        &mut self,
+        acc: FAcc,
+        bin: BinOp,
+        op: AssignOp,
+        srcs: Vec<FOp>,
+        check_miss: bool,
+    ) {
+        let miss = std::mem::take(&mut self.pending_miss).into();
+        self.folds.push(FFold { acc, bin, op, srcs: srcs.into(), check_miss, miss });
     }
 
-    let mut loads: Vec<FLoad> = Vec::new();
-    // Register → local slot of the load that (last) wrote it.
-    let mut local_of: Vec<(usize, usize)> = Vec::new();
-    // `set_miss` locals since the previous fold (positional miss scope).
-    let mut pending_miss: Vec<usize> = Vec::new();
-    let mut folds: Vec<FFold> = Vec::new();
+    /// The registers the body's loads bind.
+    pub(crate) fn bound(&self) -> impl Iterator<Item = usize> + '_ {
+        self.dsts.iter().flatten().copied()
+    }
 
-    let push_load = |loads: &mut Vec<FLoad>,
-                     local_of: &mut Vec<(usize, usize)>,
-                     dst: usize,
-                     load: FLoad|
-     -> Option<usize> {
-        if loads.len() >= MAX_FUSED_LOADS {
+    /// Seals the body; `None` when it has no fold or exceeds a cap (the
+    /// loop then stays on the general path).
+    pub(crate) fn seal(self) -> Option<Fused> {
+        let BodyBuilder { loads, folds, reads, .. } = self;
+        let fits = !folds.is_empty()
+            && loads.len() <= MAX_FUSED_LOADS
+            && folds.len() <= MAX_FUSED_FOLDS
+            && folds.iter().all(|fold| fold.srcs.len() <= MAX_FUSED_SRCS);
+        if !fits {
             return None;
         }
-        let local = loads.len();
-        loads.push(load);
-        // Shadow any earlier load into the same register.
-        local_of.retain(|&(reg, _)| reg != dst);
-        local_of.push((dst, local));
-        Some(local)
-    };
-    let load_dsts = load_dsts.as_slice();
-    let resolve =
-        move |local_of: &[(usize, usize)], acc_slots: &[usize], reg: usize| -> Option<FOp> {
-            if let Some(&(_, local)) = local_of.iter().find(|&&(r, _)| r == reg) {
-                return Some(FOp::Local(local));
-            }
-            // Not loaded *yet*: a forward reference to a later load reads
-            // the previous coordinate's value in the step list — no
-            // entry-time snapshot reproduces that.
-            if load_dsts.contains(&reg) {
-                return None;
-            }
-            // Not a load: must be loop-invariant to snapshot at entry.
-            if acc_slots.contains(&reg) {
-                return None;
-            }
-            Some(FOp::Reg(reg))
-        };
-
-    for step in steps {
-        match step {
-            VStep::Load { dst, tensor, base, stride, id: _ } => {
-                push_load(
-                    &mut loads,
-                    &mut local_of,
-                    *dst,
-                    FLoad::Dense { tensor: *tensor, base: base.clone(), stride: *stride },
-                )?;
-            }
-            VStep::LoadVal { dst, .. } => {
-                push_load(&mut loads, &mut local_of, *dst, FLoad::Val)?;
-            }
-            VStep::LoadProbe { dst, tensor, set_miss } => {
-                let local = push_load(
-                    &mut loads,
-                    &mut local_of,
-                    *dst,
-                    FLoad::Probe { tensor: *tensor, set_miss: *set_miss },
-                )?;
-                if *set_miss {
-                    pending_miss.push(local);
-                }
-            }
-            VStep::LoadGather { dst, tensor, id, modes, var_mode, set_miss } => {
-                let local = push_load(
-                    &mut loads,
-                    &mut local_of,
-                    *dst,
-                    FLoad::Gather {
-                        tensor: *tensor,
-                        id: *id,
-                        modes: modes.clone(),
-                        var_mode: *var_mode,
-                        set_miss: *set_miss,
-                    },
-                )?;
-                if *set_miss {
-                    pending_miss.push(local);
-                }
-            }
-            VStep::FoldOut { tensor, id: _, base, stride, bin, op, srcs, check_miss } => {
-                let srcs = resolve_srcs(srcs, &local_of, &acc_slots, resolve)?;
-                folds.push(FFold {
-                    acc: FAcc::Out { tensor: *tensor, base: base.clone(), stride: *stride },
-                    bin: *bin,
-                    op: *op,
-                    srcs,
-                    check_miss: *check_miss,
-                    miss: std::mem::take(&mut pending_miss).into(),
-                });
-            }
-            VStep::FoldScalar { slot, bin, op, srcs, check_miss } => {
-                let srcs = resolve_srcs(srcs, &local_of, &acc_slots, resolve)?;
-                folds.push(FFold {
-                    acc: FAcc::Scalar { slot: *slot },
-                    bin: *bin,
-                    op: *op,
-                    srcs,
-                    check_miss: *check_miss,
-                    miss: std::mem::take(&mut pending_miss).into(),
-                });
-            }
-        }
-        if folds.len() > MAX_FUSED_FOLDS {
-            return None;
-        }
-    }
-    if folds.is_empty() {
-        return None;
-    }
-    // Two folds accumulating into the same scalar slot would race the
-    // runners' per-fold register accumulators; keep the step list.
-    {
-        let mut slots: Vec<usize> = Vec::new();
+        // The loop-invariant per-iteration counter contributions: fold
+        // flops always; the store side (write + reduce flop) only when
+        // unguarded — miss-checked store sides count per hit.
+        let mut bulk = BulkCounts { reads: reads.into(), flops: 0, writes: 0 };
         for fold in &folds {
-            if let FAcc::Scalar { slot } = fold.acc {
-                if slots.contains(&slot) {
-                    return None;
+            bulk.flops += fold.srcs.len() as u64 - 1;
+            if !fold.check_miss {
+                bulk.flops += u64::from(fold.op != AssignOp::Overwrite);
+                bulk.writes += u64::from(matches!(fold.acc, FAcc::Out { .. }));
+            }
+        }
+        let kind = classify(&loads, &folds);
+        let isect_dot = match (loads.as_slice(), folds.as_slice()) {
+            (
+                [FLoad::Val, FLoad::Probe { tensor, set_miss: true }],
+                [FFold { acc: FAcc::Scalar { slot }, bin, op, srcs, check_miss: true, miss }],
+            ) if matches!(srcs.as_ref(), [FOp::Local(0), FOp::Local(1)])
+                && miss.as_ref() == [1] =>
+            {
+                Some((*slot, *bin, *op, *tensor))
+            }
+            _ => None,
+        };
+        let lanes = lane_count(&folds);
+        Some(Fused { kind, loads: loads.into(), folds: folds.into(), bulk, isect_dot, lanes })
+    }
+}
+
+/// Whether the items of one loop may run off entry-time snapshots and
+/// register-held accumulators — alone or, when several guards pass at
+/// once, coordinate-major side by side. `bound` lists every register a
+/// load of the loop binds.
+pub(crate) fn independent(items: &[VItem], bound: &[usize]) -> bool {
+    let folds = || items.iter().flat_map(|item| item.body.folds.iter());
+    // Scalar slots the loop accumulates into, one fold each.
+    let mut slots: Vec<usize> = Vec::new();
+    for fold in folds() {
+        if let FAcc::Scalar { slot } = fold.acc {
+            if slots.contains(&slot) || bound.contains(&slot) {
+                return false;
+            }
+            slots.push(slot);
+        }
+    }
+    // Loop-invariant output cells, one item each: a single fold's is
+    // register-held, and another item's stores would go around it.
+    let mut cells: Vec<usize> = Vec::new();
+    for item in items {
+        let others = cells.len();
+        for fold in item.body.folds.iter() {
+            if let FAcc::Out { tensor, stride: 0, .. } = fold.acc {
+                if cells[..others].contains(&tensor) {
+                    return false;
                 }
-                slots.push(slot);
+                cells.push(tensor);
             }
         }
     }
-
-    let bulk = bulk_counts(steps);
-    let kind = classify(&loads, &folds);
-    let isect_dot = match (loads.as_slice(), folds.as_slice()) {
-        (
-            [FLoad::Val, FLoad::Probe { tensor, set_miss: true }],
-            [FFold { acc: FAcc::Scalar { slot }, bin, op, srcs, check_miss: true, miss }],
-        ) if matches!(srcs.as_ref(), [FOp::Local(0), FOp::Local(1)]) && miss.as_ref() == [1] => {
-            Some((*slot, *bin, *op, *tensor))
-        }
-        _ => None,
-    };
-    let lanes = lane_count(&folds);
-    Some(Fused { kind, loads: loads.into(), folds: folds.into(), bulk, isect_dot, lanes })
+    // Register operands are snapshot at entry: nothing in the loop may
+    // write them (a load's register read before the load would see the
+    // previous coordinate's value, which no snapshot reproduces).
+    folds().flat_map(|fold| fold.srcs.iter()).all(|src| match src {
+        FOp::Reg(reg) => !slots.contains(reg) && !bound.contains(reg),
+        FOp::Local(_) => true,
+    })
 }
 
 /// The virtual lane count the runners may use for this body under
@@ -266,52 +234,6 @@ fn lane_count(folds: &[FFold]) -> u8 {
     } else {
         1
     }
-}
-
-/// Maps fold operands through the load table / invariance check,
-/// enforcing the operand cap.
-fn resolve_srcs(
-    srcs: &[usize],
-    local_of: &[(usize, usize)],
-    acc_slots: &[usize],
-    resolve: impl Fn(&[(usize, usize)], &[usize], usize) -> Option<FOp>,
-) -> Option<Box<[FOp]>> {
-    if srcs.len() > MAX_FUSED_SRCS {
-        return None;
-    }
-    srcs.iter().map(|&reg| resolve(local_of, acc_slots, reg)).collect()
-}
-
-/// The loop-invariant per-iteration counter contributions of the step
-/// list a fused body replaces — the same split `vec_prepare` applies to
-/// general bodies: loads of the driver and of dense operands count per
-/// iteration; probe/gather reads and miss-checked store sides count per
-/// hit (in the runners).
-fn bulk_counts(steps: &[VStep]) -> BulkCounts {
-    let mut reads: Vec<(usize, u64)> = Vec::new();
-    let mut bump = |tensor: usize| bump_read(&mut reads, tensor);
-    let mut flops = 0u64;
-    let mut writes = 0u64;
-    for step in steps {
-        match step {
-            VStep::Load { tensor, .. } | VStep::LoadVal { tensor, .. } => bump(*tensor),
-            VStep::LoadProbe { .. } | VStep::LoadGather { .. } => {}
-            VStep::FoldOut { op, srcs, check_miss, .. } => {
-                flops += srcs.len() as u64 - 1;
-                if !*check_miss {
-                    flops += u64::from(*op != AssignOp::Overwrite);
-                    writes += 1;
-                }
-            }
-            VStep::FoldScalar { op, srcs, check_miss, .. } => {
-                flops += srcs.len() as u64 - 1;
-                if !*check_miss {
-                    flops += u64::from(*op != AssignOp::Overwrite);
-                }
-            }
-        }
-    }
-    BulkCounts { reads: reads.into(), flops, writes }
 }
 
 /// One more element read of `tensor` in a per-tensor read recipe.
@@ -523,7 +445,7 @@ pub(crate) fn row_nest(instrs: &[Instr]) -> Option<RowNest> {
         }
         _ => return None,
     };
-    let [VItem { guard, fused: Some(fused), .. }] = items.as_ref() else {
+    let [VItem { guard, body: fused, .. }] = items.as_ref() else {
         return None;
     };
     // Inner bounds over the row index only: the VM keeps them as deltas.

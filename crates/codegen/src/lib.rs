@@ -21,16 +21,22 @@
 //!   the per-step probe binary search), and random-access gather
 //!   operands (leaf-varying gathers cache their invariant prefix path
 //!   and advance a monotone cursor).
-//! * **Fused loop bodies** — a compile-time pattern matcher (`fuse`)
-//!   lowers the common vector-loop bodies (dot, axpy, scale-store,
-//!   gathered variants, SSYMV's dot-axpy pair, and multi-store jams)
-//!   to closed-form monomorphized loops: accumulators in machine
-//!   registers, operands resolved to slices at loop entry, no
-//!   per-coordinate step dispatch, invariant counter contributions
-//!   accounted in bulk. Unmatched bodies keep the general step list —
-//!   selection never changes results or counters. A caller can
-//!   additionally trade counter exactness for speed with
-//!   [`CounterMode::Off`] on the [`ExecContext`].
+//! * **One body form** — a vector loop's body has exactly one
+//!   executable form: per-coordinate loads into local slots feeding
+//!   straight-line folds (`fuse`). The compiler appends that form
+//!   directly as it walks the body; a body it cannot express this way —
+//!   an operand that reads an accumulator of the loop, a body over the
+//!   load / fold caps — leaves the loop on the general head / advance
+//!   path, the reference for every non-conforming loop. The VM picks a
+//!   runner per loop entry down one ladder, **nest → closed → generic →
+//!   none**: the canonical dot and SSYMV's dot-axpy pair run closed-form
+//!   folds, every other body (axpy, scale-store, gathered variants,
+//!   multi-store jams) the generic resolved runner — accumulators in
+//!   machine registers, operands resolved to slices at loop entry,
+//!   invariant counter contributions accounted in bulk — and a loop
+//!   whose guards all fail only sets its index. Several guarded items
+//!   passing at once run coordinate-major through the same generic
+//!   runner at one lane.
 //! * **Row nests** — a row loop around one closed-form compressed or
 //!   run-length vector loop (SSYMV, SYPRD, Bellman-Ford) compiles to a
 //!   single `RowNest` instruction, replacing the per-row head / vector
@@ -123,7 +129,7 @@ use systec_exec::{ExecError, LoweredProgram};
 use systec_tensor::{DenseTensor, Tensor};
 
 pub use cache::{BindingSig, CacheStats, PlanCache, PlanKey, SharedPlanCache};
-pub use context::{ContextPool, CounterMode, ExecContext, LaneMode, PooledContext};
+pub use context::{ContextPool, ExecContext, LaneMode, PooledContext};
 
 use systec_ir::AssignOp;
 
@@ -590,9 +596,9 @@ mod tests {
 
     #[test]
     fn intersection_loops_vectorize() {
-        // Two compressed fibers co-iterating: the general item form for
-        // an output-addressed body, the fused dot form for the scalar
-        // accumulation (and correctness of both via `both`).
+        // Two compressed fibers co-iterating: an output-addressed body
+        // and the pre-analyzed dot of the scalar accumulation (and
+        // correctness of both via `both`).
         let isect = Stmt::loops(
             [idx("i"), idx("j"), idx("k")],
             assign(
@@ -673,7 +679,7 @@ mod tests {
         inputs.insert("A".to_string(), csr(&[(0, 1, 2.0), (2, 2, 4.0)], 3));
         inputs.insert("B".to_string(), csr(&[(1, 0, 10.0), (2, 1, 7.0)], 3));
         let dis = disassembly(&prog, &inputs);
-        assert!(dis.contains("LoadGather"), "random reads gather inside the vector loop:\n{dis}");
+        assert!(dis.contains("Gather {"), "random reads gather inside the vector loop:\n{dis}");
         let (out, c) = both(&prog, &inputs);
         assert_eq!(out["y"].get(&[0]), 2.0 * 10.0);
         assert_eq!(out["y"].get(&[2]), 0.0, "B[2, 2] is unstored: the store annihilates");
@@ -845,5 +851,39 @@ mod tests {
             kernel.run(&inputs, &mut outs),
             Err(ExecError::BindingShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn format_mismatch_detected_at_run() {
+        // A CSR plan handed the same-shaped matrix packed any other way:
+        // its loop heads (and never-miss elisions) are monomorphized per
+        // level format, so the binding must be refused, not walked.
+        let prog = Stmt::loops(
+            [idx("i"), idx("j")],
+            assign(access("y", ["i"]), mul([access("A", ["i", "j"]), access("x", ["j"])])),
+        );
+        let mut coo = CooTensor::new(vec![3, 3]);
+        coo.push(&[0, 1], 2.0);
+        coo.push(&[2, 2], 4.0);
+        let mut inputs = HashMap::new();
+        inputs.insert("A".to_string(), Tensor::Sparse(SparseTensor::from_coo(&coo, &CSR).unwrap()));
+        inputs.insert("x".to_string(), dense_vec(&[1.0, 10.0, 100.0]));
+        let outputs_init = alloc_outputs(&prog, &inputs).unwrap();
+        let lowered = lower(&prog, &inputs, &outputs_init).unwrap();
+        let kernel = CompiledKernel::compile(&lowered, &inputs, &outputs_init).unwrap();
+        use LevelFormat::{Dense, RunLength, Sparse};
+        for packing in [[Dense, RunLength], [Dense, Dense], [Sparse, Sparse]] {
+            let repacked = SparseTensor::from_coo(&coo, &packing).unwrap();
+            inputs.insert("A".to_string(), Tensor::Sparse(repacked));
+            let mut outs = outputs_init.clone();
+            assert_eq!(
+                kernel.run(&inputs, &mut outs),
+                Err(ExecError::BindingFormatMismatch {
+                    name: "A".into(),
+                    expected: CSR.to_vec(),
+                    got: packing.to_vec(),
+                }),
+            );
+        }
     }
 }

@@ -46,9 +46,9 @@ use systec_ir::BinOp;
 
 use crate::bytecode::{
     Bound, BulkCounts, BytecodeProgram, FAcc, FFold, FLoad, FOp, Fused, FusedBody, Instr, NestRows,
-    ParOut, RowNest, SplitInfo, Term, VItem, VStep, MISS,
+    ParOut, RowNest, SplitInfo, Term, VItem, MISS,
 };
-use crate::context::{Bank, CounterMode, ExecContext, GatherBank, LaneMode};
+use crate::context::{Bank, ExecContext, GatherBank, LaneMode};
 use crate::fuse::{
     closed, dot_shape, Closed, DotShape, MAX_FUSED_FOLDS, MAX_FUSED_LOADS, MAX_FUSED_SRCS,
     MAX_NEST_STEPS,
@@ -63,6 +63,9 @@ const MAX_LEVELS: usize = 64;
 const MAX_CACHES: usize = 16;
 /// Inline capacity for the output binding table.
 const MAX_OUTS: usize = 8;
+/// Inline capacity for the resolved bodies of a loop entry where several
+/// guarded items pass at once.
+const MAX_PASSING: usize = 4;
 /// Coordinate chunks dealt per worker (over-decomposition for static
 /// load balance; round-robin assignment keeps the merge deterministic).
 const CHUNKS_PER_WORKER: usize = 8;
@@ -167,9 +170,8 @@ fn offset(u: &[usize], terms: &[Term]) -> usize {
 }
 
 /// Evaluates vector-loop guards into the `pass` scratch, returning the
-/// number of passing items — the selector between the fused runners
-/// (exactly one passing item with a fused body) and the general
-/// per-coordinate step path.
+/// number of passing items — the selector between the monomorphized
+/// runners (exactly one) and the coordinate-major walk (several).
 #[inline]
 fn eval_guards(items: &[VItem], u: &[usize], pass: &mut [bool]) -> usize {
     let mut n = 0usize;
@@ -181,8 +183,7 @@ fn eval_guards(items: &[VItem], u: &[usize], pass: &mut [bool]) -> usize {
     n
 }
 
-/// Telemetry label for a fused-body kind (`Steps` is counted at the
-/// general-path sites instead).
+/// Telemetry label for a fused-body kind.
 fn body_kind(kind: FusedBody) -> telemetry::BodyKind {
     match kind {
         FusedBody::Dot => telemetry::BodyKind::Dot,
@@ -195,19 +196,8 @@ fn body_kind(kind: FusedBody) -> telemetry::BodyKind {
     }
 }
 
-/// The single passing item's fused body, if the loop can take the fused
-/// path this entry: with more than one item passing, coordinate-major
-/// step execution is the only order-preserving strategy.
-#[inline]
-fn fused_single<'p>(items: &'p [VItem], pass: &[bool], n_pass: usize) -> Option<&'p Fused> {
-    if n_pass != 1 {
-        return None;
-    }
-    items.iter().find(|item| pass[item.id]).and_then(|item| item.fused.as_ref())
-}
-
 /// Folds registers through `bin`; the dominant binary shape is
-/// branch-free. Flops are accounted in bulk by [`LoopRun::vec_prepare`].
+/// branch-free.
 #[inline]
 fn fold(bin: &systec_ir::BinOp, srcs: &[usize], f: &[f64]) -> f64 {
     match srcs {
@@ -248,8 +238,7 @@ fn descend(
 /// Semiring monomorphization for the fused runners: the (bin, reduce)
 /// pairs the paper kernels use get dedicated instantiations so the hot
 /// loops carry no operator dispatch; everything else runs through
-/// [`DynSemi`] (still one match per application, but free of all other
-/// step machinery). The `op` arguments are the fold's own operators —
+/// [`DynSemi`] (one match per application). The `op` arguments are the fold's own operators —
 /// the specialized impls ignore them (the dispatch site proved every
 /// fold of the body uses exactly this pair).
 trait Semi: Copy {
@@ -509,8 +498,8 @@ impl Segment for SpanSeg {
 
 /// How a vector loop iterates its coordinates — one implementation per
 /// vector-loop instruction kind, each a format's `iterate` capability
-/// reduced to "yield segments". Every consumer (the closed-form folds,
-/// the generic fused body, the step list) walks a window through
+/// reduced to "yield segments". Every consumer (the closed-form folds
+/// and the generic fused body) walks a window through
 /// [`Drive::segments`], so each format's walk is written exactly once.
 trait Drive<'a> {
     type Seg: Segment;
@@ -952,7 +941,7 @@ enum RLoad<'a, 'p> {
     Probe { tensor: usize, set_miss: bool },
     /// `slice[base + coord * stride]`.
     Dense { slice: &'a [f64], base: usize, stride: usize },
-    /// Random-access gather (shares [`LoopRun::gather`] with the step path).
+    /// Random-access gather ([`LoopRun::gather`]).
     Gather { tensor: usize, id: usize, modes: &'p [usize], var_mode: Option<usize>, set_miss: bool },
 }
 
@@ -969,9 +958,10 @@ enum RSrc {
 enum RAcc {
     /// `f[slot]`, held in [`RFold::accv`] across the loop.
     Slot { slot: usize },
-    /// A loop-invariant output cell (stride 0, single fold), register-
-    /// held likewise — the write *counts* stay per-iteration (bulk) /
-    /// per-hit exactly as if every store happened.
+    /// A loop-invariant output cell (stride 0, single fold, the only
+    /// passing item), register-held likewise — the write *counts* stay
+    /// per-iteration (bulk) / per-hit exactly as if every store
+    /// happened.
     Cell { ord: usize, off: usize },
     /// A strided output store per coordinate.
     Out { ord: usize, off: usize, stride: usize },
@@ -1034,17 +1024,14 @@ fn src_val(src: RSrc, locals: &[f64; MAX_FUSED_LOADS]) -> f64 {
 /// loop body touches, plus the loop's counter contributions (folded
 /// into the program totals when the loop instruction finishes). One
 /// [`LoopRun::run`] serves all four vector-loop instructions; it picks
-/// the tier — the closed-form folds, the generic fused body, or the
-/// step list — and every tier walks the same [`Drive`].
-/// [`LoopRun::nest`] runs a whole [`RowNest`] over the same state.
+/// the runner — a closed-form fold or the generic fused body — and every
+/// runner walks the same [`Drive`]. [`LoopRun::nest`] runs a whole
+/// [`RowNest`] over the same state.
 ///
 /// Bulk (per-iteration) counters come from the body's compile-time
-/// recipe ([`LoopRun::vec_prepare`] for step lists); only hit-dependent
-/// work is counted per element. With [`CounterMode::Off`] the `COUNT`
-/// flag compiles all counter maintenance out of the fused loops.
+/// recipe; only hit-dependent work is counted per element.
 struct LoopRun<'r, 'a, 'o> {
     pass: &'r mut [bool],
-    bases: &'r mut [usize],
     gathers: &'r mut GatherBank,
     u: &'r mut [usize],
     f: &'r mut [f64],
@@ -1060,108 +1047,67 @@ struct LoopRun<'r, 'a, 'o> {
     iterations: u64,
     /// Per-kind dispatch tally (see `run_range`).
     dispatch: &'r mut [u64; telemetry::BODY_KINDS.len()],
-    mode: CounterMode,
     /// The context's [`LaneMode`], as a bool: lane execution applies
     /// only where the body's plan-level lane count also allows it.
     lanes: bool,
 }
 
 impl<'a> LoopRun<'_, 'a, '_> {
-    /// Executes one vector loop over `drive`: the fused body when
-    /// exactly one guarded item passes and carries one, the step list
-    /// when several pass (coordinate-major is then the only
-    /// order-preserving strategy), and just the loop index's exit value
-    /// when none does.
+    /// Executes one vector loop over `drive`: the passing item's body
+    /// through its monomorphized runner when exactly one guard passes,
+    /// every passing body coordinate-major when several do, and just
+    /// the loop index's exit value when none does.
     fn run<D: Drive<'a>>(&mut self, items: &[VItem], idx: usize, drive: &D) {
         let iters = drive.len() as u64;
         if iters == 0 {
             return;
         }
         self.iterations += iters;
-        let n_pass = eval_guards(items, self.u, self.pass);
-        if let Some(fu) = fused_single(items, self.pass, n_pass) {
-            self.dispatch[body_kind(fu.kind).index()] += 1;
-            match self.mode {
-                CounterMode::Exact => self.fused::<true, D>(fu, idx, iters, drive),
-                CounterMode::Off => self.fused::<false, D>(fu, idx, iters, drive),
+        match eval_guards(items, self.u, self.pass) {
+            0 => self.u[idx] = drive.segments(|_| {}),
+            1 => {
+                let item = items.iter().find(|item| self.pass[item.id]).expect("one passes");
+                self.fused(&item.body, idx, iters, drive);
             }
-        } else if n_pass > 0 {
-            self.dispatch[telemetry::BodyKind::Steps.index()] += 1;
-            self.vec_prepare(items, iters);
-            self.init_gathers(items);
-            for_each(drive, |c, val, probe| self.exec_coord(items, idx, c, val, probe));
-        } else {
-            self.u[idx] = drive.segments(|_| {});
+            n_pass => self.several(items, idx, iters, drive, n_pass),
         }
     }
 
-    // -- Step tier ----------------------------------------------------------
-
-    /// Caches the loop-invariant base offsets of passing items and accounts
-    /// the loop's *invariant* counters in bulk: every step of a passing
-    /// item executes exactly once per coordinate, so its invariant counter
-    /// contribution is a per-iteration constant times the iteration count —
-    /// identical totals to bumping inside the loop, with no hot-loop
-    /// counter traffic. Hit-dependent contributions (probe and gather
-    /// reads, the store side of miss-checked folds) are counted by
-    /// [`Self::exec_coord`] instead. Guards must already be evaluated
-    /// ([`eval_guards`]).
-    fn vec_prepare(&mut self, items: &[VItem], iters: u64) {
+    /// Several items pass at once: coordinate-major — every passing
+    /// body at a coordinate, in item order, before the next coordinate —
+    /// is the only order-preserving strategy, so the bodies run side by
+    /// side through the generic [`Self::coord`] at one lane (the strict
+    /// interpreter order). The compiler proved them independent
+    /// (`crate::fuse::independent`), so each may snapshot its invariants
+    /// and hold its scalar accumulators; output cells stay in memory,
+    /// where another item's strided store may land on them.
+    #[cold]
+    #[inline(never)]
+    fn several<D: Drive<'a>>(
+        &mut self,
+        items: &[VItem],
+        idx: usize,
+        iters: u64,
+        drive: &D,
+        n_pass: usize,
+    ) {
+        let mut bodies_t: Scratch<Option<RBody<'a, '_>>, MAX_PASSING> = Scratch::new(n_pass);
+        let bodies = bodies_t.as_mut_slice();
+        let mut slots = bodies.iter_mut();
         for item in items {
-            if !self.pass[item.id] {
-                continue;
-            }
-            for step in item.steps.iter() {
-                match step {
-                    VStep::Load { tensor, id, base, .. } => {
-                        self.bases[*id] = offset(self.u, base);
-                        self.reads[*tensor] += iters;
-                    }
-                    VStep::LoadVal { tensor, .. } => {
-                        self.reads[*tensor] += iters;
-                    }
-                    // Probe / gather reads count only on a hit.
-                    VStep::LoadProbe { .. } | VStep::LoadGather { .. } => {}
-                    VStep::FoldOut { tensor: _, id, base, op, srcs, check_miss, .. } => {
-                        self.bases[*id] = offset(self.u, base);
-                        // The fold always evaluates; with check_miss the
-                        // store (write + reduce flop) is hit-dependent.
-                        let mut per_iter = srcs.len() as u64 - 1;
-                        if !*check_miss {
-                            per_iter += u64::from(*op != AssignOp::Overwrite);
-                            self.writes += iters;
-                        }
-                        self.flops += per_iter * iters;
-                    }
-                    VStep::FoldScalar { op, srcs, check_miss, .. } => {
-                        let mut per_iter = srcs.len() as u64 - 1;
-                        if !*check_miss {
-                            per_iter += u64::from(*op != AssignOp::Overwrite);
-                        }
-                        self.flops += per_iter * iters;
-                    }
-                }
+            if self.pass[item.id] {
+                self.account(&item.body, iters);
+                *slots.next().expect("one slot per passing item") =
+                    Some(self.resolve(&item.body, idx, false, false));
             }
         }
-    }
-
-    /// Resolves the invariant prefix position (and varying-mode cursor)
-    /// of every single-varying-mode gather once per loop entry.
-    fn init_gathers(&mut self, items: &[VItem]) {
-        if self.gathers.len() == 0 {
-            // No gathers anywhere in the plan (all eight paper
-            // kernels): skip the step scan on every loop entry.
-            return;
-        }
-        for item in items {
-            if !self.pass[item.id] {
-                continue;
+        self.u[idx] = for_each(drive, |c, val, probe| {
+            for body in bodies.iter_mut().flatten() {
+                self.coord::<_, 0, 0>(body, DynSemi, c, val, probe);
             }
-            for step in item.steps.iter() {
-                if let VStep::LoadGather { tensor, id, modes, var_mode: Some(vm), .. } = step {
-                    self.init_gather(*tensor, *id, modes, *vm);
-                }
-            }
+        });
+        for body in bodies.iter().flatten() {
+            self.flush(body);
         }
     }
 
@@ -1208,83 +1154,6 @@ impl<'a> LoopRun<'_, 'a, '_> {
         Some(self.vals[tensor][pos])
     }
 
-    /// Executes the passing items' step lists for one coordinate. `val`
-    /// is the driver's value, `probe` the probed fiber's value (if the
-    /// loop intersects two fibers).
-    #[inline]
-    fn exec_coord(
-        &mut self,
-        items: &[VItem],
-        idx: usize,
-        coord: usize,
-        val: Option<f64>,
-        probe: Option<Option<f64>>,
-    ) {
-        self.u[idx] = coord;
-        // The per-coordinate miss flag (see [`VStep`]).
-        let mut miss = false;
-        for item in items {
-            if !self.pass[item.id] {
-                continue;
-            }
-            for step in item.steps.iter() {
-                // Probe / gather loads: the value and a counted read on
-                // a hit, the fill (and the armed miss flag) otherwise.
-                let (dst, tensor, set_miss, hit) = match step {
-                    VStep::Load { dst, tensor, id, stride, .. } => {
-                        self.f[*dst] = self.dense[*tensor][self.bases[*id] + coord * stride];
-                        continue;
-                    }
-                    VStep::LoadVal { dst, .. } => {
-                        self.f[*dst] = val.expect("driver value in a driven vector loop");
-                        continue;
-                    }
-                    VStep::LoadProbe { dst, tensor, set_miss } => {
-                        (dst, tensor, set_miss, probe.expect("probe in an intersection loop"))
-                    }
-                    VStep::LoadGather { dst, tensor, id, modes, var_mode, set_miss } => {
-                        (dst, tensor, set_miss, self.gather(*tensor, *id, modes, *var_mode, coord))
-                    }
-                    VStep::FoldOut { tensor, id, stride, bin, op, srcs, check_miss, .. } => {
-                        let v = fold(bin, srcs, self.f);
-                        if !(*check_miss && miss) {
-                            let off = self.bases[*id] + coord * stride;
-                            let ob = self.outs[self.oo[*tensor]].as_mut().expect("output bound");
-                            let cell = &mut ob.data[off - ob.base];
-                            *cell = op.apply(*cell, v);
-                            if *check_miss {
-                                self.writes += 1;
-                                if *op != AssignOp::Overwrite {
-                                    self.flops += 1;
-                                }
-                            }
-                        }
-                        miss = false;
-                        continue;
-                    }
-                    VStep::FoldScalar { slot, bin, op, srcs, check_miss } => {
-                        let v = fold(bin, srcs, self.f);
-                        if !(*check_miss && miss) {
-                            self.f[*slot] = op.apply(self.f[*slot], v);
-                            if *check_miss && *op != AssignOp::Overwrite {
-                                self.flops += 1;
-                            }
-                        }
-                        miss = false;
-                        continue;
-                    }
-                };
-                self.f[*dst] = hit.unwrap_or(0.0);
-                match hit {
-                    Some(_) => self.reads[*tensor] += 1,
-                    None => miss |= *set_miss,
-                }
-            }
-        }
-    }
-
-    // -- Fused tier ---------------------------------------------------------
-
     /// The cell behind a register-held accumulator target: read at loop
     /// entry, written back at exit (`None` for strided stores, which are
     /// never held).
@@ -1311,20 +1180,11 @@ impl<'a> LoopRun<'_, 'a, '_> {
         self.writes += recipe.writes * times;
     }
 
-    /// Executes one fused loop: the closed-form folds for the canonical
-    /// dot / dot-axpy shapes, the generic resolved body otherwise.
-    fn fused<const COUNT: bool, D: Drive<'a>>(
-        &mut self,
-        fu: &Fused,
-        idx: usize,
-        iters: u64,
-        drive: &D,
-    ) {
-        if COUNT {
-            // Invariant contributions in bulk, from the recipe derived
-            // off the step list this body replaces.
-            self.tally(&fu.bulk, iters);
-        }
+    /// Executes the one passing body of a loop entry: the closed-form
+    /// folds for the canonical dot / dot-axpy shapes, the generic
+    /// resolved body otherwise.
+    fn fused<D: Drive<'a>>(&mut self, fu: &Fused, idx: usize, iters: u64, drive: &D) {
+        self.account(fu, iters);
         let lanes_on = self.lanes && fu.lanes > 1;
         // Closed-form loops run straight off the compile-time form —
         // entry cost is a handful of scalar resolutions, which matters
@@ -1334,29 +1194,36 @@ impl<'a> LoopRun<'_, 'a, '_> {
                 self.closed_dense(fu, idx, drive, lanes_on)
             }
             (FusedBody::Dot, Some(probed)) => {
-                self.closed_probe_dot::<COUNT, D>(fu, idx, drive, probed, lanes_on)
+                self.closed_probe_dot(fu, idx, drive, probed, lanes_on)
             }
             _ => false,
         };
         if done {
             return;
         }
-        let mut body = self.resolve(fu, idx, lane_gate(lanes_on, drive.span(), None));
-        for ld in fu.loads.iter() {
-            if let FLoad::Gather { tensor, id, modes, var_mode: Some(vm), .. } = ld {
-                self.init_gather(*tensor, *id, modes, *vm);
-            }
-        }
+        let lanes = lane_gate(lanes_on, drive.span(), None);
+        let mut body = self.resolve(fu, idx, lanes, true);
         // One semiring for the whole body → monomorphized loops.
         let folds = &body.folds[..body.n_folds];
         let (bin0, op0) = (folds[0].bin, folds[0].op);
         let uniform = folds.iter().all(|fo| fo.bin == bin0 && fo.op == op0);
-        with_semi!(uniform, bin0, op0, |s| self.drive_shape::<_, COUNT, D>(&mut body, s, drive));
-        // Flush register-held accumulators: under lanes, merge the lane
-        // array into the entry-seeded accumulator in fixed lane order.
-        // `op.apply` is exactly the reduction the loop ran (the
-        // semiring dispatch above proved the op pair), so the merge is
-        // bit-identical whichever `Semi` drove the loop.
+        with_semi!(uniform, bin0, op0, |s| self.drive_shape(&mut body, s, drive));
+        self.flush(&body);
+    }
+
+    /// One dispatch of `fu` over `iters` coordinates: its invariant
+    /// counter contributions in bulk, from the body's recipe.
+    fn account(&mut self, fu: &Fused, iters: u64) {
+        self.dispatch[body_kind(fu.kind).index()] += 1;
+        self.tally(&fu.bulk, iters);
+    }
+
+    /// Writes a finished body's register-held accumulators back: under
+    /// lanes, the lane array merged into the entry-seeded accumulator in
+    /// fixed lane order. `op.apply` is exactly the reduction the loop
+    /// ran (the semiring dispatch proved the op pair), so the merge is
+    /// bit-identical whichever `Semi` drove the loop.
+    fn flush(&mut self, body: &RBody<'a, '_>) {
         for fold in &body.folds[..body.n_folds] {
             let acc = if body.use_lanes {
                 lane_merge(DynSemi, fold.op, fold.accv, &fold.lanev)
@@ -1370,10 +1237,17 @@ impl<'a> LoopRun<'_, 'a, '_> {
     }
 
     /// Resolves a fused body against the current bindings: dense bases
-    /// and invariant registers are snapshot once, accumulators load
-    /// their starting values (lane accumulators seed with the fold op's
-    /// identity under lane mode).
-    fn resolve<'p>(&mut self, fu: &'p Fused, idx: usize, use_lanes: bool) -> RBody<'a, 'p> {
+    /// and invariant registers are snapshot once, gather cursors open,
+    /// accumulators load their starting values (lane accumulators seed
+    /// with the fold op's identity under lane mode). `hold_cells` lets a
+    /// single fold's loop-invariant output cell live in a register.
+    fn resolve<'p>(
+        &mut self,
+        fu: &'p Fused,
+        idx: usize,
+        use_lanes: bool,
+        hold_cells: bool,
+    ) -> RBody<'a, 'p> {
         let mut body = RBody {
             loads: [RLoad::Val; MAX_FUSED_LOADS],
             n_loads: fu.loads.len(),
@@ -1410,7 +1284,10 @@ impl<'a> LoopRun<'_, 'a, '_> {
                     stride: *stride,
                 },
                 FLoad::Gather { tensor, id, modes, var_mode, set_miss } => {
-                    body.needs_u_idx |= var_mode.is_none();
+                    match var_mode {
+                        Some(vm) => self.init_gather(*tensor, *id, modes, *vm),
+                        None => body.needs_u_idx = true,
+                    }
                     RLoad::Gather {
                         tensor: *tensor,
                         id: *id,
@@ -1421,7 +1298,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
                 }
             };
         }
-        let single_fold = fu.folds.len() == 1;
+        let hold_cell = hold_cells && fu.folds.len() == 1;
         for (j, fold) in fu.folds.iter().enumerate() {
             let rf = &mut body.folds[j];
             for op in fold.srcs.iter() {
@@ -1447,7 +1324,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
                 FAcc::Out { tensor, base, stride } => {
                     let ord = self.oo[*tensor];
                     let off = offset(self.u, base);
-                    if *stride == 0 && single_fold {
+                    if *stride == 0 && hold_cell {
                         RAcc::Cell { ord, off }
                     } else {
                         RAcc::Out { ord, off, stride: *stride }
@@ -1471,18 +1348,13 @@ impl<'a> LoopRun<'_, 'a, '_> {
     /// per-shape unrolled instantiations of [`Self::drive`] whose inner
     /// loops have compile-time trip counts; `(0, 0)` is the dynamic
     /// fallback for everything else.
-    fn drive_shape<S: Semi, const COUNT: bool, D: Drive<'a>>(
-        &mut self,
-        body: &mut RBody<'a, '_>,
-        s: S,
-        drive: &D,
-    ) {
+    fn drive_shape<S: Semi, D: Drive<'a>>(&mut self, body: &mut RBody<'a, '_>, s: S, drive: &D) {
         match (body.n_loads, body.n_folds) {
-            (2, 1) => self.drive::<S, COUNT, 2, 1, D>(body, s, drive),
-            (3, 2) => self.drive::<S, COUNT, 3, 2, D>(body, s, drive),
-            (4, 3) => self.drive::<S, COUNT, 4, 3, D>(body, s, drive),
-            (5, 4) => self.drive::<S, COUNT, 5, 4, D>(body, s, drive),
-            _ => self.drive::<S, COUNT, 0, 0, D>(body, s, drive),
+            (2, 1) => self.drive::<S, 2, 1, D>(body, s, drive),
+            (3, 2) => self.drive::<S, 3, 2, D>(body, s, drive),
+            (4, 3) => self.drive::<S, 4, 3, D>(body, s, drive),
+            (5, 4) => self.drive::<S, 5, 4, D>(body, s, drive),
+            _ => self.drive::<S, 0, 0, D>(body, s, drive),
         }
     }
 
@@ -1492,14 +1364,14 @@ impl<'a> LoopRun<'_, 'a, '_> {
     /// body the loop loses its registers to the other fifteen (measured
     /// 12–22% on the `Jam` bodies of MTTKRP and TTM).
     #[inline(never)]
-    fn drive<S: Semi, const COUNT: bool, const NL: usize, const NF: usize, D: Drive<'a>>(
+    fn drive<S: Semi, const NL: usize, const NF: usize, D: Drive<'a>>(
         &mut self,
         body: &mut RBody<'a, '_>,
         s: S,
         drive: &D,
     ) {
         let last = for_each(drive, |c, val, probe| {
-            self.coord::<S, COUNT, NL, NF>(body, s, c, val, probe);
+            self.coord::<S, NL, NF>(body, s, c, val, probe);
         });
         self.u[body.idx] = last;
     }
@@ -1507,7 +1379,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
     /// Executes the body for one coordinate (the generic fused path:
     /// loads once into locals, then the straight-line folds).
     #[inline(always)]
-    fn coord<S: Semi, const COUNT: bool, const NL: usize, const NF: usize>(
+    fn coord<S: Semi, const NL: usize, const NF: usize>(
         &mut self,
         body: &mut RBody<'a, '_>,
         s: S,
@@ -1545,8 +1417,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
             };
             locals[i] = hit.unwrap_or(0.0);
             match hit {
-                Some(_) if COUNT => self.reads[tensor] += 1,
-                Some(_) => {}
+                Some(_) => self.reads[tensor] += 1,
                 None => miss |= u32::from(set_miss) << i,
             }
         }
@@ -1582,10 +1453,8 @@ impl<'a> LoopRun<'_, 'a, '_> {
                         *cell = s.red(fold.op, *cell, v);
                     }
                 }
-                if COUNT {
-                    self.writes += u64::from(fold.hit_write);
-                    self.flops += u64::from(fold.hit_flop);
-                }
+                self.writes += u64::from(fold.hit_write);
+                self.flops += u64::from(fold.hit_flop);
             }
         }
         if use_lanes {
@@ -1687,7 +1556,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
     /// [`fold_dot`]. Returns `false` when the shape doesn't match — the
     /// generic fused path then runs.
     #[inline]
-    fn closed_probe_dot<const COUNT: bool, D: Drive<'a>>(
+    fn closed_probe_dot<D: Drive<'a>>(
         &mut self,
         fu: &Fused,
         idx: usize,
@@ -1725,38 +1594,24 @@ impl<'a> LoopRun<'_, 'a, '_> {
         }
         let acc0 = *self.acc_cell(acc).expect("dot accumulators are register-held");
         let lanes = lane_gate(lanes_on, drive.span(), Some(&probed.cur));
-        let (acc1, last, hits) = run_dot(&ch, acc0, drive, probed, lanes);
-        if COUNT {
-            // Per hit: one probe read plus the store side of the
-            // miss-checked fold.
-            self.reads[*pt] += hits;
-            if ch.op != AssignOp::Overwrite {
-                self.flops += hits;
-            }
-            if matches!(acc, RAcc::Cell { .. }) {
-                self.writes += hits;
-            }
+        let (acc1, last, hits) = with_semi!(true, ch.bin, ch.op, |s| if lanes {
+            fold_dot::<_, D, _, LANES>(s, &ch, acc0, drive, probed)
+        } else {
+            fold_dot::<_, D, _, 1>(s, &ch, acc0, drive, probed)
+        });
+        // Per hit: one probe read plus the store side of the
+        // miss-checked fold.
+        self.reads[*pt] += hits;
+        if ch.op != AssignOp::Overwrite {
+            self.flops += hits;
+        }
+        if matches!(acc, RAcc::Cell { .. }) {
+            self.writes += hits;
         }
         *self.acc_cell(acc).expect("dot accumulators are register-held") = acc1;
         self.u[idx] = last;
         true
     }
-}
-
-/// Selects the semiring instantiation and lane count of [`fold_dot`].
-#[inline]
-fn run_dot<'a, D: Drive<'a>, B: DotOperand>(
-    ch: &DotChain,
-    acc0: f64,
-    drive: &D,
-    b: B,
-    lanes: bool,
-) -> (f64, usize, u64) {
-    with_semi!(true, ch.bin, ch.op, |s| if lanes {
-        fold_dot::<_, D, B, LANES>(s, ch, acc0, drive, b)
-    } else {
-        fold_dot::<_, D, B, 1>(s, ch, acc0, drive, b)
-    })
 }
 
 /// A loop head's bounds: the `lo` / `hi` register bounds clamped
@@ -2012,9 +1867,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
         self.iterations += n as u64 + iters;
         self.dispatch[body_kind(nest.fused.kind).index()] += entries;
         self.tally(&nest.per_row, n as u64);
-        if self.mode == CounterMode::Exact {
-            self.tally(&nest.fused.bulk, iters);
-        }
+        self.tally(&nest.fused.bulk, iters);
     }
 
     /// Walks `n` rows (`drive` opens row position `p`'s inner window)
@@ -2098,11 +1951,9 @@ fn run_range<'a>(
     u: &mut Vec<usize>,
     f: &mut Vec<f64>,
     vec_pass: &mut Vec<bool>,
-    vec_bases: &mut Vec<usize>,
     gathers: &mut GatherBank,
     counters: &mut CounterBank,
     chunk: Option<Chunk<'_>>,
-    mode: CounterMode,
     lanes: bool,
 ) {
     // Reset register files and vector-loop scratch (reusing capacity).
@@ -2112,13 +1963,10 @@ fn run_range<'a>(
     f.resize(program.n_f, 0.0);
     vec_pass.clear();
     vec_pass.resize(program.n_vec_items, false);
-    vec_bases.clear();
-    vec_bases.resize(program.n_vec_bases, 0);
     gathers.reset(program.n_vec_gathers);
     let u = u.as_mut_slice();
     let f = f.as_mut_slice();
     let vec_pass = vec_pass.as_mut_slice();
-    let vec_bases = vec_bases.as_mut_slice();
     let mut fibers_t: Scratch<Fiber<'a>, MAX_CACHES> = Scratch::new(program.n_caches);
     let fibers = fibers_t.as_mut_slice();
     let lvl_base = program.level_base.as_slice();
@@ -2163,7 +2011,6 @@ fn run_range<'a>(
         (|$lr:ident| $run:expr) => {{
             let mut $lr = LoopRun {
                 pass: &mut *vec_pass,
-                bases: &mut *vec_bases,
                 gathers: &mut *gathers,
                 u: &mut *u,
                 f: &mut *f,
@@ -2178,7 +2025,6 @@ fn run_range<'a>(
                 writes: 0,
                 iterations: 0,
                 dispatch: &mut dispatch,
-                mode,
                 lanes,
             };
             $run;
@@ -2634,6 +2480,15 @@ fn execute_inner(
                 Some(Tensor::Sparse(t)) => {
                     check_dims(&info.name, &info.dims, t.dims())?;
                     for k in 0..t.rank() {
+                        // Loop heads and miss elisions are monomorphized
+                        // per level format.
+                        if t.formats()[k] != info.formats[k] {
+                            return Err(ExecError::BindingFormatMismatch {
+                                name: info.name.clone(),
+                                expected: info.formats.clone(),
+                                got: t.formats().to_vec(),
+                            });
+                        }
                         levels[program.level_base[slot] + k] = Some(t.level_view(k));
                     }
                     vals[slot] = t.values();
@@ -2675,7 +2530,6 @@ fn execute_inner(
         _ => None,
     };
 
-    let mode = ctx.counter_mode();
     let lanes = ctx.lane_mode() == LaneMode::Lanes;
     match plan {
         None => {
@@ -2685,10 +2539,9 @@ fn execute_inner(
             };
             let bank = &mut ctx.banks(1)[0];
             bank.counters.reset(n_slots);
-            let Bank { u, f, vec_pass, vec_bases, gathers, counters, .. } = bank;
+            let Bank { u, f, vec_pass, gathers, counters, .. } = bank;
             run_range(
-                program, dense, vals, levels, outs, u, f, vec_pass, vec_bases, gathers, counters,
-                chunk, mode, lanes,
+                program, dense, vals, levels, outs, u, f, vec_pass, gathers, counters, chunk, lanes,
             );
             bank.counters.write_to(program.tensors.iter().map(|t| t.name.as_str()), out_counters);
         }
@@ -2704,7 +2557,6 @@ fn execute_inner(
                 n_chunks,
                 threads,
                 out_counters,
-                mode,
                 lanes,
             );
         }
@@ -2713,11 +2565,6 @@ fn execute_inner(
     metrics.vm_runs.inc();
     metrics.vm_run_ns.add(u64::try_from(run_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
     Ok(())
-}
-
-/// Row-stride of an output slot (product of its trailing dims).
-fn row_stride(dims: &[usize]) -> usize {
-    dims[1..].iter().product()
 }
 
 /// Chunked execution over a worker pool of scoped threads. Chunks are
@@ -2737,7 +2584,6 @@ fn run_parallel<'a>(
     n_chunks: usize,
     threads: usize,
     out_counters: &mut Counters,
-    mode: CounterMode,
     lanes: bool,
 ) {
     let n_slots = program.tensors.len();
@@ -2755,7 +2601,7 @@ fn run_parallel<'a>(
         match mode {
             ParOut::Owned => {
                 let extent = split.owned_extent.expect("owned outputs pin a common extent");
-                let stride = row_stride(&program.tensors[slot].dims);
+                let stride: usize = program.tensors[slot].dims[1..].iter().product();
                 let mut rest = bind.data;
                 let mut consumed = 0usize;
                 for (k, owned) in chunk_owned.iter_mut().enumerate() {
@@ -2794,7 +2640,7 @@ fn run_parallel<'a>(
                     let identity = op.identity().expect("reduced outputs use reducing ops");
                     bank.reset_reduce(r, len, identity);
                 }
-                let Bank { u, f, vec_pass, vec_bases, gathers, counters, reduce } = bank;
+                let Bank { u, f, vec_pass, gathers, counters, reduce } = bank;
                 for (k, owned) in chunks {
                     let mut outs_t: OutTable<'_> = Scratch::new(program.n_outputs);
                     let w_outs = outs_t.as_mut_slice();
@@ -2814,11 +2660,9 @@ fn run_parallel<'a>(
                         u,
                         f,
                         vec_pass,
-                        vec_bases,
                         gathers,
                         counters,
                         Some(chunk),
-                        mode,
                         lanes,
                     );
                 }

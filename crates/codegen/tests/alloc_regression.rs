@@ -263,3 +263,36 @@ fn run_length_dot_axpy_steady_state_is_allocation_free_in_both_lane_modes() {
         );
     }
 }
+
+#[test]
+fn several_passing_items_steady_state_is_allocation_free() {
+    // Two items of one vector loop whose guards both pass on the stored
+    // diagonal: the coordinate-major walk resolves both bodies into
+    // stack storage.
+    let items = Stmt::block([
+        Stmt::guarded(
+            le("i", "j"),
+            assign(access("C", ["i", "l"]), mul([scalar("a"), access("B", ["j", "l"]).into()])),
+        ),
+        Stmt::guarded(
+            eq("i", "j"),
+            assign(access("C", ["j", "l"]), mul([scalar("a"), access("B", ["i", "l"]).into()])),
+        ),
+    ]);
+    let prog = Stmt::loops(
+        [idx("i"), idx("j")],
+        Stmt::Let {
+            name: "a".into(),
+            value: access("A", ["i", "j"]).into(),
+            body: Box::new(Stmt::loops([idx("l")], items)),
+        },
+    );
+    let mut inputs = HashMap::new();
+    inputs.insert("A".to_string(), csr(4, &[(0, 0, 2.0), (0, 3, 3.0), (2, 2, 4.0), (3, 1, 1.0)]));
+    inputs.insert("B".to_string(), Tensor::Dense(DenseTensor::filled(vec![4, 3], 1.5)));
+    let (kernel, outputs_init) = compile(&prog, &inputs);
+    let dis = kernel.disassemble();
+    assert!(dis.contains("guard: [(Le, 0, 1)]") && dis.contains("guard: [(Eq, 0, 1)]"), "{dis}");
+    let mut outputs = outputs_init;
+    assert_steady_state_alloc_free(&kernel, &inputs, &mut outputs, ExecContext::new(), "several");
+}

@@ -194,7 +194,7 @@ fn fused_bodies_selected_across_paper_kernels() {
         let inputs = fixed_inputs(&def);
         let kernel = Compiler::new().compile(&def.einsum, &def.symmetry).unwrap();
         let text = snapshot(kernel.main, kernel.replication, &inputs);
-        if text.contains("fused: Some") {
+        if text.contains("body: Fused") {
             fused_kernels += 1;
         }
     }

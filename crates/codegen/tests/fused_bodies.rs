@@ -6,24 +6,27 @@
 //! interpreter (which has no fused path at all) — byte-identical in
 //! scalar lane mode, within 1e-9 in the default lane mode, counters
 //! exact in both — across storage formats and random data. A
-//! fallback ladder proves bodies the selector rejects still execute the
-//! general step list with identical results.
+//! several-items ladder drives the coordinate-major walk of a loop
+//! whose guards overlap, and a fallback ladder proves non-conforming
+//! bodies stay off the vector path with identical results.
 
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use systec_codegen::{CompiledKernel, CounterMode, ExecContext, LaneMode, Parallelism};
-use systec_exec::{alloc_outputs, hoist_conditions, lower, run_lowered, Counters};
+use systec_codegen::{CompiledKernel, ExecContext, LaneMode, Parallelism};
+use systec_core::{CompileOptions, Compiler};
+use systec_exec::{
+    alloc_outputs, hoist_conditions, lower, prepare_variants, run_lowered, Counters, LoweredProgram,
+};
 use systec_ir::build::*;
 use systec_ir::{AssignOp, Stmt};
+use systec_kernels::defs;
 use systec_tensor::{CooTensor, DenseTensor, LevelFormat, SparseTensor, Tensor};
 
 /// Compiles `prog`, asserting every `needle` appears in the
-/// disassembly, then runs both backends on it: the scalar-mode VM must
-/// be byte-identical to the interpreter, the lane-mode VM (the
-/// default) within 1e-9, and counters exact in both modes. Returns the
-/// lane-mode outputs.
+/// disassembly, then runs both backends on it ([`assert_backends_match`]).
+/// Returns the lane-mode outputs.
 fn select_and_match(
     prog: &Stmt,
     inputs: &HashMap<String, Tensor>,
@@ -38,7 +41,19 @@ fn select_and_match(
     for needle in needles {
         assert!(dis.contains(needle), "{label}: expected {needle:?} in:\n{dis}");
     }
+    assert_backends_match(&lowered, &compiled, inputs, outputs_init, label)
+}
 
+/// The scalar-mode VM must be byte-identical to the interpreter, the
+/// lane-mode VM (the default) within 1e-9, and counters exact in both
+/// modes. Returns the lane-mode outputs.
+fn assert_backends_match(
+    lowered: &LoweredProgram,
+    compiled: &CompiledKernel,
+    inputs: &HashMap<String, Tensor>,
+    outputs_init: HashMap<String, DenseTensor>,
+    label: &str,
+) -> HashMap<String, DenseTensor> {
     let mut out_vm = outputs_init.clone();
     let c_vm = compiled.run(inputs, &mut out_vm).expect(label);
 
@@ -50,7 +65,7 @@ fn select_and_match(
         .expect(label);
 
     let mut out_interp = outputs_init;
-    let c_interp = run_lowered(&lowered, inputs, &mut out_interp).expect(label);
+    let c_interp = run_lowered(lowered, inputs, &mut out_interp).expect(label);
     for (name, t) in &out_interp {
         assert_eq!(&out_scalar[name], t, "{label}: scalar-mode output {name} differs");
         let diff = out_vm[name].max_abs_diff(t).expect(label);
@@ -185,7 +200,7 @@ fn gather_dot_ladder() {
             select_and_match(
                 &prog,
                 &inputs,
-                &["kind: GatherDot", "LoadGather"],
+                &["kind: GatherDot", "Gather {"],
                 &format!("gather-dot formats={formats:?} seed={seed}"),
             );
         }
@@ -253,12 +268,151 @@ fn dot_axpy_ladder() {
     }
 }
 
-/// A body the selector must reject: the fold reads the scalar slot it
-/// accumulates into (`w += A[i,j]·w`), which a register-held
-/// accumulator could not serve. The item carries `fused: None` and the
-/// step list still produces byte-identical results.
+/// The formats of the several-items ladder: compressed, hypersparse
+/// and run-length rows.
+const ROW_FORMATS: &[&[LevelFormat]] = &[
+    &[LevelFormat::Dense, LevelFormat::Sparse],
+    &[LevelFormat::Sparse, LevelFormat::Sparse],
+    &[LevelFormat::Dense, LevelFormat::RunLength],
+];
+
+/// `n × n` matrix with a stored diagonal (so `i == j` guards pass) and a
+/// dense `n × m` factor.
+fn diagonal_matrix_and_factor(
+    n: usize,
+    m: usize,
+    formats: &[LevelFormat],
+    r: &mut StdRng,
+) -> HashMap<String, Tensor> {
+    let mut coo = CooTensor::new(vec![n, n]);
+    for i in 0..n {
+        coo.set(&[i, i], r.gen_range(0.1..2.0));
+        coo.set(&[r.gen_range(0..n), r.gen_range(0..n)], r.gen_range(0.1..2.0));
+    }
+    let b: Vec<f64> = (0..n * m).map(|_| r.gen_range(0.1..2.0)).collect();
+    HashMap::from([
+        ("A".to_string(), Tensor::Sparse(SparseTensor::from_coo(&coo, formats).unwrap())),
+        ("B".to_string(), Tensor::Dense(DenseTensor::from_vec(vec![n, m], b).unwrap())),
+    ])
+}
+
+/// `let a = A[i,j]` around `for l: if i <= j: C[i,l] += a·B[j,l];
+/// if i == j: C[j,l] += a·B[i,l]` — the innermost `l` loop carries two items whose guards both pass on
+/// the diagonal, where they even store into the same cells: the bodies
+/// run coordinate-major, side by side, in interpreter order.
 #[test]
-fn unmatched_body_falls_back_to_steps() {
+fn several_items_ladder() {
+    for (k, formats) in ROW_FORMATS.iter().enumerate() {
+        for seed in 0..6u64 {
+            let mut r = StdRng::seed_from_u64(9700 + 100 * k as u64 + seed);
+            let n = r.gen_range(3usize..9);
+            // Factor widths on both sides of the lane cutover.
+            let m = [3, 20][seed as usize % 2];
+            let items = Stmt::block([
+                Stmt::guarded(
+                    le("i", "j"),
+                    assign(
+                        access("C", ["i", "l"]),
+                        mul([scalar("a"), access("B", ["j", "l"]).into()]),
+                    ),
+                ),
+                Stmt::guarded(
+                    eq("i", "j"),
+                    assign(
+                        access("C", ["j", "l"]),
+                        mul([scalar("a"), access("B", ["i", "l"]).into()]),
+                    ),
+                ),
+            ]);
+            let prog = Stmt::loops(
+                [idx("i"), idx("j")],
+                Stmt::Let {
+                    name: "a".into(),
+                    value: access("A", ["i", "j"]).into(),
+                    body: Box::new(Stmt::loops([idx("l")], items)),
+                },
+            );
+            let inputs = diagonal_matrix_and_factor(n, m, formats, &mut r);
+            select_and_match(
+                &prog,
+                &inputs,
+                &["VecDenseLoop", "guard: [(Le, 0, 1)]", "guard: [(Eq, 0, 1)]"],
+                &format!("several formats={formats:?} seed={seed}"),
+            );
+        }
+    }
+}
+
+/// The same two guards, but the second item reads the scalar the first
+/// accumulates (`w += a·B[j,l]` / `C[j,l] += B[i,l]·w`): no
+/// entry-time snapshot of `w` serves the second item, so the loop is not
+/// vectorized at all — and still matches on the general path.
+#[test]
+fn dependent_items_are_not_vectorized() {
+    for (k, formats) in ROW_FORMATS.iter().enumerate() {
+        for seed in 0..4u64 {
+            let mut r = StdRng::seed_from_u64(9800 + 100 * k as u64 + seed);
+            let n = r.gen_range(3usize..9);
+            let items = Stmt::block([
+                Stmt::guarded(
+                    le("i", "j"),
+                    Stmt::Assign {
+                        lhs: systec_ir::Lhs::Scalar("w".into()),
+                        op: AssignOp::Add,
+                        rhs: mul([scalar("a"), access("B", ["j", "l"]).into()]),
+                    },
+                ),
+                Stmt::guarded(
+                    eq("i", "j"),
+                    assign(
+                        access("C", ["j", "l"]),
+                        mul([access("B", ["i", "l"]).into(), scalar("w")]),
+                    ),
+                ),
+            ]);
+            let prog = Stmt::loops(
+                [idx("i"), idx("j")],
+                Stmt::Let {
+                    name: "a".into(),
+                    value: access("A", ["i", "j"]).into(),
+                    body: Box::new(Stmt::Workspace {
+                        name: "w".into(),
+                        init: 0.0,
+                        body: Box::new(Stmt::loops([idx("l")], items)),
+                    }),
+                },
+            );
+            let inputs = diagonal_matrix_and_factor(n, 5, formats, &mut r);
+            let label = format!("dependent formats={formats:?} seed={seed}");
+            assert_not_vectorized(&prog, &inputs, &label);
+        }
+    }
+}
+
+/// Compiles `prog`, asserts no vector loop or row nest appears in its
+/// disassembly, and runs both backends on it.
+fn assert_not_vectorized(prog: &Stmt, inputs: &HashMap<String, Tensor>, label: &str) {
+    let hoisted = hoist_conditions(prog.clone());
+    let outputs_init = alloc_outputs(&hoisted, inputs).expect(label);
+    let lowered = lower(&hoisted, inputs, &outputs_init).expect(label);
+    let compiled = CompiledKernel::compile(&lowered, inputs, &outputs_init).expect(label);
+    let dis = compiled.disassemble();
+    assert!(
+        !dis.contains("Vec") && !dis.contains("RowNest"),
+        "{label}: the loop must stay on the general path:\n{dis}"
+    );
+    assert_backends_match(&lowered, &compiled, inputs, outputs_init, label);
+}
+
+/// Bodies the vectorizer must refuse: a fold that reads the scalar slot
+/// it accumulates into (`w += A[i,j]·w`), which a register-held
+/// accumulator could not serve, and MTTKRP-4 without common-access
+/// elimination, whose canonical body re-reads every factor row per
+/// store and so exceeds the load cap. Neither `j` loop may become a
+/// vector loop or a row nest, and the general path still produces
+/// byte-identical results and exact counters.
+#[test]
+fn nonconforming_body_is_not_vectorized() {
     for (k, formats) in COMPRESSED.iter().enumerate() {
         for seed in 0..6u64 {
             let mut r = StdRng::seed_from_u64(9600 + 100 * k as u64 + seed);
@@ -284,62 +438,29 @@ fn unmatched_body_falls_back_to_steps() {
             let mut inputs = HashMap::new();
             inputs.insert("A".to_string(), random_matrix(n, n + 3, formats, &mut r));
             let label = format!("fallback formats={formats:?} seed={seed}");
-            let hoisted = hoist_conditions(prog.clone());
-            let outputs_init = alloc_outputs(&hoisted, &inputs).expect(&label);
-            let lowered = lower(&hoisted, &inputs, &outputs_init).expect(&label);
-            let compiled = CompiledKernel::compile(&lowered, &inputs, &outputs_init).expect(&label);
-            let dis = compiled.disassemble();
-            assert!(
-                !dis.contains("fused: Some"),
-                "{label}: the self-referential fold must not fuse:\n{dis}"
-            );
-            let mut out_vm = outputs_init.clone();
-            let c_vm = compiled.run(&inputs, &mut out_vm).expect(&label);
-            let mut out_interp = outputs_init;
-            let c_interp = run_lowered(&lowered, &inputs, &mut out_interp).expect(&label);
-            for (name, t) in &out_interp {
-                assert_eq!(&out_vm[name], t, "{label}: output {name} differs");
-            }
-            assert_eq!(c_vm, c_interp, "{label}: counter parity violated");
+            assert_not_vectorized(&prog, &inputs, &label);
         }
     }
-}
 
-/// `CounterMode::Off` skips counter maintenance on the fused paths but
-/// leaves the outputs byte-identical to an exact-mode run.
-#[test]
-fn counter_off_mode_keeps_outputs_identical() {
-    let mut r = StdRng::seed_from_u64(9700);
-    let n = 8;
-    let prog = Stmt::loops(
-        [idx("i"), idx("j")],
-        assign(access("y", ["i"]), mul([access("A", ["i", "j"]), access("x", ["j"])])),
-    );
-    let mut inputs = HashMap::new();
-    inputs.insert(
-        "A".to_string(),
-        random_matrix(n, 12, &[LevelFormat::Dense, LevelFormat::Sparse], &mut r),
-    );
-    inputs.insert("x".to_string(), random_vec(n, &mut r));
-    let hoisted = hoist_conditions(prog);
-    let outputs_init = alloc_outputs(&hoisted, &inputs).unwrap();
-    let lowered = lower(&hoisted, &inputs, &outputs_init).unwrap();
-    let compiled = CompiledKernel::compile(&lowered, &inputs, &outputs_init).unwrap();
-
-    let mut exact_ctx = ExecContext::new();
-    let mut exact_out = outputs_init.clone();
-    let mut exact_counters = Counters::new();
-    compiled
-        .run_with(&inputs, &mut exact_out, &mut exact_ctx, Parallelism::Serial, &mut exact_counters)
-        .unwrap();
-
-    let mut off_ctx = ExecContext::new().with_counter_mode(CounterMode::Off);
-    let mut off_out = outputs_init;
-    let mut off_counters = Counters::new();
-    compiled
-        .run_with(&inputs, &mut off_out, &mut off_ctx, Parallelism::Serial, &mut off_counters)
-        .unwrap();
-
-    assert_eq!(exact_out["y"], off_out["y"], "counter mode must not affect outputs");
-    assert!(exact_counters.flops > 0, "exact mode counts work");
+    let def = defs::mttkrp(4);
+    let options = CompileOptions { cse: false, ..CompileOptions::default() };
+    let kernel = Compiler::with_options(options).compile(&def.einsum, &def.symmetry).unwrap();
+    let mut r = StdRng::seed_from_u64(9699);
+    let (n, m) = (5, 3);
+    let mut coo = CooTensor::new(vec![n; 4]);
+    for _ in 0..12 {
+        let mut coords: Vec<usize> = (0..4).map(|_| r.gen_range(0..n)).collect();
+        let v = r.gen_range(0.1..2.0);
+        // Every permutation of a sorted coordinate: a symmetric tensor.
+        coords.sort_unstable();
+        for p in def.symmetry.partition("A").expect("A is symmetric").permutations() {
+            coo.set(&p.iter().map(|&k| coords[k]).collect::<Vec<_>>(), v);
+        }
+    }
+    let b: Vec<f64> = (0..n * m).map(|_| r.gen_range(0.1..2.0)).collect();
+    let factor = DenseTensor::from_vec(vec![n, m], b).unwrap();
+    let mut inputs = def.inputs([("A", coo.into()), ("B", factor.into())]).unwrap();
+    let main = hoist_conditions(kernel.main);
+    inputs.extend(prepare_variants(&main, &inputs).unwrap());
+    assert_not_vectorized(&main, &inputs, "mttkrp4 without cse");
 }

@@ -11,7 +11,16 @@
 //! element lands in, the merge order, the short-window cutover, or the
 //! chunk merge shows up as a hash diff.
 //!
-//! Regenerate after an *intentional* association change with:
+//! Beside it, `golden/dispatch.golden` is the selection census: one
+//! `dispatch <kernel> <format> kind=n …` line per group of cells, the
+//! `systec_fused_dispatch_total` counts its runs added (`none` when no
+//! vector loop or row nest ran at all). A kernel that silently drops
+//! from a nest to the scalar path fails there as a readable diff, not
+//! as a timing. The registry is process-global, which is why this is
+//! the only test in its binary.
+//!
+//! Regenerate after an *intentional* association or selection change
+//! with:
 //!
 //! ```sh
 //! SYSTEC_BLESS=1 cargo test -p systec-codegen --test output_bits_golden
@@ -31,6 +40,7 @@ use systec_exec::{alloc_outputs, hoist_conditions, lower, prepare_variants, Coun
 use systec_ir::build::*;
 use systec_ir::Stmt;
 use systec_kernels::defs::{self, InputData, InputFormat, KernelDef};
+use systec_telemetry::{global, BODY_KINDS};
 use systec_tensor::{CooTensor, DenseTensor, LevelFormat, SparseTensor, Tensor};
 
 /// Columns of the dense factor matrices (above the lane cutover).
@@ -169,10 +179,26 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
+/// The two snapshot texts: output-bit hashes and the dispatch census.
+#[derive(Default)]
+struct Snapshots {
+    bits: String,
+    dispatch: String,
+}
+
 /// Runs the programs in order over shared outputs under every lane
 /// mode × parallelism cell, appending one `label lanes|scalar serial|t2
-/// hash` line per cell (outputs hashed in name order).
-fn hash_cells(text: &mut String, label: &str, programs: &[Stmt], inputs: &HashMap<String, Tensor>) {
+/// hash` line per cell (outputs hashed in name order) and one census
+/// line for the four cells together.
+fn hash_cells(
+    snaps: &mut Snapshots,
+    label: &str,
+    programs: &[Stmt],
+    inputs: &HashMap<String, Tensor>,
+) {
+    let text = &mut snaps.bits;
+    let dispatched = || BODY_KINDS.map(|kind| global().fused(kind).get());
+    let before = dispatched();
     let mut all_inputs = inputs.clone();
     all_inputs.extend(prepare_variants(&programs[0], inputs).expect("variants"));
     let outputs_init = alloc_outputs(&programs[0], &all_inputs).expect("outputs");
@@ -205,6 +231,14 @@ fn hash_cells(text: &mut String, label: &str, programs: &[Stmt], inputs: &HashMa
             writeln!(text, "{label} {lname} {pname} {hash:016x}").unwrap();
         }
     }
+    let mut census = String::new();
+    for ((kind, after), before) in BODY_KINDS.iter().zip(dispatched()).zip(before) {
+        if after > before {
+            write!(census, " {}={}", kind.name(), after - before).unwrap();
+        }
+    }
+    let census = if census.is_empty() { " none" } else { &census };
+    writeln!(snaps.dispatch, "dispatch {label}{census}").unwrap();
 }
 
 fn matrix(root: LevelFormat, leaf: LevelFormat, s: &mut Stream) -> Tensor {
@@ -215,7 +249,7 @@ fn matrix(root: LevelFormat, leaf: LevelFormat, s: &mut Stream) -> Tensor {
 /// dense-range and sparse-root drives, probes into every level format
 /// (dense probes are the laned intersection), a driven gather, and a
 /// dot chain with leading and middle invariants.
-fn runner_shape_cells(text: &mut String) {
+fn runner_shape_cells(text: &mut Snapshots) {
     use LevelFormat::{Dense, RunLength, Sparse};
     let n = extent(2);
     let mut s = Stream(0x5eed_1000);
@@ -298,27 +332,11 @@ fn runner_shape_cells(text: &mut String) {
     hash_cells(text, "naive-leaf-gather csf", std::slice::from_ref(&leaf_gather), &inputs);
 }
 
-#[test]
-fn output_bits_match_golden() {
-    let mut text = String::new();
-    for (k, def) in defs::all().iter().enumerate() {
-        let kernel = Compiler::new().compile(&def.einsum, &def.symmetry).expect("compiles");
-        let programs: Vec<Stmt> =
-            std::iter::once(kernel.main).chain(kernel.replication).map(hoist_conditions).collect();
-        for (f, &(fname, root, leaf)) in FORMATS.iter().enumerate() {
-            let mut stream = Stream(0x5eed_0000 + 16 * k as u64 + f as u64);
-            let inputs = inputs_for(def, root, leaf, &mut stream);
-            hash_cells(&mut text, &format!("{} {fname}", def.name), &programs, &inputs);
-        }
-    }
-    runner_shape_cells(&mut text);
-
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("output_bits.golden");
+/// Diffs (or, under `SYSTEC_BLESS=1`, rewrites) one snapshot file.
+fn check_golden(file: &str, text: &str, what: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden").join(file);
     if std::env::var_os("SYSTEC_BLESS").is_some_and(|v| v == "1") {
-        std::fs::write(&path, &text).expect("write golden");
+        std::fs::write(&path, text).expect("write golden");
         return;
     }
     let expected = std::fs::read_to_string(&path)
@@ -331,10 +349,36 @@ fn output_bits_match_golden() {
         .collect();
     assert!(
         stale.is_empty() && expected.lines().count() == text.lines().count(),
-        "output bits diverged from {path:?} on {} of {} cells — a runner change moved an \
-         association, cutover or merge order:\n{}",
+        "{path:?} diverged on {} of {} lines — {what}:\n{}",
         stale.len(),
         text.lines().count(),
         stale.join("\n")
+    );
+}
+
+#[test]
+fn output_bits_match_golden() {
+    let mut snaps = Snapshots::default();
+    for (k, def) in defs::all().iter().enumerate() {
+        let kernel = Compiler::new().compile(&def.einsum, &def.symmetry).expect("compiles");
+        let programs: Vec<Stmt> =
+            std::iter::once(kernel.main).chain(kernel.replication).map(hoist_conditions).collect();
+        for (f, &(fname, root, leaf)) in FORMATS.iter().enumerate() {
+            let mut stream = Stream(0x5eed_0000 + 16 * k as u64 + f as u64);
+            let inputs = inputs_for(def, root, leaf, &mut stream);
+            hash_cells(&mut snaps, &format!("{} {fname}", def.name), &programs, &inputs);
+        }
+    }
+    runner_shape_cells(&mut snaps);
+
+    check_golden(
+        "output_bits.golden",
+        &snaps.bits,
+        "a runner change moved an association, cutover or merge order",
+    );
+    check_golden(
+        "dispatch.golden",
+        &snaps.dispatch,
+        "a selection change moved a loop between the nest, a vector loop and the scalar path",
     );
 }

@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use systec_ir::Index;
+use systec_tensor::LevelFormat;
 
 /// An error raised while lowering or executing a program.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -67,6 +68,17 @@ pub enum ExecError {
         /// The supplied shape.
         got: Vec<usize>,
     },
+    /// A bound sparse input's level formats did not match the formats a
+    /// compiled plan was built against (its loops are monomorphized per
+    /// level format).
+    BindingFormatMismatch {
+        /// The tensor's display name.
+        name: String,
+        /// The level formats the plan was compiled for.
+        expected: Vec<LevelFormat>,
+        /// The supplied level formats.
+        got: Vec<LevelFormat>,
+    },
     /// A tensor appears both as an input and as a write target.
     InputOutputClash {
         /// The display name used both ways.
@@ -109,6 +121,12 @@ impl fmt::Display for ExecError {
                 write!(
                     f,
                     "tensor `{name}` has shape {got:?}, but the plan was compiled for {expected:?}"
+                )
+            }
+            ExecError::BindingFormatMismatch { name, expected, got } => {
+                write!(
+                    f,
+                    "tensor `{name}` is packed {got:?}, but the plan was compiled for {expected:?}"
                 )
             }
             ExecError::InputOutputClash { name } => {

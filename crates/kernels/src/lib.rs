@@ -49,5 +49,5 @@ pub mod spec;
 pub use defs::{InputData, KernelDef};
 pub use prepare::{clear_plan_cache, plan_cache_stats, serial_fallback_note, Backend, Prepared};
 pub use spec::parse_symmetry;
-pub use systec_codegen::{CounterMode, ExecContext, LaneMode, Parallelism};
+pub use systec_codegen::{ExecContext, LaneMode, Parallelism};
 pub use systec_exec::Counters;

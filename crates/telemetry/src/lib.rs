@@ -182,9 +182,8 @@ impl Drop for Span {
 // VM fused-body dispatch kinds
 // ---------------------------------------------------------------------------
 
-/// The monomorphized loop-body kinds the VM dispatches to, plus
-/// `Steps` for vector loops that fall back to generic step-list
-/// interpretation. Mirrors `systec-codegen`'s `FusedBody`.
+/// The monomorphized loop-body kinds the VM dispatches to. Mirrors
+/// `systec-codegen`'s `FusedBody`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BodyKind {
     /// `acc += a[i] * b[i]` reduction.
@@ -201,12 +200,10 @@ pub enum BodyKind {
     GatherAxpy,
     /// Two-operand jammed update.
     Jam,
-    /// Generic step-list interpretation (no fused body applied).
-    Steps,
 }
 
 /// All body kinds, in exposition order.
-pub const BODY_KINDS: [BodyKind; 8] = [
+pub const BODY_KINDS: [BodyKind; 7] = [
     BodyKind::Dot,
     BodyKind::Axpy,
     BodyKind::ScaleStore,
@@ -214,7 +211,6 @@ pub const BODY_KINDS: [BodyKind; 8] = [
     BodyKind::GatherDot,
     BodyKind::GatherAxpy,
     BodyKind::Jam,
-    BodyKind::Steps,
 ];
 
 impl BodyKind {
@@ -228,7 +224,6 @@ impl BodyKind {
             BodyKind::GatherDot => "gather_dot",
             BodyKind::GatherAxpy => "gather_axpy",
             BodyKind::Jam => "jam",
-            BodyKind::Steps => "steps",
         }
     }
 
