@@ -5,7 +5,10 @@
 //! line-delimited JSON protocol — clients built against one process
 //! point at the router unchanged — and places work across shards with a
 //! consistent-hash ring ([`ring`]) or a row-range fan-out with
-//! deterministic reduction merges ([`router`]).
+//! deterministic reduction merges ([`router`]). "Exactly" covers
+//! framing, the line cap, connection admission and the shutdown drain:
+//! the front runs on `systec_serve`'s event loop and the shard legs on
+//! its `Client`, so this crate has no transport of its own.
 //!
 //! The load-bearing invariant, enforced by the cluster differential
 //! tier at the repo root: a router in front of N workers answers every
@@ -27,4 +30,4 @@ pub(crate) fn relock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T>
 }
 
 pub use ring::{routing_key, HashRing, DEFAULT_VNODES};
-pub use router::{route, Router, RouterConfig, RunningRouter};
+pub use router::{route, Router, RouterConfig};

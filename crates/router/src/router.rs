@@ -1,6 +1,9 @@
 //! The cluster front process: one TCP endpoint speaking the exact
 //! line protocol of a single `systec-serve` worker, fanning work out
-//! across N workers ("shards").
+//! across N workers ("shards"). Exact down to the transport: the front
+//! *is* the worker's event loop with the router behind its `Service`
+//! seam — one framing, line cap, admission and shutdown drain — and
+//! the shard legs are plain `Client`s.
 //!
 //! ## Placement
 //!
@@ -43,30 +46,29 @@
 //! re-prepare against the recovered durable registry.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
-use systec_serve::client::write_line;
 use systec_serve::protocol::{
     CounterPayload, ErrorCode, MergeRule, OutputPayload, Placement, Request, Response,
     RouterCountsPayload, ShardStatPayload,
 };
 use systec_serve::wire::Record as _;
-use systec_serve::{record, RetryPolicy};
+use systec_serve::{
+    record, serve_service, Client, RetryPolicy, RunningServer, ServerConfig, Service,
+};
 use systec_telemetry::prom::{counter, gauge, histogram, Metric, PromWriter};
 use systec_telemetry::Histogram;
 
 use crate::relock;
-use crate::ring::{HashRing, DEFAULT_VNODES};
+use crate::ring::HashRing;
 
 /// Router tunables.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RouterConfig {
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: usize,
     /// Backoff schedule for the *initial* shard connects (workers may
     /// still be printing their banners when the router starts).
     /// Mid-flight reconnects after a shard failure are single-shot:
@@ -75,50 +77,12 @@ pub struct RouterConfig {
     pub connect_retry: RetryPolicy,
 }
 
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig { vnodes: DEFAULT_VNODES, connect_retry: RetryPolicy::default() }
-    }
-}
-
-/// One upstream worker connection: split write/read halves of the same
-/// stream so fan-outs can pipeline (write all, then read all).
-struct ShardConn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl ShardConn {
-    fn connect(addr: &str) -> std::io::Result<ShardConn> {
-        let writer = TcpStream::connect(addr)?;
-        writer.set_nodelay(true)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(ShardConn { writer, reader })
-    }
-
-    fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        write_line(&mut self.writer, line)
-    }
-
-    fn recv_line(&mut self) -> std::io::Result<String> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "shard closed the connection",
-            ));
-        }
-        while line.ends_with(['\n', '\r']) {
-            line.pop();
-        }
-        Ok(line)
-    }
-}
-
 /// Router-side view of one worker.
 struct Shard {
     addr: String,
-    conn: Option<ShardConn>,
+    /// The leg: send and receive are split so fan-outs can pipeline
+    /// (write all, then read all).
+    conn: Option<Client>,
     /// Bumped on every reconnect: kernel handles minted under an older
     /// epoch are stale (the worker's prepare cache died with it).
     epoch: u64,
@@ -223,9 +187,11 @@ const MERGE_US: Metric =
 pub struct Router {
     ring: HashRing,
     state: Mutex<State>,
+    /// `cluster_stats`' `errors`. Not under the state lock: the event
+    /// loop counts what it refuses by itself and must not wait on it.
+    errors: AtomicU64,
     metrics: RouterMetrics,
     merge_us: Histogram,
-    shutdown: Arc<AtomicBool>,
 }
 
 impl Router {
@@ -239,34 +205,17 @@ impl Router {
         assert!(!shard_addrs.is_empty(), "a router needs at least one shard");
         let mut shards = Vec::with_capacity(shard_addrs.len());
         for addr in shard_addrs {
-            let mut conn = None;
-            let attempts = config.connect_retry.attempts.max(1);
-            let mut last: Option<std::io::Error> = None;
-            for attempt in 0..attempts {
-                match ShardConn::connect(addr) {
-                    Ok(c) => {
-                        conn = Some(c);
-                        break;
-                    }
-                    Err(e) => last = Some(e),
-                }
-                if attempt + 1 < attempts {
-                    std::thread::sleep(config.connect_retry.delay(attempt));
-                }
-            }
-            match conn {
-                Some(c) => shards.push(Shard {
-                    addr: addr.clone(),
-                    conn: Some(c),
-                    epoch: 0,
-                    forwarded: 0,
-                    errors: 0,
-                }),
-                None => return Err(last.expect("at least one connect attempt was made")),
-            }
+            let conn = Client::connect_with_retry(addr.as_str(), &config.connect_retry)?;
+            shards.push(Shard {
+                addr: addr.clone(),
+                conn: Some(conn),
+                epoch: 0,
+                forwarded: 0,
+                errors: 0,
+            });
         }
         Ok(Router {
-            ring: HashRing::with_vnodes(shard_addrs.len(), config.vnodes),
+            ring: HashRing::new(shard_addrs.len()),
             state: Mutex::new(State {
                 shards,
                 handles: Vec::new(),
@@ -274,30 +223,34 @@ impl Router {
                 placements: HashMap::new(),
                 counts: RouterCountsPayload::default(),
             }),
+            errors: AtomicU64::new(0),
             metrics: RouterMetrics::default(),
             merge_us: Histogram::new(),
-            shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
 
-    /// Whether a `shutdown` request has been accepted. Supervisors use
-    /// this to tell a deliberate worker exit from a crash.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+    /// Answers one request line with one response line: the whole
+    /// router, and the event loop's parse answer, with no socket.
+    pub fn respond(&self, line: &str) -> String {
+        match Request::decode(line) {
+            Ok(request) => self.answer(&request, line),
+            Err(e) => {
+                self.errors.fetch_add(1, Ordering::Relaxed);
+                Response::error(ErrorCode::Parse, e.message).encode()
+            }
+        }
     }
 
-    /// Answers one request line with one response line — the whole
-    /// router, seen from a connection thread.
-    pub fn respond(&self, line: &str) -> String {
-        let response = match Request::decode(line) {
-            // Same inline parse answer as a worker's transport, so a
-            // garbage line gets byte-identical treatment in front of a
-            // cluster and in front of one process.
-            Err(e) => Response::error(ErrorCode::Parse, e.message).encode(),
-            Ok(request) => self.dispatch(&request, line),
-        };
+    /// Answers `request`, which came as `line`. A panic answers it and
+    /// no other: behind the loop one thread is every connection's way in.
+    fn answer(&self, request: &Request, line: &str) -> String {
+        let response = catch_unwind(AssertUnwindSafe(|| self.dispatch(request, line)))
+            .unwrap_or_else(|_panic| {
+                let message = "router panicked while serving this request; it was not completed";
+                Response::error(ErrorCode::Internal, message).encode()
+            });
         if response.starts_with("{\"ok\":false") {
-            relock(&self.state).counts.errors += 1;
+            self.errors.fetch_add(1, Ordering::Relaxed);
         }
         response
     }
@@ -355,9 +308,7 @@ impl Router {
             Request::Metrics => self.metrics_text(st),
             Request::Ping => Response::Pong.encode(),
             Request::Shutdown => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                // Best-effort broadcast; a dead shard is already down
-                // and the supervisor sees the flag before reaping.
+                // Best-effort broadcast; a dead shard is already down.
                 self.metrics.broadcasts.inc();
                 for k in 0..st.shards.len() {
                     if self.shard_send(st, k, line).is_ok() {
@@ -375,7 +326,7 @@ impl Router {
     /// reconnect if not. A successful reconnect bumps the epoch.
     fn shard_ensure(&self, st: &mut State, k: usize) -> std::io::Result<()> {
         if st.shards[k].conn.is_none() {
-            let conn = ShardConn::connect(&st.shards[k].addr).inspect_err(|_| {
+            let conn = Client::connect(st.shards[k].addr.as_str()).inspect_err(|_| {
                 self.metrics.shard_errors.inc();
             })?;
             st.shards[k].conn = Some(conn);
@@ -404,10 +355,7 @@ impl Router {
     fn shard_recv(&self, st: &mut State, k: usize) -> std::io::Result<String> {
         let shard = &mut st.shards[k];
         let Some(conn) = shard.conn.as_mut() else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "shard connection already down",
-            ));
+            return Err(std::io::ErrorKind::NotConnected.into());
         };
         match conn.recv_line() {
             Ok(line) => {
@@ -429,10 +377,8 @@ impl Router {
     /// `shard_unavailable`.
     fn forward(&self, st: &mut State, k: usize, line: &str) -> String {
         self.metrics.forwarded.inc();
-        match self.shard_send(st, k, line).and_then(|()| self.shard_recv(st, k)) {
-            Ok(response) => response,
-            Err(_) => self.unavailable(st, k),
-        }
+        let reply = self.shard_send(st, k, line).and_then(|()| self.shard_recv(st, k));
+        reply.unwrap_or_else(|_| self.unavailable(st, k))
     }
 
     /// Sends `line` to every shard (pipelined), reads every response,
@@ -510,12 +456,7 @@ impl Router {
             Ok(owner) => owner,
             Err(response) => return response,
         };
-        self.metrics.forwarded.inc();
-        let response =
-            match self.shard_send(st, owner, line).and_then(|()| self.shard_recv(st, owner)) {
-                Ok(r) => r,
-                Err(_) => return self.unavailable(st, owner),
-            };
+        let response = self.forward(st, owner, line);
         match Response::decode(&response) {
             Ok(Response::Prepared { kernel, splittable, split, warning }) => {
                 let epoch = st.shards[owner].epoch;
@@ -796,7 +737,9 @@ impl Router {
                 errors: shard.errors,
             })
             .collect();
-        Response::ClusterStats { router: st.counts, shards }.encode()
+        let router =
+            RouterCountsPayload { errors: self.errors.load(Ordering::Relaxed), ..st.counts };
+        Response::ClusterStats { router, shards }.encode()
     }
 
     /// The router's own Prometheus exposition — families in sorted
@@ -879,38 +822,51 @@ fn merge_legs(
 // The listening front
 // ---------------------------------------------------------------------
 
-/// A running router bound to a socket. Dropping it does **not** stop
-/// the accept loop; send `{"op":"shutdown"}` (which also shuts the
-/// shards down) and call [`RunningRouter::wait`].
-pub struct RunningRouter {
-    addr: SocketAddr,
+/// `(connection, request, its line)`; no connection awaits a `shutdown`.
+type Job = (Option<u64>, Request, String);
+
+/// The router behind `systec_serve`'s event loop: one thread answers
+/// the loop's requests in arrival order ([`Router`] serializes shard
+/// traffic behind one lock anyway). Dropping it, once the loop stopped,
+/// joins the thread after what is queued — a `shutdown` broadcast too.
+struct Front {
     router: Arc<Router>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    jobs: Option<mpsc::Sender<Job>>,
+    worker: Option<JoinHandle<()>>,
 }
 
-impl RunningRouter {
-    /// The bound address.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The shared routing core (for supervisors checking the shutdown
-    /// flag).
-    #[must_use]
-    pub fn router(&self) -> &Arc<Router> {
-        &self.router
-    }
-
-    /// Blocks until the accept loop exits (after a `shutdown` request).
-    pub fn wait(mut self) {
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+impl Front {
+    fn queue(&self, job: Job) {
+        let jobs = self.jobs.as_ref().expect("the queue closes only in drop");
+        jobs.send(job).expect("the worker outlives the queue");
     }
 }
 
-/// Binds `addr`, connects to every shard, and serves the cluster.
+impl Service for Front {
+    fn submit(&self, conn: u64, request: Request, line: String) {
+        self.queue((Some(conn), request, line));
+    }
+
+    fn refused(&self, _code: ErrorCode) {
+        self.router.errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The shards hear the verb after everything queued before it.
+    fn shutdown(&self, line: String) {
+        self.queue((None, Request::Shutdown, line));
+    }
+}
+
+impl Drop for Front {
+    fn drop(&mut self) {
+        self.jobs = None;
+        let _ = self.worker.take().map(JoinHandle::join);
+    }
+}
+
+/// Connects to every shard and serves the cluster on `addr` through
+/// the worker's own event loop at its default [`ServerConfig`]. A
+/// client's `shutdown` reaches the shards too, before `wait` returns.
 ///
 /// # Errors
 ///
@@ -919,53 +875,24 @@ pub fn route(
     addr: &str,
     shard_addrs: &[String],
     config: RouterConfig,
-) -> std::io::Result<RunningRouter> {
+) -> std::io::Result<RunningServer> {
     let router = Arc::new(Router::connect(shard_addrs, &config)?);
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    let accept_router = Arc::clone(&router);
-    let accept = std::thread::Builder::new()
-        .name("systec-router-accept".into())
-        .spawn(move || accept_loop(&listener, bound, &accept_router))
-        .expect("spawn router accept thread");
-    Ok(RunningRouter { addr: bound, router, accept: Some(accept) })
-}
-
-fn accept_loop(listener: &TcpListener, bound: SocketAddr, router: &Arc<Router>) {
-    for stream in listener.incoming() {
-        if router.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let conn_router = Arc::clone(router);
-        let _ = std::thread::Builder::new()
-            .name("systec-router-conn".into())
-            .spawn(move || serve_conn(&stream, &conn_router));
-        let _ = bound; // connections carry their own copy of the core
-    }
-}
-
-fn serve_conn(stream: &TcpStream, router: &Arc<Router>) {
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    if stream.set_nodelay(true).is_err() {
-        return;
-    }
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
-        if write_line(&mut writer, &router.respond(&line)).is_err() {
-            break;
-        }
-        if router.shutdown.load(Ordering::SeqCst) {
-            // Wake the accept loop so `wait` can return; the
-            // connection that requested shutdown got its ack above.
-            let _ = TcpStream::connect(stream.local_addr().expect("bound socket"));
-            break;
-        }
-    }
+    serve_service(addr, ServerConfig::default(), |complete| {
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let answering = Arc::clone(&router);
+        let worker = std::thread::Builder::new()
+            .name("systec-router-worker".into())
+            .spawn(move || {
+                for (conn, request, line) in queue {
+                    let reply = answering.answer(&request, &line);
+                    if let Some(conn) = conn {
+                        complete(conn, Arc::new(reply));
+                    }
+                }
+            })
+            .expect("spawn router worker thread");
+        Front { router, jobs: Some(jobs), worker: Some(worker) }
+    })
 }
 
 #[cfg(test)]

@@ -98,17 +98,33 @@ impl Client {
     ///
     /// # Errors
     ///
+    /// Those of [`Client::send_line`] and [`Client::recv_line`].
+    pub fn send_raw(&mut self, line: &str) -> std::io::Result<String> {
+        self.send_line(line)?;
+        self.recv_line()
+    }
+
+    /// The write half of [`Client::send_raw`]: a caller that owes
+    /// several lines (the router's fan-out) sends them all first.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket errors.
+    pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
+        write_line(&mut self.writer, line)
+    }
+
+    /// The read half of [`Client::send_raw`]: the next response line.
+    ///
+    /// # Errors
+    ///
     /// Propagates socket errors; a closed connection surfaces as
     /// [`std::io::ErrorKind::UnexpectedEof`].
-    pub fn send_raw(&mut self, line: &str) -> std::io::Result<String> {
-        write_line(&mut self.writer, line)?;
+    pub fn recv_line(&mut self) -> std::io::Result<String> {
         let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
+        if self.reader.read_line(&mut response)? == 0 {
+            let closed = "server closed the connection";
+            return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, closed));
         }
         while response.ends_with(['\n', '\r']) {
             response.pop();

@@ -68,4 +68,6 @@ pub(crate) fn relock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T>
 pub use client::{Client, ClientError, RetryPolicy};
 pub use engine::{oracle_response, Engine, EngineError, RunLease};
 pub use fault::{FaultPlan, FaultSite};
-pub use server::{serve, serve_with, RunningServer, ServerConfig};
+pub use server::{
+    serve, serve_service, serve_with, Completion, RunningServer, ServerConfig, Service,
+};

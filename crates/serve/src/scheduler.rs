@@ -36,14 +36,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::engine::Engine;
-use crate::fault::FaultSite;
+use crate::fault::{FaultPlan, FaultSite};
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::relock;
-
-/// Called with `(connection id, encoded response line)` when a
-/// submitted request completes. The line has no trailing newline; the
-/// transport appends it on write. Batched requests share one `Arc`.
-pub type Completion = Arc<dyn Fn(u64, Arc<String>) + Send + Sync>;
+use crate::server::{Completion, Service};
 
 /// Output element count past which a batch response is encoded and
 /// replicated on the dedicated replicator thread instead of the
@@ -232,6 +228,29 @@ impl Scheduler {
         st.paused = false;
         drop(st);
         self.shared.work.notify_all();
+    }
+}
+
+/// A worker behind the event loop: the loop's requests queue here, and
+/// what the loop refuses by itself lands in the engine's counters.
+impl Service for Scheduler {
+    fn submit(&self, conn: u64, request: Request, _line: String) {
+        Scheduler::submit(self, conn, request);
+    }
+
+    fn refused(&self, code: ErrorCode) {
+        self.shared.engine.count_error();
+        if code == ErrorCode::AdmissionRejected {
+            self.shared.engine.serve_metrics().rejected_conns.inc();
+        }
+    }
+
+    fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
+        self.shared.engine.fault_plan()
+    }
+
+    fn stopped(&self) {
+        self.shared.engine.flush_journal();
     }
 }
 

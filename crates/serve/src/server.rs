@@ -1,20 +1,25 @@
 //! The TCP transport: a readiness-driven event loop speaking the line
-//! protocol.
+//! protocol — the only code in the workspace that accepts, frames,
+//! caps, admits, writes back and drains line-protocol connections.
+//! What answers a request sits behind one seam, the [`Service`] trait:
+//! a worker ([`serve_with`]) is the coalescing [`Scheduler`] over an
+//! [`Engine`], a cluster front (`systec-router`, via [`serve_service`])
+//! one thread that owns the shard legs. All below holds for both.
 //!
 //! One loop thread owns the listener and every connection (nonblocking
-//! std sockets with `TCP_NODELAY`), and a small executor pool
-//! ([`crate::scheduler`]) runs the engine work. The loop blocks in the
-//! vendored [`polling`] selector (`poll(2)`) with no timeout and, per
-//! wake-up, touches only what fired: the listener readable → the accept
-//! sweep; a connection readable → read, split lines, submit them to the
-//! scheduler tagged with a connection id; a scheduler completion (a
-//! cross-thread `notify`) → queue the response line and write it at
-//! once, line and newline in one `writev`; a `WouldBlock` on that write
-//! → ask for writability until the queue empties. An idle server makes
-//! no wake-ups. At most **one request per connection is in flight at a
+//! std sockets with `TCP_NODELAY`); the service runs the work on
+//! threads of its own. The loop blocks in the vendored [`polling`]
+//! selector (`poll(2)`) with no timeout and, per wake-up, touches only
+//! what fired: the listener readable → the accept sweep; a connection
+//! readable → read, split lines, decode them and submit them to the
+//! service tagged with a connection id; a completion (a cross-thread
+//! `notify`) → queue the response line and write it at once, line and
+//! newline in one `writev`; a `WouldBlock` on that write → ask for
+//! writability until the queue empties. An idle server makes no
+//! wake-ups. At most **one request per connection is in flight at a
 //! time**, so responses on a connection always come back in request
-//! order, while `run` requests from *different* connections hitting the
-//! same prepared kernel coalesce into one engine dispatch.
+//! order, while a worker's `run` requests from *different* connections
+//! hitting the same prepared kernel coalesce into one engine dispatch.
 //!
 //! ## Admission control
 //!
@@ -43,11 +48,11 @@
 //! keeps delivering scheduler completions and flushing queued response
 //! bytes until no request is in flight and every output queue is
 //! empty, bounded by [`ServerConfig::drain_timeout`]. Only then are the
-//! remaining connections severed and (when the registry is durable)
-//! the journal flushed. A request answered before the drain deadline is
-//! therefore never lost to shutdown. Afterward
+//! remaining connections severed and [`Service::stopped`] called (a
+//! durable registry flushes its journal). A request answered before the
+//! drain deadline is therefore never lost to shutdown. Afterward
 //! [`RunningServer::wait`]/[`RunningServer::join`] join the loop thread
-//! and the scheduler executors — no thread leaks (asserted by the
+//! and the service's own threads — no thread leaks (asserted by the
 //! fault tier via [`RunningServer::active_connections`]).
 
 use std::collections::{HashMap, VecDeque};
@@ -60,7 +65,7 @@ use std::time::{Duration, Instant};
 
 use crate::client::line_tail;
 use crate::engine::Engine;
-use crate::fault::FaultSite;
+use crate::fault::{FaultPlan, FaultSite};
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::relock;
 use crate::scheduler::Scheduler;
@@ -83,6 +88,39 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// The listener's poller key; connections count up from it.
 const LISTENER: usize = 0;
+
+/// Called with `(connection id, encoded response line)` when a
+/// submitted request completes, from any thread. The line has no
+/// trailing newline; the loop appends it on write. Batched requests
+/// share one `Arc`.
+pub type Completion = Arc<dyn Fn(u64, Arc<String>) + Send + Sync>;
+
+/// What the event loop serves: whatever answers the requests it
+/// decodes. Built around the loop's [`Completion`] ([`serve_service`])
+/// and dropped by the loop as it exits, where it joins its own threads.
+pub trait Service: Send {
+    /// Answers `request`, decoded from `line` (no line terminator), for
+    /// connection `conn`, with exactly one [`Completion`] call from any
+    /// thread. The loop submits no more for `conn` until it arrives.
+    fn submit(&self, conn: u64, request: Request, line: String);
+
+    /// The loop answered by itself with an error of this code: a line
+    /// that does not parse or broke the cap, a connection over the cap.
+    fn refused(&self, code: ErrorCode);
+
+    /// The fault plan whose connection-level sites the loop fires.
+    fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
+        None
+    }
+
+    /// A `shutdown` verb arrived as `line`; the loop acknowledges it
+    /// and drains by itself. For whoever else must hear it.
+    fn shutdown(&self, _line: String) {}
+
+    /// The drain is over and every connection closed: make durable
+    /// state current before the process counts as stopped.
+    fn stopped(&self) {}
+}
 
 /// Transport tuning for [`serve_with`].
 #[derive(Debug, Clone)]
@@ -118,7 +156,6 @@ impl Default for ServerConfig {
 }
 
 struct Shared {
-    engine: Arc<Engine>,
     addr: SocketAddr,
     /// Programmatic shutdown flag ([`RunningServer::shutdown`]).
     shutdown: AtomicBool,
@@ -126,7 +163,7 @@ struct Shared {
     active: AtomicUsize,
     /// Where the event loop blocks; completions and shutdown notify it.
     poller: polling::Poller,
-    /// Completed `(conn, line)` pairs from the scheduler executors,
+    /// Completed `(conn, line)` pairs from the service's threads,
     /// drained by the loop each wake-up.
     completions: Mutex<Vec<(u64, Arc<String>)>>,
     /// Times the loop woke ([`RunningServer::loop_wakeups`]).
@@ -148,26 +185,47 @@ pub struct RunningServer {
 /// # Errors
 ///
 /// Propagates socket errors from binding.
-pub fn serve(addr: impl ToSocketAddrs, engine: Engine) -> std::io::Result<RunningServer> {
+pub fn serve(
+    addr: impl ToSocketAddrs,
+    engine: impl Into<Arc<Engine>>,
+) -> std::io::Result<RunningServer> {
     serve_with(addr, engine, ServerConfig::default())
 }
 
 /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts
-/// the event loop and scheduler against `engine`.
+/// the event loop and scheduler against `engine` (an `Arc`, for a
+/// caller that keeps driving the engine directly, or an owned one).
 ///
 /// # Errors
 ///
 /// Propagates socket errors from binding.
 pub fn serve_with(
     addr: impl ToSocketAddrs,
-    engine: Engine,
+    engine: impl Into<Arc<Engine>>,
     config: ServerConfig,
+) -> std::io::Result<RunningServer> {
+    let (executors, max_batch, deadline) = (config.executors, config.max_batch, config.deadline);
+    serve_service(addr, config, |complete| {
+        Scheduler::new(engine.into(), executors, max_batch, deadline, complete)
+    })
+}
+
+/// Binds `addr` and starts the event loop in front of the [`Service`]
+/// that `make` builds around the loop's [`Completion`]. The loop reads
+/// `config`'s `max_conns` and `drain_timeout`; the rest is a worker's.
+///
+/// # Errors
+///
+/// Propagates socket errors from binding.
+pub fn serve_service<S: Service + 'static>(
+    addr: impl ToSocketAddrs,
+    config: ServerConfig,
+    make: impl FnOnce(Completion) -> S,
 ) -> std::io::Result<RunningServer> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
-        engine: Arc::new(engine),
         addr,
         shutdown: AtomicBool::new(false),
         active: AtomicUsize::new(0),
@@ -176,21 +234,15 @@ pub fn serve_with(
         wakeups: AtomicU64::new(0),
         accept_backoffs: AtomicU64::new(0),
     });
-    let sink_shared = Arc::clone(&shared);
-    let scheduler = Scheduler::new(
-        Arc::clone(&shared.engine),
-        config.executors,
-        config.max_batch,
-        config.deadline,
-        Arc::new(move |conn, line| {
-            relock(&sink_shared.completions).push((conn, line));
-            sink_shared.poller.notify();
-        }),
-    );
+    let sink = Arc::clone(&shared);
+    let service = make(Arc::new(move |conn, line| {
+        relock(&sink.completions).push((conn, line));
+        sink.poller.notify();
+    }));
     let loop_shared = Arc::clone(&shared);
     let event_loop = std::thread::Builder::new()
         .name("systec-serve-loop".into())
-        .spawn(move || event_loop(&listener, &loop_shared, &config, &scheduler))?;
+        .spawn(move || event_loop(&listener, &loop_shared, &config, &service))?;
     Ok(RunningServer { shared, event_loop: Some(event_loop) })
 }
 
@@ -386,17 +438,17 @@ fn event_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
     config: &ServerConfig,
-    scheduler: &Scheduler,
+    service: &dyn Service,
 ) {
     let poller = &shared.poller;
-    // Connections by poller key, which is also the id the scheduler
-    // tags their requests with.
+    // Connections by poller key, which is also the id the service
+    // tags their replies with.
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_key = LISTENER + 1;
     let mut events: Vec<polling::Event> = Vec::new();
     let mut completed: Vec<(u64, Arc<String>)> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
-    let faults = shared.engine.fault_plan();
+    let faults = service.fault_plan();
     // Set when shutdown was requested (by verb or programmatically):
     // the drain deadline. While draining, no new connections are
     // accepted and no new request lines consumed, but completions keep
@@ -435,7 +487,7 @@ fn event_loop(
             let Some(event) = conn.pending.pop_front() else { break };
             match event {
                 InEvent::TooLong => {
-                    shared.engine.count_error();
+                    service.refused(ErrorCode::LineTooLong);
                     conn.push_line(Arc::new(
                         Response::error(
                             ErrorCode::LineTooLong,
@@ -446,30 +498,34 @@ fn event_loop(
                     // The reply drains below; then the conn closes.
                     conn.closing = true;
                 }
-                InEvent::Line(text) => {
-                    let trimmed = text.trim_end_matches(['\n', '\r']);
-                    if trimmed.is_empty() {
+                InEvent::Line(mut text) => {
+                    text.truncate(text.trim_end_matches(['\n', '\r']).len());
+                    if text.is_empty() {
                         continue; // blank keep-alive lines are not requests
                     }
-                    match Request::decode(trimmed) {
+                    // The one decode of this line on this hop: the
+                    // service gets the request and the line it came as.
+                    match Request::decode(&text) {
                         Ok(Request::Shutdown) => {
                             // Acknowledge, then enter the drain: the
                             // ack and every in-flight response flush
-                            // before the loop exits.
+                            // before the loop exits. The flag goes up
+                            // before the service hears of the verb.
                             conn.push_line(Arc::new(Response::ShuttingDown.encode()));
                             conn.closing = true;
                             shared.shutdown.store(true, Ordering::SeqCst);
+                            service.shutdown(text);
                         }
                         Ok(request) => {
                             conn.in_flight = true;
-                            scheduler.submit(key as u64, request);
+                            service.submit(key as u64, request, text);
                         }
                         Err(e) => {
                             // Parse errors answer inline — they never
-                            // reach the scheduler, and ordering holds
+                            // reach the service, and ordering holds
                             // because nothing from this connection is
                             // in flight here.
-                            shared.engine.count_error();
+                            service.refused(ErrorCode::Parse);
                             conn.push_line(Arc::new(
                                 Response::error(ErrorCode::Parse, e.message).encode(),
                             ));
@@ -525,8 +581,8 @@ fn event_loop(
         }
         shared.wakeups.fetch_add(1, Ordering::Relaxed);
 
-        // Scheduler completions (a notify): queue each reply and write
-        // it at once.
+        // Completions (a notify): queue each reply and write it at
+        // once.
         std::mem::swap(&mut completed, &mut *relock(&shared.completions));
         for (id, line) in completed.drain(..) {
             turn(&mut conns, id as usize, false, Some(line), draining);
@@ -556,7 +612,8 @@ fn event_loop(
                     continue; // injected accept failure: drop the socket
                 }
                 if config.max_conns.is_some_and(|cap| conns.len() >= cap) {
-                    reject_connection(shared, stream, conns.len());
+                    service.refused(ErrorCode::AdmissionRejected);
+                    reject_connection(stream, conns.len());
                     continue;
                 }
                 if stream.set_nonblocking(true).is_ok()
@@ -571,20 +628,16 @@ fn event_loop(
         shared.active.store(conns.len(), Ordering::SeqCst);
     }
     // Sever everything; dropping the streams closes them, and the
-    // scheduler (dropped by the caller) drains and joins its executors.
+    // service (dropped by the caller) joins its own threads.
     conns.clear();
     shared.active.store(0, Ordering::SeqCst);
-    // The drain is over: make the durable registry state current on
-    // disk before the process counts as stopped.
-    shared.engine.flush_journal();
+    service.stopped();
 }
 
 /// Answers an over-cap connection with one structured error line and
 /// closes it. The write is best-effort and nonblocking — a fresh
 /// socket's send buffer always holds one short line.
-fn reject_connection(shared: &Arc<Shared>, stream: TcpStream, live: usize) {
-    shared.engine.serve_metrics().rejected_conns.inc();
-    shared.engine.count_error();
+fn reject_connection(stream: TcpStream, live: usize) {
     let mut line = Response::error(
         ErrorCode::AdmissionRejected,
         format!("connection limit reached ({live} active); retry later"),
@@ -599,11 +652,6 @@ impl RunningServer {
     /// The bound address (with the actual port when `:0` was requested).
     pub fn addr(&self) -> SocketAddr {
         self.shared.addr
-    }
-
-    /// The shared engine (tests inspect pools and drive it directly).
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.shared.engine
     }
 
     /// Connections currently owned by the event loop.
@@ -624,6 +672,13 @@ impl RunningServer {
         self.shared.accept_backoffs.load(Ordering::Relaxed)
     }
 
+    /// Whether shutdown was requested, by verb or programmatically. Up
+    /// before the service hears of the verb, so a supervisor can tell a
+    /// worker that the shutdown stopped from one that crashed.
+    pub fn stopping(&self) -> bool {
+        self.shared.shutdown.load(Ordering::SeqCst)
+    }
+
     /// Initiates shutdown (idempotent): the event loop drains and exits,
     /// severing every connection. Does not wait — see
     /// [`RunningServer::wait`].
@@ -634,7 +689,7 @@ impl RunningServer {
 
     /// Blocks until the server has shut down (a client sent `shutdown`,
     /// or [`RunningServer::shutdown`] was called) and the event loop
-    /// and scheduler executors have been joined.
+    /// and the service's own threads have been joined.
     pub fn wait(mut self) {
         if let Some(handle) = self.event_loop.take() {
             let _ = handle.join();

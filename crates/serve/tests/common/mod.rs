@@ -7,6 +7,8 @@
 // different subset of it.
 #![allow(dead_code)]
 
+use std::sync::Arc;
+
 use systec_serve::protocol::{Placement, Request, Response, StorageFormat, TensorPayload, Variant};
 use systec_serve::{serve_with, Client, Engine, FaultPlan, RunningServer, ServerConfig};
 use systec_tensor::generate::{random_dense, rng, symmetric_erdos_renyi};
@@ -125,9 +127,10 @@ pub fn oracle_line() -> String {
 /// happens engine-side, so it consumes no socket fault events.
 pub fn warmed_server_with(engine: Engine, config: ServerConfig) -> Harness {
     let oracle = oracle_line();
-    let server = serve_with("127.0.0.1:0", engine, config).expect("bind");
-    register_inputs_engine(server.engine());
-    let kernel = prepare_kernel_engine(server.engine());
+    let engine = Arc::new(engine);
+    let server = serve_with("127.0.0.1:0", Arc::clone(&engine), config).expect("bind");
+    register_inputs_engine(&engine);
+    let kernel = prepare_kernel_engine(&engine);
     Harness { server, kernel, oracle }
 }
 

@@ -183,7 +183,8 @@ fn oversized_request_lines_are_answered_and_cut_off() {
 
 #[test]
 fn programmatic_shutdown_joins_all_handlers() {
-    let server = serve("127.0.0.1:0", Engine::new()).expect("bind");
+    let probe = Arc::new(Engine::new());
+    let server = serve("127.0.0.1:0", Arc::clone(&probe)).expect("bind");
     let addr = server.addr();
     // Park a few idle connections mid-read.
     let mut idle = Vec::new();
@@ -201,7 +202,6 @@ fn programmatic_shutdown_joins_all_handlers() {
     }
     assert_eq!(server.active_connections(), 4);
     server.shutdown();
-    let probe = server.engine().clone();
     server.wait();
     // wait() returns only after every handler joined; nothing serves
     // anymore, and the engine is still sane for inspection.

@@ -65,11 +65,12 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
 /// socket pair buffers for a peer that is not reading — plus the run
 /// request and the exact reply line.
 fn big_reply_server(config: ServerConfig) -> (RunningServer, String, String) {
-    let server = serve_with("127.0.0.1:0", Engine::new(), config).expect("bind");
+    let engine = Arc::new(Engine::new());
+    let server = serve_with("127.0.0.1:0", Arc::clone(&engine), config).expect("bind");
     let n = 800;
     let mut r = rng(0x0B16);
     for name in ["a", "b"] {
-        let resp = server.engine().handle(&Request::RegisterTensor {
+        let resp = engine.handle(&Request::RegisterTensor {
             name: name.into(),
             dims: vec![n],
             payload: TensorPayload::Dense(random_dense(vec![n], &mut r).as_slice().to_vec()),
@@ -78,7 +79,7 @@ fn big_reply_server(config: ServerConfig) -> (RunningServer, String, String) {
         });
         assert!(matches!(resp, Response::Registered { .. }), "{resp:?}");
     }
-    let resp = server.engine().handle(&Request::Prepare {
+    let resp = engine.handle(&Request::Prepare {
         einsum: "for i, j: Y[i, j] += a[i] * b[j]".into(),
         sym: vec![],
         inputs: vec![],
@@ -88,7 +89,7 @@ fn big_reply_server(config: ServerConfig) -> (RunningServer, String, String) {
     });
     let Response::Prepared { kernel, .. } = resp else { panic!("prepare failed: {resp:?}") };
     let run = Request::Run { kernel, full: true, shard: None };
-    let oracle = server.engine().handle(&run).encode();
+    let oracle = engine.handle(&run).encode();
     assert!(oracle.len() > 10 << 20, "the reply must outgrow the socket buffers");
     (server, run.encode(), oracle)
 }

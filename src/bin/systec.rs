@@ -96,18 +96,18 @@ fn usage() -> &'static str {
                              and worker-pool counters, every N ms (default 1000).\n\
                              --iters K stops after K refreshes (0 = forever)\n\
        systec route --listen HOST:PORT --shard HOST:PORT [--shard HOST:PORT ...]\n\
-                    [--vnodes N] [--retry N]\n\
+                    [--retry N]\n\
                              front a cluster of running systec-serve workers: one\n\
                              endpoint speaking the worker protocol, consistent-hash\n\
                              routing by tensor name ({tag} hash tags co-locate),\n\
                              \"placement\":\"replicate\" broadcasts, \"sharded\":true\n\
                              prepares fan runs out as row ranges and merge them\n\
                              deterministically (see the README's Sharded serving\n\
-                             section). --vnodes sets virtual nodes per shard\n\
-                             (default 64); --retry N retries the initial shard\n\
+                             section). The front is the worker's own event loop\n\
+                             at its defaults; --retry N retries the initial shard\n\
                              connects\n\
        systec cluster --shards N [--listen HOST:PORT] [--threads T]\n\
-                      [--data-dir PATH] [--vnodes V]\n\
+                      [--data-dir PATH]\n\
                              spawn N systec-serve workers on loopback ports plus a\n\
                              router fronting them, and supervise: a worker that\n\
                              dies is respawned on its old port (with its old\n\
@@ -284,10 +284,6 @@ fn route_main(args: &[String]) -> ExitCode {
                 Some(v) => shards.push(v.clone()),
                 None => return fail("--shard needs HOST:PORT"),
             },
-            "--vnodes" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) if v >= 1 => config.vnodes = v,
-                _ => return fail("--vnodes needs a number >= 1"),
-            },
             "--retry" => match it.next().and_then(|v| v.parse::<u32>().ok()) {
                 Some(v) => config.connect_retry = RetryPolicy::with_attempts(v + 1),
                 None => return fail("--retry needs a number"),
@@ -362,7 +358,6 @@ fn cluster_main(args: &[String]) -> ExitCode {
     let mut listen = "127.0.0.1:7070".to_string();
     let mut threads = 1usize;
     let mut data_dir: Option<String> = None;
-    let mut config = systec::router::RouterConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -381,10 +376,6 @@ fn cluster_main(args: &[String]) -> ExitCode {
             "--data-dir" => match it.next() {
                 Some(v) => data_dir = Some(v.clone()),
                 None => return fail("--data-dir needs a directory path"),
-            },
-            "--vnodes" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) if v >= 1 => config.vnodes = v,
-                _ => return fail("--vnodes needs a number >= 1"),
             },
             other => return fail(&format!("unknown cluster option `{other}`\n\n{}", usage())),
         }
@@ -405,52 +396,39 @@ fn cluster_main(args: &[String]) -> ExitCode {
         }
     }
     let shard_addrs: Vec<String> = workers.iter().map(|w| w.addr.clone()).collect();
-    let running = match systec::router::route(listen.as_str(), &shard_addrs, config) {
+    let config = systec::router::RouterConfig::default();
+    let running = match systec::router::route(&listen, &shard_addrs, config) {
         Ok(r) => r,
         Err(e) => return fail(&format!("cannot start router on {listen}: {e}")),
     };
     println!("systec-router listening on {}", running.addr());
-    let shutdown = running.router().shutdown_flag();
-    let workers = std::sync::Arc::new(std::sync::Mutex::new(workers));
-    let supervised = std::sync::Arc::clone(&workers);
-    let supervisor_exe = exe.clone();
-    let supervisor = std::thread::spawn(move || {
-        while !shutdown.load(std::sync::atomic::Ordering::SeqCst) {
-            {
-                let mut workers =
-                    supervised.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                for (k, worker) in workers.iter_mut().enumerate() {
-                    let exited = matches!(worker.child.try_wait(), Ok(Some(_)));
-                    if !exited {
-                        continue;
-                    }
-                    // The worker died without a shutdown: respawn it on
-                    // its old port (and old durable registry) so the
-                    // router's next reconnect finds it rejoined.
-                    eprintln!("cluster shard {k} ({}) died; respawning", worker.addr);
-                    match spawn_cluster_worker(
-                        &supervisor_exe,
-                        &worker.addr,
-                        threads,
-                        worker.data_dir.as_deref(),
-                    ) {
-                        Ok((child, addr)) => {
-                            worker.child = child;
-                            worker.addr = addr;
-                            eprintln!("cluster shard {k} rejoined on {}", worker.addr);
-                        }
-                        Err(e) => eprintln!("cluster shard {k} respawn failed: {e}"),
-                    }
-                }
+    while !running.stopping() {
+        for (k, worker) in workers.iter_mut().enumerate() {
+            // The front raises `stopping` before the shutdown reaches a
+            // shard, so an exit seen with it down is a crash.
+            let exited = matches!(worker.child.try_wait(), Ok(Some(_)));
+            if !exited || running.stopping() {
+                continue;
             }
-            std::thread::sleep(std::time::Duration::from_millis(100));
+            // The worker died without a shutdown: respawn it on its old
+            // port (and old durable registry) so the router's next
+            // reconnect finds it rejoined.
+            eprintln!("cluster shard {k} ({}) died; respawning", worker.addr);
+            match spawn_cluster_worker(&exe, &worker.addr, threads, worker.data_dir.as_deref()) {
+                Ok((child, addr)) => {
+                    worker.child = child;
+                    worker.addr = addr;
+                    eprintln!("cluster shard {k} rejoined on {}", worker.addr);
+                }
+                Err(e) => eprintln!("cluster shard {k} respawn failed: {e}"),
+            }
         }
-    });
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    }
+    // Returns once the drain is over and every live worker has the
+    // shutdown broadcast; reap.
     running.wait();
-    let _ = supervisor.join();
-    // The shutdown broadcast already reached every live worker; reap.
-    let mut workers = workers.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    for worker in workers.iter_mut() {
+    for worker in &mut workers {
         let _ = worker.child.wait();
     }
     println!("systec-cluster stopped");

@@ -20,13 +20,19 @@
 //! * error parity: unknown handles and garbage lines produce identical
 //!   error bytes, which requires the router's handle space to advance
 //!   in lockstep with the single process.
+//!
+//! A second test sends the same *bytes* to both fronts — blank lines,
+//! invalid UTF-8, CRLF, a last line ended by EOF, several requests in
+//! one `write` — and compares what comes back byte for byte: both
+//! fronts are one event loop, so they frame alike.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use systec::router::{route, RouterConfig};
+use systec::serve::RunningServer;
 
 /// The request stream both the cluster and the single-process oracle
 /// serve. Values are dyadic (integers and halves), so every partial
@@ -131,13 +137,66 @@ fn exchange(stream: &mut TcpStream, line: &str) -> String {
     response
 }
 
-#[test]
-fn a_three_shard_cluster_is_byte_identical_to_one_process() {
+/// Three worker processes, a router front over them, and the
+/// single-process oracle.
+fn cluster_and_oracle() -> (Vec<Worker>, RunningServer, Worker) {
     let workers: Vec<Worker> = (0..3).map(|_| Worker::spawn()).collect();
     let shard_addrs: Vec<String> = workers.iter().map(|w| w.addr.clone()).collect();
     let running =
         route("127.0.0.1:0", &shard_addrs, RouterConfig::default()).expect("start router");
-    let oracle = Worker::spawn();
+    (workers, running, Worker::spawn())
+}
+
+/// Writes `bytes` in one `write`, half-closes, and returns everything
+/// the front sends back until it closes the connection.
+fn raw_session(addr: &str, bytes: &[u8]) -> String {
+    let mut stream = connect(addr);
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(bytes).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).expect("the front answers, then closes");
+    String::from_utf8(reply).expect("replies are UTF-8")
+}
+
+/// `(what, bytes on the wire, reply lines owed)`. Every request here
+/// answers the same on a fresh worker and a fresh cluster.
+const FRAMING: &[(&str, &[u8], usize)] = &[
+    ("a blank line between two requests", b"{\"op\":\"ping\"}\n\n{\"op\":\"ping\"}\n", 2),
+    ("invalid UTF-8, then a request", b"\xff\xfe\n{\"op\":\"ping\"}\n", 2),
+    ("a CRLF-terminated request", b"{\"op\":\"unregister\",\"name\":\"ghost\"}\r\n", 1),
+    (
+        "a last request ended by EOF",
+        b"{\"op\":\"ping\"}\n{\"op\":\"unregister\",\"name\":\"ghost\"}",
+        2,
+    ),
+    (
+        "eight requests in one write",
+        b"{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n\
+          {\"op\":\"ping\"}\n{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n",
+        8,
+    ),
+];
+
+#[test]
+fn front_parity_the_same_bytes_frame_the_same_on_a_cluster_and_on_one_process() {
+    let (_workers, running, oracle) = cluster_and_oracle();
+    let cluster_addr = running.addr().to_string();
+    for (what, bytes, lines) in FRAMING {
+        let from_cluster = raw_session(&cluster_addr, bytes);
+        let from_oracle = raw_session(&oracle.addr, bytes);
+        assert_eq!(
+            from_cluster, from_oracle,
+            "{what} diverged\ncluster: {from_cluster:?}\noracle:  {from_oracle:?}"
+        );
+        assert_eq!(from_oracle.matches('\n').count(), *lines, "{what}: {from_oracle:?}");
+    }
+    running.join();
+}
+
+#[test]
+fn a_three_shard_cluster_is_byte_identical_to_one_process() {
+    let (workers, running, oracle) = cluster_and_oracle();
 
     let mut cluster_conn = connect(&running.addr().to_string());
     let mut oracle_conn = connect(&oracle.addr);

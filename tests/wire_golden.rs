@@ -27,12 +27,12 @@
 //! SYSTEC_BLESS=1 cargo test --test wire_golden
 //! ```
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
-use systec::router::{Router, RouterConfig};
+use systec::router::{route, Router, RouterConfig};
 use systec::serve::json::Json;
 use systec::serve::server::MAX_REQUEST_LINE;
 use systec::serve::{serve, serve_with, Client, Engine, ServerConfig};
@@ -291,7 +291,30 @@ const MALFORMED: &[&str] = &[
     r#"{"op":"prepare","einsum":"e","sharded":"yes"}"#,
 ];
 
-fn worker_session(t: &mut Transcript) {
+/// Streams more than [`MAX_REQUEST_LINE`] newline-free bytes at `addr`
+/// and returns the one reply line; the front must then have closed the
+/// connection.
+fn flood(addr: SocketAddr) -> String {
+    let mut hog = TcpStream::connect(addr).expect("connect hog");
+    let chunk = vec![b'a'; 1 << 20];
+    let mut sent = 0usize;
+    while sent <= MAX_REQUEST_LINE {
+        if hog.write_all(&chunk).is_err() {
+            break; // the front already cut the flood off
+        }
+        sent += chunk.len();
+    }
+    let _ = hog.flush();
+    let mut reader = BufReader::new(hog);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("oversized-line reply");
+    // Closed: end of stream, or a reset for the flood it never read.
+    assert!(matches!(reader.read(&mut [0u8; 1]), Ok(0) | Err(_)), "the connection stays open");
+    reply.trim_end().to_string()
+}
+
+/// Returns the `line_too_long` reply, for the router front to match.
+fn worker_session(t: &mut Transcript) -> String {
     t.section("worker");
     // A zero slow threshold makes "slow" deterministic under any load
     // (every pooled run is slow), so the stats skeleton cannot flake.
@@ -328,19 +351,8 @@ fn worker_session(t: &mut Transcript) {
     // line_too_long: a newline-free flood past the cap, on its own
     // connection (the server closes it after the reply).
     t.section("worker: oversized line");
-    let mut hog = TcpStream::connect(server.addr()).expect("connect hog");
-    let chunk = vec![b'a'; 1 << 20];
-    let mut sent = 0usize;
-    while sent <= MAX_REQUEST_LINE {
-        if hog.write_all(&chunk).is_err() {
-            break; // the server already cut the flood off
-        }
-        sent += chunk.len();
-    }
-    let _ = hog.flush();
-    let mut reply = String::new();
-    BufReader::new(hog).read_line(&mut reply).expect("oversized-line reply");
-    t.record("<more than MAX_REQUEST_LINE bytes, no newline>", reply.trim_end(), Pin::Bytes);
+    let too_long = flood(server.addr());
+    t.record("<more than MAX_REQUEST_LINE bytes, no newline>", &too_long, Pin::Bytes);
 
     t.section("worker: introspection");
     for (line, pin) in [(r#"{"op":"stats"}"#, Pin::Timing), (r#"{"op":"metrics"}"#, Pin::Metrics)] {
@@ -369,6 +381,7 @@ fn worker_session(t: &mut Transcript) {
     let reply = client.send_raw(r#"{"op":"ping"}"#).expect("worker reply");
     t.record(r#"{"op":"ping"}"#, &reply, Pin::Digits);
     server.join();
+    too_long
 }
 
 // ---------------------------------------------------------------------
@@ -437,7 +450,7 @@ const ROUTER_SCRIPT: &[(&str, Pin)] = &[
     (r#"{"op":"metrics"}"#, Pin::Metrics),
 ];
 
-fn router_session(t: &mut Transcript) {
+fn router_session(t: &mut Transcript, too_long: &str) {
     t.section("router over two shards");
     let shards: Vec<_> =
         (0..2).map(|_| serve("127.0.0.1:0", Engine::new()).expect("bind shard")).collect();
@@ -446,6 +459,13 @@ fn router_session(t: &mut Transcript) {
         // Lettered, so that `Pin::Digits` leaves the alias alone.
         t.aliases.push((addr.clone(), format!("<shard {}>", ["a", "b"][k])));
     }
+    // A router front is the worker's event loop: the flood that the
+    // worker section records gets the same bytes back here, through
+    // the same cap (so the transcript has them once).
+    let front = route("127.0.0.1:0", &addrs, RouterConfig::default()).expect("router front");
+    assert_eq!(flood(front.addr()), too_long, "a router front's line cap");
+    front.join();
+
     let router = Router::connect(&addrs, &RouterConfig::default()).expect("connect shards");
     for (line, pin) in ROUTER_SCRIPT {
         t.record(line, &router.respond(line), *pin);
@@ -470,8 +490,8 @@ fn router_session(t: &mut Transcript) {
 #[test]
 fn wire_bytes_match_the_golden_transcript() {
     let mut t = Transcript::default();
-    worker_session(&mut t);
-    router_session(&mut t);
+    let too_long = worker_session(&mut t);
+    router_session(&mut t, &too_long);
     let path = golden_path();
     if std::env::var_os("SYSTEC_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
