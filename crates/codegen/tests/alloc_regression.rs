@@ -3,7 +3,9 @@
 //! serial steady-state execution path performs **zero** heap
 //! allocations — register files, scratch, binding tables and counter
 //! assembly all reuse caller-owned or stack storage. A counting global
-//! allocator makes any regression an immediate test failure.
+//! allocator makes any regression an immediate test failure. The same
+//! counter bounds `prepare_variants`: splitting a tensor allocates per
+//! level, never per entry.
 //!
 //! The count is per thread and armed only around the measured runs, so
 //! the tests of this file (which the harness runs on parallel threads)
@@ -19,7 +21,7 @@ use systec_exec::{alloc_outputs, hoist_conditions, lower, prepare_variants, Coun
 use systec_ir::build::*;
 use systec_ir::{AssignOp, Einsum, Stmt};
 use systec_kernels::defs;
-use systec_tensor::{CooTensor, DenseTensor, LevelFormat, SparseTensor, Tensor};
+use systec_tensor::{CooTensor, DenseTensor, Entries, LevelFormat, SparseTensor, Tensor, CSR};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) the armed
 /// thread forwards to the system allocator.
@@ -295,4 +297,35 @@ fn several_passing_items_steady_state_is_allocation_free() {
     assert!(dis.contains("guard: [(Le, 0, 1)]") && dis.contains("guard: [(Eq, 0, 1)]"), "{dis}");
     let mut outputs = outputs_init;
     assert_steady_state_alloc_free(&kernel, &inputs, &mut outputs, ExecContext::new(), "several");
+}
+
+#[test]
+fn prepare_variants_allocates_per_level_not_per_entry() {
+    // The `prepare_churn` shape: a CSR symmetric matrix with a full
+    // diagonal and four off-diagonal pairs per row, 57 600 stored entries.
+    let n = 6400;
+    let mut entries = Entries::new(vec![n, n]);
+    for i in 0..n {
+        entries.try_push(&[i, i], 1.0).unwrap();
+        for k in 1..=4 {
+            let j = (i + 37 * k) % n;
+            entries.try_push(&[i, j], 0.5).unwrap();
+            entries.try_push(&[j, i], 0.5).unwrap();
+        }
+    }
+    let a = entries.pack(&CSR).unwrap();
+    assert_eq!(a.nnz(), 9 * n);
+    let inputs = HashMap::from([
+        ("A".to_string(), Tensor::Sparse(a)),
+        ("x".to_string(), Tensor::Dense(DenseTensor::filled(vec![n], 1.0))),
+    ]);
+    let def = defs::ssymv();
+    let main = hoist_conditions(Compiler::new().compile(&def.einsum, &def.symmetry).unwrap().main);
+    let mut variants = HashMap::new();
+    let allocs = allocations_in(|| variants = prepare_variants(&main, &inputs).unwrap());
+    let stored = |name: &str| variants[name].as_sparse().expect("compressed like its base").nnz();
+    assert_eq!((stored("A_diag"), stored("A_nondiag")), (n, 8 * n));
+    // One walk, two packs: a handful of buffers per level and per part.
+    // A `Vec` per entry, or a buffer grown by doubling, lands far above.
+    assert!(allocs < 64, "prepare_variants made {allocs} allocations for {} entries", 9 * n);
 }

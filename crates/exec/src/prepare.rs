@@ -3,12 +3,20 @@
 //! The paper's timing methodology excludes *"the time to rearrange data
 //! before or after each kernel … including transposition or replicating
 //! the output"* (§5.2). These helpers are that rearrangement step: the
-//! benchmark harness calls them once, outside the timed region.
+//! benchmark harness calls them once, outside the timed region — but a
+//! library or service caller pays them on every prepare, so variants are
+//! built level to level: a transpose is one walk of the base's fibertree
+//! and a sort of its entries, a diagonal split is one walk (already
+//! sorted) packed once per part, and a dense base is split by a masked
+//! copy. Every stored entry of the base lands in exactly one part,
+//! explicitly stored zeros included, so a symmetric plan reads what the
+//! naive plan reads.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use systec_ir::{Access, AssignOp, Lhs, Stmt, TensorPart, TensorRef};
-use systec_tensor::{DenseTensor, SparseTensor, Tensor, TensorError};
+use systec_tensor::{DenseTensor, Tensor};
 
 use crate::ExecError;
 
@@ -137,9 +145,8 @@ fn collect(stmt: &Stmt, f: &mut impl FnMut(&Access, Option<AssignOp>)) {
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::UnknownTensor`] if a variant's base tensor is
-/// missing, and propagates tensor-library failures for invalid
-/// permutations.
+/// Returns [`ExecError::InvalidKernel`] carrying the tensor library's
+/// message if a variant's permutation does not fit its base tensor.
 pub fn prepare_variants(
     stmt: &Stmt,
     base: &HashMap<String, Tensor>,
@@ -151,38 +158,47 @@ pub fn prepare_variants(
             refs.push(access.tensor.clone());
         }
     });
-    for tref in refs {
-        let display = tref.display_name();
-        if variants.contains_key(&display) {
-            continue;
-        }
+    for tref in &refs {
         // Write-target variants (e.g. a transposed output C_T) are
         // allocated by `alloc_outputs`, not materialized from inputs.
         let Some(base_tensor) = base.get(&tref.name) else {
             continue;
         };
-        let tensor = materialize(base_tensor, &tref)
-            .map_err(|_| ExecError::UnknownTensor { name: display.clone() })?;
-        variants.insert(display, tensor);
+        if variants.contains_key(&tref.display_name()) {
+            continue;
+        }
+        // One transpose and one split per (base, perm), whichever of its
+        // parts the program names.
+        let permuted = if tref.perm.is_empty() {
+            Cow::Borrowed(base_tensor)
+        } else {
+            Cow::Owned(base_tensor.permuted(&tref.perm).map_err(|e| {
+                let message = format!("variant `{}`: {e}", tref.display_name());
+                ExecError::InvalidKernel { message }
+            })?)
+        };
+        let wanted = |part| {
+            let sibling = TensorRef { part, ..tref.clone() };
+            refs.contains(&sibling).then(|| sibling.display_name())
+        };
+        let (diagonal, off_diagonal) =
+            (wanted(TensorPart::Diagonal), wanted(TensorPart::OffDiagonal));
+        if diagonal.is_some() || off_diagonal.is_some() {
+            let (diag, off) = permuted.partition(on_diagonal);
+            variants.extend(diagonal.map(|name| (name, diag)));
+            variants.extend(off_diagonal.map(|name| (name, off)));
+        }
+        if let Some(name) = wanted(TensorPart::All) {
+            variants.insert(name, permuted.into_owned());
+        }
     }
     Ok(variants)
 }
 
-fn materialize(base: &Tensor, tref: &TensorRef) -> Result<Tensor, TensorError> {
-    let permuted = if tref.perm.is_empty() { base.clone() } else { base.permuted(&tref.perm)? };
-    match tref.part {
-        TensorPart::All => Ok(permuted),
-        TensorPart::Diagonal | TensorPart::OffDiagonal => {
-            let coo = permuted.to_coo();
-            let modes: Vec<usize> = (0..coo.rank()).collect();
-            let (off, diag) = coo.split_diagonal(&modes);
-            let chosen = if tref.part == TensorPart::Diagonal { diag } else { off };
-            Ok(match &permuted {
-                Tensor::Sparse(s) => Tensor::Sparse(SparseTensor::from_coo(&chosen, s.formats())?),
-                Tensor::Dense(_) => Tensor::Dense(chosen.to_dense()),
-            })
-        }
-    }
+/// An entry is *diagonal* if at least two of its coordinates are equal
+/// (Definition 2.4 over all modes).
+fn on_diagonal(coords: &[usize]) -> bool {
+    coords.iter().enumerate().any(|(mode, c)| coords[mode + 1..].contains(c))
 }
 
 #[cfg(test)]
@@ -190,13 +206,19 @@ mod tests {
     use super::*;
     use systec_ir::build::*;
     use systec_ir::AssignOp;
-    use systec_tensor::{CooTensor, SparseTensor, CSR};
+    use systec_tensor::{Entries, CSR};
+
+    fn csr(dims: [usize; 2], entries: &[([usize; 2], f64)]) -> Tensor {
+        let mut list = Entries::new(dims.to_vec());
+        for (coords, v) in entries {
+            list.try_push(coords, *v).unwrap();
+        }
+        Tensor::Sparse(list.pack(&CSR).unwrap())
+    }
 
     fn inputs() -> HashMap<String, Tensor> {
-        let mut coo = CooTensor::new(vec![3, 4]);
-        coo.push(&[0, 1], 1.0);
         let mut m = HashMap::new();
-        m.insert("A".to_string(), Tensor::Sparse(SparseTensor::from_coo(&coo, &CSR).unwrap()));
+        m.insert("A".to_string(), csr([3, 4], &[([0, 1], 1.0)]));
         m.insert("x".to_string(), Tensor::Dense(DenseTensor::zeros(vec![4])));
         m
     }
@@ -263,11 +285,8 @@ mod tests {
 
     #[test]
     fn prepare_materializes_diag_split() {
-        let mut coo = CooTensor::new(vec![3, 3]);
-        coo.push(&[0, 0], 1.0);
-        coo.push(&[0, 1], 2.0);
         let mut base = HashMap::new();
-        base.insert("A".to_string(), Tensor::Sparse(SparseTensor::from_coo(&coo, &CSR).unwrap()));
+        base.insert("A".to_string(), csr([3, 3], &[([0, 0], 1.0), ([0, 1], 2.0)]));
         base.insert("x".to_string(), Tensor::Dense(DenseTensor::zeros(vec![3])));
 
         let mut diag_ref = systec_ir::TensorRef::base("A");
@@ -284,5 +303,26 @@ mod tests {
         let d = variants.get("A_diag").expect("A_diag materialized");
         assert_eq!(d.get(&[0, 0]), 1.0);
         assert_eq!(d.get(&[0, 1]), 0.0);
+    }
+
+    #[test]
+    fn an_invalid_permutation_is_reported_as_such() {
+        let a_bad = Access {
+            tensor: systec_ir::TensorRef::transposed("A", vec![0, 0]),
+            indices: vec![idx("j"), idx("i")],
+        };
+        let prog = Stmt::loops(
+            [idx("j"), idx("i")],
+            assign(
+                access("y", ["i"]),
+                mul([systec_ir::Expr::Access(a_bad), access("x", ["j"]).into()]),
+            ),
+        );
+        // Not "tensor `A_T` is not bound": `A` is bound, the variant is
+        // ill-formed.
+        let Err(ExecError::InvalidKernel { message }) = prepare_variants(&prog, &inputs()) else {
+            panic!("an invalid permutation must be refused as an invalid kernel");
+        };
+        assert!(message.contains("invalid mode permutation [0, 0]"), "{message}");
     }
 }

@@ -918,20 +918,50 @@ mod tests {
     #[test]
     fn bad_tensor_payloads_are_rejected() {
         let engine = Engine::new();
-        for (dims, payload) in [
-            (vec![2], TensorPayload::Dense(vec![1.0, 2.0, 3.0])),
-            (vec![2], TensorPayload::Dense(vec![f64::NAN, 0.0])),
-            (vec![2, 2], TensorPayload::Coo(vec![(vec![5, 0], 1.0)])),
-            (vec![0], TensorPayload::Dense(vec![])),
+        let coo = |entries: &[(&[usize], f64)]| {
+            TensorPayload::Coo(entries.iter().map(|(c, v)| (c.to_vec(), *v)).collect())
+        };
+        for (dims, payload, message) in [
+            (
+                vec![2],
+                TensorPayload::Dense(vec![1.0, 2.0, 3.0]),
+                "dense payload has 3 values but dims [2] need 2",
+            ),
+            (vec![2], TensorPayload::Dense(vec![f64::NAN, 0.0]), "tensor values must be finite"),
+            (
+                vec![2, 2],
+                coo(&[(&[5, 0], 1.0)]),
+                "coordinate 5 out of bounds for mode 0 with extent 2",
+            ),
+            (vec![2, 2], coo(&[(&[0], 1.0)]), "coordinate arity 1 does not match tensor rank 2"),
+            (vec![0], TensorPayload::Dense(vec![]), "dims must be non-empty and positive, got [0]"),
+            // The first offender in arrival order is the one reported, and
+            // an entry's value is checked before its coordinates.
+            (
+                vec![2, 2],
+                coo(&[(&[0, 1], 1.0), (&[0, 9], 1.0), (&[0, 0], f64::NAN)]),
+                "coordinate 9 out of bounds for mode 1 with extent 2",
+            ),
+            (
+                vec![2, 2],
+                coo(&[(&[0, 0], f64::INFINITY), (&[0, 9], 1.0)]),
+                "tensor values must be finite",
+            ),
+            (vec![2, 2], coo(&[(&[7], f64::NAN)]), "tensor values must be finite"),
         ] {
-            let resp = engine.handle(&Request::RegisterTensor {
-                name: "T".into(),
-                dims,
-                payload,
-                format: StorageFormat::Auto,
-                placement: Placement::Hash,
-            });
-            assert!(matches!(resp, Response::Error { code: ErrorCode::BadTensor, .. }), "{resp:?}");
+            for format in [StorageFormat::Auto, StorageFormat::Dense, StorageFormat::Csf] {
+                let resp = engine.handle(&Request::RegisterTensor {
+                    name: "T".into(),
+                    dims: dims.clone(),
+                    payload: payload.clone(),
+                    format,
+                    placement: Placement::Hash,
+                });
+                let Response::Error { code: ErrorCode::BadTensor, message: got, .. } = &resp else {
+                    panic!("{resp:?}")
+                };
+                assert_eq!(got, message);
+            }
         }
     }
 
@@ -1555,6 +1585,40 @@ mod tests {
             engine.handle(&Request::Run { kernel: k, full: false, shard: None }).encode(),
             oracle
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An explicitly stored `0.0` is an entry — over min-plus, a
+    /// zero-weight edge — and is journaled like any other, so the `run`
+    /// reply bytes (values and read counters) survive a reopen.
+    #[test]
+    fn a_stored_zero_survives_reopen() {
+        let dir = std::env::temp_dir().join(format!("systec-engine-zero-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let bellman_ford = |engine: &Engine| {
+            let resp = engine.handle(&Request::Prepare {
+                einsum: "for i, j: y[i] min= A[i, j] + d[j]".into(),
+                sym: vec![],
+                inputs: vec![],
+                variant: Variant::Naive,
+                threads: Some(1),
+                sharded: false,
+            });
+            let Response::Prepared { kernel, .. } = resp else { panic!("{resp:?}") };
+            engine.handle(&Request::Run { kernel, full: false, shard: None }).encode()
+        };
+        let live = {
+            let engine = Engine::new().with_data_dir(&dir).expect("open data dir");
+            // 0 –0– 1 –5– 2
+            let edges =
+                [(vec![0, 1], 0.0), (vec![1, 0], 0.0), (vec![1, 2], 5.0), (vec![2, 1], 5.0)];
+            register(&engine, "A", &[3, 3], &edges);
+            register_dense(&engine, "d", &[3], &[0.0, 100.0, 100.0]);
+            bellman_ford(&engine)
+        };
+        assert!(live.contains(r#""values":[100,0,105]"#), "{live}");
+        let engine = Engine::new().with_data_dir(&dir).expect("reopen data dir");
+        assert_eq!(bellman_ford(&engine), live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

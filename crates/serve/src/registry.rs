@@ -18,7 +18,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockWriteGuard};
 
-use systec_tensor::{csf, CooTensor, DenseTensor, SparseTensor, Tensor};
+use systec_tensor::{csf, DenseTensor, Entries, SparseTensor, Tensor};
 
 use crate::durability::{Durability, Record};
 use crate::engine::EngineError;
@@ -43,8 +43,8 @@ enum Mutation {
 impl Mutation {
     /// The durable form, rendered only when a journal is open. The
     /// payload kind encodes the storage (dense stays a value list,
-    /// sparse enumerates COO entries), so replay rebuilds the same
-    /// representation.
+    /// sparse enumerates every stored entry, explicit zeros included),
+    /// so replay rebuilds the same representation.
     fn to_record(&self) -> Record {
         match self {
             Mutation::Register { name, generation, data } => Record::Register {
@@ -53,9 +53,11 @@ impl Mutation {
                 generation: *generation,
                 payload: match &**data {
                     Tensor::Dense(d) => TensorPayload::Dense(d.as_slice().to_vec()),
-                    Tensor::Sparse(s) => TensorPayload::Coo(
-                        s.to_coo().entries().map(|(c, v)| (c.to_vec(), v)).collect(),
-                    ),
+                    Tensor::Sparse(s) => {
+                        let mut entries = Vec::with_capacity(s.nnz());
+                        s.for_each_entry(|coords, v| entries.push((coords.to_vec(), v)));
+                        TensorPayload::Coo(entries)
+                    }
                 },
             },
             Mutation::Unregister { name } => Record::Unregister { name: name.clone() },
@@ -96,7 +98,8 @@ pub(crate) fn build_tensor(
         let nnz = d.as_slice().len() as u64;
         (Tensor::Dense(d), nnz)
     };
-    let coo = match payload {
+    let formats = csf(dims.len());
+    let sparse = match payload {
         TensorPayload::Dense(values) => {
             let expect: usize = dims.iter().product();
             if values.len() != expect {
@@ -113,24 +116,23 @@ pub(crate) fn build_tensor(
             if format != StorageFormat::Csf {
                 return Ok(dense(d));
             }
-            CooTensor::from_dense(&d)
+            SparseTensor::from_dense(&d, &formats)
         }
-        TensorPayload::Coo(entries) => {
-            let mut coo = CooTensor::new(dims.to_vec());
-            for (coords, v) in entries {
+        TensorPayload::Coo(payload) => {
+            let mut entries = Entries::with_capacity(dims.to_vec(), payload.len());
+            for (coords, v) in payload {
                 if !v.is_finite() {
                     return Err("tensor values must be finite".into());
                 }
-                coo.try_push(coords, *v).map_err(|e| e.to_string())?;
+                entries.try_push(coords, *v).map_err(|e| e.to_string())?;
             }
             if format == StorageFormat::Dense {
-                return Ok(dense(coo.to_dense()));
+                return Ok(dense(entries.to_dense()));
             }
-            coo
+            entries.pack(&formats)
         }
     };
-    let sparse = SparseTensor::from_coo(&coo, &csf(dims.len()))
-        .map_err(|e| format!("packing to CSF: {e}"))?;
+    let sparse = sparse.map_err(|e| format!("packing to CSF: {e}"))?;
     let nnz = sparse.nnz() as u64;
     Ok((Tensor::Sparse(sparse), nnz))
 }

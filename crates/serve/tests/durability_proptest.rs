@@ -13,7 +13,9 @@
 //!   a byte cap that forces evictions, snapshot folds every few records
 //!   and injected journal failures — a second engine opened on a copy of
 //!   the data dir holds the same names, generations and bytes as the
-//!   live one, and serves them byte-identically.
+//!   live one, and serves them byte-identically. The tensors are dense
+//!   vectors and compressed matrices, with explicit `0.0` and `-0.0`
+//!   values: a stored zero is an entry replay must not lose.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -115,27 +117,56 @@ fn records_equal(a: &Record, b: &Record) -> bool {
 /// The registered names the replay property draws from.
 const NAMES: [&str; 4] = ["a", "b", "c", "d"];
 
-/// Byte cap of the replay property's live engine: three 4-vectors, or
-/// an 8-vector and a 4-vector (8 estimated bytes per dense value); a
-/// 16-vector never fits.
+/// Byte cap of the replay property's live engine: three dense
+/// 4-vectors, or an 8-vector and a 4-vector (8 estimated bytes per dense
+/// value), or four compressed matrix entries (24 each); a 16-vector
+/// never fits.
 const CAP: u64 = 96;
 
-/// One request of the replay property: `values` registers them under
-/// the name, `None` unregisters it.
-type Op = (usize, Option<Vec<f64>>);
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    // Three registrations to one unregister.
-    (0..NAMES.len(), 0u32..4, 0usize..4, -8i32..8).prop_map(|(name, kind, len, v)| {
-        (name, (kind > 0).then(|| vec![f64::from(v) / 4.0; [4, 4, 8, 16][len]]))
-    })
+/// One tensor of the replay property: a dense vector of `values`, or a
+/// compressed `len × 2` matrix storing `values[k]` at `[k, k % 2]`.
+#[derive(Clone, Debug)]
+struct Data {
+    values: Vec<f64>,
+    sparse: bool,
 }
 
-fn register(name: &str, values: &[f64]) -> Request {
+impl Data {
+    /// The registry's admission estimate.
+    fn bytes(&self) -> u64 {
+        self.values.len() as u64 * if self.sparse { 24 } else { 8 }
+    }
+}
+
+/// One request of the replay property: `Some` registers the data under
+/// the name, `None` unregisters it.
+type Op = (usize, Option<Data>);
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    // Three registrations to one unregister; values cycle through a
+    // multiple of 1/4, an explicit 0.0 and an explicit -0.0.
+    (0..NAMES.len(), 0u32..4, any::<bool>(), 0usize..4, -8i32..8).prop_map(
+        |(name, kind, sparse, len, v)| {
+            let len = if sparse { [1, 2, 3, 4][len] } else { [4, 4, 8, 16][len] };
+            let value = |k: i32| [f64::from(v) / 4.0, 0.0, -0.0][(k + v).rem_euclid(3) as usize];
+            let data = Data { values: (0..len).map(value).collect(), sparse };
+            (name, (kind > 0).then_some(data))
+        },
+    )
+}
+
+fn register(name: &str, data: &Data) -> Request {
+    let len = data.values.len();
+    let (dims, payload) = if data.sparse {
+        let entries = data.values.iter().enumerate().map(|(k, &v)| (vec![k, k % 2], v));
+        (vec![len, 2], TensorPayload::Coo(entries.collect()))
+    } else {
+        (vec![len], TensorPayload::Dense(data.values.clone()))
+    };
     Request::RegisterTensor {
         name: name.into(),
-        dims: vec![values.len()],
-        payload: TensorPayload::Dense(values.to_vec()),
+        dims,
+        payload,
         format: StorageFormat::Auto,
         placement: Placement::Hash,
     }
@@ -148,11 +179,13 @@ fn stats(engine: &Engine) -> ServePayload {
     }
 }
 
-/// Prepares and runs `y[i] = t[i]` over the tensor registered as `name`;
-/// `None` when nothing is registered under it.
-fn serve_copy(engine: &Engine, name: &str) -> Option<String> {
+/// Prepares and runs a copy (`sparse`: a row sum) over the tensor
+/// registered as `name`; `None` when nothing is registered under it.
+/// The reply carries the values and the read counters.
+fn serve_copy(engine: &Engine, name: &str, sparse: bool) -> Option<String> {
+    let einsum = if sparse { "for i, j: y[i] += t[i, j]" } else { "for i: y[i] = t[i]" };
     let resp = engine.handle(&Request::Prepare {
-        einsum: "for i: y[i] = t[i]".into(),
+        einsum: einsum.into(),
         sym: vec![],
         inputs: vec![("t".into(), name.into())],
         variant: Variant::Naive,
@@ -174,27 +207,26 @@ fn serve_copy(engine: &Engine, name: &str) -> Option<String> {
 /// registration order) and every generation ever acknowledged.
 #[derive(Default)]
 struct Model {
-    live: Vec<(&'static str, Vec<f64>)>,
+    live: Vec<(&'static str, Data)>,
     generations: HashMap<&'static str, u64>,
 }
 
 impl Model {
     fn bytes(&self) -> u64 {
-        self.live.iter().map(|(_, values)| 8 * values.len() as u64).sum()
+        self.live.iter().map(|(_, data)| data.bytes()).sum()
     }
 
-    /// The names a registration of `len` values under `name` evicts, or
+    /// The names a registration of `bytes` under `name` evicts, or
     /// `None` when it cannot fit even with everything else evicted.
-    fn victims(&self, name: &str, len: usize) -> Option<Vec<&'static str>> {
+    fn victims(&self, name: &str, bytes: u64) -> Option<Vec<&'static str>> {
         let others = || self.live.iter().filter(|(other, _)| *other != name);
-        let mut projected = others().map(|(_, values)| 8 * values.len() as u64).sum::<u64>();
-        projected += 8 * len as u64;
+        let mut projected = others().map(|(_, data)| data.bytes()).sum::<u64>() + bytes;
         let mut victims = Vec::new();
-        for (victim, values) in others() {
+        for (victim, data) in others() {
             if projected <= CAP {
                 break;
             }
-            projected -= 8 * values.len() as u64;
+            projected -= data.bytes();
             victims.push(*victim);
         }
         (projected <= CAP).then_some(victims)
@@ -222,16 +254,19 @@ fn assert_replay_matches(dir: &Path, model: &Model, step: usize) {
     assert_eq!(serve.registry_bytes, model.bytes(), "step {step}: registry_bytes");
     assert_eq!(serve.registry_tensors as usize, model.live.len(), "step {step}");
     for name in NAMES {
-        let expected = model.live.iter().find(|(live, _)| *live == name).map(|(_, values)| {
+        let live = model.live.iter().find(|(live, _)| *live == name).map(|(_, data)| data);
+        let expected = live.map(|data| {
             let fresh = Engine::new();
-            fresh.handle(&register(name, values));
-            serve_copy(&fresh, name).expect("just registered")
+            fresh.handle(&register(name, data));
+            serve_copy(&fresh, name, data.sparse).expect("just registered")
         });
-        assert_eq!(serve_copy(&recovered, name), expected, "step {step}: `{name}`");
+        let sparse = live.is_some_and(|data| data.sparse);
+        assert_eq!(serve_copy(&recovered, name, sparse), expected, "step {step}: `{name}`");
     }
     for name in NAMES {
         let next = model.generations.get(name).map_or(0, |g| g + 1);
-        let resp = recovered.handle(&register(name, &[0.0; 4]));
+        let probe = Data { values: vec![0.0; 4], sparse: false };
+        let resp = recovered.handle(&register(name, &probe));
         let resumed = matches!(resp, Response::Registered { generation, .. } if generation == next);
         assert!(resumed, "step {step}: `{name}` must resume at generation {next}: {resp:?}");
     }
@@ -260,18 +295,18 @@ proptest! {
             .with_data_dir(&dir)
             .expect("open data dir");
         let mut model = Model::default();
-        for (step, (name, values)) in ops.into_iter().enumerate() {
+        for (step, (name, data)) in ops.into_iter().enumerate() {
             let name = NAMES[name];
-            match values {
-                Some(values) => {
-                    let victims = model.victims(name, values.len());
-                    match (live.handle(&register(name, &values)), victims) {
+            match data {
+                Some(data) => {
+                    let victims = model.victims(name, data.bytes());
+                    match (live.handle(&register(name, &data)), victims) {
                         (Response::Registered { generation, .. }, Some(victims)) => {
                             let next = model.generations.get(name).map_or(0, |g| g + 1);
                             assert_eq!(generation, next, "step {step}: `{name}`");
                             model.generations.insert(name, generation);
                             model.live.retain(|(n, _)| *n != name && !victims.contains(n));
-                            model.live.push((name, values));
+                            model.live.push((name, data));
                         }
                         // An injected journal failure, or no room even
                         // with everything evicted: refused, no effect.

@@ -1,4 +1,14 @@
-//! Coordinate-list (COO) tensors: the builder and interchange format.
+//! Coordinate-list (COO) tensors: the generator, interchange and
+//! test-oracle type.
+//!
+//! A [`CooTensor`] is a sorted map with one heap coordinate vector per
+//! entry — convenient to build, compare and transform in generators and
+//! tests, and costly per entry (~150 ns). It is *not* the conversion
+//! path: splits, transposes, registrations and journal records are built
+//! level to level in `sparse.rs` ([`crate::Entries`],
+//! [`crate::SparseTensor::for_each_entry`]), and the `CooTensor`
+//! spelling of each (`to_coo().split_diagonal(..)`, `to_coo().permuted(..)`,
+//! `try_push` + `from_coo`) is the oracle those are tested against.
 
 use std::collections::BTreeMap;
 
@@ -7,9 +17,9 @@ use crate::{DenseTensor, TensorError};
 
 /// A coordinate-list tensor: a set of `(coords, value)` pairs plus a shape.
 ///
-/// `CooTensor` is the ingestion and interchange format: generators produce
-/// COO, compressed formats pack from COO, and transposition/splitting are
-/// COO round-trips. Duplicate pushes accumulate with `+`.
+/// `CooTensor` is the generator and interchange format: generators
+/// produce COO and [`crate::SparseTensor::from_coo`] packs it. Duplicate
+/// pushes accumulate with `+`.
 ///
 /// # Examples
 ///
@@ -69,14 +79,7 @@ impl CooTensor {
     /// Returns [`TensorError::RankMismatch`] or
     /// [`TensorError::CoordOutOfBounds`] for invalid coordinates.
     pub fn try_push(&mut self, coords: &[usize], value: f64) -> Result<(), TensorError> {
-        if coords.len() != self.dims.len() {
-            return Err(TensorError::RankMismatch { expected: self.dims.len(), got: coords.len() });
-        }
-        for (mode, (&c, &d)) in coords.iter().zip(&self.dims).enumerate() {
-            if c >= d {
-                return Err(TensorError::CoordOutOfBounds { mode, coord: c, dim: d });
-            }
-        }
+        check_coords(&self.dims, coords)?;
         *self.entries.entry(coords.to_vec()).or_insert(0.0) += value;
         Ok(())
     }
@@ -201,6 +204,20 @@ impl CooTensor {
         }
         out
     }
+}
+
+/// Checks one entry's coordinates against a shape: the arity, then each
+/// mode's bound, first offender first.
+pub(crate) fn check_coords(dims: &[usize], coords: &[usize]) -> Result<(), TensorError> {
+    if coords.len() != dims.len() {
+        return Err(TensorError::RankMismatch { expected: dims.len(), got: coords.len() });
+    }
+    for (mode, (&c, &d)) in coords.iter().zip(dims).enumerate() {
+        if c >= d {
+            return Err(TensorError::CoordOutOfBounds { mode, coord: c, dim: d });
+        }
+    }
+    Ok(())
 }
 
 /// All permutations of `0..n` in lexicographic order (n! of them).

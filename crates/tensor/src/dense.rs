@@ -128,27 +128,14 @@ impl DenseTensor {
         validate_perm(perm, self.rank())?;
         let new_dims: Vec<usize> = perm.iter().map(|&p| self.dims[p]).collect();
         let mut out = DenseTensor::zeros(new_dims);
-        let mut coords = vec![0usize; self.rank()];
         let mut out_coords = vec![0usize; self.rank()];
-        loop {
-            for (k, &p) in perm.iter().enumerate() {
-                out_coords[k] = coords[p];
+        self.for_each_entry(|coords, v| {
+            for (out_coord, &p) in out_coords.iter_mut().zip(perm) {
+                *out_coord = coords[p];
             }
-            out.set(&out_coords, self.get(&coords));
-            // odometer increment
-            let mut mode = self.rank();
-            loop {
-                if mode == 0 {
-                    return Ok(out);
-                }
-                mode -= 1;
-                coords[mode] += 1;
-                if coords[mode] < self.dims[mode] {
-                    break;
-                }
-                coords[mode] = 0;
-            }
-        }
+            out.set(&out_coords, v);
+        });
+        Ok(out)
     }
 
     /// Maximum absolute elementwise difference to another tensor.
@@ -161,6 +148,37 @@ impl DenseTensor {
             return Err(TensorError::ShapeMismatch { a: self.dims.clone(), b: other.dims.clone() });
         }
         Ok(self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max))
+    }
+
+    /// Calls `f(coords, value)` for every element in row-major order
+    /// (zeros included), without allocating per element.
+    pub fn for_each_entry(&self, mut f: impl FnMut(&[usize], f64)) {
+        let mut coords = vec![0usize; self.rank()];
+        for &v in &self.data {
+            f(&coords, v);
+            // odometer increment
+            for (c, &d) in coords.iter_mut().zip(&self.dims).rev() {
+                *c += 1;
+                if *c < d {
+                    break;
+                }
+                *c = 0;
+            }
+        }
+    }
+
+    /// Splits the elements by a predicate on their coordinates into
+    /// `(matching, rest)`: two masked copies, zero where the other holds
+    /// the element.
+    pub fn partition(&self, mut pred: impl FnMut(&[usize]) -> bool) -> (DenseTensor, DenseTensor) {
+        let mut matching = DenseTensor::zeros(self.dims.clone());
+        let mut rest = matching.clone();
+        let mut flat = 0;
+        self.for_each_entry(|coords, v| {
+            if pred(coords) { &mut matching } else { &mut rest }.data[flat] = v;
+            flat += 1;
+        });
+        (matching, rest)
     }
 
     /// Iterates over `(coords, value)` of every element (including zeros).

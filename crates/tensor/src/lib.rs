@@ -16,8 +16,11 @@
 //! * [`DenseTensor`] — a strided dense tensor of `f64`.
 //! * [`SparseTensor`] — a level-composed compressed tensor
 //!   ([`LevelFormat::Dense`] / [`LevelFormat::Sparse`] per mode) packed
-//!   from sorted coordinates.
-//! * [`CooTensor`] — a coordinate-list builder and interchange format.
+//!   level by level from sorted coordinates.
+//! * [`Entries`] — a flat coordinate list in arrival order, the builder
+//!   in front of that packer.
+//! * [`CooTensor`] — a sorted coordinate map: the generator, interchange
+//!   and test-oracle type.
 //! * [`Tensor`] — an enum over the two storage families, the type the
 //!   executor consumes.
 //! * [`generate`] — random symmetric Erdős–Rényi tensors, random dense
@@ -53,7 +56,7 @@ mod tensor;
 pub use coo::CooTensor;
 pub use dense::DenseTensor;
 pub use error::TensorError;
-pub use sparse::{LevelFormat, LevelView, SparseTensor};
+pub use sparse::{Entries, LevelFormat, LevelView, SparseTensor};
 pub use tensor::Tensor;
 
 /// Format shorthand: CSR for matrices (`Dense(Sparse(Element))`).

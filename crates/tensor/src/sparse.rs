@@ -1,10 +1,20 @@
 //! Level-composed compressed tensors (the fibertree formats of Finch).
+//!
+//! Every [`SparseTensor`] is assembled level by level by one packer
+//! (`SparseTensor::pack_sorted`) from flat, lexicographically sorted,
+//! unique entries, and read back by one in-order walk
+//! ([`SparseTensor::for_each_entry`]) that visits every stored entry,
+//! explicitly stored zeros included. Everything that derives one tensor
+//! from another — a diagonal split ([`SparseTensor::partition`]), a
+//! transpose ([`SparseTensor::permuted`]), a registration from an
+//! unsorted coordinate list ([`Entries`]) — is that walk or an
+//! [`Entries`] buffer feeding that packer; no sorted map sits in between.
 
 use std::fmt;
 
-use crate::coo::CooTensor;
+use crate::coo::{check_coords, CooTensor};
 use crate::dense::validate_perm;
-use crate::TensorError;
+use crate::{DenseTensor, TensorError};
 
 /// The storage format of one level (mode) of a [`SparseTensor`].
 ///
@@ -89,46 +99,92 @@ impl SparseTensor {
     /// Returns [`TensorError::FormatRankMismatch`] if `formats.len()`
     /// differs from the tensor's rank.
     pub fn from_coo(coo: &CooTensor, formats: &[LevelFormat]) -> Result<Self, TensorError> {
-        let rank = coo.rank();
+        let mut coords = Vec::with_capacity(coo.nnz() * coo.rank());
+        let mut vals = Vec::with_capacity(coo.nnz());
+        for (c, v) in coo.entries() {
+            coords.extend_from_slice(c);
+            vals.push(v);
+        }
+        Self::pack_sorted(coo.dims().to_vec(), formats, &coords, &vals)
+    }
+
+    /// Packs the nonzeros of a dense tensor (a row-major scan, so the
+    /// entries arrive sorted).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::FormatRankMismatch`] on arity mismatch.
+    pub fn from_dense(dense: &DenseTensor, formats: &[LevelFormat]) -> Result<Self, TensorError> {
+        let mut coords = Vec::new();
+        let mut vals = Vec::new();
+        dense.for_each_entry(|c, v| {
+            if v != 0.0 {
+                coords.extend_from_slice(c);
+                vals.push(v);
+            }
+        });
+        Self::pack_sorted(dense.dims().to_vec(), formats, &coords, &vals)
+    }
+
+    /// The one packer: assembles the levels from entries that are
+    /// lexicographically sorted, unique and in bounds — `coords` holds
+    /// `dims.len()` coordinates per entry, entry-major, `vals` one value
+    /// per entry. Its callers guarantee that order by construction (a
+    /// sorted map, a fibertree walk, a row-major scan, [`Entries::pack`]'s
+    /// sort), so it is not public.
+    fn pack_sorted(
+        dims: Vec<usize>,
+        formats: &[LevelFormat],
+        coords: &[usize],
+        vals: &[f64],
+    ) -> Result<Self, TensorError> {
+        let rank = dims.len();
         if formats.len() != rank {
             return Err(TensorError::FormatRankMismatch { rank, formats: formats.len() });
         }
         if formats[..rank.saturating_sub(1)].contains(&LevelFormat::RunLength) {
             return Err(TensorError::FormatRankMismatch { rank, formats: formats.len() });
         }
-        let dims = coo.dims().to_vec();
-        let entries: Vec<(&[usize], f64)> = coo.entries().collect();
+        let n = vals.len();
+        debug_assert_eq!(coords.len(), n * rank);
+        debug_assert!(
+            (1..n).all(|e| { coords[(e - 1) * rank..e * rank] < coords[e * rank..(e + 1) * rank] })
+        );
 
         let mut levels = Vec::with_capacity(rank);
         // Parent position of each entry at the current level; starts at the
         // single root position 0.
-        let mut parents: Vec<usize> = vec![0; entries.len()];
+        let mut parents: Vec<usize> = vec![0; n];
         let mut parent_count = 1usize;
 
         for (k, &format) in formats.iter().enumerate() {
             let size = dims[k];
+            let level_coords = coords.iter().skip(k).step_by(rank);
             match format {
                 LevelFormat::Dense => {
-                    for (e, (coords, _)) in entries.iter().enumerate() {
-                        parents[e] = parents[e] * size + coords[k];
+                    for (parent, &c) in parents.iter_mut().zip(level_coords) {
+                        *parent = *parent * size + c;
                     }
                     parent_count *= size;
                     levels.push(Level::Dense { size });
                 }
                 LevelFormat::Sparse => {
                     let mut pos = vec![0usize; parent_count + 1];
-                    let mut crd = Vec::new();
+                    // At most one child per entry; the slack of an upper
+                    // level is returned below.
+                    let mut crd = Vec::with_capacity(n);
                     let mut last: Option<(usize, usize)> = None;
-                    for (e, (coords, _)) in entries.iter().enumerate() {
-                        let key = (parents[e], coords[k]);
+                    for (parent, &c) in parents.iter_mut().zip(level_coords) {
+                        let key = (*parent, c);
                         if last != Some(key) {
                             // New child position under this parent.
-                            crd.push(coords[k]);
-                            pos[parents[e] + 1] += 1;
+                            crd.push(c);
+                            pos[*parent + 1] += 1;
                             last = Some(key);
                         }
-                        parents[e] = crd.len() - 1;
+                        *parent = crd.len() - 1;
                     }
+                    crd.shrink_to_fit();
                     // Prefix-sum the per-parent counts into offsets.
                     for p in 0..parent_count {
                         pos[p + 1] += pos[p];
@@ -138,56 +194,50 @@ impl SparseTensor {
                 }
                 LevelFormat::RunLength => {
                     // Leaf only (validated above): consecutive coordinates
-                    // under one parent with equal values form a run.
+                    // under one parent with equal values form a run, and
+                    // the packed value is the run's value.
                     let mut pos = vec![0usize; parent_count + 1];
-                    let mut run_start = Vec::new();
-                    let mut run_end = Vec::new();
-                    let mut run_vals: Vec<f64> = Vec::new();
+                    let mut run_start = Vec::with_capacity(n);
+                    let mut run_end = Vec::with_capacity(n);
+                    let mut run_vals: Vec<f64> = Vec::with_capacity(n);
                     let mut last: Option<(usize, usize, f64)> = None; // parent, end coord, value
-                    for (e, (coords, v)) in entries.iter().enumerate() {
-                        let c = coords[k];
+                    for ((&parent, &c), &v) in parents.iter().zip(level_coords).zip(vals) {
                         match last {
-                            Some((p, end, value))
-                                if p == parents[e] && c == end + 1 && value == *v =>
-                            {
+                            Some((p, end, value)) if p == parent && c == end + 1 && value == v => {
                                 // Extend the current run.
                                 *run_end.last_mut().expect("run exists") = c;
-                                last = Some((p, c, value));
                             }
                             _ => {
                                 run_start.push(c);
                                 run_end.push(c);
-                                run_vals.push(*v);
-                                pos[parents[e] + 1] += 1;
-                                last = Some((parents[e], c, *v));
+                                run_vals.push(v);
+                                pos[parent + 1] += 1;
                             }
                         }
-                        parents[e] = run_start.len() - 1;
+                        last = Some((parent, c, v));
                     }
+                    run_start.shrink_to_fit();
+                    run_end.shrink_to_fit();
+                    run_vals.shrink_to_fit();
                     for p in 0..parent_count {
                         pos[p + 1] += pos[p];
                     }
                     levels.push(Level::RunLength { pos, run_start, run_end, size });
-                    // Leaf values are per-run.
-                    let mut vals = run_vals;
-                    // Entries extending runs accumulate nothing extra: the
-                    // packed value is the run's value. (Duplicates were
-                    // already merged in COO.)
                     return Ok(SparseTensor {
                         dims,
                         formats: formats.to_vec(),
                         levels,
-                        vals: std::mem::take(&mut vals),
+                        vals: run_vals,
                     });
                 }
             }
         }
 
-        let mut vals = vec![0.0; parent_count];
-        for (e, (_, v)) in entries.iter().enumerate() {
-            vals[parents[e]] += v;
+        let mut packed = vec![0.0; parent_count];
+        for (&parent, &v) in parents.iter().zip(vals) {
+            packed[parent] += v;
         }
-        Ok(SparseTensor { dims, formats: formats.to_vec(), levels, vals })
+        Ok(SparseTensor { dims, formats: formats.to_vec(), levels, vals: packed })
     }
 
     /// An empty tensor of the given shape and formats.
@@ -196,7 +246,7 @@ impl SparseTensor {
     ///
     /// Returns [`TensorError::FormatRankMismatch`] on arity mismatch.
     pub fn empty(dims: Vec<usize>, formats: &[LevelFormat]) -> Result<Self, TensorError> {
-        Self::from_coo(&CooTensor::new(dims), formats)
+        Self::pack_sorted(dims, formats, &[], &[])
     }
 
     /// The shape, one extent per mode.
@@ -309,26 +359,62 @@ impl SparseTensor {
         self.vals[pos]
     }
 
-    /// Unpacks back to COO (dropping stored zeros).
+    /// Unpacks back to COO (dropping stored zeros) — for generators and
+    /// test oracles; nothing that prepares or serves a kernel converts
+    /// through it.
     pub fn to_coo(&self) -> CooTensor {
         let mut out = CooTensor::new(self.dims.clone());
-        let mut coords = vec![0usize; self.rank()];
-        self.walk(0, 0, &mut coords, &mut out);
+        self.for_each_entry(|coords, v| {
+            if v != 0.0 {
+                out.push(coords, v);
+            }
+        });
         out
     }
 
-    fn walk(&self, k: usize, pos: usize, coords: &mut Vec<usize>, out: &mut CooTensor) {
+    /// The one walk: calls `f(coords, value)` for every stored entry in
+    /// lexicographic coordinate order — explicitly stored zeros and the
+    /// zeros a dense level materializes included, a run-length run once
+    /// per coordinate it covers.
+    pub fn for_each_entry(&self, mut f: impl FnMut(&[usize], f64)) {
+        let mut coords = vec![0usize; self.rank()];
+        self.walk(0, 0, &mut coords, &mut f);
+    }
+
+    fn walk(
+        &self,
+        k: usize,
+        parent: usize,
+        coords: &mut [usize],
+        f: &mut impl FnMut(&[usize], f64),
+    ) {
         if k == self.rank() {
-            if self.vals[pos] != 0.0 {
-                out.push(coords, self.vals[pos]);
-            }
-            return;
+            return f(coords, self.vals[parent]);
         }
-        let iter = self.level_iter(k, pos, 0, usize::MAX);
-        for (c, child) in iter {
+        for (c, child) in self.level_iter(k, parent, 0, usize::MAX) {
             coords[k] = c;
-            self.walk(k + 1, child, coords, out);
+            self.walk(k + 1, child, coords, f);
         }
+    }
+
+    /// Splits the stored entries by a predicate on their coordinates into
+    /// `(matching, rest)`, both in `self`'s shape and formats: one walk,
+    /// already sorted, packed twice. The diagonal split of §4.2.9 is
+    /// `partition` by "two coordinates are equal".
+    pub fn partition(
+        &self,
+        mut pred: impl FnMut(&[usize]) -> bool,
+    ) -> (SparseTensor, SparseTensor) {
+        let mut matching = Entries::with_capacity(self.dims.clone(), self.nnz());
+        let mut rest = Entries::with_capacity(self.dims.clone(), self.nnz());
+        self.for_each_entry(|coords, v| {
+            if pred(coords) { &mut matching } else { &mut rest }.push(coords, v);
+        });
+        let pack = |side: Entries| {
+            Self::pack_sorted(side.dims, &self.formats, &side.coords, &side.vals)
+                .expect("the formats already packed this shape")
+        };
+        (pack(matching), pack(rest))
     }
 
     /// Raw, borrow-only view of one level's packed arrays.
@@ -361,9 +447,128 @@ impl SparseTensor {
     /// Returns [`TensorError::InvalidPermutation`] for invalid `perm`.
     pub fn permuted(&self, perm: &[usize]) -> Result<SparseTensor, TensorError> {
         validate_perm(perm, self.rank())?;
-        let coo = self.to_coo().permuted(perm)?;
-        let formats: Vec<LevelFormat> = self.formats.clone();
-        SparseTensor::from_coo(&coo, &formats)
+        let dims = perm.iter().map(|&p| self.dims[p]).collect();
+        let mut entries = Entries::with_capacity(dims, self.nnz());
+        let mut permuted = vec![0usize; self.rank()];
+        self.for_each_entry(|coords, v| {
+            for (out, &p) in permuted.iter_mut().zip(perm) {
+                *out = coords[p];
+            }
+            entries.push(&permuted, v);
+        });
+        entries.pack(&self.formats)
+    }
+}
+
+/// A coordinate list in arrival order, flat: the builder in front of
+/// the packer for entries that are not sorted yet (a `register_tensor`
+/// payload, a transpose).
+///
+/// [`Entries::try_push`] validates like [`CooTensor::try_push`];
+/// [`Entries::pack`] stable-sorts and folds duplicates *in arrival
+/// order, each sum starting from `0.0 + v`* — exactly what
+/// `CooTensor`'s `*entry.or_insert(0.0) += v` computes, so the packed
+/// tensor equals `SparseTensor::from_coo` of the same pushes bit for
+/// bit, without a map node or a heap coordinate per entry.
+///
+/// # Examples
+///
+/// ```
+/// use systec_tensor::{Entries, CSR};
+///
+/// let mut entries = Entries::new(vec![2, 3]);
+/// entries.try_push(&[1, 0], 2.5).unwrap();
+/// entries.try_push(&[0, 2], 1.0).unwrap();
+/// entries.try_push(&[0, 2], 0.5).unwrap(); // accumulates
+/// assert!(entries.try_push(&[2, 0], 1.0).is_err());
+/// let m = entries.pack(&CSR).unwrap();
+/// assert_eq!(m.nnz(), 2);
+/// assert_eq!(m.get(&[0, 2]), 1.5);
+/// ```
+#[derive(Clone, Debug)]
+pub struct Entries {
+    dims: Vec<usize>,
+    /// `dims.len()` coordinates per entry, entry-major.
+    coords: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl Entries {
+    /// An empty list for a tensor of the given shape.
+    pub fn new(dims: Vec<usize>) -> Self {
+        Self::with_capacity(dims, 0)
+    }
+
+    /// An empty list with room for `entries` entries.
+    pub fn with_capacity(dims: Vec<usize>, entries: usize) -> Self {
+        let coords = Vec::with_capacity(entries * dims.len());
+        Entries { dims, coords, vals: Vec::with_capacity(entries) }
+    }
+
+    /// The number of entries pushed (duplicates counted).
+    pub fn len(&self) -> usize {
+        self.vals.len()
+    }
+
+    /// `true` if nothing was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.vals.is_empty()
+    }
+
+    /// Appends an entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] or
+    /// [`TensorError::CoordOutOfBounds`] for invalid coordinates.
+    pub fn try_push(&mut self, coords: &[usize], value: f64) -> Result<(), TensorError> {
+        check_coords(&self.dims, coords)?;
+        self.push(coords, value);
+        Ok(())
+    }
+
+    /// Appends an entry whose coordinates are valid by construction.
+    fn push(&mut self, coords: &[usize], value: f64) {
+        self.coords.extend_from_slice(coords);
+        self.vals.push(value);
+    }
+
+    fn key(&self, entry: usize) -> &[usize] {
+        let rank = self.dims.len();
+        &self.coords[entry * rank..(entry + 1) * rank]
+    }
+
+    /// Densifies: a scatter-add in arrival order into a zero buffer.
+    pub fn to_dense(&self) -> DenseTensor {
+        let mut out = DenseTensor::zeros(self.dims.clone());
+        for (entry, &v) in self.vals.iter().enumerate() {
+            *out.get_mut(self.key(entry)) += v;
+        }
+        out
+    }
+
+    /// Sorts, folds duplicates and packs into the given per-mode formats.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::FormatRankMismatch`] on arity mismatch.
+    pub fn pack(&self, formats: &[LevelFormat]) -> Result<SparseTensor, TensorError> {
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        // Stable, so equal coordinates keep their arrival order.
+        order.sort_by(|&a, &b| self.key(a).cmp(self.key(b)));
+        let mut coords = Vec::with_capacity(self.coords.len());
+        let mut vals: Vec<f64> = Vec::with_capacity(self.len());
+        for &entry in &order {
+            match vals.last_mut() {
+                // `coords` ends with the previous distinct key.
+                Some(sum) if coords.ends_with(self.key(entry)) => *sum += self.vals[entry],
+                _ => {
+                    coords.extend_from_slice(self.key(entry));
+                    vals.push(0.0 + self.vals[entry]);
+                }
+            }
+        }
+        SparseTensor::pack_sorted(self.dims.clone(), formats, &coords, &vals)
     }
 }
 

@@ -72,7 +72,26 @@ impl Tensor {
     pub fn to_dense(&self) -> DenseTensor {
         match self {
             Tensor::Dense(t) => t.clone(),
-            Tensor::Sparse(t) => t.to_coo().to_dense(),
+            Tensor::Sparse(t) => {
+                let mut out = DenseTensor::zeros(t.dims().to_vec());
+                t.for_each_entry(|coords, v| out.set(coords, v));
+                out
+            }
+        }
+    }
+
+    /// Splits the stored entries by a predicate on their coordinates into
+    /// `(matching, rest)`, in the same storage family (and formats).
+    pub fn partition(&self, pred: impl FnMut(&[usize]) -> bool) -> (Tensor, Tensor) {
+        match self {
+            Tensor::Dense(t) => {
+                let (matching, rest) = t.partition(pred);
+                (Tensor::Dense(matching), Tensor::Dense(rest))
+            }
+            Tensor::Sparse(t) => {
+                let (matching, rest) = t.partition(pred);
+                (Tensor::Sparse(matching), Tensor::Sparse(rest))
+            }
         }
     }
 
