@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use crate::durability::DEFAULT_SNAPSHOT_EVERY;
 use crate::fault::FaultPlan;
-use crate::kernel_table::{KernelEntry, KernelTable};
+use crate::kernel_table::{KernelEntry, KernelTable, Live};
 use crate::registry::{build_tensor, SharedRegistry};
 use crate::relock;
 
@@ -42,8 +42,8 @@ use systec_codegen::{ContextPool, Parallelism};
 use systec_exec::{Counters, ExecError};
 use systec_ir::parse_einsum;
 use systec_kernels::{parse_symmetry, plan_cache_stats, Prepared};
-use systec_telemetry::prom::{counter, gauge, histogram, Metric, PromWriter};
-use systec_telemetry::{self as telemetry, Histogram};
+use systec_telemetry as telemetry;
+use systec_telemetry::prom::{counter, gauge, Metric, PromWriter};
 use systec_tensor::{DenseTensor, Tensor};
 
 use crate::protocol::{
@@ -94,12 +94,10 @@ pub struct Engine {
     kernels: KernelTable,
     contexts: ContextPool,
     counts: RequestMetrics,
-    /// Per-engine serving metrics (batching, admission, registry
+    /// Per-engine serving metrics (queue, admission, registry
     /// lifecycle); owned here so parallel tests never bleed into each
     /// other's scrapes.
     serve: ServeMetrics,
-    /// Distribution of runs per coalesced dispatch.
-    batch_size: Histogram,
     default_parallelism: Parallelism,
     slow_threshold_ns: u64,
     slow_log: Mutex<VecDeque<SlowRunPayload>>,
@@ -132,7 +130,6 @@ impl Engine {
             contexts: ContextPool::new(),
             counts: RequestMetrics::default(),
             serve: ServeMetrics::default(),
-            batch_size: Histogram::new(),
             default_parallelism,
             slow_threshold_ns: u64::try_from(DEFAULT_SLOW_THRESHOLD.as_nanos()).unwrap_or(u64::MAX),
             slow_log: Mutex::new(VecDeque::with_capacity(SLOW_LOG_CAPACITY)),
@@ -225,7 +222,10 @@ impl Engine {
             }
             Request::Run { kernel, full, shard } => {
                 self.counts.run.inc();
-                self.run_coalesced(*kernel, *full, *shard, 1)
+                // One `run`, one execution: the pair always moves together.
+                self.serve.batch_dispatches.inc();
+                self.serve.batched_runs.inc();
+                self.run(*kernel, *full, *shard)
             }
             Request::Stats => {
                 self.counts.stats.inc();
@@ -268,6 +268,7 @@ impl Engine {
             .map_err(|message| EngineError::new(ErrorCode::BadTensor, message))?;
         let generation =
             self.tensors.register(name, data, self.fault_plan.as_deref(), &self.serve)?;
+        self.kernels.retire_stale(name, generation);
         Ok(Response::Registered { name: name.to_string(), nnz, generation })
     }
 
@@ -324,12 +325,12 @@ impl Engine {
             let parallelism = threads.map_or(self.default_parallelism, Parallelism::threads);
             Ok(prepared.with_parallelism(parallelism))
         };
-        let (kernel, entry) =
+        let (kernel, entry, live) =
             self.kernels.get_or_insert_with(dedup, spec, pinned, epoch, compile)?;
         // Pin only what a kernel entry holds a copy of — after the
         // compile, so a refused prepare pins nothing.
         self.tensors.pin(&entry.pinned, &self.serve);
-        Ok(entry.prepared_reply(kernel, sharded))
+        Ok(live.prepared_reply(kernel, sharded))
     }
 
     /// Executes a prepared kernel on the pooled path (main program only)
@@ -343,43 +344,43 @@ impl Engine {
     /// surface as [`ErrorCode::Internal`] (not expected after successful
     /// preparation).
     pub fn execute(&self, kernel: u64) -> Result<RunLease, EngineError> {
-        self.execute_coalesced(kernel, None, 1)
+        self.execute_shard(kernel, None)
     }
 
     /// The handle a `run` may execute: known, not quarantined, and its
-    /// pinned tensors still the current generations.
-    fn admit(&self, kernel: u64) -> Result<Arc<KernelEntry>, EngineError> {
-        let entry = self.kernels.runnable(kernel)?;
+    /// pinned tensors still the current generations. A retired handle
+    /// (see [`KernelTable::retire_stale`]) is refused by that last check
+    /// like any stale one: it was retired after the registry published
+    /// the generation that made its pin stale.
+    fn admit(&self, kernel: u64) -> Result<(Arc<KernelEntry>, Arc<Live>), EngineError> {
+        let (entry, live) = self.kernels.runnable(kernel)?;
         self.tensors.ensure_fresh(&entry.pinned, &entry.valid_epoch, &self.serve)?;
-        Ok(entry)
+        let retired = || EngineError::new(ErrorCode::Internal, "a retired kernel passed as fresh");
+        Ok((entry, live.ok_or_else(retired)?))
     }
 
-    /// [`Engine::execute`] for a coalesced batch: one execution that
-    /// accounts for `n` identical requests — `runs += n`, `n` latency
-    /// samples of the shared wall time, and at most one slow-log entry
-    /// (the batch was one slow event, not `n`). With a `shard`, only
-    /// that top-level row range executes (row-owned outputs keep their
+    /// [`Engine::execute`], shard-aware: with a `shard`, only that
+    /// top-level row range executes (row-owned outputs keep their
     /// initialization outside the window; reduced outputs accumulate
     /// the range's contribution onto it).
-    fn execute_coalesced(
+    fn execute_shard(
         &self,
         kernel: u64,
         shard: Option<(usize, usize)>,
-        n: u64,
     ) -> Result<RunLease, EngineError> {
-        let entry = self.admit(kernel)?;
-        if shard.is_some() && entry.prepared.split_outputs().is_none() {
+        let (entry, live) = self.admit(kernel)?;
+        if shard.is_some() && live.prepared.split_outputs().is_none() {
             let message =
                 format!("kernel {kernel} is not row-splittable; `shard` needs a splittable plan");
             return Err(EngineError::new(ErrorCode::InvalidKernel, message));
         }
-        let mut slot = relock(&entry.slots).pop().unwrap_or_default();
+        let mut slot = relock(&live.slots).pop().unwrap_or_default();
         let mut ctx = self.contexts.checkout();
         let started = Instant::now();
         let faults = self.fault_plan.as_deref();
-        let result = entry.guarded(kernel, n, faults, &self.serve, || match shard {
-            None => entry.prepared.run_timed_into(&mut slot.outputs, &mut ctx, &mut slot.counters),
-            Some((k, shards)) => entry.prepared.run_shard_into(
+        let result = entry.guarded(kernel, faults, &self.serve, || match shard {
+            None => live.prepared.run_timed_into(&mut slot.outputs, &mut ctx, &mut slot.counters),
+            Some((k, shards)) => live.prepared.run_shard_into(
                 &mut slot.outputs,
                 &mut ctx,
                 &mut slot.counters,
@@ -394,45 +395,22 @@ impl Engine {
             return Err(e);
         }
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        for _ in 0..n {
-            entry.latency.record(nanos);
-        }
+        entry.latency.record(nanos);
         if nanos >= self.slow_threshold_ns {
-            entry.slow.fetch_add(n, Ordering::Relaxed);
+            entry.slow.fetch_add(1, Ordering::Relaxed);
             let entry = SlowRunPayload { kernel, us: nanos / 1_000 };
             record_slow(&mut relock(&self.slow_log), entry);
         }
-        Ok(RunLease { entry, slot, _ctx: ctx })
+        Ok(RunLease { live, slot, _ctx: ctx })
     }
 
-    /// Handles `n` coalesced identical `run` requests with a single
-    /// execution — one batch dispatch — and returns the one response
-    /// every requester receives. Request and error accounting both
-    /// count all `n`, so wire-level totals are indistinguishable from
-    /// `n` serial requests.
-    pub fn run_batch(
+    /// The `run` verb: the pooled main program (optionally one `shard`
+    /// of it), or with `full` the complete result.
+    fn run(
         &self,
         kernel: u64,
         full: bool,
         shard: Option<(u64, u64)>,
-        n: u64,
-    ) -> Response {
-        self.serve.batch_dispatches.inc();
-        self.serve.batched_runs.add(n);
-        self.batch_size.record(n);
-        self.counts.run.add(n);
-        self.run_coalesced(kernel, full, shard, n).unwrap_or_else(|e| {
-            self.counts.errors.add(n);
-            Response::error(e.code, e.message)
-        })
-    }
-
-    fn run_coalesced(
-        &self,
-        kernel: u64,
-        full: bool,
-        shard: Option<(u64, u64)>,
-        n: u64,
     ) -> Result<Response, EngineError> {
         let fit = |value: u64| {
             usize::try_from(value).map_err(|_| {
@@ -458,13 +436,13 @@ impl Engine {
             // quantiles report the paper's timed region (pooled
             // main-program runs), and replication + fresh allocation
             // would skew them.
-            let entry = self.admit(kernel)?;
+            let (entry, live) = self.admit(kernel)?;
             let faults = self.fault_plan.as_deref();
             let (outputs, counters) =
-                entry.guarded(kernel, n, faults, &self.serve, || entry.prepared.run_full())?;
+                entry.guarded(kernel, faults, &self.serve, || live.prepared.run_full())?;
             return Ok(oracle_response(&outputs, &counters));
         }
-        let lease = self.execute_coalesced(kernel, shard, n)?;
+        let lease = self.execute_shard(kernel, shard)?;
         Ok(oracle_response(lease.outputs(), lease.counters()))
     }
 
@@ -479,7 +457,7 @@ impl Engine {
         }
     }
 
-    /// Per-engine serving metrics (batching, admission, registry
+    /// Per-engine serving metrics (queue, admission, registry
     /// lifecycle). The transport and scheduler record into these.
     pub fn serve_metrics(&self) -> &ServeMetrics {
         &self.serve
@@ -498,7 +476,6 @@ impl Engine {
         pool_payload().expose(&mut w);
         self.counts.snapshot().expose(&mut w);
         self.serve.snapshot().expose(&mut w);
-        w.histogram(&BATCH_SIZE, &[], &self.batch_size.snapshot());
 
         let m = telemetry::global();
         for phase in telemetry::PHASES {
@@ -528,9 +505,8 @@ impl Engine {
 }
 
 // The families no stats record carries: process-global compile / VM
-// telemetry, the fault plan and the batch-size histogram (the
-// per-kernel trio lives with the kernel table).
-const BATCH_SIZE: Metric = histogram("systec_serve_batch_size", "Runs coalesced per dispatch.");
+// telemetry and the fault plan (the per-kernel trio lives with the
+// kernel table).
 const COMPILE_PHASE_MAX_NS: Metric = gauge(
     "systec_compile_phase_max_ns",
     "Longest recorded span of each compile phase, in nanoseconds.",
@@ -1058,6 +1034,44 @@ mod tests {
             panic!("stats failed")
         };
         assert_eq!(serve.stale_runs, 1);
+    }
+
+    #[test]
+    fn re_registration_retires_the_stale_handle_but_keeps_its_entry() {
+        // The leak: a handle whose pin went stale can never run again,
+        // yet it kept its `Prepared` (every input copy and variant) and
+        // its run slots for the life of the process.
+        const SPEC: &str = "systec::for i, j: y[i] += A[i, j] * x[j]";
+        let engine = ssymv_engine();
+        let kernel = prepare(&engine);
+        let run = |kernel| engine.handle(&Request::Run { kernel, full: false, shard: None });
+        // A lease taken before the registration finishes on its own
+        // `Arc` and finds its slot pool still there on drop.
+        let lease = engine.execute(kernel).unwrap();
+        assert_eq!(engine.kernels.live_count(SPEC), 1);
+
+        register_dense(&engine, "x", &[4], &[4.0, 3.0, 2.0, 1.0]);
+        assert_eq!(engine.kernels.live_count(SPEC), 0, "the registration frees what it made stale");
+        assert_eq!(lease.outputs()["y"].as_slice().len(), 4);
+        drop(lease);
+
+        // The entry stays: same answer, same index, same statistics.
+        let Response::Error { code, message } = run(kernel) else { panic!("must refuse") };
+        assert_eq!(code, ErrorCode::StaleTensor);
+        assert!(message.contains("now generation 1; this kernel pinned generation 0"), "{message}");
+        let Response::Stats { serve, kernels, .. } = engine.handle(&Request::Stats) else {
+            panic!("stats failed")
+        };
+        assert_eq!((serve.stale_runs, serve.pinned), (1, 2));
+        assert_eq!((kernels.len(), kernels[0].spec.as_str(), kernels[0].runs), (1, SPEC, 1));
+
+        // A re-prepare mints a fresh live handle; an unrelated name's
+        // registration retires nothing.
+        let fresh = prepare(&engine);
+        assert_ne!(fresh, kernel);
+        register_dense(&engine, "unrelated", &[2], &[1.0, 2.0]);
+        assert_eq!(engine.kernels.live_count(SPEC), 1);
+        assert!(matches!(run(fresh), Response::Ran { .. }));
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub enum FaultSite {
     ConnRead,
     /// Treat a connection's write sweep as a hard socket error.
     ConnWrite,
-    /// Sleep inside the scheduler between the dequeue-time deadline
-    /// check and dispatch (forces the pre-dispatch re-check to fire).
+    /// Sleep inside the scheduler between dequeue and the deadline
+    /// check before dispatch (forces the check to fire).
     DispatchDelay,
     /// Panic on the executor thread outside the engine's catch (tests
     /// the scheduler's own isolation).

@@ -1,9 +1,12 @@
 //! The kernel table: prepared handles, their pooled run state, and the
 //! guards around running one. A `prepare` resolves to a handle through
 //! one lookup-or-insert ([`KernelTable::get_or_insert_with`]) and one
-//! reply builder ([`KernelEntry::prepared_reply`]); a `run` — pooled or
+//! reply builder ([`Live::prepared_reply`]); a `run` — pooled or
 //! `full` — passes one refusal check ([`KernelTable::runnable`]) and one
-//! guarded call ([`KernelEntry::guarded`]).
+//! guarded call ([`KernelEntry::guarded`]). A handle is an index and is
+//! never reused, but what it holds of any size — the [`Live`] half — is
+//! freed by the registration that makes its pin stale
+//! ([`KernelTable::retire_stale`]).
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,14 +40,22 @@ pub(crate) struct RunSlot {
     pub(crate) counters: Counters,
 }
 
-/// One prepared kernel handle.
+/// What running a handle takes, and everything of any size it holds:
+/// the plan over its own copy of every input (and variant), and the
+/// warmed run slots. Gone once the handle is retired; a run already
+/// holding it finishes on its own `Arc`.
+pub(crate) struct Live {
+    pub(crate) prepared: Prepared,
+    pub(crate) slots: Mutex<Vec<RunSlot>>,
+}
+
+/// One prepared kernel handle's identity, pins and statistics — kept
+/// for the life of the process, retired or not.
 pub(crate) struct KernelEntry {
     /// Human-readable spec (variant + einsum).
     spec: String,
     /// Dedup identity: `prepare`s with this exact key share a handle.
     dedup: String,
-    pub(crate) prepared: Prepared,
-    pub(crate) slots: Mutex<Vec<RunSlot>>,
     /// Run latencies in nanoseconds: a fixed array of atomic buckets,
     /// so recording is wait-free and allocation-free.
     pub(crate) latency: Histogram,
@@ -66,7 +77,7 @@ pub(crate) struct KernelEntry {
     panic_count: Arc<AtomicU32>,
 }
 
-impl KernelEntry {
+impl Live {
     /// The `prepared` reply for this handle — built here and nowhere
     /// else, whether the handle was found, raced for, or just inserted.
     /// The split payload maps the plan's per-output classification onto
@@ -91,11 +102,13 @@ impl KernelEntry {
             });
         Response::Prepared { kernel, splittable, split, warning }
     }
+}
 
+impl KernelEntry {
     /// Runs `run` behind the guards every execution of this handle gets,
     /// pooled or `full`: the chaos hooks (a forced slow run, a forced
     /// panic — one branch on a `None` without a plan), a `catch_unwind`
-    /// that quarantines the handle, and on success `runs += n` and a
+    /// that quarantines the handle, and on success `runs += 1` and a
     /// reset of the spec's panic streak. An executor error (not expected
     /// after a successful prepare) surfaces as `internal_error`.
     ///
@@ -106,7 +119,6 @@ impl KernelEntry {
     pub(crate) fn guarded<T>(
         &self,
         kernel: u64,
-        n: u64,
         faults: Option<&FaultPlan>,
         metrics: &ServeMetrics,
         run: impl FnOnce() -> Result<T, ExecError>,
@@ -137,17 +149,17 @@ impl KernelEntry {
             EngineError::new(ErrorCode::Internal, message)
         })?
         .map_err(|e| EngineError::new(ErrorCode::Internal, e.to_string()))?;
-        self.runs.fetch_add(n, Ordering::Relaxed);
+        self.runs.fetch_add(1, Ordering::Relaxed);
         self.panic_count.store(0, Ordering::Release);
         Ok(result)
     }
 }
 
-/// A completed execution, borrowing nothing: holds the kernel entry, the
-/// checked-out slot and context, and returns both to their pools on
-/// drop. Accessors expose the results for serialization.
+/// A completed execution, borrowing nothing: holds the kernel's live
+/// half, the checked-out slot and context, and returns both to their
+/// pools on drop. Accessors expose the results for serialization.
 pub struct RunLease {
-    pub(crate) entry: Arc<KernelEntry>,
+    pub(crate) live: Arc<Live>,
     pub(crate) slot: RunSlot,
     pub(crate) _ctx: PooledContext,
 }
@@ -168,16 +180,25 @@ impl RunLease {
 impl Drop for RunLease {
     fn drop(&mut self) {
         // What stays behind is an empty slot: nothing allocated, nothing freed.
-        relock(&self.entry.slots).push(std::mem::take(&mut self.slot));
+        relock(&self.live.slots).push(std::mem::take(&mut self.slot));
     }
 }
+
+/// A table row: the entry, and its live half until it is retired.
+struct Handle {
+    entry: Arc<KernelEntry>,
+    live: Option<Arc<Live>>,
+}
+
+/// What `prepare` resolves to: the handle and both its halves.
+pub(crate) type Prepare = (u64, Arc<KernelEntry>, Arc<Live>);
 
 /// Every handle `prepare` has minted, by arrival order (the handle *is*
 /// the index), plus the per-spec panic streaks behind the `prepare`
 /// circuit breaker.
 #[derive(Default)]
 pub(crate) struct KernelTable {
-    kernels: RwLock<Vec<Arc<KernelEntry>>>,
+    kernels: RwLock<Vec<Handle>>,
     /// Consecutive panicking runs per spec dedup key, shared with the
     /// spec's kernel entries; at `panic_budget` `prepare` refuses it.
     pub(crate) panic_counts: Mutex<HashMap<String, Arc<AtomicU32>>>,
@@ -185,13 +206,15 @@ pub(crate) struct KernelTable {
     pub(crate) panic_budget: u32,
 }
 
-/// The live handle for `dedup`, if any. Quarantined handles are
-/// invisible: re-preparing a panicked spec must mint a fresh handle.
-fn find_live(kernels: &[Arc<KernelEntry>], dedup: &str) -> Option<(u64, Arc<KernelEntry>)> {
-    kernels
-        .iter()
-        .position(|k| k.dedup == dedup && !k.quarantined.load(Ordering::Acquire))
-        .map(|k| (k as u64, Arc::clone(&kernels[k])))
+/// The live handle for `dedup`, if any. Quarantined and retired
+/// handles are invisible: re-preparing a panicked spec must mint a
+/// fresh handle, and a retired one has nothing left to run.
+fn find_live(kernels: &[Handle], dedup: &str) -> Option<Prepare> {
+    kernels.iter().enumerate().find_map(|(k, h)| {
+        let live = h.live.as_ref()?;
+        let found = h.entry.dedup == dedup && !h.entry.quarantined.load(Ordering::Acquire);
+        found.then(|| (k as u64, Arc::clone(&h.entry), Arc::clone(live)))
+    })
 }
 
 impl KernelTable {
@@ -218,7 +241,7 @@ impl KernelTable {
         pinned: Vec<(String, u64)>,
         epoch: u64,
         compile: impl FnOnce() -> Result<Prepared, EngineError>,
-    ) -> Result<(u64, Arc<KernelEntry>), EngineError> {
+    ) -> Result<Prepare, EngineError> {
         let panic_count = Arc::clone(relock(&self.panic_counts).entry(dedup.clone()).or_default());
         let panics = panic_count.load(Ordering::Acquire);
         if panics >= self.panic_budget {
@@ -237,11 +260,10 @@ impl KernelTable {
         if let Some(raced) = find_live(&kernels, &dedup) {
             return Ok(raced);
         }
+        let live = Arc::new(Live { prepared, slots: Mutex::default() });
         let entry = Arc::new(KernelEntry {
             spec,
             dedup,
-            prepared,
-            slots: Mutex::default(),
             latency: Histogram::new(),
             runs: AtomicU64::new(0),
             slow: AtomicU64::new(0),
@@ -250,15 +272,38 @@ impl KernelTable {
             quarantined: AtomicBool::new(false),
             panic_count,
         });
-        kernels.push(Arc::clone(&entry));
-        Ok(((kernels.len() - 1) as u64, entry))
+        kernels.push(Handle { entry: Arc::clone(&entry), live: Some(Arc::clone(&live)) });
+        Ok(((kernels.len() - 1) as u64, entry, live))
+    }
+
+    /// `name` was just (re-)registered at `generation`: every handle
+    /// pinning another generation of it can never run again (generations
+    /// only grow, so its freshness check refuses it for good), and this
+    /// registration is the owner that frees what such a handle holds.
+    /// The entry stays — same index, spec and statistics, same
+    /// `stale_tensor` answer. A prepare that bound the old generation
+    /// and inserts after this sweep is collected by the name's next one.
+    pub(crate) fn retire_stale(&self, name: &str, generation: u64) {
+        let stale = |h: &Handle| h.entry.pinned.iter().any(|(n, g)| n == name && *g != generation);
+        let mut kernels = self.kernels.write().unwrap_or_else(PoisonError::into_inner);
+        let retired: Vec<Arc<Live>> =
+            kernels.iter_mut().filter(|h| stale(h)).filter_map(|h| h.live.take()).collect();
+        // The plans and input copies are freed outside the lock.
+        drop(kernels);
+        drop(retired);
     }
 
     /// The handle a `run` names, refusing an unknown one and — with the
-    /// structured `kernel_quarantined` code — a quarantined one.
-    pub(crate) fn runnable(&self, kernel: u64) -> Result<Arc<KernelEntry>, EngineError> {
+    /// structured `kernel_quarantined` code — a quarantined one. The
+    /// live half is `None` once the handle was retired.
+    pub(crate) fn runnable(
+        &self,
+        kernel: u64,
+    ) -> Result<(Arc<KernelEntry>, Option<Arc<Live>>), EngineError> {
         let kernels = self.kernels.read().unwrap_or_else(PoisonError::into_inner);
-        let Some(entry) = usize::try_from(kernel).ok().and_then(|k| kernels.get(k)) else {
+        let Some(Handle { entry, live }) =
+            usize::try_from(kernel).ok().and_then(|k| kernels.get(k))
+        else {
             let message = format!("no kernel with handle {kernel} (have {})", kernels.len());
             return Err(EngineError::new(ErrorCode::UnknownKernel, message));
         };
@@ -269,7 +314,7 @@ impl KernelTable {
             );
             return Err(EngineError::new(ErrorCode::KernelQuarantined, message));
         }
-        Ok(Arc::clone(entry))
+        Ok((Arc::clone(entry), live.clone()))
     }
 
     /// Per-kernel statistics for the `stats` reply, sorted by handle.
@@ -281,7 +326,7 @@ impl KernelTable {
         kernels
             .iter()
             .enumerate()
-            .map(|(k, entry)| {
+            .map(|(k, Handle { entry, .. })| {
                 let snapshot = entry.latency.snapshot();
                 KernelStatPayload {
                     kernel: k as u64,
@@ -304,7 +349,7 @@ impl KernelTable {
         w.family(&KERNEL_RUNS);
         w.family(&KERNEL_SLOW);
         let kernels = self.kernels.read().unwrap_or_else(PoisonError::into_inner);
-        for (k, entry) in kernels.iter().enumerate() {
+        for (k, Handle { entry, .. }) in kernels.iter().enumerate() {
             let label = k.to_string();
             let kernel = [("kernel", label.as_str())];
             w.histogram(&KERNEL_LATENCY, &kernel, &entry.latency.snapshot());
@@ -322,3 +367,12 @@ const KERNEL_RUNS: Metric =
     counter("systec_kernel_runs_total", "Completed runs per kernel handle.");
 const KERNEL_SLOW: Metric =
     counter("systec_kernel_slow_total", "Runs over the slow threshold per kernel handle.");
+
+#[cfg(test)]
+impl KernelTable {
+    /// Handles of `spec` that still hold their live half.
+    pub(crate) fn live_count(&self, spec: &str) -> usize {
+        let kernels = self.kernels.read().unwrap_or_else(PoisonError::into_inner);
+        kernels.iter().filter(|h| h.entry.spec == spec && h.live.is_some()).count()
+    }
+}

@@ -509,7 +509,7 @@ const ADMISSION: Metric =
 
 record! {
     /// Serving-engine statistics in a stats response: registry lifecycle,
-    /// run-batch coalescing, and admission control.
+    /// the scheduler queue, and admission control.
     #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
     pub struct ServePayload {
         /// Tensors currently registered.
@@ -525,22 +525,20 @@ record! {
         ),
         /// Live (name, generation) pins held by prepared kernels.
         pub pinned: u64,
-        /// Worker-pool dispatches issued by the run scheduler (each may
-        /// carry several coalesced runs).
+        /// Executions dispatched for `run` requests: one per request
+        /// that reached the engine. The scheduler is a FIFO queue and
+        /// shares no execution, so this always equals `batched_runs`;
+        /// the pair outlives the coalescing tier only because the
+        /// benchmark reads both by name (ROADMAP 9(a)).
         pub batch_dispatches: u64 => counter(
             "systec_serve_batch_dispatches_total",
-            "Coalesced pool dispatches (each covers one or more runs).",
+            "Executions dispatched for run requests (exactly one per run).",
         ),
-        /// Run requests served through batched dispatches.
+        /// `run` requests that reached the engine (see
+        /// `batch_dispatches`).
         pub batched_runs: u64 => counter(
             "systec_serve_batch_runs_total",
-            "Run requests served through coalesced dispatches.",
-        ),
-        /// Batch responses large enough to be encoded and fanned out on
-        /// the dedicated replicator thread instead of the executor.
-        pub offloaded_replications: u64 => counter(
-            "systec_serve_offloaded_replications_total",
-            "Large batch responses encoded and fanned out on the replicator thread.",
+            "Run requests dispatched (one execution each).",
         ),
         /// Requests currently queued in the scheduler.
         pub queued: u64
@@ -730,7 +728,7 @@ pub enum Response {
         requests: RequestCountsPayload,
         /// Worker-pool statistics.
         pool: PoolPayload,
-        /// Serving-engine statistics (registry, batching, admission).
+        /// Serving-engine statistics (registry, queue, admission).
         serve: ServePayload,
         /// Per-kernel statistics, sorted by handle.
         kernels: Vec<KernelStatPayload>,
@@ -1438,7 +1436,7 @@ mod tests {
             names(CachePayload::FIELDS),
             ["hits", "misses", "builds", "evictions", "waits", "entries"]
         );
-        assert_eq!(ServePayload::FIELDS.len(), 19);
+        assert_eq!(ServePayload::FIELDS.len(), 18);
         assert_eq!(RouterCountsPayload::FIELDS.len(), 7);
         // The wire object and the declaration agree key for key.
         let Json::Obj(pairs) = Record::to_json(&ServePayload::default()) else { panic!() };

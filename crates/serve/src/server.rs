@@ -2,7 +2,7 @@
 //! protocol — the only code in the workspace that accepts, frames,
 //! caps, admits, writes back and drains line-protocol connections.
 //! What answers a request sits behind one seam, the [`Service`] trait:
-//! a worker ([`serve_with`]) is the coalescing [`Scheduler`] over an
+//! a worker ([`serve_with`]) is the FIFO [`Scheduler`] over an
 //! [`Engine`], a cluster front (`systec-router`, via [`serve_service`])
 //! one thread that owns the shard legs. All below holds for both.
 //!
@@ -18,8 +18,8 @@
 //! writability until the queue empties. An idle server makes no
 //! wake-ups. At most **one request per connection is in flight at a
 //! time**, so responses on a connection always come back in request
-//! order, while a worker's `run` requests from *different* connections
-//! hitting the same prepared kernel coalesce into one engine dispatch.
+//! order; requests from *different* connections run concurrently on a
+//! worker's executors, each `run` its own execution.
 //!
 //! ## Admission control
 //!
@@ -79,6 +79,14 @@ use crate::scheduler::Scheduler;
 /// impossible).
 pub const MAX_REQUEST_LINE: usize = 64 * 1024 * 1024;
 
+/// Most bytes one read sweep takes from a connection before the loop
+/// moves on to the next one (a few socket buffers). The poller is
+/// level-triggered, so a socket with more to read is reported again
+/// next turn and nothing is lost — and a peer that keeps its socket
+/// full cannot hold the loop thread, and every other connection, until
+/// it pauses.
+const READ_BUDGET: usize = 256 * 1024;
+
 /// How long the loop looks away from the listener after `accept`
 /// failed for want of descriptors (`EMFILE` / `ENFILE`): the backlog
 /// keeps the listener readable, so waiting on it again at once would
@@ -91,8 +99,7 @@ const LISTENER: usize = 0;
 
 /// Called with `(connection id, encoded response line)` when a
 /// submitted request completes, from any thread. The line has no
-/// trailing newline; the loop appends it on write. Batched requests
-/// share one `Arc`.
+/// trailing newline; the loop appends it on write.
 pub type Completion = Arc<dyn Fn(u64, Arc<String>) + Send + Sync>;
 
 /// What the event loop serves: whatever answers the requests it
@@ -129,8 +136,6 @@ pub struct ServerConfig {
     /// over the cap is refused with one `admission_rejected` line.
     /// `None` (the default) accepts without bound.
     pub max_conns: Option<usize>,
-    /// Most `run` requests coalesced into one engine dispatch.
-    pub max_batch: usize,
     /// Scheduler executor threads.
     pub executors: usize,
     /// Per-request queueing deadline; a request waiting longer is
@@ -147,7 +152,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             max_conns: None,
-            max_batch: 32,
             executors: 2,
             deadline: None,
             drain_timeout: Duration::from_secs(5),
@@ -204,9 +208,9 @@ pub fn serve_with(
     engine: impl Into<Arc<Engine>>,
     config: ServerConfig,
 ) -> std::io::Result<RunningServer> {
-    let (executors, max_batch, deadline) = (config.executors, config.max_batch, config.deadline);
+    let (executors, deadline) = (config.executors, config.deadline);
     serve_service(addr, config, |complete| {
-        Scheduler::new(engine.into(), executors, max_batch, deadline, complete)
+        Scheduler::new(engine.into(), executors, deadline, complete)
     })
 }
 
@@ -304,14 +308,16 @@ impl Conn {
         }
     }
 
-    /// Nonblocking read sweep: drains the socket into `buf` and splits
-    /// complete lines into `pending`. Returns whether bytes arrived.
+    /// Nonblocking read sweep: moves what the socket holds, up to
+    /// [`READ_BUDGET`], into `buf` and splits complete lines into
+    /// `pending`. Returns whether bytes arrived.
     fn read_input(&mut self, scratch: &mut [u8]) -> bool {
         if self.eof || self.dead {
             return false;
         }
         let mut progress = false;
-        loop {
+        let mut taken = 0;
+        while taken < READ_BUDGET {
             match self.stream.read(scratch) {
                 Ok(0) => {
                     self.eof = true;
@@ -327,6 +333,7 @@ impl Conn {
                 }
                 Ok(n) => {
                     progress = true;
+                    taken += n;
                     self.ingest(&scratch[..n]);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -700,5 +707,55 @@ impl RunningServer {
     pub fn join(self) {
         self.shutdown();
         self.wait();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_read_sweep_stops_at_its_budget_and_later_sweeps_lose_nothing() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream);
+        let mut scratch = vec![0u8; 64 * 1024];
+
+        // Fill the socket before the sweep: 64-byte numbered lines,
+        // written until the kernel takes no more.
+        let pattern: String = (0..128 * 1024).map(|i| format!("{i:0>63}\n")).collect();
+        peer.set_nonblocking(true).unwrap();
+        let mut sent = 0;
+        while sent < pattern.len() {
+            match peer.write(&pattern.as_bytes()[sent..]) {
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => panic!("{e}"),
+            }
+        }
+        peer.shutdown(std::net::Shutdown::Write).unwrap();
+        assert!(sent > READ_BUDGET + scratch.len(), "loopback took only {sent} bytes");
+
+        let lines = |conn: &Conn| -> String {
+            let text = conn.pending.iter().map(|e| match e {
+                InEvent::Line(line) => line.as_str(),
+                InEvent::TooLong => panic!("no line is over the cap"),
+            });
+            text.collect()
+        };
+        conn.read_input(&mut scratch);
+        let held = lines(&conn).len() + conn.buf.len();
+        assert!(held < READ_BUDGET + scratch.len(), "one sweep took {held}");
+
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !conn.eof && Instant::now() < give_up {
+            if !conn.read_input(&mut scratch) {
+                std::thread::yield_now();
+            }
+        }
+        assert!(conn.eof && !conn.dead);
+        assert!(lines(&conn) == pattern[..sent], "every byte arrives once, in order");
     }
 }

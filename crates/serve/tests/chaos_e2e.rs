@@ -32,7 +32,7 @@ const CONNS: usize = 16;
 const RUNS_PER_CONN: u64 = 12;
 
 fn config() -> ServerConfig {
-    ServerConfig { max_batch: 8, executors: common::executors(), ..ServerConfig::default() }
+    ServerConfig { executors: common::executors(), ..ServerConfig::default() }
 }
 
 /// 16 connections hammer one kernel while the plan injects an

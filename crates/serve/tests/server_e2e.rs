@@ -1,16 +1,17 @@
 //! End-to-end serving tier: spawn the real TCP server on an ephemeral
-//! port, hammer it with 32 concurrent client connections × 105 requests
-//! each over five distinct kernels, and assert
+//! port, hammer it with 32 concurrent client connections × 108 requests
+//! each over six distinct kernels, and assert
 //!
 //! * every run response is **byte-identical** across all connections and
 //!   repetitions, and identical to a direct `Prepared::run_timed_into`
 //!   oracle serialized through the same codec (outputs bit-exact,
-//!   counters exact);
+//!   counters exact) — including a > 1 MB reply line (a 260 × 260 dense
+//!   output) written intact while 31 other connections are served;
 //! * the plan cache performed **exactly one build per distinct kernel
 //!   key** — single-flight holds under real sockets (`CacheStats.builds`
 //!   asserted);
-//! * request/run accounting in `stats` is exact, with zero errors and
-//!   zero evictions.
+//! * request/run accounting in `stats` is exact — one dispatch per
+//!   `run`, the queue drained — with zero errors and zero evictions.
 //!
 //! This file deliberately holds a single `#[test]`: the assertions are
 //! against process-wide plan-cache statistics, which a concurrently
@@ -30,7 +31,8 @@ use systec_tensor::generate::{random_dense, rng, sprand, symmetric_erdos_renyi};
 use systec_tensor::{csf, CooTensor, DenseTensor, Tensor};
 
 const CLIENTS: usize = 32;
-const RUNS_PER_KERNEL: usize = 20; // x 5 kernels = 100 run requests per client
+const RUNS_PER_KERNEL: usize = 20; // x 5 small kernels = 100 run requests per client
+const LARGE_RUNS: usize = 2; // + 2 of the large-reply kernel
 
 /// One kernel of the workload: the protocol prepare request plus
 /// everything the oracle needs to reproduce it directly.
@@ -40,6 +42,8 @@ struct KernelCase {
     sym: Vec<String>,
     variant: Variant,
     threads: usize,
+    /// Run requests each client sends for it.
+    runs: usize,
 }
 
 fn cases() -> Vec<KernelCase> {
@@ -50,6 +54,7 @@ fn cases() -> Vec<KernelCase> {
             sym: vec!["A".into()],
             variant: Variant::Systec,
             threads: 1,
+            runs: RUNS_PER_KERNEL,
         },
         KernelCase {
             label: "ssymv-naive",
@@ -57,6 +62,7 @@ fn cases() -> Vec<KernelCase> {
             sym: vec![],
             variant: Variant::Naive,
             threads: 1,
+            runs: RUNS_PER_KERNEL,
         },
         KernelCase {
             label: "syprd",
@@ -64,6 +70,7 @@ fn cases() -> Vec<KernelCase> {
             sym: vec!["A".into()],
             variant: Variant::Systec,
             threads: 1,
+            runs: RUNS_PER_KERNEL,
         },
         KernelCase {
             label: "bellman-ford",
@@ -71,6 +78,7 @@ fn cases() -> Vec<KernelCase> {
             sym: vec!["A".into()],
             variant: Variant::Systec,
             threads: 1,
+            runs: RUNS_PER_KERNEL,
         },
         KernelCase {
             // Parallel execution over real sockets: SSYRK is
@@ -80,6 +88,17 @@ fn cases() -> Vec<KernelCase> {
             sym: vec![],
             variant: Variant::Systec,
             threads: 2,
+            runs: RUNS_PER_KERNEL,
+        },
+        KernelCase {
+            // A dense 260 x 260 output, 67 600 elements: the reply line
+            // is over a megabyte and spans many write sweeps.
+            label: "spmm-large",
+            einsum: "for i, k, j: Y[i, j] += S[i, k] * B[k, j]",
+            sym: vec![],
+            variant: Variant::Systec,
+            threads: 1,
+            runs: LARGE_RUNS,
         },
     ]
 }
@@ -115,6 +134,9 @@ fn dataset() -> Dataset {
     let g = sprand(n, n, 120, &mut r);
     let x = random_dense(vec![n], &mut r);
     let d = random_dense(vec![n], &mut r);
+    let (big, mut big_rng) = (260, rng(0xB16));
+    let s = sprand(big, big, 8_000, &mut big_rng);
+    let b = random_dense(vec![big, big], &mut big_rng);
 
     let mut local = HashMap::new();
     local.insert(
@@ -125,8 +147,13 @@ fn dataset() -> Dataset {
         "G".to_string(),
         Tensor::Sparse(systec_tensor::SparseTensor::from_coo(&g, &csf(2)).unwrap()),
     );
+    local.insert(
+        "S".to_string(),
+        Tensor::Sparse(systec_tensor::SparseTensor::from_coo(&s, &csf(2)).unwrap()),
+    );
     local.insert("x".to_string(), Tensor::Dense(x.clone()));
     local.insert("d".to_string(), Tensor::Dense(d.clone()));
+    local.insert("B".to_string(), Tensor::Dense(b.clone()));
 
     let dense_req = |name: &str, t: &DenseTensor| Request::RegisterTensor {
         name: name.into(),
@@ -150,8 +177,16 @@ fn dataset() -> Dataset {
             format: StorageFormat::Auto,
             placement: Placement::Hash,
         },
+        Request::RegisterTensor {
+            name: "S".into(),
+            dims: vec![big, big],
+            payload: coo_payload(&s),
+            format: StorageFormat::Auto,
+            placement: Placement::Hash,
+        },
         dense_req("x", &x),
         dense_req("d", &d),
+        dense_req("B", &b),
     ];
     Dataset { requests, local }
 }
@@ -205,7 +240,9 @@ fn thirty_two_connections_hundred_requests_byte_deterministic() {
 
     // Hammer: every client prepares every kernel itself (32 concurrent
     // prepares per key → single-flight must collapse them to one build)
-    // and then runs each 20 times, keeping every raw response line.
+    // and then runs each `runs` times, keeping one copy of each kernel's
+    // reply line and how often it came back (hoarding every > 1 MB line
+    // would dominate the test's memory).
     let all_cases = Arc::new(cases());
     let mut workers = Vec::new();
     for client_id in 0..CLIENTS {
@@ -226,21 +263,29 @@ fn thirty_two_connections_hundred_requests_byte_deterministic() {
                 }
             }
             // Interleave kernels so concurrent traffic mixes plans.
-            let mut lines: Vec<Vec<String>> = vec![Vec::new(); all_cases.len()];
+            let mut lines: Vec<(String, usize)> = vec![(String::new(), 0); all_cases.len()];
             for round in 0..RUNS_PER_KERNEL {
                 for (k, &handle) in handles.iter().enumerate() {
+                    if round >= all_cases[k].runs {
+                        continue;
+                    }
                     let req = Request::Run { kernel: handle, full: false, shard: None };
                     let line = client
                         .send_raw(&req.encode())
                         .unwrap_or_else(|e| panic!("client {client_id} round {round}: {e}"));
-                    lines[k].push(line);
+                    let (first, count) = &mut lines[k];
+                    if *count == 0 {
+                        *first = line;
+                    } else {
+                        assert!(line == *first, "client {client_id} round {round}: reply changed");
+                    }
+                    *count += 1;
                 }
             }
             (handles, lines)
         }));
     }
-    let results: Vec<(Vec<u64>, Vec<Vec<String>>)> =
-        workers.into_iter().map(|w| w.join().expect("client thread")).collect();
+    let results: Vec<_> = workers.into_iter().map(|w| w.join().expect("client thread")).collect();
 
     // Byte-determinism: within a client, across clients, and against
     // the direct-execution oracle.
@@ -249,17 +294,17 @@ fn thirty_two_connections_hundred_requests_byte_deterministic() {
         let mut seen = 0usize;
         for (handles, lines) in &results {
             assert_eq!(handles.len(), all_cases.len());
-            for line in &lines[k] {
-                assert_eq!(
-                    *line, expected,
-                    "kernel {} must serve byte-identical oracle responses",
-                    case.label
-                );
-                seen += 1;
-            }
+            let (line, count) = &lines[k];
+            assert!(
+                *line == expected,
+                "kernel {} must serve byte-identical oracle responses",
+                case.label
+            );
+            seen += count;
         }
-        assert_eq!(seen, CLIENTS * RUNS_PER_KERNEL, "{}", case.label);
+        assert_eq!(seen, CLIENTS * case.runs, "{}", case.label);
     }
+    let total_runs = all_cases.iter().map(|case| (CLIENTS * case.runs) as u64).sum::<u64>();
 
     // Identical prepares dedupe to one handle per kernel across every
     // connection.
@@ -278,7 +323,7 @@ fn thirty_two_connections_hundred_requests_byte_deterministic() {
         all_cases.len() as u64,
         "exactly one build per distinct kernel key (got {stats:?})"
     );
-    assert_eq!(stats.evictions, 0, "five plans never evict from a 64-entry cache");
+    assert_eq!(stats.evictions, 0, "six plans never evict from a 64-entry cache");
 
     // Server-side accounting is exact.
     let stats_resp = setup.request(&Request::Stats).unwrap();
@@ -289,21 +334,14 @@ fn thirty_two_connections_hundred_requests_byte_deterministic() {
     assert_eq!(cache.evictions, 0);
     assert_eq!(requests.register_tensor, data.requests.len() as u64);
     assert_eq!(requests.prepare, (CLIENTS * all_cases.len()) as u64);
-    assert_eq!(requests.run, (CLIENTS * RUNS_PER_KERNEL * all_cases.len()) as u64);
+    assert_eq!(requests.run, total_runs);
     assert_eq!(requests.errors, 0, "a clean workload answers no errors");
 
-    // Every run traveled the coalescing scheduler, the queue drained,
-    // and nothing expired, went stale, or was rejected. With 32 clients
-    // keeping one request in flight each against 2 executors, at least
-    // some dispatches must have carried more than one run.
-    let total_runs = (CLIENTS * RUNS_PER_KERNEL * all_cases.len()) as u64;
+    // Every run traveled the scheduler's queue and was one execution,
+    // the queue drained, and nothing expired, went stale, or was
+    // rejected.
     assert_eq!(srv.batched_runs, total_runs, "every run dispatches through the scheduler");
-    assert!(
-        srv.batch_dispatches >= 1 && srv.batch_dispatches < total_runs,
-        "coalescing must collapse concurrent identical runs ({} dispatches for {} runs)",
-        srv.batch_dispatches,
-        total_runs
-    );
+    assert_eq!(srv.batch_dispatches, total_runs, "one execution per run");
     assert_eq!(srv.queued, 0, "queue drains once clients join");
     assert_eq!(srv.deadline_exceeded, 0);
     assert_eq!(srv.stale_runs, 0);
@@ -311,12 +349,11 @@ fn thirty_two_connections_hundred_requests_byte_deterministic() {
     assert_eq!(srv.rejected_bytes, 0);
     assert_eq!(srv.registry_tensors, data.requests.len() as u64);
     assert_eq!(srv.registry_evictions, 0, "no byte cap configured, nothing evicts");
-    assert_eq!(srv.pinned, 4, "A, G, x, d each pinned at generation 0");
+    assert_eq!(srv.pinned, 6, "A, G, S, x, d, B each pinned at generation 0");
     assert_eq!(kernels.len(), all_cases.len(), "prepares dedupe to one handle per kernel");
-    let total_runs: u64 = kernels.iter().map(|k| k.runs).sum();
-    assert_eq!(total_runs, (CLIENTS * RUNS_PER_KERNEL * all_cases.len()) as u64);
-    for k in &kernels {
-        assert_eq!(k.runs, (CLIENTS * RUNS_PER_KERNEL) as u64, "{}", k.spec);
+    // Every client prepares the cases in order, so handle k is case k.
+    for (k, case) in kernels.iter().zip(all_cases.iter()) {
+        assert_eq!(k.runs, (CLIENTS * case.runs) as u64, "{}", k.spec);
         assert!(k.median_us.is_some(), "{} has latency samples", k.spec);
         assert!(k.p90_us.is_some() && k.p99_us.is_some() && k.max_us.is_some(), "{}", k.spec);
     }
@@ -339,7 +376,6 @@ fn thirty_two_connections_hundred_requests_byte_deterministic() {
         "systec_registry_bytes",
         "systec_requests_total",
         "systec_serve_batch_dispatches_total",
-        "systec_serve_batch_size_bucket",
         "systec_serve_queue_depth",
     ] {
         assert!(text.contains(family), "missing {family}");

@@ -63,7 +63,7 @@ fn usage() -> &'static str {
      \n\
      subcommands:\n\
        systec serve --addr HOST:PORT [--threads T] [--max-conns N]\n\
-                    [--max-bytes B] [--deadline-ms D] [--batch K] [--executors E]\n\
+                    [--max-bytes B] [--deadline-ms D] [--executors E]\n\
                     [--data-dir PATH]\n\
                              run the long-lived einsum server (line-delimited JSON\n\
                              over TCP; see the README's Serving section). --threads\n\
@@ -72,11 +72,11 @@ fn usage() -> &'static str {
                              --max-bytes caps registered tensor bytes (over-cap\n\
                              requests get structured admission_rejected errors);\n\
                              --deadline-ms bounds how long a queued request may\n\
-                             wait before a deadline_exceeded error. --batch caps\n\
-                             how many identical queued runs coalesce into one\n\
-                             dispatch (default 32); --executors sets scheduler\n\
-                             threads (default 2). --data-dir makes the tensor\n\
-                             registry durable: mutations are journaled write-ahead\n\
+                             wait before a deadline_exceeded error. Requests\n\
+                             queue FIFO, one execution per run; --executors sets\n\
+                             the threads serving the queue (default 2). --data-dir\n\
+                             makes the tensor registry durable: mutations are\n\
+                             journaled write-ahead\n\
                              under PATH and recovered on restart (generations\n\
                              included). Runs until a client sends\n\
                              {\"op\":\"shutdown\"}, then drains in-flight work and\n\
@@ -143,10 +143,6 @@ fn serve_main(args: &[String]) -> ExitCode {
             "--deadline-ms" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(v) => config.deadline = Some(std::time::Duration::from_millis(v)),
                 None => return fail("--deadline-ms needs a number"),
-            },
-            "--batch" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) if v >= 1 => config.max_batch = v,
-                _ => return fail("--batch needs a number >= 1"),
             },
             "--executors" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(v) if v >= 1 => config.executors = v,
