@@ -17,9 +17,15 @@
 //! [`systec_tensor::LevelFormat`] — a dense counted loop, a compressed
 //! `pos`/`crd` walk, or a run-length walk — so the hot path never
 //! dispatches on storage format.
+//!
+//! Vector-loop bodies are selected the same way: each [`Fused`] body
+//! carries the [`Runner`] the compiler chose for it, so the VM reads
+//! one field where it would otherwise match the body's shape per loop
+//! entry.
 
 use systec_exec::lowered::SlotKind;
 use systec_ir::{AssignOp, BinOp, CmpOp};
+use systec_telemetry::RunnerKind;
 use systec_tensor::LevelFormat;
 
 /// Sentinel for "position unstored" in `u` position registers.
@@ -256,8 +262,8 @@ pub(crate) enum NestRows {
 
 /// The row nest: `*LoopHead [Probe] pre… Vec{Sparse,Rle}Loop post…
 /// *LoopNext` where the row body is straight-line scalar work around
-/// exactly one innermost vector loop whose single unguarded item
-/// carries a closed-form `Dot` / `DotAxpy` body
+/// exactly one innermost vector loop whose single unguarded item runs
+/// through a [`Runner::Closed`] form
 /// (`crate::fuse::row_nest` is the selector). The sequence is
 /// *replaced* by this instruction: the VM resolves every operand once
 /// per run (or chunk) and then walks rows in one native loop, calling
@@ -286,7 +292,7 @@ pub(crate) struct RowNest {
     /// Inner-loop bounds, over the row index and outer registers.
     pub inner_lo: Box<[Bound]>,
     pub inner_hi: Box<[Bound]>,
-    /// The inner loop's body (`crate::fuse::closed` resolves it).
+    /// The inner loop's body (its runner is [`Runner::Closed`]).
     pub fused: Fused,
     /// Per-row epilogue: [`Instr::WriteOutput`] / [`Instr::WriteScalar`].
     pub post: Box<[Instr]>,
@@ -305,40 +311,66 @@ pub(crate) struct VItem {
     pub guard: Box<[(CmpOp, usize, usize)]>,
     /// The body, executed for each coordinate while the guard passes.
     /// When exactly one item of the loop passes, the VM runs it through
-    /// its monomorphized runner; when several pass they run
-    /// coordinate-major, in item order, at one lane (the compiler only
-    /// vectorizes loops whose items `crate::fuse::independent` admits).
+    /// its [`Fused::runner`]; when several pass they run
+    /// coordinate-major, in item order, through the generic runner at
+    /// one lane (the compiler only vectorizes loops whose items
+    /// `crate::fuse::independent` admits).
     pub body: Fused,
 }
 
-/// Classification of a fused loop body — the pattern its load/fold
-/// lists form. Purely descriptive (disassembly, golden snapshots, and
-/// runner dispatch); the executable form is the [`Fused`] load/fold
-/// lists.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum FusedBody {
-    /// `acc op= fold(bin, …)` into a register-held accumulator (a
-    /// scalar slot or a loop-invariant output cell): SpMV row dots,
-    /// SSYRK's intersection dot.
-    Dot,
-    /// `out[base + coord·stride] op= fold(bin, …)` — a strided
-    /// reducing store per coordinate (`y[j] += a·x_i`).
-    Axpy,
-    /// The [`FusedBody::Axpy`] shape with an overwriting store
-    /// (`out[j] = c·x[j]`).
-    ScaleStore,
-    /// SSYMV's symmetric pair: a scalar dot and a strided axpy sharing
-    /// the driver value in one body.
-    DotAxpy,
-    /// A dot whose second operand gathers through [`FLoad::Gather`].
-    GatherDot,
-    /// An axpy whose operand gathers.
-    GatherAxpy,
-    /// Any other conforming load/fold body (MTTKRP's three-way factor
-    /// updates, TTM's slice axpys): still monomorphized — loads resolve
-    /// to slices once per loop — but with more than one store per
-    /// coordinate.
-    Jam,
+/// The canonical dot chain `acc op= [lead ∘] a [∘ mid] ∘ b` of a
+/// two-load body whose load `a` is the driver value:
+/// `fold.srcs[..n_lead]` are the leading invariant registers, `mid` the
+/// invariant register between the two loads, `b` the other operand's
+/// load.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct DotShape {
+    pub n_lead: usize,
+    pub a: usize,
+    pub mid: Option<usize>,
+    pub b: usize,
+}
+
+/// The runner a fused body executes through — chosen once, when the
+/// body seals (`crate::fuse::BodyBuilder::seal`), from its load / fold
+/// lists and whether its loop is an intersection, and carrying every
+/// operand it needs. The VM dispatches on it and never re-derives it:
+/// only the guards, the lane gate and the semiring instantiation are
+/// decided per loop entry. Telemetry counts dispatches under the
+/// runner's name ([`Runner::kind`]).
+#[derive(Clone, Debug)]
+pub(crate) enum Runner {
+    /// A closed form over an unprobed driver against `x`, a copy of the
+    /// body's strided dense load.
+    Closed { x: DenseOperand, form: ClosedForm },
+    /// SSYRK's intersection dot: one fold `acc op= [lead ∘] a [∘ mid] ∘
+    /// p` whose store only the probe load `chain.b` (of tensor `probe`)
+    /// gates, `acc` register-held as for [`ClosedForm::Dot`].
+    ProbeDot { chain: DotShape, probe: usize },
+    /// Any other body (axpys, scale-stores, gathers, multi-store jams):
+    /// resolved per entry, driven coordinate by coordinate.
+    Generic,
+}
+
+/// The strided dense operand `dense[tensor][offset(u, base) +
+/// coord·stride]` of a [`Runner::Closed`] body.
+#[derive(Clone, Debug)]
+pub(crate) struct DenseOperand {
+    pub tensor: usize,
+    pub base: Box<[Term]>,
+    pub stride: usize,
+}
+
+/// The two closed forms against a strided dense operand `x`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ClosedForm {
+    /// One unguarded fold `acc op= [lead ∘] a [∘ mid] ∘ x[coord]`, `acc`
+    /// a scalar slot or a loop-invariant output cell (register-held).
+    Dot(DotShape),
+    /// SSYMV's pair: fold 0 `f[slot] op= a ∘ x[coord]` and fold 1
+    /// `out[coord·stride] oop= a ∘ f[scale]` (`scale ∘ a` when
+    /// `scale_first`), a strided store per coordinate.
+    DotAxpy { slot: usize, scale: usize, scale_first: bool, stride: usize },
 }
 
 /// One per-coordinate load of a fused body. Loads evaluate **once** per
@@ -429,25 +461,48 @@ pub(crate) struct BulkCounts {
     pub writes: u64,
 }
 
+impl Runner {
+    /// The telemetry label this runner's dispatches count under.
+    pub(crate) fn kind(&self) -> RunnerKind {
+        match self {
+            Runner::Closed { form: ClosedForm::Dot(_), .. } => RunnerKind::Dot,
+            Runner::Closed { form: ClosedForm::DotAxpy { .. }, .. } => RunnerKind::DotAxpy,
+            Runner::ProbeDot { .. } => RunnerKind::ProbeDot,
+            Runner::Generic => RunnerKind::Generic,
+        }
+    }
+}
+
+impl Fused {
+    /// The body's semiring as `(every fold uses it, bin, op)`, from
+    /// fold 0: one monomorphized instantiation when uniform.
+    pub(crate) fn semiring(&self) -> (bool, BinOp, AssignOp) {
+        let (bin, op) = (self.folds[0].bin, self.folds[0].op);
+        (self.folds.iter().all(|fold| fold.bin == bin && fold.op == op), bin, op)
+    }
+
+    /// The accumulator of the body's last fold — for a closed form, the
+    /// output the body itself writes: the dot's invariant cell, the
+    /// axpy side's target.
+    pub(crate) fn last_acc(&self) -> &FAcc {
+        &self.folds[self.folds.len() - 1].acc
+    }
+}
+
 /// A fused loop body — the one executable form of a vector-loop body:
 /// per-coordinate loads into local slots feeding straight-line folds
-/// (see `crate::fuse` for the conformance rules).
+/// (see `crate::fuse` for the conformance rules), and the runner the
+/// compiler picked for them.
 #[derive(Clone, Debug)]
 pub(crate) struct Fused {
-    /// The recognized pattern.
-    pub kind: FusedBody,
+    /// The runner that executes this body.
+    pub runner: Runner,
     /// Per-coordinate loads, evaluated in order into local slots.
     pub loads: Box<[FLoad]>,
     /// Straight-line folds, executed in order per coordinate.
     pub folds: Box<[FFold]>,
     /// Bulk counter recipe (invariant contributions per iteration).
     pub bulk: BulkCounts,
-    /// Pre-analyzed `(slot, bin, op, probe tensor)` of the plain
-    /// intersection dot (`f[slot] op= bin(driver, probe)`, SSYRK's
-    /// shape) — lets the VM's closed-form dot skip its entry-time shape
-    /// resolution on a loop it may enter tens of thousands of times
-    /// per run.
-    pub isect_dot: Option<(usize, BinOp, AssignOp, usize)>,
     /// Virtual lane count the runners may use under
     /// [`crate::LaneMode::Lanes`]: [`crate::vm::LANES`] when every
     /// register-held fold of the body reduces through an operator with

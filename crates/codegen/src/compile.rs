@@ -402,6 +402,8 @@ struct VecBuilder {
     open: BodyBuilder,
     /// Every register a load of the loop binds.
     bound: Vec<usize>,
+    /// The loop is a two-way intersection (its runners see a probe).
+    isect: bool,
 }
 
 impl VecBuilder {
@@ -415,7 +417,7 @@ impl VecBuilder {
         self.bound.extend(open.bound());
         let sealed = {
             let _fuse_span = systec_telemetry::span(systec_telemetry::Phase::Fuse);
-            open.seal()
+            open.seal(self.isect)
         };
         let Some(body) = sealed else {
             return false;
@@ -946,7 +948,7 @@ impl Compiler<'_> {
             probe: probe_info,
         };
 
-        let mut builder = VecBuilder::default();
+        let mut builder = VecBuilder { isect: shape.probe.is_some(), ..VecBuilder::default() };
         let saved = (self.n_vec_items, self.n_vec_gathers);
         let ok = self.vec_stmt(body, idx, shape, &mut builder)
             && builder.flush(self)

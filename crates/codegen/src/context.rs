@@ -19,10 +19,6 @@
 //! program it executes, so one context can be interleaved freely across
 //! kernels of different shapes (enforced by `tests/context_reuse.rs`).
 
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-
 use systec_exec::CounterBank;
 
 /// How many lanes the fused-body runners spread their reduction
@@ -164,156 +160,9 @@ impl ExecContext {
     }
 }
 
-/// A shared checkout pool of [`ExecContext`]s for concurrent callers
-/// (a serving loop, a bench harness with worker threads).
-///
-/// `ExecContext` is deliberately not `Sync` — one context serves one
-/// caller at a time — so N concurrent executors need N contexts. A pool
-/// keeps warmed contexts alive between requests: [`ContextPool::checkout`]
-/// pops an idle context (or creates one only when none is idle), and the
-/// returned [`PooledContext`] guard hands it back on drop with all its
-/// buffer capacity intact. Steady state therefore touches only a
-/// `Mutex<Vec>` pop/push — **no allocation** once as many contexts exist
-/// as there are concurrent callers.
-///
-/// Returned contexts keep their configuration ([`LaneMode`]); callers
-/// that change it should set it explicitly after checkout.
-#[derive(Clone, Debug, Default)]
-pub struct ContextPool {
-    inner: Arc<PoolInner>,
-}
-
-#[derive(Debug, Default)]
-struct PoolInner {
-    idle: Mutex<Vec<ExecContext>>,
-    created: AtomicUsize,
-}
-
-impl ContextPool {
-    /// An empty pool; contexts are created lazily on checkout.
-    pub fn new() -> Self {
-        ContextPool::default()
-    }
-
-    /// Checks a context out: an idle one when available, else a fresh
-    /// one. The guard returns the context to the pool when dropped.
-    pub fn checkout(&self) -> PooledContext {
-        let ctx =
-            self.inner.idle.lock().unwrap_or_else(PoisonError::into_inner).pop().unwrap_or_else(
-                || {
-                    self.inner.created.fetch_add(1, Ordering::Relaxed);
-                    ExecContext::new()
-                },
-            );
-        PooledContext { pool: Arc::clone(&self.inner), ctx: Some(ctx) }
-    }
-
-    /// Contexts created over the pool's lifetime — equals the peak
-    /// number of concurrent checkouts (observability for the
-    /// zero-alloc-steady-state tests).
-    pub fn created(&self) -> usize {
-        self.inner.created.load(Ordering::Relaxed)
-    }
-
-    /// Contexts currently idle in the pool.
-    pub fn idle(&self) -> usize {
-        self.inner.idle.lock().unwrap_or_else(PoisonError::into_inner).len()
-    }
-}
-
-/// A checked-out [`ExecContext`] (see [`ContextPool::checkout`]).
-/// Dereferences to the context; dropping returns it to its pool with
-/// warmed buffers intact.
-#[derive(Debug)]
-pub struct PooledContext {
-    pool: Arc<PoolInner>,
-    ctx: Option<ExecContext>,
-}
-
-impl PooledContext {
-    /// Consumes the guard *without* returning the context to the pool.
-    /// For callers that caught a panic mid-execution: the context's
-    /// buffers may hold torn intermediate state, and repooling it would
-    /// leak that state into an unrelated run. The next checkout simply
-    /// creates a fresh context (`created` advances — the quarantine
-    /// tax, visible to the zero-alloc tests).
-    pub fn discard(mut self) {
-        self.ctx = None;
-    }
-}
-
-impl Deref for PooledContext {
-    type Target = ExecContext;
-
-    fn deref(&self) -> &ExecContext {
-        self.ctx.as_ref().expect("present until drop")
-    }
-}
-
-impl DerefMut for PooledContext {
-    fn deref_mut(&mut self) -> &mut ExecContext {
-        self.ctx.as_mut().expect("present until drop")
-    }
-}
-
-impl Drop for PooledContext {
-    fn drop(&mut self) {
-        if let Some(ctx) = self.ctx.take() {
-            self.pool.idle.lock().unwrap_or_else(PoisonError::into_inner).push(ctx);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serial_reuse_creates_one_context() {
-        let pool = ContextPool::new();
-        for _ in 0..5 {
-            drop(pool.checkout());
-        }
-        assert_eq!(pool.created(), 1, "serial checkout/return must reuse one context");
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
-    fn concurrent_checkouts_get_distinct_contexts() {
-        let pool = ContextPool::new();
-        let a = pool.checkout();
-        let b = pool.checkout();
-        assert_eq!(pool.created(), 2);
-        assert_eq!(pool.idle(), 0);
-        drop(a);
-        drop(b);
-        assert_eq!(pool.idle(), 2);
-        // Both come back for reuse.
-        let _c = pool.checkout();
-        let _d = pool.checkout();
-        assert_eq!(pool.created(), 2, "returned contexts are checked out again");
-    }
-
-    #[test]
-    fn pool_clones_share_the_same_contexts() {
-        let pool = ContextPool::new();
-        let clone = pool.clone();
-        drop(pool.checkout());
-        drop(clone.checkout());
-        assert_eq!(pool.created(), 1, "clones draw from one shared pool");
-        assert_eq!(clone.idle(), 1);
-    }
-
-    #[test]
-    fn configuration_survives_the_round_trip() {
-        let pool = ContextPool::new();
-        {
-            let mut ctx = pool.checkout();
-            ctx.set_lane_mode(LaneMode::Scalar);
-        }
-        let ctx = pool.checkout();
-        assert_eq!(ctx.lane_mode(), LaneMode::Scalar, "contexts keep their configuration");
-    }
 
     #[test]
     fn lane_mode_defaults_to_lanes() {

@@ -1,4 +1,5 @@
-//! Fused bodies: the one executable form of a vector-loop body.
+//! Fused bodies: the one executable form of a vector-loop body, and the
+//! runner that executes it.
 //!
 //! An innermost loop body that dominates a real kernel (axpy, dot,
 //! scale-store, gathered variants, MTTKRP/TTM-style multi-store jams)
@@ -30,11 +31,22 @@
 //! which is the semantic reference for every non-conforming loop
 //! (`tests/fused_bodies.rs` pins both directions).
 //!
+//! ## Runners
+//!
+//! Sealing a body is also where its [`Runner`] is chosen — the one
+//! decision site, from the body's lists and whether its loop is an
+//! intersection: the canonical dot chain over the driver value runs
+//! closed-form against a strided dense operand (`Dot`, and SSYMV's
+//! `DotAxpy` pair) or against the probe (`ProbeDot`), and every other
+//! body runs `Generic`. The runner carries the operands it reads (the
+//! dense operand, the axpy stride, the probed tensor); the VM dispatches
+//! on it, and nothing matches shapes at loop entry.
+//!
 //! ## Row nests
 //!
 //! One level up, [`row_nest`] recognizes a whole two-deep loop nest — a
 //! row loop whose body is scalar prologue / epilogue steps around one
-//! innermost vector loop with a structurally [`closed`] body — in the
+//! innermost vector loop whose body runs `Dot` or `DotAxpy` — in the
 //! instruction run a loop just emitted, and `crate::compile` replaces
 //! that run with a single [`RowNest`] instruction the VM resolves once
 //! per run instead of once per row.
@@ -52,7 +64,8 @@
 //! which reproduces that scoping without a mutable flag.
 
 use crate::bytecode::{
-    BulkCounts, FAcc, FFold, FLoad, FOp, Fused, FusedBody, Instr, NestRows, RowNest, Term, VItem,
+    BulkCounts, ClosedForm, DenseOperand, DotShape, FAcc, FFold, FLoad, FOp, Fused, Instr,
+    NestRows, RowNest, Runner, VItem,
 };
 use systec_ir::{AssignOp, BinOp};
 
@@ -129,9 +142,10 @@ impl BodyBuilder {
         self.dsts.iter().flatten().copied()
     }
 
-    /// Seals the body; `None` when it has no fold or exceeds a cap (the
-    /// loop then stays on the general path).
-    pub(crate) fn seal(self) -> Option<Fused> {
+    /// Seals the body and picks its [`Runner`] (`isect`: the loop is a
+    /// two-way intersection); `None` when it has no fold or exceeds a
+    /// cap (the loop then stays on the general path).
+    pub(crate) fn seal(self, isect: bool) -> Option<Fused> {
         let BodyBuilder { loads, folds, reads, .. } = self;
         let fits = !folds.is_empty()
             && loads.len() <= MAX_FUSED_LOADS
@@ -151,21 +165,51 @@ impl BodyBuilder {
                 bulk.writes += u64::from(matches!(fold.acc, FAcc::Out { .. }));
             }
         }
-        let kind = classify(&loads, &folds);
-        let isect_dot = match (loads.as_slice(), folds.as_slice()) {
-            (
-                [FLoad::Val, FLoad::Probe { tensor, set_miss: true }],
-                [FFold { acc: FAcc::Scalar { slot }, bin, op, srcs, check_miss: true, miss }],
-            ) if matches!(srcs.as_ref(), [FOp::Local(0), FOp::Local(1)])
-                && miss.as_ref() == [1] =>
-            {
-                Some((*slot, *bin, *op, *tensor))
-            }
-            _ => None,
-        };
+        let runner = runner(&loads, &folds, isect);
         let lanes = lane_count(&folds);
-        Some(Fused { kind, loads: loads.into(), folds: folds.into(), bulk, isect_dot, lanes })
+        Some(Fused { runner, loads: loads.into(), folds: folds.into(), bulk, lanes })
     }
+}
+
+/// The one runner decision: a closed form when the body is the
+/// canonical dot chain over the driver value — against a strided dense
+/// operand on an unprobed driver ([`ClosedForm::Dot`], and SSYMV's pair
+/// [`ClosedForm::DotAxpy`]), against the probe in an intersection
+/// ([`Runner::ProbeDot`]) — and [`Runner::Generic`] for everything else.
+fn runner(loads: &[FLoad], folds: &[FFold], isect: bool) -> Runner {
+    // Register-held: a scalar slot or a loop-invariant output cell.
+    let held = |fold: &FFold| matches!(fold.acc, FAcc::Scalar { .. } | FAcc::Out { stride: 0, .. });
+    let closed = |x: &FLoad, form| match x {
+        FLoad::Dense { tensor, base, stride } => Some(Runner::Closed {
+            x: DenseOperand { tensor: *tensor, base: base.clone(), stride: *stride },
+            form,
+        }),
+        _ => None,
+    };
+    let picked = match folds {
+        [fold] if held(fold) => dot_shape(loads, fold).and_then(|chain| match &loads[chain.b] {
+            FLoad::Probe { tensor, set_miss: true }
+                if isect && fold.check_miss && *fold.miss == [chain.b] =>
+            {
+                Some(Runner::ProbeDot { chain, probe: *tensor })
+            }
+            x if !isect && !fold.check_miss => closed(x, ClosedForm::Dot(chain)),
+            _ => None,
+        }),
+        [dot, axpy @ FFold { acc: FAcc::Out { stride, .. }, .. }]
+            if !isect && !dot.check_miss && !axpy.check_miss && *stride != 0 =>
+        {
+            dot_shape(loads, dot).and_then(|chain| {
+                let FAcc::Scalar { slot } = dot.acc else { return None };
+                let (scale, scale_first) = axpy_scale(axpy, chain.a)?;
+                let form = ClosedForm::DotAxpy { slot, scale, scale_first, stride: *stride };
+                let plain = chain.n_lead == 0 && chain.mid.is_none();
+                closed(&loads[chain.b], form).filter(|_| plain)
+            })
+        }
+        _ => None,
+    };
+    picked.unwrap_or(Runner::Generic)
 }
 
 /// Whether the items of one loop may run off entry-time snapshots and
@@ -244,53 +288,14 @@ fn bump_read(reads: &mut Vec<(usize, u64)>, tensor: usize) {
     }
 }
 
-/// Names the recognized pattern (for disassembly, golden snapshots, and
-/// runner dispatch).
-fn classify(loads: &[FLoad], folds: &[FFold]) -> FusedBody {
-    let gathered = loads.iter().any(|l| matches!(l, FLoad::Gather { .. }));
-    let is_dot =
-        |fold: &FFold| matches!(fold.acc, FAcc::Scalar { .. } | FAcc::Out { stride: 0, .. });
-    match folds {
-        [fold] if is_dot(fold) => {
-            if gathered {
-                FusedBody::GatherDot
-            } else {
-                FusedBody::Dot
-            }
-        }
-        [fold] => {
-            if gathered {
-                FusedBody::GatherAxpy
-            } else if fold.op == AssignOp::Overwrite {
-                FusedBody::ScaleStore
-            } else {
-                FusedBody::Axpy
-            }
-        }
-        [dot, axpy] if is_dot(dot) && !is_dot(axpy) && !gathered => FusedBody::DotAxpy,
-        _ => FusedBody::Jam,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Closed forms and row nests
 // ---------------------------------------------------------------------------
 
-/// The canonical dot chain `[lead regs…, Local(a), (Reg mid)?, Local(b)]`
-/// of a two-load body whose load `a` is the driver value:
-/// `fold.srcs[..n_lead]` are the leading invariant registers.
-#[derive(Clone, Copy)]
-pub(crate) struct DotShape {
-    pub n_lead: usize,
-    pub a: usize,
-    pub mid: Option<usize>,
-    pub b: usize,
-}
-
-/// Matches `fold` against the canonical dot chain; `None` = some other
-/// shape.
-#[inline]
-pub(crate) fn dot_shape(loads: &[FLoad], fold: &FFold) -> Option<DotShape> {
+/// Matches `fold` against the canonical dot chain `[lead regs…,
+/// Local(a), (Reg mid)?, Local(b)]` of a two-load body whose load `a`
+/// is the driver value; `None` = some other shape.
+fn dot_shape(loads: &[FLoad], fold: &FFold) -> Option<DotShape> {
     let n_lead = fold.srcs.iter().take_while(|op| matches!(op, FOp::Reg(_))).count();
     let (a, mid, b) = match fold.srcs[n_lead..] {
         [FOp::Local(a), FOp::Reg(mid), FOp::Local(b)] => (a, Some(mid), b),
@@ -307,86 +312,6 @@ fn axpy_scale(axpy: &FFold, a: usize) -> Option<(usize, bool)> {
     match axpy.srcs.as_ref() {
         [FOp::Local(l), FOp::Reg(r)] if *l == a => Some((*r, false)),
         [FOp::Reg(r), FOp::Local(l)] if *l == a => Some((*r, true)),
-        _ => None,
-    }
-}
-
-/// A strided dense operand or store target, as the plan names it.
-#[derive(Clone, Copy)]
-pub(crate) struct DenseRef<'p> {
-    pub tensor: usize,
-    pub base: &'p [Term],
-    pub stride: usize,
-}
-
-/// A fused body resolved, from its structure alone, to one of the VM's
-/// closed-form folds over an unprobed driver and a strided dense
-/// operand — what a [`RowNest`] requires of its inner loop, so the nest
-/// resolves its body once per run with no fallback tier.
-#[derive(Clone, Copy)]
-pub(crate) enum Closed<'p> {
-    /// `acc op= [lead ∘] a [∘ mid] ∘ x[coord]` with `acc` a scalar slot
-    /// or a loop-invariant output cell.
-    Dot { fold: &'p FFold, shape: DotShape, x: DenseRef<'p> },
-    /// `f[slot] op= a ∘ x[coord]; out[coord] oop= a ∘ f[scale]`.
-    DotAxpy {
-        dot: &'p FFold,
-        slot: usize,
-        x: DenseRef<'p>,
-        axpy: &'p FFold,
-        scale: usize,
-        scale_first: bool,
-        out: DenseRef<'p>,
-    },
-}
-
-impl<'p> Closed<'p> {
-    /// The strided dense operand, the accumulator through which the body
-    /// itself may write an output, and the body's semiring as
-    /// `(every fold uses it, bin, op)`.
-    pub(crate) fn parts(&self) -> (DenseRef<'p>, &'p FAcc, (bool, BinOp, AssignOp)) {
-        match *self {
-            Closed::Dot { fold, x, .. } => (x, &fold.acc, (true, fold.bin, fold.op)),
-            Closed::DotAxpy { dot, x, axpy, .. } => {
-                (x, &axpy.acc, (dot.bin == axpy.bin && dot.op == axpy.op, dot.bin, dot.op))
-            }
-        }
-    }
-}
-
-/// The closed form of `fu`, if it has one.
-pub(crate) fn closed(fu: &Fused) -> Option<Closed<'_>> {
-    let dense = |b: usize| match &fu.loads[b] {
-        FLoad::Dense { tensor, base, stride } => {
-            Some(DenseRef { tensor: *tensor, base, stride: *stride })
-        }
-        _ => None,
-    };
-    match (fu.kind, fu.folds.as_ref()) {
-        (FusedBody::Dot, [fold]) if !fold.check_miss => {
-            let shape = dot_shape(&fu.loads, fold)?;
-            let held = matches!(fold.acc, FAcc::Scalar { .. } | FAcc::Out { stride: 0, .. });
-            held.then_some(Closed::Dot { fold, shape, x: dense(shape.b)? })
-        }
-        (FusedBody::DotAxpy, [dot, axpy]) if !dot.check_miss && !axpy.check_miss => {
-            let shape = dot_shape(&fu.loads, dot)?;
-            let (FAcc::Scalar { slot }, 0, None) = (&dot.acc, shape.n_lead, shape.mid) else {
-                return None;
-            };
-            let (scale, scale_first) = axpy_scale(axpy, shape.a)?;
-            let FAcc::Out { tensor, base, stride } = &axpy.acc else {
-                return None;
-            };
-            Some(Closed::DotAxpy {
-                dot,
-                slot: *slot,
-                x: dense(shape.b)?,
-                axpy,
-                scale,
-                scale_first,
-                out: DenseRef { tensor: *tensor, base, stride: *stride },
-            })
-        }
         _ => None,
     }
 }
@@ -451,7 +376,7 @@ pub(crate) fn row_nest(instrs: &[Instr]) -> Option<RowNest> {
     // Inner bounds over the row index only: the VM keeps them as deltas.
     let fits = guard.is_empty()
         && inner_lo.iter().chain(inner_hi.iter()).all(|b| b.reg == idx)
-        && closed(fused).is_some()
+        && matches!(fused.runner, Runner::Closed { .. })
         && pre.len() <= MAX_NEST_STEPS
         && post.len() <= MAX_NEST_STEPS
         && post.iter().all(|i| matches!(i, Instr::WriteOutput { .. } | Instr::WriteScalar { .. }));

@@ -27,19 +27,22 @@
 //!   directly as it walks the body; a body it cannot express this way —
 //!   an operand that reads an accumulator of the loop, a body over the
 //!   load / fold caps — leaves the loop on the general head / advance
-//!   path, the reference for every non-conforming loop. The VM picks a
-//!   runner per loop entry down one ladder, **nest → closed → generic →
-//!   none**: the canonical dot and SSYMV's dot-axpy pair run closed-form
-//!   folds, every other body (axpy, scale-store, gathered variants,
-//!   multi-store jams) the generic resolved runner — accumulators in
-//!   machine registers, operands resolved to slices at loop entry,
-//!   invariant counter contributions accounted in bulk — and a loop
-//!   whose guards all fail only sets its index. Several guarded items
-//!   passing at once run coordinate-major through the same generic
-//!   runner at one lane.
-//! * **Row nests** — a row loop around one closed-form compressed or
-//!   run-length vector loop (SSYMV, SYPRD, Bellman-Ford) compiles to a
-//!   single `RowNest` instruction, replacing the per-row head / vector
+//!   path, the reference for every non-conforming loop. Sealing a body
+//!   also picks its runner, once — closed or generic: the canonical dot
+//!   (against a strided operand or an intersection's probe) and SSYMV's
+//!   dot-axpy pair run closed-form folds, every other body (axpy,
+//!   scale-store, gathered variants, multi-store jams) the generic
+//!   resolved runner — accumulators in machine registers, operands
+//!   resolved to slices at loop entry, invariant counter contributions
+//!   accounted in bulk. The VM dispatches on that field: per entry it
+//!   only evaluates guards (a loop whose guards all fail only sets its
+//!   index), and several guarded items passing at once run
+//!   coordinate-major through the generic runner at one lane.
+//! * **Row nests** — after a row loop is emitted, `fuse::row_nest` reads
+//!   its instructions and turns a row loop around one compressed or
+//!   run-length vector loop whose body runs the closed `Dot` or
+//!   `DotAxpy` form (SSYMV, SYPRD, Bellman-Ford) into a single
+//!   `RowNest` instruction, replacing the per-row head / vector
 //!   loop / advance sequence: the VM resolves operands, addresses and
 //!   the semiring once per run and walks rows in one native loop over
 //!   the same folds, with counters tallied by multiplication.
@@ -129,7 +132,7 @@ use systec_exec::{ExecError, LoweredProgram};
 use systec_tensor::{DenseTensor, Tensor};
 
 pub use cache::{BindingSig, CacheStats, PlanCache, PlanKey, SharedPlanCache};
-pub use context::{ContextPool, ExecContext, LaneMode, PooledContext};
+pub use context::{ExecContext, LaneMode};
 
 use systec_ir::AssignOp;
 
@@ -639,8 +642,8 @@ mod tests {
         );
         let dis = disassembly(&dot, &inputs);
         assert!(
-            dis.contains("VecIsectLoop") && dis.contains("kind: Dot"),
-            "scalar accumulation selects the fused dot body:\n{dis}"
+            dis.contains("VecIsectLoop") && dis.contains("runner: ProbeDot {"),
+            "scalar accumulation selects the probed dot runner:\n{dis}"
         );
         let (out, _) = both(&dot, &inputs);
         assert_eq!(out["C"].get(&[1, 2]), 3.0 * 1.0 + 5.0 * 2.0);

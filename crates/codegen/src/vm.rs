@@ -45,14 +45,11 @@ use systec_tensor::{DenseTensor, LevelView, Tensor};
 use systec_ir::BinOp;
 
 use crate::bytecode::{
-    Bound, BulkCounts, BytecodeProgram, FAcc, FFold, FLoad, FOp, Fused, FusedBody, Instr, NestRows,
-    ParOut, RowNest, SplitInfo, Term, VItem, MISS,
+    Bound, BulkCounts, BytecodeProgram, ClosedForm, DenseOperand, DotShape, FAcc, FFold, FLoad,
+    FOp, Fused, Instr, NestRows, ParOut, RowNest, Runner, SplitInfo, Term, VItem, MISS,
 };
 use crate::context::{Bank, ExecContext, GatherBank, LaneMode};
-use crate::fuse::{
-    closed, dot_shape, Closed, DotShape, MAX_FUSED_FOLDS, MAX_FUSED_LOADS, MAX_FUSED_SRCS,
-    MAX_NEST_STEPS,
-};
+use crate::fuse::{MAX_FUSED_FOLDS, MAX_FUSED_LOADS, MAX_FUSED_SRCS, MAX_NEST_STEPS};
 use crate::Parallelism;
 
 /// Inline capacity for per-slot binding tables.
@@ -181,19 +178,6 @@ fn eval_guards(items: &[VItem], u: &[usize], pass: &mut [bool]) -> usize {
         n += usize::from(ok);
     }
     n
-}
-
-/// Telemetry label for a fused-body kind.
-fn body_kind(kind: FusedBody) -> telemetry::BodyKind {
-    match kind {
-        FusedBody::Dot => telemetry::BodyKind::Dot,
-        FusedBody::Axpy => telemetry::BodyKind::Axpy,
-        FusedBody::ScaleStore => telemetry::BodyKind::ScaleStore,
-        FusedBody::DotAxpy => telemetry::BodyKind::DotAxpy,
-        FusedBody::GatherDot => telemetry::BodyKind::GatherDot,
-        FusedBody::GatherAxpy => telemetry::BodyKind::GatherAxpy,
-        FusedBody::Jam => telemetry::BodyKind::Jam,
-    }
 }
 
 /// Folds registers through `bin`; the dominant binary shape is
@@ -767,18 +751,7 @@ struct DotChain {
 }
 
 impl DotChain {
-    fn new(bin: BinOp, op: AssignOp, lead: Option<f64>, mid: Option<f64>) -> Self {
-        DotChain {
-            bin,
-            op,
-            lead: lead.unwrap_or(1.0),
-            has_lead: lead.is_some(),
-            mid: mid.unwrap_or(1.0),
-            has_mid: mid.is_some(),
-        }
-    }
-
-    /// The chain of `fold` (a [`dot_shape`] match) over the current
+    /// The chain of `fold` (of shape `shape`) over the current
     /// registers: the leading invariants `fold.srcs[..n_lead]` pre-folded
     /// (exact — the chain is left-associative), the middle one snapshot.
     #[inline(always)]
@@ -790,7 +763,15 @@ impl DotChain {
             };
             lead = Some(lead.map_or(f[*r], |l| fold.bin.apply(l, f[*r])));
         }
-        DotChain::new(fold.bin, fold.op, lead, shape.mid.map(|r| f[r]))
+        let mid = shape.mid.map(|r| f[r]);
+        DotChain {
+            bin: fold.bin,
+            op: fold.op,
+            lead: lead.unwrap_or(1.0),
+            has_lead: lead.is_some(),
+            mid: mid.unwrap_or(1.0),
+            has_mid: mid.is_some(),
+        }
     }
 
     /// The chain up to the driver value: `[lead ∘] a [∘ mid]`.
@@ -1023,10 +1004,10 @@ fn src_val(src: RSrc, locals: &[f64; MAX_FUSED_LOADS]) -> f64 {
 /// Per-vector-loop execution state: every binding table and scratch a
 /// loop body touches, plus the loop's counter contributions (folded
 /// into the program totals when the loop instruction finishes). One
-/// [`LoopRun::run`] serves all four vector-loop instructions; it picks
-/// the runner — a closed-form fold or the generic fused body — and every
-/// runner walks the same [`Drive`]. [`LoopRun::nest`] runs a whole
-/// [`RowNest`] over the same state.
+/// [`LoopRun::run`] serves all four vector-loop instructions; it calls
+/// the passing body's [`Runner`] — a closed-form fold or the generic
+/// fused body — and every runner walks the same [`Drive`].
+/// [`LoopRun::nest`] runs a whole [`RowNest`] over the same state.
 ///
 /// Bulk (per-iteration) counters come from the body's compile-time
 /// recipe; only hit-dependent work is counted per element.
@@ -1045,8 +1026,8 @@ struct LoopRun<'r, 'a, 'o> {
     flops: u64,
     writes: u64,
     iterations: u64,
-    /// Per-kind dispatch tally (see `run_range`).
-    dispatch: &'r mut [u64; telemetry::BODY_KINDS.len()],
+    /// Per-runner dispatch tally (see `run_range`).
+    dispatch: &'r mut [u64; telemetry::RUNNER_KINDS.len()],
     /// The context's [`LaneMode`], as a bool: lane execution applies
     /// only where the body's plan-level lane count also allows it.
     lanes: bool,
@@ -1077,7 +1058,8 @@ impl<'a> LoopRun<'_, 'a, '_> {
     /// body at a coordinate, in item order, before the next coordinate —
     /// is the only order-preserving strategy, so the bodies run side by
     /// side through the generic [`Self::coord`] at one lane (the strict
-    /// interpreter order). The compiler proved them independent
+    /// interpreter order) — and count as `generic` dispatches, whatever
+    /// their own runner. The compiler proved them independent
     /// (`crate::fuse::independent`), so each may snapshot its invariants
     /// and hold its scalar accumulators; output cells stay in memory,
     /// where another item's strided store may land on them.
@@ -1096,7 +1078,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
         let mut slots = bodies.iter_mut();
         for item in items {
             if self.pass[item.id] {
-                self.account(&item.body, iters);
+                self.account(telemetry::RunnerKind::Generic, &item.body, iters);
                 *slots.next().expect("one slot per passing item") =
                     Some(self.resolve(&item.body, idx, false, false));
             }
@@ -1180,42 +1162,58 @@ impl<'a> LoopRun<'_, 'a, '_> {
         self.writes += recipe.writes * times;
     }
 
-    /// Executes the one passing body of a loop entry: the closed-form
-    /// folds for the canonical dot / dot-axpy shapes, the generic
-    /// resolved body otherwise.
+    /// Executes the one passing body of a loop entry through the runner
+    /// the compiler picked for it. Closed-form runners run straight off
+    /// the compile-time form — entry cost is a handful of scalar
+    /// resolutions, which matters for short fibers entered many times
+    /// (SSYRK's intersection).
     fn fused<D: Drive<'a>>(&mut self, fu: &Fused, idx: usize, iters: u64, drive: &D) {
-        self.account(fu, iters);
+        self.account(fu.runner.kind(), fu, iters);
         let lanes_on = self.lanes && fu.lanes > 1;
-        // Closed-form loops run straight off the compile-time form —
-        // entry cost is a handful of scalar resolutions, which matters
-        // for short fibers entered many times (SSYRK's intersection).
-        let done = match (fu.kind, drive.probe()) {
-            (FusedBody::Dot | FusedBody::DotAxpy, None) => {
-                self.closed_dense(fu, idx, drive, lanes_on)
+        match &fu.runner {
+            Runner::Closed { x, form } => self.closed_entry(fu, x, *form, idx, drive, lanes_on),
+            Runner::ProbeDot { chain, probe } => {
+                self.probe_dot(fu, *chain, *probe, idx, drive, lanes_on);
             }
-            (FusedBody::Dot, Some(probed)) => {
-                self.closed_probe_dot(fu, idx, drive, probed, lanes_on)
+            Runner::Generic => {
+                let lanes = lane_gate(lanes_on, drive.span(), None);
+                let mut body = self.resolve(fu, idx, lanes, true);
+                // One semiring for the whole body → monomorphized loops.
+                let (uniform, bin, op) = fu.semiring();
+                with_semi!(uniform, bin, op, |s| self.drive_shape(&mut body, s, drive));
+                self.flush(&body);
             }
-            _ => false,
-        };
-        if done {
-            return;
         }
-        let lanes = lane_gate(lanes_on, drive.span(), None);
-        let mut body = self.resolve(fu, idx, lanes, true);
-        // One semiring for the whole body → monomorphized loops.
-        let folds = &body.folds[..body.n_folds];
-        let (bin0, op0) = (folds[0].bin, folds[0].op);
-        let uniform = folds.iter().all(|fo| fo.bin == bin0 && fo.op == op0);
-        with_semi!(uniform, bin0, op0, |s| self.drive_shape(&mut body, s, drive));
-        self.flush(&body);
     }
 
-    /// One dispatch of `fu` over `iters` coordinates: its invariant
-    /// counter contributions in bulk, from the body's recipe.
-    fn account(&mut self, fu: &Fused, iters: u64) {
-        self.dispatch[body_kind(fu.kind).index()] += 1;
+    /// One dispatch of `fu` through the runner `kind` over `iters`
+    /// coordinates: its invariant counter contributions in bulk, from
+    /// the body's recipe.
+    fn account(&mut self, kind: telemetry::RunnerKind, fu: &Fused, iters: u64) {
+        self.dispatch[kind.index()] += 1;
         self.tally(&fu.bulk, iters);
+    }
+
+    /// `(ordinal, offset)` of a dot's or axpy's output accumulator at
+    /// the current registers (`(0, 0)` for a scalar slot).
+    fn out_at(&self, acc: &FAcc) -> (usize, usize) {
+        match acc {
+            FAcc::Scalar { .. } => (0, 0),
+            FAcc::Out { tensor, base, .. } => (self.oo[*tensor], offset(self.u, base)),
+        }
+    }
+
+    /// A dot's register-held accumulator: its scalar slot, or the output
+    /// cell at `(ord, off)`.
+    #[inline(always)]
+    fn dot_acc(&mut self, acc: &FAcc, (ord, off): (usize, usize)) -> &mut f64 {
+        match acc {
+            FAcc::Scalar { slot } => &mut self.f[*slot],
+            FAcc::Out { .. } => {
+                let ob = self.outs[ord].as_mut().expect("output bound");
+                &mut ob.data[off - ob.base]
+            }
+        }
     }
 
     /// Writes a finished body's register-held accumulators back: under
@@ -1344,7 +1342,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
     }
 
     /// Shape dispatch for the generic fused loop: the common small
-    /// (loads, folds) shapes — `Jam` bodies in particular — get
+    /// (loads, folds) shapes — multi-store jams in particular — get
     /// per-shape unrolled instantiations of [`Self::drive`] whose inner
     /// loops have compile-time trip counts; `(0, 0)` is the dynamic
     /// fallback for everything else.
@@ -1362,7 +1360,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
     /// load and fold counts at compile time (0 = read them from the
     /// body at runtime). Never inlined: as one arm of its dispatcher's
     /// body the loop loses its registers to the other fifteen (measured
-    /// 12–22% on the `Jam` bodies of MTTKRP and TTM).
+    /// 12–22% on the multi-store bodies of MTTKRP and TTM).
     #[inline(never)]
     fn drive<S: Semi, const NL: usize, const NF: usize, D: Drive<'a>>(
         &mut self,
@@ -1462,32 +1460,25 @@ impl<'a> LoopRun<'_, 'a, '_> {
         }
     }
 
-    /// The structurally closed forms ([`closed`]: a dot or SSYMV's
-    /// dot-axpy pair over a strided dense operand) on an unprobed
-    /// driver — one loop entry is one window of [`Self::fold_closed`].
-    /// Returns `false` when the body has no closed form; the generic
-    /// fused path then runs.
-    fn closed_dense<D: Drive<'a>>(
+    /// A [`Runner::Closed`] form over its strided dense operand `x` on
+    /// an unprobed driver — one loop entry is one [`Self::closed_window`].
+    fn closed_entry<D: Drive<'a>>(
         &mut self,
         fu: &Fused,
+        x: &DenseOperand,
+        form: ClosedForm,
         idx: usize,
         drive: &D,
         lanes_on: bool,
-    ) -> bool {
-        let Some(body) = closed(fu) else {
-            return false;
-        };
-        let (x, acc, (uniform, bin, op)) = body.parts();
+    ) {
         let x =
-            Strided { xs: self.dense[x.tensor], base: offset(self.u, x.base), stride: x.stride };
-        let out = match acc {
-            FAcc::Scalar { .. } => (0, 0),
-            FAcc::Out { tensor, base, .. } => (self.oo[*tensor], offset(self.u, base)),
-        };
+            Strided { xs: self.dense[x.tensor], base: offset(self.u, &x.base), stride: x.stride };
+        let out = self.out_at(fu.last_acc());
+        let (uniform, bin, op) = fu.semiring();
         let lanes = lane_gate(lanes_on, drive.span(), None);
-        self.u[idx] =
-            with_semi!(uniform, bin, op, |s| self.fold_closed(s, body, x, out, lanes, drive));
-        true
+        self.u[idx] = with_semi!(uniform, bin, op, |s| {
+            self.closed_window(s, form, &fu.folds, x, out, lanes, drive)
+        });
     }
 
     /// One window of a closed-form body over its resolved operands: `x`
@@ -1497,26 +1488,21 @@ impl<'a> LoopRun<'_, 'a, '_> {
     /// rows, so both run the same folds on the same arguments. Returns
     /// the last coordinate.
     #[inline(always)]
-    fn fold_closed<S: Semi, D: Drive<'a>>(
+    #[allow(clippy::too_many_arguments)]
+    fn closed_window<S: Semi, D: Drive<'a>>(
         &mut self,
         s: S,
-        body: Closed<'_>,
+        form: ClosedForm,
+        folds: &[FFold],
         x: Strided<'_>,
         (ord, off): (usize, usize),
         lanes: bool,
         drive: &D,
     ) -> usize {
-        match body {
-            Closed::Dot { fold, shape, .. } => {
-                let ch = DotChain::of(self.f, fold, shape);
-                // Register-held accumulator: a scalar slot or the cell.
-                let acc = match fold.acc {
-                    FAcc::Scalar { slot } => &mut self.f[slot],
-                    FAcc::Out { .. } => {
-                        let ob = self.outs[ord].as_mut().expect("output bound");
-                        &mut ob.data[off - ob.base]
-                    }
-                };
+        match form {
+            ClosedForm::Dot(chain) => {
+                let ch = DotChain::of(self.f, &folds[0], chain);
+                let acc = self.dot_acc(&folds[0].acc, (ord, off));
                 let (acc1, last, _) = if lanes {
                     fold_dot::<S, D, _, LANES>(s, &ch, *acc, drive, x)
                 } else {
@@ -1525,16 +1511,18 @@ impl<'a> LoopRun<'_, 'a, '_> {
                 *acc = acc1;
                 last
             }
-            Closed::DotAxpy { dot, slot, axpy, scale, scale_first, out, .. } => {
+            ClosedForm::DotAxpy { slot, scale, scale_first, stride } => {
+                let (dot, axpy) = (&folds[0], &folds[1]);
+                let scale = self.f[scale];
                 let ob = self.outs[ord].as_mut().expect("output bound");
                 let mut out = AxpyOut {
                     data: &mut *ob.data,
                     off,
-                    stride: out.stride,
+                    stride,
                     origin: ob.base,
                     bin: axpy.bin,
                     op: axpy.op,
-                    scale: self.f[scale],
+                    scale,
                     scale_first,
                 };
                 // Only the dot side is register-held, so only it lanes;
@@ -1551,66 +1539,41 @@ impl<'a> LoopRun<'_, 'a, '_> {
         }
     }
 
-    /// `acc ∘= [lead ∘] a [∘ mid] ∘ b` where `a` is the driver value
-    /// and `b` the probed value (SSYRK's intersection dot), through
-    /// [`fold_dot`]. Returns `false` when the shape doesn't match — the
-    /// generic fused path then runs.
+    /// [`Runner::ProbeDot`]: `acc ∘= [lead ∘] a [∘ mid] ∘ b` where `a`
+    /// is the driver value and `b` the value probed in tensor `probe`
+    /// (SSYRK's intersection dot), through [`fold_dot`].
     #[inline]
-    fn closed_probe_dot<D: Drive<'a>>(
+    fn probe_dot<D: Drive<'a>>(
         &mut self,
         fu: &Fused,
+        chain: DotShape,
+        probe: usize,
         idx: usize,
         drive: &D,
-        probed: Probed<'a>,
         lanes_on: bool,
-    ) -> bool {
-        let [fold] = fu.folds.as_ref() else {
-            return false;
-        };
-        // The plain intersection dot is pre-analyzed at compile time
-        // ([`Fused::isect_dot`]): no entry-time shape resolution at all
-        // on a loop entered per (i, j) pair.
-        let (ch, acc, b) = if let Some((slot, bin, op, _)) = fu.isect_dot {
-            (DotChain::new(bin, op, None, None), RAcc::Slot { slot }, 1)
-        } else {
-            let Some(shape) = dot_shape(&fu.loads, fold) else {
-                return false;
-            };
-            // Register-held accumulator: a scalar slot or an invariant cell.
-            let acc = match &fold.acc {
-                FAcc::Scalar { slot } => RAcc::Slot { slot: *slot },
-                FAcc::Out { tensor, base, stride: 0 } => {
-                    RAcc::Cell { ord: self.oo[*tensor], off: offset(self.u, base) }
-                }
-                FAcc::Out { .. } => return false,
-            };
-            (DotChain::of(self.f, fold, shape), acc, shape.b)
-        };
-        let FLoad::Probe { tensor: pt, set_miss: true } = &fu.loads[b] else {
-            return false;
-        };
-        if !(fold.check_miss && fold.miss.as_ref() == [b]) {
-            return false;
-        }
-        let acc0 = *self.acc_cell(acc).expect("dot accumulators are register-held");
+    ) {
+        let probed = drive.probe().expect("a probe_dot body runs in an intersection loop");
+        let fold = &fu.folds[0];
+        let ch = DotChain::of(self.f, fold, chain);
         let lanes = lane_gate(lanes_on, drive.span(), Some(&probed.cur));
+        let out = self.out_at(&fold.acc);
+        let acc = self.dot_acc(&fold.acc, out);
         let (acc1, last, hits) = with_semi!(true, ch.bin, ch.op, |s| if lanes {
-            fold_dot::<_, D, _, LANES>(s, &ch, acc0, drive, probed)
+            fold_dot::<_, D, _, LANES>(s, &ch, *acc, drive, probed)
         } else {
-            fold_dot::<_, D, _, 1>(s, &ch, acc0, drive, probed)
+            fold_dot::<_, D, _, 1>(s, &ch, *acc, drive, probed)
         });
+        *acc = acc1;
         // Per hit: one probe read plus the store side of the
         // miss-checked fold.
-        self.reads[*pt] += hits;
+        self.reads[probe] += hits;
         if ch.op != AssignOp::Overwrite {
             self.flops += hits;
         }
-        if matches!(acc, RAcc::Cell { .. }) {
+        if matches!(fold.acc, FAcc::Out { .. }) {
             self.writes += hits;
         }
-        *self.acc_cell(acc).expect("dot accumulators are register-held") = acc1;
         self.u[idx] = last;
-        true
     }
 }
 
@@ -1772,11 +1735,11 @@ impl Rows<'_> {
 }
 
 /// A [`RowNest`] resolved against one run's bindings — operand slices,
-/// address bases, the window recipe, the body's closed form — so a row
-/// costs its position, its window, its few scalar steps and one direct
-/// fold call. Everything a per-row `Vec*Loop` entry re-derives (window
-/// registers, a [`LoopRun`], guards, the body's shape, bulk counters)
-/// happens once per run, in [`LoopRun::nest`].
+/// address bases, the window recipe, the semiring — so a row costs its
+/// position, its window, its few scalar steps and one direct fold call.
+/// Everything a per-row `Vec*Loop` entry re-derives (window registers,
+/// a [`LoopRun`], guards, operand resolution, bulk counters) happens
+/// once per run, in [`LoopRun::nest`].
 struct NestRun<'a, 'p> {
     pre: &'p [Instr],
     post: &'p [Instr],
@@ -1785,13 +1748,15 @@ struct NestRun<'a, 'p> {
     /// Inner bounds, as deltas on the row index (`None`: unbounded).
     lo: Option<i64>,
     hi: Option<i64>,
-    body: Closed<'p>,
+    /// The inner body's closed form and folds.
+    form: ClosedForm,
+    folds: &'p [FFold],
     /// The body's strided dense operand.
     xs: &'a [f64],
     x: Affine,
     x_stride: usize,
     /// The output the body itself writes, by ordinal (as
-    /// [`LoopRun::fold_closed`] takes it).
+    /// [`LoopRun::closed_window`] takes it).
     out: (usize, Affine),
     /// [`LaneMode::Lanes`] and the body's plan-level lane count allow
     /// lanes; [`lane_gate`] still decides per row, on the row's window.
@@ -1831,9 +1796,11 @@ impl<'a> LoopRun<'_, 'a, '_> {
             }
         };
 
-        let body = closed(&nest.fused).expect("nests carry a closed-form body");
+        let Runner::Closed { x, form } = &nest.fused.runner else {
+            unreachable!("`fuse::row_nest` admits closed runners only");
+        };
         // One semiring for the whole nest, as at a fused loop entry.
-        let (x, out, (uniform, bin, op)) = body.parts();
+        let (uniform, bin, op) = nest.fused.semiring();
         let mut at = [Affine::default(); 2 * MAX_NEST_STEPS];
         for (at, step) in at.iter_mut().zip(nest.pre.iter().chain(nest.post.iter())) {
             if let Instr::ReadDense { terms, .. } | Instr::WriteOutput { terms, .. } = step {
@@ -1846,11 +1813,12 @@ impl<'a> LoopRun<'_, 'a, '_> {
             at,
             lo: nest.inner_lo.iter().map(|b| b.delta).max(),
             hi: nest.inner_hi.iter().map(|b| b.delta).min(),
-            body,
+            form: *form,
+            folds: &nest.fused.folds,
             xs: self.dense[x.tensor],
-            x: Affine::resolve(u, x.base, idx),
+            x: Affine::resolve(u, &x.base, idx),
             x_stride: x.stride,
-            out: match out {
+            out: match nest.fused.last_acc() {
                 FAcc::Scalar { .. } => (0, Affine::default()),
                 FAcc::Out { tensor, base, .. } => (self.oo[*tensor], Affine::resolve(u, base, idx)),
             },
@@ -1865,7 +1833,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
         });
 
         self.iterations += n as u64 + iters;
-        self.dispatch[body_kind(nest.fused.kind).index()] += entries;
+        self.dispatch[nest.fused.runner.kind().index()] += entries;
         self.tally(&nest.per_row, n as u64);
         self.tally(&nest.fused.bulk, iters);
     }
@@ -1896,7 +1864,8 @@ impl<'a> LoopRun<'_, 'a, '_> {
                 // Exactly a fused-loop entry, minus the resolution.
                 let lanes = lane_gate(run.lanes_on, d.span(), None);
                 let x = Strided { xs: run.xs, base: run.x.at(row), stride: run.x_stride };
-                self.fold_closed(s, run.body, x, (run.out.0, run.out.1.at(row)), lanes, &d);
+                let out = (run.out.0, run.out.1.at(row));
+                self.closed_window(s, run.form, run.folds, x, out, lanes, &d);
             }
             self.nest_steps(run.post, at_post, row);
         }
@@ -1977,11 +1946,11 @@ fn run_range<'a>(
     let mut flops = 0u64;
     let mut writes = 0u64;
     let mut iterations = 0u64;
-    // Per-kind vector-loop dispatch tally, indexed by
-    // `telemetry::BodyKind::index`. Kept as plain locals on the hot
+    // Per-runner vector-loop dispatch tally, indexed by
+    // `telemetry::RunnerKind::index`. Kept as plain locals on the hot
     // path and flushed to the global registry once per chunk, so
     // parallel workers never contend on a shared counter cache line.
-    let mut dispatch = [0u64; telemetry::BODY_KINDS.len()];
+    let mut dispatch = [0u64; telemetry::RUNNER_KINDS.len()];
 
     /// `out[terms] op= v`, counted as one write plus the reduction flop.
     macro_rules! store_out {
@@ -2409,7 +2378,7 @@ fn run_range<'a>(
     counters.iterations += iterations;
 
     let metrics = telemetry::global();
-    for (kind, n) in telemetry::BODY_KINDS.iter().zip(dispatch) {
+    for (kind, n) in telemetry::RUNNER_KINDS.iter().zip(dispatch) {
         if n > 0 {
             metrics.fused(*kind).add(n);
         }

@@ -250,7 +250,7 @@ fn run_length_dot_axpy_steady_state_is_allocation_free_in_both_lane_modes() {
     let (kernel, outputs_init) = compile(&main, &inputs);
     let dis = kernel.disassemble();
     assert!(
-        dis.contains("RowNest") && dis.contains("rle: true") && dis.contains("kind: DotAxpy"),
+        dis.contains("RowNest") && dis.contains("rle: true") && dis.contains("form: DotAxpy"),
         "{dis}"
     );
     for mode in [LaneMode::Lanes, LaneMode::Scalar] {

@@ -175,8 +175,8 @@ fn ssyrk_probe_loop_vectorizes_to_intersection() {
     let kernel = Compiler::new().compile(&def.einsum, &def.symmetry).unwrap();
     let text = snapshot(kernel.main, None, &inputs);
     assert!(
-        text.contains("VecIsectLoop") && text.contains("kind: Dot"),
-        "ssyrk's probed k-loop must select the intersection loop with a fused dot body:\n{text}"
+        text.contains("VecIsectLoop") && text.contains("runner: ProbeDot {"),
+        "ssyrk's probed k-loop must select the intersection loop with the probed dot:\n{text}"
     );
     assert!(
         !text.contains("SparseLoopHead"),

@@ -104,7 +104,7 @@ const COMPRESSED: &[&[LevelFormat]] =
     &[&[LevelFormat::Dense, LevelFormat::Sparse], &[LevelFormat::Sparse, LevelFormat::Sparse]];
 
 /// `y[i] += A[i,j] * x[j]` — a row dot into a loop-invariant output
-/// cell: `FusedBody::Dot` with the register-held accumulator, its row
+/// cell: the closed `Dot` form with the register-held accumulator, its row
 /// loop and compressed inner loop collapsed into one row nest.
 #[test]
 fn dot_ladder() {
@@ -122,7 +122,7 @@ fn dot_ladder() {
             select_and_match(
                 &prog,
                 &inputs,
-                &["kind: Dot", "RowNest", "rle: false"],
+                &["form: Dot(", "RowNest", "rle: false"],
                 &format!("dot formats={formats:?} seed={seed}"),
             );
         }
@@ -130,7 +130,7 @@ fn dot_ladder() {
 }
 
 /// `y[j] += 2·A[i,j]` — a strided reducing store per coordinate:
-/// `FusedBody::Axpy`.
+/// the generic runner.
 #[test]
 fn axpy_ladder() {
     for (k, formats) in COMPRESSED.iter().enumerate() {
@@ -146,7 +146,7 @@ fn axpy_ladder() {
             select_and_match(
                 &prog,
                 &inputs,
-                &["kind: Axpy"],
+                &["runner: Generic"],
                 &format!("axpy formats={formats:?} seed={seed}"),
             );
         }
@@ -154,7 +154,7 @@ fn axpy_ladder() {
 }
 
 /// `C[i,j] = 2·B[i,j]` over a dense operand — an overwriting store per
-/// coordinate of the vectorized dense loop: `FusedBody::ScaleStore`.
+/// coordinate of the vectorized dense loop, through the generic runner.
 /// (An overwrite can't sparsify — every coordinate must be written — so
 /// the drive is the counted dense loop.)
 #[test]
@@ -175,14 +175,14 @@ fn scale_store_ladder() {
         select_and_match(
             &prog,
             &inputs,
-            &["kind: ScaleStore", "VecDenseLoop"],
+            &["runner: Generic", "VecDenseLoop"],
             &format!("scale-store seed={seed}"),
         );
     }
 }
 
 /// `y[i] += A[i,j] * B[j,i]` — the second operand binds discordantly
-/// and gathers per coordinate: `FusedBody::GatherDot` (with annihilator
+/// and gathers per coordinate, through the generic runner (with annihilator
 /// miss semantics on the store).
 #[test]
 fn gather_dot_ladder() {
@@ -200,14 +200,14 @@ fn gather_dot_ladder() {
             select_and_match(
                 &prog,
                 &inputs,
-                &["kind: GatherDot", "Gather {"],
+                &["runner: Generic", "Gather {"],
                 &format!("gather-dot formats={formats:?} seed={seed}"),
             );
         }
     }
 }
 
-/// The dot ladder over a run-length driver: `FusedBody::Dot` executed
+/// The dot ladder over a run-length driver: the closed `Dot` form executed
 /// by the run-expanding strided drive of a run-length row nest.
 #[test]
 fn rle_strided_dot_ladder() {
@@ -231,15 +231,16 @@ fn rle_strided_dot_ladder() {
             select_and_match(
                 &prog,
                 &inputs,
-                &["kind: Dot", "RowNest", "rle: true"],
+                &["form: Dot(", "RowNest", "rle: true"],
                 &format!("rle-dot formats={formats:?} seed={seed}"),
             );
         }
     }
 }
 
-/// SSYMV's symmetric body — `let a = A[i,j]: w += a·x[j]; y[j] += a·x[i]`
-/// — selects the combined `FusedBody::DotAxpy`.
+/// The naive symmetric pair — `let a = A[i,j]: y[i] += a·x[j];
+/// y[j] += a·x[i]` — two strided stores per coordinate and no
+/// register-held accumulator: it vectorizes through the generic runner.
 #[test]
 fn dot_axpy_ladder() {
     for (k, formats) in COMPRESSED.iter().enumerate() {
@@ -261,8 +262,60 @@ fn dot_axpy_ladder() {
             select_and_match(
                 &prog,
                 &inputs,
-                &["kind: DotAxpy"],
+                &["runner: Generic"],
                 &format!("dot-axpy formats={formats:?} seed={seed}"),
+            );
+        }
+    }
+}
+
+/// SSYMV's symmetric body — `let a = A[i,j]: w += a·x[j]; y[j] += a·xi`
+/// with the workspace `w` and `xi = x[i]` bound per row — selects the
+/// combined closed `DotAxpy` form over dense-rooted rows (a compressed root
+/// is probed per row, so its inner loop stays on the general path).
+#[test]
+fn workspace_dot_axpy_ladder() {
+    let dense_rooted: &[&[LevelFormat]] = &[
+        &[LevelFormat::Dense, LevelFormat::Sparse],
+        &[LevelFormat::Dense, LevelFormat::RunLength],
+    ];
+    for (k, formats) in dense_rooted.iter().enumerate() {
+        for seed in 0..6u64 {
+            let mut r = StdRng::seed_from_u64(9550 + 100 * k as u64 + seed);
+            let n = r.gen_range(3usize..9);
+            let pair = Stmt::Let {
+                name: "a".into(),
+                value: access("A", ["i", "j"]).into(),
+                body: Box::new(Stmt::block([
+                    Stmt::Assign {
+                        lhs: systec_ir::Lhs::Scalar("w".into()),
+                        op: AssignOp::Add,
+                        rhs: mul([scalar("a"), access("x", ["j"]).into()]),
+                    },
+                    assign(access("y", ["j"]), mul([scalar("a"), scalar("xi")])),
+                ])),
+            };
+            let row = Stmt::Let {
+                name: "xi".into(),
+                value: access("x", ["i"]).into(),
+                body: Box::new(Stmt::Workspace {
+                    name: "w".into(),
+                    init: 0.0,
+                    body: Box::new(Stmt::block([
+                        Stmt::loops([idx("j")], pair),
+                        assign(access("y", ["i"]), scalar("w")),
+                    ])),
+                }),
+            };
+            let prog = Stmt::loops([idx("i")], row);
+            let mut inputs = HashMap::new();
+            inputs.insert("A".to_string(), random_matrix(n, n + 3, formats, &mut r));
+            inputs.insert("x".to_string(), random_vec(n, &mut r));
+            select_and_match(
+                &prog,
+                &inputs,
+                &["form: DotAxpy"],
+                &format!("workspace dot-axpy formats={formats:?} seed={seed}"),
             );
         }
     }

@@ -12,7 +12,7 @@
 //! chunk merge shows up as a hash diff.
 //!
 //! Beside it, `golden/dispatch.golden` is the selection census: one
-//! `dispatch <kernel> <format> kind=n …` line per group of cells, the
+//! `dispatch <kernel> <format> runner=n …` line per group of cells, the
 //! `systec_fused_dispatch_total` counts its runs added (`none` when no
 //! vector loop or row nest ran at all). A kernel that silently drops
 //! from a nest to the scalar path fails there as a readable diff, not
@@ -40,7 +40,7 @@ use systec_exec::{alloc_outputs, hoist_conditions, lower, prepare_variants, Coun
 use systec_ir::build::*;
 use systec_ir::Stmt;
 use systec_kernels::defs::{self, InputData, InputFormat, KernelDef};
-use systec_telemetry::{global, BODY_KINDS};
+use systec_telemetry::{global, RUNNER_KINDS};
 use systec_tensor::{CooTensor, DenseTensor, LevelFormat, SparseTensor, Tensor};
 
 /// Columns of the dense factor matrices (above the lane cutover).
@@ -197,7 +197,7 @@ fn hash_cells(
     inputs: &HashMap<String, Tensor>,
 ) {
     let text = &mut snaps.bits;
-    let dispatched = || BODY_KINDS.map(|kind| global().fused(kind).get());
+    let dispatched = || RUNNER_KINDS.map(|runner| global().fused(runner).get());
     let before = dispatched();
     let mut all_inputs = inputs.clone();
     all_inputs.extend(prepare_variants(&programs[0], inputs).expect("variants"));
@@ -232,9 +232,9 @@ fn hash_cells(
         }
     }
     let mut census = String::new();
-    for ((kind, after), before) in BODY_KINDS.iter().zip(dispatched()).zip(before) {
+    for ((runner, after), before) in RUNNER_KINDS.iter().zip(dispatched()).zip(before) {
         if after > before {
-            write!(census, " {}={}", kind.name(), after - before).unwrap();
+            write!(census, " {}={}", runner.name(), after - before).unwrap();
         }
     }
     let census = if census.is_empty() { " none" } else { &census };
@@ -248,7 +248,8 @@ fn matrix(root: LevelFormat, leaf: LevelFormat, s: &mut Stream) -> Tensor {
 /// Naive programs reaching the runner shapes the paper kernels do not:
 /// dense-range and sparse-root drives, probes into every level format
 /// (dense probes are the laned intersection), a driven gather, and a
-/// dot chain with leading and middle invariants.
+/// dot chain with invariant factors around the driver (the compiler
+/// loads its `x[i]` per coordinate, so the chain runs generic).
 fn runner_shape_cells(text: &mut Snapshots) {
     use LevelFormat::{Dense, RunLength, Sparse};
     let n = extent(2);

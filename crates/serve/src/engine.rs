@@ -3,9 +3,9 @@
 //!
 //! An [`Engine`] dispatches requests over the tensor registry
 //! ([`crate::registry`]: one state machine, journaled write-ahead), the
-//! kernel table ([`crate::kernel_table`]: prepared handles and the
-//! guards around running one) and a shared [`ContextPool`], and owns
-//! the request/latency metrics and their exposition. The TCP layer
+//! kernel table ([`crate::kernel_table`]: prepared handles, their run
+//! slots and the guards around running one), and owns the
+//! request/latency metrics and their exposition. The TCP layer
 //! ([`crate::server`]) decodes request lines and calls
 //! [`Engine::handle`]; tests drive the engine directly (the
 //! counting-allocator tier calls [`Engine::execute`] to isolate the
@@ -15,11 +15,11 @@
 //!
 //! Plans are compiled once (process-wide single-flight plan cache, see
 //! `systec_kernels::Prepared`), and every kernel handle keeps a pool of
-//! warmed run slots — output tensors plus a `Counters` value sized on
-//! first use. A `run` request checks out one slot and one pooled
-//! [`ExecContext`], calls `run_timed_into`, and returns both on drop:
-//! once as many slots/contexts exist as there are concurrent runners,
-//! the steady-state execution path performs **zero** heap allocations
+//! warmed run slots — output tensors, a `Counters` value and an
+//! [`ExecContext`], sized on first use. A `run` request checks out one
+//! slot, calls `run_timed_into`, and returns it on drop: once as many
+//! slots exist as there are concurrent runners of the kernel, the
+//! steady-state execution path performs **zero** heap allocations
 //! (`tests/serve_alloc_regression.rs`). Response serialization happens
 //! after the lease is taken and is allowed to allocate.
 //!
@@ -34,11 +34,11 @@ use std::time::{Duration, Instant};
 
 use crate::durability::DEFAULT_SNAPSHOT_EVERY;
 use crate::fault::FaultPlan;
-use crate::kernel_table::{KernelEntry, KernelTable, Live};
+use crate::kernel_table::{KernelEntry, KernelTable, Live, RunSlot};
 use crate::registry::{build_tensor, SharedRegistry};
 use crate::relock;
 
-use systec_codegen::{ContextPool, Parallelism};
+use systec_codegen::Parallelism;
 use systec_exec::{Counters, ExecError};
 use systec_ir::parse_einsum;
 use systec_kernels::{parse_symmetry, plan_cache_stats, Prepared};
@@ -92,7 +92,6 @@ impl EngineError {
 pub struct Engine {
     tensors: SharedRegistry,
     kernels: KernelTable,
-    contexts: ContextPool,
     counts: RequestMetrics,
     /// Per-engine serving metrics (queue, admission, registry
     /// lifecycle); owned here so parallel tests never bleed into each
@@ -126,8 +125,7 @@ impl Engine {
     pub fn with_parallelism(default_parallelism: Parallelism) -> Engine {
         Engine {
             tensors: SharedRegistry::default(),
-            kernels: KernelTable::new(),
-            contexts: ContextPool::new(),
+            kernels: KernelTable::default(),
             counts: RequestMetrics::default(),
             serve: ServeMetrics::default(),
             default_parallelism,
@@ -136,15 +134,6 @@ impl Engine {
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
             fault_plan: None,
         }
-    }
-
-    /// Overrides the per-spec panic budget (default 3): once a spec's
-    /// runs panic that many times without an intervening success, its
-    /// `prepare` is refused with `kernel_quarantined` instead of
-    /// minting yet another doomed handle.
-    pub fn with_panic_budget(mut self, budget: u32) -> Engine {
-        self.kernels.panic_budget = budget.max(1);
-        self
     }
 
     /// Caps the total estimated bytes of registered tensors (admission
@@ -375,25 +364,15 @@ impl Engine {
             return Err(EngineError::new(ErrorCode::InvalidKernel, message));
         }
         let mut slot = relock(&live.slots).pop().unwrap_or_default();
-        let mut ctx = self.contexts.checkout();
         let started = Instant::now();
         let faults = self.fault_plan.as_deref();
-        let result = entry.guarded(kernel, faults, &self.serve, || match shard {
-            None => live.prepared.run_timed_into(&mut slot.outputs, &mut ctx, &mut slot.counters),
-            Some((k, shards)) => live.prepared.run_shard_into(
-                &mut slot.outputs,
-                &mut ctx,
-                &mut slot.counters,
-                k,
-                shards,
-            ),
-        });
-        if let Err(e) = result {
-            // Poisoned intermediate state: drop the slot and the context
-            // rather than returning them to their pools.
-            ctx.discard();
-            return Err(e);
-        }
+        let RunSlot { outputs, counters, ctx } = &mut slot;
+        // A failed run drops its slot — poisoned intermediate state never
+        // goes back to the pool.
+        entry.guarded(kernel, faults, &self.serve, || match shard {
+            None => live.prepared.run_timed_into(outputs, ctx, counters),
+            Some((k, shards)) => live.prepared.run_shard_into(outputs, ctx, counters, k, shards),
+        })?;
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         entry.latency.record(nanos);
         if nanos >= self.slow_threshold_ns {
@@ -401,7 +380,7 @@ impl Engine {
             let entry = SlowRunPayload { kernel, us: nanos / 1_000 };
             record_slow(&mut relock(&self.slow_log), entry);
         }
-        Ok(RunLease { live, slot, _ctx: ctx })
+        Ok(RunLease { live, slot })
     }
 
     /// The `run` verb: the pooled main program (optionally one `shard`
@@ -489,18 +468,13 @@ impl Engine {
             let injected = self.fault_plan.as_ref().map_or(0, |p| p.injected(site));
             w.sample(&FAULTS_INJECTED, &[("site", site.name())], injected);
         }
-        for kind in telemetry::BODY_KINDS {
-            w.sample(&FUSED_DISPATCH, &[("kind", kind.name())], m.fused(kind).get());
+        for runner in telemetry::RUNNER_KINDS {
+            w.sample(&FUSED_DISPATCH, &[("kind", runner.name())], m.fused(runner).get());
         }
         w.sample(&VM_RUN_NS, &[], m.vm_run_ns.get());
         w.sample(&VM_RUNS, &[], m.vm_runs.get());
         self.kernels.expose(&mut w);
         w.finish()
-    }
-
-    /// The execution-context pool (observability for tests).
-    pub fn context_pool(&self) -> &ContextPool {
-        &self.contexts
     }
 }
 
@@ -524,7 +498,7 @@ const FAULTS_INJECTED: Metric = counter(
     "Faults injected by the installed fault plan, by site (all zero in production).",
 );
 const FUSED_DISPATCH: Metric =
-    counter("systec_fused_dispatch_total", "VM vector-loop dispatches by fused-body kind.");
+    counter("systec_fused_dispatch_total", "VM vector-loop dispatches by runner.");
 const VM_RUN_NS: Metric =
     counter("systec_vm_run_ns_total", "Total wall nanoseconds inside VM execute.");
 const VM_RUNS: Metric = counter("systec_vm_runs_total", "VM execute entries.");
@@ -576,7 +550,7 @@ pub fn oracle_response(outputs: &HashMap<String, DenseTensor>, counters: &Counte
 mod tests {
     use super::*;
     use crate::fault::FaultSite;
-    use crate::kernel_table::DEFAULT_PANIC_BUDGET;
+    use crate::kernel_table::PANIC_BUDGET;
     use crate::protocol::{MergeRule, Placement, WarningKind};
 
     fn register(engine: &Engine, name: &str, dims: &[usize], entries: &[(Vec<usize>, f64)]) {
@@ -1257,13 +1231,13 @@ mod tests {
     fn panic_budget_circuit_breaks_the_spec_after_consecutive_panics() {
         // Every run of this spec panics. Without a budget, a client
         // bounces forever: prepare → panic → quarantine → fresh
-        // prepare → panic. After `DEFAULT_PANIC_BUDGET` strikes the
+        // prepare → panic. After `PANIC_BUDGET` strikes the
         // *spec* is refused at prepare time, not just the handle.
         let plan = Arc::new(FaultPlan::seeded(3).rate(FaultSite::ExecPanic, 1_000_000));
         let engine = Engine::new().with_fault_plan(plan);
         ssymv_inputs(&engine);
         let mut handles = Vec::new();
-        for _ in 0..DEFAULT_PANIC_BUDGET {
+        for _ in 0..PANIC_BUDGET {
             let kernel = prepare(&engine);
             assert!(!handles.contains(&kernel), "quarantined handles must not satisfy dedup");
             handles.push(kernel);
@@ -1293,7 +1267,7 @@ mod tests {
     #[test]
     fn a_clean_run_resets_the_panic_streak() {
         let plan = Arc::new(FaultPlan::seeded(4).nth(FaultSite::ExecPanic, 1));
-        let engine = Engine::new().with_fault_plan(plan).with_panic_budget(2);
+        let engine = Engine::new().with_fault_plan(plan);
         ssymv_inputs(&engine);
         let first = prepare(&engine);
         let resp = engine.handle(&Request::Run { kernel: first, full: false, shard: None });
@@ -1309,28 +1283,6 @@ mod tests {
         assert!(
             counts.values().all(|c| c.load(Ordering::Acquire) == 0),
             "a successful run must zero the spec's streak"
-        );
-    }
-
-    #[test]
-    fn a_zero_panic_budget_clamps_to_one_strike() {
-        let plan = Arc::new(FaultPlan::seeded(6).nth(FaultSite::ExecPanic, 1));
-        let engine = Engine::new().with_fault_plan(plan).with_panic_budget(0);
-        ssymv_inputs(&engine);
-        let kernel = prepare(&engine);
-        let resp = engine.handle(&Request::Run { kernel, full: false, shard: None });
-        assert!(matches!(resp, Response::Error { code: ErrorCode::Internal, .. }), "{resp:?}");
-        let resp = engine.handle(&Request::Prepare {
-            einsum: "for i, j: y[i] += A[i, j] * x[j]".into(),
-            sym: vec!["A".into()],
-            inputs: vec![],
-            variant: Variant::Systec,
-            threads: Some(1),
-            sharded: false,
-        });
-        assert!(
-            matches!(resp, Response::Error { code: ErrorCode::KernelQuarantined, .. }),
-            "{resp:?}"
         );
     }
 

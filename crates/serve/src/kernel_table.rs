@@ -13,7 +13,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use systec_codegen::PooledContext;
+use systec_codegen::ExecContext;
 use systec_exec::{Counters, ExecError};
 use systec_kernels::{serial_fallback_note, Prepared};
 use systec_telemetry::prom::{counter, histogram, Metric, PromWriter};
@@ -28,16 +28,17 @@ use crate::protocol::{
 use crate::relock;
 
 /// Consecutive panicking runs of one spec before `prepare` itself is
-/// circuit-broken (overridable via [`crate::Engine::with_panic_budget`]).
-/// A successful run of the spec resets the count.
-pub(crate) const DEFAULT_PANIC_BUDGET: u32 = 3;
+/// circuit-broken. A successful run of the spec resets the count.
+pub(crate) const PANIC_BUDGET: u32 = 3;
 
-/// Reusable per-run state for one kernel: initialized outputs and a
-/// counters value, both retaining capacity between runs.
+/// Reusable per-run state for one kernel: initialized outputs, a
+/// counters value and the VM's execution context, all retaining
+/// capacity between runs — a `run` checks out exactly one.
 #[derive(Debug, Default)]
 pub(crate) struct RunSlot {
     pub(crate) outputs: HashMap<String, DenseTensor>,
     pub(crate) counters: Counters,
+    pub(crate) ctx: ExecContext,
 }
 
 /// What running a handle takes, and everything of any size it holds:
@@ -156,12 +157,11 @@ impl KernelEntry {
 }
 
 /// A completed execution, borrowing nothing: holds the kernel's live
-/// half, the checked-out slot and context, and returns both to their
-/// pools on drop. Accessors expose the results for serialization.
+/// half and the checked-out slot, and returns the slot to its pool on
+/// drop. Accessors expose the results for serialization.
 pub struct RunLease {
     pub(crate) live: Arc<Live>,
     pub(crate) slot: RunSlot,
-    pub(crate) _ctx: PooledContext,
 }
 
 impl RunLease {
@@ -200,10 +200,8 @@ pub(crate) type Prepare = (u64, Arc<KernelEntry>, Arc<Live>);
 pub(crate) struct KernelTable {
     kernels: RwLock<Vec<Handle>>,
     /// Consecutive panicking runs per spec dedup key, shared with the
-    /// spec's kernel entries; at `panic_budget` `prepare` refuses it.
+    /// spec's kernel entries; at [`PANIC_BUDGET`] `prepare` refuses it.
     pub(crate) panic_counts: Mutex<HashMap<String, Arc<AtomicU32>>>,
-    /// Consecutive panics after which a spec is circuit-broken.
-    pub(crate) panic_budget: u32,
 }
 
 /// The live handle for `dedup`, if any. Quarantined and retired
@@ -218,16 +216,12 @@ fn find_live(kernels: &[Handle], dedup: &str) -> Option<Prepare> {
 }
 
 impl KernelTable {
-    pub(crate) fn new() -> KernelTable {
-        KernelTable { panic_budget: DEFAULT_PANIC_BUDGET, ..KernelTable::default() }
-    }
-
     /// The one lookup-or-insert behind `prepare`: the live handle for
     /// the spec `dedup` if there is one, else a fresh handle over what
     /// `compile` builds, its `pinned` generations verified at `epoch`.
     ///
     /// Refused up front with `kernel_quarantined` when the spec's runs
-    /// panicked `panic_budget` consecutive times — the circuit breaker
+    /// panicked [`PANIC_BUDGET`] consecutive times — the circuit breaker
     /// on the quarantine → re-prepare bounce, tripped before compiling
     /// yet another doomed handle. `compile` runs outside every lock:
     /// concurrent prepares of different kernels must not serialize, and
@@ -244,7 +238,7 @@ impl KernelTable {
     ) -> Result<Prepare, EngineError> {
         let panic_count = Arc::clone(relock(&self.panic_counts).entry(dedup.clone()).or_default());
         let panics = panic_count.load(Ordering::Acquire);
-        if panics >= self.panic_budget {
+        if panics >= PANIC_BUDGET {
             let message = format!(
                 "this spec panicked on {panics} consecutive runs and is circuit-broken — \
                  re-register its data (or fix the spec) before preparing it again"

@@ -11,8 +11,8 @@
 //! * kernels are **prepared once** — N connections preparing the same
 //!   (einsum, symmetry, formats, dims) key trigger exactly **one**
 //!   single-flight plan build in the process-wide cache, and
-//! * executions run on **pooled per-worker state** (warmed
-//!   [`systec_codegen::ExecContext`]s + per-kernel output slots), so the
+//! * executions run on **pooled per-kernel run slots** (outputs,
+//!   counters and a warmed [`systec_codegen::ExecContext`] each), so the
 //!   steady-state execution path allocates **nothing** per request.
 //!
 //! ## Protocol

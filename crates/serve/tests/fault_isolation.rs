@@ -216,12 +216,13 @@ fn a_panicking_spec_is_circuit_broken_at_prepare_over_the_wire() {
     use std::sync::Arc;
     use systec_serve::{FaultSite, ServerConfig};
 
-    // Every run of the harness spec panics. Budget 2: two full
-    // prepare → panic → quarantine bounces, then the *spec* is refused
+    // Every run of the harness spec panics. Three strikes (the panic
+    // budget): the warmed handle's panic and two full prepare → panic →
+    // quarantine bounces, then the *spec* is refused
     // at prepare time with a structured, non-retryable error — over
     // the wire, exactly like the engine-level unit tier promises.
     let plan = Arc::new(common::plan(0xB0DCE7).rate(FaultSite::ExecPanic, 1_000_000));
-    let engine = Engine::new().with_fault_plan(plan).with_panic_budget(2);
+    let engine = Engine::new().with_fault_plan(plan);
     let common::Harness { server, kernel, .. } =
         common::warmed_server_with(engine, ServerConfig::default());
     let mut client = Client::connect(server.addr()).unwrap();
@@ -236,9 +237,13 @@ fn a_panicking_spec_is_circuit_broken_at_prepare_over_the_wire() {
     strike(&mut client, kernel);
     // The quarantine bounce: a fresh prepare mints a fresh handle
     // (the quarantined one must not satisfy dedup) and panics again.
-    let bounced = common::prepare_kernel(&mut client);
-    assert_ne!(bounced, kernel, "quarantined handles must not satisfy dedup");
-    strike(&mut client, bounced);
+    let mut handles = vec![kernel];
+    for _ in 0..2 {
+        let bounced = common::prepare_kernel(&mut client);
+        assert!(!handles.contains(&bounced), "quarantined handles must not satisfy dedup");
+        strike(&mut client, bounced);
+        handles.push(bounced);
+    }
 
     // Budget exhausted: the bounce is broken before another doomed
     // compile.
@@ -261,7 +266,7 @@ fn a_panicking_spec_is_circuit_broken_at_prepare_over_the_wire() {
     // locked out by the old spec's strikes.
     common::register_inputs(&mut client);
     let reopened = common::prepare_kernel(&mut client);
-    assert_ne!(reopened, bounced);
+    assert!(!handles.contains(&reopened));
 
     assert_eq!(client.request(&Request::Shutdown).unwrap(), Response::ShuttingDown);
     server.wait();

@@ -1,9 +1,9 @@
 //! Extends the PR 2 counting-allocator regression harness to a warmed
-//! server worker: once an engine's pooled state is warm (run slots +
-//! execution contexts sized by the first few requests), the
-//! steady-state **execution path** of a `run` request —
-//! [`systec_serve::Engine::execute`]: kernel lookup, slot + context
-//! checkout, `run_timed_into`, latency recording, lease return —
+//! server worker: once an engine's pooled state is warm (run slots —
+//! outputs, counters and execution context — sized by the first few
+//! requests), the steady-state **execution path** of a `run` request —
+//! [`systec_serve::Engine::execute`]: kernel lookup, slot checkout,
+//! `run_timed_into`, latency recording, lease return —
 //! performs **zero** heap allocations. Response serialization is
 //! deliberately outside the measured region (it builds a fresh line per
 //! request by design).
@@ -122,13 +122,14 @@ fn warmed_server_worker_executes_allocation_free() {
     // slow-threshold check live inside the measured region and must
     // not cost an allocation.
     let (engine, kernel) = warmed_engine();
-    // Warm the pooled state: the first runs size the run slot, the
-    // execution context, and the counters map.
+    // Warm the pooled state: the first runs size the run slot — its
+    // outputs, its counters map and its execution context. A second
+    // slot (or context) would allocate, so the zero count below also
+    // pins that the leases recycle the one slot.
     for _ in 0..3 {
         let lease = engine.execute(kernel).expect("run succeeds");
         assert!(!lease.outputs().is_empty());
     }
-    assert_eq!(engine.context_pool().created(), 1, "one serial worker, one context");
 
     let allocs = allocations_in(|| {
         for _ in 0..10 {
@@ -143,8 +144,6 @@ fn warmed_server_worker_executes_allocation_free() {
         "steady-state serving must not allocate on the execution path \
          (saw {allocs} allocations over 10 runs)"
     );
-    // Still the same single pooled context — the leases recycled it.
-    assert_eq!(engine.context_pool().created(), 1);
 }
 
 #[test]

@@ -179,55 +179,39 @@ impl Drop for Span {
 }
 
 // ---------------------------------------------------------------------------
-// VM fused-body dispatch kinds
+// VM vector-loop runners
 // ---------------------------------------------------------------------------
 
-/// The monomorphized loop-body kinds the VM dispatches to. Mirrors
-/// `systec-codegen`'s `FusedBody`.
+/// The runners the VM executes vector-loop bodies through — one label
+/// per `systec-codegen` `Runner`, which the compiler picks per body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BodyKind {
-    /// `acc += a[i] * b[i]` reduction.
+pub enum RunnerKind {
+    /// Closed-form dot against a strided dense operand.
     Dot,
-    /// `y[i] += s * x[i]`.
-    Axpy,
-    /// `y[i] = s * x[i]`.
-    ScaleStore,
-    /// Fused dot + axpy over one probed run.
+    /// Closed-form dot plus strided axpy sharing the driver value.
     DotAxpy,
-    /// Dot through a gather index.
-    GatherDot,
-    /// Axpy through a gather index.
-    GatherAxpy,
-    /// Two-operand jammed update.
-    Jam,
+    /// Closed-form dot against an intersection's probe.
+    ProbeDot,
+    /// The generic resolved body, coordinate by coordinate.
+    Generic,
 }
 
-/// All body kinds, in exposition order.
-pub const BODY_KINDS: [BodyKind; 7] = [
-    BodyKind::Dot,
-    BodyKind::Axpy,
-    BodyKind::ScaleStore,
-    BodyKind::DotAxpy,
-    BodyKind::GatherDot,
-    BodyKind::GatherAxpy,
-    BodyKind::Jam,
-];
+/// All runners, in exposition order.
+pub const RUNNER_KINDS: [RunnerKind; 4] =
+    [RunnerKind::Dot, RunnerKind::DotAxpy, RunnerKind::ProbeDot, RunnerKind::Generic];
 
-impl BodyKind {
+impl RunnerKind {
     /// Stable lowercase label used in metric label values.
     pub fn name(self) -> &'static str {
         match self {
-            BodyKind::Dot => "dot",
-            BodyKind::Axpy => "axpy",
-            BodyKind::ScaleStore => "scale_store",
-            BodyKind::DotAxpy => "dot_axpy",
-            BodyKind::GatherDot => "gather_dot",
-            BodyKind::GatherAxpy => "gather_axpy",
-            BodyKind::Jam => "jam",
+            RunnerKind::Dot => "dot",
+            RunnerKind::DotAxpy => "dot_axpy",
+            RunnerKind::ProbeDot => "probe_dot",
+            RunnerKind::Generic => "generic",
         }
     }
 
-    /// Position in [`BODY_KINDS`] — the declaration order (stable;
+    /// Position in [`RUNNER_KINDS`] — the declaration order (stable;
     /// usable as an array index).
     pub fn index(self) -> usize {
         self as usize
@@ -251,7 +235,7 @@ pub struct Metrics {
     /// Total wall nanoseconds spent inside VM `execute`.
     pub vm_run_ns: Counter,
     phases: [PhaseStat; PHASES.len()],
-    fused: [Counter; BODY_KINDS.len()],
+    fused: [Counter; RUNNER_KINDS.len()],
 }
 
 impl Metrics {
@@ -261,7 +245,7 @@ impl Metrics {
             vm_runs: Counter::new(),
             vm_run_ns: Counter::new(),
             phases: [const { PhaseStat::new() }; PHASES.len()],
-            fused: [const { Counter::new() }; BODY_KINDS.len()],
+            fused: [const { Counter::new() }; RUNNER_KINDS.len()],
         }
     }
 
@@ -270,9 +254,9 @@ impl Metrics {
         &self.phases[phase.index()]
     }
 
-    /// The dispatch counter for one fused-body kind.
-    pub fn fused(&self, kind: BodyKind) -> &Counter {
-        &self.fused[kind.index()]
+    /// The dispatch counter for one vector-loop runner.
+    pub fn fused(&self, runner: RunnerKind) -> &Counter {
+        &self.fused[runner.index()]
     }
 }
 
@@ -309,14 +293,14 @@ mod tests {
     #[test]
     fn indices_follow_the_exposition_tables() {
         assert!(PHASES.iter().enumerate().all(|(k, p)| p.index() == k));
-        assert!(BODY_KINDS.iter().enumerate().all(|(k, b)| b.index() == k));
+        assert!(RUNNER_KINDS.iter().enumerate().all(|(k, r)| r.index() == k));
     }
 
     #[test]
-    fn body_kind_names_are_unique() {
-        let mut names: Vec<_> = BODY_KINDS.iter().map(|k| k.name()).collect();
+    fn runner_names_are_unique() {
+        let mut names: Vec<_> = RUNNER_KINDS.iter().map(|r| r.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), BODY_KINDS.len());
+        assert_eq!(names.len(), RUNNER_KINDS.len());
     }
 }
