@@ -19,6 +19,12 @@
 //! as a timing. The registry is process-global, which is why this is
 //! the only test in its binary.
 //!
+//! The symmetric variants hold only the entries their plan's guards can
+//! reach (`prepare_variants`), and dropping entries no access reads moves
+//! no output bit. It does move four census lines: in the rank ≥ 3
+//! `dense` cells a `Dense` leaf pads zeros only under the middle fibers
+//! that still exist, so the generic runner walks fewer padded entries.
+//!
 //! Regenerate after an *intentional* association or selection change
 //! with:
 //!

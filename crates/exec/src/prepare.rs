@@ -8,14 +8,21 @@
 //! built level to level: a transpose is one walk of the base's fibertree
 //! and a sort of its entries, a diagonal split is one walk (already
 //! sorted) packed once per part, and a dense base is split by a masked
-//! copy. Every stored entry of the base lands in exactly one part,
-//! explicitly stored zeros included, so a symmetric plan reads what the
-//! naive plan reads.
+//! copy.
+//!
+//! A derived variant keeps only the entries the program can read. The
+//! `If` guards around its accesses say which: SSYMV reads `A_nondiag`
+//! under `i <= j`, so it keeps `c0 < c1`; MTTKRP's canonical chain keeps
+//! the non-decreasing coordinates, one entry per orbit. The rule is the
+//! compiled program's own (see `KeepRule`), so the dropped entries are
+//! exactly ones no access could reach. A kept entry is kept whatever its
+//! value, explicitly stored zeros included, so a symmetric plan reads
+//! what the naive plan reads in the canonical part.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use systec_ir::{Access, AssignOp, Lhs, Stmt, TensorPart, TensorRef};
+use systec_ir::{Access, AssignOp, CmpOp, Cond, Index, Lhs, Stmt, TensorPart, TensorRef};
 use systec_tensor::{DenseTensor, Tensor};
 
 use crate::ExecError;
@@ -39,7 +46,7 @@ pub fn alloc_outputs(
 ) -> Result<HashMap<String, DenseTensor>, ExecError> {
     let mut extents: HashMap<systec_ir::Index, usize> = HashMap::new();
     let mut targets: Vec<(Access, AssignOp)> = Vec::new();
-    collect(stmt, &mut |access, write_op| {
+    collect(stmt, &mut Vec::new(), &mut |access, write_op, _| {
         let name = access.tensor.display_name();
         if let Some(t) = inputs.get(&name) {
             for (mode, index) in access.indices.iter().enumerate() {
@@ -53,7 +60,7 @@ pub fn alloc_outputs(
     // Validate input extents for conflicts.
     let mut checked: HashMap<systec_ir::Index, usize> = HashMap::new();
     let mut conflict: Option<ExecError> = None;
-    collect(stmt, &mut |access, _| {
+    collect(stmt, &mut Vec::new(), &mut |access, _, _| {
         let name = access.tensor.display_name();
         if let Some(t) = inputs.get(&name) {
             for (mode, index) in access.indices.iter().enumerate() {
@@ -110,38 +117,91 @@ pub fn alloc_outputs(
     Ok(outputs)
 }
 
-fn collect(stmt: &Stmt, f: &mut impl FnMut(&Access, Option<AssignOp>)) {
+/// Calls `f(access, write_op, guards)` for every access in program
+/// order, `guards` being the conjuncts of the `If`s that enclose it.
+fn collect<'a>(
+    stmt: &'a Stmt,
+    guards: &mut Vec<&'a Cond>,
+    f: &mut impl FnMut(&'a Access, Option<AssignOp>, &[&'a Cond]),
+) {
     match stmt {
         Stmt::Block(ss) => {
             for s in ss {
-                collect(s, f);
+                collect(s, guards, f);
             }
         }
-        Stmt::Loop { body, .. } | Stmt::If { body, .. } | Stmt::Workspace { body, .. } => {
-            collect(body, f)
+        Stmt::Loop { body, .. } | Stmt::Workspace { body, .. } => collect(body, guards, f),
+        Stmt::If { cond, body } => {
+            let depth = guards.len();
+            guards.extend(match cond {
+                Cond::And(conjuncts) => conjuncts.as_slice(),
+                cond => std::slice::from_ref(cond),
+            });
+            collect(body, guards, f);
+            guards.truncate(depth);
         }
         Stmt::Let { value, body, .. } => {
             for a in value.accesses() {
-                f(a, None);
+                f(a, None, guards);
             }
-            collect(body, f);
+            collect(body, guards, f);
         }
         Stmt::Assign { lhs, op, rhs } => {
             if let Lhs::Tensor(a) = lhs {
-                f(a, Some(*op));
+                f(a, Some(*op), guards);
             }
             for a in rhs.accesses() {
-                f(a, None);
+                f(a, None, guards);
             }
         }
+    }
+}
+
+/// The stored entries of a derived variant that some access of the
+/// program can read: an entry is kept if, for *some* access, every
+/// comparison in that access's list holds on its coordinates.
+///
+/// An access's list holds the `Cmp` conjuncts of its enclosing `If`s whose
+/// two indices both subscript it, resolved once to `(op, mode_a,
+/// mode_b)`. Any other conjunct — one that mentions another index, an
+/// `Or` — counts as true, so an access under no such conjunct keeps every
+/// entry. Reading an entry binds the access's subscripts to its
+/// coordinates, and its guards must hold there, so no dropped entry is
+/// ever read.
+#[derive(Default)]
+struct KeepRule(Vec<Vec<(CmpOp, usize, usize)>>);
+
+impl KeepRule {
+    fn add(&mut self, access: &Access, guards: &[&Cond]) {
+        let mode = |index: &Index| access.indices.iter().position(|s| s == index);
+        let cmps: Vec<(CmpOp, usize, usize)> = guards
+            .iter()
+            .filter_map(|guard| match guard {
+                Cond::Cmp(op, a, b) => Some((*op, mode(a)?, mode(b)?)),
+                _ => None,
+            })
+            .collect();
+        if !self.0.contains(&cmps) {
+            self.0.push(cmps);
+        }
+    }
+
+    fn keeps_all(&self) -> bool {
+        self.0.iter().any(Vec::is_empty)
+    }
+
+    fn keeps(&self, coords: &[usize]) -> bool {
+        self.0.iter().any(|cmps| cmps.iter().all(|&(op, a, b)| op.eval(coords[a], coords[b])))
     }
 }
 
 /// Materializes every derived input variant a program mentions —
 /// transposes (`B_T`, from the concordize pass) and diagonal splits
 /// (`A_diag` / `A_nondiag`, from the diagonal-splitting pass) — from the
-/// base tensors in `base`. Returns only the derived variants; merge them
-/// with the base map before calling [`crate::run`].
+/// base tensors in `base`. A variant holds only the entries some access
+/// of `stmt` can read under its `If` guards (an access under no guard
+/// on its own subscripts keeps them all). Returns only the derived
+/// variants; merge them with the base map before calling [`crate::run`].
 ///
 /// # Errors
 ///
@@ -152,13 +212,18 @@ pub fn prepare_variants(
     base: &HashMap<String, Tensor>,
 ) -> Result<HashMap<String, Tensor>, ExecError> {
     let mut variants: HashMap<String, Tensor> = HashMap::new();
-    let mut refs: Vec<TensorRef> = Vec::new();
-    collect(stmt, &mut |access, _| {
-        if !access.tensor.is_base() && !refs.contains(&access.tensor) {
-            refs.push(access.tensor.clone());
+    let mut refs: Vec<(TensorRef, KeepRule)> = Vec::new();
+    collect(stmt, &mut Vec::new(), &mut |access, _, guards| {
+        if access.tensor.is_base() {
+            return;
         }
+        let at = refs.iter().position(|(r, _)| *r == access.tensor).unwrap_or_else(|| {
+            refs.push((access.tensor.clone(), KeepRule::default()));
+            refs.len() - 1
+        });
+        refs[at].1.add(access, guards);
     });
-    for tref in &refs {
+    for (tref, _) in &refs {
         // Write-target variants (e.g. a transposed output C_T) are
         // allocated by `alloc_outputs`, not materialized from inputs.
         let Some(base_tensor) = base.get(&tref.name) else {
@@ -179,17 +244,26 @@ pub fn prepare_variants(
         };
         let wanted = |part| {
             let sibling = TensorRef { part, ..tref.clone() };
-            refs.contains(&sibling).then(|| sibling.display_name())
+            refs.iter().find(|(r, _)| *r == sibling).map(|(r, keep)| (r.display_name(), keep))
         };
         let (diagonal, off_diagonal) =
             (wanted(TensorPart::Diagonal), wanted(TensorPart::OffDiagonal));
         if diagonal.is_some() || off_diagonal.is_some() {
-            let (diag, off) = permuted.partition(on_diagonal);
-            variants.extend(diagonal.map(|name| (name, diag)));
-            variants.extend(off_diagonal.map(|name| (name, off)));
+            let (diag, off) = permuted.partition(|coords| {
+                let on = on_diagonal(coords);
+                let (_, keep) = if on { &diagonal } else { &off_diagonal }.as_ref()?;
+                keep.keeps(coords).then_some(on)
+            });
+            variants.extend(diagonal.map(|(name, _)| (name, diag)));
+            variants.extend(off_diagonal.map(|(name, _)| (name, off)));
         }
-        if let Some(name) = wanted(TensorPart::All) {
-            variants.insert(name, permuted.into_owned());
+        if let Some((name, keep)) = wanted(TensorPart::All) {
+            let all = if keep.keeps_all() {
+                permuted.into_owned()
+            } else {
+                permuted.partition(|coords| keep.keeps(coords).then_some(true)).0
+            };
+            variants.insert(name, all);
         }
     }
     Ok(variants)
@@ -205,8 +279,8 @@ fn on_diagonal(coords: &[usize]) -> bool {
 mod tests {
     use super::*;
     use systec_ir::build::*;
-    use systec_ir::AssignOp;
-    use systec_tensor::{Entries, CSR};
+    use systec_ir::{AssignOp, Expr};
+    use systec_tensor::{Entries, LevelFormat, CSR};
 
     fn csr(dims: [usize; 2], entries: &[([usize; 2], f64)]) -> Tensor {
         let mut list = Entries::new(dims.to_vec());
@@ -303,6 +377,126 @@ mod tests {
         let d = variants.get("A_diag").expect("A_diag materialized");
         assert_eq!(d.get(&[0, 0]), 1.0);
         assert_eq!(d.get(&[0, 1]), 0.0);
+    }
+
+    /// `A`'s `part` (optionally transposed by `perm`) at `indices`.
+    fn variant(part: TensorPart, perm: &[usize], indices: &[&str]) -> Expr {
+        let tensor = TensorRef { name: "A".into(), perm: perm.to_vec(), part };
+        Expr::Access(Access { tensor, indices: indices.iter().map(|i| idx(i)).collect() })
+    }
+
+    /// A base `A` with every coordinate of a `dims` box stored, packed
+    /// compressed at every level.
+    fn every_coordinate(dims: &[usize]) -> HashMap<String, Tensor> {
+        let mut list = Entries::new(dims.to_vec());
+        DenseTensor::zeros(dims.to_vec()).for_each_entry(|coords, _| {
+            list.try_push(coords, 1.0).unwrap();
+        });
+        let formats = vec![LevelFormat::Sparse; dims.len()];
+        HashMap::from([("A".to_string(), Tensor::Sparse(list.pack(&formats).unwrap()))])
+    }
+
+    /// The stored coordinates of a compressed variant, in walk order.
+    fn stored(t: &Tensor) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        t.as_sparse().expect("compressed").for_each_entry(|coords, _| out.push(coords.to_vec()));
+        out
+    }
+
+    /// Every coordinate of a `n × n` box satisfying `keep`, in order.
+    fn square(n: usize, keep: impl Fn(usize, usize) -> bool) -> Vec<Vec<usize>> {
+        (0..n).flat_map(|i| (0..n).map(move |j| vec![i, j])).filter(|c| keep(c[0], c[1])).collect()
+    }
+
+    #[test]
+    fn ssymv_parts_hold_exactly_the_canonical_triangle() {
+        // The hoisted SSYMV program: the off-diagonal pass under `i <= j`,
+        // the diagonal pass under `i <= j && i == j`.
+        let prog = Stmt::block([
+            Stmt::loops(
+                [idx("i"), idx("j")],
+                Stmt::guarded(
+                    le("i", "j"),
+                    assign(
+                        access("y", ["i"]),
+                        mul([
+                            variant(TensorPart::OffDiagonal, &[], &["i", "j"]),
+                            access("x", ["j"]).into(),
+                        ]),
+                    ),
+                ),
+            ),
+            Stmt::loops(
+                [idx("i"), idx("j")],
+                Stmt::guarded(
+                    and([le("i", "j"), eq("i", "j")]),
+                    assign(
+                        access("y", ["i"]),
+                        mul([
+                            variant(TensorPart::Diagonal, &[], &["i", "j"]),
+                            access("x", ["j"]).into(),
+                        ]),
+                    ),
+                ),
+            ),
+        ]);
+        let variants = prepare_variants(&prog, &every_coordinate(&[4, 4])).unwrap();
+        assert_eq!(stored(&variants["A_nondiag"]), square(4, |i, j| i < j));
+        assert_eq!(stored(&variants["A_diag"]), square(4, |i, j| i == j));
+    }
+
+    #[test]
+    fn one_unguarded_access_keeps_every_entry() {
+        let a = || variant(TensorPart::OffDiagonal, &[], &["i", "j"]);
+        let prog = Stmt::loops(
+            [idx("i"), idx("j")],
+            Stmt::block([
+                Stmt::guarded(le("i", "j"), assign(access("y", ["i"]), a())),
+                assign(access("z", ["j"]), a()),
+            ]),
+        );
+        let variants = prepare_variants(&prog, &every_coordinate(&[3, 3])).unwrap();
+        assert_eq!(stored(&variants["A_nondiag"]), square(3, |i, j| i != j));
+    }
+
+    #[test]
+    fn a_guard_on_two_modes_constrains_only_those_modes() {
+        let mut list = Entries::new(vec![3, 3, 3]);
+        list.try_push(&[0, 2, 1], 1.0).unwrap();
+        list.try_push(&[2, 1, 0], 1.0).unwrap();
+        let base = HashMap::from([(
+            "A".to_string(),
+            Tensor::Sparse(list.pack(&[LevelFormat::Sparse; 3]).unwrap()),
+        )]);
+        let prog = Stmt::loops(
+            [idx("i"), idx("j"), idx("k")],
+            Stmt::guarded(
+                le("i", "j"),
+                assign(access("y", ["i"]), variant(TensorPart::OffDiagonal, &[], &["i", "j", "k"])),
+            ),
+        );
+        let variants = prepare_variants(&prog, &base).unwrap();
+        assert_eq!(stored(&variants["A_nondiag"]), [[0, 2, 1]]);
+    }
+
+    #[test]
+    fn a_transposed_access_is_guarded_through_its_subscripts() {
+        // `A_T[j, i]` under `i <= j`: mode 0 is `j`, mode 1 is `i`.
+        let prog = Stmt::loops(
+            [idx("j"), idx("i")],
+            Stmt::guarded(
+                le("i", "j"),
+                assign(
+                    access("y", ["i"]),
+                    mul([
+                        variant(TensorPart::All, &[1, 0], &["j", "i"]),
+                        access("x", ["j"]).into(),
+                    ]),
+                ),
+            ),
+        );
+        let variants = prepare_variants(&prog, &every_coordinate(&[4, 4])).unwrap();
+        assert_eq!(stored(&variants["A_T"]), square(4, |c0, c1| c1 <= c0));
     }
 
     #[test]

@@ -167,15 +167,23 @@ impl DenseTensor {
         }
     }
 
-    /// Splits the elements by a predicate on their coordinates into
-    /// `(matching, rest)`: two masked copies, zero where the other holds
-    /// the element.
-    pub fn partition(&self, mut pred: impl FnMut(&[usize]) -> bool) -> (DenseTensor, DenseTensor) {
+    /// Splits the elements by a classifier on their coordinates into
+    /// `(matching, rest)`: two masked copies, each zero wherever it does
+    /// not hold the element (`Some(true)`: matching, `Some(false)`: rest,
+    /// `None`: neither).
+    pub fn partition(
+        &self,
+        mut classify: impl FnMut(&[usize]) -> Option<bool>,
+    ) -> (DenseTensor, DenseTensor) {
         let mut matching = DenseTensor::zeros(self.dims.clone());
         let mut rest = matching.clone();
         let mut flat = 0;
         self.for_each_entry(|coords, v| {
-            if pred(coords) { &mut matching } else { &mut rest }.data[flat] = v;
+            match classify(coords) {
+                Some(true) => matching.data[flat] = v,
+                Some(false) => rest.data[flat] = v,
+                None => {}
+            }
             flat += 1;
         });
         (matching, rest)

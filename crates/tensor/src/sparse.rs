@@ -397,18 +397,21 @@ impl SparseTensor {
         }
     }
 
-    /// Splits the stored entries by a predicate on their coordinates into
-    /// `(matching, rest)`, both in `self`'s shape and formats: one walk,
-    /// already sorted, packed twice. The diagonal split of §4.2.9 is
-    /// `partition` by "two coordinates are equal".
+    /// Splits the stored entries by a classifier on their coordinates into
+    /// `(matching, rest)`, both in `self`'s shape and formats: `Some(true)`
+    /// goes to `matching`, `Some(false)` to `rest`, and `None` drops the
+    /// entry. One walk, already sorted, packed twice. The diagonal split
+    /// of §4.2.9 is `partition` by "two coordinates are equal".
     pub fn partition(
         &self,
-        mut pred: impl FnMut(&[usize]) -> bool,
+        mut classify: impl FnMut(&[usize]) -> Option<bool>,
     ) -> (SparseTensor, SparseTensor) {
         let mut matching = Entries::with_capacity(self.dims.clone(), self.nnz());
         let mut rest = Entries::with_capacity(self.dims.clone(), self.nnz());
-        self.for_each_entry(|coords, v| {
-            if pred(coords) { &mut matching } else { &mut rest }.push(coords, v);
+        self.for_each_entry(|coords, v| match classify(coords) {
+            Some(true) => matching.push(coords, v),
+            Some(false) => rest.push(coords, v),
+            None => {}
         });
         let pack = |side: Entries| {
             Self::pack_sorted(side.dims, &self.formats, &side.coords, &side.vals)

@@ -80,16 +80,17 @@ impl Tensor {
         }
     }
 
-    /// Splits the stored entries by a predicate on their coordinates into
-    /// `(matching, rest)`, in the same storage family (and formats).
-    pub fn partition(&self, pred: impl FnMut(&[usize]) -> bool) -> (Tensor, Tensor) {
+    /// Splits the stored entries by a classifier on their coordinates into
+    /// `(matching, rest)`, in the same storage family (and formats):
+    /// `Some(true)` is matching, `Some(false)` the rest, `None` neither.
+    pub fn partition(&self, classify: impl FnMut(&[usize]) -> Option<bool>) -> (Tensor, Tensor) {
         match self {
             Tensor::Dense(t) => {
-                let (matching, rest) = t.partition(pred);
+                let (matching, rest) = t.partition(classify);
                 (Tensor::Dense(matching), Tensor::Dense(rest))
             }
             Tensor::Sparse(t) => {
-                let (matching, rest) = t.partition(pred);
+                let (matching, rest) = t.partition(classify);
                 (Tensor::Sparse(matching), Tensor::Sparse(rest))
             }
         }

@@ -214,7 +214,7 @@ proptest! {
         let t = source(&case);
         let pack = |coo: &CooTensor| SparseTensor::from_coo(coo, &case.formats).unwrap();
         let modes: Vec<usize> = (0..case.dims.len()).collect();
-        let (diag, off) = t.partition(on_diagonal);
+        let (diag, off) = t.partition(|c| Some(on_diagonal(c)));
         // The parent's path: zeros dropped on the way.
         let (off_plain, diag_plain) = t.to_coo().split_diagonal(&modes);
         if !t.values().contains(&0.0) {
@@ -228,6 +228,25 @@ proptest! {
         // … which is the parent's result plus zero entries only.
         prop_assert_eq!(diag.to_coo(), diag_plain);
         prop_assert_eq!(off.to_coo(), off_plain);
+    }
+
+    #[test]
+    fn partition_drops_what_the_classifier_rejects(case in case_strategy(stored_values)) {
+        // A keep rule in front of the diagonal split (the canonical
+        // variants' shape): the rejected entries are in neither part.
+        let t = source(&case);
+        let pack = |coo: &CooTensor| SparseTensor::from_coo(coo, &case.formats).unwrap();
+        let last = case.dims.len() - 1;
+        let keep = |c: &[usize]| c[0] <= c[last];
+        let (diag, off) = t.partition(|c| keep(c).then(|| on_diagonal(c)));
+        let mut kept = CooTensor::new(case.dims.clone());
+        for (c, v) in stored(&t).entries().filter(|(c, _)| keep(c)) {
+            kept.set(c, v);
+        }
+        let modes: Vec<usize> = (0..case.dims.len()).collect();
+        let (off_kept, diag_kept) = kept.split_diagonal(&modes);
+        prop_assert_eq!(&diag, &pack(&diag_kept));
+        prop_assert_eq!(&off, &pack(&off_kept));
     }
 
     #[test]
@@ -248,7 +267,7 @@ proptest! {
         let dense = source(&case).to_coo().to_dense();
         let modes: Vec<usize> = (0..case.dims.len()).collect();
         let (off, diag) = CooTensor::from_dense(&dense).split_diagonal(&modes);
-        prop_assert_eq!(dense.partition(on_diagonal), (diag.to_dense(), off.to_dense()));
+        prop_assert_eq!(dense.partition(|c| Some(on_diagonal(c))), (diag.to_dense(), off.to_dense()));
         let packed = SparseTensor::from_dense(&dense, &case.formats).unwrap();
         let oracle = SparseTensor::from_coo(&CooTensor::from_dense(&dense), &case.formats).unwrap();
         prop_assert_eq!(packed, oracle);

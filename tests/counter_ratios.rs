@@ -20,6 +20,7 @@ use systec::tensor::{CooTensor, Tensor};
 /// Runs both versions and returns (symmetric counters, naive counters).
 fn counters(def: &KernelDef, inputs: &HashMap<String, Tensor>) -> (Counters, Counters) {
     let sym = Prepared::compile(def, inputs).unwrap();
+    assert_canonical_parts(def.name, &sym, &inputs["A"]);
     let naive = Prepared::naive(def, inputs).unwrap();
     // Timed region only: replication excluded on both sides, as in §5.2.
     let (_, cs) = sym.run_timed().unwrap();
@@ -31,6 +32,29 @@ fn counters(def: &KernelDef, inputs: &HashMap<String, Tensor>) -> (Counters, Cou
 /// canonical triangle (Definition 2.3).
 fn canonical_count(coo: &CooTensor) -> u64 {
     coo.entries().filter(|(c, _)| c.windows(2).all(|w| w[0] <= w[1])).count() as u64
+}
+
+/// Storage matches the reads: the symmetric plan's `A_diag` and
+/// `A_nondiag` together hold exactly the base's stored entries with
+/// nondecreasing coordinates, one per orbit (no parts: nothing to check).
+fn assert_canonical_parts(name: &str, sym: &Prepared, base: &Tensor) {
+    let entries = |t: &Tensor| {
+        let mut out = Vec::new();
+        t.as_sparse()
+            .expect("compressed")
+            .for_each_entry(|c, v| out.push((c.to_vec(), v.to_bits())));
+        out
+    };
+    let parts: Vec<&Tensor> =
+        ["A_diag", "A_nondiag"].iter().filter_map(|part| sym.inputs().get(*part)).collect();
+    if parts.is_empty() {
+        return;
+    }
+    let mut held: Vec<(Vec<usize>, u64)> = parts.into_iter().flat_map(entries).collect();
+    held.sort_unstable();
+    let canonical: Vec<(Vec<usize>, u64)> =
+        entries(base).into_iter().filter(|(c, _)| c.windows(2).all(|w| w[0] <= w[1])).collect();
+    assert_eq!(held, canonical, "{name}: the parts must store exactly the canonical entries");
 }
 
 fn assert_exact_reads(name: &str, sym_reads: u64, naive_reads: u64, canonical: u64, nnz: u64) {

@@ -2,7 +2,9 @@
 //! compute with them exactly as the naive plan does. Over `+`/`*` a
 //! dropped zero is invisible, but over min-plus a stored `0.0` is a
 //! zero-weight edge, and dropping it from `A_diag` / `A_nondiag` while
-//! the base `A` keeps it makes symmetric ≠ naive.
+//! the base `A` keeps it makes symmetric ≠ naive. The two parts hold the
+//! canonical triangle only — what the symmetric plan's guards can reach —
+//! and every stored entry in it, zeros included.
 
 use std::collections::HashMap;
 
@@ -111,5 +113,28 @@ fn symmetric_plans_agree_with_naive_and_read_the_stored_zeros() {
             assert_eq!(cn.reads_of_family("A"), a.nnz() as u64, "{what}: naive reads");
             assert_eq!(cs.reads_of_family("A"), canonical_count(&a), "{what}: symmetric reads");
         }
+    }
+}
+
+#[test]
+fn the_parts_hold_exactly_the_canonical_stored_entries() {
+    let a = matrix_with_stored_zeros();
+    let canonical = |keep: fn(&[usize]) -> bool| -> Vec<(Vec<usize>, u64)> {
+        a.entries().filter(|(c, _)| keep(c)).map(|(c, v)| (c.to_vec(), v.to_bits())).collect()
+    };
+    for formats in FORMATS {
+        let inputs = HashMap::from([
+            ("A".to_string(), Tensor::Sparse(SparseTensor::from_coo(&a, &formats).unwrap())),
+            ("x".to_string(), vector(&[1.0; 5])),
+        ]);
+        let prepared = Prepared::compile(&defs::ssymv(), &inputs).unwrap();
+        let held = |name: &str| {
+            let mut out = Vec::new();
+            let part = prepared.inputs()[name].as_sparse().expect("compressed like its base");
+            part.for_each_entry(|c, v| out.push((c.to_vec(), v.to_bits())));
+            out
+        };
+        assert_eq!(held("A_nondiag"), canonical(|c| c[0] < c[1]), "{formats:?}: A_nondiag");
+        assert_eq!(held("A_diag"), canonical(|c| c[0] == c[1]), "{formats:?}: A_diag");
     }
 }
