@@ -242,8 +242,14 @@ pub(crate) enum Instr {
         items: Box<[VItem]>,
     },
     /// A whole two-deep loop nest — a row loop around one innermost
-    /// closed-form vector loop — as one instruction (see [`RowNest`]).
+    /// closed-form or workspace vector loop — as one instruction (see
+    /// [`RowNest`]).
     RowNest(Box<RowNest>),
+    /// Scatters fiber `u[parent]` of the workspace's level, clamped to
+    /// `[lo, hi]`, into its position slots and publishes the window
+    /// (uncounted: the [`Runner::WorkspaceDot`] entries that read it
+    /// count as the intersection they replace).
+    Scatter { parent: usize, lo: Box<[Bound]>, hi: Box<[Bound]>, ws: Workspace },
     /// End of program.
     Halt,
 }
@@ -263,7 +269,7 @@ pub(crate) enum NestRows {
 /// The row nest: `*LoopHead [Probe] pre… Vec{Sparse,Rle}Loop post…
 /// *LoopNext` where the row body is straight-line scalar work around
 /// exactly one innermost vector loop whose single unguarded item runs
-/// through a [`Runner::Closed`] form
+/// through a [`Runner::Closed`] form or [`Runner::WorkspaceDot`]
 /// (`crate::fuse::row_nest` is the selector). The sequence is
 /// *replaced* by this instruction: the VM resolves every operand once
 /// per run (or chunk) and then walks rows in one native loop, calling
@@ -292,7 +298,8 @@ pub(crate) struct RowNest {
     /// Inner-loop bounds, over the row index and outer registers.
     pub inner_lo: Box<[Bound]>,
     pub inner_hi: Box<[Bound]>,
-    /// The inner loop's body (its runner is [`Runner::Closed`]).
+    /// The inner loop's body (its runner is [`Runner::Closed`] or
+    /// [`Runner::WorkspaceDot`]).
     pub fused: Fused,
     /// Per-row epilogue: [`Instr::WriteOutput`] / [`Instr::WriteScalar`].
     pub post: Box<[Instr]>,
@@ -319,10 +326,10 @@ pub(crate) struct VItem {
 }
 
 /// The canonical dot chain `acc op= [lead ∘] a [∘ mid] ∘ b` of a
-/// two-load body whose load `a` is the driver value:
-/// `fold.srcs[..n_lead]` are the leading invariant registers, `mid` the
-/// invariant register between the two loads, `b` the other operand's
-/// load.
+/// two-load body whose load `a` is the driver value (the scattered
+/// fiber's, under [`Runner::WorkspaceDot`]): `fold.srcs[..n_lead]` are
+/// the leading invariant registers, `mid` the invariant register between
+/// the two loads, `b` the other operand's load.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DotShape {
     pub n_lead: usize,
@@ -334,7 +341,9 @@ pub(crate) struct DotShape {
 /// The runner a fused body executes through — chosen once, when the
 /// body seals (`crate::fuse::BodyBuilder::seal`), from its load / fold
 /// lists and whether its loop is an intersection, and carrying every
-/// operand it needs. The VM dispatches on it and never re-derives it:
+/// operand it needs (an intersection's body may then be re-driven from
+/// its probed side, `crate::fuse::workspace_form`). The VM dispatches on
+/// it and never re-derives it:
 /// only the guards, the lane gate and the semiring instantiation are
 /// decided per loop entry. Telemetry counts dispatches under the
 /// runner's name ([`Runner::kind`]).
@@ -343,13 +352,38 @@ pub(crate) enum Runner {
     /// A closed form over an unprobed driver against `x`, a copy of the
     /// body's strided dense load.
     Closed { x: DenseOperand, form: ClosedForm },
-    /// SSYRK's intersection dot: one fold `acc op= [lead ∘] a [∘ mid] ∘
-    /// p` whose store only the probe load `chain.b` (of tensor `probe`)
+    /// An intersection dot: one fold `acc op= [lead ∘] a [∘ mid] ∘ p`
+    /// whose store only the probe load `chain.b` (of tensor `probe`)
     /// gates, `acc` register-held as for [`ClosedForm::Dot`].
     ProbeDot { chain: DotShape, probe: usize },
+    /// The same dot run from the probed side: the loop drives the probed
+    /// fiber, `chain.b` is its value and `chain.a` reads the
+    /// intersection's driver fiber back from `ws`, where an
+    /// [`Instr::Scatter`] left it. Only coordinates of that fiber fold,
+    /// in ascending order, so outputs are the intersection's bit for
+    /// bit. An entry counts as the intersection it replaces: the body's
+    /// recipe ([`Fused::bulk`]) once per scattered coordinate, the driven
+    /// read and the store side once per hit.
+    WorkspaceDot { chain: DotShape, ws: Workspace },
     /// Any other body (axpys, scale-stores, gathers, multi-store jams):
     /// resolved per entry, driven coordinate by coordinate.
     Generic,
+}
+
+/// A workspace row: one fiber of `level` of `tensor`, scattered once per
+/// iteration of an enclosing loop into the worker's position slots (slot
+/// `base + k` holds the position of coordinate `k`), with the scattered
+/// window's positions in `u[start]..u[stop]`. A slot is trusted only
+/// when it points into that window at coordinate `k`, so nothing an
+/// earlier row, run or plan left in the slots reads as a member, and no
+/// slot is ever cleared.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Workspace {
+    pub tensor: usize,
+    pub level: usize,
+    pub base: usize,
+    pub start: usize,
+    pub stop: usize,
 }
 
 /// The strided dense operand `dense[tensor][offset(u, base) +
@@ -384,6 +418,10 @@ pub(crate) enum FLoad {
     /// The probed fiber's value: fill (0) + miss on an intersection
     /// miss, counted per hit.
     Probe { tensor: usize, set_miss: bool },
+    /// The scattered fiber's value at the current coordinate, a miss off
+    /// the fiber (read only by [`Runner::WorkspaceDot`], which counts it
+    /// per scattered coordinate).
+    Scattered,
     /// Strided dense element `dense[tensor][offset(u, base) + coord·stride]`
     /// (counted per iteration, in bulk).
     Dense { tensor: usize, base: Box<[Term]>, stride: usize },
@@ -468,6 +506,7 @@ impl Runner {
             Runner::Closed { form: ClosedForm::Dot(_), .. } => RunnerKind::Dot,
             Runner::Closed { form: ClosedForm::DotAxpy { .. }, .. } => RunnerKind::DotAxpy,
             Runner::ProbeDot { .. } => RunnerKind::ProbeDot,
+            Runner::WorkspaceDot { .. } => RunnerKind::WorkspaceDot,
             Runner::Generic => RunnerKind::Generic,
         }
     }
@@ -580,6 +619,8 @@ pub(crate) struct BytecodeProgram {
     pub n_vec_items: usize,
     /// Number of gather-cursor scratch slots ([`FLoad::Gather`]).
     pub n_vec_gathers: usize,
+    /// Position slots across all [`Workspace`]s.
+    pub ws_len: usize,
     /// Per-slot binding metadata, in slot order.
     pub tensors: Vec<TensorInfo>,
     /// Start of each slot's run of entries in the flattened level-view

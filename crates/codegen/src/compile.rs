@@ -19,8 +19,8 @@ use systec_tensor::{DenseTensor, LevelFormat, Tensor};
 use systec_ir::{AssignOp, CmpOp};
 
 use crate::bytecode::{
-    Bound, BytecodeProgram, FAcc, FLoad, FOp, Instr, ParOut, SplitInfo, TensorInfo, Term, VItem,
-    MISS,
+    Bound, BytecodeProgram, FAcc, FLoad, FOp, Instr, ParOut, Runner, SplitInfo, TensorInfo, Term,
+    VItem, Workspace, MISS,
 };
 use crate::fuse::{independent, BodyBuilder};
 
@@ -147,7 +147,8 @@ pub(crate) fn compile(
         never_miss,
         split_pending,
         split_heads: Vec::new(),
-        loop_depth: 0,
+        frames: Vec::new(),
+        ws_len: 0,
     };
     // Prologue: materialize the constant pool.
     for (k, v) in const_pool.iter().enumerate() {
@@ -175,6 +176,7 @@ pub(crate) fn compile(
         n_caches: c.n_caches,
         n_vec_items: c.n_vec_items,
         n_vec_gathers: c.n_vec_gathers,
+        ws_len: c.ws_len,
         level_base,
         n_levels,
         out_ordinal,
@@ -503,8 +505,21 @@ struct Compiler<'a> {
     /// Emitted top-level head `(pc, extent)` pairs (only collected when
     /// a split is pending).
     split_heads: Vec<(usize, usize)>,
-    /// Loop nesting depth of the statement being compiled.
-    loop_depth: usize,
+    /// The general-path loops enclosing the statement being compiled,
+    /// innermost last.
+    frames: Vec<LoopFrame>,
+    /// Workspace position slots allocated so far.
+    ws_len: usize,
+}
+
+/// A general-path loop whose body is being compiled.
+struct LoopFrame {
+    idx: usize,
+    /// The position registers the loop rebinds every iteration.
+    binds: Vec<usize>,
+    /// Scatters its body's workspace intersections hoisted in front of
+    /// its head.
+    scatters: Vec<Instr>,
 }
 
 impl Compiler<'_> {
@@ -574,7 +589,7 @@ impl Compiler<'_> {
                 // every head kind (counted, compressed, run-length, or a
                 // whole vectorized loop) accepts the chunk coordinate
                 // window at run time.
-                let top_split = self.loop_depth == 0 && self.split_pending.is_some();
+                let top_split = self.frames.is_empty() && self.split_pending.is_some();
                 let head_pc = self.instrs.len();
                 // At most one extra tracked access (a second driver or a
                 // probe) can vectorize, as the probed side of a two-way
@@ -720,9 +735,14 @@ impl Compiler<'_> {
                         idx: *idx,
                     });
                 }
-                self.loop_depth += 1;
+                let binds = drivers
+                    .iter()
+                    .chain(probes)
+                    .map(|a| self.pos_base[a.access] + a.level + 1)
+                    .collect();
+                self.frames.push(LoopFrame { idx: *idx, binds, scatters: Vec::new() });
                 self.stmt(body);
-                self.loop_depth -= 1;
+                let frame = self.frames.pop().expect("pushed above");
                 for (access, level, old) in saved {
                     self.never_miss[access][level] = old;
                 }
@@ -753,6 +773,7 @@ impl Compiler<'_> {
                         });
                     }
                 }
+                let head_pc = self.hoist(head_pc, frame.scatters);
                 // A row nest replaces the whole head … advance run with
                 // one instruction at the head's pc (so a recorded split
                 // head stays valid). Nothing outside the run jumps into
@@ -887,6 +908,26 @@ impl Compiler<'_> {
         }
     }
 
+    /// Inserts `scatters` in front of the loop head at `head_pc` and
+    /// returns the head's new pc. Labels the loop's compilation bound
+    /// move with it; a label bound at `head_pc` before the loop (an
+    /// enclosing loop's back edge) now lands on the first scatter, so
+    /// every entry into the loop scatters first.
+    fn hoist(&mut self, head_pc: usize, scatters: Vec<Instr>) -> usize {
+        let n = scatters.len();
+        if n == 0 {
+            return head_pc;
+        }
+        self.instrs.splice(head_pc..head_pc, scatters);
+        for pc in self.labels.iter_mut().flatten().filter(|pc| **pc > head_pc) {
+            *pc += n;
+        }
+        for (pc, _) in self.split_heads.iter_mut().filter(|(pc, _)| *pc == head_pc) {
+            *pc += n;
+        }
+        head_pc + n
+    }
+
     /// Attempts to compile an innermost loop as one vector-loop
     /// instruction. Returns `false` (emitting nothing) when the body
     /// does not conform; the caller then uses the general path.
@@ -899,7 +940,8 @@ impl Compiler<'_> {
     /// into a fused body the loop's other items are independent of
     /// (`crate::fuse` has the rules). Drivers may walk a compressed or
     /// run-length level; one extra tracked access at a compressed level
-    /// becomes the probed side of a two-way intersection.
+    /// becomes the probed side of a two-way intersection, or the driver
+    /// of its workspace form ([`Self::workspace_rows`]).
     #[allow(clippy::too_many_arguments)]
     fn try_vectorize(
         &mut self,
@@ -965,6 +1007,19 @@ impl Compiler<'_> {
             (Some(d), Some(p)) => {
                 let parent = self.pos_base[d.access] + d.level;
                 let probe_parent = self.pos_base[p.access] + p.level;
+                if let Some(items) = self.workspace_rows(d, p, extent, &lo, &hi, &items) {
+                    // The probed fiber drives; the scatter took the bounds.
+                    self.emit(Instr::VecSparseLoop {
+                        tensor: p.tensor,
+                        level: p.level,
+                        idx,
+                        parent: probe_parent,
+                        lo: Box::new([]),
+                        hi: Box::new([]),
+                        items,
+                    });
+                    return true;
+                }
                 self.emit(Instr::VecIsectLoop {
                     tensor: d.tensor,
                     level: d.level,
@@ -992,6 +1047,58 @@ impl Compiler<'_> {
             }
         }
         true
+    }
+
+    /// The workspace form of a two-way intersection's one item (see
+    /// `crate::fuse`, "Workspace rows"), its driver's scatter queued in
+    /// front of the innermost enclosing loop's head. It applies when that
+    /// loop rebinds the probed fiber but not the driver's, the probed
+    /// level is compressed, no bound reads the loop's index (the scatter
+    /// clamps the driver fiber once for the whole loop), and the item is
+    /// unguarded and runs `ProbeDot`. `None` keeps the intersection.
+    /// Both fibers hold coordinates below the loop's `extent` (lowering
+    /// checks every mode bound to one index against its extent), so that
+    /// many slots cover either.
+    fn workspace_rows(
+        &mut self,
+        d: VecAccess,
+        p: VecAccess,
+        extent: usize,
+        lo: &[Bound],
+        hi: &[Bound],
+        items: &[VItem],
+    ) -> Option<Box<[VItem]>> {
+        let frame = self.frames.last()?;
+        let SlotLayout::Sparse { formats } = &self.layouts[p.tensor] else {
+            return None;
+        };
+        let [VItem { id, guard, body }] = items else {
+            return None;
+        };
+        let Runner::ProbeDot { chain, .. } = body.runner else {
+            return None;
+        };
+        let parent = self.pos_base[d.access] + d.level;
+        let hoistable = formats[p.level] == LevelFormat::Sparse
+            && guard.is_empty()
+            && !frame.binds.contains(&parent)
+            && frame.binds.contains(&(self.pos_base[p.access] + p.level))
+            && lo.iter().chain(hi).all(|b| b.reg != frame.idx);
+        if !hoistable {
+            return None;
+        }
+        let ws = Workspace {
+            tensor: d.tensor,
+            level: d.level,
+            base: self.ws_len,
+            start: self.alloc_u(),
+            stop: self.alloc_u(),
+        };
+        self.ws_len += extent;
+        let scatter = Instr::Scatter { parent, lo: lo.into(), hi: hi.into(), ws };
+        self.frames.last_mut().expect("an enclosing loop").scatters.push(scatter);
+        let body = crate::fuse::workspace_form(body, chain, ws);
+        Some(Box::new([VItem { id: *id, guard: Box::new([]), body }]))
     }
 
     /// Walks a vector-loop body, appending loads and folds; `false` =

@@ -18,6 +18,8 @@
 //! buffer *capacity*: every run re-derives sizes and contents from the
 //! program it executes, so one context can be interleaved freely across
 //! kernels of different shapes (enforced by `tests/context_reuse.rs`).
+//! The one buffer a run does not reset, the workspace-row slots
+//! ([`Bank::ws`]), is validated on every read instead.
 
 use systec_exec::CounterBank;
 
@@ -88,6 +90,11 @@ pub(crate) struct Bank {
     /// Vector-loop gather cursors (probe state for gather loads), SoA
     /// so the per-coordinate cursor stream stays lane-friendly.
     pub gathers: GatherBank,
+    /// Workspace-row position slots, grown to the program's
+    /// `ws_len` on first use and never cleared: a slot reads as a member
+    /// only while it points into its current scattered window, so
+    /// nothing one run leaves there is observable in the next.
+    pub ws: Vec<usize>,
     /// This worker's work counters.
     pub counters: CounterBank,
     /// Private buffers for reduction-merged outputs, by reduced-output

@@ -38,18 +38,44 @@
 //! intersection: the canonical dot chain over the driver value runs
 //! closed-form against a strided dense operand (`Dot`, and SSYMV's
 //! `DotAxpy` pair) or against the probe (`ProbeDot`), and every other
-//! body runs `Generic`. The runner carries the operands it reads (the
-//! dense operand, the axpy stride, the probed tensor); the VM dispatches
-//! on it, and nothing matches shapes at loop entry.
+//! body runs `Generic`. The one later rewrite is a `ProbeDot` re-driven
+//! from its probed side as `WorkspaceDot` (below), decided by the
+//! compiler from where the loop sits. The runner carries the operands it
+//! reads (the dense operand, the axpy stride, the probed tensor, the
+//! workspace); the VM dispatches on it, and nothing matches shapes at
+//! loop entry.
+//!
+//! ## Workspace rows
+//!
+//! A `ProbeDot` intersection whose driver fiber the innermost enclosing
+//! loop never rebinds while it rebinds the probed one — SSYRK's `C[i,j]
+//! += A[i,k]·A[j,k]`: row `i` is fixed across the `j` loop, row `j` is
+//! not — merges the same driver fiber against every probed fiber of that
+//! loop. `crate::compile` then scatters the driver fiber once per outer
+//! iteration, in front of the enclosing loop's head, and turns the
+//! intersection into a compressed loop over the *probed* fiber whose body
+//! [`workspace_form`] re-drives: `Runner::WorkspaceDot` folds only the
+//! coordinates the scattered fiber holds (Chou et al.'s `locate` on a
+//! dense workspace level). The workspace records membership, not a
+//! zero fill: folding `0 ∘ b` for non-members would turn a `−0.0` sum
+//! into `+0.0` and `0·inf` into NaN, break min-plus, and miscount.
+//!
+//! Two shapes keep `ProbeDot`: probes into dense or run-length levels (a
+//! dense probe is already a constant-time locate, and neither can drive
+//! a compressed loop — the naive `csr*dense` and `csr*dense-rle` cells of
+//! `tests/golden/dispatch.golden`), and intersections whose driver and
+//! probe both vary under the innermost enclosing loop (`y[i] +=
+//! A[i,k]·B[i,k]`: each driver fiber meets one probed fiber, so a scatter
+//! would be read once). No paper kernel reaches either.
 //!
 //! ## Row nests
 //!
 //! One level up, [`row_nest`] recognizes a whole two-deep loop nest — a
 //! row loop whose body is scalar prologue / epilogue steps around one
-//! innermost vector loop whose body runs `Dot` or `DotAxpy` — in the
-//! instruction run a loop just emitted, and `crate::compile` replaces
-//! that run with a single [`RowNest`] instruction the VM resolves once
-//! per run instead of once per row.
+//! innermost vector loop whose body runs `Dot`, `DotAxpy` or
+//! `WorkspaceDot` — in the instruction run a loop just emitted, and
+//! `crate::compile` replaces that run with a single [`RowNest`]
+//! instruction the VM resolves once per run instead of once per row.
 //!
 //! ## Exactness
 //!
@@ -65,7 +91,7 @@
 
 use crate::bytecode::{
     BulkCounts, ClosedForm, DenseOperand, DotShape, FAcc, FFold, FLoad, FOp, Fused, Instr,
-    NestRows, RowNest, Runner, VItem,
+    NestRows, RowNest, Runner, VItem, Workspace,
 };
 use systec_ir::{AssignOp, BinOp};
 
@@ -210,6 +236,27 @@ fn runner(loads: &[FLoad], folds: &[FFold], isect: bool) -> Runner {
         _ => None,
     };
     picked.unwrap_or(Runner::Generic)
+}
+
+/// The workspace form of a `ProbeDot` body of dot shape `chain`,
+/// re-driven from its probed side against `ws`: the driver's load
+/// becomes the [`FLoad::Scattered`] read whose miss gates the store, the
+/// probe's load the driver value. Folds, operand order and the bulk
+/// recipe (now per scattered coordinate) stay, and the body folds at one
+/// lane, as the compressed probe it replaces did.
+pub(crate) fn workspace_form(body: &Fused, chain: DotShape, ws: Workspace) -> Fused {
+    let mut loads = body.loads.clone();
+    loads[chain.a] = FLoad::Scattered;
+    loads[chain.b] = FLoad::Val;
+    let mut folds = body.folds.clone();
+    folds[0].miss = Box::new([chain.a]);
+    Fused {
+        runner: Runner::WorkspaceDot { chain, ws },
+        loads,
+        folds,
+        bulk: body.bulk.clone(),
+        lanes: 1,
+    }
 }
 
 /// Whether the items of one loop may run off entry-time snapshots and
@@ -376,7 +423,7 @@ pub(crate) fn row_nest(instrs: &[Instr]) -> Option<RowNest> {
     // Inner bounds over the row index only: the VM keeps them as deltas.
     let fits = guard.is_empty()
         && inner_lo.iter().chain(inner_hi.iter()).all(|b| b.reg == idx)
-        && matches!(fused.runner, Runner::Closed { .. })
+        && matches!(fused.runner, Runner::Closed { .. } | Runner::WorkspaceDot { .. })
         && pre.len() <= MAX_NEST_STEPS
         && post.len() <= MAX_NEST_STEPS
         && post.iter().all(|i| matches!(i, Instr::WriteOutput { .. } | Instr::WriteScalar { .. }));

@@ -38,14 +38,22 @@
 //!   only evaluates guards (a loop whose guards all fail only sets its
 //!   index), and several guarded items passing at once run
 //!   coordinate-major through the generic runner at one lane.
+//! * **Workspace rows** — an intersection whose driver fiber is fixed
+//!   across the enclosing loop while the probed fiber is not (SSYRK's
+//!   row `i` against every row `j ≥ i`) scatters the driver fiber once,
+//!   in front of that loop's head, and loops over the probed fiber
+//!   instead, folding only where the scattered fiber holds the
+//!   coordinate (`WorkspaceDot`) — the same terms in the same order,
+//!   so the same bits and counters as the merge.
 //! * **Row nests** — after a row loop is emitted, `fuse::row_nest` reads
 //!   its instructions and turns a row loop around one compressed or
 //!   run-length vector loop whose body runs the closed `Dot` or
-//!   `DotAxpy` form (SSYMV, SYPRD, Bellman-Ford) into a single
-//!   `RowNest` instruction, replacing the per-row head / vector
-//!   loop / advance sequence: the VM resolves operands, addresses and
-//!   the semiring once per run and walks rows in one native loop over
-//!   the same folds, with counters tallied by multiplication.
+//!   `DotAxpy` form (SSYMV, SYPRD, Bellman-Ford) or `WorkspaceDot`
+//!   (SSYRK) into a single `RowNest` instruction, replacing the per-row
+//!   head / vector loop / advance sequence: the VM resolves operands,
+//!   addresses and the semiring once per run and walks rows in one
+//!   native loop over the same folds, with counters tallied by
+//!   multiplication.
 //! * **Hoisted branches** — residual conditionals become explicit
 //!   compare-and-jump chains between basic blocks; loop bounds are
 //!   evaluated once at loop entry.
@@ -599,9 +607,28 @@ mod tests {
 
     #[test]
     fn intersection_loops_vectorize() {
-        // Two compressed fibers co-iterating: an output-addressed body
-        // and the pre-analyzed dot of the scalar accumulation (and
-        // correctness of both via `both`).
+        // Two compressed fibers co-iterating under one loop: the probed
+        // dot stays an intersection.
+        let mut inputs = HashMap::new();
+        inputs.insert("A".to_string(), csr(&[(0, 1, 2.0), (1, 0, 3.0), (1, 1, 5.0)], 3));
+        inputs.insert("B".to_string(), csr(&[(0, 1, 7.0), (2, 0, 1.0), (2, 1, 2.0)], 3));
+        let diag = Stmt::loops(
+            [idx("i"), idx("k")],
+            assign(access("y", ["i"]), mul([access("A", ["i", "k"]), access("B", ["i", "k"])])),
+        );
+        let dis = disassembly(&diag, &inputs);
+        assert!(
+            dis.contains("VecIsectLoop") && dis.contains("runner: ProbeDot {"),
+            "driver and probe vary together:\n{dis}"
+        );
+        let (out, c) = both(&diag, &inputs);
+        assert_eq!(out["y"].get(&[0]), 2.0 * 7.0);
+        assert_eq!(c.reads_of("B"), 1, "probe reads count only on hits");
+
+        // Row `i` fixed across the `j` loop: an output-addressed body
+        // and the pre-analyzed dot of the scalar accumulation both
+        // scatter it and drive row `j` (and correctness of both via
+        // `both`).
         let isect = Stmt::loops(
             [idx("i"), idx("j"), idx("k")],
             assign(
@@ -609,11 +636,11 @@ mod tests {
                 mul([access("A", ["i", "k"]), access("B", ["j", "k"])]),
             ),
         );
-        let mut inputs = HashMap::new();
-        inputs.insert("A".to_string(), csr(&[(0, 1, 2.0), (1, 0, 3.0), (1, 1, 5.0)], 3));
-        inputs.insert("B".to_string(), csr(&[(0, 1, 7.0), (2, 0, 1.0), (2, 1, 2.0)], 3));
         let dis = disassembly(&isect, &inputs);
-        assert!(dis.contains("VecIsectLoop"), "output-addressed intersection:\n{dis}");
+        assert!(
+            dis.contains("Scatter") && dis.contains("runner: WorkspaceDot {"),
+            "output-addressed intersection:\n{dis}"
+        );
         let (out, c) = both(&isect, &inputs);
         // Row 1 of A ∩ row 2 of B share columns {0, 1}.
         assert_eq!(out["C"].get(&[1, 2]), 3.0 * 1.0 + 5.0 * 2.0);
@@ -642,8 +669,8 @@ mod tests {
         );
         let dis = disassembly(&dot, &inputs);
         assert!(
-            dis.contains("VecIsectLoop") && dis.contains("runner: ProbeDot {"),
-            "scalar accumulation selects the probed dot runner:\n{dis}"
+            dis.contains("Scatter") && dis.contains("RowNest") && dis.contains("WorkspaceDot {"),
+            "scalar accumulation nests the workspace dot over rows `j`:\n{dis}"
         );
         let (out, _) = both(&dot, &inputs);
         assert_eq!(out["C"].get(&[1, 2]), 3.0 * 1.0 + 5.0 * 2.0);

@@ -46,7 +46,7 @@ use systec_ir::BinOp;
 
 use crate::bytecode::{
     Bound, BulkCounts, BytecodeProgram, ClosedForm, DenseOperand, DotShape, FAcc, FFold, FLoad,
-    FOp, Fused, Instr, NestRows, ParOut, RowNest, Runner, SplitInfo, Term, VItem, MISS,
+    FOp, Fused, Instr, NestRows, ParOut, RowNest, Runner, SplitInfo, Term, VItem, Workspace, MISS,
 };
 use crate::context::{Bank, ExecContext, GatherBank, LaneMode};
 use crate::fuse::{MAX_FUSED_FOLDS, MAX_FUSED_LOADS, MAX_FUSED_SRCS, MAX_NEST_STEPS};
@@ -664,7 +664,8 @@ fn for_each<'a, D: Drive<'a>>(
 ///   hits, so the fold chain is what's on the critical path). Against
 ///   galloping compressed or run-walking probes the serial cursor
 ///   advance dominates and hits are sparse — the lane merge is pure tax
-///   there (measured ~10% loss on SSYRK), so those fold serially.
+///   there, so those fold serially (as does [`Runner::WorkspaceDot`],
+///   whose membership test gates every element the same way).
 ///
 /// Every input is a pure function of the plan, the clamped window and
 /// the probed level's format — never of thread count or timing — so
@@ -835,6 +836,73 @@ fn fold_dot<'a, S: Semi, D: Drive<'a>, B: DotOperand, const L: usize>(
     });
     let acc = if L == 1 { lanes[0] } else { lane_merge(s, op, acc0, &lanes) };
     (acc, last, hits)
+}
+
+/// A scattered workspace row, resolved: the fiber's window `start..stop`
+/// of its level's `crd` / `vals`, and the position slots the
+/// [`Instr::Scatter`] filled.
+#[derive(Clone, Copy)]
+struct Scattered<'a> {
+    slots: &'a [usize],
+    crd: &'a [usize],
+    vals: &'a [f64],
+    start: usize,
+    stop: usize,
+}
+
+impl<'a> Scattered<'a> {
+    /// The row of workspace `ws` as the last scatter left it.
+    fn of(
+        ws: &Workspace,
+        slots: &'a [usize],
+        u: &[usize],
+        fiber: LevelView<'a>,
+        vals: &'a [f64],
+    ) -> Self {
+        let LevelView::Sparse { crd, .. } = fiber else {
+            unreachable!("workspace rows scatter compressed fibers");
+        };
+        Scattered { slots: &slots[ws.base..], crd, vals, start: u[ws.start], stop: u[ws.stop] }
+    }
+
+    /// Scattered coordinates: the iterations of the intersection.
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.stop - self.start
+    }
+
+    /// The value at `coord` when the fiber holds it: its slot must point
+    /// into the window, at `coord` — a stale slot can do neither.
+    #[inline(always)]
+    fn at(&self, coord: usize) -> Option<f64> {
+        let p = self.slots[coord];
+        (p.wrapping_sub(self.start) < self.len() && self.crd[p] == coord).then(|| self.vals[p])
+    }
+}
+
+/// [`Runner::WorkspaceDot`]'s fold: `acc op= [lead ∘] w[k] [∘ mid] ∘ b`
+/// over the driven window `b`, for the coordinates `k` the scattered row
+/// `w` holds — the intersection in ascending `k`, each term in the
+/// intersection's operand order, at one lane. Returns the accumulator and
+/// the hits.
+#[inline(always)]
+fn fold_gathered<'a, S: Semi, D: Drive<'a>>(
+    s: S,
+    ch: &DotChain,
+    acc0: f64,
+    drive: &D,
+    w: &Scattered<'_>,
+) -> (f64, u64) {
+    let (mut acc, mut hits) = (acc0, 0u64);
+    drive.segments(|seg| {
+        seg.each(0, |_, k, b| {
+            if let Some(a) = w.at(k) {
+                acc = s.red(ch.op, acc, s.bin(ch.bin, ch.prefix(s, a), b.unwrap_or(0.0)));
+                hits += 1;
+            }
+        });
+    });
+    (acc, hits)
 }
 
 /// The strided reducing store of a dot-axpy pair:
@@ -1014,6 +1082,8 @@ fn src_val(src: RSrc, locals: &[f64; MAX_FUSED_LOADS]) -> f64 {
 struct LoopRun<'r, 'a, 'o> {
     pass: &'r mut [bool],
     gathers: &'r mut GatherBank,
+    /// The worker's workspace-row slots (see [`Scattered`]).
+    ws: &'r [usize],
     u: &'r mut [usize],
     f: &'r mut [f64],
     dense: &'r [&'a [f64]],
@@ -1033,7 +1103,7 @@ struct LoopRun<'r, 'a, 'o> {
     lanes: bool,
 }
 
-impl<'a> LoopRun<'_, 'a, '_> {
+impl<'r, 'a> LoopRun<'r, 'a, '_> {
     /// Executes one vector loop over `drive`: the passing item's body
     /// through its monomorphized runner when exactly one guard passes,
     /// every passing body coordinate-major when several do, and just
@@ -1166,7 +1236,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
     /// the compiler picked for it. Closed-form runners run straight off
     /// the compile-time form — entry cost is a handful of scalar
     /// resolutions, which matters for short fibers entered many times
-    /// (SSYRK's intersection).
+    /// (a merge of two short rows).
     fn fused<D: Drive<'a>>(&mut self, fu: &Fused, idx: usize, iters: u64, drive: &D) {
         self.account(fu.runner.kind(), fu, iters);
         let lanes_on = self.lanes && fu.lanes > 1;
@@ -1174,6 +1244,9 @@ impl<'a> LoopRun<'_, 'a, '_> {
             Runner::Closed { x, form } => self.closed_entry(fu, x, *form, idx, drive, lanes_on),
             Runner::ProbeDot { chain, probe } => {
                 self.probe_dot(fu, *chain, *probe, idx, drive, lanes_on);
+            }
+            Runner::WorkspaceDot { .. } => {
+                unreachable!("a workspace body is entered through `LoopRun::workspace_entry`")
             }
             Runner::Generic => {
                 let lanes = lane_gate(lanes_on, drive.span(), None);
@@ -1276,6 +1349,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
                 FLoad::Probe { tensor, set_miss } => {
                     RLoad::Probe { tensor: *tensor, set_miss: *set_miss }
                 }
+                FLoad::Scattered => unreachable!("only the workspace runner reads a workspace"),
                 FLoad::Dense { tensor, base, stride } => RLoad::Dense {
                     slice: self.dense[*tensor],
                     base: offset(self.u, base),
@@ -1541,7 +1615,8 @@ impl<'a> LoopRun<'_, 'a, '_> {
 
     /// [`Runner::ProbeDot`]: `acc ∘= [lead ∘] a [∘ mid] ∘ b` where `a`
     /// is the driver value and `b` the value probed in tensor `probe`
-    /// (SSYRK's intersection dot), through [`fold_dot`].
+    /// (a merge against a dense or run-length fiber, or of two fibers
+    /// that vary together), through [`fold_dot`].
     #[inline]
     fn probe_dot<D: Drive<'a>>(
         &mut self,
@@ -1564,16 +1639,79 @@ impl<'a> LoopRun<'_, 'a, '_> {
             fold_dot::<_, D, _, 1>(s, &ch, *acc, drive, probed)
         });
         *acc = acc1;
-        // Per hit: one probe read plus the store side of the
-        // miss-checked fold.
-        self.reads[probe] += hits;
-        if ch.op != AssignOp::Overwrite {
+        self.count_hits(fold, probe, hits);
+        self.u[idx] = last;
+    }
+
+    /// The per-hit side of a membership-gated dot: one read of `tensor`
+    /// and the miss-checked `fold`'s store side per hit.
+    fn count_hits(&mut self, fold: &FFold, tensor: usize, hits: u64) {
+        self.reads[tensor] += hits;
+        if fold.op != AssignOp::Overwrite {
             self.flops += hits;
         }
         if matches!(fold.acc, FAcc::Out { .. }) {
             self.writes += hits;
         }
-        self.u[idx] = last;
+    }
+
+    /// Workspace `ws` as the last [`Instr::Scatter`] left it.
+    fn scattered(&self, ws: &Workspace) -> Scattered<'r> {
+        let fiber = level(self.levels, self.lvl_base, ws.tensor, ws.level);
+        Scattered::of(ws, self.ws, self.u, fiber, self.vals[ws.tensor])
+    }
+
+    /// One entry of a [`Runner::WorkspaceDot`] loop over the driven row
+    /// `row` of `driven` (`None`: unstored or empty). The intersection
+    /// it replaces entered whenever its driver window — the scattered row
+    /// — was non-empty, whatever the probed row held, so this one does
+    /// too, and counts what that entry counted.
+    #[inline(never)]
+    fn workspace_entry(
+        &mut self,
+        fu: &Fused,
+        chain: DotShape,
+        ws: &Workspace,
+        driven: usize,
+        idx: usize,
+        row: Option<&CrdDrive<'a>>,
+    ) {
+        let w = self.scattered(ws);
+        if w.len() == 0 {
+            return;
+        }
+        self.iterations += w.len() as u64;
+        self.account(fu.runner.kind(), fu, w.len() as u64);
+        if let Some(row) = row {
+            let fold = &fu.folds[0];
+            let out = self.out_at(&fold.acc);
+            let hits = with_semi!(true, fold.bin, fold.op, |s| {
+                self.gathered_window(s, chain, fold, &w, out, row)
+            });
+            self.count_hits(fold, driven, hits);
+        }
+        self.u[idx] = w.crd[w.stop - 1];
+    }
+
+    /// One window of a [`Runner::WorkspaceDot`] body against the
+    /// scattered row `w`, its accumulator at `out` (as
+    /// [`Self::closed_window`] takes it) — shared by loop entries and
+    /// row-nest rows. Returns the hits.
+    #[inline(always)]
+    fn gathered_window<S: Semi, D: Drive<'a>>(
+        &mut self,
+        s: S,
+        chain: DotShape,
+        fold: &FFold,
+        w: &Scattered<'_>,
+        out: (usize, usize),
+        row: &D,
+    ) -> u64 {
+        let ch = DotChain::of(self.f, fold, chain);
+        let acc = self.dot_acc(&fold.acc, out);
+        let (acc1, hits) = fold_gathered(s, &ch, *acc, row, w);
+        *acc = acc1;
+        hits
     }
 }
 
@@ -1740,7 +1878,7 @@ impl Rows<'_> {
 /// Everything a per-row `Vec*Loop` entry re-derives (window registers,
 /// a [`LoopRun`], guards, operand resolution, bulk counters) happens
 /// once per run, in [`LoopRun::nest`].
-struct NestRun<'a, 'p> {
+struct NestRun<'p> {
     pre: &'p [Instr],
     post: &'p [Instr],
     /// Addresses of the `pre` then `post` steps that have one.
@@ -1748,16 +1886,21 @@ struct NestRun<'a, 'p> {
     /// Inner bounds, as deltas on the row index (`None`: unbounded).
     lo: Option<i64>,
     hi: Option<i64>,
-    /// The inner body's closed form and folds.
-    form: ClosedForm,
+    /// The inner body's folds.
     folds: &'p [FFold],
-    /// The body's strided dense operand.
-    xs: &'a [f64],
-    x: Affine,
-    x_stride: usize,
     /// The output the body itself writes, by ordinal (as
     /// [`LoopRun::closed_window`] takes it).
     out: (usize, Affine),
+}
+
+/// A nest's closed-form body against its strided dense operand
+/// `xs[x.at(row) + coord·x_stride]`.
+#[derive(Clone, Copy)]
+struct NestClosed<'a> {
+    form: ClosedForm,
+    xs: &'a [f64],
+    x: Affine,
+    x_stride: usize,
     /// [`LaneMode::Lanes`] and the body's plan-level lane count allow
     /// lanes; [`lane_gate`] still decides per row, on the row's window.
     lanes_on: bool,
@@ -1796,9 +1939,6 @@ impl<'a> LoopRun<'_, 'a, '_> {
             }
         };
 
-        let Runner::Closed { x, form } = &nest.fused.runner else {
-            unreachable!("`fuse::row_nest` admits closed runners only");
-        };
         // One semiring for the whole nest, as at a fused loop entry.
         let (uniform, bin, op) = nest.fused.semiring();
         let mut at = [Affine::default(); 2 * MAX_NEST_STEPS];
@@ -1813,24 +1953,51 @@ impl<'a> LoopRun<'_, 'a, '_> {
             at,
             lo: nest.inner_lo.iter().map(|b| b.delta).max(),
             hi: nest.inner_hi.iter().map(|b| b.delta).min(),
-            form: *form,
             folds: &nest.fused.folds,
-            xs: self.dense[x.tensor],
-            x: Affine::resolve(u, &x.base, idx),
-            x_stride: x.stride,
             out: match nest.fused.last_acc() {
                 FAcc::Scalar { .. } => (0, Affine::default()),
                 FAcc::Out { tensor, base, .. } => (self.oo[*tensor], Affine::resolve(u, base, idx)),
             },
-            lanes_on: self.lanes && nest.fused.lanes > 1,
         };
         let fiber = level(self.levels, self.lvl_base, nest.tensor, nest.level + 1);
         let a = self.vals[nest.tensor];
-        let (iters, entries) = with_semi!(uniform, bin, op, |s| if nest.rle {
-            self.nest_rows(s, &run, rows, n, |p, lo, hi| rle_drive(fiber, a, p, lo, hi))
-        } else {
-            self.nest_rows(s, &run, rows, n, |p, lo, hi| crd_drive(fiber, a, p, lo, hi))
-        });
+        // Each body kind walks the rows in a loop of its own.
+        let (iters, entries) = match &nest.fused.runner {
+            Runner::Closed { x, form } => {
+                let body = NestClosed {
+                    form: *form,
+                    xs: self.dense[x.tensor],
+                    x: Affine::resolve(u, &x.base, idx),
+                    x_stride: x.stride,
+                    lanes_on: self.lanes && nest.fused.lanes > 1,
+                };
+                with_semi!(uniform, bin, op, |s| if nest.rle {
+                    self.nest_rows(s, &run, body, rows, n, |p, lo, hi| {
+                        rle_drive(fiber, a, p, lo, hi)
+                    })
+                } else {
+                    self.nest_rows(s, &run, body, rows, n, |p, lo, hi| {
+                        crd_drive(fiber, a, p, lo, hi)
+                    })
+                })
+            }
+            // A workspace body drives a compressed fiber (`compile`).
+            Runner::WorkspaceDot { chain, ws } => {
+                let w = self.scattered(ws);
+                let hits = with_semi!(uniform, bin, op, |s| {
+                    self.nest_gathered(s, &run, *chain, &w, rows, n, |p, lo, hi| {
+                        crd_drive(fiber, a, p, lo, hi)
+                    })
+                });
+                // Its hits read the rows' level. `w` is the same row on
+                // every row, so each row entered the merge it replaces
+                // (and walked `w`'s window) exactly when `w` is non-empty.
+                self.count_hits(&nest.fused.folds[0], nest.tensor, hits);
+                let entries = if w.len() > 0 { n as u64 } else { 0 };
+                (entries * w.len() as u64, entries)
+            }
+            _ => unreachable!("`fuse::row_nest` admits closed and workspace runners only"),
+        };
 
         self.iterations += n as u64 + iters;
         self.dispatch[nest.fused.runner.kind().index()] += entries;
@@ -1838,38 +2005,80 @@ impl<'a> LoopRun<'_, 'a, '_> {
         self.tally(&nest.fused.bulk, iters);
     }
 
-    /// Walks `n` rows (`drive` opens row position `p`'s inner window)
-    /// and returns the inner-loop coordinates executed and the number
-    /// of non-empty inner-loop entries.
+    /// The row walk every nest body shares: each of `n` rows' prologue,
+    /// then `inner(self, row, p, lo, hi)` over its position `p` and its
+    /// inner window `[lo, hi]` — what [`loop_window`] computes per
+    /// inner-loop entry — then its epilogue.
+    #[inline(always)]
+    fn each_row(
+        &mut self,
+        run: &NestRun<'_>,
+        rows: Rows<'a>,
+        n: usize,
+        mut inner: impl FnMut(&mut Self, usize, usize, i64, i64),
+    ) {
+        let (at_pre, at_post) = run.at.split_at(run.pre.len());
+        for r in 0..n {
+            let (row, p) = rows.at(r);
+            self.nest_steps(run.pre, at_pre, row);
+            let lo = run.lo.map_or(0, |d| (row as i64 + d).max(0));
+            let hi = run.hi.map_or(i64::MAX, |d| row as i64 + d);
+            inner(self, row, p, lo, hi);
+            self.nest_steps(run.post, at_post, row);
+        }
+    }
+
+    /// Walks `n` rows of a closed-form nest (`drive` opens row position
+    /// `p`'s inner window) and returns the inner-loop coordinates
+    /// executed and the number of non-empty inner-loop entries.
     fn nest_rows<S: Semi, D: Drive<'a>>(
         &mut self,
         s: S,
-        run: &NestRun<'a, '_>,
+        run: &NestRun<'_>,
+        body: NestClosed<'a>,
         rows: Rows<'a>,
         n: usize,
         drive: impl Fn(usize, i64, i64) -> Option<D>,
     ) -> (u64, u64) {
         let (mut iters, mut entries) = (0u64, 0u64);
-        let (at_pre, at_post) = run.at.split_at(run.pre.len());
-        for r in 0..n {
-            let (row, p) = rows.at(r);
-            self.nest_steps(run.pre, at_pre, row);
-            // The row's window — what [`loop_window`] computes per
-            // inner-loop entry.
-            let lo = run.lo.map_or(0, |d| (row as i64 + d).max(0));
-            let hi = run.hi.map_or(i64::MAX, |d| row as i64 + d);
+        self.each_row(run, rows, n, |lr, row, p, lo, hi| {
             if let Some(d) = drive(p, lo, hi).filter(|d| d.len() > 0) {
                 iters += d.len() as u64;
                 entries += 1;
                 // Exactly a fused-loop entry, minus the resolution.
-                let lanes = lane_gate(run.lanes_on, d.span(), None);
-                let x = Strided { xs: run.xs, base: run.x.at(row), stride: run.x_stride };
+                let lanes = lane_gate(body.lanes_on, d.span(), None);
+                let x = Strided { xs: body.xs, base: body.x.at(row), stride: body.x_stride };
                 let out = (run.out.0, run.out.1.at(row));
-                self.closed_window(s, run.form, run.folds, x, out, lanes, &d);
+                lr.closed_window(s, body.form, run.folds, x, out, lanes, &d);
             }
-            self.nest_steps(run.post, at_post, row);
-        }
+        });
         (iters, entries)
+    }
+
+    /// Walks `n` rows of a workspace nest, each row's inner window
+    /// gather-dotted against the scattered row `w`, and returns the hits.
+    #[allow(clippy::too_many_arguments)]
+    fn nest_gathered<S: Semi, D: Drive<'a>>(
+        &mut self,
+        s: S,
+        run: &NestRun<'_>,
+        chain: DotShape,
+        w: &Scattered<'_>,
+        rows: Rows<'a>,
+        n: usize,
+        drive: impl Fn(usize, i64, i64) -> Option<D>,
+    ) -> u64 {
+        let mut hits = 0u64;
+        self.each_row(run, rows, n, |lr, row, p, lo, hi| {
+            if w.len() == 0 {
+                return;
+            }
+            if let Some(d) = drive(p, lo, hi) {
+                let out = (run.out.0, run.out.1.at(row));
+                hits += lr.gathered_window(s, chain, &run.folds[0], w, out, &d);
+            }
+        });
+        hits
     }
 
     /// One row's prologue or epilogue: the instructions' own semantics
@@ -1906,6 +2115,38 @@ enum Fiber<'a> {
     Runs(&'a [usize], &'a [usize]),
 }
 
+/// [`Instr::Scatter`]: fiber `u[parent]` of `w`'s level, clamped to
+/// `[lo, hi]`, into `w`'s position slots, its window published in
+/// `u[w.start]..u[w.stop]`. `u[parent]` is never MISS: the intersection's
+/// driver value load needs a stored parent (`compile`'s never-miss
+/// facts). Out of line, as is [`LoopRun::workspace_entry`], so the
+/// workspace instructions do not grow `run_range`'s dispatch loop.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn scatter(
+    levels: &[Option<LevelView<'_>>],
+    lvl_base: &[usize],
+    u: &mut [usize],
+    ws: &mut [usize],
+    parent: usize,
+    lo: &[Bound],
+    hi: &[Bound],
+    w: &Workspace,
+    pc: usize,
+) {
+    let LevelView::Sparse { pos, crd, .. } = level(levels, lvl_base, w.tensor, w.level) else {
+        unreachable!("workspace rows scatter compressed fibers");
+    };
+    let (lo_v, hi_v) = loop_window(u, lo, hi, i64::MAX, None, pc);
+    let (start, stop) = crd_window(pos, crd, u[parent], lo_v, hi_v);
+    let stop = stop.max(start);
+    for (q, &k) in crd[start..stop].iter().enumerate() {
+        ws[w.base + k] = start + q;
+    }
+    u[w.start] = start;
+    u[w.stop] = stop;
+}
+
 /// Runs the whole program once over the given state, with the top-level
 /// split heads (if `chunk` is set) clamped to the chunk's coordinate
 /// window. Counters accumulate into `counters` (not reset here, so one
@@ -1921,6 +2162,7 @@ fn run_range<'a>(
     f: &mut Vec<f64>,
     vec_pass: &mut Vec<bool>,
     gathers: &mut GatherBank,
+    ws: &mut Vec<usize>,
     counters: &mut CounterBank,
     chunk: Option<Chunk<'_>>,
     lanes: bool,
@@ -1933,6 +2175,10 @@ fn run_range<'a>(
     vec_pass.clear();
     vec_pass.resize(program.n_vec_items, false);
     gathers.reset(program.n_vec_gathers);
+    // Workspace slots only grow: their contents are validated per read.
+    if ws.len() < program.ws_len {
+        ws.resize(program.ws_len, 0);
+    }
     let u = u.as_mut_slice();
     let f = f.as_mut_slice();
     let vec_pass = vec_pass.as_mut_slice();
@@ -1981,6 +2227,7 @@ fn run_range<'a>(
             let mut $lr = LoopRun {
                 pass: &mut *vec_pass,
                 gathers: &mut *gathers,
+                ws: &*ws,
                 u: &mut *u,
                 f: &mut *f,
                 dense,
@@ -2321,9 +2568,19 @@ fn run_range<'a>(
             Instr::VecSparseLoop { tensor, level: lv, idx, parent, lo, hi, items } => {
                 let fiber = level(levels, lvl_base, *tensor, *lv);
                 let (lo_v, hi_v) = loop_window(u, lo, hi, i64::MAX, chunk, pc);
-                if let Some(drive) = crd_drive(fiber, vals[*tensor], u[*parent], lo_v, hi_v) {
+                let drive = crd_drive(fiber, vals[*tensor], u[*parent], lo_v, hi_v);
+                if let Runner::WorkspaceDot { chain, ws } = &items[0].body.runner {
+                    // The loop's only item (`compile`); it enters on the
+                    // scattered row, whatever the driven one holds.
+                    let (fu, row) = (&items[0].body, drive.as_ref());
+                    vec_loop!(|lr| lr.workspace_entry(fu, *chain, ws, *tensor, *idx, row));
+                } else if let Some(drive) = drive {
                     vec_loop!(|lr| lr.run(items, *idx, &drive));
                 }
+                pc += 1;
+            }
+            Instr::Scatter { parent, lo, hi, ws: w } => {
+                scatter(levels, lvl_base, u, ws, *parent, lo, hi, w, pc);
                 pc += 1;
             }
             Instr::VecRleLoop { tensor, level: lv, idx, parent, lo, hi, items } => {
@@ -2508,9 +2765,10 @@ fn execute_inner(
             };
             let bank = &mut ctx.banks(1)[0];
             bank.counters.reset(n_slots);
-            let Bank { u, f, vec_pass, gathers, counters, .. } = bank;
+            let Bank { u, f, vec_pass, gathers, ws, counters, .. } = bank;
             run_range(
-                program, dense, vals, levels, outs, u, f, vec_pass, gathers, counters, chunk, lanes,
+                program, dense, vals, levels, outs, u, f, vec_pass, gathers, ws, counters, chunk,
+                lanes,
             );
             bank.counters.write_to(program.tensors.iter().map(|t| t.name.as_str()), out_counters);
         }
@@ -2609,7 +2867,7 @@ fn run_parallel<'a>(
                     let identity = op.identity().expect("reduced outputs use reducing ops");
                     bank.reset_reduce(r, len, identity);
                 }
-                let Bank { u, f, vec_pass, gathers, counters, reduce } = bank;
+                let Bank { u, f, vec_pass, gathers, ws, counters, reduce } = bank;
                 for (k, owned) in chunks {
                     let mut outs_t: OutTable<'_> = Scratch::new(program.n_outputs);
                     let w_outs = outs_t.as_mut_slice();
@@ -2630,6 +2888,7 @@ fn run_parallel<'a>(
                         f,
                         vec_pass,
                         gathers,
+                        ws,
                         counters,
                         Some(chunk),
                         lanes,

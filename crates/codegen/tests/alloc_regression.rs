@@ -5,7 +5,8 @@
 //! assembly all reuse caller-owned or stack storage. A counting global
 //! allocator makes any regression an immediate test failure. The same
 //! counter bounds `prepare_variants`: splitting a tensor allocates per
-//! level, never per entry.
+//! level, never per entry. A workspace row is sized on the first run
+//! and reused after it.
 //!
 //! The count is per thread and armed only around the measured runs, so
 //! the tests of this file (which the harness runs on parallel threads)
@@ -262,6 +263,39 @@ fn run_length_dot_axpy_steady_state_is_allocation_free_in_both_lane_modes() {
             &mut outputs,
             ctx,
             &format!("rle dot-axpy {mode:?}"),
+        );
+    }
+}
+
+#[test]
+fn ssyrk_steady_state_is_allocation_free_in_both_lane_modes() {
+    // SSYRK's symmetric plan: row `i` scattered into the workspace row
+    // (sized on the first run, then reused), every row `j ≥ i`
+    // gather-dotted against it in one row nest.
+    let (n, m) = (40, 56);
+    let mut coo = CooTensor::new(vec![n, m]);
+    for i in 0..n {
+        for k in [i, (3 * i + 5) % m, (7 * i + 2) % m, (11 * i + 9) % m] {
+            coo.set(&[i, k], 0.5 + k as f64);
+        }
+    }
+    let def = defs::ssyrk();
+    let mut inputs = def.inputs([("A", coo.into())]).unwrap();
+    let main = Compiler::new().compile(&def.einsum, &def.symmetry).unwrap().main;
+    let variants = prepare_variants(&hoist_conditions(main.clone()), &inputs).unwrap();
+    inputs.extend(variants);
+    let (kernel, outputs_init) = compile(&main, &inputs);
+    let dis = kernel.disassemble();
+    assert!(dis.contains("Scatter {") && dis.contains("runner: WorkspaceDot {"), "{dis}");
+    for mode in [LaneMode::Lanes, LaneMode::Scalar] {
+        let mut outputs = outputs_init.clone();
+        let ctx = ExecContext::new().with_lane_mode(mode);
+        assert_steady_state_alloc_free(
+            &kernel,
+            &inputs,
+            &mut outputs,
+            ctx,
+            &format!("ssyrk {mode:?}"),
         );
     }
 }

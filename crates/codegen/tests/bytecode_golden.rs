@@ -169,24 +169,38 @@ fn paper_kernel_bytecode_matches_goldens() {
 /// regression that *also* blesses new goldens still has to get past
 /// review with these names in the diff.
 #[test]
-fn ssyrk_probe_loop_vectorizes_to_intersection() {
+fn ssyrk_scatters_row_i_and_nests_rows_j() {
     let def = defs::ssyrk();
     let inputs = fixed_inputs(&def);
     let kernel = Compiler::new().compile(&def.einsum, &def.symmetry).unwrap();
     let text = snapshot(kernel.main, None, &inputs);
+    let lines: Vec<&str> = text.lines().collect();
+    // The `i` loop's body: row `i` scattered once, then the whole `j ≥ i`
+    // sweep as one row nest gather-dotting each row `j` against it.
+    let at = |needle: &str| lines.iter().position(|l| l.contains(needle));
+    let (Some(scatter), Some(nest)) = (at(": Scatter {"), at(": RowNest(")) else {
+        panic!("ssyrk must scatter row i and nest the rows j:\n{text}");
+    };
+    assert_eq!(scatter + 1, nest, "the scatter sits right before the j head:\n{text}");
+    let i_reg =
+        |l: &str| l.split("idx: ").nth(1).and_then(|s| s.split(',').next()).map(str::to_owned);
+    let i = i_reg(lines[1]).expect("the i loop heads the program");
     assert!(
-        text.contains("VecIsectLoop") && text.contains("runner: ProbeDot {"),
-        "ssyrk's probed k-loop must select the intersection loop with the probed dot:\n{text}"
+        i_reg(lines[nest]).is_some_and(|j| j != i)
+            && lines[nest].contains(&format!("lo: [Bound {{ reg: {i}, delta: 0 }}]"))
+            && lines[nest].contains("runner: WorkspaceDot {"),
+        "the nest walks rows j ≥ i through the workspace dot:\n{text}"
     );
     assert!(
-        !text.contains("SparseLoopHead"),
-        "no general compressed walk should survive in ssyrk's main program:\n{text}"
+        !text.contains("VecIsectLoop") && !text.contains("SparseLoopHead"),
+        "no merge or general compressed walk should survive in ssyrk's main program:\n{text}"
     );
 }
 
 /// Fused-body selection fires on the hot loops of the paper suite: the
-/// goldens carry the full `Fused` forms, and this pins the headline
-/// facts by name so a regression can't hide behind a bless.
+/// goldens carry the full `Fused` forms — a vector loop's item body or a
+/// row nest's inner body — and this pins the headline facts by name so a
+/// regression can't hide behind a bless.
 #[test]
 fn fused_bodies_selected_across_paper_kernels() {
     let mut fused_kernels = 0usize;
@@ -194,7 +208,7 @@ fn fused_bodies_selected_across_paper_kernels() {
         let inputs = fixed_inputs(&def);
         let kernel = Compiler::new().compile(&def.einsum, &def.symmetry).unwrap();
         let text = snapshot(kernel.main, kernel.replication, &inputs);
-        if text.contains("body: Fused") {
+        if text.contains("body: Fused") || text.contains("fused: Fused") {
             fused_kernels += 1;
         }
     }

@@ -93,6 +93,60 @@ fn mttkrp_case(n: usize, entries: &[(usize, usize, f64)], xs: &[f64]) -> Case {
     build_case(&einsum, inputs, "C")
 }
 
+/// SSYRK's symmetric plan over an `n × m` CSR `A` with `nnz` uniformly
+/// placed entries: its workspace row holds `m` slots, so plans of
+/// different column extents share (and resize) one context's workspace.
+fn ssyrk_case(n: usize, m: usize, nnz: usize, seed: u64) -> Case {
+    let mut state = seed;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut coo = CooTensor::new(vec![n, m]);
+    for _ in 0..nnz {
+        let (i, k) = (next() as usize % n, next() as usize % m);
+        coo.set(&[i, k], 0.1 + (next() >> 11) as f64 / (1u64 << 53) as f64);
+    }
+    let def = systec_kernels::defs::ssyrk();
+    let mut inputs = def.inputs([("A", coo.into())]).unwrap();
+    let main = systec_core::Compiler::new().compile(&def.einsum, &def.symmetry).unwrap().main;
+    let main = hoist_conditions(main);
+    inputs.extend(systec_exec::prepare_variants(&main, &inputs).unwrap());
+    let outputs_init = alloc_outputs(&main, &inputs).unwrap();
+    let lowered = lower(&main, &inputs, &outputs_init).unwrap();
+    let kernel = CompiledKernel::compile(&lowered, &inputs, &outputs_init).unwrap();
+    assert!(kernel.disassemble().contains("runner: WorkspaceDot {"), "{}", kernel.disassemble());
+    Case { kernel, inputs, outputs_init, out_name: "C" }
+}
+
+/// SSYRK at the benchmark's 160² / 2 400 entries, interleaved with a
+/// wider (more workspace slots) and a narrower plan on one context, in
+/// both parallelism modes: a workspace that is stale (trusted without
+/// checking its row) or undersized (not grown for the wider plan) shows
+/// as a divergence from a fresh context.
+#[test]
+fn ssyrk_workspace_rows_never_leak_across_column_extents() {
+    let cases = [
+        ssyrk_case(160, 160, 2400, 1),
+        ssyrk_case(160, 640, 2400, 2),
+        ssyrk_case(160, 24, 1200, 3),
+    ];
+    let pars = [Parallelism::Serial, Parallelism::threads(2)];
+    let expected: Vec<Vec<(Vec<u64>, Counters)>> = cases
+        .iter()
+        .map(|c| pars.iter().map(|p| c.run(&mut ExecContext::new(), *p)).collect())
+        .collect();
+    let mut shared = ExecContext::new();
+    for (step, &which) in [0, 1, 0, 2, 1, 2, 0, 0, 2, 1].iter().enumerate() {
+        let par = step % pars.len();
+        let got = cases[which].run(&mut shared, pars[par]);
+        assert!(got == expected[which][par], "step {step}: case {which} under {:?}", pars[par]);
+    }
+}
+
 fn build_case(einsum: &Einsum, inputs: HashMap<String, Tensor>, out_name: &'static str) -> Case {
     let prog = hoist_conditions(einsum.naive_program());
     let outputs_init = alloc_outputs(&prog, &inputs).unwrap();

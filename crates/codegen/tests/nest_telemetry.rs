@@ -6,7 +6,7 @@
 //! sequence would have made, however the run is cut into threads or
 //! chunks. The other tests pin the labels where a body's *shape* and
 //! its runner used to disagree: a dense mat-vec is a dot-shaped body the
-//! generic runner executes, SSYRK's merge is the probed dot, and loop
+//! generic runner executes, SSYRK's rows run the workspace dot, and loop
 //! entries where several guarded items pass run (and count) generic.
 //!
 //! The registry is process-global, so the tests of this binary take
@@ -153,10 +153,12 @@ fn a_dense_matvec_counts_under_generic() {
     plan.assert_dispatches("runner: Generic", &[(RunnerKind::Generic, n as u64)], "dense mv");
 }
 
-/// SSYRK's merge of row `i` against row `j`: one probed-dot entry per
-/// `j ≥ i` of every row `i` with a stored entry (the driver window).
+/// SSYRK's row `i` against row `j`, scattered once and gather-dotted in
+/// a row nest: one workspace-dot entry per `j ≥ i` of every row `i` with
+/// a stored entry (the merge's driver window), as the merge it replaced
+/// counted.
 #[test]
-fn ssyrk_counts_under_probe_dot() {
+fn ssyrk_counts_under_workspace_dot() {
     let _serial = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let n = 16;
     let mut coo = CooTensor::new(vec![n, n]);
@@ -171,7 +173,9 @@ fn ssyrk_counts_under_probe_dot() {
     let inputs = def.inputs([("A", coo.into())]).expect("inputs pack");
     let main = Compiler::new().compile(&def.einsum, &def.symmetry).expect("compiles").main;
     let plan = Plan::new(main, inputs);
-    plan.assert_dispatches("runner: ProbeDot {", &[(RunnerKind::ProbeDot, entries)], "ssyrk");
+    assert!(plan.kernel.disassemble().contains("RowNest"), "{}", plan.kernel.disassemble());
+    let want = [(RunnerKind::WorkspaceDot, entries)];
+    plan.assert_dispatches("runner: WorkspaceDot {", &want, "ssyrk");
 }
 
 /// The several-items program of `tests/fused_bodies.rs`: `for l: if

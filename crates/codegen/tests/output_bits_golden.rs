@@ -25,6 +25,19 @@
 //! `dense` cells a `Dense` leaf pads zeros only under the middle fibers
 //! that still exist, so the generic runner walks fewer padded entries.
 //!
+//! Workspace rows (`src/fuse.rs`, "Workspace rows") relabel two census
+//! lines and move no output bit: the fold still visits row `i ∩ row j`
+//! in ascending `k` at one lane, in the same operand order.
+//! `ssyrk csr probe_dot=10352` became `workspace_dot=10352`: row `i` is
+//! scattered once and the `j ≥ i` sweep is a row nest gather-dotting each
+//! row `j`, which counts one entry wherever the merge's driver window
+//! was non-empty, as the merge did. `naive-isect csr*csr
+//! probe_dot=20736` became `workspace_dot=20736` for the same reason
+//! (naive `C[i,j] += A[i,k]·B[j,k]`, row `i` of `A` fixed across the `j`
+//! loop). The `csr*dense-rle` and `csr*dense` lines keep `probe_dot`:
+//! a probe into a dense or run-length level is no compressed fiber to
+//! drive from.
+//!
 //! Regenerate after an *intentional* association or selection change
 //! with:
 //!

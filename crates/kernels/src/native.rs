@@ -114,7 +114,12 @@ pub fn csr_bellman_ford(a: &SparseTensor, d: &DenseTensor, y0: &DenseTensor) -> 
 }
 
 /// Native SSYRK `C = A Aᵀ` computing only the upper triangle and
-/// mirroring it (row-sparse dot products).
+/// mirroring it: row `i` scattered into a dense row once, then
+/// gather-dotted against each row `j ≥ i`. The compiled symmetric plan
+/// runs the same algorithm (its workspace-row lowering), so
+/// `vm.ssyrk.vs_native` measures interpretation cost, not a missing
+/// transformation. (This zero-filled row is only exact over `+`/`·`
+/// with finite values; the plan's workspace records membership.)
 ///
 /// # Panics
 ///

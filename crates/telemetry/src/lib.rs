@@ -192,13 +192,21 @@ pub enum RunnerKind {
     DotAxpy,
     /// Closed-form dot against an intersection's probe.
     ProbeDot,
+    /// An intersection dot run from its probed side against the driver
+    /// fiber scattered into a workspace row.
+    WorkspaceDot,
     /// The generic resolved body, coordinate by coordinate.
     Generic,
 }
 
 /// All runners, in exposition order.
-pub const RUNNER_KINDS: [RunnerKind; 4] =
-    [RunnerKind::Dot, RunnerKind::DotAxpy, RunnerKind::ProbeDot, RunnerKind::Generic];
+pub const RUNNER_KINDS: [RunnerKind; 5] = [
+    RunnerKind::Dot,
+    RunnerKind::DotAxpy,
+    RunnerKind::ProbeDot,
+    RunnerKind::WorkspaceDot,
+    RunnerKind::Generic,
+];
 
 impl RunnerKind {
     /// Stable lowercase label used in metric label values.
@@ -207,6 +215,7 @@ impl RunnerKind {
             RunnerKind::Dot => "dot",
             RunnerKind::DotAxpy => "dot_axpy",
             RunnerKind::ProbeDot => "probe_dot",
+            RunnerKind::WorkspaceDot => "workspace_dot",
             RunnerKind::Generic => "generic",
         }
     }
