@@ -1,17 +1,15 @@
 //! CI smoke for the perf path: drives every bench kernel once at tiny
 //! sizes across the axes the repo benchmark sweeps — both variants
-//! (symmetric / naive), both backends, a threads cell and the scalar
-//! lane-mode cell — so a panic on a hot path
+//! (symmetric / naive), the VM against the interpreter, a threads cell
+//! and the scalar lane-mode cell — so a panic on a hot path
 //! fails the build instead of the next bench run. Output agreement
-//! between backends rides along (byte-identical at these tiny sizes:
+//! with the interpreter rides along (byte-identical at these tiny sizes:
 //! every fiber is below the lane kernels' short-fiber cutover, so even
 //! the default lane mode folds in interpreter order).
 
 use std::collections::HashMap;
 
-use systec_kernels::{
-    defs, Backend, Counters, ExecContext, KernelDef, LaneMode, Parallelism, Prepared,
-};
+use systec_kernels::{defs, Counters, ExecContext, KernelDef, LaneMode, Parallelism, Prepared};
 use systec_tensor::generate::{
     random_dense, rng, sprand, symmetric_block_plateau, symmetric_erdos_renyi,
 };
@@ -22,51 +20,28 @@ fn drive(name: &str, def: &KernelDef, inputs: &HashMap<String, Tensor>) {
         Prepared::compile(def, inputs).expect("prepare systec"),
         Prepared::naive(def, inputs).expect("prepare naive"),
     ] {
-        let mut reference: Option<HashMap<String, systec_tensor::DenseTensor>> = None;
-        for backend in [Backend::Compiled, Backend::Interpreter] {
-            let runner = prepared.clone().with_backend(backend);
+        let (expected, _) = prepared.run_interpreted().expect("interpreted run");
+        // The VM in both lane modes — the lanes axis, as in the
+        // `-scalar` bench cells.
+        for mode in [LaneMode::Lanes, LaneMode::Scalar] {
             let mut outputs = HashMap::new();
-            let mut ctx = ExecContext::new();
+            let mut ctx = ExecContext::new().with_lane_mode(mode);
             let mut counters = Counters::new();
-            runner.run_timed_into(&mut outputs, &mut ctx, &mut counters).expect("run");
-            match &reference {
-                None => reference = Some(outputs),
-                Some(expected) => {
-                    for (out_name, t) in expected {
-                        assert_eq!(
-                            &outputs[out_name], t,
-                            "{name}: backend outputs diverge on {out_name}"
-                        );
-                    }
-                }
+            prepared.run_full_into(&mut outputs, &mut ctx, &mut counters).expect("run");
+            for (out_name, t) in &expected {
+                assert_eq!(
+                    &outputs[out_name], t,
+                    "{name} {mode:?}: outputs diverge from the interpreter on {out_name}"
+                );
             }
         }
-        // Compiled extra: a threads cell (degrades to serial when the
-        // plan is not splittable — still must not panic).
-        let threaded = prepared
-            .clone()
-            .with_backend(Backend::Compiled)
-            .with_parallelism(Parallelism::threads(2));
+        // A threads cell (degrades to serial when the plan is not
+        // splittable — still must not panic).
+        let threaded = prepared.clone().with_parallelism(Parallelism::threads(2));
         let mut outputs = HashMap::new();
         let mut ctx = ExecContext::new();
         let mut counters = Counters::new();
         threaded.run_timed_into(&mut outputs, &mut ctx, &mut counters).expect("threads run");
-
-        // The lanes axis: the serial compiled path with the explicit
-        // lane runners pinned off, as in the `-scalar` bench cells.
-        let scalar = prepared.clone().with_backend(Backend::Compiled);
-        let mut outputs = HashMap::new();
-        let mut ctx = ExecContext::new().with_lane_mode(LaneMode::Scalar);
-        let mut counters = Counters::new();
-        scalar.run_timed_into(&mut outputs, &mut ctx, &mut counters).expect("scalar run");
-        if let Some(expected) = &reference {
-            for (out_name, t) in expected {
-                assert_eq!(
-                    &outputs[out_name], t,
-                    "{name}: scalar lane-mode outputs diverge on {out_name}"
-                );
-            }
-        }
     }
 }
 

@@ -344,29 +344,28 @@ pub(crate) struct DotShape {
 /// operand it needs (an intersection's body may then be re-driven from
 /// its probed side, `crate::fuse::workspace_form`). The VM dispatches on
 /// it and never re-derives it:
-/// only the guards, the lane gate and the semiring instantiation are
-/// decided per loop entry. Telemetry counts dispatches under the
-/// runner's name ([`Runner::kind`]).
+/// only the guards, the closed forms' lane gate and the semiring
+/// instantiation are decided per loop entry. Telemetry counts dispatches
+/// under the runner's name ([`Runner::kind`]).
 #[derive(Clone, Debug)]
 pub(crate) enum Runner {
     /// A closed form over an unprobed driver against `x`, a copy of the
-    /// body's strided dense load.
+    /// body's strided dense load — the only runner that lanes.
     Closed { x: DenseOperand, form: ClosedForm },
-    /// An intersection dot: one fold `acc op= [lead ∘] a [∘ mid] ∘ p`
-    /// whose store only the probe load `chain.b` (of tensor `probe`)
-    /// gates, `acc` register-held as for [`ClosedForm::Dot`].
-    ProbeDot { chain: DotShape, probe: usize },
-    /// The same dot run from the probed side: the loop drives the probed
-    /// fiber, `chain.b` is its value and `chain.a` reads the
-    /// intersection's driver fiber back from `ws`, where an
+    /// The canonical probe-gated intersection dot (`crate::fuse::gated_dot`:
+    /// one register-held fold `acc op= [lead ∘] a [∘ mid] ∘ p` whose store
+    /// only the probe load `chain.b` gates) run from the probed side: the
+    /// loop drives the probed fiber, `chain.b` is its value and `chain.a`
+    /// reads the intersection's driver fiber back from `ws`, where an
     /// [`Instr::Scatter`] left it. Only coordinates of that fiber fold,
     /// in ascending order, so outputs are the intersection's bit for
     /// bit. An entry counts as the intersection it replaces: the body's
     /// recipe ([`Fused::bulk`]) once per scattered coordinate, the driven
     /// read and the store side once per hit.
     WorkspaceDot { chain: DotShape, ws: Workspace },
-    /// Any other body (axpys, scale-stores, gathers, multi-store jams):
-    /// resolved per entry, driven coordinate by coordinate.
+    /// Any other body (axpys, scale-stores, gathers, multi-store jams,
+    /// intersections): resolved per entry, driven coordinate by
+    /// coordinate at one lane.
     Generic,
 }
 
@@ -505,7 +504,6 @@ impl Runner {
         match self {
             Runner::Closed { form: ClosedForm::Dot(_), .. } => RunnerKind::Dot,
             Runner::Closed { form: ClosedForm::DotAxpy { .. }, .. } => RunnerKind::DotAxpy,
-            Runner::ProbeDot { .. } => RunnerKind::ProbeDot,
             Runner::WorkspaceDot { .. } => RunnerKind::WorkspaceDot,
             Runner::Generic => RunnerKind::Generic,
         }
@@ -542,15 +540,6 @@ pub(crate) struct Fused {
     pub folds: Box<[FFold]>,
     /// Bulk counter recipe (invariant contributions per iteration).
     pub bulk: BulkCounts,
-    /// Virtual lane count the runners may use under
-    /// [`crate::LaneMode::Lanes`]: [`crate::vm::LANES`] when every
-    /// register-held fold of the body reduces through an operator with
-    /// an identity (so lanes can be seeded and merged in fixed order
-    /// without changing which elements participate), `1` when any fold
-    /// pins the body to strict scalar order. One of the three inputs of
-    /// the VM's per-entry lane gate (with the context's lane mode and
-    /// the drive window's size); also printed in disassembly/goldens.
-    pub lanes: u8,
 }
 
 /// Per-tensor-slot binding metadata, validated when the program binds

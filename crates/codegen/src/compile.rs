@@ -19,8 +19,8 @@ use systec_tensor::{DenseTensor, LevelFormat, Tensor};
 use systec_ir::{AssignOp, CmpOp};
 
 use crate::bytecode::{
-    Bound, BytecodeProgram, FAcc, FLoad, FOp, Instr, ParOut, Runner, SplitInfo, TensorInfo, Term,
-    VItem, Workspace, MISS,
+    Bound, BytecodeProgram, FAcc, FLoad, FOp, Instr, ParOut, SplitInfo, TensorInfo, Term, VItem,
+    Workspace, MISS,
 };
 use crate::fuse::{independent, BodyBuilder};
 
@@ -1055,7 +1055,8 @@ impl Compiler<'_> {
     /// loop rebinds the probed fiber but not the driver's, the probed
     /// level is compressed, no bound reads the loop's index (the scatter
     /// clamps the driver fiber once for the whole loop), and the item is
-    /// unguarded and runs `ProbeDot`. `None` keeps the intersection.
+    /// unguarded and is the canonical probe-gated dot
+    /// ([`crate::fuse::gated_dot`]). `None` keeps the intersection.
     /// Both fibers hold coordinates below the loop's `extent` (lowering
     /// checks every mode bound to one index against its extent), so that
     /// many slots cover either.
@@ -1075,9 +1076,7 @@ impl Compiler<'_> {
         let [VItem { id, guard, body }] = items else {
             return None;
         };
-        let Runner::ProbeDot { chain, .. } = body.runner else {
-            return None;
-        };
+        let chain = crate::fuse::gated_dot(body)?;
         let parent = self.pos_base[d.access] + d.level;
         let hoistable = formats[p.level] == LevelFormat::Sparse
             && guard.is_empty()

@@ -23,23 +23,25 @@
 
 use systec_exec::CounterBank;
 
-/// How many lanes the fused-body runners spread their reduction
-/// accumulators over.
+/// How many lanes the closed-form runners (`Dot`, `DotAxpy`) spread
+/// their register-held reduction over. Every other runner folds at one
+/// lane in both modes, so a plan that runs no closed form is
+/// bit-identical to the interpreter either way.
 ///
-/// The runners are written once, generic over a lane count. Under
-/// [`LaneMode::Lanes`] (the default) register-held reductions spread
-/// across a **fixed virtual lane count** ([`crate::vm::LANES`] = 8
-/// `f64` accumulators) and merge in a **fixed order** (lane 0 → 7)
-/// after the loop. Element *k* of a drive segment always lands in lane
-/// `k % 8` regardless of thread count or chunking, so results are
-/// bit-deterministic across machines, thread counts and repeated runs
-/// — they are simply a *different* fixed association than the scalar
-/// left fold (within 1e-9 of the interpreter, exact counter parity).
-/// Breaking the loop-carried FP dependency is what lets the
-/// autovectorizer keep the accumulators in ymm/zmm. Windows too short
-/// to amortize the merge run at one lane even in this mode.
+/// The closed forms are written once, generic over a lane count. Under
+/// [`LaneMode::Lanes`] (the default) the reduction spreads across a
+/// **fixed virtual lane count** (8 `f64` accumulators) and merges in a
+/// **fixed order** (lane 0 → 7) after the loop. Element *k* of a drive
+/// segment always lands in lane `k % 8` regardless of thread count or
+/// chunking, so results are bit-deterministic across machines, thread
+/// counts and repeated runs — they are simply a *different* fixed
+/// association than the scalar left fold (within 1e-9 of the
+/// interpreter, exact counter parity). Breaking the loop-carried FP
+/// dependency is what lets the autovectorizer keep the accumulators in
+/// ymm/zmm. Windows too short to amortize the merge, and reductions
+/// without an identity, run at one lane even in this mode.
 ///
-/// [`LaneMode::Scalar`] instantiates the same runners at one lane —
+/// [`LaneMode::Scalar`] instantiates the same closed forms at one lane —
 /// the strict left-to-right fold of the tree-walking interpreter. Use
 /// it when bit-for-bit agreement with the scalar reference association
 /// matters more than speed.

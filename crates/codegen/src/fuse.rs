@@ -35,24 +35,24 @@
 //!
 //! Sealing a body is also where its [`Runner`] is chosen — the one
 //! decision site, from the body's lists and whether its loop is an
-//! intersection: the canonical dot chain over the driver value runs
-//! closed-form against a strided dense operand (`Dot`, and SSYMV's
-//! `DotAxpy` pair) or against the probe (`ProbeDot`), and every other
-//! body runs `Generic`. The one later rewrite is a `ProbeDot` re-driven
-//! from its probed side as `WorkspaceDot` (below), decided by the
-//! compiler from where the loop sits. The runner carries the operands it
-//! reads (the dense operand, the axpy stride, the probed tensor, the
-//! workspace); the VM dispatches on it, and nothing matches shapes at
-//! loop entry.
+//! intersection: over an unprobed driver the canonical dot chain over the
+//! driver value runs closed-form against a strided dense operand (`Dot`,
+//! and SSYMV's `DotAxpy` pair), and every other body — every intersection
+//! body included — runs `Generic`. The closed forms are the only runners
+//! that lane. The one later rewrite re-drives a [`gated_dot`]
+//! intersection from its probed side as `WorkspaceDot` (below), decided by
+//! the compiler from where the loop sits. The runner carries the operands
+//! it reads (the dense operand, the axpy stride, the workspace); the VM
+//! dispatches on it, and nothing matches shapes at loop entry.
 //!
 //! ## Workspace rows
 //!
-//! A `ProbeDot` intersection whose driver fiber the innermost enclosing
-//! loop never rebinds while it rebinds the probed one — SSYRK's `C[i,j]
-//! += A[i,k]·A[j,k]`: row `i` is fixed across the `j` loop, row `j` is
-//! not — merges the same driver fiber against every probed fiber of that
-//! loop. `crate::compile` then scatters the driver fiber once per outer
-//! iteration, in front of the enclosing loop's head, and turns the
+//! A [`gated_dot`] intersection whose driver fiber the innermost
+//! enclosing loop never rebinds while it rebinds the probed one — SSYRK's
+//! `C[i,j] += A[i,k]·A[j,k]`: row `i` is fixed across the `j` loop, row
+//! `j` is not — merges the same driver fiber against every probed fiber of
+//! that loop. `crate::compile` then scatters the driver fiber once per
+//! outer iteration, in front of the enclosing loop's head, and turns the
 //! intersection into a compressed loop over the *probed* fiber whose body
 //! [`workspace_form`] re-drives: `Runner::WorkspaceDot` folds only the
 //! coordinates the scattered fiber holds (Chou et al.'s `locate` on a
@@ -60,13 +60,13 @@
 //! zero fill: folding `0 ∘ b` for non-members would turn a `−0.0` sum
 //! into `+0.0` and `0·inf` into NaN, break min-plus, and miscount.
 //!
-//! Two shapes keep `ProbeDot`: probes into dense or run-length levels (a
-//! dense probe is already a constant-time locate, and neither can drive
-//! a compressed loop — the naive `csr*dense` and `csr*dense-rle` cells of
-//! `tests/golden/dispatch.golden`), and intersections whose driver and
-//! probe both vary under the innermost enclosing loop (`y[i] +=
-//! A[i,k]·B[i,k]`: each driver fiber meets one probed fiber, so a scatter
-//! would be read once). No paper kernel reaches either.
+//! Two shapes stay intersections on the generic runner: probes into dense
+//! or run-length levels (neither can drive a compressed loop — the naive
+//! `csr*dense` and `csr*dense-rle` cells of `tests/golden/dispatch.golden`),
+//! and intersections whose driver and probe both vary under the innermost
+//! enclosing loop (`y[i] += A[i,k]·B[i,k]`: each driver fiber meets one
+//! probed fiber, so a scatter would be read once). No paper kernel
+//! reaches either.
 //!
 //! ## Row nests
 //!
@@ -191,20 +191,21 @@ impl BodyBuilder {
                 bulk.writes += u64::from(matches!(fold.acc, FAcc::Out { .. }));
             }
         }
-        let runner = runner(&loads, &folds, isect);
-        let lanes = lane_count(&folds);
-        Some(Fused { runner, loads: loads.into(), folds: folds.into(), bulk, lanes })
+        let runner = if isect { Runner::Generic } else { runner(&loads, &folds) };
+        Some(Fused { runner, loads: loads.into(), folds: folds.into(), bulk })
     }
 }
 
-/// The one runner decision: a closed form when the body is the
-/// canonical dot chain over the driver value — against a strided dense
-/// operand on an unprobed driver ([`ClosedForm::Dot`], and SSYMV's pair
-/// [`ClosedForm::DotAxpy`]), against the probe in an intersection
-/// ([`Runner::ProbeDot`]) — and [`Runner::Generic`] for everything else.
-fn runner(loads: &[FLoad], folds: &[FFold], isect: bool) -> Runner {
-    // Register-held: a scalar slot or a loop-invariant output cell.
-    let held = |fold: &FFold| matches!(fold.acc, FAcc::Scalar { .. } | FAcc::Out { stride: 0, .. });
+/// Register-held: a scalar slot or a loop-invariant output cell.
+fn held(fold: &FFold) -> bool {
+    matches!(fold.acc, FAcc::Scalar { .. } | FAcc::Out { stride: 0, .. })
+}
+
+/// The one runner decision for a body over an unprobed driver: a closed
+/// form when it is the canonical dot chain over the driver value against
+/// a strided dense operand ([`ClosedForm::Dot`], and SSYMV's pair
+/// [`ClosedForm::DotAxpy`]), [`Runner::Generic`] for everything else.
+fn runner(loads: &[FLoad], folds: &[FFold]) -> Runner {
     let closed = |x: &FLoad, form| match x {
         FLoad::Dense { tensor, base, stride } => Some(Runner::Closed {
             x: DenseOperand { tensor: *tensor, base: base.clone(), stride: *stride },
@@ -213,17 +214,11 @@ fn runner(loads: &[FLoad], folds: &[FFold], isect: bool) -> Runner {
         _ => None,
     };
     let picked = match folds {
-        [fold] if held(fold) => dot_shape(loads, fold).and_then(|chain| match &loads[chain.b] {
-            FLoad::Probe { tensor, set_miss: true }
-                if isect && fold.check_miss && *fold.miss == [chain.b] =>
-            {
-                Some(Runner::ProbeDot { chain, probe: *tensor })
-            }
-            x if !isect && !fold.check_miss => closed(x, ClosedForm::Dot(chain)),
-            _ => None,
-        }),
+        [fold] if held(fold) && !fold.check_miss => {
+            dot_shape(loads, fold).and_then(|chain| closed(&loads[chain.b], ClosedForm::Dot(chain)))
+        }
         [dot, axpy @ FFold { acc: FAcc::Out { stride, .. }, .. }]
-            if !isect && !dot.check_miss && !axpy.check_miss && *stride != 0 =>
+            if !dot.check_miss && !axpy.check_miss && *stride != 0 =>
         {
             dot_shape(loads, dot).and_then(|chain| {
                 let FAcc::Scalar { slot } = dot.acc else { return None };
@@ -238,25 +233,30 @@ fn runner(loads: &[FLoad], folds: &[FFold], isect: bool) -> Runner {
     picked.unwrap_or(Runner::Generic)
 }
 
-/// The workspace form of a `ProbeDot` body of dot shape `chain`,
+/// The dot shape of an intersection body that is the canonical
+/// probe-gated dot: one register-held fold `acc op= [lead ∘] a [∘ mid] ∘
+/// p` over the driver value `a` whose store only the probe load `p`
+/// gates. `None` = some other body (it stays on the generic runner).
+pub(crate) fn gated_dot(body: &Fused) -> Option<DotShape> {
+    let [fold] = body.folds.as_ref() else { return None };
+    let chain = dot_shape(&body.loads, fold).filter(|_| held(fold) && fold.check_miss)?;
+    let gated = matches!(body.loads[chain.b], FLoad::Probe { set_miss: true, .. })
+        && *fold.miss == [chain.b];
+    gated.then_some(chain)
+}
+
+/// The workspace form of a [`gated_dot`] body of dot shape `chain`,
 /// re-driven from its probed side against `ws`: the driver's load
 /// becomes the [`FLoad::Scattered`] read whose miss gates the store, the
 /// probe's load the driver value. Folds, operand order and the bulk
-/// recipe (now per scattered coordinate) stay, and the body folds at one
-/// lane, as the compressed probe it replaces did.
+/// recipe (now per scattered coordinate) stay.
 pub(crate) fn workspace_form(body: &Fused, chain: DotShape, ws: Workspace) -> Fused {
     let mut loads = body.loads.clone();
     loads[chain.a] = FLoad::Scattered;
     loads[chain.b] = FLoad::Val;
     let mut folds = body.folds.clone();
     folds[0].miss = Box::new([chain.a]);
-    Fused {
-        runner: Runner::WorkspaceDot { chain, ws },
-        loads,
-        folds,
-        bulk: body.bulk.clone(),
-        lanes: 1,
-    }
+    Fused { runner: Runner::WorkspaceDot { chain, ws }, loads, folds, bulk: body.bulk.clone() }
 }
 
 /// Whether the items of one loop may run off entry-time snapshots and
@@ -296,35 +296,6 @@ pub(crate) fn independent(items: &[VItem], bound: &[usize]) -> bool {
         FOp::Reg(reg) => !slots.contains(reg) && !bound.contains(reg),
         FOp::Local(_) => true,
     })
-}
-
-/// The virtual lane count the runners may use for this body under
-/// [`crate::LaneMode::Lanes`].
-///
-/// A fold whose accumulator is **register-held** across the loop — a
-/// scalar slot, or the single fold's loop-invariant output cell
-/// (`stride == 0`; the same condition `vm::resolve` uses to hold a
-/// cell in a register) — is laneable only when its reduction operator
-/// has an identity: the lanes are seeded with the identity and merged
-/// lane 0 → 7 after the loop, which changes the association but not
-/// the participant set. `Overwrite` accumulations (last-write-wins)
-/// and operators without an identity pin the body to one lane.
-/// Elementwise (strided) folds store per coordinate in original order
-/// either way, so they never constrain the lane count.
-fn lane_count(folds: &[FFold]) -> u8 {
-    let single_fold = folds.len() == 1;
-    let lane_ok = folds.iter().all(|fold| {
-        let register_held = match &fold.acc {
-            FAcc::Scalar { .. } => true,
-            FAcc::Out { stride, .. } => *stride == 0 && single_fold,
-        };
-        !register_held || fold.op.identity().is_some()
-    });
-    if lane_ok {
-        crate::vm::LANES as u8
-    } else {
-        1
-    }
 }
 
 /// One more element read of `tensor` in a per-tensor read recipe.

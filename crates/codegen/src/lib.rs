@@ -29,16 +29,16 @@
 //!   load / fold caps — leaves the loop on the general head / advance
 //!   path, the reference for every non-conforming loop. Sealing a body
 //!   also picks its runner, once — closed or generic: the canonical dot
-//!   (against a strided operand or an intersection's probe) and SSYMV's
-//!   dot-axpy pair run closed-form folds, every other body (axpy,
-//!   scale-store, gathered variants, multi-store jams) the generic
-//!   resolved runner — accumulators in machine registers, operands
-//!   resolved to slices at loop entry, invariant counter contributions
-//!   accounted in bulk. The VM dispatches on that field: per entry it
-//!   only evaluates guards (a loop whose guards all fail only sets its
-//!   index), and several guarded items passing at once run
-//!   coordinate-major through the generic runner at one lane.
-//! * **Workspace rows** — an intersection whose driver fiber is fixed
+//!   against a strided operand and SSYMV's dot-axpy pair run closed-form
+//!   folds, the only runners that lane; every other body (axpy,
+//!   scale-store, gathered variants, multi-store jams, intersections)
+//!   the generic resolved runner at one lane — accumulators in machine
+//!   registers, operands resolved to slices at loop entry, invariant
+//!   counter contributions accounted in bulk. The VM dispatches on that
+//!   field: per entry it only evaluates guards (a loop whose guards all
+//!   fail only sets its index), and several guarded items passing at
+//!   once run coordinate-major through the generic runner.
+//! * **Workspace rows** — an intersection dot whose driver fiber is fixed
 //!   across the enclosing loop while the probed fiber is not (SSYRK's
 //!   row `i` against every row `j ≥ i`) scatters the driver fiber once,
 //!   in front of that loop's head, and loops over the probed fiber
@@ -608,7 +608,7 @@ mod tests {
     #[test]
     fn intersection_loops_vectorize() {
         // Two compressed fibers co-iterating under one loop: the probed
-        // dot stays an intersection.
+        // dot stays an intersection, on the generic runner.
         let mut inputs = HashMap::new();
         inputs.insert("A".to_string(), csr(&[(0, 1, 2.0), (1, 0, 3.0), (1, 1, 5.0)], 3));
         inputs.insert("B".to_string(), csr(&[(0, 1, 7.0), (2, 0, 1.0), (2, 1, 2.0)], 3));
@@ -618,7 +618,7 @@ mod tests {
         );
         let dis = disassembly(&diag, &inputs);
         assert!(
-            dis.contains("VecIsectLoop") && dis.contains("runner: ProbeDot {"),
+            dis.contains("VecIsectLoop") && dis.contains("runner: Generic"),
             "driver and probe vary together:\n{dis}"
         );
         let (out, c) = both(&diag, &inputs);

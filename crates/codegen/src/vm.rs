@@ -66,27 +66,27 @@ const MAX_PASSING: usize = 4;
 /// Coordinate chunks dealt per worker (over-decomposition for static
 /// load balance; round-robin assignment keeps the merge deterministic).
 const CHUNKS_PER_WORKER: usize = 8;
-/// The virtual lane count of the fused runners under
-/// [`LaneMode::Lanes`]: register-held reductions accumulate into a
+/// The virtual lane count of the closed-form folds under
+/// [`LaneMode::Lanes`]: their register-held reduction accumulates into a
 /// fixed-size `[f64; LANES]` array (element `k` of a drive segment
 /// lands in lane `k % LANES`), merged in fixed lane order at loop exit.
 /// The width is a *virtual* constant — independent of the machine's
 /// vector registers — so results are bit-deterministic across machines,
 /// thread counts, and repeated runs; the autovectorizer maps the
 /// straight-line chunk bodies onto whatever ymm/zmm width exists.
-/// [`LaneMode::Scalar`] is the same folds instantiated at one lane.
-pub(crate) const LANES: usize = 8;
+/// [`LaneMode::Scalar`] is the same folds instantiated at one lane; every
+/// other runner always folds at one lane.
+const LANES: usize = 8;
 /// Largest drive window [`lane_gate`] still declines under
 /// [`LaneMode::Lanes`]: at two full chunks or fewer the lane-merge /
-/// restructure tax outweighs any ILP win (measured: 16-wide dense
-/// factor loops lose ~10% laned), so those windows fold at one lane
-/// (identical to [`LaneMode::Scalar`]) and the lanes engage only
+/// restructure tax outweighs any ILP win, so those windows fold at one
+/// lane (identical to [`LaneMode::Scalar`]) and the lanes engage only
 /// strictly above it. The cutover is a pure function of the
 /// clamped window — not of thread count or timing — so determinism is
 /// unaffected: owned rows never split across chunks and always see the
 /// same window length, and reduced accumulators were already
 /// deterministic only per fixed thread count.
-pub(crate) const LANE_MIN: usize = 2 * LANES;
+const LANE_MIN: usize = 2 * LANES;
 
 /// A scratch table backed by inline storage for typical plan sizes,
 /// falling back to the heap for outsized plans (correct either way; the
@@ -638,6 +638,14 @@ struct Probed<'a> {
     cur: ProbeCur<'a>,
 }
 
+impl Probed<'_> {
+    /// Advances the cursor to `coord`; the probed value on a hit.
+    #[inline(always)]
+    fn at(&mut self, coord: usize) -> Option<f64> {
+        self.cur.find(coord).map(|p| self.vals[p])
+    }
+}
+
 /// The per-coordinate walk over any drive: `f(coord, driver value,
 /// probe)` for every coordinate of the window in order, the probe
 /// cursor advancing alongside (`probe` is `None` outside intersections,
@@ -652,27 +660,28 @@ fn for_each<'a, D: Drive<'a>>(
     drive.segments(|seg| seg.each(0, |_, c, val| f(c, val, probe.as_mut().map(|p| p.at(c)))))
 }
 
-/// The lane cutover, decided once per loop entry from three inputs:
+/// The closed forms' lane cutover, decided once per loop entry (or
+/// nest row) from two inputs:
 ///
 /// * `lanes_on` — the context asked for [`LaneMode::Lanes`] and the
-///   body's plan-level lane count ([`Fused::lanes`]) allows it;
+///   form may lane ([`laneable`]);
 /// * `span` — the drive's work measure ([`Drive::span`]) must exceed
 ///   [`LANE_MIN`], so the lane-merge tax is never paid on windows too
-///   short to amortize it;
-/// * `probe` — for the closed-form intersection dot only: lanes pay off
-///   when the probe is a constant-time dense index (near-every position
-///   hits, so the fold chain is what's on the critical path). Against
-///   galloping compressed or run-walking probes the serial cursor
-///   advance dominates and hits are sparse — the lane merge is pure tax
-///   there, so those fold serially (as does [`Runner::WorkspaceDot`],
-///   whose membership test gates every element the same way).
+///   short to amortize it.
 ///
-/// Every input is a pure function of the plan, the clamped window and
-/// the probed level's format — never of thread count or timing — so
-/// the choice is deterministic.
+/// Both are pure functions of the plan and the clamped window — never
+/// of thread count or timing — so the choice is deterministic.
 #[inline(always)]
-fn lane_gate(lanes_on: bool, span: usize, probe: Option<&ProbeCur<'_>>) -> bool {
-    lanes_on && span > LANE_MIN && probe.is_none_or(|p| matches!(p, ProbeCur::Dense { .. }))
+fn lane_gate(lanes_on: bool, span: usize) -> bool {
+    lanes_on && span > LANE_MIN
+}
+
+/// Whether a closed form may lane: its one register-held fold (fold 0,
+/// the dot — also of a dot-axpy pair, whose axpy side stores per
+/// coordinate) seeds its lanes with the reduction's identity, so a
+/// reduction without one (`Overwrite`) folds at one lane.
+fn laneable(fu: &Fused) -> bool {
+    fu.folds[0].op.identity().is_some()
 }
 
 // ---------------------------------------------------------------------------
@@ -701,43 +710,9 @@ impl Strided<'_> {
     }
 }
 
-/// The non-driver operand of a closed-form dot.
-trait DotOperand {
-    /// The operand at `coord`; `None` is a probe miss (the element is
-    /// skipped: the fold's value is unused and its store suppressed).
-    fn at(&mut self, coord: usize) -> Option<f64>;
-    /// The operand at each of `cs`, fetched in order (`unit` as in
-    /// [`Strided::load`]).
-    #[inline(always)]
-    fn chunk<const L: usize>(&mut self, cs: &[usize; L], _unit: bool) -> [Option<f64>; L] {
-        std::array::from_fn(|k| self.at(cs[k]))
-    }
-}
-
-impl DotOperand for Strided<'_> {
-    #[inline(always)]
-    fn at(&mut self, coord: usize) -> Option<f64> {
-        Some(self.xs[self.base + coord * self.stride])
-    }
-
-    #[inline(always)]
-    fn chunk<const L: usize>(&mut self, cs: &[usize; L], unit: bool) -> [Option<f64>; L] {
-        let xa = self.load(cs, unit);
-        std::array::from_fn(|k| Some(xa[k]))
-    }
-}
-
-impl DotOperand for Probed<'_> {
-    /// Advances the cursor to `coord`; the probed value on a hit.
-    #[inline(always)]
-    fn at(&mut self, coord: usize) -> Option<f64> {
-        self.cur.find(coord).map(|p| self.vals[p])
-    }
-}
-
 /// The operators and loop-invariant operands of a dot chain
-/// `acc op= [lead ∘] a [∘ mid] ∘ b` (`a` the driver value, `b` the
-/// [`DotOperand`]).
+/// `acc op= [lead ∘] a [∘ mid] ∘ b` (`a` the driver value, `b` the other
+/// operand).
 struct DotChain {
     bin: BinOp,
     op: AssignOp,
@@ -786,30 +761,27 @@ impl DotChain {
     }
 }
 
-/// The closed-form dot over any drive, with the accumulator(s) in
-/// machine registers for the whole window. Element `k` of a segment
-/// reduces into lane `k % L`: `L = 1` **is** the strict left-to-right
-/// scalar fold ([`LaneMode::Scalar`]; the single lane starts at `acc0`
-/// and no merge happens), `L = LANES` seeds the lanes with the
-/// reduction's identity, runs full chunks as straight-line code the
-/// autovectorizer keeps in vector registers, continues the remainder
-/// from lane 0, and merges in fixed lane order. Lane assignment is
-/// keyed on the element's position in its segment — independent of
-/// where probe misses fall (a missed position leaves its lane untouched
-/// that round) — so it is a pure function of the drive window. Returns
-/// the accumulator, the last coordinate, and the number of operand hits
-/// (for per-hit probe accounting).
-fn fold_dot<'a, S: Semi, D: Drive<'a>, B: DotOperand, const L: usize>(
+/// The closed-form dot over any drive against the strided operand `x`,
+/// with the accumulator(s) in machine registers for the whole window.
+/// Element `k` of a segment reduces into lane `k % L`: `L = 1` **is** the
+/// strict left-to-right scalar fold ([`LaneMode::Scalar`]; the single
+/// lane starts at `acc0` and no merge happens), `L = LANES` seeds the
+/// lanes with the reduction's identity, runs full chunks as
+/// straight-line code the autovectorizer keeps in vector registers,
+/// continues the remainder from lane 0, and merges in fixed lane order.
+/// Lane assignment is keyed on the element's position in its segment, so
+/// it is a pure function of the drive window. Returns the accumulator and
+/// the last coordinate.
+fn fold_dot<'a, S: Semi, D: Drive<'a>, const L: usize>(
     s: S,
     ch: &DotChain,
     acc0: f64,
     drive: &D,
-    mut b: B,
-) -> (f64, usize, u64) {
+    x: Strided<'_>,
+) -> (f64, usize) {
     let (bin, op) = (ch.bin, ch.op);
     let unit = <D::Seg as Segment>::CONTIGUOUS;
     let mut lanes = [if L == 1 { acc0 } else { op.identity().unwrap_or(0.0) }; L];
-    let mut hits = 0u64;
     let last = drive.segments(|seg| {
         let mut base = 0;
         // Full chunks as straight-line code (`L = 1` has none to gain
@@ -817,25 +789,20 @@ fn fold_dot<'a, S: Semi, D: Drive<'a>, B: DotOperand, const L: usize>(
         while L > 1 && base + L <= seg.len() {
             let a8 = seg.vals::<L>(base);
             let va: [f64; L] = std::array::from_fn(|k| ch.prefix(s, a8[k]));
-            let xa = b.chunk(&seg.coords::<L>(base), unit);
+            let xa = x.load(&seg.coords::<L>(base), unit);
             for k in 0..L {
-                if let Some(x) = xa[k] {
-                    lanes[k] = s.red(op, lanes[k], s.bin(bin, va[k], x));
-                    hits += 1;
-                }
+                lanes[k] = s.red(op, lanes[k], s.bin(bin, va[k], xa[k]));
             }
             base += L;
         }
         seg.each(base, |k, c, a| {
-            if let Some(x) = b.at(c) {
-                let v = ch.prefix(s, a.unwrap_or(0.0));
-                lanes[k % L] = s.red(op, lanes[k % L], s.bin(bin, v, x));
-                hits += 1;
-            }
+            let v = ch.prefix(s, a.unwrap_or(0.0));
+            let xv = x.xs[x.base + c * x.stride];
+            lanes[k % L] = s.red(op, lanes[k % L], s.bin(bin, v, xv));
         });
     });
     let acc = if L == 1 { lanes[0] } else { lane_merge(s, op, acc0, &lanes) };
-    (acc, last, hits)
+    (acc, last)
 }
 
 /// A scattered workspace row, resolved: the fiber's window `start..stop`
@@ -1028,10 +995,6 @@ struct RFold {
     acc: RAcc,
     /// Register accumulator for `Slot` / `Cell` targets.
     accv: f64,
-    /// Lane accumulators for `Slot` / `Cell` targets under
-    /// [`LaneMode::Lanes`], seeded with the fold op's identity and
-    /// merged into `accv` in fixed lane order at loop exit.
-    lanev: [f64; LANES],
     bin: BinOp,
     op: AssignOp,
     check_miss: bool,
@@ -1052,13 +1015,6 @@ struct RBody<'a, 'p> {
     /// full-search gather reads it; set once at exit otherwise).
     idx: usize,
     needs_u_idx: bool,
-    /// Whether register-held folds accumulate into [`RFold::lanev`]
-    /// (the [`lane_gate`] decision for this loop entry).
-    use_lanes: bool,
-    /// The lane the *next* coordinate's folds land in. Advances once
-    /// per executed coordinate — including all-miss coordinates — so
-    /// the lane assignment is a pure function of the drive window.
-    lane_k: usize,
 }
 
 #[inline(always)]
@@ -1098,8 +1054,8 @@ struct LoopRun<'r, 'a, 'o> {
     iterations: u64,
     /// Per-runner dispatch tally (see `run_range`).
     dispatch: &'r mut [u64; telemetry::RUNNER_KINDS.len()],
-    /// The context's [`LaneMode`], as a bool: lane execution applies
-    /// only where the body's plan-level lane count also allows it.
+    /// The context's [`LaneMode`], as a bool: only the closed forms
+    /// read it ([`lane_gate`]).
     lanes: bool,
 }
 
@@ -1150,7 +1106,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
             if self.pass[item.id] {
                 self.account(telemetry::RunnerKind::Generic, &item.body, iters);
                 *slots.next().expect("one slot per passing item") =
-                    Some(self.resolve(&item.body, idx, false, false));
+                    Some(self.resolve(&item.body, idx, false));
             }
         }
         self.u[idx] = for_each(drive, |c, val, probe| {
@@ -1239,18 +1195,13 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     /// (a merge of two short rows).
     fn fused<D: Drive<'a>>(&mut self, fu: &Fused, idx: usize, iters: u64, drive: &D) {
         self.account(fu.runner.kind(), fu, iters);
-        let lanes_on = self.lanes && fu.lanes > 1;
         match &fu.runner {
-            Runner::Closed { x, form } => self.closed_entry(fu, x, *form, idx, drive, lanes_on),
-            Runner::ProbeDot { chain, probe } => {
-                self.probe_dot(fu, *chain, *probe, idx, drive, lanes_on);
-            }
+            Runner::Closed { x, form } => self.closed_entry(fu, x, *form, idx, drive),
             Runner::WorkspaceDot { .. } => {
                 unreachable!("a workspace body is entered through `LoopRun::workspace_entry`")
             }
             Runner::Generic => {
-                let lanes = lane_gate(lanes_on, drive.span(), None);
-                let mut body = self.resolve(fu, idx, lanes, true);
+                let mut body = self.resolve(fu, idx, true);
                 // One semiring for the whole body → monomorphized loops.
                 let (uniform, bin, op) = fu.semiring();
                 with_semi!(uniform, bin, op, |s| self.drive_shape(&mut body, s, drive));
@@ -1289,36 +1240,20 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
         }
     }
 
-    /// Writes a finished body's register-held accumulators back: under
-    /// lanes, the lane array merged into the entry-seeded accumulator in
-    /// fixed lane order. `op.apply` is exactly the reduction the loop
-    /// ran (the semiring dispatch proved the op pair), so the merge is
-    /// bit-identical whichever `Semi` drove the loop.
+    /// Writes a finished body's register-held accumulators back.
     fn flush(&mut self, body: &RBody<'a, '_>) {
         for fold in &body.folds[..body.n_folds] {
-            let acc = if body.use_lanes {
-                lane_merge(DynSemi, fold.op, fold.accv, &fold.lanev)
-            } else {
-                fold.accv
-            };
             if let Some(cell) = self.acc_cell(fold.acc) {
-                *cell = acc;
+                *cell = fold.accv;
             }
         }
     }
 
     /// Resolves a fused body against the current bindings: dense bases
     /// and invariant registers are snapshot once, gather cursors open,
-    /// accumulators load their starting values (lane accumulators seed
-    /// with the fold op's identity under lane mode). `hold_cells` lets a
+    /// accumulators load their starting values. `hold_cells` lets a
     /// single fold's loop-invariant output cell live in a register.
-    fn resolve<'p>(
-        &mut self,
-        fu: &'p Fused,
-        idx: usize,
-        use_lanes: bool,
-        hold_cells: bool,
-    ) -> RBody<'a, 'p> {
+    fn resolve<'p>(&mut self, fu: &'p Fused, idx: usize, hold_cells: bool) -> RBody<'a, 'p> {
         let mut body = RBody {
             loads: [RLoad::Val; MAX_FUSED_LOADS],
             n_loads: fu.loads.len(),
@@ -1329,7 +1264,6 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
                 n_srcs: 0,
                 acc: RAcc::Slot { slot: 0 },
                 accv: 0.0,
-                lanev: [0.0; LANES],
                 bin: BinOp::Add,
                 op: AssignOp::Add,
                 check_miss: false,
@@ -1340,8 +1274,6 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
             n_folds: fu.folds.len(),
             idx,
             needs_u_idx: false,
-            use_lanes,
-            lane_k: 0,
         };
         for (i, ld) in fu.loads.iter().enumerate() {
             body.loads[i] = match ld {
@@ -1404,7 +1336,6 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
                 }
             };
             rf.accv = self.acc_cell(rf.acc).map_or(0.0, |cell| *cell);
-            rf.lanev = [fold.op.identity().unwrap_or(0.0); LANES];
             rf.bin = fold.bin;
             rf.op = fold.op;
             rf.check_miss = fold.check_miss;
@@ -1464,8 +1395,6 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
         }
         let n_loads = if NL == 0 { body.n_loads } else { NL };
         let n_folds = if NF == 0 { body.n_folds } else { NF };
-        let use_lanes = body.use_lanes;
-        let lane_k = body.lane_k;
         let mut locals = [0f64; MAX_FUSED_LOADS];
         let mut miss: u32 = 0;
         for (i, ld) in body.loads[..n_loads].iter().enumerate() {
@@ -1508,16 +1437,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
             if !(fold.check_miss && (miss & fold.miss_mask) != 0) {
                 match fold.acc {
                     RAcc::Slot { .. } | RAcc::Cell { .. } => {
-                        // Under lane mode, register-held reductions go
-                        // through the per-coordinate lane instead of the
-                        // loop-carried scalar — breaking the serial FP
-                        // dependency chain. Elementwise stores below are
-                        // untouched (distinct cells, original order).
-                        if use_lanes {
-                            fold.lanev[lane_k] = s.red(fold.op, fold.lanev[lane_k], v);
-                        } else {
-                            fold.accv = s.red(fold.op, fold.accv, v);
-                        }
+                        fold.accv = s.red(fold.op, fold.accv, v);
                     }
                     RAcc::Out { ord, off, stride } => {
                         let ob = self.outs[ord].as_mut().expect("output bound");
@@ -1528,9 +1448,6 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
                 self.writes += u64::from(fold.hit_write);
                 self.flops += u64::from(fold.hit_flop);
             }
-        }
-        if use_lanes {
-            body.lane_k = (lane_k + 1) & (LANES - 1);
         }
     }
 
@@ -1543,13 +1460,12 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
         form: ClosedForm,
         idx: usize,
         drive: &D,
-        lanes_on: bool,
     ) {
         let x =
             Strided { xs: self.dense[x.tensor], base: offset(self.u, &x.base), stride: x.stride };
         let out = self.out_at(fu.last_acc());
         let (uniform, bin, op) = fu.semiring();
-        let lanes = lane_gate(lanes_on, drive.span(), None);
+        let lanes = lane_gate(self.lanes && laneable(fu), drive.span());
         self.u[idx] = with_semi!(uniform, bin, op, |s| {
             self.closed_window(s, form, &fu.folds, x, out, lanes, drive)
         });
@@ -1577,10 +1493,10 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
             ClosedForm::Dot(chain) => {
                 let ch = DotChain::of(self.f, &folds[0], chain);
                 let acc = self.dot_acc(&folds[0].acc, (ord, off));
-                let (acc1, last, _) = if lanes {
-                    fold_dot::<S, D, _, LANES>(s, &ch, *acc, drive, x)
+                let (acc1, last) = if lanes {
+                    fold_dot::<S, D, LANES>(s, &ch, *acc, drive, x)
                 } else {
-                    fold_dot::<S, D, _, 1>(s, &ch, *acc, drive, x)
+                    fold_dot::<S, D, 1>(s, &ch, *acc, drive, x)
                 };
                 *acc = acc1;
                 last
@@ -1611,36 +1527,6 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
                 last
             }
         }
-    }
-
-    /// [`Runner::ProbeDot`]: `acc ∘= [lead ∘] a [∘ mid] ∘ b` where `a`
-    /// is the driver value and `b` the value probed in tensor `probe`
-    /// (a merge against a dense or run-length fiber, or of two fibers
-    /// that vary together), through [`fold_dot`].
-    #[inline]
-    fn probe_dot<D: Drive<'a>>(
-        &mut self,
-        fu: &Fused,
-        chain: DotShape,
-        probe: usize,
-        idx: usize,
-        drive: &D,
-        lanes_on: bool,
-    ) {
-        let probed = drive.probe().expect("a probe_dot body runs in an intersection loop");
-        let fold = &fu.folds[0];
-        let ch = DotChain::of(self.f, fold, chain);
-        let lanes = lane_gate(lanes_on, drive.span(), Some(&probed.cur));
-        let out = self.out_at(&fold.acc);
-        let acc = self.dot_acc(&fold.acc, out);
-        let (acc1, last, hits) = with_semi!(true, ch.bin, ch.op, |s| if lanes {
-            fold_dot::<_, D, _, LANES>(s, &ch, *acc, drive, probed)
-        } else {
-            fold_dot::<_, D, _, 1>(s, &ch, *acc, drive, probed)
-        });
-        *acc = acc1;
-        self.count_hits(fold, probe, hits);
-        self.u[idx] = last;
     }
 
     /// The per-hit side of a membership-gated dot: one read of `tensor`
@@ -1901,8 +1787,8 @@ struct NestClosed<'a> {
     xs: &'a [f64],
     x: Affine,
     x_stride: usize,
-    /// [`LaneMode::Lanes`] and the body's plan-level lane count allow
-    /// lanes; [`lane_gate`] still decides per row, on the row's window.
+    /// [`LaneMode::Lanes`] and [`laneable`] allow lanes; [`lane_gate`]
+    /// still decides per row, on the row's window.
     lanes_on: bool,
 }
 
@@ -1969,7 +1855,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
                     xs: self.dense[x.tensor],
                     x: Affine::resolve(u, &x.base, idx),
                     x_stride: x.stride,
-                    lanes_on: self.lanes && nest.fused.lanes > 1,
+                    lanes_on: self.lanes && laneable(&nest.fused),
                 };
                 with_semi!(uniform, bin, op, |s| if nest.rle {
                     self.nest_rows(s, &run, body, rows, n, |p, lo, hi| {
@@ -2046,7 +1932,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
                 iters += d.len() as u64;
                 entries += 1;
                 // Exactly a fused-loop entry, minus the resolution.
-                let lanes = lane_gate(body.lanes_on, d.span(), None);
+                let lanes = lane_gate(body.lanes_on, d.span());
                 let x = Strided { xs: body.xs, base: body.x.at(row), stride: body.x_stride };
                 let out = (run.out.0, run.out.1.at(row));
                 lr.closed_window(s, body.form, run.folds, x, out, lanes, &d);

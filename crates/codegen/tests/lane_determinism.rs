@@ -1,4 +1,4 @@
-//! Bit-determinism of the explicit-lane runners under hostile floating
+//! Bit-determinism of the laned closed forms under hostile floating
 //! point: inputs seeded with NaN, signed zeros, and infinities run 20
 //! times under serial and parallel execution, and every run must
 //! produce bit-identical outputs. Outputs here are row-owned, so the
@@ -134,7 +134,8 @@ fn lane_runners_are_bit_deterministic_on_hostile_floats() {
         assert_lane_determinism(&minplus, &inputs, &format!("min-plus {fmt:?}"));
     }
 
-    // Gather dot: the laned GatherDot body with miss-annihilating loads.
+    // Gather dot: the generic runner (one lane) with miss-annihilating
+    // loads.
     let mut inputs = HashMap::new();
     inputs.insert("A".to_string(), hostile_matrix(n, &[LevelFormat::Dense, LevelFormat::Sparse]));
     inputs.insert("B".to_string(), hostile_matrix(n, &[LevelFormat::Sparse, LevelFormat::Sparse]));

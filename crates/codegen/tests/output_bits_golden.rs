@@ -5,11 +5,13 @@
 //! reach), diffed against the checked-in `golden/output_bits.golden`.
 //!
 //! The differential tiers only hold lane mode to 1e-9 of the
-//! interpreter, so they cannot tell a runner change that reassociates
-//! a lane fold (different last bits, still within tolerance) from one
-//! that does not. This snapshot can: any change to which lane an
-//! element lands in, the merge order, the short-window cutover, or the
-//! chunk merge shows up as a hash diff.
+//! interpreter where a closed form runs, so they cannot tell a runner
+//! change that reassociates a lane fold (different last bits, still
+//! within tolerance) from one that does not. This snapshot can: any
+//! change to which lane an element lands in, the merge order, the
+//! short-window cutover, or the chunk merge shows up as a hash diff.
+//! Only the closed forms (`Dot`, `DotAxpy`) lane, so every cell that runs
+//! none has the same `lanes` and `scalar` hashes.
 //!
 //! Beside it, `golden/dispatch.golden` is the selection census: one
 //! `dispatch <kernel> <format> runner=n …` line per group of cells, the
@@ -25,18 +27,16 @@
 //! `dense` cells a `Dense` leaf pads zeros only under the middle fibers
 //! that still exist, so the generic runner walks fewer padded entries.
 //!
-//! Workspace rows (`src/fuse.rs`, "Workspace rows") relabel two census
-//! lines and move no output bit: the fold still visits row `i ∩ row j`
-//! in ascending `k` at one lane, in the same operand order.
-//! `ssyrk csr probe_dot=10352` became `workspace_dot=10352`: row `i` is
+//! Workspace rows (`src/fuse.rs`, "Workspace rows") move no output bit:
+//! the fold still visits row `i ∩ row j` in ascending `k` at one lane, in
+//! the same operand order. `ssyrk csr` counts `workspace_dot`: row `i` is
 //! scattered once and the `j ≥ i` sweep is a row nest gather-dotting each
 //! row `j`, which counts one entry wherever the merge's driver window
-//! was non-empty, as the merge did. `naive-isect csr*csr
-//! probe_dot=20736` became `workspace_dot=20736` for the same reason
+//! was non-empty, as the merge did. `naive-isect csr*csr` does too
 //! (naive `C[i,j] += A[i,k]·B[j,k]`, row `i` of `A` fixed across the `j`
-//! loop). The `csr*dense-rle` and `csr*dense` lines keep `probe_dot`:
-//! a probe into a dense or run-length level is no compressed fiber to
-//! drive from.
+//! loop). The `csr*dense-rle` and `csr*dense` intersections, a probe into
+//! a dense or run-length level and so no compressed fiber to drive from,
+//! run the generic runner at one lane.
 //!
 //! Regenerate after an *intentional* association or selection change
 //! with:
@@ -265,8 +265,8 @@ fn matrix(root: LevelFormat, leaf: LevelFormat, s: &mut Stream) -> Tensor {
 }
 
 /// Naive programs reaching the runner shapes the paper kernels do not:
-/// dense-range and sparse-root drives, probes into every level format
-/// (dense probes are the laned intersection), a driven gather, and a
+/// dense-range and sparse-root drives, probes into every level format,
+/// a driven gather, and a
 /// dot chain with invariant factors around the driver (the compiler
 /// loads its `x[i]` per coordinate, so the chain runs generic).
 fn runner_shape_cells(text: &mut Snapshots) {

@@ -47,7 +47,7 @@ mod prepare;
 pub mod spec;
 
 pub use defs::{InputData, KernelDef};
-pub use prepare::{clear_plan_cache, plan_cache_stats, serial_fallback_note, Backend, Prepared};
+pub use prepare::{clear_plan_cache, plan_cache_stats, serial_fallback_note, Prepared};
 pub use spec::parse_symmetry;
 pub use systec_codegen::{ExecContext, LaneMode, Parallelism};
 pub use systec_exec::Counters;

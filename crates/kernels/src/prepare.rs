@@ -8,12 +8,13 @@
 //! [`Prepared::run_full`] also applies replication, for correctness
 //! checks.
 //!
-//! ## Backends and the plan cache
+//! ## Execution and the plan cache
 //!
-//! Execution goes through one of two [`Backend`]s: the tree-walking
-//! interpreter in `systec-exec`, or (the default) the bytecode VM in
-//! `systec-codegen`. Both produce identical results and identical
-//! [`Counters`].
+//! Every run executes on the bytecode VM in `systec-codegen`. The
+//! tree-walking interpreter in `systec-exec` stays the differential
+//! oracle, reachable through [`Prepared::run_interpreted`]: identical
+//! [`Counters`] always, and identical results wherever no closed form
+//! folded in lanes.
 //!
 //! Kernel *plans* — the compiled program (symmetrization + §4.2 passes),
 //! its hoisted/lowered form, and its bytecode — depend only on the
@@ -36,16 +37,6 @@ use systec_telemetry as telemetry;
 use systec_tensor::{DenseTensor, Tensor};
 
 use crate::KernelDef;
-
-/// Which execution engine a [`Prepared`] kernel runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum Backend {
-    /// The tree-walking interpreter (`systec_exec::run_lowered`).
-    Interpreter,
-    /// The bytecode VM (`systec_codegen`) — the default.
-    #[default]
-    Compiled,
-}
 
 /// Everything shape-dependent (but value-independent) about a kernel:
 /// the hoisted programs, their lowerings, and their bytecode.
@@ -196,7 +187,6 @@ pub struct Prepared {
     plan: Arc<KernelPlan>,
     inputs: Arc<HashMap<String, Tensor>>,
     outputs_init: HashMap<String, DenseTensor>,
-    backend: Backend,
     parallelism: Parallelism,
 }
 
@@ -353,35 +343,16 @@ impl Prepared {
             plan,
             inputs: Arc::new(all_inputs),
             outputs_init,
-            backend: Backend::default(),
             parallelism: Parallelism::default(),
         }
     }
 
-    /// Selects the execution backend (the default is
-    /// [`Backend::Compiled`]).
-    #[must_use]
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Switches the execution backend in place.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
-    /// The active execution backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
     /// Selects the execution parallelism for the timed main loops (the
-    /// default is [`Parallelism::Serial`]). Only the compiled backend
-    /// dispatches workers, and only for plans the compiler proved
-    /// splittable (see [`Prepared::splittable`]); everything else runs
-    /// serially with identical results. Counters are exact (merged by
-    /// integer sums) in every mode.
+    /// default is [`Parallelism::Serial`]). Workers dispatch only for
+    /// plans the compiler proved splittable (see
+    /// [`Prepared::splittable`]); everything else runs serially with
+    /// identical results. Counters are exact (merged by integer sums) in
+    /// every mode.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -444,35 +415,7 @@ impl Prepared {
         ctx: &mut ExecContext,
         counters: &mut Counters,
     ) -> Result<(), ExecError> {
-        match self.backend {
-            Backend::Interpreter => {
-                *counters = run_lowered(&self.plan.main, &self.inputs, outputs)?;
-                Ok(())
-            }
-            Backend::Compiled => self.plan.main_compiled.run_with(
-                &self.inputs,
-                outputs,
-                ctx,
-                self.parallelism,
-                counters,
-            ),
-        }
-    }
-
-    fn exec_replication(
-        &self,
-        outputs: &mut HashMap<String, DenseTensor>,
-    ) -> Result<Option<Counters>, ExecError> {
-        match self.backend {
-            Backend::Interpreter => match &self.plan.replication {
-                Some(rep) => Ok(Some(run_lowered(rep, &self.inputs, outputs)?)),
-                None => Ok(None),
-            },
-            Backend::Compiled => match &self.plan.rep_compiled {
-                Some(rep) => Ok(Some(rep.run(&self.inputs, outputs)?)),
-                None => Ok(None),
-            },
-        }
+        self.plan.main_compiled.run_with(&self.inputs, outputs, ctx, self.parallelism, counters)
     }
 
     /// Runs the timed region once — fresh outputs, main loops, no
@@ -493,10 +436,10 @@ impl Prepared {
     /// Like [`Prepared::run_timed`], but over caller-owned state:
     /// existing output tensors of the right shape are re-initialized in
     /// place, the [`ExecContext`] supplies every per-run buffer, and
-    /// `counters` is updated in place. On the compiled backend the
-    /// steady-state path is therefore **allocation-free**, so repeated
-    /// invocations (the benchmark loop, a serving loop) measure kernel
-    /// work, not allocator traffic.
+    /// `counters` is updated in place. The steady-state path is
+    /// therefore **allocation-free**, so repeated invocations (the
+    /// benchmark loop, a serving loop) measure kernel work, not
+    /// allocator traffic.
     ///
     /// # Errors
     ///
@@ -522,8 +465,7 @@ impl Prepared {
     }
 
     /// Like [`Prepared::run_timed_into`], but executes only coordinate
-    /// chunk `k` of `n` of the main program (always on the compiled
-    /// backend — chunked execution is a bytecode-VM capability). The
+    /// chunk `k` of `n` of the main program. The
     /// outputs are re-initialized and bound at full shape: row-owned
     /// outputs receive exactly their window rows, reduction-merged
     /// outputs hold this shard's partial. Merging all `n` shards per
@@ -573,12 +515,51 @@ impl Prepared {
     /// Propagates executor failures (none occur after successful
     /// preparation).
     pub fn run_full(&self) -> Result<(HashMap<String, DenseTensor>, Counters), ExecError> {
-        let mut outputs = self.outputs_init.clone();
-        let mut ctx = ExecContext::new();
+        let mut outputs = HashMap::new();
         let mut counters = Counters::new();
-        self.exec_main(&mut outputs, &mut ctx, &mut counters)?;
-        if let Some(rep_counters) = self.exec_replication(&mut outputs)? {
+        self.run_full_into(&mut outputs, &mut ExecContext::new(), &mut counters)?;
+        Ok((outputs, counters))
+    }
+
+    /// Like [`Prepared::run_full`], but over caller-owned state, as
+    /// [`Prepared::run_timed_into`]: the replication nest runs serially
+    /// through the same [`ExecContext`], its counters merged in.
+    ///
+    /// # Errors
+    ///
+    /// Propagates executor failures (none occur after successful
+    /// preparation).
+    pub fn run_full_into(
+        &self,
+        outputs: &mut HashMap<String, DenseTensor>,
+        ctx: &mut ExecContext,
+        counters: &mut Counters,
+    ) -> Result<(), ExecError> {
+        self.run_timed_into(outputs, ctx, counters)?;
+        if let Some(rep) = &self.plan.rep_compiled {
+            let mut rep_counters = Counters::new();
+            rep.run_with(&self.inputs, outputs, ctx, Parallelism::Serial, &mut rep_counters)?;
             counters.merge(&rep_counters);
+        }
+        Ok(())
+    }
+
+    /// Runs everything, as [`Prepared::run_full`] does, on the
+    /// tree-walking interpreter (`systec_exec::run_lowered`) instead of
+    /// the VM: main loops, then replication. The interpreter is the
+    /// differential oracle the VM is tested against — its counters are
+    /// the VM's exactly, and its outputs bit for bit wherever no closed
+    /// form folded in lanes. It is not a production path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates interpreter failures (none occur after successful
+    /// preparation).
+    pub fn run_interpreted(&self) -> Result<(HashMap<String, DenseTensor>, Counters), ExecError> {
+        let mut outputs = self.outputs_init.clone();
+        let mut counters = run_lowered(&self.plan.main, &self.inputs, &mut outputs)?;
+        if let Some(rep) = &self.plan.replication {
+            counters.merge(&run_lowered(rep, &self.inputs, &mut outputs)?);
         }
         Ok((outputs, counters))
     }
@@ -650,24 +631,20 @@ mod tests {
     fn backends_agree_on_results_and_counters() {
         let (def, inputs) = ssymv_setup(32, 13);
         let compiled = Prepared::compile(&def, &inputs).unwrap();
-        let interp = compiled.clone().with_backend(Backend::Interpreter);
-        assert_eq!(compiled.backend(), Backend::Compiled);
-        // The default lane mode reassociates register-held folds:
-        // values agree within 1e-9, counters exactly.
+        // The default lane mode reassociates the closed forms'
+        // register-held folds: values agree within 1e-9, counters exactly.
         let (yc, cc) = compiled.run_full().unwrap();
-        let (yi, ci) = interp.run_full().unwrap();
+        let (yi, ci) = compiled.run_interpreted().unwrap();
         assert!(yc["y"].max_abs_diff(&yi["y"]).unwrap() < 1e-9, "lane-mode values");
         assert_eq!(cc, ci, "counter parity across backends");
-        // Scalar lane mode keeps the bit-for-bit guarantee (timed
-        // region: replication runs outside the caller-owned context).
+        // Scalar lane mode keeps the bit-for-bit guarantee.
         let mut ctx =
             systec_codegen::ExecContext::new().with_lane_mode(systec_codegen::LaneMode::Scalar);
         let mut ys = HashMap::new();
         let mut cs = Counters::new();
-        compiled.run_timed_into(&mut ys, &mut ctx, &mut cs).unwrap();
-        let (yt, ct) = interp.run_timed().unwrap();
-        assert_eq!(ys["y"], yt["y"], "scalar mode must agree bit-for-bit");
-        assert_eq!(cs, ct, "scalar-mode counter parity");
+        compiled.run_full_into(&mut ys, &mut ctx, &mut cs).unwrap();
+        assert_eq!(ys["y"], yi["y"], "scalar mode must agree bit-for-bit");
+        assert_eq!(cs, ci, "scalar-mode counter parity");
     }
 
     #[test]

@@ -190,8 +190,6 @@ pub enum RunnerKind {
     Dot,
     /// Closed-form dot plus strided axpy sharing the driver value.
     DotAxpy,
-    /// Closed-form dot against an intersection's probe.
-    ProbeDot,
     /// An intersection dot run from its probed side against the driver
     /// fiber scattered into a workspace row.
     WorkspaceDot,
@@ -200,13 +198,8 @@ pub enum RunnerKind {
 }
 
 /// All runners, in exposition order.
-pub const RUNNER_KINDS: [RunnerKind; 5] = [
-    RunnerKind::Dot,
-    RunnerKind::DotAxpy,
-    RunnerKind::ProbeDot,
-    RunnerKind::WorkspaceDot,
-    RunnerKind::Generic,
-];
+pub const RUNNER_KINDS: [RunnerKind; 4] =
+    [RunnerKind::Dot, RunnerKind::DotAxpy, RunnerKind::WorkspaceDot, RunnerKind::Generic];
 
 impl RunnerKind {
     /// Stable lowercase label used in metric label values.
@@ -214,7 +207,6 @@ impl RunnerKind {
         match self {
             RunnerKind::Dot => "dot",
             RunnerKind::DotAxpy => "dot_axpy",
-            RunnerKind::ProbeDot => "probe_dot",
             RunnerKind::WorkspaceDot => "workspace_dot",
             RunnerKind::Generic => "generic",
         }

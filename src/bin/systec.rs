@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use systec::compiler::{Compiler, SymmetrySpec};
 use systec::exec::reference::reference_einsum;
 use systec::ir::{parse_einsum, Einsum};
-use systec::kernels::{parse_symmetry, serial_fallback_note, Backend, Parallelism, Prepared};
+use systec::kernels::{parse_symmetry, serial_fallback_note, Parallelism, Prepared};
 use systec::serve::protocol::{Request, Response};
 use systec::serve::wire::Record;
 use systec::serve::{serve_with, Client, Engine, RetryPolicy, ServerConfig};
@@ -37,7 +37,6 @@ struct Options {
     density: f64,
     rank: usize,
     seed: u64,
-    backend: Backend,
     threads: usize,
 }
 
@@ -49,9 +48,7 @@ fn usage() -> &'static str {
        --sym NAME:0-1,2      declare a partial symmetry partition (parts of mode\n\
                              positions, `-` within a part, `,` between parts)\n\
        --run                 execute on random data and compare with the naive kernel\n\
-       --backend B           execution backend for --run: `compiled` (bytecode VM,\n\
-                             the default) or `interpreter` (tree walker)\n\
-       --threads T           worker threads for --run on the compiled backend\n\
+       --threads T           worker threads for --run\n\
                              (default 1 = serial; 0 = all cores). Plans the\n\
                              compiler cannot prove row-splittable SILENTLY run\n\
                              serially regardless of T; the run prints a one-line\n\
@@ -554,7 +551,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         density: 0.01,
         rank: 8,
         seed: 42,
-        backend: Backend::default(),
         threads: 1,
     };
     while let Some(a) = args.next() {
@@ -565,18 +561,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                 opts.symmetric.push(args.next().ok_or("--sym needs a tensor name")?);
             }
             "--run" => opts.run = true,
-            "--backend" => {
-                let b = args.next().ok_or("--backend needs `compiled` or `interpreter`")?;
-                opts.backend = match b.as_str() {
-                    "compiled" | "vm" => Backend::Compiled,
-                    "interpreter" | "interp" => Backend::Interpreter,
-                    other => {
-                        return Err(format!(
-                            "unknown backend `{other}` (expected `compiled` or `interpreter`)"
-                        ))
-                    }
-                };
-            }
             "--threads" => opts.threads = next_num(&mut args, "--threads")? as usize,
             "--n" => opts.n = next_num(&mut args, "--n")? as usize,
             "--rank" => opts.rank = next_num(&mut args, "--rank")? as usize,
@@ -725,17 +709,13 @@ fn run_kernel(
     let parallelism = Parallelism::threads(opts.threads);
     let sym = Prepared::from_programs(kernel.main.clone(), kernel.replication.clone(), &inputs)
         .map_err(|e| format!("preparing compiled kernel: {e}"))?
-        .with_backend(opts.backend)
         .with_parallelism(parallelism);
-    if opts.backend == Backend::Compiled {
-        if let Some(note) = serial_fallback_note(parallelism, sym.splittable()) {
-            println!("{note}");
-        }
+    if let Some(note) = serial_fallback_note(parallelism, sym.splittable()) {
+        println!("{note}");
     }
     let naive_prog = Compiler::new().naive(einsum);
     let naive = Prepared::from_programs(naive_prog, None, &inputs)
         .map_err(|e| format!("preparing naive kernel: {e}"))?
-        .with_backend(opts.backend)
         .with_parallelism(parallelism);
 
     let t0 = std::time::Instant::now();
@@ -746,8 +726,8 @@ fn run_kernel(
     let t_naive = t0.elapsed();
 
     println!(
-        "\n== run (n={}, density={}, seed={}, backend={:?}, parallelism={:?}) ==",
-        opts.n, opts.density, opts.seed, opts.backend, parallelism
+        "\n== run (n={}, density={}, seed={}, parallelism={:?}) ==",
+        opts.n, opts.density, opts.seed, parallelism
     );
     let out_name = einsum.output.tensor.display_name();
     let diff = out_sym[&out_name].max_abs_diff(&out_naive[&out_name]).map_err(|e| e.to_string())?;

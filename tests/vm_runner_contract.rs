@@ -2,20 +2,24 @@
 //! the tier-1 command (`cargo test -q`) fails when the runner breaks:
 //! through the public `systec_kernels` API only, five paper kernels over
 //! CSR, DCSR and run-length storage must agree with the tree-walking
-//! interpreter — **byte for byte** in scalar lane mode, within 1e-9 in
-//! the default lane mode, work counters exact in both.
+//! interpreter (`Prepared::run_interpreted`, replication included) —
+//! **byte for byte** in scalar lane mode, and in the default lane mode
+//! byte for byte for every plan that runs no closed form (only the
+//! closed forms lane) and within 1e-9 otherwise; work counters exact in
+//! both.
 //!
 //! (The codegen crate's own differential, golden and proptest tiers run
 //! only under `cargo test --workspace`; this is their tier-1 slice.)
 
 use std::collections::HashMap;
 
+use systec::ir::parse_einsum;
 use systec::kernels::defs::{self, InputData, InputFormat};
-use systec::kernels::{Backend, Counters, ExecContext, KernelDef, LaneMode, Prepared};
+use systec::kernels::{Counters, ExecContext, KernelDef, LaneMode, Prepared};
 use systec::tensor::generate::{
     random_dense, rng, sprand, symmetric_block_plateau, symmetric_erdos_renyi,
 };
-use systec::tensor::{CooTensor, DenseTensor, LevelFormat, Tensor};
+use systec::tensor::{CooTensor, DenseTensor, LevelFormat, SparseTensor, Tensor};
 
 /// (root, leaf) level formats; middle levels of a rank-3 tensor stay
 /// compressed.
@@ -56,32 +60,54 @@ fn bits(outputs: &HashMap<String, DenseTensor>) -> Vec<(&String, Vec<u64>)> {
     all
 }
 
-/// Symmetric and naive plans: interpreter vs scalar-mode VM vs lane-mode
-/// VM.
-fn assert_contract(def: &KernelDef, inputs: &HashMap<String, Tensor>, label: &str) {
+/// One prepared plan: interpreter vs scalar-mode VM vs lane-mode VM.
+/// `unlaned`: the plan runs no closed form, so lane mode must reproduce
+/// the interpreter bit for bit too.
+fn assert_plan(vm: &Prepared, label: &str, unlaned: bool) {
+    let (want, want_counters) = vm.run_interpreted().expect(label);
+    for mode in [LaneMode::Scalar, LaneMode::Lanes] {
+        let mut ctx = ExecContext::new().with_lane_mode(mode);
+        let mut got = HashMap::new();
+        let mut counters = Counters::new();
+        vm.run_full_into(&mut got, &mut ctx, &mut counters).expect(label);
+        assert_eq!(counters, want_counters, "{label} {mode:?}: counters differ");
+        if mode == LaneMode::Scalar || unlaned {
+            assert_eq!(bits(&got), bits(&want), "{label} {mode:?}: not bit-identical");
+        }
+        for (name, t) in &want {
+            let diff = got[name].max_abs_diff(t).expect(label);
+            assert!(diff <= 1e-9, "{label} {mode:?}: output {name} off by {diff:e}");
+        }
+    }
+}
+
+/// The kernel's symmetric and naive plans; `unlaned` names the ones
+/// that run no closed form.
+fn assert_contract(
+    def: &KernelDef,
+    inputs: &HashMap<String, Tensor>,
+    label: &str,
+    unlaned: &[&str],
+) {
     let plans = [
         ("sym", Prepared::compile(def, inputs).expect(label)),
         ("naive", Prepared::naive(def, inputs).expect(label)),
     ];
-    for (plan, prepared) in plans {
-        let label = format!("{label} {plan}");
-        let (want, want_counters) =
-            prepared.clone().with_backend(Backend::Interpreter).run_timed().expect(&label);
-        let vm = prepared.with_backend(Backend::Compiled);
-        for mode in [LaneMode::Scalar, LaneMode::Lanes] {
-            let mut ctx = ExecContext::new().with_lane_mode(mode);
-            let mut got = HashMap::new();
-            let mut counters = Counters::new();
-            vm.run_timed_into(&mut got, &mut ctx, &mut counters).expect(&label);
-            assert_eq!(counters, want_counters, "{label} {mode:?}: counters differ");
-            if mode == LaneMode::Scalar {
-                assert_eq!(bits(&got), bits(&want), "{label}: scalar mode is not bit-identical");
-            }
-            for (name, t) in &want {
-                let diff = got[name].max_abs_diff(t).expect(&label);
-                assert!(diff <= 1e-9, "{label} {mode:?}: output {name} off by {diff:e}");
-            }
-        }
+    for (plan, vm) in plans {
+        assert_plan(&vm, &format!("{label} {plan}"), unlaned.contains(&plan));
+    }
+}
+
+/// The rank-2 plans that run no closed form on `fname`: DCSR's
+/// symmetric plans probe a compressed root from a counted row loop, so
+/// their inner loops never vectorize. Every naive rank-2 plan — naive
+/// SYPRD too, whose `x[i]` the row prologue reads — runs `Dot` or
+/// `DotAxpy`.
+fn rank2_unlaned(fname: &str) -> &'static [&'static str] {
+    if fname == "dcsr" {
+        &["sym"]
+    } else {
+        &[]
     }
 }
 
@@ -98,9 +124,39 @@ fn rank2_symmetric_kernels_match_the_interpreter() {
             [(defs::ssymv(), "x"), (defs::syprd(), "x"), (defs::bellman_ford(), "d")]
         {
             let inputs = pack(&def, root, leaf, a.clone().into(), Some((vec_name, x.clone())));
-            assert_contract(&def, &inputs, &format!("{} {fname}", def.name));
+            let label = format!("{} {fname}", def.name);
+            assert_contract(&def, &inputs, &label, rank2_unlaned(fname));
         }
     }
+}
+
+#[test]
+fn generic_dots_fold_at_one_lane() {
+    // Two dots on the generic runner, each into the register-held cell
+    // `y[i]` over rows past the lane cutover, where a laned fold would
+    // reassociate: a dense mat-vec (no driver value, so no closed form)
+    // and a merge against a probe into a dense level (an intersection,
+    // which the workspace rewrite cannot re-drive). Both fold at one
+    // lane, in the interpreter's order.
+    let n = 48;
+    let mut r = rng(15);
+    let d = Tensor::Dense(random_dense(vec![n, n], &mut r));
+    let x = Tensor::Dense(random_dense(vec![n], &mut r));
+    let mv = parse_einsum("for i, j: y[i] += D[i, j] * x[j]").expect("parses");
+    let inputs = HashMap::from([("D".to_string(), d), ("x".to_string(), x)]);
+    let vm = Prepared::naive_einsum(&mv, &inputs).expect("prepares");
+    assert_plan(&vm, "dense mat-vec", true);
+
+    let random = |formats: &[LevelFormat], r: &mut _| {
+        let coo = sprand(n, n, 1400, r);
+        Tensor::Sparse(SparseTensor::from_coo(&coo, formats).expect("packs"))
+    };
+    let a = random(&[LevelFormat::Dense, LevelFormat::Sparse], &mut r);
+    let b = random(&[LevelFormat::Dense, LevelFormat::Dense], &mut r);
+    let isect = parse_einsum("for i, k: y[i] += A[i, k] * B[i, k]").expect("parses");
+    let inputs = HashMap::from([("A".to_string(), a), ("B".to_string(), b)]);
+    let vm = Prepared::naive_einsum(&isect, &inputs).expect("prepares");
+    assert_plan(&vm, "csr * dense-probe intersection", true);
 }
 
 #[test]
@@ -125,7 +181,8 @@ fn many_short_rows_match_the_interpreter() {
             [(defs::ssymv(), "x"), (defs::syprd(), "x"), (defs::bellman_ford(), "d")]
         {
             let inputs = pack(&def, root, leaf, a.clone().into(), Some((vec_name, x.clone())));
-            assert_contract(&def, &inputs, &format!("{} {fname} short rows", def.name));
+            let label = format!("{} {fname} short rows", def.name);
+            assert_contract(&def, &inputs, &label, rank2_unlaned(fname));
         }
     }
 }
@@ -137,7 +194,7 @@ fn ssyrk_intersection_matches_the_interpreter() {
     let def = defs::ssyrk();
     for &(fname, root, leaf) in FORMATS {
         let inputs = pack(&def, root, leaf, a.clone().into(), None);
-        assert_contract(&def, &inputs, &format!("ssyrk {fname}"));
+        assert_contract(&def, &inputs, &format!("ssyrk {fname}"), &["sym", "naive"]);
     }
 }
 
@@ -150,6 +207,6 @@ fn mttkrp3_matches_the_interpreter() {
     let def = defs::mttkrp(3);
     for &(fname, root, leaf) in FORMATS {
         let inputs = pack(&def, root, leaf, a.clone().into(), Some(("B", b.clone())));
-        assert_contract(&def, &inputs, &format!("mttkrp3 {fname}"));
+        assert_contract(&def, &inputs, &format!("mttkrp3 {fname}"), &["sym", "naive"]);
     }
 }
