@@ -153,36 +153,6 @@ pub(crate) enum Instr {
     WriteOutput { tensor: usize, terms: Box<[Term]>, op: AssignOp, src: usize },
     /// Reducing (or overwriting) store to a scalar slot.
     WriteScalar { slot: usize, op: AssignOp, src: usize },
-    /// Fused compute-and-store: `out[terms] op= bin(f[a], f[b])` — the
-    /// dominant `w += t * x[j]` shape as one instruction. The binary op
-    /// always executes (and counts its flop, as in the interpreter);
-    /// with `check_miss` the *store* is skipped when the miss flag is
-    /// set.
-    FusedWriteOutput {
-        tensor: usize,
-        terms: Box<[Term]>,
-        bin: BinOp,
-        op: AssignOp,
-        a: usize,
-        b: usize,
-        check_miss: bool,
-    },
-    /// Fused compute-and-store to a scalar slot.
-    FusedWriteScalar { slot: usize, bin: BinOp, op: AssignOp, a: usize, b: usize, check_miss: bool },
-    /// N-ary fold-and-store: `out[terms] op= fold(bin, f[srcs])` — a
-    /// whole `C[i,j] += 2 * t * B[k,j] * B[l,j]` right-hand side in one
-    /// dispatch. Counts `srcs.len() - 1` fold flops plus the reduction,
-    /// exactly like the interpreter's n-ary evaluation.
-    FoldWriteOutput {
-        tensor: usize,
-        terms: Box<[Term]>,
-        bin: BinOp,
-        op: AssignOp,
-        srcs: Box<[usize]>,
-        check_miss: bool,
-    },
-    /// N-ary fold-and-store to a scalar slot.
-    FoldWriteScalar { slot: usize, bin: BinOp, op: AssignOp, srcs: Box<[usize]>, check_miss: bool },
     /// Workspace initialization: `f[slot] = val` (uncounted).
     InitScalar { slot: usize, val: f64 },
     /// A whole innermost dense loop as one instruction: guards are
@@ -216,27 +186,6 @@ pub(crate) enum Instr {
         level: usize,
         idx: usize,
         parent: usize,
-        lo: Box<[Bound]>,
-        hi: Box<[Bound]>,
-        items: Box<[VItem]>,
-    },
-    /// A whole innermost two-way sparse–sparse intersection loop as one
-    /// instruction: iteration walks the driver's compressed coordinates
-    /// (exactly as [`Instr::VecSparseLoop`]) while a galloping merge
-    /// cursor tracks the probed fiber, replacing the per-step
-    /// `Probe` binary search of the general path. The body observes the
-    /// probe through [`FLoad::Probe`] (value on a hit, fill + miss bit
-    /// on a miss), so per-step counters — iterations and driver reads
-    /// per driver coordinate, probe reads and guarded stores per hit —
-    /// match the interpreter exactly.
-    VecIsectLoop {
-        tensor: usize,
-        level: usize,
-        idx: usize,
-        parent: usize,
-        probe_tensor: usize,
-        probe_level: usize,
-        probe_parent: usize,
         lo: Box<[Bound]>,
         hi: Box<[Bound]>,
         items: Box<[VItem]>,
@@ -310,18 +259,14 @@ pub(crate) struct RowNest {
 
 /// One (possibly guarded) group of straight-line work inside a vector
 /// loop. The guard is a conjunction over loop-invariant `u` registers.
+/// A loop holds several items only when their guards are pairwise
+/// exclusive (`crate::fuse::exclusive`), so at most one passes per entry.
 #[derive(Clone, Debug)]
 pub(crate) struct VItem {
-    /// Scratch index for the precomputed pass/fail of the guard.
-    pub id: usize,
     /// Conjunction of comparisons over loop-invariant registers.
     pub guard: Box<[(CmpOp, usize, usize)]>,
-    /// The body, executed for each coordinate while the guard passes.
-    /// When exactly one item of the loop passes, the VM runs it through
-    /// its [`Fused::runner`]; when several pass they run
-    /// coordinate-major, in item order, through the generic runner at
-    /// one lane (the compiler only vectorizes loops whose items
-    /// `crate::fuse::independent` admits).
+    /// The body, executed through its [`Fused::runner`] for each
+    /// coordinate when the guard passes.
     pub body: Fused,
 }
 
@@ -340,10 +285,10 @@ pub(crate) struct DotShape {
 
 /// The runner a fused body executes through — chosen once, when the
 /// body seals (`crate::fuse::BodyBuilder::seal`), from its load / fold
-/// lists and whether its loop is an intersection, and carrying every
-/// operand it needs (an intersection's body may then be re-driven from
-/// its probed side, `crate::fuse::workspace_form`). The VM dispatches on
-/// it and never re-derives it:
+/// lists, and carrying every operand it needs (an intersection's body is
+/// re-driven from its probed side, `crate::fuse::workspace_form`, or its
+/// loop stays on the general path). The VM dispatches on it and never
+/// re-derives it:
 /// only the guards, the closed forms' lane gate and the semiring
 /// instantiation are decided per loop entry. Telemetry counts dispatches
 /// under the runner's name ([`Runner::kind`]).
@@ -363,9 +308,8 @@ pub(crate) enum Runner {
     /// recipe ([`Fused::bulk`]) once per scattered coordinate, the driven
     /// read and the store side once per hit.
     WorkspaceDot { chain: DotShape, ws: Workspace },
-    /// Any other body (axpys, scale-stores, gathers, multi-store jams,
-    /// intersections): resolved per entry, driven coordinate by
-    /// coordinate at one lane.
+    /// Any other body (axpys, scale-stores, gathers, multi-store jams):
+    /// resolved per entry, driven coordinate by coordinate at one lane.
     Generic,
 }
 
@@ -414,9 +358,11 @@ pub(crate) enum FLoad {
     /// The driver's value at the current position (counted per
     /// iteration, in bulk, against the driving tensor).
     Val,
-    /// The probed fiber's value: fill (0) + miss on an intersection
-    /// miss, counted per hit.
-    Probe { tensor: usize, set_miss: bool },
+    /// The probed fiber's value in an intersection body, fill (0) + miss
+    /// off the fiber. A compile-time form only:
+    /// `crate::fuse::workspace_form` turns it into the driver value, or
+    /// the loop stays on the general path.
+    Probe { set_miss: bool },
     /// The scattered fiber's value at the current coordinate, a miss off
     /// the fiber (read only by [`Runner::WorkspaceDot`], which counts it
     /// per scattered coordinate).
@@ -604,8 +550,6 @@ pub(crate) struct BytecodeProgram {
     pub tables: Vec<Box<[f64]>>,
     /// Number of per-loop fiber caches (one per driven loop).
     pub n_caches: usize,
-    /// Scratch size for vector-loop guard passes.
-    pub n_vec_items: usize,
     /// Number of gather-cursor scratch slots ([`FLoad::Gather`]).
     pub n_vec_gathers: usize,
     /// Position slots across all [`Workspace`]s.

@@ -22,7 +22,7 @@ use crate::bytecode::{
     Bound, BytecodeProgram, FAcc, FLoad, FOp, Instr, ParOut, SplitInfo, TensorInfo, Term, VItem,
     Workspace, MISS,
 };
-use crate::fuse::{independent, BodyBuilder};
+use crate::fuse::{exclusive, independent, BodyBuilder};
 
 /// Per-slot compile-time binding info.
 enum SlotLayout {
@@ -142,7 +142,6 @@ pub(crate) fn compile(
         temp_max: 0,
         tables: Vec::new(),
         n_caches: 0,
-        n_vec_items: 0,
         n_vec_gathers: 0,
         never_miss,
         split_pending,
@@ -174,7 +173,6 @@ pub(crate) fn compile(
         tables: c.tables,
         tensors: infos,
         n_caches: c.n_caches,
-        n_vec_items: c.n_vec_items,
         n_vec_gathers: c.n_vec_gathers,
         ws_len: c.ws_len,
         level_base,
@@ -404,14 +402,12 @@ struct VecBuilder {
     open: BodyBuilder,
     /// Every register a load of the loop binds.
     bound: Vec<usize>,
-    /// The loop is a two-way intersection (its runners see a probe).
-    isect: bool,
 }
 
 impl VecBuilder {
     /// Seals the open body, if any, into an item; `false` = it does not
     /// conform (see `crate::fuse`).
-    fn flush(&mut self, c: &mut Compiler<'_>) -> bool {
+    fn flush(&mut self) -> bool {
         if self.open.is_empty() {
             return true;
         }
@@ -419,16 +415,12 @@ impl VecBuilder {
         self.bound.extend(open.bound());
         let sealed = {
             let _fuse_span = systec_telemetry::span(systec_telemetry::Phase::Fuse);
-            open.seal(self.isect)
+            open.seal()
         };
         let Some(body) = sealed else {
             return false;
         };
-        self.items.push(VItem {
-            id: c.alloc_vec_item(),
-            guard: self.open_guard.clone().into(),
-            body,
-        });
+        self.items.push(VItem { guard: self.open_guard.clone().into(), body });
         true
     }
 }
@@ -443,7 +435,7 @@ struct VecAccess {
 
 /// The sparse accesses a candidate vector loop iterates: an optional
 /// driver (compressed or run-length) and, for two-way intersections,
-/// the probed access merged against the driver's coordinates.
+/// the probed access — the fiber the workspace form drives.
 #[derive(Clone, Copy)]
 struct VecShape {
     driver: Option<VecAccess>,
@@ -493,7 +485,6 @@ struct Compiler<'a> {
     temp_max: usize,
     tables: Vec<Box<[f64]>>,
     n_caches: usize,
-    n_vec_items: usize,
     n_vec_gathers: usize,
     /// Per (access, level): whether the position register is provably
     /// never [`MISS`] in the current scope — levels bound by a driver
@@ -593,7 +584,8 @@ impl Compiler<'_> {
                 let head_pc = self.instrs.len();
                 // At most one extra tracked access (a second driver or a
                 // probe) can vectorize, as the probed side of a two-way
-                // intersection; more take the general path.
+                // intersection in its workspace form; more take the
+                // general path.
                 let vec_extra = match (drivers.as_slice(), probes.as_slice()) {
                     ([] | [_], []) => Some(None),
                     ([_, p], []) | ([_], [p]) => Some(Some(p)),
@@ -831,74 +823,16 @@ impl Compiler<'_> {
                 if *can_miss {
                     self.emit(Instr::ClearMiss);
                 }
-                // A top-level application fuses with the store — the
-                // dominant `w += t * x[j]` shape becomes one binary
-                // fused write, and an n-ary product-and-accumulate
-                // becomes one fold-write. Flop accounting is unchanged:
-                // the fused forms count every fold op and the reduction,
-                // exactly as the interpreter evaluates the full
-                // right-hand side before its miss check.
-                let fused = match rhs {
-                    LExpr::Call { op: bin, args } if args.len() >= 2 => {
-                        let regs: Vec<usize> = args.iter().map(|a| self.expr_reg(a)).collect();
-                        Some((*bin, regs))
-                    }
-                    _ => None,
-                };
-                let src = if fused.is_none() { self.expr_reg(rhs) } else { 0 };
-                if *can_miss && fused.is_none() {
-                    // The fused forms check the flag themselves.
+                let src = self.expr_reg(rhs);
+                if *can_miss {
                     self.emit(Instr::JumpIfMiss { to: skip.0 });
                 }
-                match (target, fused) {
-                    (LTarget::Output { tensor, modes }, Some((bin, regs))) => {
-                        let terms = self.terms(*tensor, modes);
-                        if let [a, b] = regs.as_slice() {
-                            self.emit(Instr::FusedWriteOutput {
-                                tensor: *tensor,
-                                terms,
-                                bin,
-                                op: *op,
-                                a: *a,
-                                b: *b,
-                                check_miss: *can_miss,
-                            });
-                        } else {
-                            self.emit(Instr::FoldWriteOutput {
-                                tensor: *tensor,
-                                terms,
-                                bin,
-                                op: *op,
-                                srcs: regs.into(),
-                                check_miss: *can_miss,
-                            });
-                        }
-                    }
-                    (LTarget::Output { tensor, modes }, None) => {
+                match target {
+                    LTarget::Output { tensor, modes } => {
                         let terms = self.terms(*tensor, modes);
                         self.emit(Instr::WriteOutput { tensor: *tensor, terms, op: *op, src });
                     }
-                    (LTarget::Scalar(slot), Some((bin, regs))) => {
-                        if let [a, b] = regs.as_slice() {
-                            self.emit(Instr::FusedWriteScalar {
-                                slot: *slot,
-                                bin,
-                                op: *op,
-                                a: *a,
-                                b: *b,
-                                check_miss: *can_miss,
-                            });
-                        } else {
-                            self.emit(Instr::FoldWriteScalar {
-                                slot: *slot,
-                                bin,
-                                op: *op,
-                                srcs: regs.into(),
-                                check_miss: *can_miss,
-                            });
-                        }
-                    }
-                    (LTarget::Scalar(slot), None) => {
+                    LTarget::Scalar(slot) => {
                         self.emit(Instr::WriteScalar { slot: *slot, op: *op, src });
                     }
                 }
@@ -937,11 +871,11 @@ impl Compiler<'_> {
     /// hoisting), `let`s binding dense reads, the driver's value, the
     /// probed value, or random-access gathers, and assignments folding
     /// scalars / literals / any of those loads — and every item seals
-    /// into a fused body the loop's other items are independent of
-    /// (`crate::fuse` has the rules). Drivers may walk a compressed or
-    /// run-length level; one extra tracked access at a compressed level
-    /// becomes the probed side of a two-way intersection, or the driver
-    /// of its workspace form ([`Self::workspace_rows`]).
+    /// into a fused body the loop's other items are independent of and
+    /// exclusive with (`crate::fuse` has the rules). Drivers may walk a
+    /// compressed or run-length level. A two-way intersection vectorizes
+    /// only as its workspace form ([`Self::workspace_rows`]), which drives
+    /// the probed fiber instead.
     #[allow(clippy::too_many_arguments)]
     fn try_vectorize(
         &mut self,
@@ -962,8 +896,8 @@ impl Compiler<'_> {
                 let acc = VecAccess { access: d.access, level: d.level, tensor };
                 match formats[d.level] {
                     LevelFormat::Sparse => Some((acc, false)),
-                    // Runs expand coordinate by coordinate; the probed
-                    // merge is only defined against a compressed driver.
+                    // Runs expand coordinate by coordinate; only a
+                    // compressed driver fiber scatters into a workspace.
                     LevelFormat::RunLength if probe.is_none() => Some((acc, true)),
                     _ => return false,
                 }
@@ -971,9 +905,6 @@ impl Compiler<'_> {
             None if probe.is_some() => return false,
             None => None,
         };
-        // The probed side of an intersection may walk any level format:
-        // the VM's forward-only probe cursor handles compressed, dense
-        // and run-length fibers alike.
         let probe_info = match probe {
             Some(p) => {
                 let tensor = self.program.accesses[p.access].tensor;
@@ -990,46 +921,33 @@ impl Compiler<'_> {
             probe: probe_info,
         };
 
-        let mut builder = VecBuilder { isect: shape.probe.is_some(), ..VecBuilder::default() };
-        let saved = (self.n_vec_items, self.n_vec_gathers);
+        let mut builder = VecBuilder::default();
+        let saved = self.n_vec_gathers;
         let ok = self.vec_stmt(body, idx, shape, &mut builder)
-            && builder.flush(self)
+            && builder.flush()
             && !builder.items.is_empty()
-            && independent(&builder.items, &builder.bound);
-        if !ok {
-            (self.n_vec_items, self.n_vec_gathers) = saved;
-            return false;
-        }
-        let items: Box<[VItem]> = builder.items.into();
+            && independent(&builder.items, &builder.bound)
+            && exclusive(&builder.items);
         let lo = self.bounds(lo);
         let hi = self.bounds(hi);
+        let items = match (ok, shape.driver, shape.probe) {
+            (true, Some(d), Some(p)) => self.workspace_rows(d, p, extent, &lo, &hi, &builder.items),
+            (ok, ..) => ok.then(|| builder.items.into()),
+        };
+        let Some(items) = items else {
+            self.n_vec_gathers = saved;
+            return false;
+        };
         match (shape.driver, shape.probe) {
-            (Some(d), Some(p)) => {
-                let parent = self.pos_base[d.access] + d.level;
-                let probe_parent = self.pos_base[p.access] + p.level;
-                if let Some(items) = self.workspace_rows(d, p, extent, &lo, &hi, &items) {
-                    // The probed fiber drives; the scatter took the bounds.
-                    self.emit(Instr::VecSparseLoop {
-                        tensor: p.tensor,
-                        level: p.level,
-                        idx,
-                        parent: probe_parent,
-                        lo: Box::new([]),
-                        hi: Box::new([]),
-                        items,
-                    });
-                    return true;
-                }
-                self.emit(Instr::VecIsectLoop {
-                    tensor: d.tensor,
-                    level: d.level,
+            (_, Some(p)) => {
+                // The probed fiber drives; the scatter took the bounds.
+                self.emit(Instr::VecSparseLoop {
+                    tensor: p.tensor,
+                    level: p.level,
                     idx,
-                    parent,
-                    probe_tensor: p.tensor,
-                    probe_level: p.level,
-                    probe_parent,
-                    lo,
-                    hi,
+                    parent: self.pos_base[p.access] + p.level,
+                    lo: Box::new([]),
+                    hi: Box::new([]),
                     items,
                 });
             }
@@ -1042,7 +960,7 @@ impl Compiler<'_> {
                     self.emit(Instr::VecSparseLoop { tensor, level, idx, parent, lo, hi, items });
                 }
             }
-            (None, _) => {
+            (None, None) => {
                 self.emit(Instr::VecDenseLoop { idx, extent, lo, hi, items });
             }
         }
@@ -1056,7 +974,8 @@ impl Compiler<'_> {
     /// level is compressed, no bound reads the loop's index (the scatter
     /// clamps the driver fiber once for the whole loop), and the item is
     /// unguarded and is the canonical probe-gated dot
-    /// ([`crate::fuse::gated_dot`]). `None` keeps the intersection.
+    /// ([`crate::fuse::gated_dot`]). `None` leaves the loop on the
+    /// general path.
     /// Both fibers hold coordinates below the loop's `extent` (lowering
     /// checks every mode bound to one index against its extent), so that
     /// many slots cover either.
@@ -1073,7 +992,7 @@ impl Compiler<'_> {
         let SlotLayout::Sparse { formats } = &self.layouts[p.tensor] else {
             return None;
         };
-        let [VItem { id, guard, body }] = items else {
+        let [VItem { guard, body }] = items else {
             return None;
         };
         let chain = crate::fuse::gated_dot(body)?;
@@ -1097,7 +1016,7 @@ impl Compiler<'_> {
         let scatter = Instr::Scatter { parent, lo: lo.into(), hi: hi.into(), ws };
         self.frames.last_mut().expect("an enclosing loop").scatters.push(scatter);
         let body = crate::fuse::workspace_form(body, chain, ws);
-        Some(Box::new([VItem { id: *id, guard: Box::new([]), body }]))
+        Some(Box::new([VItem { guard: Box::new([]), body }]))
     }
 
     /// Walks a vector-loop body, appending loads and folds; `false` =
@@ -1107,12 +1026,12 @@ impl Compiler<'_> {
             LStmt::Seq(ss) => ss.iter().all(|s| self.vec_stmt(s, idx, shape, b)),
             LStmt::If { cond, body } => {
                 let mut conjuncts = Vec::new();
-                if !(flatten_guard(cond, idx, &mut conjuncts) && b.flush(self)) {
+                if !(flatten_guard(cond, idx, &mut conjuncts) && b.flush()) {
                     return false;
                 }
                 let depth = b.open_guard.len();
                 b.open_guard.extend(conjuncts);
-                let ok = self.vec_stmt(body, idx, shape, b) && b.flush(self);
+                let ok = self.vec_stmt(body, idx, shape, b) && b.flush();
                 b.open_guard.truncate(depth);
                 ok
             }
@@ -1239,7 +1158,7 @@ impl Compiler<'_> {
                 if shape.probe.is_some_and(leaf) {
                     let set_miss = in_assign && *annihilator;
                     *missable |= set_miss;
-                    let load = FLoad::Probe { tensor: *tensor, set_miss };
+                    let load = FLoad::Probe { set_miss };
                     return Some(b.open.load(dst, load, None));
                 }
                 None
@@ -1280,11 +1199,6 @@ impl Compiler<'_> {
             }
         }
         (base.into(), stride)
-    }
-
-    fn alloc_vec_item(&mut self) -> usize {
-        self.n_vec_items += 1;
-        self.n_vec_items - 1
     }
 
     fn alloc_vec_gather(&mut self) -> usize {

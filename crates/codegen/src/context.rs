@@ -87,9 +87,7 @@ pub(crate) struct Bank {
     pub u: Vec<usize>,
     /// The `f64` register file (scalars + temporaries).
     pub f: Vec<f64>,
-    /// Vector-loop guard outcomes.
-    pub vec_pass: Vec<bool>,
-    /// Vector-loop gather cursors (probe state for gather loads), SoA
+    /// Vector-loop gather cursors (cursor state for gather loads), SoA
     /// so the per-coordinate cursor stream stays lane-friendly.
     pub gathers: GatherBank,
     /// Workspace-row position slots, grown to the program's

@@ -14,9 +14,11 @@
 //!
 //! ## What conforms
 //!
-//! A loop vectorizes when every guarded item of its body seals
-//! ([`BodyBuilder::seal`]: at least one fold, within the load / fold /
-//! operand caps below) and the items are [`independent`]:
+//! A vector loop drives one stored fiber (or one dense range) and runs at
+//! most one body per entry. It vectorizes when every guarded item of its
+//! body seals ([`BodyBuilder::seal`]: at least one fold, within the load /
+//! fold / operand caps below), the items are [`independent`], and, when
+//! there are several, their guards are pairwise [`exclusive`]:
 //!
 //! * every fold operand is an earlier load of its own body or a register
 //!   nothing in the loop writes (so its value is loop-invariant and can
@@ -25,8 +27,12 @@
 //!   the loop accumulates into, and each such slot has one fold (the
 //!   runners hold accumulators in machine registers, so intra-loop
 //!   read-back would observe stale values);
-//! * no loop-invariant output cell is accumulated by two items.
+//! * no loop-invariant output cell is accumulated by two items;
+//! * every two items carry a comparison and its complement over the same
+//!   registers — the `==` / `!=` diagonal blocks of a symmetrized kernel
+//!   (MTTKRP, TTM) — so the VM runs the first item whose guard holds.
 //!
+//! A two-way intersection vectorizes only in its workspace form (below).
 //! Everything else stays on the general `*LoopHead` / `*LoopNext` path,
 //! which is the semantic reference for every non-conforming loop
 //! (`tests/fused_bodies.rs` pins both directions).
@@ -34,16 +40,15 @@
 //! ## Runners
 //!
 //! Sealing a body is also where its [`Runner`] is chosen — the one
-//! decision site, from the body's lists and whether its loop is an
-//! intersection: over an unprobed driver the canonical dot chain over the
+//! decision site, from the body's lists: the canonical dot chain over the
 //! driver value runs closed-form against a strided dense operand (`Dot`,
-//! and SSYMV's `DotAxpy` pair), and every other body — every intersection
-//! body included — runs `Generic`. The closed forms are the only runners
-//! that lane. The one later rewrite re-drives a [`gated_dot`]
-//! intersection from its probed side as `WorkspaceDot` (below), decided by
-//! the compiler from where the loop sits. The runner carries the operands
-//! it reads (the dense operand, the axpy stride, the workspace); the VM
-//! dispatches on it, and nothing matches shapes at loop entry.
+//! and SSYMV's `DotAxpy` pair), and every other body runs `Generic`. The
+//! closed forms are the only runners that lane. The one later rewrite
+//! re-drives a [`gated_dot`] intersection from its probed side as
+//! `WorkspaceDot` (below), decided by the compiler from where the loop
+//! sits. The runner carries the operands it reads (the dense operand, the
+//! axpy stride, the workspace); the VM dispatches on it, and nothing
+//! matches shapes at loop entry.
 //!
 //! ## Workspace rows
 //!
@@ -60,13 +65,14 @@
 //! zero fill: folding `0 ∘ b` for non-members would turn a `−0.0` sum
 //! into `+0.0` and `0·inf` into NaN, break min-plus, and miscount.
 //!
-//! Two shapes stay intersections on the generic runner: probes into dense
-//! or run-length levels (neither can drive a compressed loop — the naive
+//! Every other intersection runs on the general path, a `SparseLoopHead`
+//! over the driver with a `Probe` per coordinate: probes into dense or
+//! run-length levels (neither can drive a compressed loop — the naive
 //! `csr*dense` and `csr*dense-rle` cells of `tests/golden/dispatch.golden`),
-//! and intersections whose driver and probe both vary under the innermost
-//! enclosing loop (`y[i] += A[i,k]·B[i,k]`: each driver fiber meets one
-//! probed fiber, so a scatter would be read once). No paper kernel
-//! reaches either.
+//! guarded or non-dot bodies, and intersections whose driver and probe
+//! both vary under the innermost enclosing loop (`y[i] += A[i,k]·B[i,k]`:
+//! each driver fiber meets one probed fiber, so a scatter would be read
+//! once). No paper kernel reaches any of them.
 //!
 //! ## Row nests
 //!
@@ -125,10 +131,11 @@ impl BodyBuilder {
 
     /// Appends a load binding `dst` and returns its local. `counted` is
     /// the tensor whose element read the load counts per iteration
-    /// (probe and gather reads count per hit, in the runners).
+    /// (probe reads count per hit as the workspace form's hits, gather
+    /// reads per hit in the generic runner).
     pub(crate) fn load(&mut self, dst: Option<usize>, load: FLoad, counted: Option<usize>) -> FOp {
         let local = self.loads.len();
-        if let FLoad::Probe { set_miss: true, .. } | FLoad::Gather { set_miss: true, .. } = load {
+        if let FLoad::Probe { set_miss: true } | FLoad::Gather { set_miss: true, .. } = load {
             self.pending_miss.push(local);
         }
         if let Some(tensor) = counted {
@@ -168,10 +175,9 @@ impl BodyBuilder {
         self.dsts.iter().flatten().copied()
     }
 
-    /// Seals the body and picks its [`Runner`] (`isect`: the loop is a
-    /// two-way intersection); `None` when it has no fold or exceeds a
-    /// cap (the loop then stays on the general path).
-    pub(crate) fn seal(self, isect: bool) -> Option<Fused> {
+    /// Seals the body and picks its [`Runner`]; `None` when it has no
+    /// fold or exceeds a cap (the loop then stays on the general path).
+    pub(crate) fn seal(self) -> Option<Fused> {
         let BodyBuilder { loads, folds, reads, .. } = self;
         let fits = !folds.is_empty()
             && loads.len() <= MAX_FUSED_LOADS
@@ -191,7 +197,7 @@ impl BodyBuilder {
                 bulk.writes += u64::from(matches!(fold.acc, FAcc::Out { .. }));
             }
         }
-        let runner = if isect { Runner::Generic } else { runner(&loads, &folds) };
+        let runner = runner(&loads, &folds);
         Some(Fused { runner, loads: loads.into(), folds: folds.into(), bulk })
     }
 }
@@ -201,9 +207,8 @@ fn held(fold: &FFold) -> bool {
     matches!(fold.acc, FAcc::Scalar { .. } | FAcc::Out { stride: 0, .. })
 }
 
-/// The one runner decision for a body over an unprobed driver: a closed
-/// form when it is the canonical dot chain over the driver value against
-/// a strided dense operand ([`ClosedForm::Dot`], and SSYMV's pair
+/// The one runner decision: a closed form when the body is the canonical
+/// dot chain over the driver value against a strided dense operand ([`ClosedForm::Dot`], and SSYMV's pair
 /// [`ClosedForm::DotAxpy`]), [`Runner::Generic`] for everything else.
 fn runner(loads: &[FLoad], folds: &[FFold]) -> Runner {
     let closed = |x: &FLoad, form| match x {
@@ -240,8 +245,8 @@ fn runner(loads: &[FLoad], folds: &[FFold]) -> Runner {
 pub(crate) fn gated_dot(body: &Fused) -> Option<DotShape> {
     let [fold] = body.folds.as_ref() else { return None };
     let chain = dot_shape(&body.loads, fold).filter(|_| held(fold) && fold.check_miss)?;
-    let gated = matches!(body.loads[chain.b], FLoad::Probe { set_miss: true, .. })
-        && *fold.miss == [chain.b];
+    let gated =
+        matches!(body.loads[chain.b], FLoad::Probe { set_miss: true }) && *fold.miss == [chain.b];
     gated.then_some(chain)
 }
 
@@ -260,9 +265,8 @@ pub(crate) fn workspace_form(body: &Fused, chain: DotShape, ws: Workspace) -> Fu
 }
 
 /// Whether the items of one loop may run off entry-time snapshots and
-/// register-held accumulators — alone or, when several guards pass at
-/// once, coordinate-major side by side. `bound` lists every register a
-/// load of the loop binds.
+/// register-held accumulators. `bound` lists every register a load of the
+/// loop binds.
 pub(crate) fn independent(items: &[VItem], bound: &[usize]) -> bool {
     let folds = || items.iter().flat_map(|item| item.body.folds.iter());
     // Scalar slots the loop accumulates into, one fold each.
@@ -296,6 +300,19 @@ pub(crate) fn independent(items: &[VItem], bound: &[usize]) -> bool {
         FOp::Reg(reg) => !slots.contains(reg) && !bound.contains(reg),
         FOp::Local(_) => true,
     })
+}
+
+/// Whether at most one item's guard can hold at any loop entry: every two
+/// items carry a comparison and its complement over the same registers
+/// (`i == j` against `i != j`, or against `j != i`).
+pub(crate) fn exclusive(items: &[VItem]) -> bool {
+    let complement = |x: &VItem, y: &VItem| {
+        x.guard.iter().any(|&(op, a, b)| {
+            let not = op.negate();
+            y.guard.iter().any(|&g| g == (not, a, b) || g == (not.flip(), b, a))
+        })
+    };
+    items.iter().enumerate().all(|(n, x)| items[n + 1..].iter().all(|y| complement(x, y)))
 }
 
 /// One more element read of `tensor` in a per-tensor read recipe.
@@ -388,7 +405,7 @@ pub(crate) fn row_nest(instrs: &[Instr]) -> Option<RowNest> {
         }
         _ => return None,
     };
-    let [VItem { guard, body: fused, .. }] = items.as_ref() else {
+    let [VItem { guard, body: fused }] = items.as_ref() else {
         return None;
     };
     // Inner bounds over the row index only: the VM keeps them as deltas.

@@ -16,11 +16,11 @@
 //!   bounds applied by one binary search at entry, or a run-length walk.
 //! * **Vectorized innermost loops** — conforming innermost loops
 //!   collapse into single vector-loop instructions with bulk counter
-//!   accounting: counted loops, compressed and run-length drivers,
-//!   two-way sparse–sparse intersections (a galloping merge replaces
-//!   the per-step probe binary search), and random-access gather
-//!   operands (leaf-varying gathers cache their invariant prefix path
-//!   and advance a monotone cursor).
+//!   accounting. A vector loop drives one stored fiber or one dense range
+//!   — counted loops, compressed and run-length drivers — with
+//!   random-access gather operands (leaf-varying gathers cache their
+//!   invariant prefix path and advance a monotone cursor), and runs at
+//!   most one body per entry.
 //! * **One body form** — a vector loop's body has exactly one
 //!   executable form: per-coordinate loads into local slots feeding
 //!   straight-line folds (`fuse`). The compiler appends that form
@@ -31,20 +31,22 @@
 //!   also picks its runner, once — closed or generic: the canonical dot
 //!   against a strided operand and SSYMV's dot-axpy pair run closed-form
 //!   folds, the only runners that lane; every other body (axpy,
-//!   scale-store, gathered variants, multi-store jams, intersections)
-//!   the generic resolved runner at one lane — accumulators in machine
-//!   registers, operands resolved to slices at loop entry, invariant
-//!   counter contributions accounted in bulk. The VM dispatches on that
-//!   field: per entry it only evaluates guards (a loop whose guards all
-//!   fail only sets its index), and several guarded items passing at
-//!   once run coordinate-major through the generic runner.
+//!   scale-store, gathered variants, multi-store jams) the generic
+//!   resolved runner at one lane — accumulators in machine registers,
+//!   operands resolved to slices at loop entry, invariant counter
+//!   contributions accounted in bulk. Several guarded items share a loop
+//!   only when their guards are pairwise exclusive (the `==` / `!=`
+//!   diagonal blocks); the VM dispatches on the runner of the first item
+//!   whose guard holds, and a loop whose guards all fail only sets its
+//!   index.
 //! * **Workspace rows** — an intersection dot whose driver fiber is fixed
 //!   across the enclosing loop while the probed fiber is not (SSYRK's
 //!   row `i` against every row `j ≥ i`) scatters the driver fiber once,
 //!   in front of that loop's head, and loops over the probed fiber
 //!   instead, folding only where the scattered fiber holds the
 //!   coordinate (`WorkspaceDot`) — the same terms in the same order,
-//!   so the same bits and counters as the merge.
+//!   so the same bits and counters as the merge. Every other
+//!   intersection stays on the general path, a probe per coordinate.
 //! * **Row nests** — after a row loop is emitted, `fuse::row_nest` reads
 //!   its instructions and turns a row loop around one compressed or
 //!   run-length vector loop whose body runs the closed `Dot` or
@@ -605,25 +607,73 @@ mod tests {
         )
     }
 
+    /// Asserts an intersection stays on the general path: a compressed
+    /// head over the driver, a probe per coordinate, no vector loop and no
+    /// scatter.
+    fn assert_general_intersection(dis: &str, label: &str) {
+        let general = dis.contains("SparseLoopHead") && dis.contains("Probe {");
+        assert!(
+            general && !dis.contains("Vec") && !dis.contains("Scatter"),
+            "{label} runs on the general path:\n{dis}"
+        );
+    }
+
     #[test]
     fn intersection_loops_vectorize() {
-        // Two compressed fibers co-iterating under one loop: the probed
-        // dot stays an intersection, on the generic runner.
+        // An intersection vectorizes only as workspace rows. A probe into
+        // a dense level cannot drive a compressed loop: `SparseLoopHead`
+        // over row `i` of A, then a `Probe` of B per coordinate.
         let mut inputs = HashMap::new();
         inputs.insert("A".to_string(), csr(&[(0, 1, 2.0), (1, 0, 3.0), (1, 1, 5.0)], 3));
+        let mut dense_b = CooTensor::new(vec![3, 3]);
+        for (i, k, v) in [(0, 1, 7.0), (2, 0, 1.0), (2, 1, 2.0)] {
+            dense_b.push(&[i, k], v);
+        }
+        let dense_formats = [LevelFormat::Dense, LevelFormat::Dense];
+        let dense_b = SparseTensor::from_coo(&dense_b, &dense_formats).unwrap();
+        inputs.insert("B".to_string(), Tensor::Sparse(dense_b));
+        let dense_probe = Stmt::loops(
+            [idx("i"), idx("j"), idx("k")],
+            assign(
+                access("C", ["i", "j"]),
+                mul([access("A", ["i", "k"]), access("B", ["j", "k"])]),
+            ),
+        );
+        assert_general_intersection(&disassembly(&dense_probe, &inputs), "dense probe");
+        let (out, c) = both(&dense_probe, &inputs);
+        assert_eq!(out["C"].get(&[1, 2]), 3.0 * 1.0 + 5.0 * 2.0);
+        // Every probe into the dense level hits (stored zeros included):
+        // A's three entries against B's three rows.
+        assert_eq!(c.reads_of("B"), 9, "probe reads count only on hits");
+
+        // Two compressed fibers that vary together under one loop: each
+        // driver fiber meets one probed fiber, so nothing is scattered.
         inputs.insert("B".to_string(), csr(&[(0, 1, 7.0), (2, 0, 1.0), (2, 1, 2.0)], 3));
         let diag = Stmt::loops(
             [idx("i"), idx("k")],
             assign(access("y", ["i"]), mul([access("A", ["i", "k"]), access("B", ["i", "k"])])),
         );
-        let dis = disassembly(&diag, &inputs);
-        assert!(
-            dis.contains("VecIsectLoop") && dis.contains("runner: Generic"),
-            "driver and probe vary together:\n{dis}"
-        );
+        assert_general_intersection(&disassembly(&diag, &inputs), "driver and probe together");
         let (out, c) = both(&diag, &inputs);
         assert_eq!(out["y"].get(&[0]), 2.0 * 7.0);
         assert_eq!(c.reads_of("B"), 1, "probe reads count only on hits");
+
+        // SSYRK's self-intersection `A[i,k]·A[j,k]`: row `i` is fixed
+        // across the `j` loop, so it is scattered once and row `j` drives.
+        let ssyrk = Stmt::loops(
+            [idx("i"), idx("j"), idx("k")],
+            assign(
+                access("C", ["i", "j"]),
+                mul([access("A", ["i", "k"]), access("A", ["j", "k"])]),
+            ),
+        );
+        let dis = disassembly(&ssyrk, &inputs);
+        assert!(
+            dis.contains("Scatter") && dis.contains("runner: WorkspaceDot {"),
+            "SSYRK's intersection runs as workspace rows:\n{dis}"
+        );
+        let (out, _) = both(&ssyrk, &inputs);
+        assert_eq!(out["C"].get(&[1, 1]), 3.0 * 3.0 + 5.0 * 5.0);
 
         // Row `i` fixed across the `j` loop: an output-addressed body
         // and the pre-analyzed dot of the scalar accumulation both

@@ -60,9 +60,6 @@ const MAX_LEVELS: usize = 64;
 const MAX_CACHES: usize = 16;
 /// Inline capacity for the output binding table.
 const MAX_OUTS: usize = 8;
-/// Inline capacity for the resolved bodies of a loop entry where several
-/// guarded items pass at once.
-const MAX_PASSING: usize = 4;
 /// Coordinate chunks dealt per worker (over-decomposition for static
 /// load balance; round-robin assignment keeps the merge deterministic).
 const CHUNKS_PER_WORKER: usize = 8;
@@ -163,37 +160,6 @@ fn offset(u: &[usize], terms: &[Term]) -> usize {
         [t] => u[t.reg] * t.stride,
         [s, t] => u[s.reg] * s.stride + u[t.reg] * t.stride,
         _ => terms.iter().map(|t| u[t.reg] * t.stride).sum(),
-    }
-}
-
-/// Evaluates vector-loop guards into the `pass` scratch, returning the
-/// number of passing items — the selector between the monomorphized
-/// runners (exactly one) and the coordinate-major walk (several).
-#[inline]
-fn eval_guards(items: &[VItem], u: &[usize], pass: &mut [bool]) -> usize {
-    let mut n = 0usize;
-    for item in items {
-        let ok = item.guard.iter().all(|(op, a, b)| op.eval(u[*a], u[*b]));
-        pass[item.id] = ok;
-        n += usize::from(ok);
-    }
-    n
-}
-
-/// Folds registers through `bin`; the dominant binary shape is
-/// branch-free.
-#[inline]
-fn fold(bin: &systec_ir::BinOp, srcs: &[usize], f: &[f64]) -> f64 {
-    match srcs {
-        [a, b] => bin.apply(f[*a], f[*b]),
-        _ => {
-            let (first, rest) = srcs.split_first().expect("folds have operands");
-            let mut v = f[*first];
-            for s in rest {
-                v = bin.apply(v, f[*s]);
-            }
-            v
-        }
     }
 }
 
@@ -313,16 +279,11 @@ fn lane_merge<S: Semi, const L: usize>(s: S, op: AssignOp, acc0: f64, lanes: &[f
 // Drives: how a vector loop walks its coordinates
 // ---------------------------------------------------------------------------
 
-/// Forward-only cursor over the probed side of an intersection drive —
-/// one variant per level format, so probes into dense and run-length
-/// levels reach the fused tier through the same merge loop as
-/// compressed probes. Driver coordinates are monotone, so every
-/// variant's cursor only moves forward.
+/// Forward-only cursor over the fiber a gather's loop index varies in —
+/// one variant per level format. Driver coordinates are monotone, so
+/// every variant's cursor only moves forward.
 #[derive(Clone, Copy)]
 enum ProbeCur<'a> {
-    /// The probed path prefix is unstored: every probe misses (the
-    /// driver still iterates, as in the interpreter).
-    Empty,
     /// Compressed fiber: gallop over `crd[cur..end]`.
     Crd { crd: &'a [usize], cur: usize, end: usize },
     /// Dense fiber: direct index, hit iff `coord < size`.
@@ -333,7 +294,7 @@ enum ProbeCur<'a> {
 }
 
 impl<'a> ProbeCur<'a> {
-    /// The cursor over fiber `p` of the probed level.
+    /// The cursor over fiber `p` of `view`.
     fn open(view: LevelView<'a>, p: usize) -> Self {
         match view {
             LevelView::Sparse { pos, crd, .. } => {
@@ -353,7 +314,7 @@ impl<'a> ProbeCur<'a> {
     fn cursor(&self) -> usize {
         match self {
             ProbeCur::Crd { cur, .. } | ProbeCur::Runs { cur, .. } => *cur,
-            ProbeCur::Empty | ProbeCur::Dense { .. } => 0,
+            ProbeCur::Dense { .. } => 0,
         }
     }
 
@@ -372,7 +333,6 @@ impl<'a> ProbeCur<'a> {
     #[inline(always)]
     fn find(&mut self, coord: usize) -> Option<usize> {
         match self {
-            ProbeCur::Empty => None,
             ProbeCur::Crd { crd, cur, end } => {
                 if *cur < *end && crd[*cur] < coord {
                     *cur += crd[*cur..*end].partition_point(|&x| x < coord);
@@ -485,7 +445,7 @@ impl Segment for SpanSeg {
 /// reduced to "yield segments". Every consumer (the closed-form folds
 /// and the generic fused body) walks a window through
 /// [`Drive::segments`], so each format's walk is written exactly once.
-trait Drive<'a> {
+trait Drive {
     type Seg: Segment;
     /// Visits the window's segments in coordinate order and returns the
     /// last coordinate covered (the loop index's value at exit).
@@ -500,12 +460,6 @@ trait Drive<'a> {
     fn span(&self) -> usize {
         self.len()
     }
-    /// The probed side of a two-way intersection, its cursor at the
-    /// start of the probed fiber.
-    #[inline(always)]
-    fn probe(&self) -> Option<Probed<'a>> {
-        None
-    }
 }
 
 /// Counted dense loop over `lo..=hi`.
@@ -514,7 +468,7 @@ struct RangeDrive {
     hi: usize,
 }
 
-impl Drive<'_> for RangeDrive {
+impl Drive for RangeDrive {
     type Seg = SpanSeg;
 
     #[inline(always)]
@@ -536,7 +490,7 @@ struct CrdDrive<'a> {
     vals: &'a [f64],
 }
 
-impl<'a> Drive<'a> for CrdDrive<'a> {
+impl<'a> Drive for CrdDrive<'a> {
     type Seg = ListSeg<'a>;
 
     #[inline(always)]
@@ -563,7 +517,7 @@ struct RleDrive<'a> {
     hi: usize,
 }
 
-impl<'a> Drive<'a> for RleDrive<'a> {
+impl<'a> Drive for RleDrive<'a> {
     type Seg = SpanSeg;
 
     #[inline(always)]
@@ -602,62 +556,6 @@ impl<'a> Drive<'a> for RleDrive<'a> {
         let last = self.run_end[self.stop - 1].min(self.hi);
         last.saturating_add(1).saturating_sub(first)
     }
-}
-
-/// Two-way intersection: the compressed driver window merged against
-/// the probed fiber with a forward-only cursor.
-struct IsectDrive<'a> {
-    crd: CrdDrive<'a>,
-    probe: Probed<'a>,
-}
-
-impl<'a> Drive<'a> for IsectDrive<'a> {
-    type Seg = ListSeg<'a>;
-
-    #[inline(always)]
-    fn segments(&self, f: impl FnMut(ListSeg<'a>)) -> usize {
-        self.crd.segments(f)
-    }
-
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.crd.len()
-    }
-
-    #[inline(always)]
-    fn probe(&self) -> Option<Probed<'a>> {
-        Some(self.probe)
-    }
-}
-
-/// The probed fiber of an intersection: its values and a forward-only
-/// cursor.
-#[derive(Clone, Copy)]
-struct Probed<'a> {
-    vals: &'a [f64],
-    cur: ProbeCur<'a>,
-}
-
-impl Probed<'_> {
-    /// Advances the cursor to `coord`; the probed value on a hit.
-    #[inline(always)]
-    fn at(&mut self, coord: usize) -> Option<f64> {
-        self.cur.find(coord).map(|p| self.vals[p])
-    }
-}
-
-/// The per-coordinate walk over any drive: `f(coord, driver value,
-/// probe)` for every coordinate of the window in order, the probe
-/// cursor advancing alongside (`probe` is `None` outside intersections,
-/// `Some(None)` on an intersection miss). Returns the last coordinate
-/// covered.
-#[inline(always)]
-fn for_each<'a, D: Drive<'a>>(
-    drive: &D,
-    mut f: impl FnMut(usize, Option<f64>, Option<Option<f64>>),
-) -> usize {
-    let mut probe = drive.probe();
-    drive.segments(|seg| seg.each(0, |_, c, val| f(c, val, probe.as_mut().map(|p| p.at(c)))))
 }
 
 /// The closed forms' lane cutover, decided once per loop entry (or
@@ -772,7 +670,7 @@ impl DotChain {
 /// Lane assignment is keyed on the element's position in its segment, so
 /// it is a pure function of the drive window. Returns the accumulator and
 /// the last coordinate.
-fn fold_dot<'a, S: Semi, D: Drive<'a>, const L: usize>(
+fn fold_dot<S: Semi, D: Drive, const L: usize>(
     s: S,
     ch: &DotChain,
     acc0: f64,
@@ -853,7 +751,7 @@ impl<'a> Scattered<'a> {
 /// intersection's operand order, at one lane. Returns the accumulator and
 /// the hits.
 #[inline(always)]
-fn fold_gathered<'a, S: Semi, D: Drive<'a>>(
+fn fold_gathered<S: Semi, D: Drive>(
     s: S,
     ch: &DotChain,
     acc0: f64,
@@ -895,7 +793,7 @@ struct AxpyOut<'d> {
 /// contiguous segment with a unit-stride output the store loop is a
 /// contiguous read-modify-write of one hoisted constant, the shape the
 /// autovectorizer turns into straight vector ops.
-fn fold_dot_axpy<'a, S: Semi, D: Drive<'a>, const L: usize>(
+fn fold_dot_axpy<S: Semi, D: Drive, const L: usize>(
     s: S,
     dot: (BinOp, AssignOp),
     acc0: f64,
@@ -953,8 +851,6 @@ fn fold_dot_axpy<'a, S: Semi, D: Drive<'a>, const L: usize>(
 enum RLoad<'a, 'p> {
     /// The driver's value at the current position.
     Val,
-    /// The probed fiber's value (intersection drives).
-    Probe { tensor: usize, set_miss: bool },
     /// `slice[base + coord * stride]`.
     Dense { slice: &'a [f64], base: usize, stride: usize },
     /// Random-access gather ([`LoopRun::gather`]).
@@ -974,8 +870,8 @@ enum RSrc {
 enum RAcc {
     /// `f[slot]`, held in [`RFold::accv`] across the loop.
     Slot { slot: usize },
-    /// A loop-invariant output cell (stride 0, single fold, the only
-    /// passing item), register-held likewise — the write *counts* stay
+    /// A loop-invariant output cell (stride 0, single fold),
+    /// register-held likewise — the write *counts* stay
     /// per-iteration (bulk) / per-hit exactly as if every store
     /// happened.
     Cell { ord: usize, off: usize },
@@ -1028,7 +924,7 @@ fn src_val(src: RSrc, locals: &[f64; MAX_FUSED_LOADS]) -> f64 {
 /// Per-vector-loop execution state: every binding table and scratch a
 /// loop body touches, plus the loop's counter contributions (folded
 /// into the program totals when the loop instruction finishes). One
-/// [`LoopRun::run`] serves all four vector-loop instructions; it calls
+/// [`LoopRun::run`] serves all three vector-loop instructions; it calls
 /// the passing body's [`Runner`] — a closed-form fold or the generic
 /// fused body — and every runner walks the same [`Drive`].
 /// [`LoopRun::nest`] runs a whole [`RowNest`] over the same state.
@@ -1036,7 +932,6 @@ fn src_val(src: RSrc, locals: &[f64; MAX_FUSED_LOADS]) -> f64 {
 /// Bulk (per-iteration) counters come from the body's compile-time
 /// recipe; only hit-dependent work is counted per element.
 struct LoopRun<'r, 'a, 'o> {
-    pass: &'r mut [bool],
     gathers: &'r mut GatherBank,
     /// The worker's workspace-row slots (see [`Scattered`]).
     ws: &'r [usize],
@@ -1060,62 +955,22 @@ struct LoopRun<'r, 'a, 'o> {
 }
 
 impl<'r, 'a> LoopRun<'r, 'a, '_> {
-    /// Executes one vector loop over `drive`: the passing item's body
-    /// through its monomorphized runner when exactly one guard passes,
-    /// every passing body coordinate-major when several do, and just
-    /// the loop index's exit value when none does.
-    fn run<D: Drive<'a>>(&mut self, items: &[VItem], idx: usize, drive: &D) {
+    /// Executes one vector loop over `drive`: the body of the first item
+    /// whose guard holds through its runner — the compiler admits several
+    /// items only under pairwise exclusive guards, so it is the only one —
+    /// or just the loop index's exit value when no guard holds.
+    fn run<D: Drive>(&mut self, items: &[VItem], idx: usize, drive: &D) {
         let iters = drive.len() as u64;
         if iters == 0 {
             return;
         }
         self.iterations += iters;
-        match eval_guards(items, self.u, self.pass) {
-            0 => self.u[idx] = drive.segments(|_| {}),
-            1 => {
-                let item = items.iter().find(|item| self.pass[item.id]).expect("one passes");
-                self.fused(&item.body, idx, iters, drive);
-            }
-            n_pass => self.several(items, idx, iters, drive, n_pass),
-        }
-    }
-
-    /// Several items pass at once: coordinate-major — every passing
-    /// body at a coordinate, in item order, before the next coordinate —
-    /// is the only order-preserving strategy, so the bodies run side by
-    /// side through the generic [`Self::coord`] at one lane (the strict
-    /// interpreter order) — and count as `generic` dispatches, whatever
-    /// their own runner. The compiler proved them independent
-    /// (`crate::fuse::independent`), so each may snapshot its invariants
-    /// and hold its scalar accumulators; output cells stay in memory,
-    /// where another item's strided store may land on them.
-    #[cold]
-    #[inline(never)]
-    fn several<D: Drive<'a>>(
-        &mut self,
-        items: &[VItem],
-        idx: usize,
-        iters: u64,
-        drive: &D,
-        n_pass: usize,
-    ) {
-        let mut bodies_t: Scratch<Option<RBody<'a, '_>>, MAX_PASSING> = Scratch::new(n_pass);
-        let bodies = bodies_t.as_mut_slice();
-        let mut slots = bodies.iter_mut();
-        for item in items {
-            if self.pass[item.id] {
-                self.account(telemetry::RunnerKind::Generic, &item.body, iters);
-                *slots.next().expect("one slot per passing item") =
-                    Some(self.resolve(&item.body, idx, false));
-            }
-        }
-        self.u[idx] = for_each(drive, |c, val, probe| {
-            for body in bodies.iter_mut().flatten() {
-                self.coord::<_, 0, 0>(body, DynSemi, c, val, probe);
-            }
-        });
-        for body in bodies.iter().flatten() {
-            self.flush(body);
+        let u = &*self.u;
+        let passing =
+            items.iter().find(|item| item.guard.iter().all(|(op, a, b)| op.eval(u[*a], u[*b])));
+        match passing {
+            Some(item) => self.fused(&item.body, idx, iters, drive),
+            None => self.u[idx] = drive.segments(|_| {}),
         }
     }
 
@@ -1193,7 +1048,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     /// the compile-time form — entry cost is a handful of scalar
     /// resolutions, which matters for short fibers entered many times
     /// (a merge of two short rows).
-    fn fused<D: Drive<'a>>(&mut self, fu: &Fused, idx: usize, iters: u64, drive: &D) {
+    fn fused<D: Drive>(&mut self, fu: &Fused, idx: usize, iters: u64, drive: &D) {
         self.account(fu.runner.kind(), fu, iters);
         match &fu.runner {
             Runner::Closed { x, form } => self.closed_entry(fu, x, *form, idx, drive),
@@ -1201,7 +1056,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
                 unreachable!("a workspace body is entered through `LoopRun::workspace_entry`")
             }
             Runner::Generic => {
-                let mut body = self.resolve(fu, idx, true);
+                let mut body = self.resolve(fu, idx);
                 // One semiring for the whole body → monomorphized loops.
                 let (uniform, bin, op) = fu.semiring();
                 with_semi!(uniform, bin, op, |s| self.drive_shape(&mut body, s, drive));
@@ -1251,9 +1106,9 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
 
     /// Resolves a fused body against the current bindings: dense bases
     /// and invariant registers are snapshot once, gather cursors open,
-    /// accumulators load their starting values. `hold_cells` lets a
-    /// single fold's loop-invariant output cell live in a register.
-    fn resolve<'p>(&mut self, fu: &'p Fused, idx: usize, hold_cells: bool) -> RBody<'a, 'p> {
+    /// accumulators load their starting values, and a single fold's
+    /// loop-invariant output cell lives in a register.
+    fn resolve<'p>(&mut self, fu: &'p Fused, idx: usize) -> RBody<'a, 'p> {
         let mut body = RBody {
             loads: [RLoad::Val; MAX_FUSED_LOADS],
             n_loads: fu.loads.len(),
@@ -1278,9 +1133,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
         for (i, ld) in fu.loads.iter().enumerate() {
             body.loads[i] = match ld {
                 FLoad::Val => RLoad::Val,
-                FLoad::Probe { tensor, set_miss } => {
-                    RLoad::Probe { tensor: *tensor, set_miss: *set_miss }
-                }
+                FLoad::Probe { .. } => unreachable!("intersection bodies run as workspace rows"),
                 FLoad::Scattered => unreachable!("only the workspace runner reads a workspace"),
                 FLoad::Dense { tensor, base, stride } => RLoad::Dense {
                     slice: self.dense[*tensor],
@@ -1302,7 +1155,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
                 }
             };
         }
-        let hold_cell = hold_cells && fu.folds.len() == 1;
+        let hold_cell = fu.folds.len() == 1;
         for (j, fold) in fu.folds.iter().enumerate() {
             let rf = &mut body.folds[j];
             for op in fold.srcs.iter() {
@@ -1351,7 +1204,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     /// per-shape unrolled instantiations of [`Self::drive`] whose inner
     /// loops have compile-time trip counts; `(0, 0)` is the dynamic
     /// fallback for everything else.
-    fn drive_shape<S: Semi, D: Drive<'a>>(&mut self, body: &mut RBody<'a, '_>, s: S, drive: &D) {
+    fn drive_shape<S: Semi, D: Drive>(&mut self, body: &mut RBody<'a, '_>, s: S, drive: &D) {
         match (body.n_loads, body.n_folds) {
             (2, 1) => self.drive::<S, 2, 1, D>(body, s, drive),
             (3, 2) => self.drive::<S, 3, 2, D>(body, s, drive),
@@ -1367,14 +1220,14 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     /// body the loop loses its registers to the other fifteen (measured
     /// 12–22% on the multi-store bodies of MTTKRP and TTM).
     #[inline(never)]
-    fn drive<S: Semi, const NL: usize, const NF: usize, D: Drive<'a>>(
+    fn drive<S: Semi, const NL: usize, const NF: usize, D: Drive>(
         &mut self,
         body: &mut RBody<'a, '_>,
         s: S,
         drive: &D,
     ) {
-        let last = for_each(drive, |c, val, probe| {
-            self.coord::<S, NL, NF>(body, s, c, val, probe);
+        let last = drive.segments(|seg| {
+            seg.each(0, |_, c, val| self.coord::<S, NL, NF>(body, s, c, val));
         });
         self.u[body.idx] = last;
     }
@@ -1388,7 +1241,6 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
         s: S,
         coord: usize,
         val: Option<f64>,
-        probe: Option<Option<f64>>,
     ) {
         if body.needs_u_idx {
             self.u[body.idx] = coord;
@@ -1398,8 +1250,8 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
         let mut locals = [0f64; MAX_FUSED_LOADS];
         let mut miss: u32 = 0;
         for (i, ld) in body.loads[..n_loads].iter().enumerate() {
-            // Probe / gather loads: the value and a counted read on a
-            // hit, the fill and the load's miss bit otherwise.
+            // Gather loads: the value and a counted read on a hit, the
+            // fill and the load's miss bit otherwise.
             let (tensor, set_miss, hit) = match *ld {
                 RLoad::Val => {
                     locals[i] = val.expect("driver value in a driven fused loop");
@@ -1408,9 +1260,6 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
                 RLoad::Dense { slice, base, stride } => {
                     locals[i] = slice[base + coord * stride];
                     continue;
-                }
-                RLoad::Probe { tensor, set_miss } => {
-                    (tensor, set_miss, probe.expect("probe in an intersection loop"))
                 }
                 RLoad::Gather { tensor, id, modes, var_mode, set_miss } => {
                     (tensor, set_miss, self.gather(tensor, id, modes, var_mode, coord))
@@ -1451,9 +1300,9 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
         }
     }
 
-    /// A [`Runner::Closed`] form over its strided dense operand `x` on
-    /// an unprobed driver — one loop entry is one [`Self::closed_window`].
-    fn closed_entry<D: Drive<'a>>(
+    /// A [`Runner::Closed`] form over its strided dense operand `x` — one
+    /// loop entry is one [`Self::closed_window`].
+    fn closed_entry<D: Drive>(
         &mut self,
         fu: &Fused,
         x: &DenseOperand,
@@ -1479,7 +1328,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     /// the last coordinate.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn closed_window<S: Semi, D: Drive<'a>>(
+    fn closed_window<S: Semi, D: Drive>(
         &mut self,
         s: S,
         form: ClosedForm,
@@ -1584,7 +1433,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     /// [`Self::closed_window`] takes it) — shared by loop entries and
     /// row-nest rows. Returns the hits.
     #[inline(always)]
-    fn gathered_window<S: Semi, D: Drive<'a>>(
+    fn gathered_window<S: Semi, D: Drive>(
         &mut self,
         s: S,
         chain: DotShape,
@@ -1917,7 +1766,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
     /// Walks `n` rows of a closed-form nest (`drive` opens row position
     /// `p`'s inner window) and returns the inner-loop coordinates
     /// executed and the number of non-empty inner-loop entries.
-    fn nest_rows<S: Semi, D: Drive<'a>>(
+    fn nest_rows<S: Semi, D: Drive>(
         &mut self,
         s: S,
         run: &NestRun<'_>,
@@ -1944,7 +1793,7 @@ impl<'a> LoopRun<'_, 'a, '_> {
     /// Walks `n` rows of a workspace nest, each row's inner window
     /// gather-dotted against the scattered row `w`, and returns the hits.
     #[allow(clippy::too_many_arguments)]
-    fn nest_gathered<S: Semi, D: Drive<'a>>(
+    fn nest_gathered<S: Semi, D: Drive>(
         &mut self,
         s: S,
         run: &NestRun<'_>,
@@ -2046,7 +1895,6 @@ fn run_range<'a>(
     outs: &mut [Option<OutBind<'_>>],
     u: &mut Vec<usize>,
     f: &mut Vec<f64>,
-    vec_pass: &mut Vec<bool>,
     gathers: &mut GatherBank,
     ws: &mut Vec<usize>,
     counters: &mut CounterBank,
@@ -2058,8 +1906,6 @@ fn run_range<'a>(
     u.extend_from_slice(&program.u_init);
     f.clear();
     f.resize(program.n_f, 0.0);
-    vec_pass.clear();
-    vec_pass.resize(program.n_vec_items, false);
     gathers.reset(program.n_vec_gathers);
     // Workspace slots only grow: their contents are validated per read.
     if ws.len() < program.ws_len {
@@ -2067,7 +1913,6 @@ fn run_range<'a>(
     }
     let u = u.as_mut_slice();
     let f = f.as_mut_slice();
-    let vec_pass = vec_pass.as_mut_slice();
     let mut fibers_t: Scratch<Fiber<'a>, MAX_CACHES> = Scratch::new(program.n_caches);
     let fibers = fibers_t.as_mut_slice();
     let lvl_base = program.level_base.as_slice();
@@ -2111,7 +1956,6 @@ fn run_range<'a>(
     macro_rules! vec_loop {
         (|$lr:ident| $run:expr) => {{
             let mut $lr = LoopRun {
-                pass: &mut *vec_pass,
                 gathers: &mut *gathers,
                 ws: &*ws,
                 u: &mut *u,
@@ -2404,38 +2248,6 @@ fn run_range<'a>(
                 store_scalar!(*slot, *op, f[*src]);
                 pc += 1;
             }
-            Instr::FusedWriteOutput { tensor, terms, bin, op, a, b, check_miss } => {
-                let v = bin.apply(f[*a], f[*b]);
-                flops += 1;
-                if !(*check_miss && missing) {
-                    store_out!(*tensor, terms, *op, v);
-                }
-                pc += 1;
-            }
-            Instr::FusedWriteScalar { slot, bin, op, a, b, check_miss } => {
-                let v = bin.apply(f[*a], f[*b]);
-                flops += 1;
-                if !(*check_miss && missing) {
-                    store_scalar!(*slot, *op, v);
-                }
-                pc += 1;
-            }
-            Instr::FoldWriteOutput { tensor, terms, bin, op, srcs, check_miss } => {
-                let v = fold(bin, srcs, f);
-                flops += srcs.len() as u64 - 1;
-                if !(*check_miss && missing) {
-                    store_out!(*tensor, terms, *op, v);
-                }
-                pc += 1;
-            }
-            Instr::FoldWriteScalar { slot, bin, op, srcs, check_miss } => {
-                let v = fold(bin, srcs, f);
-                flops += srcs.len() as u64 - 1;
-                if !(*check_miss && missing) {
-                    store_scalar!(*slot, *op, v);
-                }
-                pc += 1;
-            }
             Instr::InitScalar { slot, val } => {
                 f[*slot] = *val;
                 pc += 1;
@@ -2474,37 +2286,6 @@ fn run_range<'a>(
                 let (lo_v, hi_v) = loop_window(u, lo, hi, i64::MAX, chunk, pc);
                 if let Some(drive) = rle_drive(fiber, vals[*tensor], u[*parent], lo_v, hi_v) {
                     vec_loop!(|lr| lr.run(items, *idx, &drive));
-                }
-                pc += 1;
-            }
-            Instr::VecIsectLoop {
-                tensor,
-                level: lv,
-                idx,
-                parent,
-                probe_tensor,
-                probe_level,
-                probe_parent,
-                lo,
-                hi,
-                items,
-            } => {
-                let fiber = level(levels, lvl_base, *tensor, *lv);
-                let (lo_v, hi_v) = loop_window(u, lo, hi, i64::MAX, chunk, pc);
-                if let Some(crd) = crd_drive(fiber, vals[*tensor], u[*parent], lo_v, hi_v) {
-                    // The probed fiber as a forward-only cursor — empty
-                    // when its own path prefix is unstored (every probe
-                    // misses, but the driver still iterates, as in the
-                    // interpreter). All three level formats probe
-                    // through the same cursor.
-                    let cur = match u[*probe_parent] {
-                        MISS => ProbeCur::Empty,
-                        pb => {
-                            ProbeCur::open(level(levels, lvl_base, *probe_tensor, *probe_level), pb)
-                        }
-                    };
-                    let probe = Probed { vals: vals[*probe_tensor], cur };
-                    vec_loop!(|lr| lr.run(items, *idx, &IsectDrive { crd, probe }));
                 }
                 pc += 1;
             }
@@ -2651,10 +2432,9 @@ fn execute_inner(
             };
             let bank = &mut ctx.banks(1)[0];
             bank.counters.reset(n_slots);
-            let Bank { u, f, vec_pass, gathers, ws, counters, .. } = bank;
+            let Bank { u, f, gathers, ws, counters, .. } = bank;
             run_range(
-                program, dense, vals, levels, outs, u, f, vec_pass, gathers, ws, counters, chunk,
-                lanes,
+                program, dense, vals, levels, outs, u, f, gathers, ws, counters, chunk, lanes,
             );
             bank.counters.write_to(program.tensors.iter().map(|t| t.name.as_str()), out_counters);
         }
@@ -2753,7 +2533,7 @@ fn run_parallel<'a>(
                     let identity = op.identity().expect("reduced outputs use reducing ops");
                     bank.reset_reduce(r, len, identity);
                 }
-                let Bank { u, f, vec_pass, gathers, ws, counters, reduce } = bank;
+                let Bank { u, f, gathers, ws, counters, reduce } = bank;
                 for (k, owned) in chunks {
                     let mut outs_t: OutTable<'_> = Scratch::new(program.n_outputs);
                     let w_outs = outs_t.as_mut_slice();
@@ -2772,7 +2552,6 @@ fn run_parallel<'a>(
                         w_outs,
                         u,
                         f,
-                        vec_pass,
                         gathers,
                         ws,
                         counters,

@@ -301,13 +301,13 @@ fn ssyrk_steady_state_is_allocation_free_in_both_lane_modes() {
 }
 
 #[test]
-fn several_passing_items_steady_state_is_allocation_free() {
-    // Two items of one vector loop whose guards both pass on the stored
-    // diagonal: the coordinate-major walk resolves both bodies into
-    // stack storage.
+fn exclusive_items_steady_state_is_allocation_free() {
+    // Two items of one vector loop under complementary guards: each
+    // entry finds the one that passes and resolves its body into stack
+    // storage.
     let items = Stmt::block([
         Stmt::guarded(
-            le("i", "j"),
+            ne("i", "j"),
             assign(access("C", ["i", "l"]), mul([scalar("a"), access("B", ["j", "l"]).into()])),
         ),
         Stmt::guarded(
@@ -328,9 +328,9 @@ fn several_passing_items_steady_state_is_allocation_free() {
     inputs.insert("B".to_string(), Tensor::Dense(DenseTensor::filled(vec![4, 3], 1.5)));
     let (kernel, outputs_init) = compile(&prog, &inputs);
     let dis = kernel.disassemble();
-    assert!(dis.contains("guard: [(Le, 0, 1)]") && dis.contains("guard: [(Eq, 0, 1)]"), "{dis}");
+    assert!(dis.contains("guard: [(Ne, 0, 1)]") && dis.contains("guard: [(Eq, 0, 1)]"), "{dis}");
     let mut outputs = outputs_init;
-    assert_steady_state_alloc_free(&kernel, &inputs, &mut outputs, ExecContext::new(), "several");
+    assert_steady_state_alloc_free(&kernel, &inputs, &mut outputs, ExecContext::new(), "exclusive");
 }
 
 #[test]

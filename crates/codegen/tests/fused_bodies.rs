@@ -5,16 +5,17 @@
 //! the bytecode VM (which takes the fused path) and the tree-walking
 //! interpreter (which has no fused path at all) — byte-identical in
 //! scalar lane mode, within 1e-9 in the default lane mode, counters
-//! exact in both — across storage formats and random data. A
-//! several-items ladder drives the coordinate-major walk of a loop
-//! whose guards overlap, and a fallback ladder proves non-conforming
-//! bodies stay off the vector path with identical results.
+//! exact in both — across storage formats and random data. An
+//! exclusive-items ladder drives a vector loop whose `==` / `!=` guards
+//! let at most one body run per entry, and fallback ladders prove that
+//! overlapping guards and other non-conforming bodies stay off the vector
+//! path with identical results.
 
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use systec_codegen::{CompiledKernel, ExecContext, LaneMode, Parallelism};
+use systec_codegen::{CompiledKernel, ExecContext, LaneMode, MergeKind, Parallelism};
 use systec_core::{CompileOptions, Compiler};
 use systec_exec::{
     alloc_outputs, hoist_conditions, lower, prepare_variants, run_lowered, Counters, LoweredProgram,
@@ -26,13 +27,13 @@ use systec_tensor::{CooTensor, DenseTensor, LevelFormat, SparseTensor, Tensor};
 
 /// Compiles `prog`, asserting every `needle` appears in the
 /// disassembly, then runs both backends on it ([`assert_backends_match`]).
-/// Returns the lane-mode outputs.
+/// Returns the disassembly.
 fn select_and_match(
     prog: &Stmt,
     inputs: &HashMap<String, Tensor>,
     needles: &[&str],
     label: &str,
-) -> HashMap<String, DenseTensor> {
+) -> String {
     let hoisted = hoist_conditions(prog.clone());
     let outputs_init = alloc_outputs(&hoisted, inputs).expect(label);
     let lowered = lower(&hoisted, inputs, &outputs_init).expect(label);
@@ -41,19 +42,20 @@ fn select_and_match(
     for needle in needles {
         assert!(dis.contains(needle), "{label}: expected {needle:?} in:\n{dis}");
     }
-    assert_backends_match(&lowered, &compiled, inputs, outputs_init, label)
+    assert_backends_match(&lowered, &compiled, inputs, outputs_init, label);
+    dis
 }
 
 /// The scalar-mode VM must be byte-identical to the interpreter, the
 /// lane-mode VM (the default) within 1e-9, and counters exact in both
-/// modes. Returns the lane-mode outputs.
+/// modes.
 fn assert_backends_match(
     lowered: &LoweredProgram,
     compiled: &CompiledKernel,
     inputs: &HashMap<String, Tensor>,
     outputs_init: HashMap<String, DenseTensor>,
     label: &str,
-) -> HashMap<String, DenseTensor> {
+) {
     let mut out_vm = outputs_init.clone();
     let c_vm = compiled.run(inputs, &mut out_vm).expect(label);
 
@@ -73,7 +75,6 @@ fn assert_backends_match(
     }
     assert_eq!(c_vm, c_interp, "{label}: lane-mode counter parity violated");
     assert_eq!(c_scalar, c_interp, "{label}: scalar-mode counter parity violated");
-    out_vm
 }
 
 /// Random sparse matrix with runs (so RunLength levels form runs).
@@ -321,8 +322,8 @@ fn workspace_dot_axpy_ladder() {
     }
 }
 
-/// The formats of the several-items ladder: compressed, hypersparse
-/// and run-length rows.
+/// The formats of the guarded-items ladders: compressed, hypersparse and
+/// run-length rows.
 const ROW_FORMATS: &[&[LevelFormat]] = &[
     &[LevelFormat::Dense, LevelFormat::Sparse],
     &[LevelFormat::Sparse, LevelFormat::Sparse],
@@ -349,57 +350,128 @@ fn diagonal_matrix_and_factor(
     ])
 }
 
-/// `let a = A[i,j]` around `for l: if i <= j: C[i,l] += a·B[j,l];
-/// if i == j: C[j,l] += a·B[i,l]` — the innermost `l` loop carries two items whose guards both pass on
-/// the diagonal, where they even store into the same cells: the bodies
-/// run coordinate-major, side by side, in interpreter order.
+/// `let a = A[i,j]` around `for l` over two guarded items:
+/// `{off}: C[i,l] += a·B[j,l]; if i == j: C[j,l] += a·B[i,l]`.
+fn guarded_items(off: systec_ir::Cond) -> Stmt {
+    let items = Stmt::block([
+        Stmt::guarded(
+            off,
+            assign(access("C", ["i", "l"]), mul([scalar("a"), access("B", ["j", "l"]).into()])),
+        ),
+        Stmt::guarded(
+            eq("i", "j"),
+            assign(access("C", ["j", "l"]), mul([scalar("a"), access("B", ["i", "l"]).into()])),
+        ),
+    ]);
+    Stmt::loops(
+        [idx("i"), idx("j")],
+        Stmt::Let {
+            name: "a".into(),
+            value: access("A", ["i", "j"]).into(),
+            body: Box::new(Stmt::loops([idx("l")], items)),
+        },
+    )
+}
+
+/// The MTTKRP shape: the innermost `l` loop carries two items whose
+/// guards are a comparison and its complement (`i != j`, or `j != i`,
+/// against `i == j`), so at most one passes per entry and the loop stays
+/// one vector loop that runs the passing body.
 #[test]
-fn several_items_ladder() {
+fn exclusive_items_stay_one_vector_loop() {
     for (k, formats) in ROW_FORMATS.iter().enumerate() {
         for seed in 0..6u64 {
             let mut r = StdRng::seed_from_u64(9700 + 100 * k as u64 + seed);
             let n = r.gen_range(3usize..9);
             // Factor widths on both sides of the lane cutover.
             let m = [3, 20][seed as usize % 2];
-            let items = Stmt::block([
-                Stmt::guarded(
-                    le("i", "j"),
-                    assign(
-                        access("C", ["i", "l"]),
-                        mul([scalar("a"), access("B", ["j", "l"]).into()]),
-                    ),
-                ),
-                Stmt::guarded(
-                    eq("i", "j"),
-                    assign(
-                        access("C", ["j", "l"]),
-                        mul([scalar("a"), access("B", ["i", "l"]).into()]),
-                    ),
-                ),
-            ]);
-            let prog = Stmt::loops(
-                [idx("i"), idx("j")],
-                Stmt::Let {
-                    name: "a".into(),
-                    value: access("A", ["i", "j"]).into(),
-                    body: Box::new(Stmt::loops([idx("l")], items)),
-                },
-            );
+            // Both operand orders of the `!=` guard.
+            let (off, guard) =
+                if seed < 3 { (ne("i", "j"), "(Ne, 0, 1)") } else { (ne("j", "i"), "(Ne, 1, 0)") };
             let inputs = diagonal_matrix_and_factor(n, m, formats, &mut r);
-            select_and_match(
-                &prog,
+            let dis = select_and_match(
+                &guarded_items(off),
                 &inputs,
-                &["VecDenseLoop", "guard: [(Le, 0, 1)]", "guard: [(Eq, 0, 1)]"],
-                &format!("several formats={formats:?} seed={seed}"),
+                &["VecDenseLoop", &format!("guard: [{guard}]"), "guard: [(Eq, 0, 1)]"],
+                &format!("exclusive formats={formats:?} seed={seed}"),
             );
+            assert_eq!(dis.matches("VecDenseLoop").count(), 1, "one vector loop:\n{dis}");
         }
     }
 }
 
-/// The same two guards, but the second item reads the scalar the first
-/// accumulates (`w += a·B[j,l]` / `C[j,l] += B[i,l]·w`): no
-/// entry-time snapshot of `w` serves the second item, so the loop is not
-/// vectorized at all — and still matches on the general path.
+/// `i <= j` and `i == j` both hold on the diagonal, where both items
+/// store into the same cells: no single body serves such an entry, so the
+/// loop runs on the general path — bit for bit the interpreter's, with
+/// exact counters, serially, on two threads, and merged from two and
+/// three chunks.
+#[test]
+fn overlapping_items_run_on_the_general_path() {
+    for (k, formats) in ROW_FORMATS.iter().enumerate() {
+        for seed in 0..6u64 {
+            let mut r = StdRng::seed_from_u64(9750 + 100 * k as u64 + seed);
+            let n = r.gen_range(3usize..9);
+            let m = [3, 20][seed as usize % 2];
+            let prog = guarded_items(le("i", "j"));
+            let inputs = diagonal_matrix_and_factor(n, m, formats, &mut r);
+            let label = format!("overlapping formats={formats:?} seed={seed}");
+            let kernel = assert_not_vectorized(&prog, &inputs, &label);
+
+            let hoisted = hoist_conditions(prog.clone());
+            let outputs_init = alloc_outputs(&hoisted, &inputs).expect(&label);
+            let mut want = outputs_init.clone();
+            let c_want = systec_exec::run(&prog, &inputs, &mut want).expect(&label);
+            for threads in [1, 2] {
+                let mut got = outputs_init.clone();
+                let mut c = Counters::new();
+                let par = Parallelism::threads(threads);
+                let mut ctx = ExecContext::new();
+                kernel.run_with(&inputs, &mut got, &mut ctx, par, &mut c).expect(&label);
+                assert_eq!(got, want, "{label}: {threads} thread(s)");
+                assert_eq!(c, c_want, "{label}: {threads} thread(s) counters");
+            }
+            let classes = kernel.split_outputs().expect("the row loop splits");
+            for n in [2, 3] {
+                let (got, c) = run_chunks(&kernel, &inputs, &outputs_init, &classes, n);
+                assert_eq!(got, want, "{label}: {n} chunks");
+                assert_eq!(c, c_want, "{label}: {n} chunks counters");
+            }
+        }
+    }
+}
+
+/// Runs every chunk of `n` serially and merges them per `classes`, chunk
+/// 0 seeding the outputs.
+fn run_chunks(
+    kernel: &CompiledKernel,
+    inputs: &HashMap<String, Tensor>,
+    outputs_init: &HashMap<String, DenseTensor>,
+    classes: &[(String, MergeKind)],
+    n: usize,
+) -> (HashMap<String, DenseTensor>, Counters) {
+    let mut merged: Option<HashMap<String, DenseTensor>> = None;
+    let mut counters = Counters::new();
+    for k in 0..n {
+        let mut outs = outputs_init.clone();
+        let mut c = Counters::new();
+        kernel.run_chunk_with(inputs, &mut outs, &mut ExecContext::new(), &mut c, k, n).unwrap();
+        counters.merge(&c);
+        let Some(acc) = merged.as_mut() else {
+            merged = Some(outs);
+            continue;
+        };
+        for (name, kind) in classes {
+            let (acc, part) = (acc.get_mut(name).unwrap(), &outs[name]);
+            kind.merge_into(acc.as_mut_slice(), part.as_slice(), part.dims(), k, n);
+        }
+    }
+    (merged.expect("at least one chunk"), counters)
+}
+
+/// Exclusive guards, but the second item reads the scalar the first
+/// accumulates (`w += a·B[j,l]` / `C[j,l] += B[i,l]·w`): the items are
+/// not independent, so the loop is not vectorized at all — and still
+/// matches on the general path.
 #[test]
 fn dependent_items_are_not_vectorized() {
     for (k, formats) in ROW_FORMATS.iter().enumerate() {
@@ -408,7 +480,7 @@ fn dependent_items_are_not_vectorized() {
             let n = r.gen_range(3usize..9);
             let items = Stmt::block([
                 Stmt::guarded(
-                    le("i", "j"),
+                    ne("i", "j"),
                     Stmt::Assign {
                         lhs: systec_ir::Lhs::Scalar("w".into()),
                         op: AssignOp::Add,
@@ -443,8 +515,12 @@ fn dependent_items_are_not_vectorized() {
 }
 
 /// Compiles `prog`, asserts no vector loop or row nest appears in its
-/// disassembly, and runs both backends on it.
-fn assert_not_vectorized(prog: &Stmt, inputs: &HashMap<String, Tensor>, label: &str) {
+/// disassembly, runs both backends on it, and returns the kernel.
+fn assert_not_vectorized(
+    prog: &Stmt,
+    inputs: &HashMap<String, Tensor>,
+    label: &str,
+) -> CompiledKernel {
     let hoisted = hoist_conditions(prog.clone());
     let outputs_init = alloc_outputs(&hoisted, inputs).expect(label);
     let lowered = lower(&hoisted, inputs, &outputs_init).expect(label);
@@ -455,6 +531,7 @@ fn assert_not_vectorized(prog: &Stmt, inputs: &HashMap<String, Tensor>, label: &
         "{label}: the loop must stay on the general path:\n{dis}"
     );
     assert_backends_match(&lowered, &compiled, inputs, outputs_init, label);
+    compiled
 }
 
 /// Bodies the vectorizer must refuse: a fold that reads the scalar slot

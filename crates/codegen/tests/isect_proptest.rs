@@ -1,7 +1,9 @@
-//! Property tests for the co-iteration vector loops (vendored proptest
-//! shim): adversarial coordinate patterns — empty fibers, disjoint
-//! sets, single-run RLE, duplicate-free scatter vs. dense-ish overlap —
-//! drive the two-way intersection and run-length vector loops, checked
+//! Property tests for co-iteration (vendored proptest shim): adversarial
+//! coordinate patterns — empty fibers, disjoint sets, single-run RLE,
+//! duplicate-free scatter vs. dense-ish overlap — drive a two-way
+//! intersection (on the general path: a compressed head over one fiber,
+//! a probe of the other per coordinate) and the run-length vector loop,
+//! checked
 //! against a plain scalar oracle computed from the raw coordinates and
 //! against the tree-walking interpreter (bit-equal values in scalar
 //! lane mode, 1e-9 in the default lane mode, exact counters in both).
@@ -77,8 +79,10 @@ fn run_both(prog: &Stmt, inputs: &HashMap<String, Tensor>, out: &str) -> f64 {
     out_scalar[out].get(&[])
 }
 
-/// The property cases must actually drive the vectorized loops, not a
-/// general-dispatch fallback.
+/// The property cases must drive the paths they are written for: the
+/// rank-1 dot, an intersection with no enclosing loop to scatter a
+/// workspace row in front of, merges on the general path; the run-length
+/// oracle expands through the run-length vector loop.
 #[test]
 fn oracle_programs_take_the_vector_paths() {
     let dot = Stmt::loops(
@@ -92,10 +96,10 @@ fn oracle_programs_take_the_vector_paths() {
     let outputs_init = alloc_outputs(&hoisted, &inputs).unwrap();
     let lowered = lower(&hoisted, &inputs, &outputs_init).unwrap();
     let compiled = CompiledKernel::compile(&lowered, &inputs, &outputs_init).unwrap();
+    let dis = compiled.disassemble();
     assert!(
-        compiled.disassemble().contains("VecIsect"),
-        "rank-1 dot must co-iterate through an intersection loop:\n{}",
-        compiled.disassemble()
+        dis.contains("SparseLoopHead") && dis.contains("Probe {") && !dis.contains("Vec"),
+        "rank-1 dot must co-iterate on the general path:\n{dis}"
     );
 
     let rle = Stmt::loops(
@@ -130,8 +134,9 @@ proptest! {
         let a = fiber(pattern_a, &raw_a, n, 0);
         let b = fiber(pattern_b, &raw_b, n, 1);
         // s[] += a[k] * b[k]: both rank-1 compressed fibers co-iterate
-        // at the root loop — the intersection vector loop, chunkable
-        // (the scalar output merges through per-worker buffers).
+        // at the root loop — a compressed head probing the other fiber,
+        // chunkable (the scalar output merges through per-worker
+        // buffers).
         let prog = Stmt::loops(
             [idx("k")],
             assign(

@@ -36,7 +36,10 @@
 //! (naive `C[i,j] += A[i,k]·B[j,k]`, row `i` of `A` fixed across the `j`
 //! loop). The `csr*dense-rle` and `csr*dense` intersections, a probe into
 //! a dense or run-length level and so no compressed fiber to drive from,
-//! run the generic runner at one lane.
+//! run on the general path — a compressed head over row `i` and a probe
+//! per coordinate, since a vector loop drives one fiber — so their census
+//! lines read `none`, and their output bits are the ones a merge would
+//! give: the general path folds in the same order at one lane.
 //!
 //! Regenerate after an *intentional* association or selection change
 //! with:

@@ -337,7 +337,8 @@ fn new_vector_paths_parallel_match() {
             inputs.insert("x".to_string(), random_dense_vec(n, &mut r));
 
             // Two-way intersection over two tensors (row-owned output):
-            // the general VecIsectLoop form (FoldOut body).
+            // workspace rows, or the general path's per-coordinate probe
+            // where the format leaves nothing to scatter.
             let isect = Einsum::new(
                 access("C", ["i", "j"]),
                 AssignOp::Add,

@@ -1,9 +1,9 @@
 //! Deterministic fault injection for the serve tier.
 //!
 //! A [`FaultPlan`] is a seeded schedule of failures wired into the
-//! seams of the serving stack: the accept/read/write sweeps of the
-//! event loop, the scheduler's dispatch path, the engine's kernel
-//! execution, and the durability journal's write path. Production
+//! seams of the serving stack: the read/write sweeps of the event loop,
+//! the scheduler's dispatch path, the engine's kernel execution, and the
+//! durability journal's write path. Production
 //! servers carry no plan (`Engine::fault_plan()` returns `None`) and
 //! every site costs a single `Option` load on that path; the chaos
 //! test tier installs a plan and replays the *same* fault schedule on
@@ -22,9 +22,6 @@ use std::time::Duration;
 /// A seam where a [`FaultPlan`] can force a failure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultSite {
-    /// Drop a just-accepted connection on the floor (simulated accept
-    /// failure — the client sees an immediate disconnect).
-    Accept,
     /// Treat a connection's read sweep as a hard socket error.
     ConnRead,
     /// Treat a connection's write sweep as a hard socket error.
@@ -46,8 +43,7 @@ pub enum FaultSite {
 /// All sites, in stable order. Index in this array is the site's
 /// stream/counter slot and the order of `faults_injected` samples in
 /// the metrics exposition.
-pub const FAULT_SITES: [FaultSite; 8] = [
-    FaultSite::Accept,
+pub const FAULT_SITES: [FaultSite; 7] = [
     FaultSite::ConnRead,
     FaultSite::ConnWrite,
     FaultSite::DispatchDelay,
@@ -61,7 +57,6 @@ impl FaultSite {
     /// Stable label used in metrics (`site="…"`).
     pub fn name(self) -> &'static str {
         match self {
-            FaultSite::Accept => "accept",
             FaultSite::ConnRead => "conn_read",
             FaultSite::ConnWrite => "conn_write",
             FaultSite::DispatchDelay => "dispatch_delay",

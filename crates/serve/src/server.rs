@@ -615,9 +615,6 @@ fn event_loop(
                 if draining {
                     continue; // shutting down: late connections drop
                 }
-                if faults.is_some_and(|p| p.fire(FaultSite::Accept)) {
-                    continue; // injected accept failure: drop the socket
-                }
                 if config.max_conns.is_some_and(|cap| conns.len() >= cap) {
                     service.refused(ErrorCode::AdmissionRejected);
                     reject_connection(stream, conns.len());

@@ -132,12 +132,12 @@ fn rank2_symmetric_kernels_match_the_interpreter() {
 
 #[test]
 fn generic_dots_fold_at_one_lane() {
-    // Two dots on the generic runner, each into the register-held cell
-    // `y[i]` over rows past the lane cutover, where a laned fold would
-    // reassociate: a dense mat-vec (no driver value, so no closed form)
-    // and a merge against a probe into a dense level (an intersection,
-    // which the workspace rewrite cannot re-drive). Both fold at one
-    // lane, in the interpreter's order.
+    // Two dots that run no closed form, each into `y[i]` over rows past
+    // the lane cutover, where a laned fold would reassociate: a dense
+    // mat-vec on the generic runner (no driver value, so no closed form)
+    // and a merge against a probe into a dense level (an intersection the
+    // workspace rewrite cannot re-drive, so it runs on the general path).
+    // Both fold at one lane, in the interpreter's order.
     let n = 48;
     let mut r = rng(15);
     let d = Tensor::Dense(random_dense(vec![n, n], &mut r));
