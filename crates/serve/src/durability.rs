@@ -38,7 +38,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fault::{FaultPlan, FaultSite};
-use crate::json::Json;
+use crate::json::{Cells, Document, Json};
 use crate::protocol::{dims_json, usize_array, TensorPayload};
 use crate::wire::{opt, Obj, Wire as _};
 
@@ -111,13 +111,23 @@ impl Record {
     /// Parses a record payload; `None` for anything malformed (the
     /// caller treats it as a torn tail).
     pub fn decode(text: &str) -> Option<Record> {
-        let json = Json::parse(text).ok()?;
-        let name = || opt::<String>(&json, "name").ok().flatten();
+        let Document { tree, mut cells } = Document::parse(text, TensorPayload::KEYS).ok()?;
+        Record::read(&tree, &mut cells)
+    }
+
+    /// Decodes a record payload already parsed into a tree: the same
+    /// record, or `None`, as [`Record::decode`] of its text.
+    pub fn from_json(json: &Json) -> Option<Record> {
+        Record::read(json, &mut Vec::new())
+    }
+
+    fn read(json: &Json, cells: &mut Vec<(&'static str, Cells)>) -> Option<Record> {
+        let name = || opt::<String>(json, "name").ok().flatten();
         match json.get("rec")?.as_str()? {
             "register" => {
-                let dims = usize_array(&json, "dims").ok()?;
-                let generation = opt(&json, "generation").ok()??;
-                let payload = TensorPayload::from_json(&json, dims.len()).ok()?;
+                let dims = usize_array(json, "dims").ok()?;
+                let generation = opt(json, "generation").ok()??;
+                let payload = TensorPayload::read(json, cells, dims.len()).ok()?;
                 Some(Record::Register { name: name()?, dims, generation, payload })
             }
             "unregister" => Some(Record::Unregister { name: name()? }),
@@ -340,7 +350,9 @@ mod tests {
                 name: "s".into(),
                 dims: vec![3, 3],
                 generation: 0,
-                payload: TensorPayload::Coo(vec![(vec![0, 1], 2.0), (vec![2, 2], f64::INFINITY)]),
+                payload: TensorPayload::Coo(
+                    [(vec![0, 1], 2.0), (vec![2, 2], f64::INFINITY)].into_iter().collect(),
+                ),
             },
             Record::Unregister { name: "gone".into() },
             Record::Generations { generations: vec![("a".into(), 7), ("weird\nname".into(), 0)] },

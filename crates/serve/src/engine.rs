@@ -253,8 +253,9 @@ impl Engine {
         if name.is_empty() {
             return Err(EngineError::new(ErrorCode::BadTensor, "tensor name must be non-empty"));
         }
-        let (data, nnz) = build_tensor(dims, payload, format)
-            .map_err(|message| EngineError::new(ErrorCode::BadTensor, message))?;
+        let (data, nnz) = build_tensor(dims, payload, format, |bytes| {
+            self.tensors.admit(name, bytes, &self.serve)
+        })?;
         let generation =
             self.tensors.register(name, data, self.fault_plan.as_deref(), &self.serve)?;
         self.kernels.retire_stale(name, generation);
@@ -557,7 +558,7 @@ mod tests {
         let resp = engine.handle(&Request::RegisterTensor {
             name: name.into(),
             dims: dims.to_vec(),
-            payload: TensorPayload::Coo(entries.to_vec()),
+            payload: TensorPayload::Coo(entries.iter().cloned().collect()),
             format: StorageFormat::Auto,
             placement: Placement::Hash,
         });
@@ -913,6 +914,55 @@ mod tests {
                 assert_eq!(got, message);
             }
         }
+        // Shapes no allocation can hold are refused before anything is
+        // packed. The first two lines used to abort the worker — a failed
+        // allocation is not a panic — and the third, whose element count
+        // wraps to 0 in 64 bits, used to register. The worker keeps
+        // serving after each.
+        for (line, message) in [
+            (
+                r#"{"op":"register_tensor","name":"A","dims":[1000000000000,1],"coo":[[0,0,1]]}"#,
+                "dims [1000000000000, 1] need 8000000000032 bytes, which cannot be reserved",
+            ),
+            (
+                r#"{"op":"register_tensor","name":"A","dims":[100000000,100000000],"coo":[[0,0,1]],"format":"dense"}"#,
+                "dims [100000000, 100000000] need 80000000000000000 bytes, which cannot be reserved",
+            ),
+            (
+                r#"{"op":"register_tensor","name":"A","dims":[4294967296,4294967296],"dense":[]}"#,
+                "the storage for dims [4294967296, 4294967296] overflows",
+            ),
+        ] {
+            let resp = engine.handle(&Request::decode(line).expect("a well-formed request"));
+            let Response::Error { code: ErrorCode::BadTensor, message: got, .. } = &resp else {
+                panic!("{line}: {resp:?}")
+            };
+            assert_eq!(got, message);
+            assert_eq!(engine.handle(&Request::Ping), Response::Pong);
+        }
+    }
+
+    #[test]
+    fn a_huge_root_is_charged_before_it_is_built() {
+        // A compressed tensor holds its root's `dims[0] + 1` positions
+        // however few entries it stores: the cap refuses this one before
+        // packing it (8 000 008 bytes of root for one entry), and admits
+        // the same entry under a small root.
+        let engine = Engine::new().with_max_registered_bytes(1000);
+        let resp = engine.handle(&Request::RegisterTensor {
+            name: "A".into(),
+            dims: vec![1_000_000, 2],
+            payload: TensorPayload::Coo([(vec![0, 1], 1.0)].into_iter().collect()),
+            format: StorageFormat::Auto,
+            placement: Placement::Hash,
+        });
+        let Response::Error { code: ErrorCode::AdmissionRejected, message, .. } = &resp else {
+            panic!("{resp:?}")
+        };
+        assert!(message.contains("(8000008 bytes)"), "{message}");
+        register(&engine, "A", &[4, 2], &[(vec![0, 1], 1.0)]);
+        let Response::Stats { serve, .. } = engine.handle(&Request::Stats) else { panic!() };
+        assert_eq!((serve.registry_bytes, serve.rejected_bytes), (40, 1), "the root of 4 rows");
     }
 
     #[test]

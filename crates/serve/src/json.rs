@@ -16,6 +16,13 @@
 //!   malformed text returns [`JsonError`] (never panics), trailing
 //!   garbage after the top-level value is an error, and nesting deeper
 //!   than [`MAX_DEPTH`] is rejected instead of overflowing the stack.
+//! * Bulk numbers skip the tree: [`Document::parse`] reads the named
+//!   top-level fields of an object straight into flat [`Cells`] when
+//!   they are numeric arrays (a `register_tensor`'s `coo` rows or
+//!   `dense` values), with no `Json` node per number and no `Vec` per
+//!   row. Anything else under those names parses into the tree exactly
+//!   as [`Json::parse`] would, so its errors and their offsets are
+//!   unchanged.
 
 use std::fmt;
 
@@ -67,7 +74,7 @@ impl Json {
     /// Returns a [`JsonError`] for malformed, truncated, or
     /// too-deeply-nested input.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -101,16 +108,10 @@ impl Json {
         }
     }
 
-    /// The numeric payload as an exact non-negative integer (rejects
-    /// fractions, negatives, and magnitudes above 2^53 where `f64`
-    /// stops being exact).
+    /// The numeric payload as an exact non-negative integer (see
+    /// [`exact_u64`]).
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n) {
-            Some(n as u64)
-        } else {
-            None
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// [`Json::as_u64`] narrowed to `usize`.
@@ -140,6 +141,72 @@ impl Json {
             Json::Obj(pairs) => Some(pairs),
             _ => None,
         }
+    }
+}
+
+/// `n` as an exact non-negative integer: `None` for fractions,
+/// negatives, non-finite values and magnitudes above 2^53, where `f64`
+/// stops being exact.
+pub fn exact_u64(n: f64) -> Option<u64> {
+    // In range, `as` truncates toward zero, so the round trip holds
+    // exactly for the integers (and -0, which reads as 0).
+    let int = n as u64;
+    ((0.0..=9_007_199_254_740_992.0).contains(&n) && int as f64 == n).then_some(int)
+}
+
+/// A numeric array read without a tree: `width` numbers a row, row
+/// after row, in one flat buffer.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Cells {
+    /// `None` for a flat `[v, …]`; `Some(w)` for rows `[[c…, v], …]`
+    /// of `w ≥ 1` numbers each.
+    pub width: Option<usize>,
+    /// The numbers, row-major. A `"inf"`, `"-inf"` or `"nan"` string —
+    /// the spelling of a non-finite value on the wire and in journal
+    /// records — reads as that `f64`.
+    pub values: Vec<f64>,
+}
+
+/// A JSON value whose named top-level object fields were read as
+/// [`Cells`] where they could be.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Document {
+    /// Everything that was not read as cells.
+    pub tree: Json,
+    /// The first field under each requested key whose value is a
+    /// numeric array (flat, or rows of one width ≥ 1), in input order.
+    /// Such a field is absent from `tree`; a later field with the same
+    /// key, or one that is not cell-shaped, stays in `tree`.
+    pub cells: Vec<(&'static str, Cells)>,
+}
+
+impl Document {
+    /// Parses like [`Json::parse`] — same acceptance, same errors at
+    /// the same offsets — but reads each top-level field named in
+    /// `keys` into [`Cells`] when it is cell-shaped. A number cell goes
+    /// through the same reader as a tree number, so it decodes to the
+    /// same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] for malformed, truncated, or
+    /// too-deeply-nested input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` names more than 64 fields.
+    pub fn parse(input: &str, keys: &[&'static str]) -> Result<Document, JsonError> {
+        assert!(keys.len() <= 64, "at most 64 cell fields");
+        let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
+        let mut cells = Vec::new();
+        p.skip_ws();
+        let tree =
+            if p.peek() == Some(b'{') { p.object(0, keys, &mut cells)? } else { p.value(0)? };
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing characters after the value"));
+        }
+        Ok(Document { tree, cells })
     }
 }
 
@@ -195,6 +262,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 }
 
 struct Parser<'a> {
+    /// The input, for slicing out number text without re-validating it.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -264,46 +333,172 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.value(depth + 1)?;
-                    pairs.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(pairs));
-                        }
-                        _ => return Err(self.err("expected `,` or `}`")),
-                    }
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => self.object(depth, &[], &mut Vec::new()),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
+    /// An object at `pos` (at `depth`); its fields named in `keys` are
+    /// read into `cells` where they are cell-shaped (see
+    /// [`Document::parse`]).
+    fn object(
+        &mut self,
+        depth: usize,
+        keys: &[&'static str],
+        cells: &mut Vec<(&'static str, Cells)>,
+    ) -> Result<Json, JsonError> {
+        self.expect(b'{')?;
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
             self.pos += 1;
+            return Ok(Json::Obj(pairs));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-UTF-8 number"))?;
+        // Only a key's first occurrence is eligible: it is the one
+        // `Json::get` would find.
+        let mut seen = 0u64;
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let wanted = keys.iter().position(|k| *k == key).filter(|&at| {
+                let first = seen & (1 << at) == 0;
+                seen |= 1 << at;
+                first
+            });
+            // Cells sit three levels below the object, far inside
+            // MAX_DEPTH for a top-level one.
+            match wanted.and_then(|at| Some((keys[at], self.cells()?))) {
+                Some(read) => cells.push(read),
+                None => {
+                    let value = self.value(depth + 1)?;
+                    pairs.push((key, value));
+                }
+            }
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(pairs));
+                }
+                _ => return Err(self.err("expected `,` or `}`")),
+            }
+        }
+    }
+
+    /// Reads a numeric array at `pos` into [`Cells`]. `None`, with
+    /// `pos` left where it was, for anything else — a ragged or empty
+    /// row, a non-number cell, a syntax error — which the caller then
+    /// parses as a tree.
+    fn cells(&mut self) -> Option<Cells> {
+        let start = self.pos;
+        let read = self.try_cells();
+        if read.is_none() {
+            self.pos = start;
+        }
+        read
+    }
+
+    fn try_cells(&mut self) -> Option<Cells> {
+        self.skip_ws();
+        self.eat(b'[')?;
+        self.skip_ws();
+        let mut values = Vec::new();
+        if self.eat(b']').is_some() {
+            return Some(Cells { width: None, values });
+        }
+        if self.peek() != Some(b'[') {
+            self.row(&mut values)?;
+            return Some(Cells { width: None, values });
+        }
+        let mut width = None;
+        loop {
+            self.skip_ws();
+            self.eat(b'[')?;
+            let w = self.row(&mut values)?;
+            if *width.get_or_insert(w) != w {
+                return None;
+            }
+            if self.list_end()? {
+                return Some(Cells { width, values });
+            }
+        }
+    }
+
+    /// The cells of a non-empty list, up to and past its `]`, onto
+    /// `values`; returns how many.
+    fn row(&mut self, values: &mut Vec<f64>) -> Option<usize> {
+        let start = values.len();
+        loop {
+            values.push(self.cell()?);
+            if self.list_end()? {
+                return Some(values.len() - start);
+            }
+        }
+    }
+
+    /// One cell: a number, or a non-finite value's string.
+    fn cell(&mut self) -> Option<f64> {
+        self.skip_ws();
+        match self.peek()? {
+            b'-' | b'0'..=b'9' => self.number().ok(),
+            b'"' => {
+                let spellings = [
+                    (&b"\"inf\""[..], f64::INFINITY),
+                    (&b"\"-inf\""[..], f64::NEG_INFINITY),
+                    (&b"\"nan\""[..], f64::NAN),
+                ];
+                let rest = &self.bytes[self.pos..];
+                let (text, v) = spellings.into_iter().find(|(text, _)| rest.starts_with(text))?;
+                self.pos += text.len();
+                Some(v)
+            }
+            _ => None,
+        }
+    }
+
+    /// After an array element: `Some(false)` past a `,`, `Some(true)`
+    /// past the closing `]`, `None` for anything else.
+    fn list_end(&mut self) -> Option<bool> {
+        self.skip_ws();
+        let end = match self.peek()? {
+            b',' => false,
+            b']' => true,
+            _ => return None,
+        };
+        self.pos += 1;
+        Some(end)
+    }
+
+    /// Consumes `b` if it is next.
+    fn eat(&mut self, b: u8) -> Option<()> {
+        (self.peek() == Some(b)).then(|| self.pos += 1)
+    }
+
+    /// A number at `pos`: the run of number characters, through
+    /// `str::parse`. A run of at most 15 digits alone is an integer below
+    /// 2^53, which `str::parse` returns exactly, so it is summed in the
+    /// scan instead — the same bits, without the float parser.
+    fn number(&mut self) -> Result<f64, JsonError> {
+        let start = self.pos;
+        let (mut int, mut digits) = (0u64, 0usize);
+        for &c in self.bytes[start..].iter().take_while(|c| c.is_ascii_digit()) {
+            int = int.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+            digits += 1;
+        }
+        self.pos += digits;
+        let more = |c: &u8| matches!(c, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9');
+        if digits <= 15 && !self.peek().is_some_and(|c| more(&c)) {
+            return Ok(int as f64);
+        }
+        self.pos += self.bytes[self.pos..].iter().take_while(|c| more(c)).count();
+        // Number characters are ASCII, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(n) if n.is_finite() => Ok(n),
             _ => Err(self.err(format!("invalid number `{text}`"))),
         }
     }
@@ -472,6 +667,13 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Num(1.5).as_u64(), None, "fractions are not integers");
         assert_eq!(Json::Num(-1.0).as_u64(), None, "negatives are not u64");
+        let top = 9_007_199_254_740_992.0;
+        for (n, want) in [(-0.0, Some(0)), (top, Some(1 << 53)), (top + 2.0, None), (0.5, None)] {
+            assert_eq!(exact_u64(n), want, "{n}");
+        }
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, 1e300] {
+            assert_eq!(exact_u64(n), None, "{n}");
+        }
     }
 
     #[test]
@@ -500,6 +702,23 @@ mod tests {
             "\"\u{1}\"",
         ] {
             assert!(Json::parse(bad).is_err(), "`{bad}` must not parse");
+        }
+    }
+
+    #[test]
+    fn integer_runs_decode_to_the_bits_str_parse_gives() {
+        let mut n = 1u64;
+        let mut texts: Vec<String> = ["0", "007", "999999999999999", "1000000000000000"]
+            .into_iter()
+            .map(String::from)
+            .collect();
+        while n < 1 << 60 {
+            texts.extend([n - 1, n, n + 1].map(|k| k.to_string()));
+            n = n * 3 + 1;
+        }
+        for text in texts {
+            let parsed = Json::parse(&text).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), text.parse::<f64>().unwrap().to_bits(), "{text}");
         }
     }
 

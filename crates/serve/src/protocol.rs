@@ -52,6 +52,14 @@
 //! and field list): to add a field, a code or a metric family, add its
 //! line here. Only `register_tensor`'s `dense`-xor-`coo` payload, the
 //! `shard` range check and the hot `run` reply are written out by hand.
+//! The payload is also the one field that skips the `Json` tree: a
+//! request line (and a journal record) parses through
+//! [`Document::parse`], which reads a cell-shaped `coo` or `dense`
+//! array straight into one flat `f64` buffer, and [`TensorPayload`]
+//! takes it from there into [`CooEntries`]' two flat buffers — no node
+//! and no `Vec` per entry. Any other shape under those keys stays in the
+//! tree and decodes exactly as before, so [`Request::from_json`] is the
+//! differential oracle of [`Request::decode`].
 //!
 //! Determinism: run responses contain **no timing** (latency lives in
 //! `stats` medians), output/counter maps are serialized in sorted name
@@ -65,7 +73,7 @@ use systec_codegen::{Counters, MergeKind};
 use systec_ir::AssignOp;
 use systec_telemetry::prom::{counter, gauge, Metric};
 
-use crate::json::Json;
+use crate::json::{exact_u64, Cells, Document, Json};
 use crate::wire::{need, opt, pairs_from_json, pairs_to_json, Field, Obj, Wire};
 use crate::{record, wire_enum};
 
@@ -158,13 +166,79 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// Tensor data carried by `register_tensor`.
+/// Tensor data carried by `register_tensor` and by a durable
+/// `register` record.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TensorPayload {
     /// Row-major dense values (`dense` field).
     Dense(Vec<f64>),
-    /// Coordinate entries `[c0, …, ck, value]` (`coo` field).
-    Coo(Vec<(Vec<usize>, f64)>),
+    /// Coordinate entries `[c0, …, ck, value]` (`coo` field), held flat.
+    Coo(CooEntries),
+}
+
+/// Sparse entries in two flat buffers, as the wire's `coo` rows decode
+/// and as the tensor builder reads them: entry `k` is
+/// `coords[k·r .. (k+1)·r]` with value `vals[k]`, where the arity `r`
+/// is `coords.len() / vals.len()` — the tensor's rank for a decoded
+/// payload, checked against `dims` when the tensor is built.
+///
+/// Collects from `(coords, value)` pairs:
+///
+/// ```
+/// use systec_serve::protocol::CooEntries;
+///
+/// let coo: CooEntries = [(vec![0, 1], 2.5), (vec![1, 0], 2.5)].into_iter().collect();
+/// assert_eq!(coo.coords, [0, 1, 1, 0]);
+/// assert_eq!(coo.iter().nth(1), Some((&[1, 0][..], 2.5)));
+/// ```
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CooEntries {
+    /// Every entry's coordinates, entry-major.
+    pub coords: Vec<usize>,
+    /// One value per entry.
+    pub vals: Vec<f64>,
+}
+
+impl CooEntries {
+    /// The number of entries.
+    pub fn len(&self) -> usize {
+        self.vals.len()
+    }
+
+    /// `true` when there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.vals.is_empty()
+    }
+
+    /// Coordinates per entry (0 when there are no entries).
+    pub fn arity(&self) -> usize {
+        self.coords.len().checked_div(self.len()).unwrap_or(0)
+    }
+
+    /// `(coords, value)` per entry, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[usize], f64)> + '_ {
+        let r = self.arity();
+        self.vals.iter().enumerate().map(move |(k, &v)| (&self.coords[k * r..(k + 1) * r], v))
+    }
+}
+
+/// # Panics
+///
+/// Panics if two entries have different coordinate counts.
+impl FromIterator<(Vec<usize>, f64)> for CooEntries {
+    fn from_iter<I: IntoIterator<Item = (Vec<usize>, f64)>>(entries: I) -> Self {
+        let mut coo = CooEntries::default();
+        for (coords, v) in entries {
+            assert!(
+                coo.is_empty() || coords.len() == coo.arity(),
+                "every entry needs {} coordinates, got {coords:?}",
+                coo.arity()
+            );
+            coo.coords.extend_from_slice(&coords);
+            coo.vals.push(v);
+        }
+        coo
+    }
 }
 
 wire_enum! {
@@ -814,47 +888,94 @@ pub(crate) fn values_json(values: &[f64]) -> Json {
 /// The `dense`-xor-`coo` field a `register_tensor` request and a durable
 /// `register` record both carry.
 impl TensorPayload {
+    /// The fields the payload may sit in: a line decodes them as
+    /// [`Cells`] when they are cell-shaped.
+    pub(crate) const KEYS: &'static [&'static str] = &["dense", "coo"];
+
     pub(crate) fn to_json(&self) -> (&'static str, Json) {
         match self {
             TensorPayload::Dense(values) => ("dense", values_json(values)),
-            TensorPayload::Coo(entries) => {
-                let entry = |(coords, v): &(Vec<usize>, f64)| {
+            TensorPayload::Coo(coo) => {
+                let entry = |(coords, v): (&[usize], f64)| {
                     let mut item: Vec<Json> = coords.iter().map(|&c| Json::num_usize(c)).collect();
-                    item.push(value_json(*v));
+                    item.push(value_json(v));
                     Json::Arr(item)
                 };
-                ("coo", Json::Arr(entries.iter().map(entry).collect()))
+                ("coo", Json::Arr(coo.iter().map(entry).collect()))
             }
         }
     }
 
-    /// Reads the field off `json`, an object describing a rank-`rank`
-    /// tensor.
-    pub(crate) fn from_json(json: &Json, rank: usize) -> Result<TensorPayload, ProtoError> {
-        match (json.get("dense"), json.get("coo")) {
-            (Some(d), None) => Ok(TensorPayload::Dense(f64_array(d, "dense")?)),
+    /// Reads the field off an object describing a rank-`rank` tensor:
+    /// from `cells` where [`Document::parse`] read it there, else from
+    /// `json`. Either way a field decodes to the same payload or fails
+    /// with the same message.
+    pub(crate) fn read(
+        json: &Json,
+        cells: &mut Vec<(&'static str, Cells)>,
+        rank: usize,
+    ) -> Result<TensorPayload, ProtoError> {
+        // `Ok`: the field was read as cells; `Err`: it is a tree node.
+        let mut field = |key: &str| match cells.iter().position(|(k, _)| *k == key) {
+            Some(at) => Some(Ok(cells.swap_remove(at).1)),
+            None => json.get(key).map(Err),
+        };
+        match (field("dense"), field("coo")) {
+            (Some(Ok(Cells { width: None, values })), None) => Ok(TensorPayload::Dense(values)),
+            (Some(Ok(_)), None) => Err(ProtoError::new("`dense` must hold numeric values")),
+            (Some(Err(d)), None) => Ok(TensorPayload::Dense(f64_array(d, "dense")?)),
             (None, Some(c)) => {
-                let rows = c.as_arr().ok_or_else(|| ProtoError::new("`coo` must be an array"))?;
-                let coord = |c: &Json| {
-                    let bad = "`coo` coordinates must be non-negative integers";
-                    c.as_usize().ok_or_else(|| ProtoError::new(bad))
+                let entry_shape = || {
+                    ProtoError::new(format!(
+                        "each `coo` entry must be an array of {rank} coordinates + a value"
+                    ))
                 };
-                let entry = |row: &Json| {
-                    let cells = row.as_arr().filter(|cells| cells.len() == rank + 1);
-                    let cells = cells.ok_or_else(|| {
-                        ProtoError::new(format!(
-                            "each `coo` entry must be an array of {rank} coordinates + a value"
-                        ))
-                    })?;
-                    let coords = cells[..rank].iter().map(coord).collect::<Result<_, _>>()?;
-                    let v = value_from_json(&cells[rank])
-                        .ok_or_else(|| ProtoError::new("`coo` values must be numbers"))?;
-                    Ok((coords, v))
-                };
-                Ok(TensorPayload::Coo(rows.iter().map(entry).collect::<Result<_, _>>()?))
+                let mut coo = CooEntries::default();
+                match c {
+                    Ok(Cells { values, .. }) if values.is_empty() => {}
+                    Ok(Cells { width, values }) if width == Some(rank + 1) => {
+                        coo.coords.reserve_exact(values.len() / (rank + 1) * rank);
+                        coo.vals.reserve_exact(values.len() / (rank + 1));
+                        for row in values.chunks_exact(rank + 1) {
+                            coo.push_row(row, |&v| Some(v))?;
+                        }
+                    }
+                    Ok(_) => return Err(entry_shape()),
+                    Err(rows) => {
+                        let rows = rows
+                            .as_arr()
+                            .ok_or_else(|| ProtoError::new("`coo` must be an array"))?;
+                        for row in rows {
+                            let row = row.as_arr().filter(|cells| cells.len() == rank + 1);
+                            coo.push_row(row.ok_or_else(entry_shape)?, value_from_json)?;
+                        }
+                    }
+                }
+                Ok(TensorPayload::Coo(coo))
             }
             _ => Err(ProtoError::new("register_tensor needs exactly one of `dense` or `coo`")),
         }
+    }
+}
+
+impl CooEntries {
+    /// Appends one `[c0, …, ck, value]` row whose cells `number` reads:
+    /// the coordinates must be exact non-negative integers, checked
+    /// left to right before the value.
+    fn push_row<T>(
+        &mut self,
+        row: &[T],
+        number: impl Fn(&T) -> Option<f64>,
+    ) -> Result<(), ProtoError> {
+        let (value, coords) = row.split_last().expect("a row holds its value");
+        for c in coords {
+            let c = number(c).and_then(exact_u64).and_then(|c| usize::try_from(c).ok());
+            let bad = "`coo` coordinates must be non-negative integers";
+            self.coords.push(c.ok_or_else(|| ProtoError::new(bad))?);
+        }
+        let v = number(value).ok_or_else(|| ProtoError::new("`coo` values must be numbers"))?;
+        self.vals.push(v);
+        Ok(())
     }
 }
 
@@ -900,34 +1021,49 @@ impl Request {
     /// Returns a [`ProtoError`] describing the malformation; never
     /// panics, whatever the input.
     pub fn decode(line: &str) -> Result<Request, ProtoError> {
-        let json = Json::parse(line).map_err(|e| ProtoError::new(e.to_string()))?;
+        let Document { tree, mut cells } = Document::parse(line, TensorPayload::KEYS)
+            .map_err(|e| ProtoError::new(e.to_string()))?;
+        Request::read(&tree, &mut cells)
+    }
+
+    /// Decodes a request already parsed into a tree: the same request,
+    /// or the same error, as [`Request::decode`] of its line.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ProtoError`] describing the malformation.
+    pub fn from_json(json: &Json) -> Result<Request, ProtoError> {
+        Request::read(json, &mut Vec::new())
+    }
+
+    fn read(json: &Json, cells: &mut Vec<(&'static str, Cells)>) -> Result<Request, ProtoError> {
         let op = json
             .get("op")
             .and_then(Json::as_str)
             .ok_or_else(|| ProtoError::new("request object needs a string `op` field"))?;
         match op {
             "register_tensor" => {
-                let name = require_str(&json, "name")?;
-                let dims = usize_array(&json, "dims")?;
-                let payload = TensorPayload::from_json(&json, dims.len())?;
-                let format = opt(&json, "format")?.unwrap_or_default();
-                let placement = opt(&json, "placement")?.unwrap_or_default();
+                let name = require_str(json, "name")?;
+                let dims = usize_array(json, "dims")?;
+                let payload = TensorPayload::read(json, cells, dims.len())?;
+                let format = opt(json, "format")?.unwrap_or_default();
+                let placement = opt(json, "placement")?.unwrap_or_default();
                 Ok(Request::RegisterTensor { name, dims, payload, format, placement })
             }
-            "unregister" => Ok(Request::Unregister { name: require_str(&json, "name")? }),
+            "unregister" => Ok(Request::Unregister { name: require_str(json, "name")? }),
             "prepare" => Ok(Request::Prepare {
-                einsum: require_str(&json, "einsum")?,
-                sym: opt(&json, "sym")?.unwrap_or_default(),
-                inputs: opt(&json, "inputs")?.unwrap_or_default(),
-                variant: opt(&json, "variant")?.unwrap_or_default(),
-                threads: opt(&json, "threads")?,
-                sharded: opt(&json, "sharded")?.unwrap_or_default(),
+                einsum: require_str(json, "einsum")?,
+                sym: opt(json, "sym")?.unwrap_or_default(),
+                inputs: opt(json, "inputs")?.unwrap_or_default(),
+                variant: opt(json, "variant")?.unwrap_or_default(),
+                threads: opt(json, "threads")?,
+                sharded: opt(json, "sharded")?.unwrap_or_default(),
             }),
             "run" => {
                 let kernel =
-                    need(&json, "kernel", || "run needs an integer `kernel` handle".into())?;
-                let full = opt(&json, "full")?.unwrap_or_default();
-                let shard: Option<(u64, u64)> = opt(&json, "shard")?;
+                    need(json, "kernel", || "run needs an integer `kernel` handle".into())?;
+                let full = opt(json, "full")?.unwrap_or_default();
+                let shard: Option<(u64, u64)> = opt(json, "shard")?;
                 if let Some((k, n)) = shard.filter(|(k, n)| k >= n) {
                     return Err(ProtoError::new(format!(
                         "`shard` ordinal {k} of {n} is out of range"
@@ -1168,7 +1304,9 @@ mod tests {
             Request::RegisterTensor {
                 name: "A".into(),
                 dims: vec![4, 4],
-                payload: TensorPayload::Coo(vec![(vec![0, 1], 2.5), (vec![1, 0], 2.5)]),
+                payload: TensorPayload::Coo(
+                    [(vec![0, 1], 2.5), (vec![1, 0], 2.5)].into_iter().collect(),
+                ),
                 format: StorageFormat::Auto,
                 placement: Placement::Hash,
             },

@@ -23,7 +23,7 @@ use systec_tensor::{csf, DenseTensor, Entries, SparseTensor, Tensor};
 use crate::durability::{Durability, Record};
 use crate::engine::EngineError;
 use crate::fault::FaultPlan;
-use crate::protocol::{ErrorCode, ServeMetrics, StorageFormat, TensorPayload};
+use crate::protocol::{CooEntries, ErrorCode, ServeMetrics, StorageFormat, TensorPayload};
 use crate::relock;
 
 /// One registry transition. Live requests, journal replay and snapshots
@@ -54,9 +54,15 @@ impl Mutation {
                 payload: match &**data {
                     Tensor::Dense(d) => TensorPayload::Dense(d.as_slice().to_vec()),
                     Tensor::Sparse(s) => {
-                        let mut entries = Vec::with_capacity(s.nnz());
-                        s.for_each_entry(|coords, v| entries.push((coords.to_vec(), v)));
-                        TensorPayload::Coo(entries)
+                        let mut coo = CooEntries {
+                            coords: Vec::with_capacity(s.nnz() * s.rank()),
+                            vals: Vec::with_capacity(s.nnz()),
+                        };
+                        s.for_each_entry(|coords, v| {
+                            coo.coords.extend_from_slice(coords);
+                            coo.vals.push(v);
+                        });
+                        TensorPayload::Coo(coo)
                     }
                 },
             },
@@ -73,7 +79,8 @@ impl Mutation {
     fn from_record(record: Record) -> Option<Mutation> {
         Some(match record {
             Record::Register { name, dims, generation, payload } => {
-                let (data, _) = build_tensor(&dims, &payload, StorageFormat::Auto).ok()?;
+                let (data, _) =
+                    build_tensor(&dims, &payload, StorageFormat::Auto, |_| Ok(())).ok()?;
                 Mutation::Register { name, generation, data: Arc::new(data) }
             }
             Record::Unregister { name } => Mutation::Unregister { name },
@@ -84,15 +91,42 @@ impl Mutation {
 
 /// Validates a `register_tensor` payload and packs it into the requested
 /// storage; also returns the `nnz` the reply reports (every element of a
-/// dense tensor, the stored entries of a sparse one). The error is the
-/// `bad_tensor` message.
+/// dense tensor, the stored entries of a sparse one).
+///
+/// Nothing is packed before it is known to fit: the storage the target
+/// format needs is summed with checked arithmetic and reserved once
+/// (then released) before any tensor buffer is allocated, so a shape no
+/// allocation can hold — which would abort the process, not panic —
+/// is refused as `bad_tensor`. Once the payload has validated, `admit`
+/// is charged the bytes the packed tensor holds at least
+/// ([`floor_bytes`]) and may refuse before anything is packed.
 pub(crate) fn build_tensor(
     dims: &[usize],
     payload: &TensorPayload,
     format: StorageFormat,
-) -> Result<(Tensor, u64), String> {
+    admit: impl FnOnce(u64) -> Result<(), EngineError>,
+) -> Result<(Tensor, u64), EngineError> {
+    let bad = |message: String| EngineError::new(ErrorCode::BadTensor, message);
     if dims.is_empty() || dims.contains(&0) {
-        return Err(format!("dims must be non-empty and positive, got {dims:?}"));
+        return Err(bad(format!("dims must be non-empty and positive, got {dims:?}")));
+    }
+    let (to_dense, entries) = match payload {
+        TensorPayload::Dense(values) => (format != StorageFormat::Csf, values.len()),
+        TensorPayload::Coo(coo) => (format == StorageFormat::Dense, coo.len()),
+    };
+    let overflow = || bad(format!("the storage for dims {dims:?} overflows"));
+    let floor = floor_bytes(dims, to_dense).ok_or_else(overflow)?;
+    // A compressed tensor adds a value and a coordinate per level for
+    // each entry to its root.
+    let packed = if to_dense { 0 } else { entries as u64 };
+    let storage = (8 * (1 + dims.len() as u64))
+        .checked_mul(packed)
+        .and_then(|bytes| bytes.checked_add(floor))
+        .ok_or_else(overflow)?;
+    let reserved = usize::try_from(storage)
+        .is_ok_and(|bytes| Vec::<u8>::new().try_reserve_exact(bytes).is_ok());
+    if !reserved {
+        return Err(bad(format!("dims {dims:?} need {storage} bytes, which cannot be reserved")));
     }
     let dense = |d: DenseTensor| {
         let nnz = d.as_slice().len() as u64;
@@ -101,50 +135,85 @@ pub(crate) fn build_tensor(
     let formats = csf(dims.len());
     let sparse = match payload {
         TensorPayload::Dense(values) => {
-            let expect: usize = dims.iter().product();
-            if values.len() != expect {
-                return Err(format!(
+            let expect = elements(dims).ok_or_else(overflow)?;
+            if values.len() as u64 != expect {
+                return Err(bad(format!(
                     "dense payload has {} values but dims {dims:?} need {expect}",
                     values.len()
-                ));
+                )));
             }
             if !values.iter().all(|v| v.is_finite()) {
-                return Err("tensor values must be finite".into());
+                return Err(bad("tensor values must be finite".into()));
             }
-            let d =
-                DenseTensor::from_vec(dims.to_vec(), values.clone()).map_err(|e| e.to_string())?;
-            if format != StorageFormat::Csf {
+            admit(floor)?;
+            let d = DenseTensor::from_vec(dims.to_vec(), values.clone())
+                .map_err(|e| bad(e.to_string()))?;
+            if to_dense {
                 return Ok(dense(d));
             }
             SparseTensor::from_dense(&d, &formats)
         }
-        TensorPayload::Coo(payload) => {
-            let mut entries = Entries::with_capacity(dims.to_vec(), payload.len());
-            for (coords, v) in payload {
-                if !v.is_finite() {
-                    return Err("tensor values must be finite".into());
-                }
-                entries.try_push(coords, *v).map_err(|e| e.to_string())?;
-            }
-            if format == StorageFormat::Dense {
+        TensorPayload::Coo(coo) => {
+            // The first offender in arrival order is reported, an
+            // entry's value before its coordinates.
+            let bad_value = coo.vals.iter().position(|v| !v.is_finite());
+            let entries = Entries::from_flat(dims.to_vec(), coo.coords.clone(), coo.vals.clone());
+            let entries = match (entries, bad_value) {
+                (Ok(entries), None) => entries,
+                (Err((k, e)), v) if v.is_none_or(|v| k < v) => return Err(bad(e.to_string())),
+                _ => return Err(bad("tensor values must be finite".into())),
+            };
+            admit(floor)?;
+            if to_dense {
                 return Ok(dense(entries.to_dense()));
             }
             entries.pack(&formats)
         }
     };
-    let sparse = sparse.map_err(|e| format!("packing to CSF: {e}"))?;
+    let sparse = sparse.map_err(|e| bad(format!("packing to CSF: {e}")))?;
     let nnz = sparse.nnz() as u64;
     Ok((Tensor::Sparse(sparse), nnz))
 }
 
+/// The bytes a tensor of shape `dims` holds however few entries it
+/// stores: every element when `dense`, else the `dims[0] + 1` positions
+/// of a compressed tensor's dense root. `None` on overflow.
+fn floor_bytes(dims: &[usize], dense: bool) -> Option<u64> {
+    let words = match dense {
+        true => elements(dims)?,
+        false => (dims[0] as u64).checked_add(1)?,
+    };
+    words.checked_mul(8)
+}
+
+/// The element count of shape `dims`; `None` on overflow.
+fn elements(dims: &[usize]) -> Option<u64> {
+    dims.iter().try_fold(1u64, |n, &d| n.checked_mul(d as u64))
+}
+
 /// Estimated payload bytes of a registered tensor — the unit of the
 /// `--max-bytes` admission cap. Dense values cost 8 bytes each; sparse
-/// entries charge one value plus one coordinate per level.
+/// entries charge one value plus one coordinate per level, and never
+/// less than the dense root ([`floor_bytes`]) — the part
+/// [`build_tensor`] charges before packing.
 fn tensor_bytes(tensor: &Tensor) -> u64 {
     match tensor {
         Tensor::Dense(d) => 8 * d.as_slice().len() as u64,
-        Tensor::Sparse(s) => (8 + 8 * s.dims().len() as u64) * s.nnz() as u64,
+        Tensor::Sparse(s) => {
+            let entries = (8 + 8 * s.dims().len() as u64) * s.nnz() as u64;
+            entries.max(floor_bytes(s.dims(), false).unwrap_or(u64::MAX))
+        }
     }
+}
+
+/// The refusal of a `bytes`-byte registration that no eviction makes
+/// room for under `cap`.
+fn over_cap(name: &str, bytes: u64, cap: u64) -> EngineError {
+    let message = format!(
+        "registering `{name}` ({bytes} bytes) would exceed the registered-bytes cap ({cap} \
+         bytes) even after evicting every unpinned tensor"
+    );
+    EngineError::new(ErrorCode::AdmissionRejected, message)
 }
 
 /// One registered tensor plus its lifecycle bookkeeping.
@@ -241,11 +310,7 @@ impl Registry {
                 batch.push(Mutation::Unregister { name: victim.clone() });
             }
             if projected > cap {
-                let message = format!(
-                    "registering `{name}` ({bytes} bytes) would exceed the registered-bytes \
-                     cap ({cap} bytes) even after evicting every unpinned tensor"
-                );
-                return Err(EngineError::new(ErrorCode::AdmissionRejected, message));
+                return Err(over_cap(name, bytes, cap));
             }
         }
         let generation = self.generations.get(name).map_or(0, |g| g + 1);
@@ -388,6 +453,24 @@ impl SharedRegistry {
         // guaranteed to see the new generation there.
         self.epoch.fetch_add(1, Ordering::Release);
         Ok(generation)
+    }
+
+    /// Refuses, before it is built, a tensor under `name` that will
+    /// hold at least `bytes` when that alone exceeds the byte cap: no
+    /// eviction could make room for it (see [`build_tensor`]).
+    pub(crate) fn admit(
+        &self,
+        name: &str,
+        bytes: u64,
+        metrics: &ServeMetrics,
+    ) -> Result<(), EngineError> {
+        match self.max_bytes.filter(|cap| bytes > *cap) {
+            Some(cap) => {
+                metrics.rejected_bytes.inc();
+                Err(over_cap(name, bytes, cap))
+            }
+            None => Ok(()),
+        }
     }
 
     /// Removes `name`, returning whether it was live (a name that was

@@ -256,12 +256,11 @@ mod tests {
         let resp = engine.handle(&Request::RegisterTensor {
             name: "A".into(),
             dims: vec![4, 4],
-            payload: TensorPayload::Coo(vec![
-                (vec![0, 1], 2.0),
-                (vec![1, 0], 2.0),
-                (vec![2, 3], 1.5),
-                (vec![3, 2], 1.5),
-            ]),
+            payload: TensorPayload::Coo(
+                [(vec![0, 1], 2.0), (vec![1, 0], 2.0), (vec![2, 3], 1.5), (vec![3, 2], 1.5)]
+                    .into_iter()
+                    .collect(),
+            ),
             format: StorageFormat::Auto,
             placement: Placement::Hash,
         });

@@ -103,7 +103,7 @@ fn records_equal(a: &Record, b: &Record) -> bool {
                     }
                     (TensorPayload::Coo(ea), TensorPayload::Coo(eb)) => {
                         ea.len() == eb.len()
-                            && ea.iter().zip(eb).all(|((ca, va), (cb, vb))| {
+                            && ea.iter().zip(eb.iter()).all(|((ca, va), (cb, vb))| {
                                 ca == cb && va.to_bits() == vb.to_bits()
                             })
                     }

@@ -89,7 +89,7 @@ fn faulty_connections_are_isolated_and_shutdown_leaks_nothing() {
         .request(&Request::RegisterTensor {
             name: "bad".into(),
             dims: vec![2, 2],
-            payload: TensorPayload::Coo(vec![(vec![9, 9], 1.0)]),
+            payload: TensorPayload::Coo([(vec![9, 9], 1.0)].into_iter().collect()),
             format: StorageFormat::Auto,
             placement: Placement::Hash,
         })

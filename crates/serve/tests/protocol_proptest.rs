@@ -4,9 +4,15 @@
 //!   (tensor values compared by `f64` bits, not tolerance);
 //! * arbitrary malformed and truncated lines produce a structured
 //!   error, never a panic — and the error response itself round-trips,
-//!   which is what keeps a connection alive after garbage.
+//!   which is what keeps a connection alive after garbage;
+//! * a `register_tensor` line or a journal `register` record decodes
+//!   the same through the flat-cell reader ([`Request::decode`],
+//!   [`JournalRecord::decode`]) as through the `Json` tree
+//!   ([`Request::from_json`], [`JournalRecord::from_json`]): the same
+//!   value or the same error, for every prefix of the line too.
 
 use proptest::prelude::*;
+use systec_serve::durability::Record as JournalRecord;
 use systec_serve::json::Json;
 use systec_serve::protocol::{
     CounterPayload, ErrorCode, KernelStatPayload, MergeRule, OutputPayload, Placement, Request,
@@ -295,6 +301,164 @@ fn responses_equal(a: &Response, b: &Response) -> bool {
     }
 }
 
+/// Draws bounded choices from a tape of random numbers (zeros once it
+/// runs out).
+struct Tape(std::vec::IntoIter<u32>);
+
+impl Tape {
+    fn pick(&mut self, n: usize) -> usize {
+        self.0.next().unwrap_or(0) as usize % n
+    }
+
+    /// One of `items`.
+    fn one<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.pick(items.len())]
+    }
+
+    /// Whitespace between two tokens, usually none.
+    fn ws(&mut self) -> &'static str {
+        self.one(&["", "", "", " ", "\n", "\t ", "\r\n  "])
+    }
+}
+
+/// A `[…]` of `items`, with whitespace drawn around every token.
+fn array(t: &mut Tape, items: &[String]) -> String {
+    let mut out = format!("[{}", t.ws());
+    for (k, item) in items.iter().enumerate() {
+        if k > 0 {
+            out += &format!("{},{}", t.ws(), t.ws());
+        }
+        out += item;
+    }
+    out + t.ws() + "]"
+}
+
+/// A value cell: a number in several spellings, a non-finite value's
+/// string, or — sometimes when `noisy` — a cell no payload accepts.
+fn value_cell(t: &mut Tape, noisy: bool) -> String {
+    let noisy = noisy && t.pick(4) == 0;
+    let cells = ["2.5", "-0.0", "0", "7", "1e-300", "0.1", "1.7976931348623157e308", "-3E2"];
+    let strange = ["\"inf\"", "\"-inf\"", "\"nan\""];
+    let bad = ["\"x\"", "[1]", "null", "true", "\"\\u0069nf\"", "{}"];
+    match t.pick(if noisy { 10 } else { 9 }) {
+        0 => t.one(&strange).into(),
+        9 => t.one(&bad).into(),
+        _ => t.one(&cells).into(),
+    }
+}
+
+/// A coordinate cell for a mode of extent `dim`: in bounds in several
+/// spellings (`3`, `3.0`, `3e0`, `-0`), sometimes out of bounds, and —
+/// sometimes when `noisy` — negative, fractional, a string, an array or
+/// `null`.
+fn coord_cell(t: &mut Tape, dim: usize, noisy: bool) -> String {
+    let noisy = noisy && t.pick(4) == 0;
+    let c = t.pick(dim + 1);
+    match t.pick(if noisy { 8 } else { 5 }) {
+        0 => format!("{c}.0"),
+        1 => format!("{c}e0"),
+        2 if c == 0 => "-0".into(),
+        5 => "-1".into(),
+        6 => "1.5".into(),
+        7 => t.one(&["\"x\"", "\"inf\"", "[1]", "null"]).into(),
+        _ => format!("{c}"),
+    }
+}
+
+/// A `coo` array for `dims`: rank + 1 cells a row, ragged when noisy.
+fn coo_field(t: &mut Tape, dims: &[usize], noisy: bool) -> String {
+    let rows: Vec<String> = (0..t.pick(5))
+        .map(|_| {
+            let mut cells: Vec<String> = dims.iter().map(|&d| coord_cell(t, d, noisy)).collect();
+            cells.push(value_cell(t, noisy));
+            if noisy && t.pick(6) == 0 {
+                match t.pick(2) {
+                    0 => drop(cells.pop()),
+                    _ => cells.push("1".into()),
+                }
+            }
+            array(t, &cells)
+        })
+        .collect();
+    match t.pick(if noisy { 8 } else { 7 }) {
+        7 => t.one(&["7", "[1, 2]", "\"coo\"", "null", "[[]]"]).into(),
+        _ => array(t, &rows),
+    }
+}
+
+/// A `dense` array for `dims`: one value a cell, the wrong count or
+/// rows when noisy.
+fn dense_field(t: &mut Tape, dims: &[usize], noisy: bool) -> String {
+    let mut len: usize = dims.iter().product();
+    if noisy && t.pick(4) == 0 {
+        len += 1;
+    }
+    let cells: Vec<String> = (0..len).map(|_| value_cell(t, noisy)).collect();
+    match t.pick(if noisy { 8 } else { 7 }) {
+        7 => t.one(&["[[1], [2]]", "7", "[]", "{}"]).into(),
+        _ => array(t, &cells),
+    }
+}
+
+/// A `register_tensor` request line (or, with `record`, a journal
+/// `register` record) of rank 1–4 with a `coo` or `dense` payload,
+/// fields in a drawn order, sometimes a second payload key, and
+/// whitespace between tokens.
+fn register_line(t: &mut Tape, record: bool) -> String {
+    let dims: Vec<usize> = (0..1 + t.pick(4)).map(|_| 1 + t.pick(4)).collect();
+    let noisy = t.pick(3) == 0;
+    let payload = |t: &mut Tape| match t.pick(3) {
+        0 => format!("\"dense\":{}{}", t.ws(), dense_field(t, &dims, noisy)),
+        _ => format!("\"coo\":{}{}", t.ws(), coo_field(t, &dims, noisy)),
+    };
+    let dims_text = array(t, &dims.iter().map(|d| d.to_string()).collect::<Vec<_>>());
+    let mut fields = vec![
+        if record {
+            "\"rec\":\"register\"".to_string()
+        } else {
+            "\"op\":\"register_tensor\"".into()
+        },
+        "\"name\":\"A\"".into(),
+        format!("\"dims\":{}{dims_text}", t.ws()),
+        payload(t),
+        if record { "\"generation\":3".into() } else { "\"format\":\"csf\"".into() },
+    ];
+    if t.pick(2) == 0 {
+        fields.push(payload(t));
+    }
+    // Rotate the payload (and a duplicate) ahead of `dims`, or not.
+    let ahead = t.pick(3);
+    fields[1..].rotate_right(ahead);
+    let sep: Vec<String> = (0..fields.len()).map(|_| format!("{},{}", t.ws(), t.ws())).collect();
+    let mut line = format!("{}{{{}", t.ws(), t.ws());
+    for (k, field) in fields.iter().enumerate() {
+        if k > 0 {
+            line += &sep[k];
+        }
+        line += field;
+    }
+    line + t.ws() + "}" + t.ws()
+}
+
+/// The decode of `line` through the cell reader and through the tree:
+/// a request's `Debug` (NaN-tolerant, bit-exact for every other value)
+/// or its error message.
+fn request_both_ways(line: &str) -> (Result<String, String>, Result<String, String>) {
+    let show = |r: Result<Request, systec_serve::protocol::ProtoError>| {
+        r.map(|req| format!("{req:?}")).map_err(|e| e.message)
+    };
+    let tree = Json::parse(line)
+        .map_err(|e| systec_serve::protocol::ProtoError { message: e.to_string() })
+        .and_then(|json| Request::from_json(&json));
+    (show(Request::decode(line)), show(tree))
+}
+
+fn record_both_ways(text: &str) -> (Option<String>, Option<String>) {
+    let show = |r: Option<JournalRecord>| r.map(|rec| format!("{rec:?}"));
+    let tree = Json::parse(text).ok().and_then(|json| JournalRecord::from_json(&json));
+    (show(JournalRecord::decode(text)), show(tree))
+}
+
 // ---------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------
@@ -334,6 +498,24 @@ proptest! {
             let resp = Response::error(ErrorCode::Parse, e.message);
             let reline = resp.encode();
             prop_assert_eq!(Response::decode(&reline).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn flat_register_decode_agrees_with_the_tree(tape in prop::collection::vec(0u32..1 << 16, 160)) {
+        let mut t = Tape(tape.into_iter());
+        let record = t.pick(3) == 0;
+        let line = register_line(&mut t, record);
+        // Every prefix, the whole line last (all of it is ASCII).
+        for cut in 0..=line.len() {
+            let text = &line[..cut];
+            if record {
+                let (flat, tree) = record_both_ways(text);
+                prop_assert!(flat == tree, "record `{text}`:\n{flat:?}\n{tree:?}");
+            } else {
+                let (flat, tree) = request_both_ways(text);
+                prop_assert!(flat == tree, "line `{text}`:\n{flat:?}\n{tree:?}");
+            }
         }
     }
 

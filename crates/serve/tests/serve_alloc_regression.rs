@@ -8,6 +8,11 @@
 //! deliberately outside the measured region (it builds a fresh line per
 //! request by design).
 //!
+//! The same counter bounds the register decode: a `coo` payload reads
+//! straight into flat buffers, so [`Request::decode`] of a 10 000-entry
+//! line allocates about as often as that of a 10-entry one — buffer
+//! growth, not a node or a `Vec` per entry.
+//!
 //! The count is per thread and armed only around the measured runs, so
 //! nothing else in the test process can charge them — not the other
 //! test of this file, and not libtest's main thread, whose result
@@ -84,7 +89,7 @@ fn warmed_engine() -> (Engine, u64) {
     let resp = engine.handle(&Request::RegisterTensor {
         name: "A".into(),
         dims: vec![n, n],
-        payload: TensorPayload::Coo(entries),
+        payload: TensorPayload::Coo(entries.into_iter().collect()),
         format: StorageFormat::Auto,
         placement: Placement::Hash,
     });
@@ -171,5 +176,42 @@ fn interleaving_kernels_stays_allocation_free_once_both_are_warm() {
     assert_eq!(
         allocs, 0,
         "per-kernel slots keep interleaved serving allocation-free (saw {allocs})"
+    );
+}
+
+/// A `register_tensor` line of an `n`-entry symmetric band, as a client
+/// encodes it.
+fn register_line(n: usize) -> String {
+    let side = n / 2 + 1;
+    let entries = (0..n).map(|k| (vec![k / 2, k / 2 + k % 2], 0.25 + k as f64 / 3.0));
+    Request::RegisterTensor {
+        name: "A".into(),
+        dims: vec![side, side],
+        payload: TensorPayload::Coo(entries.collect()),
+        format: StorageFormat::Auto,
+        placement: Placement::Hash,
+    }
+    .encode()
+}
+
+#[test]
+fn register_decode_allocates_per_buffer_not_per_entry() {
+    let count = |n: usize| {
+        let line = register_line(n);
+        let mut decoded = None;
+        let allocs = allocations_in(|| decoded = Some(Request::decode(&line)));
+        let Some(Ok(Request::RegisterTensor { payload: TensorPayload::Coo(coo), .. })) = decoded
+        else {
+            panic!("the line decodes: {decoded:?}")
+        };
+        assert_eq!(coo.len(), n);
+        allocs
+    };
+    let (small, large) = (count(10), count(10_000));
+    assert!(large < 64, "a 10 000-entry decode allocated {large} times");
+    let slack = 2.0 * (10_000f64).log2();
+    assert!(
+        large as f64 <= small as f64 + slack,
+        "allocations grow with the entries: {small} for 10, {large} for 10 000"
     );
 }

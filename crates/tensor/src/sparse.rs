@@ -508,6 +508,34 @@ impl Entries {
         Entries { dims, coords, vals: Vec::with_capacity(entries) }
     }
 
+    /// Entries from flat buffers — `dims.len()` coordinates per entry,
+    /// entry-major, and one value per entry — checked in one bounds
+    /// pass, with no copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first offending entry's index with its
+    /// [`TensorError::CoordOutOfBounds`], or index 0 with a
+    /// [`TensorError::RankMismatch`] when `coords` does not hold
+    /// `dims.len()` coordinates per value.
+    pub fn from_flat(
+        dims: Vec<usize>,
+        coords: Vec<usize>,
+        vals: Vec<f64>,
+    ) -> Result<Self, (usize, TensorError)> {
+        let rank = dims.len();
+        if Some(coords.len()) != vals.len().checked_mul(rank) {
+            let got = coords.len().checked_div(vals.len()).unwrap_or(coords.len());
+            return Err((0, TensorError::RankMismatch { expected: rank, got }));
+        }
+        if rank > 0 {
+            for (entry, key) in coords.chunks_exact(rank).enumerate() {
+                check_coords(&dims, key).map_err(|e| (entry, e))?;
+            }
+        }
+        Ok(Entries { dims, coords, vals })
+    }
+
     /// The number of entries pushed (duplicates counted).
     pub fn len(&self) -> usize {
         self.vals.len()
@@ -894,6 +922,23 @@ mod tests {
         let m = SparseTensor::from_coo(&coo, &CSR).unwrap();
         assert_eq!(m.get(&[0, 0]), 3.0);
         assert_eq!(m.nnz(), 1);
+    }
+
+    #[test]
+    fn flat_entries_check_like_pushes_and_report_the_first_offender() {
+        let (coords, vals) = (vec![1, 0, 0, 2, 0, 2], vec![2.5, 1.0, 0.5]);
+        let flat = Entries::from_flat(vec![2, 3], coords.clone(), vals.clone()).unwrap();
+        let mut pushed = Entries::new(vec![2, 3]);
+        for (key, &v) in coords.chunks_exact(2).zip(&vals) {
+            pushed.try_push(key, v).unwrap();
+        }
+        assert_eq!(flat.pack(&CSR).unwrap(), pushed.pack(&CSR).unwrap());
+        let out = TensorError::CoordOutOfBounds { mode: 1, coord: 3, dim: 3 };
+        let err = Entries::from_flat(vec![2, 3], vec![0, 0, 1, 3, 2, 0], vec![1.0; 3]);
+        assert_eq!(err.unwrap_err(), (1, out), "entry 1 offends first");
+        let arity = TensorError::RankMismatch { expected: 2, got: 1 };
+        let err = Entries::from_flat(vec![2, 3], vec![0, 1], vec![1.0; 2]);
+        assert_eq!(err.unwrap_err(), (0, arity));
     }
 
     #[test]
