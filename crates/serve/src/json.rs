@@ -7,11 +7,15 @@
 //!   built in a fixed field order serializes byte-identically run after
 //!   run — the e2e tier asserts byte-determinism on whole response
 //!   lines.
-//! * Numbers are `f64`. Serialization uses Rust's shortest round-trip
-//!   `Display`, which never produces exponents and re-parses to the
-//!   identical bits, so tensor values survive a response/request cycle
-//!   bit-for-bit. Non-finite numbers serialize as `null` (JSON has no
-//!   representation for them; the protocol layer rejects them earlier).
+//! * Numbers are `f64`. Serialization uses the crate's own printer,
+//!   byte-identical to Rust's shortest round-trip `Display`: it never
+//!   produces exponents and re-parses to the identical bits, so tensor
+//!   values survive a response/request cycle bit-for-bit. Non-finite
+//!   numbers serialize as `null` (JSON has no representation for them;
+//!   the protocol layer rejects them earlier).
+//! * A line too large to build as a tree first — the `run` reply — is
+//!   written straight into bytes by a `Writer`, through the same
+//!   escaper and the same number printer as the tree.
 //! * Parsing is hardened against adversarial input: truncated or
 //!   malformed text returns [`JsonError`] (never panics), trailing
 //!   garbage after the top-level value is an error, and nesting deeper
@@ -25,6 +29,8 @@
 //!   unchanged.
 
 use std::fmt;
+
+use crate::shortest;
 
 /// Maximum nesting depth the parser accepts. Deep enough for any real
 /// request; shallow enough that a hostile `[[[[…` line cannot blow the
@@ -215,7 +221,7 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(n) if n.is_finite() => shortest::write(f, *n),
             Json::Num(_) => f.write_str("null"),
             Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
@@ -243,7 +249,7 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+fn write_escaped(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
     f.write_str("\"")?;
     for c in s.chars() {
         match c {
@@ -255,10 +261,74 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
             '\u{8}' => f.write_str("\\b")?,
             '\u{c}' => f.write_str("\\f")?,
             c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+            c => f.write_char(c)?,
         }
     }
     f.write_str("\"")
+}
+
+/// A JSON line written straight into bytes, piece by piece, for a
+/// reply too large to build as a [`Json`] tree first. Strings go
+/// through the tree's escaper and numbers through its printer, so the
+/// same content gives the same bytes either way.
+pub(crate) struct Writer {
+    bytes: Vec<u8>,
+}
+
+impl Writer {
+    /// An empty line with room for `capacity` bytes.
+    pub(crate) fn with_capacity(capacity: usize) -> Writer {
+        Writer { bytes: Vec::with_capacity(capacity) }
+    }
+
+    /// Appends JSON text as it is: punctuation and fixed keys.
+    pub(crate) fn raw(&mut self, text: &str) -> &mut Writer {
+        self.bytes.extend_from_slice(text.as_bytes());
+        self
+    }
+
+    /// Appends `s` as a quoted, escaped JSON string.
+    pub(crate) fn str(&mut self, s: &str) -> &mut Writer {
+        write_escaped(self, s).expect("writing to a Vec cannot fail");
+        self
+    }
+
+    /// Appends a number as [`Json::Num`] prints it.
+    pub(crate) fn num(&mut self, n: f64) -> &mut Writer {
+        if n.is_finite() {
+            shortest::push(&mut self.bytes, n);
+        } else {
+            self.raw("null");
+        }
+        self
+    }
+
+    /// Appends `items` comma-separated, each written by `put`.
+    pub(crate) fn list<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut put: impl FnMut(&mut Writer, T),
+    ) -> &mut Writer {
+        for (k, item) in items.into_iter().enumerate() {
+            if k > 0 {
+                self.raw(",");
+            }
+            put(self, item);
+        }
+        self
+    }
+
+    /// The finished line.
+    pub(crate) fn finish(self) -> String {
+        String::from_utf8(self.bytes).expect("every piece written is UTF-8")
+    }
+}
+
+impl fmt::Write for Writer {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.raw(s);
+        Ok(())
+    }
 }
 
 struct Parser<'a> {

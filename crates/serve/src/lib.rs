@@ -55,6 +55,7 @@ pub mod protocol;
 mod registry;
 pub mod scheduler;
 pub mod server;
+mod shortest;
 pub mod wire;
 
 /// Recovers a mutex even when a panic elsewhere poisoned it: every

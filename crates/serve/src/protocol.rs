@@ -59,13 +59,18 @@
 //! takes it from there into [`CooEntries`]' two flat buffers — no node
 //! and no `Vec` per entry. Any other shape under those keys stays in the
 //! tree and decodes exactly as before, so [`Request::from_json`] is the
-//! differential oracle of [`Request::decode`].
+//! differential oracle of [`Request::decode`]. The hot `run` reply skips
+//! the tree on the way out: [`Response::encode`] writes it straight into
+//! the line — names through the tree's escaper, values, dims and
+//! counters through its number printer — and [`Response::to_json`]
+//! keeps the tree as that writer's differential oracle.
 //!
 //! Determinism: run responses contain **no timing** (latency lives in
 //! `stats` medians), output/counter maps are serialized in sorted name
-//! order, and values use shortest-round-trip `f64` printing — so equal
-//! executions produce byte-identical response lines, which the e2e tier
-//! asserts against a direct-execution oracle.
+//! order, and values use the crate's shortest-round-trip `f64` printer
+//! (byte-identical to `Display`) — so equal executions produce
+//! byte-identical response lines, which the e2e tier asserts against a
+//! direct-execution oracle.
 
 use std::fmt;
 
@@ -73,7 +78,7 @@ use systec_codegen::{Counters, MergeKind};
 use systec_ir::AssignOp;
 use systec_telemetry::prom::{counter, gauge, Metric};
 
-use crate::json::{exact_u64, Cells, Document, Json};
+use crate::json::{exact_u64, Cells, Document, Json, Writer};
 use crate::wire::{need, opt, pairs_from_json, pairs_to_json, Field, Obj, Wire};
 use crate::{record, wire_enum};
 
@@ -859,13 +864,54 @@ pub(crate) fn dims_json(dims: &[usize]) -> Json {
 pub(crate) fn value_json(v: f64) -> Json {
     if v.is_finite() {
         Json::Num(v)
-    } else if v.is_nan() {
-        Json::Str("nan".into())
-    } else if v > 0.0 {
-        Json::Str("inf".into())
     } else {
-        Json::Str("-inf".into())
+        Json::Str(non_finite_name(v).into())
     }
+}
+
+/// The wire spelling of a non-finite value.
+fn non_finite_name(v: f64) -> &'static str {
+    if v.is_nan() {
+        "nan"
+    } else if v > 0.0 {
+        "inf"
+    } else {
+        "-inf"
+    }
+}
+
+/// The hot reply, written straight into the line: the bytes of the
+/// [`Response::to_json`] tree, without a node per value.
+fn encode_run(outputs: &[OutputPayload], counters: &CounterPayload) -> String {
+    /// Room for a 17-digit value, its sign, point and comma.
+    const BYTES_PER_VALUE: usize = 24;
+    let values: usize = outputs.iter().map(|o| o.values.len()).sum();
+    let mut w = Writer::with_capacity(256 + BYTES_PER_VALUE * values);
+    w.raw(r#"{"ok":true,"reply":"run","outputs":{"#);
+    w.list(outputs, |w, o| {
+        w.str(&o.name).raw(r#":{"dims":["#);
+        w.list(&o.dims, |w, &d| {
+            w.num(d as f64);
+        });
+        w.raw(r#"],"values":["#);
+        w.list(&o.values, |w, &v| {
+            if v.is_finite() {
+                w.num(v);
+            } else {
+                w.str(non_finite_name(v));
+            }
+        });
+        w.raw("]}");
+    });
+    w.raw(r#"},"counters":{"flops":"#).num(counters.flops as f64);
+    w.raw(r#","writes":"#).num(counters.writes as f64);
+    w.raw(r#","iterations":"#).num(counters.iterations as f64);
+    w.raw(r#","reads":{"#);
+    w.list(&counters.reads, |w, (name, n)| {
+        w.str(name).raw(":").num(*n as f64);
+    });
+    w.raw("}}}");
+    w.finish()
 }
 
 pub(crate) fn value_from_json(v: &Json) -> Option<f64> {
@@ -1111,9 +1157,21 @@ pub(crate) fn f64_array(v: &Json, field: &str) -> Result<Vec<f64>, ProtoError> {
 impl Response {
     /// Serializes to one line (no trailing newline). Field order is
     /// fixed and maps are pre-sorted by the engine, so equal payloads
-    /// encode byte-identically.
+    /// encode byte-identically. The `run` reply is written straight
+    /// into the line; every other reply prints its [`Response::to_json`]
+    /// tree.
     pub fn encode(&self) -> String {
-        let json = match self {
+        match self {
+            Response::Ran { outputs, counters } => encode_run(outputs, counters),
+            other => other.to_json().to_string(),
+        }
+    }
+
+    /// The reply as a `Json` tree, which prints to exactly the bytes of
+    /// [`Response::encode`]: for the `run` reply this is the
+    /// differential oracle of the direct writer.
+    pub fn to_json(&self) -> Json {
+        match self {
             Response::Registered { name, nnz, generation } => Obj::reply("registered")
                 .with("name", name)
                 .with("nnz", nnz)
@@ -1128,7 +1186,6 @@ impl Response {
                 .with("split", split)
                 .with("warning", warning)
                 .json(),
-            // The hot reply: built straight into the JSON tree.
             Response::Ran { outputs, counters } => Json::obj([
                 ("ok", Json::Bool(true)),
                 ("reply", Json::Str("run".into())),
@@ -1185,8 +1242,7 @@ impl Response {
             Response::Error { code, message } => {
                 Obj::default().with("ok", &false).with("code", code).with("error", message).json()
             }
-        };
-        json.to_string()
+        }
     }
 
     /// Parses one response line.

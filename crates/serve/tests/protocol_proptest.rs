@@ -5,6 +5,9 @@
 //! * arbitrary malformed and truncated lines produce a structured
 //!   error, never a panic — and the error response itself round-trips,
 //!   which is what keeps a connection alive after garbage;
+//! * a `run` reply written straight into its line ([`Response::encode`])
+//!   is byte-identical to its `Json` tree ([`Response::to_json`]) —
+//!   values drawn from arbitrary bit patterns as well as ranges;
 //! * a `register_tensor` line or a journal `register` record decodes
 //!   the same through the flat-cell reader ([`Request::decode`],
 //!   [`JournalRecord::decode`]) as through the `Json` tree
@@ -55,8 +58,23 @@ fn name_strategy() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Any finite `f64`, by bit pattern (the vendored `proptest` has no
+/// `any::<u64>`). An all-ones exponent — an infinity or a NaN — folds
+/// onto a finite value by clearing the exponent's top bit.
+fn finite_bits_strategy() -> impl Strategy<Value = f64> {
+    (0u64..u64::MAX).prop_map(|bits| {
+        let v = f64::from_bits(bits);
+        if v.is_finite() {
+            v
+        } else {
+            f64::from_bits(bits & !(1 << 62))
+        }
+    })
+}
+
 fn value_strategy() -> impl Strategy<Value = f64> {
     prop_oneof![
+        finite_bits_strategy(),
         (-1.0e6f64..1.0e6).prop_map(|v| v),
         Just(0.0),
         Just(-0.0),
@@ -146,7 +164,13 @@ fn request_strategy() -> impl Strategy<Value = Request> {
 
 fn output_value_strategy() -> impl Strategy<Value = f64> {
     // Served outputs may be non-finite (min= identities).
-    prop_oneof![value_strategy(), Just(f64::INFINITY), Just(f64::NEG_INFINITY), Just(f64::NAN),]
+    prop_oneof![
+        value_strategy(),
+        finite_bits_strategy(),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::NAN),
+    ]
 }
 
 fn outputs_strategy() -> impl Strategy<Value = Vec<OutputPayload>> {
@@ -179,6 +203,11 @@ fn counters_strategy() -> impl Strategy<Value = CounterPayload> {
         })
 }
 
+fn ran_strategy() -> impl Strategy<Value = Response> {
+    (outputs_strategy(), counters_strategy())
+        .prop_map(|(outputs, counters)| Response::Ran { outputs, counters })
+}
+
 fn response_strategy() -> impl Strategy<Value = Response> {
     let registered = (name_strategy(), 0u64..100_000, 0u64..10)
         .prop_map(|(name, nnz, generation)| Response::Registered { name, nnz, generation });
@@ -206,8 +235,6 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                 warning: (!with_split).then_some(Warning { kind, message }),
             }
         });
-    let ran = (outputs_strategy(), counters_strategy())
-        .prop_map(|(outputs, counters)| Response::Ran { outputs, counters });
     let kernel_stat = (
         0u64..100,
         name_strategy(),
@@ -271,7 +298,7 @@ fn response_strategy() -> impl Strategy<Value = Response> {
         registered,
         unregistered,
         prepared,
-        ran,
+        ran_strategy(),
         stats,
         cluster_stats,
         metrics,
@@ -482,6 +509,13 @@ proptest! {
         let decoded = Response::decode(&line)
             .map_err(|e| TestCaseError::fail(format!("{line}: {e}")))?;
         prop_assert!(responses_equal(&decoded, &resp), "{:?} != {:?}", decoded, resp);
+    }
+
+    #[test]
+    fn run_reply_encode_matches_the_tree(resp in ran_strategy()) {
+        // The direct writer against the `Json` tree it replaced: the
+        // same line, byte for byte.
+        prop_assert_eq!(resp.encode(), resp.to_json().to_string());
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! requests), the steady-state **execution path** of a `run` request —
 //! [`systec_serve::Engine::execute`]: kernel lookup, slot checkout,
 //! `run_timed_into`, latency recording, lease return —
-//! performs **zero** heap allocations. Response serialization is
-//! deliberately outside the measured region (it builds a fresh line per
-//! request by design).
+//! performs **zero** heap allocations. Response serialization is kept
+//! out of that region (it builds a fresh line per request by design)
+//! and bounded on its own: [`Response::encode`] writes a `run` reply
+//! straight into one pre-sized line, so a 40 000-value reply allocates
+//! a small constant number of times — the line, not a node per value —
+//! and about as often as a 10-value one.
 //!
 //! The same counter bounds the register decode: a `coo` payload reads
 //! straight into flat buffers, so [`Request::decode`] of a 10 000-entry
@@ -23,7 +26,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use systec_serve::protocol::{Placement, Request, Response, StorageFormat, TensorPayload, Variant};
+use systec_serve::protocol::{
+    CounterPayload, OutputPayload, Placement, Request, Response, StorageFormat, TensorPayload,
+    Variant,
+};
 use systec_serve::Engine;
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) the armed
@@ -213,5 +219,38 @@ fn register_decode_allocates_per_buffer_not_per_entry() {
     assert!(
         large as f64 <= small as f64 + slack,
         "allocations grow with the entries: {small} for 10, {large} for 10 000"
+    );
+}
+
+/// A `run` reply of `n` SSYMV-like values: 15–17 significant digits,
+/// mixed signs.
+fn run_reply(n: usize) -> Response {
+    let values = (0..n).map(|k| (k as f64 * 0.37).sin() * 1e3 / 7.0).collect();
+    let n = n as u64;
+    Response::Ran {
+        outputs: vec![OutputPayload { name: "y".into(), dims: vec![n as usize], values }],
+        counters: CounterPayload {
+            flops: 3 * n,
+            writes: n,
+            iterations: 2 * n,
+            reads: vec![("A".into(), 2 * n), ("x".into(), 2 * n)],
+        },
+    }
+}
+
+#[test]
+fn run_reply_encode_allocates_per_line_not_per_value() {
+    let count = |n: usize| {
+        let reply = run_reply(n);
+        let mut line = String::new();
+        let allocs = allocations_in(|| line = reply.encode());
+        assert_eq!(Response::decode(&line).expect("the line decodes"), reply);
+        allocs
+    };
+    let (small, large) = (count(10), count(40_000));
+    assert!(large < 16, "a 40 000-value run reply allocated {large} times");
+    assert!(
+        large <= small + 2,
+        "allocations grow with the values: {small} for 10, {large} for 40 000"
     );
 }

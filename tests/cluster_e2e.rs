@@ -11,7 +11,8 @@
 //! * plain prepares (single-shard, handle rewritten into router space)
 //!   and `"sharded":true` prepares (broadcast, merge schedule);
 //! * sharded runs merged across shards — a reduction-merged symmetric
-//!   kernel *and* a row-merged plain kernel — with outputs **and work
+//!   kernel, a row-merged plain kernel *and* a min-merged min-plus
+//!   kernel whose unreachable row stays `"inf"` — with outputs **and work
 //!   counters** exactly matching the single process (the fold
 //!   identities and integer counters make the merge exact, not
 //!   approximate);
@@ -65,6 +66,13 @@ const SCRIPT: &[&str] = &[
     // Kernel 3: sharded plain matvec — y row-window-merges.
     r#"{"op":"prepare","einsum":"for i, j: y[i] += A2[i, j] * x2[j]","threads":1,"sharded":true}"#,
     r#"{"op":"run","kernel":3}"#,
+    // Kernel 4: sharded min-plus over a replicated graph whose vertex 3
+    // has no edges. y[3] is never updated and reports the fold identity,
+    // so an `"inf"` cell crosses both legs and the router's min merge.
+    r#"{"op":"register_tensor","name":"G","dims":[4,4],"coo":[[0,1,1.5],[1,0,1.5],[1,2,2.0],[2,1,2.0]],"placement":"replicate"}"#,
+    r#"{"op":"register_tensor","name":"dist","dims":[4],"dense":[0,1,2,3],"placement":"replicate"}"#,
+    r#"{"op":"prepare","einsum":"for i, j: y[i] min= G[i, j] + dist[j]","sym":["G"],"threads":1,"sharded":true}"#,
+    r#"{"op":"run","kernel":4}"#,
     // The sharded spec re-prepared plain: dedups to kernel 2 on both
     // sides (the dedup key ignores `sharded` everywhere).
     r#"{"op":"prepare","einsum":"for i, j: y[i] += A2[i, j] * x2[j]","sym":["A2"],"threads":1}"#,
@@ -215,6 +223,10 @@ fn a_three_shard_cluster_is_byte_identical_to_one_process() {
     // A2 is symmetric with (0,1)=2, (2,3)=3, (2,2)=5; x2 = 1..4:
     // y = [2*2, 2*1, 5*3+3*4, 3*3] = [4, 2, 27, 9].
     assert!(ran.contains("[4,2,27,9]"), "merged sharded run values: {ran}");
+    // And kernel 4's min merge kept the unreachable vertex at `inf`:
+    // y = [1.5 + 1, min(1.5 + 0, 2 + 2), 2 + 1, inf].
+    let ran = exchange(&mut cluster_conn, r#"{"op":"run","kernel":4}"#);
+    assert!(ran.contains(r#"[2.5,1.5,3,"inf"]"#), "merged min-plus run values: {ran}");
 
     // Cross-shard plain prepares fail structurally at the router (a
     // single process would accept them, so this sits outside the
