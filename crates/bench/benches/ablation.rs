@@ -1,12 +1,22 @@
 //! Ablation benches: each optimization pass of §4.2 toggled off
 //! individually on the 3-d MTTKRP and SSYMV kernels, quantifying its
-//! contribution to the end-to-end speedup (the design-choice analysis
-//! DESIGN.md calls out).
+//! contribution to the end-to-end speedup. Each variant prints its
+//! minimum run time and its ratio to `full`.
+//!
+//! ```sh
+//! cargo bench -p systec-bench --bench ablation
+//! ```
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::collections::HashMap;
+use std::time::Duration;
+
+use systec_bench::time_min;
 use systec_core::CompileOptions;
-use systec_kernels::{defs, Prepared};
+use systec_kernels::{defs, KernelDef, Prepared};
 use systec_tensor::generate::{random_dense, rng, symmetric_erdos_renyi};
+use systec_tensor::Tensor;
+
+const BUDGET: Duration = Duration::from_secs(2);
 
 fn variants() -> Vec<(&'static str, CompileOptions)> {
     let all = CompileOptions::default();
@@ -23,35 +33,36 @@ fn variants() -> Vec<(&'static str, CompileOptions)> {
     ]
 }
 
-fn benches(c: &mut Criterion) {
+/// Times every variant of `def` on `inputs` and prints one line each.
+fn group(name: &str, def: &KernelDef, inputs: &HashMap<String, Tensor>) {
+    println!("{name} (min of runs, us; ratio to full)");
+    let mut full = None;
+    for (variant, options) in variants() {
+        let prepared = Prepared::compile_with(def, inputs, options).expect("prepare");
+        let t = time_min(BUDGET, 10, || {
+            prepared.run_timed().expect("run");
+        });
+        let full = *full.get_or_insert(t);
+        println!(
+            "  {variant:<20}{:>12.1}{:>8.2}x",
+            t.as_secs_f64() * 1e6,
+            t.as_secs_f64() / full.as_secs_f64()
+        );
+    }
+}
+
+fn main() {
     let mut r = rng(9);
 
     let def = defs::ssymv();
     let a = symmetric_erdos_renyi(2500, 2, 3e-3, &mut r);
     let x = random_dense(vec![2500], &mut r);
     let inputs = def.inputs([("A", a.into()), ("x", x.into())]).unwrap();
-    let mut group = c.benchmark_group("ablation_ssymv");
-    for (name, options) in variants() {
-        let prepared = Prepared::compile_with(&def, &inputs, options).expect("prepare");
-        group.bench_function(name, |b| b.iter(|| prepared.run_timed().expect("run")));
-    }
-    group.finish();
+    group("ablation_ssymv", &def, &inputs);
 
     let def = defs::mttkrp(3);
     let a = symmetric_erdos_renyi(40, 3, 1e-2, &mut r);
     let b_mat = random_dense(vec![40, 16], &mut r);
     let inputs = def.inputs([("A", a.into()), ("B", b_mat.into())]).unwrap();
-    let mut group = c.benchmark_group("ablation_mttkrp3");
-    for (name, options) in variants() {
-        let prepared = Prepared::compile_with(&def, &inputs, options).expect("prepare");
-        group.bench_function(name, |b| b.iter(|| prepared.run_timed().expect("run")));
-    }
-    group.finish();
+    group("ablation_mttkrp3", &def, &inputs);
 }
-
-criterion_group! {
-    name = ablation;
-    config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = benches
-}
-criterion_main!(ablation);

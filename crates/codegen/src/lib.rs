@@ -239,14 +239,6 @@ impl Parallelism {
             n => Parallelism::Threads(n),
         }
     }
-
-    /// The number of workers this mode asks for.
-    pub fn worker_count(self) -> usize {
-        match self {
-            Parallelism::Serial => 1,
-            Parallelism::Threads(n) => n.max(1),
-        }
-    }
 }
 
 /// A lowered program compiled to bytecode, ready to run repeatedly.

@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 
 use systec_ir::{Access, Expr, Stmt};
-use systec_rewrite::postwalk;
 
 /// Applies common tensor access elimination to every conditional block
 /// and loop body.
@@ -33,7 +32,7 @@ use systec_rewrite::postwalk;
 /// assert_eq!(printed.matches("A[i, j]").count(), 1, "{printed}");
 /// ```
 pub fn access_cse(program: Stmt) -> Stmt {
-    postwalk(program, &|s: &Stmt| match s {
+    program.postwalk(&|s| match s {
         Stmt::Block(stmts) => cse_block(stmts),
         _ => None,
     })

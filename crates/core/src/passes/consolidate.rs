@@ -2,7 +2,6 @@
 //! bodies into one block guarded by the disjunction of their conditions.
 
 use systec_ir::{Cond, Stmt};
-use systec_rewrite::postwalk;
 
 /// Merges sibling conditional blocks with identical bodies.
 ///
@@ -22,7 +21,7 @@ use systec_rewrite::postwalk;
 /// assert!(out.to_string().starts_with("if i == j || i < j:"), "{out}");
 /// ```
 pub fn consolidate(program: Stmt) -> Stmt {
-    postwalk(program, &|s: &Stmt| match s {
+    program.postwalk(&|s| match s {
         Stmt::Block(stmts) => merge_blocks(stmts).map(Stmt::block),
         _ => None,
     })

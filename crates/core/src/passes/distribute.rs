@@ -8,7 +8,6 @@
 //! (`min=`, `max=`) simply drop the duplicates.
 
 use systec_ir::{AssignOp, BinOp, Expr, Stmt};
-use systec_rewrite::postwalk;
 
 /// Applies distributive assignment grouping everywhere in the program.
 ///
@@ -25,7 +24,7 @@ use systec_rewrite::postwalk;
 /// assert_eq!(out.to_string(), "y[i] += 2 * A[i, j] * x[j]");
 /// ```
 pub fn distribute(program: Stmt) -> Stmt {
-    postwalk(program, &|s: &Stmt| match s {
+    program.postwalk(&|s| match s {
         Stmt::Block(stmts) => {
             let grouped = group_block(stmts)?;
             Some(Stmt::block(grouped))

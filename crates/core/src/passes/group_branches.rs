@@ -7,7 +7,6 @@
 //! of removing them. This implementation follows the same rule.
 
 use systec_ir::{Cond, Stmt};
-use systec_rewrite::postwalk;
 
 /// Regroups assignments shared across sibling conditional blocks.
 ///
@@ -32,7 +31,7 @@ use systec_rewrite::postwalk;
 /// assert!(printed.contains("if i < j || i == j"), "{printed}");
 /// ```
 pub fn group_branches(program: Stmt) -> Stmt {
-    postwalk(program, &|s: &Stmt| match s {
+    program.postwalk(&|s| match s {
         Stmt::Block(stmts) => regroup(stmts),
         _ => None,
     })

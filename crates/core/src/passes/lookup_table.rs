@@ -8,7 +8,6 @@
 //! identical, one block with a table lookup replaces them all.
 
 use systec_ir::{AssignOp, BinOp, CmpOp, Cond, Expr, Index, Lhs, Stmt};
-use systec_rewrite::postwalk;
 
 /// Merges factor-only-different conditional blocks into one block with a
 /// simplicial lookup table. `chain` is the canonical order of the
@@ -35,7 +34,7 @@ pub fn lookup_table(program: Stmt, chain: &[Index]) -> Stmt {
     if chain.len() < 2 {
         return program;
     }
-    postwalk(program, &|s: &Stmt| match s {
+    program.postwalk(&|s| match s {
         Stmt::Block(stmts) => merge(stmts, chain).map(Stmt::block),
         _ => None,
     })

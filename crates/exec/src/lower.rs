@@ -311,15 +311,6 @@ pub fn lower(
 }
 
 impl LoweredProgram {
-    /// Display names of the output tensors this program writes.
-    pub fn output_names(&self) -> Vec<&str> {
-        self.tensors
-            .iter()
-            .filter(|t| t.kind == SlotKind::Output)
-            .map(|t| t.name.as_str())
-            .collect()
-    }
-
     /// The inferred extent of a loop index, if the program mentions it.
     pub fn extent_of(&self, index: &Index) -> Option<usize> {
         self.indices.iter().position(|i| i == index).map(|slot| self.extents[slot])

@@ -230,16 +230,6 @@ impl AssignOp {
         }
     }
 
-    /// The underlying binary operator for reducing assignments.
-    pub fn binop(self) -> Option<BinOp> {
-        match self {
-            AssignOp::Overwrite => None,
-            AssignOp::Add => Some(BinOp::Add),
-            AssignOp::Min => Some(BinOp::Min),
-            AssignOp::Max => Some(BinOp::Max),
-        }
-    }
-
     /// Returns `true` if `N` repeated applications of the same incoming
     /// value equal a single application (min/max).
     ///

@@ -1,4 +1,5 @@
-//! Structural traversal helpers used by the rewriting engine.
+//! Structural traversal helpers. [`Stmt::postwalk`] is the one rewrite
+//! strategy the §4.2 passes share, as RewriteTools' `Postwalk` is in §5.1.
 
 use crate::{Expr, Stmt};
 
@@ -57,6 +58,13 @@ impl Stmt {
         }
     }
 
+    /// Applies `rule` bottom-up: children are rewritten first, then the
+    /// rule is tried once on the rebuilt node.
+    pub fn postwalk(self, rule: &impl Fn(&Stmt) -> Option<Stmt>) -> Stmt {
+        let rebuilt = self.map_children(&mut |c| c.postwalk(rule));
+        rule(&rebuilt).unwrap_or(rebuilt)
+    }
+
     /// Rewrites every *expression* in the subtree (assignment right-hand
     /// sides and `let` values) with `f`, leaving control flow intact.
     pub fn map_exprs(self, f: &mut impl FnMut(Expr) -> Expr) -> Stmt {
@@ -91,6 +99,30 @@ mod tests {
         assert_eq!(s.children().len(), 1);
         let a = assign(access("y", ["i"]), lit(1.0));
         assert!(a.children().is_empty());
+    }
+
+    /// Merges a block of two identical statements into one.
+    fn dedup(s: &Stmt) -> Option<Stmt> {
+        match s {
+            Stmt::Block(ss) if ss.len() == 2 && ss[0] == ss[1] => Some(ss[0].clone()),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn stmt_postwalk_rewrites_blocks() {
+        let a = assign(access("y", ["i"]), lit(1.0));
+        let s = Stmt::Block(vec![a.clone(), a.clone()]);
+        assert_eq!(s.postwalk(&dedup), a);
+    }
+
+    #[test]
+    fn stmt_postwalk_rewrites_children_before_the_parent() {
+        // The inner block collapses to `a`, which only then makes the
+        // outer block a pair of equal statements for the rule to fire on.
+        let a = assign(access("y", ["i"]), lit(1.0));
+        let s = Stmt::Block(vec![Stmt::Block(vec![a.clone(), a.clone()]), a.clone()]);
+        assert_eq!(s.postwalk(&dedup), a);
     }
 
     #[test]

@@ -359,11 +359,6 @@ impl Prepared {
         self
     }
 
-    /// Switches the execution parallelism in place.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
     /// The active execution parallelism.
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
@@ -409,6 +404,21 @@ impl Prepared {
         Arc::ptr_eq(&self.plan, &other.plan)
     }
 
+    /// Re-initializes every output in place when `outputs` already holds
+    /// it at the right shape, inserting a fresh copy otherwise.
+    fn reset_outputs(&self, outputs: &mut HashMap<String, DenseTensor>) {
+        for (name, init) in &self.outputs_init {
+            match outputs.get_mut(name) {
+                Some(existing) if existing.dims() == init.dims() => {
+                    existing.as_mut_slice().copy_from_slice(init.as_slice());
+                }
+                _ => {
+                    outputs.insert(name.clone(), init.clone());
+                }
+            }
+        }
+    }
+
     fn exec_main(
         &self,
         outputs: &mut HashMap<String, DenseTensor>,
@@ -451,16 +461,7 @@ impl Prepared {
         ctx: &mut ExecContext,
         counters: &mut Counters,
     ) -> Result<(), ExecError> {
-        for (name, init) in &self.outputs_init {
-            match outputs.get_mut(name) {
-                Some(existing) if existing.dims() == init.dims() => {
-                    existing.as_mut_slice().copy_from_slice(init.as_slice());
-                }
-                _ => {
-                    outputs.insert(name.clone(), init.clone());
-                }
-            }
-        }
+        self.reset_outputs(outputs);
         self.exec_main(outputs, ctx, counters)
     }
 
@@ -486,16 +487,7 @@ impl Prepared {
         k: usize,
         n: usize,
     ) -> Result<(), ExecError> {
-        for (name, init) in &self.outputs_init {
-            match outputs.get_mut(name) {
-                Some(existing) if existing.dims() == init.dims() => {
-                    existing.as_mut_slice().copy_from_slice(init.as_slice());
-                }
-                _ => {
-                    outputs.insert(name.clone(), init.clone());
-                }
-            }
-        }
+        self.reset_outputs(outputs);
         self.plan.main_compiled.run_chunk_with(&self.inputs, outputs, ctx, counters, k, n)
     }
 

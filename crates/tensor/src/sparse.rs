@@ -324,18 +324,6 @@ impl SparseTensor {
         }
     }
 
-    /// Number of children of `parent` at level `k` (stored coordinates
-    /// for sparse levels, the extent for dense levels).
-    pub fn level_len(&self, k: usize, parent: usize) -> usize {
-        match &self.levels[k] {
-            Level::Dense { size } => *size,
-            Level::Sparse { pos, .. } => pos[parent + 1] - pos[parent],
-            Level::RunLength { pos, run_start, run_end, .. } => {
-                (pos[parent]..pos[parent + 1]).map(|r| run_end[r] - run_start[r] + 1).sum()
-            }
-        }
-    }
-
     /// Finds the child position of coordinate `coord` under `parent` at
     /// level `k` (random access step), or `None` if not stored.
     pub fn level_find(&self, k: usize, parent: usize, coord: usize) -> Option<usize> {

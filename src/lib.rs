@@ -6,7 +6,6 @@
 //!
 //! * [`ir`] — the loop-nest tensor IR and einsum frontend
 //!   ([`ir::parse_einsum`]).
-//! * [`rewrite`] — term-rewriting combinators.
 //! * [`tensor`] — fibertree sparse/structured tensor formats and
 //!   generators.
 //! * [`compiler`] — the SySTeC compiler (symmetrization + §4.2 passes).
@@ -44,7 +43,6 @@ pub use systec_core as compiler;
 pub use systec_exec as exec;
 pub use systec_ir as ir;
 pub use systec_kernels as kernels;
-pub use systec_rewrite as rewrite;
 pub use systec_router as router;
 pub use systec_serve as serve;
 pub use systec_tensor as tensor;
