@@ -28,6 +28,8 @@ use systec_ir::{AssignOp, BinOp, CmpOp};
 use systec_telemetry::RunnerKind;
 use systec_tensor::LevelFormat;
 
+use crate::MergeKind;
+
 /// Sentinel for "position unstored" in `u` position registers.
 pub(crate) const MISS: usize = usize::MAX;
 
@@ -504,20 +506,6 @@ pub(crate) struct TensorInfo {
     pub formats: Vec<LevelFormat>,
 }
 
-/// How one output tensor is bound under row-parallel execution.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ParOut {
-    /// Every access's leading subscript is the enclosing split loop's
-    /// index: chunks touch disjoint row ranges, so workers write
-    /// disjoint sub-slices of the shared buffer in place.
-    Owned,
-    /// Written through a single mergeable reduction operator (and never
-    /// read): each worker reduces into a private buffer initialized to
-    /// the operator's identity, merged into the shared buffer in fixed
-    /// worker order after the join.
-    Reduced(AssignOp),
-}
-
 /// The compiler's proof that a program may execute row-parallel: which
 /// top-level loop heads can be clamped to a coordinate chunk, and how
 /// each output must be bound so chunks never conflict.
@@ -527,13 +515,16 @@ pub(crate) struct SplitInfo {
     /// Workers run the whole program with each of these heads clamped to
     /// the worker's coordinate chunk `[k*extent/chunks, (k+1)*extent/chunks)`.
     pub heads: Vec<(usize, usize)>,
-    /// When [`ParOut::Owned`] outputs exist, the common extent all split
+    /// When [`MergeKind::Rows`] outputs exist, the common extent all split
     /// loops share — chunk boundaries in this domain double as the row
     /// boundaries the owned buffers are split at.
     pub owned_extent: Option<usize>,
-    /// Parallel binding mode per output slot (`(slot, mode)` pairs for
-    /// every output the split loops touch).
-    pub outputs: Vec<(usize, ParOut)>,
+    /// How each output slot the split loops touch is bound and merged
+    /// (`(slot, kind)` pairs): a `Rows` output's workers write disjoint
+    /// row ranges of the shared buffer in place; a `Reduce` output's
+    /// workers reduce into private identity-initialized buffers, merged
+    /// in fixed worker order after the join.
+    pub outputs: Vec<(usize, MergeKind)>,
 }
 
 /// A compiled program: flat instructions plus register-file sizes and

@@ -19,10 +19,11 @@ use systec_tensor::{DenseTensor, LevelFormat, Tensor};
 use systec_ir::{AssignOp, CmpOp};
 
 use crate::bytecode::{
-    Bound, BytecodeProgram, FAcc, FLoad, FOp, Instr, ParOut, SplitInfo, TensorInfo, Term, VItem,
-    Workspace, MISS,
+    Bound, BytecodeProgram, FAcc, FLoad, FOp, Instr, SplitInfo, TensorInfo, Term, VItem, Workspace,
+    MISS,
 };
 use crate::fuse::{exclusive, independent, BodyBuilder};
+use crate::MergeKind;
 
 /// Per-slot compile-time binding info.
 enum SlotLayout {
@@ -109,11 +110,25 @@ pub(crate) fn compile(
     let mut written = vec![false; program.n_scalars];
     let mut const_pool: Vec<f64> = Vec::new();
     let mut const_ids: HashMap<u64, usize> = HashMap::new();
-    prescan(&program.root, &mut written, &mut |v: f64| {
-        const_ids.entry(v.to_bits()).or_insert_with(|| {
-            const_pool.push(v);
-            const_pool.len() - 1
-        });
+    let mut pool_literals = |e: &LExpr| {
+        e.for_each(&mut |e| {
+            if let LExpr::Lit(v) = e {
+                const_ids.entry(v.to_bits()).or_insert_with(|| {
+                    const_pool.push(*v);
+                    const_pool.len() - 1
+                });
+            }
+        })
+    };
+    program.root.for_each(&mut |s| match s {
+        LStmt::Let { value, .. } => pool_literals(value),
+        LStmt::Assign { target, rhs, .. } => {
+            if let LTarget::Scalar(slot) = target {
+                written[*slot] = true;
+            }
+            pool_literals(rhs);
+        }
+        _ => {}
     });
     let const_base = program.n_scalars;
 
@@ -197,11 +212,20 @@ struct OutAcc {
 }
 
 impl OutAcc {
-    fn record_op(&mut self, op: AssignOp) {
-        match self.op {
-            None => self.op = Some(op),
-            Some(prev) if prev == op => {}
-            Some(_) => self.mixed_ops = true,
+    /// Records one access; `row` when its leading subscript is the split
+    /// loop's index, `write` carrying a store's operator.
+    fn record(&mut self, row: bool, write: Option<AssignOp>) {
+        let seen = match (write, row) {
+            (None, true) => &mut self.row_read,
+            (None, false) => &mut self.nonrow_read,
+            (Some(_), true) => &mut self.row_write,
+            (Some(_), false) => &mut self.nonrow_write,
+        };
+        *seen = true;
+        match (self.op, write) {
+            (None, _) => self.op = write,
+            (Some(prev), Some(op)) if prev != op => self.mixed_ops = true,
+            _ => {}
         }
     }
 }
@@ -212,7 +236,7 @@ struct PendingSplit {
     /// exactly this many heads or the split is dropped).
     n_heads: usize,
     owned_extent: Option<usize>,
-    outputs: Vec<(usize, ParOut)>,
+    outputs: Vec<(usize, MergeKind)>,
 }
 
 /// Decides whether the program may execute row-parallel: the root must
@@ -267,10 +291,10 @@ fn analyze_split(program: &LoweredProgram) -> Option<PendingSplit> {
             }
             let op = acc.op.expect("a write was recorded");
             op.identity()?; // Overwrite has none: order-dependent, not mergeable
-            ParOut::Reduced(op)
+            MergeKind::Reduce(op)
         } else {
             owned_any = true;
-            ParOut::Owned
+            MergeKind::Rows
         };
         outputs.push((slot, mode));
     }
@@ -304,89 +328,21 @@ fn collect_top_loops<'a>(stmt: &'a LStmt, out: &mut Vec<&'a LStmt>) -> bool {
 /// Records how outputs are accessed under one top-level loop, keyed to
 /// whether each access's leading subscript is that loop's index.
 fn classify_stmt(stmt: &LStmt, idx: usize, accs: &mut [OutAcc]) {
-    match stmt {
-        LStmt::Seq(ss) => {
-            for s in ss {
-                classify_stmt(s, idx, accs);
+    stmt.for_each(&mut |s| {
+        let (rhs, write) = match s {
+            LStmt::Let { value, .. } => (value, None),
+            LStmt::Assign { target, op, rhs, .. } => (rhs, Some((target, *op))),
+            _ => return,
+        };
+        rhs.for_each(&mut |e| {
+            if let LExpr::ReadOutput { tensor, modes } = e {
+                accs[*tensor].record(modes.first() == Some(&idx), None);
             }
+        });
+        if let Some((LTarget::Output { tensor, modes }, op)) = write {
+            accs[*tensor].record(modes.first() == Some(&idx), Some(op));
         }
-        LStmt::Loop { body, .. } | LStmt::If { body, .. } | LStmt::Workspace { body, .. } => {
-            classify_stmt(body, idx, accs)
-        }
-        LStmt::Let { value, body, .. } => {
-            classify_expr(value, idx, accs);
-            classify_stmt(body, idx, accs);
-        }
-        LStmt::Assign { target, op, rhs, .. } => {
-            classify_expr(rhs, idx, accs);
-            if let LTarget::Output { tensor, modes } = target {
-                let acc = &mut accs[*tensor];
-                if modes.first() == Some(&idx) {
-                    acc.row_write = true;
-                } else {
-                    acc.nonrow_write = true;
-                }
-                acc.record_op(*op);
-            }
-        }
-    }
-}
-
-fn classify_expr(e: &LExpr, idx: usize, accs: &mut [OutAcc]) {
-    match e {
-        LExpr::ReadOutput { tensor, modes } => {
-            let acc = &mut accs[*tensor];
-            if modes.first() == Some(&idx) {
-                acc.row_read = true;
-            } else {
-                acc.nonrow_read = true;
-            }
-        }
-        LExpr::Call { args, .. } => {
-            for a in args {
-                classify_expr(a, idx, accs);
-            }
-        }
-        LExpr::Lookup { index, .. } => classify_expr(index, idx, accs),
-        _ => {}
-    }
-}
-
-/// Walks the lowered tree recording scalar assignment targets and every
-/// literal operand.
-fn prescan(stmt: &LStmt, written: &mut [bool], on_lit: &mut impl FnMut(f64)) {
-    fn expr(e: &LExpr, on_lit: &mut impl FnMut(f64)) {
-        match e {
-            LExpr::Lit(v) => on_lit(*v),
-            LExpr::Call { args, .. } => {
-                for a in args {
-                    expr(a, on_lit);
-                }
-            }
-            LExpr::Lookup { index, .. } => expr(index, on_lit),
-            _ => {}
-        }
-    }
-    match stmt {
-        LStmt::Seq(ss) => {
-            for s in ss {
-                prescan(s, written, on_lit);
-            }
-        }
-        LStmt::Loop { body, .. } | LStmt::If { body, .. } | LStmt::Workspace { body, .. } => {
-            prescan(body, written, on_lit);
-        }
-        LStmt::Let { value, body, .. } => {
-            expr(value, on_lit);
-            prescan(body, written, on_lit);
-        }
-        LStmt::Assign { target, rhs, .. } => {
-            if let LTarget::Scalar(slot) = target {
-                written[*slot] = true;
-            }
-            expr(rhs, on_lit);
-        }
-    }
+    });
 }
 
 #[derive(Clone, Copy)]

@@ -366,13 +366,7 @@ impl CompiledKernel {
             split
                 .outputs
                 .iter()
-                .map(|&(slot, mode)| {
-                    let kind = match mode {
-                        bytecode::ParOut::Owned => MergeKind::Rows,
-                        bytecode::ParOut::Reduced(op) => MergeKind::Reduce(op),
-                    };
-                    (self.program.tensors[slot].name.clone(), kind)
-                })
+                .map(|&(slot, kind)| (self.program.tensors[slot].name.clone(), kind))
                 .collect()
         })
     }

@@ -24,9 +24,9 @@
 //! over its own register files and [`CounterBank`], with the top-level
 //! loop heads clamped to the chunk's coordinate window:
 //!
-//! * [`ParOut::Owned`] outputs are split at the chunk row boundaries —
+//! * [`MergeKind::Rows`] outputs are split at the chunk row boundaries —
 //!   workers write disjoint sub-slices of the shared buffer in place;
-//! * [`ParOut::Reduced`] outputs reduce into per-worker private buffers
+//! * [`MergeKind::Reduce`] outputs reduce into per-worker private buffers
 //!   initialized to the reduction identity.
 //!
 //! Workers join, then counters and private buffers merge **in fixed
@@ -46,11 +46,11 @@ use systec_ir::BinOp;
 
 use crate::bytecode::{
     Bound, BulkCounts, BytecodeProgram, ClosedForm, DenseOperand, DotShape, FAcc, FFold, FLoad,
-    FOp, Fused, Instr, NestRows, ParOut, RowNest, Runner, SplitInfo, Term, VItem, Workspace, MISS,
+    FOp, Fused, Instr, NestRows, RowNest, Runner, SplitInfo, Term, VItem, Workspace, MISS,
 };
 use crate::context::{Bank, ExecContext, GatherBank, LaneMode};
 use crate::fuse::{MAX_FUSED_FOLDS, MAX_FUSED_LOADS, MAX_FUSED_SRCS, MAX_NEST_STEPS};
-use crate::Parallelism;
+use crate::{MergeKind, Parallelism};
 
 /// Inline capacity for per-slot binding tables.
 const MAX_SLOTS: usize = 24;
@@ -2492,7 +2492,7 @@ fn run_parallel<'a>(
     for &(slot, mode) in &split.outputs {
         let bind = outs[oo[slot]].take().expect("output bound");
         match mode {
-            ParOut::Owned => {
+            MergeKind::Rows => {
                 let extent = split.owned_extent.expect("owned outputs pin a common extent");
                 let stride: usize = program.tensors[slot].dims[1..].iter().product();
                 let mut rest = bind.data;
@@ -2505,7 +2505,7 @@ fn run_parallel<'a>(
                     rest = tail;
                 }
             }
-            ParOut::Reduced(op) => {
+            MergeKind::Reduce(op) => {
                 reduced_meta.push((slot, op, bind.data.len()));
                 reduced_mains.push(bind.data);
             }

@@ -72,14 +72,12 @@ fn cse_block(stmts: &[Stmt]) -> Option<Stmt> {
         *k += 1;
         names.insert(access.clone(), name);
     }
-    let rewritten: Vec<Stmt> = stmts
-        .iter()
-        .map(|stmt| {
-            let Stmt::Assign { lhs, op, rhs } = stmt else { unreachable!("checked above") };
-            Stmt::Assign { lhs: lhs.clone(), op: *op, rhs: substitute_accesses(rhs, &names) }
+    let mut body = Stmt::block(stmts.to_vec()).map_exprs(&mut |rhs| {
+        rhs.map_accesses(&mut |a| match names.get(&a) {
+            Some(name) => Expr::Scalar(name.clone()),
+            None => Expr::Access(a),
         })
-        .collect();
-    let mut body = Stmt::block(rewritten);
+    });
     for access in repeated.iter().rev() {
         body = Stmt::Let {
             name: names[access].clone(),
@@ -88,24 +86,6 @@ fn cse_block(stmts: &[Stmt]) -> Option<Stmt> {
         };
     }
     Some(body)
-}
-
-fn substitute_accesses(expr: &Expr, names: &HashMap<Access, String>) -> Expr {
-    match expr {
-        Expr::Access(a) => match names.get(a) {
-            Some(name) => Expr::Scalar(name.clone()),
-            None => expr.clone(),
-        },
-        Expr::Call { op, args } => Expr::Call {
-            op: *op,
-            args: args.iter().map(|e| substitute_accesses(e, names)).collect(),
-        },
-        Expr::Lookup { table, index } => Expr::Lookup {
-            table: table.clone(),
-            index: Box::new(substitute_accesses(index, names)),
-        },
-        other => other.clone(),
-    }
 }
 
 #[cfg(test)]

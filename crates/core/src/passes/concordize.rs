@@ -57,29 +57,18 @@ fn walk(stmt: Stmt, depths: &mut HashMap<Index, usize>, depth: usize, spec: &Sym
         }
         Stmt::Let { name, value, body } => Stmt::Let {
             name,
-            value: fix_expr(value, depths, spec),
+            value: value.map_accesses(&mut |a| Expr::Access(fix_access(a, depths, spec))),
             body: Box::new(walk(*body, depths, depth, spec)),
         },
-        Stmt::Assign { lhs, op, rhs } => Stmt::Assign { lhs, op, rhs: fix_expr(rhs, depths, spec) },
+        assign @ Stmt::Assign { .. } => assign.map_exprs(&mut |rhs| {
+            rhs.map_accesses(&mut |a| Expr::Access(fix_access(a, depths, spec)))
+        }),
         other => {
             let mut d = std::mem::take(depths);
             let out = other.map_children(&mut |s| walk(s, &mut d, depth, spec));
             *depths = d;
             out
         }
-    }
-}
-
-fn fix_expr(expr: Expr, depths: &HashMap<Index, usize>, spec: &SymmetrySpec) -> Expr {
-    match expr {
-        Expr::Access(a) => Expr::Access(fix_access(a, depths, spec)),
-        Expr::Call { op, args } => {
-            Expr::Call { op, args: args.into_iter().map(|e| fix_expr(e, depths, spec)).collect() }
-        }
-        Expr::Lookup { table, index } => {
-            Expr::Lookup { table, index: Box::new(fix_expr(*index, depths, spec)) }
-        }
-        other => other,
     }
 }
 

@@ -157,26 +157,14 @@ fn classify(cond: &Cond, chain: &[Index]) -> Class {
 /// Rewrites base accesses to the named symmetric tensors to read the
 /// given part.
 fn retarget(stmt: Stmt, symmetric: &[String], part: TensorPart) -> Stmt {
-    stmt.map_exprs(&mut |e| retarget_expr(e, symmetric, part))
-}
-
-fn retarget_expr(expr: Expr, symmetric: &[String], part: TensorPart) -> Expr {
-    match expr {
-        Expr::Access(mut a)
-            if a.tensor.part == TensorPart::All && symmetric.contains(&a.tensor.name) =>
-        {
-            a.tensor.part = part;
+    stmt.map_exprs(&mut |e| {
+        e.map_accesses(&mut |mut a| {
+            if a.tensor.part == TensorPart::All && symmetric.contains(&a.tensor.name) {
+                a.tensor.part = part;
+            }
             Expr::Access(a)
-        }
-        Expr::Call { op, args } => Expr::Call {
-            op,
-            args: args.into_iter().map(|e| retarget_expr(e, symmetric, part)).collect(),
-        },
-        Expr::Lookup { table, index } => {
-            Expr::Lookup { table, index: Box::new(retarget_expr(*index, symmetric, part)) }
-        }
-        other => other,
-    }
+        })
+    })
 }
 
 #[cfg(test)]

@@ -43,11 +43,15 @@ fn walk(stmt: Stmt, bound: &mut BTreeSet<Index>, counter: &mut usize) -> Stmt {
             // Hoist reads that are fully bound here but sit under deeper
             // loops — excluding tensors the body writes (reading those is
             // order-sensitive).
-            let mut written: Vec<String> = Vec::new();
-            collect_written(&body, &mut written);
+            let mut written: Vec<&str> = Vec::new();
+            body.for_each_access(&mut |a, op| {
+                if op.is_some() {
+                    written.push(&a.tensor.name);
+                }
+            });
             let mut candidates: Vec<Access> = Vec::new();
-            collect_hoistable(&body, bound, false, &mut candidates);
-            candidates.retain(|a| !written.contains(&a.tensor.name));
+            collect_hoistable(&body, bound, &mut candidates);
+            candidates.retain(|a| !written.contains(&a.tensor.name.as_str()));
             let mut body = body;
             let mut lets: Vec<(String, Access)> = Vec::new();
             for access in candidates {
@@ -70,111 +74,41 @@ fn walk(stmt: Stmt, bound: &mut BTreeSet<Index>, counter: &mut usize) -> Stmt {
     }
 }
 
-fn collect_written(stmt: &Stmt, out: &mut Vec<String>) {
-    match stmt {
-        Stmt::Block(ss) => {
-            for s in ss {
-                collect_written(s, out);
-            }
-        }
-        Stmt::Loop { body, .. }
-        | Stmt::If { body, .. }
-        | Stmt::Let { body, .. }
-        | Stmt::Workspace { body, .. } => collect_written(body, out),
-        Stmt::Assign { lhs, .. } => {
-            if let systec_ir::Lhs::Tensor(a) = lhs {
-                out.push(a.tensor.name.clone());
-            }
-        }
-    }
-}
-
 /// Collects accesses under at least one inner loop whose subscripts are
 /// all bound (and which therefore re-read the same element every inner
 /// iteration).
-fn collect_hoistable(
-    stmt: &Stmt,
-    bound: &BTreeSet<Index>,
-    under_loop: bool,
-    out: &mut Vec<Access>,
-) {
+fn collect_hoistable(stmt: &Stmt, bound: &BTreeSet<Index>, out: &mut Vec<Access>) {
     match stmt {
-        Stmt::Block(ss) => {
-            for s in ss {
-                collect_hoistable(s, bound, under_loop, out);
+        Stmt::Loop { body, .. } => body.for_each_access(&mut |a, op| {
+            if op.is_none() && a.indices.iter().all(|i| bound.contains(i)) && !out.contains(a) {
+                out.push(a.clone());
             }
-        }
-        Stmt::Loop { body, .. } => collect_hoistable(body, bound, true, out),
-        Stmt::If { body, .. } | Stmt::Workspace { body, .. } => {
-            collect_hoistable(body, bound, under_loop, out)
-        }
-        Stmt::Let { value, body, .. } => {
-            if under_loop {
-                collect_exprs(value, bound, out);
+        }),
+        other => {
+            for s in other.children() {
+                collect_hoistable(s, bound, out);
             }
-            collect_hoistable(body, bound, under_loop, out);
-        }
-        Stmt::Assign { rhs, .. } => {
-            if under_loop {
-                collect_exprs(rhs, bound, out);
-            }
-        }
-    }
-}
-
-fn collect_exprs(expr: &Expr, bound: &BTreeSet<Index>, out: &mut Vec<Access>) {
-    for access in expr.accesses() {
-        let all_bound = access.indices.iter().all(|i| bound.contains(i));
-        if all_bound && !out.contains(access) {
-            out.push(access.clone());
         }
     }
 }
 
 /// Replaces reads of `access` under inner loops with the scalar `name`.
 fn substitute_access(stmt: Stmt, access: &Access, name: &str) -> Stmt {
-    fn subst_expr(expr: Expr, access: &Access, name: &str) -> Expr {
-        match expr {
-            Expr::Access(a) if a == *access => Expr::Scalar(name.to_string()),
-            Expr::Call { op, args } => Expr::Call {
-                op,
-                args: args.into_iter().map(|e| subst_expr(e, access, name)).collect(),
-            },
-            Expr::Lookup { table, index } => {
-                Expr::Lookup { table, index: Box::new(subst_expr(*index, access, name)) }
-            }
-            other => other,
+    match stmt {
+        Stmt::Loop { index, body } => {
+            let body = body.map_exprs(&mut |e| {
+                e.map_accesses(&mut |a| {
+                    if a == *access {
+                        Expr::Scalar(name.to_string())
+                    } else {
+                        Expr::Access(a)
+                    }
+                })
+            });
+            Stmt::Loop { index, body: Box::new(body) }
         }
+        other => other.map_children(&mut |s| substitute_access(s, access, name)),
     }
-    fn subst(stmt: Stmt, access: &Access, name: &str, under_loop: bool) -> Stmt {
-        match stmt {
-            Stmt::Block(ss) => {
-                Stmt::Block(ss.into_iter().map(|s| subst(s, access, name, under_loop)).collect())
-            }
-            Stmt::Loop { index, body } => {
-                Stmt::Loop { index, body: Box::new(subst(*body, access, name, true)) }
-            }
-            Stmt::If { cond, body } => {
-                Stmt::If { cond, body: Box::new(subst(*body, access, name, under_loop)) }
-            }
-            Stmt::Workspace { name: w, init, body } => Stmt::Workspace {
-                name: w,
-                init,
-                body: Box::new(subst(*body, access, name, under_loop)),
-            },
-            Stmt::Let { name: l, value, body } => Stmt::Let {
-                name: l,
-                value: if under_loop { subst_expr(value, access, name) } else { value },
-                body: Box::new(subst(*body, access, name, under_loop)),
-            },
-            Stmt::Assign { lhs, op, rhs } => Stmt::Assign {
-                lhs,
-                op,
-                rhs: if under_loop { subst_expr(rhs, access, name) } else { rhs },
-            },
-        }
-    }
-    subst(stmt, access, name, false)
 }
 
 #[cfg(test)]

@@ -87,14 +87,8 @@ fn reduce(
     out_access: &mut Option<Access>,
 ) -> Stmt {
     match stmt {
-        Stmt::Block(stmts) => {
-            if stmts.iter().all(|s| matches!(s, Stmt::Assign { .. })) {
-                Stmt::block(reduce_block(stmts, rank, detected, out_access))
-            } else {
-                Stmt::Block(
-                    stmts.into_iter().map(|s| reduce(s, rank, detected, out_access)).collect(),
-                )
-            }
+        Stmt::Block(stmts) if stmts.iter().all(|s| matches!(s, Stmt::Assign { .. })) => {
+            Stmt::block(reduce_block(stmts, rank, detected, out_access))
         }
         other => other.map_children(&mut |s| reduce(s, rank, detected, out_access)),
     }

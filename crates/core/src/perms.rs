@@ -139,7 +139,7 @@ pub fn unique_symmetry_group(group: &EquivalenceGroup) -> Vec<Vec<usize>> {
     let n = group.len();
     let mut out: Vec<Vec<usize>> = Vec::new();
     let mut seen: Vec<Vec<usize>> = Vec::new();
-    for perm in all_permutations(n) {
+    for perm in permutations_of(&(0..n).collect::<Vec<_>>()) {
         let key: Vec<usize> = perm.iter().map(|&src| group.class_of(src)).collect();
         if !seen.contains(&key) {
             seen.push(key);
@@ -149,11 +149,14 @@ pub fn unique_symmetry_group(group: &EquivalenceGroup) -> Vec<Vec<usize>> {
     out
 }
 
-fn all_permutations(n: usize) -> Vec<Vec<usize>> {
+/// Every ordering of `items`, in lexicographic order of positions (of
+/// values, when `items` is sorted).
+pub(crate) fn permutations_of(items: &[usize]) -> Vec<Vec<usize>> {
+    let n = items.len();
     let mut out = Vec::new();
     let mut current: Vec<usize> = (0..n).collect();
     loop {
-        out.push(current.clone());
+        out.push(current.iter().map(|&k| items[k]).collect());
         let Some(i) = (0..n.saturating_sub(1)).rev().find(|&i| current[i] < current[i + 1]) else {
             break;
         };

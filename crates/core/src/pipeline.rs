@@ -2,12 +2,13 @@
 
 use std::collections::HashMap;
 
-use systec_ir::{Access, AssignOp, BinOp, CmpOp, Cond, Einsum, Expr, Index, Stmt};
+use systec_ir::{AssignOp, BinOp, CmpOp, Cond, Einsum, Expr, Index, Stmt};
 
 use crate::passes::{
     access_cse, concordize, consolidate, diagonal_split, distribute, group_branches, lookup_table,
     visible_output,
 };
+use crate::symmetrize::normalize_accesses;
 use crate::{symmetrize, CompileError, SymmetryPartition, SymmetrySpec};
 
 /// Per-pass toggles, used by the ablation benchmarks and by callers that
@@ -318,43 +319,9 @@ fn einsum_invisible_symmetry(
 fn rhs_invariant_under_swap(einsum: &Einsum, spec: &SymmetrySpec, a: &Index, b: &Index) -> bool {
     let map: HashMap<Index, Index> =
         [(a.clone(), b.clone()), (b.clone(), a.clone())].into_iter().collect();
-    let normalize = |e: &Expr| normalize_symmetric(e, spec).sort_commutative();
+    let normalize = |e: Expr| normalize_accesses(e, spec, &Index::cmp).sort_commutative();
     let swapped = einsum.rhs.substitute(&map);
-    normalize(&swapped) == normalize(&einsum.rhs)
-}
-
-/// Sorts symmetric-part subscripts lexicographically so symmetric
-/// accesses compare equal under permutation.
-fn normalize_symmetric(expr: &Expr, spec: &SymmetrySpec) -> Expr {
-    match expr {
-        Expr::Access(a) if a.tensor.is_base() => {
-            if let Some(partition) = spec.partition(&a.tensor.name) {
-                if partition.rank() == a.indices.len() {
-                    let mut indices = a.indices.clone();
-                    for part in partition.nontrivial_parts() {
-                        let mut modes: Vec<usize> = part.to_vec();
-                        modes.sort_unstable();
-                        let mut vals: Vec<Index> =
-                            modes.iter().map(|&m| indices[m].clone()).collect();
-                        vals.sort();
-                        for (&m, v) in modes.iter().zip(vals) {
-                            indices[m] = v;
-                        }
-                    }
-                    return Expr::Access(Access { tensor: a.tensor.clone(), indices });
-                }
-            }
-            expr.clone()
-        }
-        Expr::Call { op, args } => Expr::Call {
-            op: *op,
-            args: args.iter().map(|e| normalize_symmetric(e, spec)).collect(),
-        },
-        Expr::Lookup { table, index } => {
-            Expr::Lookup { table: table.clone(), index: Box::new(normalize_symmetric(index, spec)) }
-        }
-        other => other.clone(),
-    }
+    normalize(swapped) == normalize(einsum.rhs.clone())
 }
 
 /// Inserts a guard just inside the loop binding the last (innermost) of

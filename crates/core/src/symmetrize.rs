@@ -2,6 +2,7 @@
 //! iteration to canonical triangles and emits one assignment per unique
 //! symmetry-group permutation.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
 use systec_ir::{Access, Cond, Einsum, Expr, Index, Stmt};
@@ -63,7 +64,11 @@ pub fn symmetrize(einsum: &Einsum, spec: &SymmetrySpec) -> Result<SymmetrizedKer
     // Normalize the base einsum's symmetric accesses to canonical order.
     let chain_rank: HashMap<Index, usize> =
         chain.iter().enumerate().map(|(k, i)| (i.clone(), k)).collect();
-    let base_rhs = normalize_expr(&einsum.rhs, spec, &chain_rank);
+    let by_rank = |a: &Index, b: &Index| {
+        let rank = |i: &Index| chain_rank.get(i).copied().unwrap_or(usize::MAX);
+        rank(a).cmp(&rank(b))
+    };
+    let base_rhs = normalize_accesses(einsum.rhs.clone(), spec, &by_rank);
     let mut norm_einsum = einsum.clone();
     norm_einsum.rhs = base_rhs.clone();
 
@@ -82,8 +87,8 @@ pub fn symmetrize(einsum: &Einsum, spec: &SymmetrySpec) -> Result<SymmetrizedKer
                 .map(|(m, &src)| (chain[m].clone(), chain[src].clone()))
                 .collect();
             let out = einsum.output.substitute(&map);
-            let rhs = base_rhs.substitute(&map);
-            let rhs = normalize_expr(&rhs, spec, &chain_rank).sort_commutative();
+            let rhs = normalize_accesses(base_rhs.substitute(&map), spec, &by_rank);
+            let rhs = rhs.sort_commutative();
             assigns.push(Stmt::Assign { lhs: out.into(), op: einsum.op, rhs });
         }
         blocks.push(Stmt::guarded(cond, Stmt::block(assigns)));
@@ -191,39 +196,29 @@ fn canonical_chain(
     Ok(order)
 }
 
-/// Sorts the indices of every symmetric access within each symmetric
-/// part, by canonical chain rank (stage 4's access normalization).
-fn normalize_expr(expr: &Expr, spec: &SymmetrySpec, chain_rank: &HashMap<Index, usize>) -> Expr {
-    match expr {
-        Expr::Access(a) if a.tensor.is_base() => {
-            if let Some(partition) = spec.partition(&a.tensor.name) {
-                if partition.rank() == a.indices.len() {
-                    let mut indices = a.indices.clone();
-                    for part in partition.nontrivial_parts() {
-                        let mut modes: Vec<usize> = part.to_vec();
-                        modes.sort_unstable();
-                        let mut vals: Vec<Index> =
-                            modes.iter().map(|&m| indices[m].clone()).collect();
-                        vals.sort_by_key(|i| chain_rank.get(i).copied().unwrap_or(usize::MAX));
-                        for (&m, v) in modes.iter().zip(vals) {
-                            indices[m] = v;
-                        }
-                    }
-                    return Expr::Access(Access { tensor: a.tensor.clone(), indices });
+/// Sorts the subscripts of every access to a declared-symmetric tensor
+/// within each symmetric part, in the order `cmp` gives, so accesses that
+/// are equal under the tensor's symmetry compare equal.
+pub(crate) fn normalize_accesses(
+    expr: Expr,
+    spec: &SymmetrySpec,
+    cmp: &impl Fn(&Index, &Index) -> Ordering,
+) -> Expr {
+    expr.map_accesses(&mut |mut a| {
+        let partition = spec.partition(&a.tensor.name);
+        if let Some(partition) = partition.filter(|p| a.tensor.is_base() && p.rank() == a.rank()) {
+            for part in partition.nontrivial_parts() {
+                let mut modes: Vec<usize> = part.to_vec();
+                modes.sort_unstable();
+                let mut vals: Vec<Index> = modes.iter().map(|&m| a.indices[m].clone()).collect();
+                vals.sort_by(cmp);
+                for (&m, v) in modes.iter().zip(vals) {
+                    a.indices[m] = v;
                 }
             }
-            expr.clone()
         }
-        Expr::Call { op, args } => Expr::Call {
-            op: *op,
-            args: args.iter().map(|e| normalize_expr(e, spec, chain_rank)).collect(),
-        },
-        Expr::Lookup { table, index } => Expr::Lookup {
-            table: table.clone(),
-            index: Box::new(normalize_expr(index, spec, chain_rank)),
-        },
-        other => other.clone(),
-    }
+        Expr::Access(a)
+    })
 }
 
 #[cfg(test)]

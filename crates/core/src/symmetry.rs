@@ -3,6 +3,8 @@
 
 use std::collections::HashMap;
 
+use crate::perms::permutations_of;
+
 /// A partition of a tensor's mode positions `0..rank`, declaring which
 /// groups of modes may be permuted without changing the tensor
 /// (Definition 2.2, partial symmetry). Full symmetry is the one-part
@@ -118,22 +120,6 @@ impl SymmetryPartition {
                 .enumerate()
                 .all(|(dst, &src)| src < self.rank && self.part_of(dst) == self.part_of(src))
     }
-}
-
-fn permutations_of(items: &[usize]) -> Vec<Vec<usize>> {
-    if items.is_empty() {
-        return vec![Vec::new()];
-    }
-    let mut out = Vec::new();
-    for (k, &head) in items.iter().enumerate() {
-        let mut rest = items.to_vec();
-        rest.remove(k);
-        for mut tail in permutations_of(&rest) {
-            tail.insert(0, head);
-            out.push(tail);
-        }
-    }
-    out
 }
 
 /// A per-kernel declaration of which input tensors are symmetric, and

@@ -235,6 +235,34 @@ pub enum LExpr {
     },
 }
 
+impl LStmt {
+    /// Calls `f` on every statement, parents before children, in program
+    /// order.
+    pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a LStmt)) {
+        f(self);
+        match self {
+            LStmt::Seq(ss) => ss.iter().for_each(|s| s.for_each(f)),
+            LStmt::Loop { body, .. }
+            | LStmt::If { body, .. }
+            | LStmt::Let { body, .. }
+            | LStmt::Workspace { body, .. } => body.for_each(f),
+            LStmt::Assign { .. } => {}
+        }
+    }
+}
+
+impl LExpr {
+    /// Calls `f` on every node, parents before children, left to right.
+    pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a LExpr)) {
+        f(self);
+        match self {
+            LExpr::Call { args, .. } => args.iter().for_each(|a| a.for_each(f)),
+            LExpr::Lookup { index, .. } => index.for_each(f),
+            _ => {}
+        }
+    }
+}
+
 /// A lowered assignment target.
 #[derive(Clone, Debug)]
 pub enum LTarget {
@@ -365,9 +393,9 @@ impl<'a> Ctx<'a> {
 
     /// First pass: infer every index's extent from the accesses.
     fn infer_extents(&mut self, stmt: &Stmt) -> Result<(), ExecError> {
-        let mut accesses: Vec<Access> = Vec::new();
-        collect_accesses(stmt, &mut accesses);
-        for access in &accesses {
+        let mut accesses: Vec<&Access> = Vec::new();
+        stmt.for_each_access(&mut |a, _| accesses.push(a));
+        for access in accesses {
             let name = access.tensor.display_name();
             let dims = self.tensor_dims(&name)?;
             if dims.len() != access.indices.len() {
@@ -419,7 +447,7 @@ impl<'a> Ctx<'a> {
                 // skip the body when the access is unstored.
                 let skip_if_missing = match (&lvalue, value) {
                     (LExpr::ReadSparsePath { access, .. }, Expr::Access(a))
-                        if all_assignments_annihilate_scalar(body, name, a) =>
+                        if annihilates_everywhere(body, a, &mut vec![(name.clone(), true)]) =>
                     {
                         Some(*access)
                     }
@@ -451,7 +479,14 @@ impl<'a> Ctx<'a> {
                     }
                     Lhs::Scalar(name) => LTarget::Scalar(self.scalar_lookup(name)?),
                 };
-                let can_miss = expr_can_miss(&lrhs);
+                let mut can_miss = false;
+                lrhs.for_each(&mut |e| {
+                    can_miss |= matches!(
+                        e,
+                        LExpr::ReadSparsePath { annihilator: true, .. }
+                            | LExpr::ReadSparseRandom { annihilator: true, .. }
+                    );
+                });
                 Ok(LStmt::Assign { target, op: *op, rhs: lrhs, can_miss })
             }
         }
@@ -570,12 +605,16 @@ impl<'a> Ctx<'a> {
         index: &Index,
         subtree: &Stmt,
     ) -> Result<(Vec<Advance>, Vec<Advance>), ExecError> {
-        let mut accesses: Vec<Access> = Vec::new();
-        collect_accesses_rhs(subtree, &mut accesses);
+        let mut accesses: Vec<&Access> = Vec::new();
+        subtree.for_each_access(&mut |a, op| {
+            if op.is_none() {
+                accesses.push(a);
+            }
+        });
         let mut drivers = Vec::new();
         let mut probes = Vec::new();
         let mut seen: Vec<AccessKey> = Vec::new();
-        for access in &accesses {
+        for access in accesses {
             let name = access.tensor.display_name();
             let Some(Tensor::Sparse(sparse)) = self.inputs.get(&name) else {
                 continue;
@@ -625,7 +664,7 @@ impl<'a> Ctx<'a> {
             let advance = Advance { access: slot, level: m };
             let is_compressed_level =
                 matches!(sparse.formats()[m], LevelFormat::Sparse | LevelFormat::RunLength);
-            if is_compressed_level && subtree_annihilates(subtree, access) {
+            if is_compressed_level && annihilates_everywhere(subtree, access, &mut Vec::new()) {
                 drivers.push(advance);
             } else {
                 probes.push(advance);
@@ -712,21 +751,6 @@ impl<'a> Ctx<'a> {
     }
 }
 
-fn expr_can_miss(expr: &LExpr) -> bool {
-    match expr {
-        LExpr::ReadSparsePath { annihilator, .. } | LExpr::ReadSparseRandom { annihilator, .. } => {
-            *annihilator
-        }
-        LExpr::Call { args, .. } => args.iter().any(expr_can_miss),
-        LExpr::Lookup { index, .. } => expr_can_miss(index),
-        LExpr::Lit(_)
-        | LExpr::Scalar(_)
-        | LExpr::ReadDense { .. }
-        | LExpr::ReadOutput { .. }
-        | LExpr::CmpVal { .. } => false,
-    }
-}
-
 struct MarkedExpr {
     expr: Expr,
     annihilators: Vec<Access>,
@@ -737,12 +761,7 @@ struct MarkedExpr {
 /// `min=`/`max=`, summands of the top-level sum (tropical product).
 fn mark_annihilators(rhs: &Expr, op: AssignOp) -> MarkedExpr {
     let mut annihilators = Vec::new();
-    let payload_op = match op {
-        AssignOp::Add => Some(BinOp::Mul),
-        AssignOp::Min | AssignOp::Max => Some(BinOp::Add),
-        AssignOp::Overwrite => None,
-    };
-    if let Some(payload) = payload_op {
+    if let Some(payload) = annihilating_op(op) {
         match rhs {
             Expr::Access(a) => annihilators.push(a.clone()),
             Expr::Call { op, args } if *op == payload => {
@@ -758,134 +777,63 @@ fn mark_annihilators(rhs: &Expr, op: AssignOp) -> MarkedExpr {
     MarkedExpr { expr: rhs.clone(), annihilators }
 }
 
-/// Collects every access in the subtree (assignment targets included).
-fn collect_accesses(stmt: &Stmt, out: &mut Vec<Access>) {
-    match stmt {
-        Stmt::Block(ss) => {
-            for s in ss {
-                collect_accesses(s, out);
-            }
-        }
-        Stmt::Loop { body, .. } | Stmt::If { body, .. } | Stmt::Workspace { body, .. } => {
-            collect_accesses(body, out)
-        }
-        Stmt::Let { value, body, .. } => {
-            out.extend(value.accesses().into_iter().cloned());
-            collect_accesses(body, out);
-        }
-        Stmt::Assign { lhs, rhs, .. } => {
-            if let Lhs::Tensor(a) = lhs {
-                out.push(a.clone());
-            }
-            out.extend(rhs.accesses().into_iter().cloned());
-        }
+/// The operator whose operands annihilate an `op` assignment when one of
+/// them reads its fill value: the product for `+=`, the tropical product
+/// (a sum) for `min=`/`max=`; an overwrite has none.
+fn annihilating_op(op: AssignOp) -> Option<BinOp> {
+    match op {
+        AssignOp::Add => Some(BinOp::Mul),
+        AssignOp::Min | AssignOp::Max => Some(BinOp::Add),
+        AssignOp::Overwrite => None,
     }
 }
 
-/// Collects read-side accesses only.
-fn collect_accesses_rhs(stmt: &Stmt, out: &mut Vec<Access>) {
-    match stmt {
-        Stmt::Block(ss) => {
-            for s in ss {
-                collect_accesses_rhs(s, out);
-            }
-        }
-        Stmt::Loop { body, .. } | Stmt::If { body, .. } | Stmt::Workspace { body, .. } => {
-            collect_accesses_rhs(body, out)
-        }
-        Stmt::Let { value, body, .. } => {
-            out.extend(value.accesses().into_iter().cloned());
-            collect_accesses_rhs(body, out);
-        }
-        Stmt::Assign { rhs, .. } => out.extend(rhs.accesses().into_iter().cloned()),
-    }
-}
-
-/// Returns `true` if every assignment in `subtree` annihilates when
+/// Returns `true` if every assignment in `stmt` annihilates when
 /// `access` reads its fill value — the soundness condition for letting
-/// `access` drive a loop (skip unstored coordinates).
-fn subtree_annihilates(subtree: &Stmt, access: &Access) -> bool {
-    fn walk(stmt: &Stmt, access: &Access, bound_scalars: &mut Vec<(String, bool)>) -> bool {
-        match stmt {
-            Stmt::Block(ss) => ss.iter().all(|s| walk(s, access, bound_scalars)),
-            Stmt::Loop { body, .. } | Stmt::If { body, .. } | Stmt::Workspace { body, .. } => {
-                walk(body, access, bound_scalars)
-            }
-            Stmt::Let { name, value, body } => {
-                // A scalar is an alias for the access either directly or
-                // transitively through another alias (loop-invariant code
-                // motion introduces such chains).
-                let is_access = match value {
-                    Expr::Access(a) => a == access,
-                    Expr::Scalar(n) => scalar_is_alias(n, bound_scalars),
-                    _ => false,
-                };
-                bound_scalars.push((name.clone(), is_access));
-                let ok = walk(body, access, bound_scalars);
-                bound_scalars.pop();
-                ok
-            }
-            Stmt::Assign { op, rhs, .. } => assignment_annihilates(rhs, *op, access, bound_scalars),
+/// `access` drive a loop (skip unstored coordinates), or for skipping a
+/// `let` body when the access it binds is unstored. `bound_scalars`
+/// records, per enclosing `let`, whether its scalar aliases the access.
+fn annihilates_everywhere(
+    stmt: &Stmt,
+    access: &Access,
+    bound_scalars: &mut Vec<(String, bool)>,
+) -> bool {
+    match stmt {
+        Stmt::Let { name, value, body } => {
+            // A scalar is an alias for the access either directly or
+            // transitively through another alias (loop-invariant code
+            // motion introduces such chains).
+            let is_alias = match value {
+                Expr::Access(a) => a == access,
+                Expr::Scalar(n) => scalar_is_alias(n, bound_scalars),
+                _ => false,
+            };
+            bound_scalars.push((name.clone(), is_alias));
+            let ok = annihilates_everywhere(body, access, bound_scalars);
+            bound_scalars.pop();
+            ok
         }
+        Stmt::Assign { op, rhs, .. } => {
+            let refers = |e: &Expr| match e {
+                Expr::Access(a) => a == access,
+                Expr::Scalar(name) => scalar_is_alias(name, bound_scalars),
+                _ => false,
+            };
+            match (annihilating_op(*op), rhs) {
+                (None, _) => false,
+                (_, e) if refers(e) => true,
+                (Some(payload), Expr::Call { op, args }) if *op == payload => {
+                    args.iter().any(refers)
+                }
+                _ => false,
+            }
+        }
+        other => other.children().iter().all(|s| annihilates_everywhere(s, access, bound_scalars)),
     }
-    let mut scalars = Vec::new();
-    walk(subtree, access, &mut scalars)
 }
 
 fn scalar_is_alias(name: &str, bound_scalars: &[(String, bool)]) -> bool {
     bound_scalars.iter().rev().find(|(n, _)| n == name).is_some_and(|(_, is_access)| *is_access)
-}
-
-fn assignment_annihilates(
-    rhs: &Expr,
-    op: AssignOp,
-    access: &Access,
-    bound_scalars: &[(String, bool)],
-) -> bool {
-    let refers = |e: &Expr| -> bool {
-        match e {
-            Expr::Access(a) => a == access,
-            Expr::Scalar(name) => scalar_is_alias(name, bound_scalars),
-            _ => false,
-        }
-    };
-    let payload_op = match op {
-        AssignOp::Add => BinOp::Mul,
-        AssignOp::Min | AssignOp::Max => BinOp::Add,
-        AssignOp::Overwrite => return false,
-    };
-    match rhs {
-        e if refers(e) => true,
-        Expr::Call { op, args } if *op == payload_op => args.iter().any(refers),
-        _ => false,
-    }
-}
-
-fn all_assignments_annihilate_scalar(body: &Stmt, scalar: &str, access: &Access) -> bool {
-    // Within the let's body, `scalar` is the access; aliases of it (lets
-    // bound to the scalar or to the access) count too.
-    fn walk(stmt: &Stmt, access: &Access, bound_scalars: &mut Vec<(String, bool)>) -> bool {
-        match stmt {
-            Stmt::Block(ss) => ss.iter().all(|s| walk(s, access, bound_scalars)),
-            Stmt::Loop { body, .. } | Stmt::If { body, .. } | Stmt::Workspace { body, .. } => {
-                walk(body, access, bound_scalars)
-            }
-            Stmt::Let { name, value, body } => {
-                let is_alias = match value {
-                    Expr::Access(a) => a == access,
-                    Expr::Scalar(n) => scalar_is_alias(n, bound_scalars),
-                    _ => false,
-                };
-                bound_scalars.push((name.clone(), is_alias));
-                let ok = walk(body, access, bound_scalars);
-                bound_scalars.pop();
-                ok
-            }
-            Stmt::Assign { op, rhs, .. } => assignment_annihilates(rhs, *op, access, bound_scalars),
-        }
-    }
-    let mut scalars = vec![(scalar.to_string(), true)];
-    walk(body, access, &mut scalars)
 }
 
 #[cfg(test)]

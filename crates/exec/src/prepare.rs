@@ -22,7 +22,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use systec_ir::{Access, AssignOp, CmpOp, Cond, Index, Lhs, Stmt, TensorPart, TensorRef};
+use systec_ir::{Access, AssignOp, CmpOp, Cond, Index, Stmt, TensorPart, TensorRef};
 use systec_tensor::{DenseTensor, Tensor};
 
 use crate::ExecError;
@@ -46,7 +46,7 @@ pub fn alloc_outputs(
 ) -> Result<HashMap<String, DenseTensor>, ExecError> {
     let mut extents: HashMap<systec_ir::Index, usize> = HashMap::new();
     let mut targets: Vec<(Access, AssignOp)> = Vec::new();
-    collect(stmt, &mut Vec::new(), &mut |access, write_op, _| {
+    stmt.for_each_access(&mut |access, write_op| {
         let name = access.tensor.display_name();
         if let Some(t) = inputs.get(&name) {
             for (mode, index) in access.indices.iter().enumerate() {
@@ -60,7 +60,7 @@ pub fn alloc_outputs(
     // Validate input extents for conflicts.
     let mut checked: HashMap<systec_ir::Index, usize> = HashMap::new();
     let mut conflict: Option<ExecError> = None;
-    collect(stmt, &mut Vec::new(), &mut |access, _, _| {
+    stmt.for_each_access(&mut |access, _| {
         let name = access.tensor.display_name();
         if let Some(t) = inputs.get(&name) {
             for (mode, index) in access.indices.iter().enumerate() {
@@ -125,12 +125,6 @@ fn collect<'a>(
     f: &mut impl FnMut(&'a Access, Option<AssignOp>, &[&'a Cond]),
 ) {
     match stmt {
-        Stmt::Block(ss) => {
-            for s in ss {
-                collect(s, guards, f);
-            }
-        }
-        Stmt::Loop { body, .. } | Stmt::Workspace { body, .. } => collect(body, guards, f),
         Stmt::If { cond, body } => {
             let depth = guards.len();
             guards.extend(match cond {
@@ -140,18 +134,13 @@ fn collect<'a>(
             collect(body, guards, f);
             guards.truncate(depth);
         }
-        Stmt::Let { value, body, .. } => {
-            for a in value.accesses() {
-                f(a, None, guards);
+        Stmt::Assign { .. } => stmt.for_each_access(&mut |a, op| f(a, op, guards)),
+        other => {
+            if let Stmt::Let { value, .. } = other {
+                value.for_each_access(&mut |a| f(a, None, guards));
             }
-            collect(body, guards, f);
-        }
-        Stmt::Assign { lhs, op, rhs } => {
-            if let Lhs::Tensor(a) = lhs {
-                f(a, Some(*op), guards);
-            }
-            for a in rhs.accesses() {
-                f(a, None, guards);
+            for s in other.children() {
+                collect(s, guards, f);
             }
         }
     }

@@ -6,7 +6,7 @@ use systec_ir::{AssignOp, Stmt};
 use systec_tensor::{DenseTensor, SparseTensor, Tensor};
 
 use crate::lower::{LBound, LCond, LExpr, LStmt, LTarget, LoweredProgram, SlotKind};
-use crate::{hoist_conditions, lower, Counters, ExecError};
+use crate::{hoist_conditions, lower, CounterBank, Counters, ExecError};
 
 /// Hoists, lowers and executes a program in one call.
 ///
@@ -90,7 +90,7 @@ pub fn run_lowered(
             })
             .collect(),
         missing: false,
-        counters: CounterBank::new(program.tensors.len()),
+        counters: CounterBank::with_slots(program.tensors.len()),
     };
     machine.exec(&program.root);
 
@@ -105,34 +105,7 @@ pub fn run_lowered(
     for (name, tensor) in names.into_iter().zip(taken) {
         outputs.insert(name.to_string(), tensor);
     }
-    Ok(counters.into_counters(program))
-}
-
-/// Flat per-tensor-slot counters (cheap to bump in the hot loop).
-struct CounterBank {
-    reads: Vec<u64>,
-    flops: u64,
-    writes: u64,
-    iterations: u64,
-}
-
-impl CounterBank {
-    fn new(n_tensors: usize) -> Self {
-        CounterBank { reads: vec![0; n_tensors], flops: 0, writes: 0, iterations: 0 }
-    }
-
-    fn into_counters(self, program: &LoweredProgram) -> Counters {
-        let mut c = Counters::new();
-        for (slot, count) in self.reads.iter().enumerate() {
-            if *count > 0 {
-                c.reads.insert(program.tensors[slot].name.clone(), *count);
-            }
-        }
-        c.flops = self.flops;
-        c.writes = self.writes;
-        c.iterations = self.iterations;
-        c
-    }
+    Ok(counters.to_counters(program.tensors.iter().map(|t| t.name.as_str())))
 }
 
 struct Machine<'p, 'a> {

@@ -213,45 +213,19 @@ impl Expr {
     /// All tensor accesses in the expression, left to right.
     pub fn accesses(&self) -> Vec<&Access> {
         let mut out = Vec::new();
-        self.collect_accesses(&mut out);
+        self.for_each_access(&mut |a| out.push(a));
         out
-    }
-
-    fn collect_accesses<'a>(&'a self, out: &mut Vec<&'a Access>) {
-        match self {
-            Expr::Access(a) => out.push(a),
-            Expr::Call { args, .. } => {
-                for a in args {
-                    a.collect_accesses(out);
-                }
-            }
-            Expr::Lookup { index, .. } => index.collect_accesses(out),
-            Expr::Literal(_) | Expr::Scalar(_) | Expr::CmpVal { .. } => {}
-        }
     }
 
     /// The set of loop indices mentioned anywhere in the expression.
     pub fn indices(&self) -> BTreeSet<Index> {
         let mut out = BTreeSet::new();
-        self.collect_indices(&mut out);
-        out
-    }
-
-    fn collect_indices(&self, out: &mut BTreeSet<Index>) {
-        match self {
+        self.for_each(&mut |e| match e {
             Expr::Access(a) => out.extend(a.indices.iter().cloned()),
-            Expr::Call { args, .. } => {
-                for a in args {
-                    a.collect_indices(out);
-                }
-            }
-            Expr::CmpVal { lhs, rhs, .. } => {
-                out.insert(lhs.clone());
-                out.insert(rhs.clone());
-            }
-            Expr::Lookup { index, .. } => index.collect_indices(out),
-            Expr::Literal(_) | Expr::Scalar(_) => {}
-        }
+            Expr::CmpVal { lhs, rhs, .. } => out.extend([lhs.clone(), rhs.clone()]),
+            _ => {}
+        });
+        out
     }
 
     /// Applies an index substitution throughout the expression.

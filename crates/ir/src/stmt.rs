@@ -124,23 +124,12 @@ impl Stmt {
     /// All assignment statements in the subtree, in program order.
     pub fn assignments(&self) -> Vec<&Stmt> {
         let mut out = Vec::new();
-        self.collect_assignments(&mut out);
-        out
-    }
-
-    fn collect_assignments<'a>(&'a self, out: &mut Vec<&'a Stmt>) {
-        match self {
-            Stmt::Assign { .. } => out.push(self),
-            Stmt::Block(ss) => {
-                for s in ss {
-                    s.collect_assignments(out);
-                }
+        self.for_each(&mut |s| {
+            if let Stmt::Assign { .. } = s {
+                out.push(s);
             }
-            Stmt::Loop { body, .. }
-            | Stmt::If { body, .. }
-            | Stmt::Let { body, .. }
-            | Stmt::Workspace { body, .. } => body.collect_assignments(out),
-        }
+        });
+        out
     }
 
     /// Applies an index substitution throughout the statement.
@@ -178,14 +167,9 @@ impl Stmt {
     /// Counts the statements in the subtree (for size-based pass
     /// heuristics and tests).
     pub fn len(&self) -> usize {
-        match self {
-            Stmt::Block(ss) => 1 + ss.iter().map(Stmt::len).sum::<usize>(),
-            Stmt::Loop { body, .. }
-            | Stmt::If { body, .. }
-            | Stmt::Let { body, .. }
-            | Stmt::Workspace { body, .. } => 1 + body.len(),
-            Stmt::Assign { .. } => 1,
-        }
+        let mut n = 0;
+        self.for_each(&mut |_| n += 1);
+        n
     }
 
     /// Returns `true` if the subtree contains no assignments.

@@ -1,7 +1,12 @@
-//! Structural traversal helpers. [`Stmt::postwalk`] is the one rewrite
-//! strategy the §4.2 passes share, as RewriteTools' `Postwalk` is in §5.1.
+//! Structural traversal helpers: the one place each IR's shape is
+//! written out. [`Stmt::postwalk`] is the rewrite strategy the §4.2
+//! passes share, as RewriteTools' `Postwalk` is in §5.1; the `map_*`
+//! helpers rebuild a tree, and the `for_each*` helpers visit one in
+//! program order for the analyses (access collection, written-tensor
+//! sets). Walkers that carry context down the tree (bound loops, guard
+//! stacks) keep their own recursion and hand every other node back here.
 
-use crate::{Expr, Stmt};
+use crate::{Access, AssignOp, Expr, Lhs, Stmt};
 
 impl Expr {
     /// Rebuilds the expression with each direct child replaced by
@@ -18,15 +23,39 @@ impl Expr {
         }
     }
 
-    /// Immutable references to the direct children.
-    pub fn children(&self) -> Vec<&Expr> {
+    /// Rebuilds the expression children first, replacing each `Access`
+    /// leaf with `f(access)`.
+    pub fn map_accesses(self, f: &mut impl FnMut(Access) -> Expr) -> Expr {
         match self {
-            Expr::Call { args, .. } => args.iter().collect(),
-            Expr::Lookup { index, .. } => vec![index],
-            Expr::Literal(_) | Expr::Scalar(_) | Expr::Access(_) | Expr::CmpVal { .. } => {
-                Vec::new()
-            }
+            Expr::Access(a) => f(a),
+            other => other.map_children(&mut |c| c.map_accesses(f)),
         }
+    }
+
+    /// The direct children.
+    pub fn children(&self) -> &[Expr] {
+        match self {
+            Expr::Call { args, .. } => args,
+            Expr::Lookup { index, .. } => std::slice::from_ref(index),
+            Expr::Literal(_) | Expr::Scalar(_) | Expr::Access(_) | Expr::CmpVal { .. } => &[],
+        }
+    }
+
+    /// Calls `f` on every node, parents before children, left to right.
+    pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        for c in self.children() {
+            c.for_each(f);
+        }
+    }
+
+    /// Calls `f` on every tensor access, left to right.
+    pub fn for_each_access<'a>(&'a self, f: &mut impl FnMut(&'a Access)) {
+        self.for_each(&mut |e| {
+            if let Expr::Access(a) = e {
+                f(a);
+            }
+        });
     }
 }
 
@@ -46,15 +75,15 @@ impl Stmt {
         }
     }
 
-    /// Immutable references to the direct statement children.
-    pub fn children(&self) -> Vec<&Stmt> {
+    /// The direct statement children.
+    pub fn children(&self) -> &[Stmt] {
         match self {
-            Stmt::Block(ss) => ss.iter().collect(),
+            Stmt::Block(ss) => ss,
             Stmt::Loop { body, .. }
             | Stmt::If { body, .. }
             | Stmt::Let { body, .. }
-            | Stmt::Workspace { body, .. } => vec![body],
-            Stmt::Assign { .. } => Vec::new(),
+            | Stmt::Workspace { body, .. } => std::slice::from_ref(body),
+            Stmt::Assign { .. } => &[],
         }
     }
 
@@ -75,6 +104,31 @@ impl Stmt {
             Stmt::Assign { lhs, op, rhs } => Stmt::Assign { lhs, op, rhs: f(rhs) },
             other => other.map_children(&mut |s| s.map_exprs(f)),
         }
+    }
+
+    /// Calls `f` on every statement, parents before children, in
+    /// program order.
+    pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
+        f(self);
+        for c in self.children() {
+            c.for_each(f);
+        }
+    }
+
+    /// Calls `f` on every tensor access in program order: a `let`'s
+    /// value, then each assignment's target (with its operator) and
+    /// then its right-hand side's reads (with `None`).
+    pub fn for_each_access<'a>(&'a self, f: &mut impl FnMut(&'a Access, Option<AssignOp>)) {
+        self.for_each(&mut |s| match s {
+            Stmt::Let { value, .. } => value.for_each_access(&mut |a| f(a, None)),
+            Stmt::Assign { lhs, op, rhs } => {
+                if let Lhs::Tensor(a) = lhs {
+                    f(a, Some(*op));
+                }
+                rhs.for_each_access(&mut |a| f(a, None));
+            }
+            _ => {}
+        });
     }
 }
 
@@ -123,6 +177,32 @@ mod tests {
         let a = assign(access("y", ["i"]), lit(1.0));
         let s = Stmt::Block(vec![Stmt::Block(vec![a.clone(), a.clone()]), a.clone()]);
         assert_eq!(s.postwalk(&dedup), a);
+    }
+
+    #[test]
+    fn map_accesses_rewrites_leaves_under_calls_and_lookups() {
+        let e = Expr::Lookup {
+            table: vec![0.0, 1.0],
+            index: Box::new(mul([access("A", ["i"]), access("x", ["i"])])),
+        };
+        let renamed = e.map_accesses(&mut |a| Expr::Scalar(format!("t_{}", a.tensor.name)));
+        assert_eq!(renamed.accesses().len(), 0);
+        assert!(renamed.to_string().contains("t_A * t_x"), "{renamed}");
+    }
+
+    #[test]
+    fn for_each_access_visits_in_program_order() {
+        let s = Stmt::Block(vec![
+            Stmt::Let {
+                name: "t".into(),
+                value: access("B", ["i"]).into(),
+                body: Box::new(assign(access("y", ["i"]), access("A", ["i"]).into())),
+            },
+            Stmt::loops([idx("j")], assign(access("z", ["j"]), access("C", ["j"]).into())),
+        ]);
+        let mut seen = Vec::new();
+        s.for_each_access(&mut |a, op| seen.push(format!("{}{}", a.tensor.name, op.is_some())));
+        assert_eq!(seen, ["Bfalse", "ytrue", "Afalse", "ztrue", "Cfalse"]);
     }
 
     #[test]

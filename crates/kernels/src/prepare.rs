@@ -112,9 +112,11 @@ fn alloc_outputs_for(
     if let Some(rep) = replication {
         // Replication normally reads and writes outputs the main program
         // already allocated; only infer shapes for anything new.
-        let mut written = Vec::new();
-        collect_written(rep, &mut written);
-        if written.iter().any(|name| !outputs_init.contains_key(name)) {
+        let mut new_output = false;
+        rep.for_each_access(&mut |a, op| {
+            new_output |= op.is_some() && !outputs_init.contains_key(&a.tensor.display_name());
+        });
+        if new_output {
             for (name, t) in alloc_outputs(rep, all_inputs)? {
                 outputs_init.entry(name).or_insert(t);
             }
@@ -569,25 +571,6 @@ pub fn serial_fallback_note(requested: Parallelism, splittable: bool) -> Option<
              (scattered overwrites or cross-row reads); running serially"
         )),
         _ => None,
-    }
-}
-
-fn collect_written(stmt: &Stmt, out: &mut Vec<String>) {
-    match stmt {
-        Stmt::Block(ss) => {
-            for s in ss {
-                collect_written(s, out);
-            }
-        }
-        Stmt::Loop { body, .. }
-        | Stmt::If { body, .. }
-        | Stmt::Let { body, .. }
-        | Stmt::Workspace { body, .. } => collect_written(body, out),
-        Stmt::Assign { lhs, .. } => {
-            if let systec_ir::Lhs::Tensor(a) = lhs {
-                out.push(a.tensor.display_name());
-            }
-        }
     }
 }
 
