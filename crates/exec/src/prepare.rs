@@ -44,40 +44,29 @@ pub fn alloc_outputs(
     stmt: &Stmt,
     inputs: &HashMap<String, Tensor>,
 ) -> Result<HashMap<String, DenseTensor>, ExecError> {
+    // Each index's extent, from the input accesses; the first conflict
+    // between two of them is the error.
     let mut extents: HashMap<systec_ir::Index, usize> = HashMap::new();
+    let mut conflict: Option<ExecError> = None;
     let mut targets: Vec<(Access, AssignOp)> = Vec::new();
     stmt.for_each_access(&mut |access, write_op| {
-        let name = access.tensor.display_name();
-        if let Some(t) = inputs.get(&name) {
-            for (mode, index) in access.indices.iter().enumerate() {
-                extents.entry(index.clone()).or_insert(t.dims()[mode]);
-            }
-        }
-        if let Some(op) = write_op {
-            targets.push((access.clone(), op));
-        }
-    });
-    // Validate input extents for conflicts.
-    let mut checked: HashMap<systec_ir::Index, usize> = HashMap::new();
-    let mut conflict: Option<ExecError> = None;
-    stmt.for_each_access(&mut |access, _| {
-        let name = access.tensor.display_name();
-        if let Some(t) = inputs.get(&name) {
+        if let Some(t) = inputs.get(&access.tensor.display_name()) {
             for (mode, index) in access.indices.iter().enumerate() {
                 let extent = t.dims()[mode];
-                match checked.get(index) {
-                    Some(&prev) if prev != extent && conflict.is_none() => {
+                match extents.insert(index.clone(), extent) {
+                    Some(prev) if prev != extent && conflict.is_none() => {
                         conflict = Some(ExecError::ExtentMismatch {
                             index: index.clone(),
                             a: prev,
                             b: extent,
                         });
                     }
-                    _ => {
-                        checked.insert(index.clone(), extent);
-                    }
+                    _ => {}
                 }
             }
+        }
+        if let Some(op) = write_op {
+            targets.push((access.clone(), op));
         }
     });
     if let Some(e) = conflict {
@@ -325,6 +314,21 @@ mod tests {
     fn alloc_unknown_extent_is_reported() {
         let prog = Stmt::loops([idx("k")], assign(access("z", ["k"]), lit(1.0)));
         assert!(matches!(alloc_outputs(&prog, &inputs()), Err(ExecError::UnknownExtent { .. })));
+    }
+
+    #[test]
+    fn alloc_reports_the_first_extent_conflict() {
+        // `j` spans A's 4 columns but x has 5 entries.
+        let mut bound = inputs();
+        bound.insert("x".to_string(), Tensor::Dense(DenseTensor::zeros(vec![5])));
+        let prog = Stmt::loops(
+            [idx("i"), idx("j")],
+            assign(access("y", ["i"]), mul([access("A", ["i", "j"]), access("x", ["j"])])),
+        );
+        match alloc_outputs(&prog, &bound) {
+            Err(ExecError::ExtentMismatch { index, a: 4, b: 5 }) => assert_eq!(index, idx("j")),
+            other => panic!("expected a j extent mismatch, got {other:?}"),
+        }
     }
 
     #[test]
