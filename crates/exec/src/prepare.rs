@@ -44,18 +44,22 @@ pub fn alloc_outputs(
     stmt: &Stmt,
     inputs: &HashMap<String, Tensor>,
 ) -> Result<HashMap<String, DenseTensor>, ExecError> {
-    // Each index's extent, from the input accesses; the first conflict
-    // between two of them is the error.
+    // Each index's extent, from the input accesses; the first rank or
+    // extent conflict between them is the error.
     let mut extents: HashMap<systec_ir::Index, usize> = HashMap::new();
-    let mut conflict: Option<ExecError> = None;
+    let mut error: Option<ExecError> = None;
     let mut targets: Vec<(Access, AssignOp)> = Vec::new();
     stmt.for_each_access(&mut |access, write_op| {
-        if let Some(t) = inputs.get(&access.tensor.display_name()) {
-            for (mode, index) in access.indices.iter().enumerate() {
-                let extent = t.dims()[mode];
+        let name = access.tensor.display_name();
+        if let Some(t) = inputs.get(&name) {
+            let (rank, subscripts) = (t.dims().len(), access.indices.len());
+            if rank != subscripts {
+                error.get_or_insert(ExecError::AccessRankMismatch { name, rank, subscripts });
+            }
+            for (index, &extent) in access.indices.iter().zip(t.dims()) {
                 match extents.insert(index.clone(), extent) {
-                    Some(prev) if prev != extent && conflict.is_none() => {
-                        conflict = Some(ExecError::ExtentMismatch {
+                    Some(prev) if prev != extent => {
+                        error.get_or_insert_with(|| ExecError::ExtentMismatch {
                             index: index.clone(),
                             a: prev,
                             b: extent,
@@ -69,7 +73,7 @@ pub fn alloc_outputs(
             targets.push((access.clone(), op));
         }
     });
-    if let Some(e) = conflict {
+    if let Some(e) = error {
         return Err(e);
     }
 
@@ -314,6 +318,18 @@ mod tests {
     fn alloc_unknown_extent_is_reported() {
         let prog = Stmt::loops([idx("k")], assign(access("z", ["k"]), lit(1.0)));
         assert!(matches!(alloc_outputs(&prog, &inputs()), Err(ExecError::UnknownExtent { .. })));
+    }
+
+    #[test]
+    fn alloc_reports_a_rank_mismatch_instead_of_indexing_past_the_dims() {
+        let prog = Stmt::loops(
+            [idx("i"), idx("j"), idx("k")],
+            assign(access("y", ["i"]), access("A", ["i", "j", "k"]).into()),
+        );
+        assert_eq!(
+            alloc_outputs(&prog, &inputs()).unwrap_err(),
+            ExecError::AccessRankMismatch { name: "A".into(), rank: 2, subscripts: 3 }
+        );
     }
 
     #[test]
