@@ -290,10 +290,11 @@ pub(crate) struct DotShape {
 /// lists, and carrying every operand it needs (an intersection's body is
 /// re-driven from its probed side, `crate::fuse::workspace_form`, or its
 /// loop stays on the general path). The VM dispatches on it and never
-/// re-derives it:
-/// only the guards, the closed forms' lane gate and the semiring
-/// instantiation are decided per loop entry. Telemetry counts dispatches
-/// under the runner's name ([`Runner::kind`]).
+/// re-derives it: only the guards, the closed forms' lane gate, the jam
+/// runner's store check and the semiring instantiation are decided per
+/// loop entry. Telemetry counts dispatches under the runner's name
+/// ([`Runner::kind`]), a jam entry that runs coordinate by coordinate
+/// included.
 #[derive(Clone, Debug)]
 pub(crate) enum Runner {
     /// A closed form over an unprobed driver against `x`, a copy of the
@@ -310,8 +311,21 @@ pub(crate) enum Runner {
     /// recipe ([`Fused::bulk`]) once per scattered coordinate, the driven
     /// read and the store side once per hit.
     WorkspaceDot { chain: DotShape, ws: Workspace },
-    /// Any other body (axpys, scale-stores, gathers, multi-store jams):
-    /// resolved per entry, driven coordinate by coordinate at one lane.
+    /// A multi-store jam — MTTKRP's and TTM's factor-row updates, a
+    /// dense scale-store: every load a strided dense read, every fold a
+    /// strided output store (`stride != 0`) with no miss check. Over a
+    /// contiguous drive the VM runs it fold by fold: each fold's chain
+    /// elementwise into a stack buffer over a slice of the window, then
+    /// reduced into the output slice. That reorders updates only across
+    /// cells, never within one, when no two folds touch one cell at
+    /// different coordinates of the window — checked per contiguous
+    /// segment from the resolved stores; a segment that fails, and any
+    /// stored-list drive, runs coordinate by coordinate as `Generic`
+    /// does. Counters are the body's recipe ([`Fused::bulk`]), in bulk.
+    Jam,
+    /// Any other body (sparse-driven axpys, gathers, register-held or
+    /// miss-checked folds): resolved per entry, driven coordinate by
+    /// coordinate at one lane.
     Generic,
 }
 
@@ -453,6 +467,7 @@ impl Runner {
             Runner::Closed { form: ClosedForm::Dot(_), .. } => RunnerKind::Dot,
             Runner::Closed { form: ClosedForm::DotAxpy { .. }, .. } => RunnerKind::DotAxpy,
             Runner::WorkspaceDot { .. } => RunnerKind::WorkspaceDot,
+            Runner::Jam => RunnerKind::Jam,
             Runner::Generic => RunnerKind::Generic,
         }
     }

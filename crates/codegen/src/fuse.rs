@@ -42,13 +42,15 @@
 //! Sealing a body is also where its [`Runner`] is chosen — the one
 //! decision site, from the body's lists: the canonical dot chain over the
 //! driver value runs closed-form against a strided dense operand (`Dot`,
-//! and SSYMV's `DotAxpy` pair), and every other body runs `Generic`. The
-//! closed forms are the only runners that lane. The one later rewrite
-//! re-drives a [`gated_dot`] intersection from its probed side as
-//! `WorkspaceDot` (below), decided by the compiler from where the loop
-//! sits. The runner carries the operands it reads (the dense operand, the
-//! axpy stride, the workspace); the VM dispatches on it, and nothing
-//! matches shapes at loop entry.
+//! and SSYMV's `DotAxpy` pair), a body of dense loads into unchecked
+//! strided output stores runs `Jam` (fold by fold over contiguous
+//! slices, the multi-store bodies of MTTKRP and TTM), and every other
+//! body runs `Generic`. The closed forms are the only runners that lane.
+//! The one later rewrite re-drives a [`gated_dot`] intersection from its
+//! probed side as `WorkspaceDot` (below), decided by the compiler from
+//! where the loop sits. The runner carries the operands it reads (the
+//! dense operand, the axpy stride, the workspace); the VM dispatches on
+//! it, and nothing matches shapes at loop entry.
 //!
 //! ## Workspace rows
 //!
@@ -208,8 +210,11 @@ fn held(fold: &FFold) -> bool {
 }
 
 /// The one runner decision: a closed form when the body is the canonical
-/// dot chain over the driver value against a strided dense operand ([`ClosedForm::Dot`], and SSYMV's pair
-/// [`ClosedForm::DotAxpy`]), [`Runner::Generic`] for everything else.
+/// dot chain over the driver value against a strided dense operand
+/// ([`ClosedForm::Dot`], and SSYMV's pair [`ClosedForm::DotAxpy`]);
+/// [`Runner::Jam`] when every load is a strided dense read and every fold
+/// an unchecked strided output store (MTTKRP's and TTM's factor rows);
+/// [`Runner::Generic`] for everything else.
 fn runner(loads: &[FLoad], folds: &[FFold]) -> Runner {
     let closed = |x: &FLoad, form| match x {
         FLoad::Dense { tensor, base, stride } => Some(Runner::Closed {
@@ -235,7 +240,11 @@ fn runner(loads: &[FLoad], folds: &[FFold]) -> Runner {
         }
         _ => None,
     };
-    picked.unwrap_or(Runner::Generic)
+    let jam = loads.iter().all(|load| matches!(load, FLoad::Dense { .. }))
+        && folds.iter().all(|fold| {
+            !fold.check_miss && matches!(fold.acc, FAcc::Out { stride, .. } if stride != 0)
+        });
+    picked.unwrap_or(if jam { Runner::Jam } else { Runner::Generic })
 }
 
 /// The dot shape of an intersection body that is the canonical

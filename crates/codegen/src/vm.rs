@@ -84,6 +84,10 @@ const LANES: usize = 8;
 /// same window length, and reduced accumulators were already
 /// deterministic only per fixed thread count.
 const LANE_MIN: usize = 2 * LANES;
+/// Width of the [`Runner::Jam`] stack buffer: a jam body runs fold by
+/// fold over slices of at most this many consecutive coordinates (the
+/// paper kernels' factor rows are 8–32 wide, one slice).
+const JAM: usize = 64;
 
 /// A scratch table backed by inline storage for typical plan sizes,
 /// falling back to the heap for outsized plans (correct either way; the
@@ -361,6 +365,8 @@ trait Segment {
     const CONTIGUOUS: bool;
     /// Number of coordinates.
     fn len(&self) -> usize;
+    /// Coordinate of element 0.
+    fn first(&self) -> usize;
     /// Coordinates of elements `base..base + L`.
     fn coords<const L: usize>(&self, base: usize) -> [usize; L];
     /// Driver values of elements `base..base + L`.
@@ -384,6 +390,11 @@ impl Segment for ListSeg<'_> {
     #[inline(always)]
     fn len(&self) -> usize {
         self.crd.len()
+    }
+
+    #[inline(always)]
+    fn first(&self) -> usize {
+        self.crd[0]
     }
 
     // Fixed-size chunk references (`&[T; L]`) let the per-element
@@ -423,6 +434,11 @@ impl Segment for SpanSeg {
     }
 
     #[inline(always)]
+    fn first(&self) -> usize {
+        self.first
+    }
+
+    #[inline(always)]
     fn coords<const L: usize>(&self, base: usize) -> [usize; L] {
         std::array::from_fn(|k| self.first + base + k)
     }
@@ -442,8 +458,8 @@ impl Segment for SpanSeg {
 
 /// How a vector loop iterates its coordinates — one implementation per
 /// vector-loop instruction kind, each a format's `iterate` capability
-/// reduced to "yield segments". Every consumer (the closed-form folds
-/// and the generic fused body) walks a window through
+/// reduced to "yield segments". Every consumer (the closed-form folds,
+/// the jam runner and the generic fused body) walks a window through
 /// [`Drive::segments`], so each format's walk is written exactly once.
 trait Drive {
     type Seg: Segment;
@@ -921,12 +937,89 @@ fn src_val(src: RSrc, locals: &[f64; MAX_FUSED_LOADS]) -> f64 {
     }
 }
 
+/// One operand of a [`Runner::Jam`] fold over `n` consecutive
+/// coordinates: a unit-stride slice of its dense load, a strided walk,
+/// or a snapshot constant.
+enum JamOperand<'s> {
+    Unit(&'s [f64]),
+    Strided { xs: &'s [f64], at: usize, stride: usize },
+    Const(f64),
+}
+
+impl JamOperand<'_> {
+    /// Calls `f(buf[k], operand[k])` for every `k`, in order.
+    #[inline(always)]
+    fn zip(self, buf: &mut [f64], mut f: impl FnMut(&mut f64, f64)) {
+        match self {
+            JamOperand::Unit(xs) => buf.iter_mut().zip(xs).for_each(|(b, &x)| f(b, x)),
+            JamOperand::Strided { xs, at, stride } => {
+                buf.iter_mut().enumerate().for_each(|(k, b)| f(b, xs[at + k * stride]))
+            }
+            JamOperand::Const(x) => buf.iter_mut().for_each(|b| f(b, x)),
+        }
+    }
+}
+
+/// Operand `src` of a [`Runner::Jam`] fold at the `n` coordinates from
+/// `c0` (every load of a jam body is dense).
+#[inline(always)]
+fn jam_operand<'s>(loads: &[RLoad<'s, '_>], src: RSrc, c0: usize, n: usize) -> JamOperand<'s> {
+    match src {
+        RSrc::Const(v) => JamOperand::Const(v),
+        RSrc::Local(i) => match loads[i] {
+            RLoad::Dense { slice, base, stride: 1 } => {
+                JamOperand::Unit(&slice[base + c0..base + c0 + n])
+            }
+            RLoad::Dense { slice, base, stride } => {
+                JamOperand::Strided { xs: slice, at: base + c0 * stride, stride }
+            }
+            RLoad::Val | RLoad::Gather { .. } => {
+                unreachable!("every load of a jam body is a dense read")
+            }
+        },
+    }
+}
+
+/// Whether the stores of `folds` may run fold by fold over the
+/// consecutive coordinates `first..first + len`: no two folds touch one
+/// output cell at different coordinates ([`apart`]), so fold-major order
+/// leaves each cell's updates in coordinate-major order (two folds
+/// meeting at the same coordinate still update in fold order).
+fn stores_apart(folds: &[RFold], first: usize, len: usize) -> bool {
+    folds
+        .iter()
+        .enumerate()
+        .all(|(n, a)| folds[n + 1..].iter().all(|b| apart(a.acc, b.acc, first, len)))
+}
+
+/// Whether two resolved stores `off + coord·stride` never meet at two
+/// different coordinates of `first..first + len`: different outputs
+/// never do; equal nonzero strides meet only when the offsets differ by
+/// a nonzero multiple `d` of the stride with `d / stride` inside the
+/// window; any other pair must cover disjoint address ranges.
+fn apart(a: RAcc, b: RAcc, first: usize, len: usize) -> bool {
+    let (RAcc::Out { ord: oa, off: xa, stride: sa }, RAcc::Out { ord: ob, off: xb, stride: sb }) =
+        (a, b)
+    else {
+        return false;
+    };
+    if oa != ob || len <= 1 {
+        return true;
+    }
+    if sa == sb && sa != 0 {
+        let d = xa.abs_diff(xb);
+        return d == 0 || d % sa != 0 || d / sa >= len;
+    }
+    let last = first + len - 1;
+    xa + last * sa < xb + first * sb || xb + last * sb < xa + first * sa
+}
+
 /// Per-vector-loop execution state: every binding table and scratch a
 /// loop body touches, plus the loop's counter contributions (folded
 /// into the program totals when the loop instruction finishes). One
 /// [`LoopRun::run`] serves all three vector-loop instructions; it calls
-/// the passing body's [`Runner`] — a closed-form fold or the generic
-/// fused body — and every runner walks the same [`Drive`].
+/// the passing body's [`Runner`] — a closed-form fold, the jam runner or
+/// the generic fused body — and every runner walks the same [`Drive`].
 /// [`LoopRun::nest`] runs a whole [`RowNest`] over the same state.
 ///
 /// Bulk (per-iteration) counters come from the body's compile-time
@@ -1047,7 +1140,8 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     /// the compiler picked for it. Closed-form runners run straight off
     /// the compile-time form — entry cost is a handful of scalar
     /// resolutions, which matters for short fibers entered many times
-    /// (a merge of two short rows).
+    /// (a merge of two short rows). Jam and generic bodies share one
+    /// resolution and one drive ([`Self::drive`]).
     fn fused<D: Drive>(&mut self, fu: &Fused, idx: usize, iters: u64, drive: &D) {
         self.account(fu.runner.kind(), fu, iters);
         match &fu.runner {
@@ -1055,11 +1149,12 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
             Runner::WorkspaceDot { .. } => {
                 unreachable!("a workspace body is entered through `LoopRun::workspace_entry`")
             }
-            Runner::Generic => {
+            Runner::Jam | Runner::Generic => {
                 let mut body = self.resolve(fu, idx);
+                let jam = matches!(fu.runner, Runner::Jam);
                 // One semiring for the whole body → monomorphized loops.
                 let (uniform, bin, op) = fu.semiring();
-                with_semi!(uniform, bin, op, |s| self.drive_shape(&mut body, s, drive));
+                with_semi!(uniform, bin, op, |s| self.drive(&mut body, s, jam, drive));
                 self.flush(&body);
             }
         }
@@ -1199,57 +1294,94 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
         body
     }
 
-    /// Shape dispatch for the generic fused loop: the common small
-    /// (loads, folds) shapes — multi-store jams in particular — get
-    /// per-shape unrolled instantiations of [`Self::drive`] whose inner
-    /// loops have compile-time trip counts; `(0, 0)` is the dynamic
-    /// fallback for everything else.
-    fn drive_shape<S: Semi, D: Drive>(&mut self, body: &mut RBody<'a, '_>, s: S, drive: &D) {
-        match (body.n_loads, body.n_folds) {
-            (2, 1) => self.drive::<S, 2, 1, D>(body, s, drive),
-            (3, 2) => self.drive::<S, 3, 2, D>(body, s, drive),
-            (4, 3) => self.drive::<S, 4, 3, D>(body, s, drive),
-            (5, 4) => self.drive::<S, 5, 4, D>(body, s, drive),
-            _ => self.drive::<S, 0, 0, D>(body, s, drive),
-        }
-    }
-
-    /// Drives the body over the loop's coordinates. `NL` / `NF` pin the
-    /// load and fold counts at compile time (0 = read them from the
-    /// body at runtime). Never inlined: as one arm of its dispatcher's
-    /// body the loop loses its registers to the other fifteen (measured
-    /// 12–22% on the multi-store bodies of MTTKRP and TTM).
+    /// Drives a [`Runner::Jam`] or [`Runner::Generic`] body over the
+    /// loop's coordinates, one segment at a time: a `jam` body's
+    /// contiguous segment fold by fold ([`Self::jam`]) when its stores
+    /// are apart there ([`stores_apart`]), every other segment coordinate
+    /// by coordinate ([`Self::coord`]). Never inlined, so the
+    /// per-coordinate loop does not share its registers with the rest of
+    /// [`Self::fused`].
     #[inline(never)]
-    fn drive<S: Semi, const NL: usize, const NF: usize, D: Drive>(
-        &mut self,
-        body: &mut RBody<'a, '_>,
-        s: S,
-        drive: &D,
-    ) {
+    fn drive<S: Semi, D: Drive>(&mut self, body: &mut RBody<'a, '_>, s: S, jam: bool, drive: &D) {
+        let jam = jam && <D::Seg as Segment>::CONTIGUOUS;
         let last = drive.segments(|seg| {
-            seg.each(0, |_, c, val| self.coord::<S, NL, NF>(body, s, c, val));
+            if jam && stores_apart(&body.folds[..body.n_folds], seg.first(), seg.len()) {
+                self.jam(body, s, seg.first(), seg.len());
+            } else {
+                seg.each(0, |_, c, val| self.coord(body, s, c, val));
+            }
         });
         self.u[body.idx] = last;
+    }
+
+    /// Runs a [`Runner::Jam`] body over the consecutive coordinates
+    /// `first..first + len` fold by fold: per slice of at most [`JAM`]
+    /// coordinates, each fold's left-associative chain elementwise into
+    /// a stack buffer, then reduced into the output slice. Every element
+    /// sees exactly [`Self::coord`]'s operations in [`Self::coord`]'s
+    /// order, and [`stores_apart`] has proven that no cell receives
+    /// updates from two folds at different coordinates, so each cell's
+    /// updates arrive in the same order as coordinate by coordinate.
+    #[inline(never)]
+    fn jam<S: Semi>(&mut self, body: &RBody<'a, '_>, s: S, first: usize, len: usize) {
+        let mut buf = [0f64; JAM];
+        let mut start = 0;
+        while start < len {
+            let n = JAM.min(len - start);
+            let c0 = first + start;
+            let buf = &mut buf[..n];
+            for fold in &body.folds[..body.n_folds] {
+                let bin = fold.bin;
+                let srcs = &fold.srcs[..fold.n_srcs];
+                let rest = match srcs.split_first() {
+                    Some((x, rest)) => {
+                        let x = jam_operand(&body.loads, *x, c0, n);
+                        if fold.has_lead {
+                            x.zip(buf, |b, x| *b = s.bin(bin, fold.lead, x));
+                        } else {
+                            x.zip(buf, |b, x| *b = x);
+                        }
+                        rest
+                    }
+                    None => {
+                        buf.fill(fold.lead);
+                        srcs
+                    }
+                };
+                for x in rest {
+                    jam_operand(&body.loads, *x, c0, n).zip(buf, |b, x| *b = s.bin(bin, *b, x));
+                }
+                let RAcc::Out { ord, off, stride } = fold.acc else {
+                    unreachable!("a jam fold stores through a strided output");
+                };
+                let ob = self.outs[ord].as_mut().expect("output bound");
+                let at = off + c0 * stride - ob.base;
+                let op = fold.op;
+                if stride == 1 {
+                    for (cell, &v) in ob.data[at..at + n].iter_mut().zip(&*buf) {
+                        *cell = s.red(op, *cell, v);
+                    }
+                } else {
+                    for (k, &v) in buf.iter().enumerate() {
+                        let cell = &mut ob.data[at + k * stride];
+                        *cell = s.red(op, *cell, v);
+                    }
+                }
+            }
+            start += n;
+        }
     }
 
     /// Executes the body for one coordinate (the generic fused path:
     /// loads once into locals, then the straight-line folds).
     #[inline(always)]
-    fn coord<S: Semi, const NL: usize, const NF: usize>(
-        &mut self,
-        body: &mut RBody<'a, '_>,
-        s: S,
-        coord: usize,
-        val: Option<f64>,
-    ) {
+    fn coord<S: Semi>(&mut self, body: &mut RBody<'a, '_>, s: S, coord: usize, val: Option<f64>) {
         if body.needs_u_idx {
             self.u[body.idx] = coord;
         }
-        let n_loads = if NL == 0 { body.n_loads } else { NL };
-        let n_folds = if NF == 0 { body.n_folds } else { NF };
         let mut locals = [0f64; MAX_FUSED_LOADS];
         let mut miss: u32 = 0;
-        for (i, ld) in body.loads[..n_loads].iter().enumerate() {
+        for (i, ld) in body.loads[..body.n_loads].iter().enumerate() {
             // Gather loads: the value and a counted read on a hit, the
             // fill and the load's miss bit otherwise.
             let (tensor, set_miss, hit) = match *ld {
@@ -1271,7 +1403,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
                 None => miss |= u32::from(set_miss) << i,
             }
         }
-        for fold in body.folds[..n_folds].iter_mut() {
+        for fold in body.folds[..body.n_folds].iter_mut() {
             let mut k = 0usize;
             let mut v = if fold.has_lead {
                 fold.lead
@@ -2587,5 +2719,88 @@ fn check_dims(name: &str, expected: &[usize], got: &[usize]) -> Result<(), ExecE
             expected: expected.to_vec(),
             got: got.to_vec(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn out(ord: usize, off: usize, stride: usize) -> RAcc {
+        RAcc::Out { ord, off, stride }
+    }
+
+    #[test]
+    fn equal_offsets_meet_only_at_the_same_coordinate() {
+        assert!(apart(out(0, 8, 1), out(0, 8, 1), 0, 4));
+        assert!(apart(out(0, 8, 3), out(0, 8, 3), 5, 16));
+    }
+
+    #[test]
+    fn equal_strides_a_multiple_apart_inside_the_window_fall_back() {
+        // Cells 2 and 3 take fold a at coordinates 2, 3 and fold b at 0, 1.
+        assert!(!apart(out(0, 0, 1), out(0, 2, 1), 0, 4));
+        assert!(!apart(out(0, 6, 2), out(0, 0, 2), 10, 4));
+    }
+
+    #[test]
+    fn equal_strides_a_multiple_apart_outside_the_window_pass() {
+        // MTTKRP's factor rows: offsets `i·r` and `j·r`, unit stride,
+        // an `r`-wide window.
+        assert!(apart(out(0, 0, 1), out(0, 4, 1), 0, 4));
+        assert!(apart(out(0, 40, 1), out(0, 8, 1), 0, 16));
+        assert!(apart(out(0, 0, 2), out(0, 8, 2), 3, 4));
+    }
+
+    #[test]
+    fn equal_strides_off_the_lattice_pass() {
+        assert!(apart(out(0, 0, 2), out(0, 3, 2), 0, 8));
+        assert!(apart(out(0, 1, 5), out(0, 13, 5), 0, 100));
+    }
+
+    #[test]
+    fn mixed_strides_pass_only_on_disjoint_ranges() {
+        // [0, 3] against [2, 8]: overlapping.
+        assert!(!apart(out(0, 0, 1), out(0, 2, 2), 0, 4));
+        // [0, 3] against [10, 16]: disjoint.
+        assert!(apart(out(0, 0, 1), out(0, 10, 2), 0, 4));
+        assert!(apart(out(0, 10, 2), out(0, 0, 1), 0, 4));
+        // The window's start moves both ranges: [4, 7] against [16, 22].
+        assert!(apart(out(0, 0, 1), out(0, 8, 2), 4, 4));
+        // `C[i,l]` against `C[l,j]` of an 8×8 `C`: row 2 and column 5 cross.
+        assert!(!apart(out(0, 16, 1), out(0, 5, 8), 0, 8));
+    }
+
+    #[test]
+    fn other_outputs_and_single_coordinates_always_pass() {
+        assert!(apart(out(0, 0, 1), out(1, 2, 1), 0, 4));
+        assert!(apart(out(0, 0, 1), out(0, 0, 2), 7, 1));
+        // A stride-0 pair on one cell is apart only over one coordinate.
+        assert!(!apart(out(0, 3, 0), out(0, 3, 0), 0, 2));
+        assert!(apart(out(0, 3, 0), out(0, 4, 0), 0, 2));
+    }
+
+    #[test]
+    fn a_body_jams_only_when_every_pair_is_apart() {
+        let fold = |acc| RFold {
+            lead: 0.0,
+            has_lead: false,
+            srcs: [RSrc::Const(0.0); MAX_FUSED_SRCS],
+            n_srcs: 1,
+            acc,
+            accv: 0.0,
+            bin: BinOp::Mul,
+            op: AssignOp::Add,
+            check_miss: false,
+            hit_write: false,
+            hit_flop: false,
+            miss_mask: 0,
+        };
+        let rows = [fold(out(0, 0, 1)), fold(out(0, 4, 1)), fold(out(0, 8, 1))];
+        assert!(stores_apart(&rows, 0, 4));
+        assert!(!stores_apart(&rows, 0, 5));
+        let crossed = [fold(out(0, 0, 1)), fold(out(1, 0, 1)), fold(out(0, 2, 1))];
+        assert!(!stores_apart(&crossed, 0, 4));
+        assert!(stores_apart(&crossed[..2], 0, 4));
     }
 }

@@ -7,9 +7,10 @@
 //! scalar lane mode, within 1e-9 in the default lane mode, counters
 //! exact in both — across storage formats and random data. An
 //! exclusive-items ladder drives a vector loop whose `==` / `!=` guards
-//! let at most one body run per entry, and fallback ladders prove that
-//! overlapping guards and other non-conforming bodies stay off the vector
-//! path with identical results.
+//! let at most one body run per entry, a crossed-stores ladder drives a
+//! jam body that must run coordinate by coordinate, and fallback ladders
+//! prove that overlapping guards and other non-conforming bodies stay
+//! off the vector path with identical results.
 
 use std::collections::HashMap;
 
@@ -155,7 +156,8 @@ fn axpy_ladder() {
 }
 
 /// `C[i,j] = 2·B[i,j]` over a dense operand — an overwriting store per
-/// coordinate of the vectorized dense loop, through the generic runner.
+/// coordinate of the vectorized dense loop: a dense load into a strided
+/// store, through the jam runner.
 /// (An overwrite can't sparsify — every coordinate must be written — so
 /// the drive is the counted dense loop.)
 #[test]
@@ -176,7 +178,7 @@ fn scale_store_ladder() {
         select_and_match(
             &prog,
             &inputs,
-            &["runner: Generic", "VecDenseLoop"],
+            &["runner: Jam", "VecDenseLoop"],
             &format!("scale-store seed={seed}"),
         );
     }
@@ -396,6 +398,41 @@ fn exclusive_items_stay_one_vector_loop() {
                 &format!("exclusive formats={formats:?} seed={seed}"),
             );
             assert_eq!(dis.matches("VecDenseLoop").count(), 1, "one vector loop:\n{dis}");
+        }
+    }
+}
+
+/// `let a = A[i,j]: for l: C[i,l] += a·B[j,l]; C[l,j] += a·B[i,l]` — a
+/// jam body whose two stores cross: row `i` and column `j` of `C` share
+/// the cell `C[i,j]`, which the first fold updates at `l = j` and the
+/// second at `l = i`. Fold by fold would swap those two updates whenever
+/// `i < j`, so the VM runs every such entry coordinate by coordinate —
+/// bit for bit the interpreter.
+#[test]
+fn crossed_jam_stores_run_coordinate_by_coordinate() {
+    for (k, formats) in ROW_FORMATS.iter().enumerate() {
+        for seed in 0..6u64 {
+            let mut r = StdRng::seed_from_u64(9800 + 100 * k as u64 + seed);
+            let n = r.gen_range(4usize..12);
+            let crossed = Stmt::block([
+                assign(access("C", ["i", "l"]), mul([scalar("a"), access("B", ["j", "l"]).into()])),
+                assign(access("C", ["l", "j"]), mul([scalar("a"), access("B", ["i", "l"]).into()])),
+            ]);
+            let prog = Stmt::loops(
+                [idx("i"), idx("j")],
+                Stmt::Let {
+                    name: "a".into(),
+                    value: access("A", ["i", "j"]).into(),
+                    body: Box::new(Stmt::loops([idx("l")], crossed)),
+                },
+            );
+            let inputs = diagonal_matrix_and_factor(n, n, formats, &mut r);
+            select_and_match(
+                &prog,
+                &inputs,
+                &["runner: Jam", "VecDenseLoop"],
+                &format!("crossed formats={formats:?} seed={seed}"),
+            );
         }
     }
 }

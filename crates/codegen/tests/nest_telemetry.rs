@@ -181,8 +181,8 @@ fn ssyrk_counts_under_workspace_dot() {
 
 /// The exclusive-items program of `tests/fused_bodies.rs`: `for l: if
 /// i != j: C[i,l] += a·B[j,l]; if i == j: C[j,l] += a·B[i,l]`. Off the
-/// diagonal the first item passes, on it the second: one generic entry
-/// per stored entry.
+/// diagonal the first item passes, on it the second: one jam entry per
+/// stored entry (each item is a dense load into a strided store).
 #[test]
 fn exclusive_items_count_one_entry_each() {
     let _serial = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
@@ -216,6 +216,6 @@ fn exclusive_items_count_one_entry_each() {
     let inputs =
         HashMap::from([("A".to_string(), Tensor::Sparse(a)), ("B".to_string(), Tensor::Dense(b))]);
     let plan = Plan::new(main, inputs);
-    let want = [(RunnerKind::Generic, stored)];
+    let want = [(RunnerKind::Jam, stored)];
     plan.assert_dispatches("VecDenseLoop", &want, "exclusive items");
 }

@@ -239,13 +239,18 @@ impl LStmt {
     /// Calls `f` on every statement, parents before children, in program
     /// order.
     pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a LStmt)) {
+        self.for_each_dyn(f)
+    }
+
+    /// The walk behind [`Self::for_each`], compiled once.
+    fn for_each_dyn<'a>(&'a self, f: &mut dyn FnMut(&'a LStmt)) {
         f(self);
         match self {
-            LStmt::Seq(ss) => ss.iter().for_each(|s| s.for_each(f)),
+            LStmt::Seq(ss) => ss.iter().for_each(|s| s.for_each_dyn(f)),
             LStmt::Loop { body, .. }
             | LStmt::If { body, .. }
             | LStmt::Let { body, .. }
-            | LStmt::Workspace { body, .. } => body.for_each(f),
+            | LStmt::Workspace { body, .. } => body.for_each_dyn(f),
             LStmt::Assign { .. } => {}
         }
     }
@@ -254,10 +259,15 @@ impl LStmt {
 impl LExpr {
     /// Calls `f` on every node, parents before children, left to right.
     pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a LExpr)) {
+        self.for_each_dyn(f)
+    }
+
+    /// The walk behind [`Self::for_each`], compiled once.
+    fn for_each_dyn<'a>(&'a self, f: &mut dyn FnMut(&'a LExpr)) {
         f(self);
         match self {
-            LExpr::Call { args, .. } => args.iter().for_each(|a| a.for_each(f)),
-            LExpr::Lookup { index, .. } => index.for_each(f),
+            LExpr::Call { args, .. } => args.iter().for_each(|a| a.for_each_dyn(f)),
+            LExpr::Lookup { index, .. } => index.for_each_dyn(f),
             _ => {}
         }
     }

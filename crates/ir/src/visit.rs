@@ -12,24 +12,13 @@ impl Expr {
     /// Rebuilds the expression with each direct child replaced by
     /// `f(child)`. Leaves are returned unchanged.
     pub fn map_children(self, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-        match self {
-            Expr::Call { op, args } => {
-                Expr::Call { op, args: args.into_iter().map(&mut *f).collect() }
-            }
-            Expr::Lookup { table, index } => Expr::Lookup { table, index: Box::new(f(*index)) },
-            leaf @ (Expr::Literal(_) | Expr::Scalar(_) | Expr::Access(_) | Expr::CmpVal { .. }) => {
-                leaf
-            }
-        }
+        self.map_children_dyn(f)
     }
 
     /// Rebuilds the expression children first, replacing each `Access`
     /// leaf with `f(access)`.
     pub fn map_accesses(self, f: &mut impl FnMut(Access) -> Expr) -> Expr {
-        match self {
-            Expr::Access(a) => f(a),
-            other => other.map_children(&mut |c| c.map_accesses(f)),
-        }
+        self.map_accesses_dyn(f)
     }
 
     /// The direct children.
@@ -43,15 +32,45 @@ impl Expr {
 
     /// Calls `f` on every node, parents before children, left to right.
     pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        f(self);
-        for c in self.children() {
-            c.for_each(f);
-        }
+        self.for_each_dyn(f)
     }
 
     /// Calls `f` on every tensor access, left to right.
     pub fn for_each_access<'a>(&'a self, f: &mut impl FnMut(&'a Access)) {
-        self.for_each(&mut |e| {
+        self.for_each_access_dyn(f)
+    }
+
+    // The walks themselves take `&mut dyn FnMut`, so each is compiled
+    // once; the generic fronts above only coerce the caller's closure.
+
+    fn map_children_dyn(self, f: &mut dyn FnMut(Expr) -> Expr) -> Expr {
+        match self {
+            Expr::Call { op, args } => {
+                Expr::Call { op, args: args.into_iter().map(&mut *f).collect() }
+            }
+            Expr::Lookup { table, index } => Expr::Lookup { table, index: Box::new(f(*index)) },
+            leaf @ (Expr::Literal(_) | Expr::Scalar(_) | Expr::Access(_) | Expr::CmpVal { .. }) => {
+                leaf
+            }
+        }
+    }
+
+    fn map_accesses_dyn(self, f: &mut dyn FnMut(Access) -> Expr) -> Expr {
+        match self {
+            Expr::Access(a) => f(a),
+            other => other.map_children_dyn(&mut |c| c.map_accesses_dyn(f)),
+        }
+    }
+
+    fn for_each_dyn<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+        f(self);
+        for c in self.children() {
+            c.for_each_dyn(f);
+        }
+    }
+
+    fn for_each_access_dyn<'a>(&'a self, f: &mut dyn FnMut(&'a Access)) {
+        self.for_each_dyn(&mut |e| {
             if let Expr::Access(a) = e {
                 f(a);
             }
@@ -63,16 +82,7 @@ impl Stmt {
     /// Rebuilds the statement with each direct *statement* child replaced
     /// by `f(child)`. Expressions are not visited.
     pub fn map_children(self, f: &mut impl FnMut(Stmt) -> Stmt) -> Stmt {
-        match self {
-            Stmt::Block(ss) => Stmt::Block(ss.into_iter().map(&mut *f).collect()),
-            Stmt::Loop { index, body } => Stmt::Loop { index, body: Box::new(f(*body)) },
-            Stmt::If { cond, body } => Stmt::If { cond, body: Box::new(f(*body)) },
-            Stmt::Let { name, value, body } => Stmt::Let { name, value, body: Box::new(f(*body)) },
-            Stmt::Workspace { name, init, body } => {
-                Stmt::Workspace { name, init, body: Box::new(f(*body)) }
-            }
-            leaf @ Stmt::Assign { .. } => leaf,
-        }
+        self.map_children_dyn(f)
     }
 
     /// The direct statement children.
@@ -90,42 +100,69 @@ impl Stmt {
     /// Applies `rule` bottom-up: children are rewritten first, then the
     /// rule is tried once on the rebuilt node.
     pub fn postwalk(self, rule: &impl Fn(&Stmt) -> Option<Stmt>) -> Stmt {
-        let rebuilt = self.map_children(&mut |c| c.postwalk(rule));
+        let rebuilt = self.map_children_dyn(&mut |c| c.postwalk(rule));
         rule(&rebuilt).unwrap_or(rebuilt)
     }
 
     /// Rewrites every *expression* in the subtree (assignment right-hand
     /// sides and `let` values) with `f`, leaving control flow intact.
     pub fn map_exprs(self, f: &mut impl FnMut(Expr) -> Expr) -> Stmt {
-        match self {
-            Stmt::Let { name, value, body } => {
-                Stmt::Let { name, value: f(value), body: Box::new(body.map_exprs(f)) }
-            }
-            Stmt::Assign { lhs, op, rhs } => Stmt::Assign { lhs, op, rhs: f(rhs) },
-            other => other.map_children(&mut |s| s.map_exprs(f)),
-        }
+        self.map_exprs_dyn(f)
     }
 
     /// Calls `f` on every statement, parents before children, in
     /// program order.
     pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
-        f(self);
-        for c in self.children() {
-            c.for_each(f);
-        }
+        self.for_each_dyn(f)
     }
 
     /// Calls `f` on every tensor access in program order: a `let`'s
     /// value, then each assignment's target (with its operator) and
     /// then its right-hand side's reads (with `None`).
     pub fn for_each_access<'a>(&'a self, f: &mut impl FnMut(&'a Access, Option<AssignOp>)) {
-        self.for_each(&mut |s| match s {
-            Stmt::Let { value, .. } => value.for_each_access(&mut |a| f(a, None)),
+        self.for_each_access_dyn(f)
+    }
+
+    // As for `Expr`: one compiled walk each, behind the generic fronts.
+
+    fn map_children_dyn(self, f: &mut dyn FnMut(Stmt) -> Stmt) -> Stmt {
+        match self {
+            Stmt::Block(ss) => Stmt::Block(ss.into_iter().map(&mut *f).collect()),
+            Stmt::Loop { index, body } => Stmt::Loop { index, body: Box::new(f(*body)) },
+            Stmt::If { cond, body } => Stmt::If { cond, body: Box::new(f(*body)) },
+            Stmt::Let { name, value, body } => Stmt::Let { name, value, body: Box::new(f(*body)) },
+            Stmt::Workspace { name, init, body } => {
+                Stmt::Workspace { name, init, body: Box::new(f(*body)) }
+            }
+            leaf @ Stmt::Assign { .. } => leaf,
+        }
+    }
+
+    fn map_exprs_dyn(self, f: &mut dyn FnMut(Expr) -> Expr) -> Stmt {
+        match self {
+            Stmt::Let { name, value, body } => {
+                Stmt::Let { name, value: f(value), body: Box::new(body.map_exprs_dyn(f)) }
+            }
+            Stmt::Assign { lhs, op, rhs } => Stmt::Assign { lhs, op, rhs: f(rhs) },
+            other => other.map_children_dyn(&mut |s| s.map_exprs_dyn(f)),
+        }
+    }
+
+    fn for_each_dyn<'a>(&'a self, f: &mut dyn FnMut(&'a Stmt)) {
+        f(self);
+        for c in self.children() {
+            c.for_each_dyn(f);
+        }
+    }
+
+    fn for_each_access_dyn<'a>(&'a self, f: &mut dyn FnMut(&'a Access, Option<AssignOp>)) {
+        self.for_each_dyn(&mut |s| match s {
+            Stmt::Let { value, .. } => value.for_each_access_dyn(&mut |a| f(a, None)),
             Stmt::Assign { lhs, op, rhs } => {
                 if let Lhs::Tensor(a) = lhs {
                     f(a, Some(*op));
                 }
-                rhs.for_each_access(&mut |a| f(a, None));
+                rhs.for_each_access_dyn(&mut |a| f(a, None));
             }
             _ => {}
         });

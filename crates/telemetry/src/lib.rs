@@ -193,13 +193,21 @@ pub enum RunnerKind {
     /// An intersection dot run from its probed side against the driver
     /// fiber scattered into a workspace row.
     WorkspaceDot,
+    /// Dense loads into strided output stores, fold by fold over
+    /// contiguous slices.
+    Jam,
     /// The generic resolved body, coordinate by coordinate.
     Generic,
 }
 
 /// All runners, in exposition order.
-pub const RUNNER_KINDS: [RunnerKind; 4] =
-    [RunnerKind::Dot, RunnerKind::DotAxpy, RunnerKind::WorkspaceDot, RunnerKind::Generic];
+pub const RUNNER_KINDS: [RunnerKind; 5] = [
+    RunnerKind::Dot,
+    RunnerKind::DotAxpy,
+    RunnerKind::WorkspaceDot,
+    RunnerKind::Jam,
+    RunnerKind::Generic,
+];
 
 impl RunnerKind {
     /// Stable lowercase label used in metric label values.
@@ -208,6 +216,7 @@ impl RunnerKind {
             RunnerKind::Dot => "dot",
             RunnerKind::DotAxpy => "dot_axpy",
             RunnerKind::WorkspaceDot => "workspace_dot",
+            RunnerKind::Jam => "jam",
             RunnerKind::Generic => "generic",
         }
     }

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use systec::ir::parse_einsum;
 use systec::kernels::defs::{self, InputData, InputFormat};
-use systec::kernels::{Counters, ExecContext, KernelDef, LaneMode, Prepared};
+use systec::kernels::{Counters, ExecContext, KernelDef, LaneMode, Parallelism, Prepared};
 use systec::tensor::generate::{
     random_dense, rng, sprand, symmetric_block_plateau, symmetric_erdos_renyi,
 };
@@ -208,5 +208,66 @@ fn mttkrp3_matches_the_interpreter() {
     for &(fname, root, leaf) in FORMATS {
         let inputs = pack(&def, root, leaf, a.clone().into(), Some(("B", b.clone())));
         assert_contract(&def, &inputs, &format!("mttkrp3 {fname}"), &["sym", "naive"]);
+    }
+}
+
+/// TTM and MTTKRP-3/4/5: their factor-row updates (dense loads into
+/// strided output stores) run the jam runner, fold by fold over each
+/// row. On all five storage formats, for the symmetric and the naive
+/// plan, the serial VM must give the interpreter's output bits and
+/// counters. At two threads a reduced output merges per-worker buffers,
+/// which reassociates whatever runner ran, so there the counters must
+/// still be the interpreter's exactly, the outputs within 1e-9 of it,
+/// and the bits the same on every run (the bits themselves are pinned
+/// by `crates/codegen/tests/golden/output_bits.golden`).
+#[test]
+fn rank3plus_jam_bodies_match_the_interpreter() {
+    use LevelFormat::{Dense, RunLength, Sparse};
+    let more = [("sparse-rle", Sparse, RunLength), ("dense", Dense, Dense)];
+    let kernels = [
+        (defs::ttm(), 10, 0.08),
+        (defs::mttkrp(3), 12, 0.06),
+        (defs::mttkrp(4), 8, 0.05),
+        (defs::mttkrp(5), 6, 0.05),
+    ];
+    let mut r = rng(16);
+    for (def, n, p) in kernels {
+        let order = def.einsum.rhs.accesses().iter().map(|acc| acc.rank()).max().unwrap();
+        let a = symmetric_erdos_renyi(n, order, p, &mut r);
+        let b = random_dense(vec![n, 20], &mut r);
+        for &(fname, root, leaf) in FORMATS.iter().chain(&more) {
+            let inputs = pack(&def, root, leaf, a.clone().into(), Some(("B", b.clone())));
+            for plan in ["sym", "naive"] {
+                let label = format!("{} {fname} {plan}", def.name);
+                let prepare = |threads| {
+                    let vm = match plan {
+                        "sym" => Prepared::compile(&def, &inputs),
+                        _ => Prepared::naive(&def, &inputs),
+                    };
+                    vm.expect(&label).with_parallelism(Parallelism::threads(threads))
+                };
+                let (want, want_counters) = prepare(1).run_interpreted().expect(&label);
+                for threads in [1, 2] {
+                    let vm = prepare(threads);
+                    let runs: Vec<_> = (0..2)
+                        .map(|_| {
+                            let (mut got, mut counters) = (HashMap::new(), Counters::new());
+                            let mut ctx = ExecContext::new();
+                            vm.run_full_into(&mut got, &mut ctx, &mut counters).expect(&label);
+                            assert_eq!(counters, want_counters, "{label} t{threads}: counters");
+                            got
+                        })
+                        .collect();
+                    assert_eq!(bits(&runs[0]), bits(&runs[1]), "{label} t{threads}: rerun");
+                    if threads == 1 {
+                        assert_eq!(bits(&runs[0]), bits(&want), "{label}: not bit-identical");
+                    }
+                    for (name, t) in &want {
+                        let diff = runs[0][name].max_abs_diff(t).expect(&label);
+                        assert!(diff <= 1e-9, "{label} t{threads}: {name} off by {diff:e}");
+                    }
+                }
+            }
+        }
     }
 }
