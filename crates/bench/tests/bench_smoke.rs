@@ -1,15 +1,13 @@
 //! CI smoke for the perf path: drives every bench kernel once at tiny
 //! sizes across the axes the repo benchmark sweeps — both variants
-//! (symmetric / naive), the VM against the interpreter, a threads cell
-//! and the scalar lane-mode cell — so a panic on a hot path
-//! fails the build instead of the next bench run. Output agreement
-//! with the interpreter rides along (byte-identical at these tiny sizes:
-//! every fiber is below the lane kernels' short-fiber cutover, so even
-//! the default lane mode folds in interpreter order).
+//! (symmetric / naive), the VM against the interpreter and a threads
+//! cell — so a panic on a hot path fails the build instead of the next
+//! bench run. Output equality with the interpreter rides along: every
+//! runner folds in the interpreter's order.
 
 use std::collections::HashMap;
 
-use systec_kernels::{defs, Counters, ExecContext, KernelDef, LaneMode, Parallelism, Prepared};
+use systec_kernels::{defs, Counters, ExecContext, KernelDef, Parallelism, Prepared};
 use systec_tensor::generate::{
     random_dense, rng, sprand, symmetric_block_plateau, symmetric_erdos_renyi,
 };
@@ -21,19 +19,15 @@ fn drive(name: &str, def: &KernelDef, inputs: &HashMap<String, Tensor>) {
         Prepared::naive(def, inputs).expect("prepare naive"),
     ] {
         let (expected, _) = prepared.run_interpreted().expect("interpreted run");
-        // The VM in both lane modes — the lanes axis, as in the
-        // `-scalar` bench cells.
-        for mode in [LaneMode::Lanes, LaneMode::Scalar] {
-            let mut outputs = HashMap::new();
-            let mut ctx = ExecContext::new().with_lane_mode(mode);
-            let mut counters = Counters::new();
-            prepared.run_full_into(&mut outputs, &mut ctx, &mut counters).expect("run");
-            for (out_name, t) in &expected {
-                assert_eq!(
-                    &outputs[out_name], t,
-                    "{name} {mode:?}: outputs diverge from the interpreter on {out_name}"
-                );
-            }
+        let mut outputs = HashMap::new();
+        let mut ctx = ExecContext::new();
+        let mut counters = Counters::new();
+        prepared.run_full_into(&mut outputs, &mut ctx, &mut counters).expect("run");
+        for (out_name, t) in &expected {
+            assert_eq!(
+                &outputs[out_name], t,
+                "{name}: outputs diverge from the interpreter on {out_name}"
+            );
         }
         // A threads cell (degrades to serial when the plan is not
         // splittable — still must not panic).
@@ -65,8 +59,6 @@ fn every_bench_kernel_runs_at_tiny_size() {
 
     // The benches feed these three kernels a run-length-packed plateau
     // matrix (the RLE dot / dot-axpy runners); mirror that storage here.
-    // n stays below the lane cutover so every clamped window span folds
-    // in interpreter order and the byte-equality asserts still hold.
     let mut r = rng(9);
     let plateau = symmetric_block_plateau(12, 4, 0.4, &mut r);
     let plateau = Tensor::Sparse(

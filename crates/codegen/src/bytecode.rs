@@ -290,15 +290,14 @@ pub(crate) struct DotShape {
 /// lists, and carrying every operand it needs (an intersection's body is
 /// re-driven from its probed side, `crate::fuse::workspace_form`, or its
 /// loop stays on the general path). The VM dispatches on it and never
-/// re-derives it: only the guards, the closed forms' lane gate, the jam
-/// runner's store check and the semiring instantiation are decided per
-/// loop entry. Telemetry counts dispatches under the runner's name
-/// ([`Runner::kind`]), a jam entry that runs coordinate by coordinate
-/// included.
+/// re-derives it: only the guards, the jam runner's store check and the
+/// semiring instantiation are decided per loop entry. Telemetry counts
+/// dispatches under the runner's name ([`Runner::kind`]), a jam entry
+/// that runs coordinate by coordinate included.
 #[derive(Clone, Debug)]
 pub(crate) enum Runner {
     /// A closed form over an unprobed driver against `x`, a copy of the
-    /// body's strided dense load — the only runner that lanes.
+    /// body's strided dense load.
     Closed { x: DenseOperand, form: ClosedForm },
     /// The canonical probe-gated intersection dot (`crate::fuse::gated_dot`:
     /// one register-held fold `acc op= [lead ∘] a [∘ mid] ∘ p` whose store
@@ -325,7 +324,7 @@ pub(crate) enum Runner {
     Jam,
     /// Any other body (sparse-driven axpys, gathers, register-held or
     /// miss-checked folds): resolved per entry, driven coordinate by
-    /// coordinate at one lane.
+    /// coordinate.
     Generic,
 }
 

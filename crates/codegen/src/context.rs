@@ -19,38 +19,19 @@
 //! program it executes, so one context can be interleaved freely across
 //! kernels of different shapes (enforced by `tests/context_reuse.rs`).
 //! The one buffer a run does not reset, the workspace-row slots
-//! ([`Bank::ws`]), is validated on every read instead.
+//! ([`Bank::ws`]), is validated on every read instead. A context holds no
+//! settings: every run folds in the interpreter's left-to-right order.
 
 use systec_exec::CounterBank;
 
-/// How many lanes the closed-form runners (`Dot`, `DotAxpy`) spread
-/// their register-held reduction over. Every other runner folds at one
-/// lane in both modes, so a plan that runs no closed form is
-/// bit-identical to the interpreter either way.
-///
-/// The closed forms are written once, generic over a lane count. Under
-/// [`LaneMode::Lanes`] (the default) the reduction spreads across a
-/// **fixed virtual lane count** (8 `f64` accumulators) and merges in a
-/// **fixed order** (lane 0 → 7) after the loop. Element *k* of a drive
-/// segment always lands in lane `k % 8` regardless of thread count or
-/// chunking, so results are bit-deterministic across machines, thread
-/// counts and repeated runs — they are simply a *different* fixed
-/// association than the scalar left fold (within 1e-9 of the
-/// interpreter, exact counter parity). Breaking the loop-carried FP
-/// dependency is what lets the autovectorizer keep the accumulators in
-/// ymm/zmm. Windows too short to amortize the merge, and reductions
-/// without an identity, run at one lane even in this mode.
-///
-/// [`LaneMode::Scalar`] instantiates the same closed forms at one lane —
-/// the strict left-to-right fold of the tree-walking interpreter. Use
-/// it when bit-for-bit agreement with the scalar reference association
-/// matters more than speed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// An inert stub kept so the benchmark harness, which names both
+/// variants, still compiles. Every runner folds left to right, so it has
+/// no effect; ROADMAP item 2's benchmark-first PR deletes it.
+#[derive(Clone, Copy, Debug)]
 pub enum LaneMode {
-    /// Strict left-to-right scalar accumulation.
+    /// No effect.
     Scalar,
-    /// Eight-lane deterministic accumulation (the default).
-    #[default]
+    /// No effect.
     Lanes,
 }
 
@@ -131,29 +112,17 @@ impl Bank {
 #[derive(Debug, Default)]
 pub struct ExecContext {
     banks: Vec<Bank>,
-    lane_mode: LaneMode,
 }
 
 impl ExecContext {
-    /// A fresh context with no warmed buffers (and [`LaneMode::Lanes`]).
+    /// A fresh context with no warmed buffers.
     pub fn new() -> Self {
         ExecContext::default()
     }
 
-    /// The lane mode runs through this context use.
-    pub fn lane_mode(&self) -> LaneMode {
-        self.lane_mode
-    }
-
-    /// Sets the lane mode for subsequent runs (see [`LaneMode`]).
-    pub fn set_lane_mode(&mut self, mode: LaneMode) {
-        self.lane_mode = mode;
-    }
-
-    /// Builder-style [`ExecContext::set_lane_mode`].
+    /// Returns the context unchanged (see [`LaneMode`]).
     #[must_use]
-    pub fn with_lane_mode(mut self, mode: LaneMode) -> Self {
-        self.lane_mode = mode;
+    pub fn with_lane_mode(self, _: LaneMode) -> Self {
         self
     }
 
@@ -164,15 +133,5 @@ impl ExecContext {
             self.banks.resize_with(n, Bank::default);
         }
         &mut self.banks[..n]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lane_mode_defaults_to_lanes() {
-        assert_eq!(ExecContext::new().lane_mode(), LaneMode::Lanes);
     }
 }

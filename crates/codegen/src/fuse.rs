@@ -45,7 +45,7 @@
 //! and SSYMV's `DotAxpy` pair), a body of dense loads into unchecked
 //! strided output stores runs `Jam` (fold by fold over contiguous
 //! slices, the multi-store bodies of MTTKRP and TTM), and every other
-//! body runs `Generic`. The closed forms are the only runners that lane.
+//! body runs `Generic`.
 //! The one later rewrite re-drives a [`gated_dot`] intersection from its
 //! probed side as `WorkspaceDot` (below), decided by the compiler from
 //! where the loop sits. The runner carries the operands it reads (the

@@ -30,10 +30,10 @@
 //!   path, the reference for every non-conforming loop. Sealing a body
 //!   also picks its runner, once — closed or generic: the canonical dot
 //!   against a strided operand and SSYMV's dot-axpy pair run closed-form
-//!   folds, the only runners that lane; every other body (axpy,
-//!   scale-store, gathered variants, multi-store jams) the generic
-//!   resolved runner at one lane — accumulators in machine registers,
-//!   operands resolved to slices at loop entry, invariant counter
+//!   folds; every other body (axpy, scale-store, gathered variants,
+//!   multi-store jams) the generic resolved runner. Every runner folds
+//!   left to right as the interpreter does, accumulators in machine
+//!   registers, operands resolved to slices at loop entry, invariant counter
 //!   contributions accounted in bulk. Several guarded items share a loop
 //!   only when their guards are pairwise exclusive (the `==` / `!=`
 //!   diagonal blocks); the VM dispatches on the runner of the first item

@@ -3,6 +3,14 @@
 //! [`systec_exec::Counters`] as the tree-walking interpreter in
 //! `systec-exec`.
 //!
+//! ## Fold order
+//!
+//! Every runner — the closed forms, the jam runner, the generic fused
+//! body, the row nests — folds each reduction strictly left to right,
+//! in the interpreter's order, so a serial run is bit-identical to the
+//! interpreter. Only a parallel run's [`MergeKind::Reduce`] outputs
+//! differ: their per-worker partials merge in fixed worker order.
+//!
 //! ## Execution state
 //!
 //! All mutable per-run state (register files, vector-loop scratch,
@@ -48,7 +56,7 @@ use crate::bytecode::{
     Bound, BulkCounts, BytecodeProgram, ClosedForm, DenseOperand, DotShape, FAcc, FFold, FLoad,
     FOp, Fused, Instr, NestRows, RowNest, Runner, SplitInfo, Term, VItem, Workspace, MISS,
 };
-use crate::context::{Bank, ExecContext, GatherBank, LaneMode};
+use crate::context::{Bank, ExecContext, GatherBank};
 use crate::fuse::{MAX_FUSED_FOLDS, MAX_FUSED_LOADS, MAX_FUSED_SRCS, MAX_NEST_STEPS};
 use crate::{MergeKind, Parallelism};
 
@@ -63,27 +71,6 @@ const MAX_OUTS: usize = 8;
 /// Coordinate chunks dealt per worker (over-decomposition for static
 /// load balance; round-robin assignment keeps the merge deterministic).
 const CHUNKS_PER_WORKER: usize = 8;
-/// The virtual lane count of the closed-form folds under
-/// [`LaneMode::Lanes`]: their register-held reduction accumulates into a
-/// fixed-size `[f64; LANES]` array (element `k` of a drive segment
-/// lands in lane `k % LANES`), merged in fixed lane order at loop exit.
-/// The width is a *virtual* constant — independent of the machine's
-/// vector registers — so results are bit-deterministic across machines,
-/// thread counts, and repeated runs; the autovectorizer maps the
-/// straight-line chunk bodies onto whatever ymm/zmm width exists.
-/// [`LaneMode::Scalar`] is the same folds instantiated at one lane; every
-/// other runner always folds at one lane.
-const LANES: usize = 8;
-/// Largest drive window [`lane_gate`] still declines under
-/// [`LaneMode::Lanes`]: at two full chunks or fewer the lane-merge /
-/// restructure tax outweighs any ILP win, so those windows fold at one
-/// lane (identical to [`LaneMode::Scalar`]) and the lanes engage only
-/// strictly above it. The cutover is a pure function of the
-/// clamped window — not of thread count or timing — so determinism is
-/// unaffected: owned rows never split across chunks and always see the
-/// same window length, and reduced accumulators were already
-/// deterministic only per fixed thread count.
-const LANE_MIN: usize = 2 * LANES;
 /// Width of the [`Runner::Jam`] stack buffer: a jam body runs fold by
 /// fold over slices of at most this many consecutive coordinates (the
 /// paper kernels' factor rows are 8–32 wide, one slice).
@@ -186,7 +173,7 @@ fn descend(
 }
 
 // ---------------------------------------------------------------------------
-// Semirings and lane primitives
+// Semirings
 // ---------------------------------------------------------------------------
 
 /// Semiring monomorphization for the fused runners: the (bin, reduce)
@@ -266,19 +253,6 @@ macro_rules! with_semi {
     };
 }
 
-/// Merges the lane accumulators into the caller's scalar accumulator in
-/// fixed lane order (`acc0`, then lane `0 → L-1`) — the one place lane
-/// values recombine, so the merge order alone fixes the result bits for
-/// a given lane assignment.
-#[inline(always)]
-fn lane_merge<S: Semi, const L: usize>(s: S, op: AssignOp, acc0: f64, lanes: &[f64; L]) -> f64 {
-    let mut acc = acc0;
-    for &l in lanes {
-        acc = s.red(op, acc, l);
-    }
-    acc
-}
-
 // ---------------------------------------------------------------------------
 // Drives: how a vector loop walks its coordinates
 // ---------------------------------------------------------------------------
@@ -356,25 +330,18 @@ impl<'a> ProbeCur<'a> {
 
 /// One maximal stretch of a drive window: a coordinate source (a stored
 /// list or a contiguous span) paired with a value source (one value per
-/// position, or one value for the whole stretch). Element `k` of a
-/// segment is what the lane folds key on — lane indices restart at every
-/// segment.
+/// position, or one value for the whole stretch).
 trait Segment {
-    /// Whether coordinates are consecutive, so a unit-stride operand
-    /// over `L` elements is one contiguous chunk.
+    /// Whether coordinates are consecutive, so a jam body may run the
+    /// segment fold by fold ([`LoopRun::jam`]).
     const CONTIGUOUS: bool;
     /// Number of coordinates.
     fn len(&self) -> usize;
-    /// Coordinate of element 0.
+    /// Coordinate of the first element.
     fn first(&self) -> usize;
-    /// Coordinates of elements `base..base + L`.
-    fn coords<const L: usize>(&self, base: usize) -> [usize; L];
-    /// Driver values of elements `base..base + L`.
-    fn vals<const L: usize>(&self, base: usize) -> [f64; L];
-    /// Visits `(k, coordinate, driver value)` of elements `base + k`, in
-    /// order, through to the end of the segment (the value is `None` in
-    /// a dense range, which has no driver).
-    fn each(&self, base: usize, f: impl FnMut(usize, usize, Option<f64>));
+    /// Visits `(coordinate, driver value)` of every element, in order
+    /// (the value is `None` in a dense range, which has no driver).
+    fn each(&self, f: impl FnMut(usize, Option<f64>));
 }
 
 /// Stored coordinates with one value per position (a compressed fiber
@@ -397,22 +364,10 @@ impl Segment for ListSeg<'_> {
         self.crd[0]
     }
 
-    // Fixed-size chunk references (`&[T; L]`) let the per-element
-    // bounds checks fold away.
     #[inline(always)]
-    fn coords<const L: usize>(&self, base: usize) -> [usize; L] {
-        *<&[usize; L]>::try_from(&self.crd[base..base + L]).expect("exact chunk")
-    }
-
-    #[inline(always)]
-    fn vals<const L: usize>(&self, base: usize) -> [f64; L] {
-        *<&[f64; L]>::try_from(&self.vals[base..base + L]).expect("exact chunk")
-    }
-
-    #[inline(always)]
-    fn each(&self, base: usize, mut f: impl FnMut(usize, usize, Option<f64>)) {
-        for (k, (&c, &a)) in self.crd[base..].iter().zip(&self.vals[base..]).enumerate() {
-            f(k, c, Some(a));
+    fn each(&self, mut f: impl FnMut(usize, Option<f64>)) {
+        for (&c, &a) in self.crd.iter().zip(self.vals) {
+            f(c, Some(a));
         }
     }
 }
@@ -439,19 +394,9 @@ impl Segment for SpanSeg {
     }
 
     #[inline(always)]
-    fn coords<const L: usize>(&self, base: usize) -> [usize; L] {
-        std::array::from_fn(|k| self.first + base + k)
-    }
-
-    #[inline(always)]
-    fn vals<const L: usize>(&self, _: usize) -> [f64; L] {
-        [self.val.unwrap_or(0.0); L]
-    }
-
-    #[inline(always)]
-    fn each(&self, base: usize, mut f: impl FnMut(usize, usize, Option<f64>)) {
-        for (k, c) in (self.first + base..self.first + self.len).enumerate() {
-            f(k, c, self.val);
+    fn each(&self, mut f: impl FnMut(usize, Option<f64>)) {
+        for c in self.first..self.first + self.len {
+            f(c, self.val);
         }
     }
 }
@@ -469,13 +414,6 @@ trait Drive {
     /// Number of coordinates the window executes, without walking them:
     /// O(1) for ranges and compressed windows, O(runs) for run-length.
     fn len(&self) -> usize;
-    /// Upper bound on the coordinates the window executes — the lane
-    /// cutover's measure of work ([`lane_gate`]). The exact count unless
-    /// a drive has a cheaper bound.
-    #[inline(always)]
-    fn span(&self) -> usize {
-        self.len()
-    }
 }
 
 /// Counted dense loop over `lo..=hi`.
@@ -557,45 +495,6 @@ impl<'a> Drive for RleDrive<'a> {
         self.segments(|seg| n += seg.len);
         n
     }
-
-    /// First selected run's clamped start through last selected run's
-    /// clamped end. Unclamped loops carry a sentinel `hi` (`i64::MAX`),
-    /// so the raw `[lo, hi]` span saturates and would put every tiny
-    /// fiber over the lane cutover; bounding by the run extents keeps
-    /// the cutover a real measure of work (runs sparser than the extent
-    /// still fold fast in lanes).
-    fn span(&self) -> usize {
-        if self.start >= self.stop {
-            return 0;
-        }
-        let first = self.run_start[self.start].max(self.lo);
-        let last = self.run_end[self.stop - 1].min(self.hi);
-        last.saturating_add(1).saturating_sub(first)
-    }
-}
-
-/// The closed forms' lane cutover, decided once per loop entry (or
-/// nest row) from two inputs:
-///
-/// * `lanes_on` — the context asked for [`LaneMode::Lanes`] and the
-///   form may lane ([`laneable`]);
-/// * `span` — the drive's work measure ([`Drive::span`]) must exceed
-///   [`LANE_MIN`], so the lane-merge tax is never paid on windows too
-///   short to amortize it.
-///
-/// Both are pure functions of the plan and the clamped window — never
-/// of thread count or timing — so the choice is deterministic.
-#[inline(always)]
-fn lane_gate(lanes_on: bool, span: usize) -> bool {
-    lanes_on && span > LANE_MIN
-}
-
-/// Whether a closed form may lane: its one register-held fold (fold 0,
-/// the dot — also of a dot-axpy pair, whose axpy side stores per
-/// coordinate) seeds its lanes with the reduction's identity, so a
-/// reduction without one (`Overwrite`) folds at one lane.
-fn laneable(fu: &Fused) -> bool {
-    fu.folds[0].op.identity().is_some()
 }
 
 // ---------------------------------------------------------------------------
@@ -607,21 +506,6 @@ struct Strided<'a> {
     xs: &'a [f64],
     base: usize,
     stride: usize,
-}
-
-impl Strided<'_> {
-    /// The operand at each of `cs`. `unit` promises the coordinates are
-    /// consecutive, so a unit stride reads one contiguous chunk — the
-    /// one laned load the optimizer turns into straight vector loads.
-    #[inline(always)]
-    fn load<const L: usize>(&self, cs: &[usize; L], unit: bool) -> [f64; L] {
-        if unit && self.stride == 1 {
-            let o = self.base + cs[0];
-            *<&[f64; L]>::try_from(&self.xs[o..o + L]).expect("exact chunk")
-        } else {
-            std::array::from_fn(|k| self.xs[self.base + cs[k] * self.stride])
-        }
-    }
 }
 
 /// The operators and loop-invariant operands of a dot chain
@@ -676,17 +560,10 @@ impl DotChain {
 }
 
 /// The closed-form dot over any drive against the strided operand `x`,
-/// with the accumulator(s) in machine registers for the whole window.
-/// Element `k` of a segment reduces into lane `k % L`: `L = 1` **is** the
-/// strict left-to-right scalar fold ([`LaneMode::Scalar`]; the single
-/// lane starts at `acc0` and no merge happens), `L = LANES` seeds the
-/// lanes with the reduction's identity, runs full chunks as
-/// straight-line code the autovectorizer keeps in vector registers,
-/// continues the remainder from lane 0, and merges in fixed lane order.
-/// Lane assignment is keyed on the element's position in its segment, so
-/// it is a pure function of the drive window. Returns the accumulator and
-/// the last coordinate.
-fn fold_dot<S: Semi, D: Drive, const L: usize>(
+/// with the accumulator in a machine register for the whole window and
+/// the interpreter's strict left-to-right fold. Returns the accumulator
+/// and the last coordinate.
+fn fold_dot<S: Semi, D: Drive>(
     s: S,
     ch: &DotChain,
     acc0: f64,
@@ -694,28 +571,13 @@ fn fold_dot<S: Semi, D: Drive, const L: usize>(
     x: Strided<'_>,
 ) -> (f64, usize) {
     let (bin, op) = (ch.bin, ch.op);
-    let unit = <D::Seg as Segment>::CONTIGUOUS;
-    let mut lanes = [if L == 1 { acc0 } else { op.identity().unwrap_or(0.0) }; L];
+    let mut acc = acc0;
     let last = drive.segments(|seg| {
-        let mut base = 0;
-        // Full chunks as straight-line code (`L = 1` has none to gain
-        // from: the element loop below is already its whole fold).
-        while L > 1 && base + L <= seg.len() {
-            let a8 = seg.vals::<L>(base);
-            let va: [f64; L] = std::array::from_fn(|k| ch.prefix(s, a8[k]));
-            let xa = x.load(&seg.coords::<L>(base), unit);
-            for k in 0..L {
-                lanes[k] = s.red(op, lanes[k], s.bin(bin, va[k], xa[k]));
-            }
-            base += L;
-        }
-        seg.each(base, |k, c, a| {
+        seg.each(|c, a| {
             let v = ch.prefix(s, a.unwrap_or(0.0));
-            let xv = x.xs[x.base + c * x.stride];
-            lanes[k % L] = s.red(op, lanes[k % L], s.bin(bin, v, xv));
+            acc = s.red(op, acc, s.bin(bin, v, x.xs[x.base + c * x.stride]));
         });
     });
-    let acc = if L == 1 { lanes[0] } else { lane_merge(s, op, acc0, &lanes) };
     (acc, last)
 }
 
@@ -764,8 +626,7 @@ impl<'a> Scattered<'a> {
 /// [`Runner::WorkspaceDot`]'s fold: `acc op= [lead ∘] w[k] [∘ mid] ∘ b`
 /// over the driven window `b`, for the coordinates `k` the scattered row
 /// `w` holds — the intersection in ascending `k`, each term in the
-/// intersection's operand order, at one lane. Returns the accumulator and
-/// the hits.
+/// intersection's operand order. Returns the accumulator and the hits.
 #[inline(always)]
 fn fold_gathered<S: Semi, D: Drive>(
     s: S,
@@ -776,7 +637,7 @@ fn fold_gathered<S: Semi, D: Drive>(
 ) -> (f64, u64) {
     let (mut acc, mut hits) = (acc0, 0u64);
     drive.segments(|seg| {
-        seg.each(0, |_, k, b| {
+        seg.each(|k, b| {
             if let Some(a) = w.at(k) {
                 acc = s.red(ch.op, acc, s.bin(ch.bin, ch.prefix(s, a), b.unwrap_or(0.0)));
                 hits += 1;
@@ -802,14 +663,8 @@ struct AxpyOut<'d> {
 
 /// SSYMV's symmetric pair over any drive: a register-held dot plus a
 /// strided reducing store sharing the driver value (`w ∘= a ∘ x[c];
-/// y[c] ∘= a ∘ scale`). The dot side lanes exactly like [`fold_dot`]; the
-/// axpy side keeps its per-element stores in coordinate order in either
-/// mode (the cells are distinct — driver coordinates are strictly
-/// increasing — so store order carries no FP dependency). Over a
-/// contiguous segment with a unit-stride output the store loop is a
-/// contiguous read-modify-write of one hoisted constant, the shape the
-/// autovectorizer turns into straight vector ops.
-fn fold_dot_axpy<S: Semi, D: Drive, const L: usize>(
+/// y[c] ∘= a ∘ scale`), both in coordinate order.
+fn fold_dot_axpy<S: Semi, D: Drive>(
     s: S,
     dot: (BinOp, AssignOp),
     acc0: f64,
@@ -817,43 +672,17 @@ fn fold_dot_axpy<S: Semi, D: Drive, const L: usize>(
     x: Strided<'_>,
     out: &mut AxpyOut<'_>,
 ) -> (f64, usize) {
-    let unit = <D::Seg as Segment>::CONTIGUOUS;
     let (scale, scale_first, obin, oop) = (out.scale, out.scale_first, out.bin, out.op);
     let scaled = |a: f64| if scale_first { s.bin(obin, scale, a) } else { s.bin(obin, a, scale) };
-    let mut lanes = [if L == 1 { acc0 } else { dot.1.identity().unwrap_or(0.0) }; L];
+    let mut acc = acc0;
     let last = drive.segments(|seg| {
-        let mut base = 0;
-        while L > 1 && base + L <= seg.len() {
-            let cs = seg.coords::<L>(base);
-            let va = seg.vals::<L>(base);
-            let xa = x.load(&cs, unit);
-            for k in 0..L {
-                lanes[k] = s.red(dot.1, lanes[k], s.bin(dot.0, va[k], xa[k]));
-            }
-            if unit && out.stride == 1 {
-                let o = out.off + cs[0] - out.origin;
-                let cells: &mut [f64; L] =
-                    (&mut out.data[o..o + L]).try_into().expect("exact chunk");
-                for k in 0..L {
-                    cells[k] = s.red(oop, cells[k], scaled(va[k]));
-                }
-            } else {
-                for k in 0..L {
-                    let cell = &mut out.data[out.off + cs[k] * out.stride - out.origin];
-                    *cell = s.red(oop, *cell, scaled(va[k]));
-                }
-            }
-            base += L;
-        }
-        seg.each(base, |k, c, a| {
+        seg.each(|c, a| {
             let a = a.unwrap_or(0.0);
-            let xv = x.xs[x.base + c * x.stride];
-            lanes[k % L] = s.red(dot.1, lanes[k % L], s.bin(dot.0, a, xv));
+            acc = s.red(dot.1, acc, s.bin(dot.0, a, x.xs[x.base + c * x.stride]));
             let cell = &mut out.data[out.off + c * out.stride - out.origin];
             *cell = s.red(oop, *cell, scaled(a));
         });
     });
-    let acc = if L == 1 { lanes[0] } else { lane_merge(s, dot.1, acc0, &lanes) };
     (acc, last)
 }
 
@@ -1042,9 +871,6 @@ struct LoopRun<'r, 'a, 'o> {
     iterations: u64,
     /// Per-runner dispatch tally (see `run_range`).
     dispatch: &'r mut [u64; telemetry::RUNNER_KINDS.len()],
-    /// The context's [`LaneMode`], as a bool: only the closed forms
-    /// read it ([`lane_gate`]).
-    lanes: bool,
 }
 
 impl<'r, 'a> LoopRun<'r, 'a, '_> {
@@ -1308,7 +1134,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
             if jam && stores_apart(&body.folds[..body.n_folds], seg.first(), seg.len()) {
                 self.jam(body, s, seg.first(), seg.len());
             } else {
-                seg.each(0, |_, c, val| self.coord(body, s, c, val));
+                seg.each(|c, val| self.coord(body, s, c, val));
             }
         });
         self.u[body.idx] = last;
@@ -1446,10 +1272,8 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
             Strided { xs: self.dense[x.tensor], base: offset(self.u, &x.base), stride: x.stride };
         let out = self.out_at(fu.last_acc());
         let (uniform, bin, op) = fu.semiring();
-        let lanes = lane_gate(self.lanes && laneable(fu), drive.span());
-        self.u[idx] = with_semi!(uniform, bin, op, |s| {
-            self.closed_window(s, form, &fu.folds, x, out, lanes, drive)
-        });
+        self.u[idx] =
+            with_semi!(uniform, bin, op, |s| self.closed_window(s, form, &fu.folds, x, out, drive));
     }
 
     /// One window of a closed-form body over its resolved operands: `x`
@@ -1459,7 +1283,6 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     /// rows, so both run the same folds on the same arguments. Returns
     /// the last coordinate.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
     fn closed_window<S: Semi, D: Drive>(
         &mut self,
         s: S,
@@ -1467,18 +1290,13 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
         folds: &[FFold],
         x: Strided<'_>,
         (ord, off): (usize, usize),
-        lanes: bool,
         drive: &D,
     ) -> usize {
         match form {
             ClosedForm::Dot(chain) => {
                 let ch = DotChain::of(self.f, &folds[0], chain);
                 let acc = self.dot_acc(&folds[0].acc, (ord, off));
-                let (acc1, last) = if lanes {
-                    fold_dot::<S, D, LANES>(s, &ch, *acc, drive, x)
-                } else {
-                    fold_dot::<S, D, 1>(s, &ch, *acc, drive, x)
-                };
+                let (acc1, last) = fold_dot(s, &ch, *acc, drive, x);
                 *acc = acc1;
                 last
             }
@@ -1496,14 +1314,8 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
                     scale,
                     scale_first,
                 };
-                // Only the dot side is register-held, so only it lanes;
-                // the axpy stores stay elementwise in original order.
-                let (pair, acc0) = ((dot.bin, dot.op), self.f[slot]);
-                let (acc, last) = if lanes {
-                    fold_dot_axpy::<S, D, LANES>(s, pair, acc0, drive, x, &mut out)
-                } else {
-                    fold_dot_axpy::<S, D, 1>(s, pair, acc0, drive, x, &mut out)
-                };
+                let pair = (dot.bin, dot.op);
+                let (acc, last) = fold_dot_axpy(s, pair, self.f[slot], drive, x, &mut out);
                 self.f[slot] = acc;
                 last
             }
@@ -1768,9 +1580,6 @@ struct NestClosed<'a> {
     xs: &'a [f64],
     x: Affine,
     x_stride: usize,
-    /// [`LaneMode::Lanes`] and [`laneable`] allow lanes; [`lane_gate`]
-    /// still decides per row, on the row's window.
-    lanes_on: bool,
 }
 
 impl<'a> LoopRun<'_, 'a, '_> {
@@ -1836,7 +1645,6 @@ impl<'a> LoopRun<'_, 'a, '_> {
                     xs: self.dense[x.tensor],
                     x: Affine::resolve(u, &x.base, idx),
                     x_stride: x.stride,
-                    lanes_on: self.lanes && laneable(&nest.fused),
                 };
                 with_semi!(uniform, bin, op, |s| if nest.rle {
                     self.nest_rows(s, &run, body, rows, n, |p, lo, hi| {
@@ -1913,10 +1721,9 @@ impl<'a> LoopRun<'_, 'a, '_> {
                 iters += d.len() as u64;
                 entries += 1;
                 // Exactly a fused-loop entry, minus the resolution.
-                let lanes = lane_gate(body.lanes_on, d.span());
                 let x = Strided { xs: body.xs, base: body.x.at(row), stride: body.x_stride };
                 let out = (run.out.0, run.out.1.at(row));
-                lr.closed_window(s, body.form, run.folds, x, out, lanes, &d);
+                lr.closed_window(s, body.form, run.folds, x, out, &d);
             }
         });
         (iters, entries)
@@ -2031,7 +1838,6 @@ fn run_range<'a>(
     ws: &mut Vec<usize>,
     counters: &mut CounterBank,
     chunk: Option<Chunk<'_>>,
-    lanes: bool,
 ) {
     // Reset register files and vector-loop scratch (reusing capacity).
     u.clear();
@@ -2103,7 +1909,6 @@ fn run_range<'a>(
                 writes: 0,
                 iterations: 0,
                 dispatch: &mut dispatch,
-                lanes,
             };
             $run;
             flops += $lr.flops;
@@ -2555,7 +2360,6 @@ fn execute_inner(
         _ => None,
     };
 
-    let lanes = ctx.lane_mode() == LaneMode::Lanes;
     match plan {
         None => {
             let chunk = match (&program.split, shard) {
@@ -2565,9 +2369,7 @@ fn execute_inner(
             let bank = &mut ctx.banks(1)[0];
             bank.counters.reset(n_slots);
             let Bank { u, f, gathers, ws, counters, .. } = bank;
-            run_range(
-                program, dense, vals, levels, outs, u, f, gathers, ws, counters, chunk, lanes,
-            );
+            run_range(program, dense, vals, levels, outs, u, f, gathers, ws, counters, chunk);
             bank.counters.write_to(program.tensors.iter().map(|t| t.name.as_str()), out_counters);
         }
         Some((split, n_chunks, threads)) => {
@@ -2582,7 +2384,6 @@ fn execute_inner(
                 n_chunks,
                 threads,
                 out_counters,
-                lanes,
             );
         }
     }
@@ -2609,7 +2410,6 @@ fn run_parallel<'a>(
     n_chunks: usize,
     threads: usize,
     out_counters: &mut Counters,
-    lanes: bool,
 ) {
     let n_slots = program.tensors.len();
     let oo = program.out_ordinal.as_slice();
@@ -2688,7 +2488,6 @@ fn run_parallel<'a>(
                         ws,
                         counters,
                         Some(chunk),
-                        lanes,
                     );
                 }
             }

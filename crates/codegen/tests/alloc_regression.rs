@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
 
-use systec_codegen::{CompiledKernel, ExecContext, LaneMode, Parallelism};
+use systec_codegen::{CompiledKernel, ExecContext, Parallelism};
 use systec_core::Compiler;
 use systec_exec::{alloc_outputs, hoist_conditions, lower, prepare_variants, Counters};
 use systec_ir::build::*;
@@ -225,11 +225,9 @@ fn context_growth_settles_across_plans() {
 }
 
 #[test]
-fn run_length_dot_axpy_steady_state_is_allocation_free_in_both_lane_modes() {
+fn run_length_dot_axpy_steady_state_is_allocation_free() {
     // The symmetric SSYMV pair over a run-length leaf: the closed-form
-    // dot-axpy fold on the one drive kind the cases above do not reach,
-    // in both lane modes. Plateau rows are long enough to clear the lane
-    // cutover, so lane mode really runs the chunked fold.
+    // dot-axpy fold on the one drive kind the cases above do not reach.
     let n = 48;
     let mut coo = CooTensor::new(vec![n, n]);
     for i in 0..n {
@@ -254,21 +252,18 @@ fn run_length_dot_axpy_steady_state_is_allocation_free_in_both_lane_modes() {
         dis.contains("RowNest") && dis.contains("rle: true") && dis.contains("form: DotAxpy"),
         "{dis}"
     );
-    for mode in [LaneMode::Lanes, LaneMode::Scalar] {
-        let mut outputs = outputs_init.clone();
-        let ctx = ExecContext::new().with_lane_mode(mode);
-        assert_steady_state_alloc_free(
-            &kernel,
-            &inputs,
-            &mut outputs,
-            ctx,
-            &format!("rle dot-axpy {mode:?}"),
-        );
-    }
+    let mut outputs = outputs_init.clone();
+    assert_steady_state_alloc_free(
+        &kernel,
+        &inputs,
+        &mut outputs,
+        ExecContext::new(),
+        "rle dot-axpy",
+    );
 }
 
 #[test]
-fn ssyrk_steady_state_is_allocation_free_in_both_lane_modes() {
+fn ssyrk_steady_state_is_allocation_free() {
     // SSYRK's symmetric plan: row `i` scattered into the workspace row
     // (sized on the first run, then reused), every row `j ≥ i`
     // gather-dotted against it in one row nest.
@@ -287,17 +282,8 @@ fn ssyrk_steady_state_is_allocation_free_in_both_lane_modes() {
     let (kernel, outputs_init) = compile(&main, &inputs);
     let dis = kernel.disassemble();
     assert!(dis.contains("Scatter {") && dis.contains("runner: WorkspaceDot {"), "{dis}");
-    for mode in [LaneMode::Lanes, LaneMode::Scalar] {
-        let mut outputs = outputs_init.clone();
-        let ctx = ExecContext::new().with_lane_mode(mode);
-        assert_steady_state_alloc_free(
-            &kernel,
-            &inputs,
-            &mut outputs,
-            ctx,
-            &format!("ssyrk {mode:?}"),
-        );
-    }
+    let mut outputs = outputs_init.clone();
+    assert_steady_state_alloc_free(&kernel, &inputs, &mut outputs, ExecContext::new(), "ssyrk");
 }
 
 #[test]

@@ -1,18 +1,14 @@
 //! Differential tests of the compiled backend: on randomized einsums
 //! over randomized storage formats (CSR, CSF, run-length, all-sparse,
 //! all-dense), the bytecode VM must agree with the tree-walking
-//! interpreter and with brute-force reference evaluation to 1e-9, and
-//! the work counters must match the interpreter exactly. The VM runs
-//! in both lane modes: the default explicit-lane runners reassociate
-//! register-held folds (so values agree within 1e-9), while scalar
-//! mode keeps the original bit-for-bit guarantee against the
-//! interpreter. Counters are exact in both modes.
+//! interpreter bit for bit and with brute-force reference evaluation to
+//! 1e-9, and the work counters must match the interpreter exactly.
 
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use systec_codegen::{CompiledKernel, ExecContext, LaneMode, Parallelism};
+use systec_codegen::CompiledKernel;
 use systec_core::{Compiler, SymmetrySpec};
 use systec_exec::reference::reference_einsum;
 use systec_exec::{
@@ -24,10 +20,14 @@ use systec_tensor::{CooTensor, DenseTensor, LevelFormat, SparseTensor, Tensor};
 
 const TOL: f64 = 1e-9;
 
-/// Runs a (hoisted) program on both backends: the interpreter anchors
-/// the expectation; the scalar-mode VM must match it bit-for-bit; the
-/// lane-mode VM (the default) must match within [`TOL`]. Counters are
-/// exact in both modes. Returns the lane-mode outputs and counters.
+/// The bits of every value of `t`, so `-0.0` and `0.0` differ.
+fn bits(t: &DenseTensor) -> Vec<u64> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Runs a (hoisted) program on both backends: the serial VM must give
+/// the interpreter's output bits and counters exactly. Returns the VM's
+/// outputs and counters.
 fn run_both(
     prog: &Stmt,
     inputs: &HashMap<String, Tensor>,
@@ -41,24 +41,14 @@ fn run_both(
     let mut out_vm = outputs_init.clone();
     let c_vm = compiled.run(inputs, &mut out_vm).expect(label);
 
-    let mut scalar_ctx = ExecContext::new().with_lane_mode(LaneMode::Scalar);
-    let mut out_scalar = outputs_init.clone();
-    let mut c_scalar = Counters::new();
-    compiled
-        .run_with(inputs, &mut out_scalar, &mut scalar_ctx, Parallelism::Serial, &mut c_scalar)
-        .expect(label);
-
     let mut out_interp = outputs_init;
     let c_interp = run_lowered(&lowered, inputs, &mut out_interp).expect(label);
 
     assert_eq!(out_vm.len(), out_interp.len(), "{label}: output sets differ");
     for (name, t) in &out_interp {
-        assert_eq!(&out_scalar[name], t, "{label}: scalar-mode output {name} differs bit-for-bit");
-        let diff = out_vm[name].max_abs_diff(t).expect(label);
-        assert!(diff < TOL, "{label}: lane-mode output {name} off by {diff:e}");
+        assert_eq!(bits(&out_vm[name]), bits(t), "{label}: output {name} differs bit for bit");
     }
-    assert_eq!(c_vm, c_interp, "{label}: lane-mode counter parity violated");
-    assert_eq!(c_scalar, c_interp, "{label}: scalar-mode counter parity violated");
+    assert_eq!(c_vm, c_interp, "{label}: counter parity violated");
     (out_vm, c_vm)
 }
 

@@ -3,9 +3,8 @@
 //! RLE-strided dot, the symmetric dot-axpy pair), each asserting the
 //! selection *by name* in the disassembly and then agreement between
 //! the bytecode VM (which takes the fused path) and the tree-walking
-//! interpreter (which has no fused path at all) — byte-identical in
-//! scalar lane mode, within 1e-9 in the default lane mode, counters
-//! exact in both — across storage formats and random data. An
+//! interpreter (which has no fused path at all) — byte-identical, with
+//! exact counters — across storage formats and random data. An
 //! exclusive-items ladder drives a vector loop whose `==` / `!=` guards
 //! let at most one body run per entry, a crossed-stores ladder drives a
 //! jam body that must run coordinate by coordinate, and fallback ladders
@@ -16,7 +15,7 @@ use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use systec_codegen::{CompiledKernel, ExecContext, LaneMode, MergeKind, Parallelism};
+use systec_codegen::{CompiledKernel, ExecContext, MergeKind, Parallelism};
 use systec_core::{CompileOptions, Compiler};
 use systec_exec::{
     alloc_outputs, hoist_conditions, lower, prepare_variants, run_lowered, Counters, LoweredProgram,
@@ -47,9 +46,8 @@ fn select_and_match(
     dis
 }
 
-/// The scalar-mode VM must be byte-identical to the interpreter, the
-/// lane-mode VM (the default) within 1e-9, and counters exact in both
-/// modes.
+/// The serial VM must be byte-identical to the interpreter, counters
+/// exact.
 fn assert_backends_match(
     lowered: &LoweredProgram,
     compiled: &CompiledKernel,
@@ -60,22 +58,13 @@ fn assert_backends_match(
     let mut out_vm = outputs_init.clone();
     let c_vm = compiled.run(inputs, &mut out_vm).expect(label);
 
-    let mut scalar_ctx = ExecContext::new().with_lane_mode(LaneMode::Scalar);
-    let mut out_scalar = outputs_init.clone();
-    let mut c_scalar = Counters::new();
-    compiled
-        .run_with(inputs, &mut out_scalar, &mut scalar_ctx, Parallelism::Serial, &mut c_scalar)
-        .expect(label);
-
     let mut out_interp = outputs_init;
     let c_interp = run_lowered(lowered, inputs, &mut out_interp).expect(label);
     for (name, t) in &out_interp {
-        assert_eq!(&out_scalar[name], t, "{label}: scalar-mode output {name} differs");
-        let diff = out_vm[name].max_abs_diff(t).expect(label);
-        assert!(diff < 1e-9, "{label}: lane-mode output {name} off by {diff:e}");
+        let bits = |t: &DenseTensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out_vm[name]), bits(t), "{label}: output {name} differs bit for bit");
     }
-    assert_eq!(c_vm, c_interp, "{label}: lane-mode counter parity violated");
-    assert_eq!(c_scalar, c_interp, "{label}: scalar-mode counter parity violated");
+    assert_eq!(c_vm, c_interp, "{label}: counter parity violated");
 }
 
 /// Random sparse matrix with runs (so RunLength levels form runs).
@@ -385,7 +374,7 @@ fn exclusive_items_stay_one_vector_loop() {
         for seed in 0..6u64 {
             let mut r = StdRng::seed_from_u64(9700 + 100 * k as u64 + seed);
             let n = r.gen_range(3usize..9);
-            // Factor widths on both sides of the lane cutover.
+            // Factor widths shorter and longer than eight.
             let m = [3, 20][seed as usize % 2];
             // Both operand orders of the `!=` guard.
             let (off, guard) =

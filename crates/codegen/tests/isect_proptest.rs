@@ -5,13 +5,13 @@
 //! a probe of the other per coordinate) and the run-length vector loop,
 //! checked
 //! against a plain scalar oracle computed from the raw coordinates and
-//! against the tree-walking interpreter (bit-equal values in scalar
-//! lane mode, 1e-9 in the default lane mode, exact counters in both).
+//! against the tree-walking interpreter (bit-equal values, exact
+//! counters).
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use systec_codegen::{CompiledKernel, ExecContext, LaneMode, Parallelism};
+use systec_codegen::{CompiledKernel, ExecContext, Parallelism};
 use systec_exec::{alloc_outputs, hoist_conditions, lower, run_lowered, Counters};
 use systec_ir::build::*;
 use systec_ir::Stmt;
@@ -49,34 +49,24 @@ fn pack_1d(entries: &[(usize, f64)], n: usize, format: LevelFormat) -> Tensor {
     Tensor::Sparse(SparseTensor::from_coo(&coo, &[format]).unwrap())
 }
 
-/// Runs `prog` on both backends: the scalar-mode VM must agree with
-/// the interpreter exactly (the bit-exact value is returned for the
-/// oracle comparison), the lane-mode VM within 1e-9, and counters are
-/// exact in both modes.
+/// Runs `prog` on both backends: the VM must agree with the interpreter
+/// bit for bit (the value is returned for the oracle comparison), and
+/// on counters exactly.
 fn run_both(prog: &Stmt, inputs: &HashMap<String, Tensor>, out: &str) -> f64 {
     let hoisted = hoist_conditions(prog.clone());
     let outputs_init = alloc_outputs(&hoisted, inputs).unwrap();
     let lowered = lower(&hoisted, inputs, &outputs_init).unwrap();
     let compiled = CompiledKernel::compile(&lowered, inputs, &outputs_init).unwrap();
 
-    let mut out_lane = outputs_init.clone();
-    let c_lane = compiled.run(inputs, &mut out_lane).unwrap();
-
-    let mut scalar_ctx = ExecContext::new().with_lane_mode(LaneMode::Scalar);
-    let mut out_scalar = outputs_init.clone();
-    let mut c_scalar = Counters::new();
-    compiled
-        .run_with(inputs, &mut out_scalar, &mut scalar_ctx, Parallelism::Serial, &mut c_scalar)
-        .unwrap();
+    let mut out_vm = outputs_init.clone();
+    let c_vm = compiled.run(inputs, &mut out_vm).unwrap();
 
     let mut out_interp = outputs_init;
     let c_interp = run_lowered(&lowered, inputs, &mut out_interp).unwrap();
-    assert_eq!(out_scalar[out], out_interp[out], "scalar mode disagrees on values");
-    let diff = out_lane[out].max_abs_diff(&out_interp[out]).unwrap();
-    assert!(diff < 1e-9, "lane mode off by {diff:e}");
-    assert_eq!(c_lane, c_interp, "lane mode disagrees on counters");
-    assert_eq!(c_scalar, c_interp, "scalar mode disagrees on counters");
-    out_scalar[out].get(&[])
+    let (got, want) = (out_vm[out].get(&[]), out_interp[out].get(&[]));
+    assert_eq!(got.to_bits(), want.to_bits(), "the VM disagrees on values");
+    assert_eq!(c_vm, c_interp, "the VM disagrees on counters");
+    got
 }
 
 /// The property cases must drive the paths they are written for: the
@@ -249,25 +239,18 @@ proptest! {
             prop_assert_eq!(out_interp["y"].get(&[i]).to_bits(), expected.to_bits());
         }
 
-        let mut lane_ctx = ExecContext::new();
-        let mut scalar_ctx = ExecContext::new().with_lane_mode(LaneMode::Scalar);
+        // `y` is split by rows, so no run reassociates it: every thread
+        // count must clamp bit-exactly.
+        let mut ctx = ExecContext::new();
+        let bits = |t: &DenseTensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for threads in [1usize, 2, 3, 5] {
-            for (ctx, mode) in [(&mut lane_ctx, "lanes"), (&mut scalar_ctx, "scalar")] {
-                let mut out = outputs_init.clone();
-                let mut counters = Counters::new();
-                compiled
-                    .run_with(&inputs, &mut out, ctx, Parallelism::threads(threads), &mut counters)
-                    .unwrap();
-                assert_eq!(
-                    counters, c_interp,
-                    "t={threads} {mode}: clamped bulk counters must match exactly"
-                );
-                let diff = out["y"].max_abs_diff(&out_interp["y"]).unwrap();
-                prop_assert!(diff < 1e-9, "t={threads} {mode}: outputs off by {diff:e}");
-                if threads == 1 && mode == "scalar" {
-                    assert_eq!(out["y"], out_interp["y"], "serial scalar mode must clamp bit-exactly");
-                }
-            }
+            let mut out = outputs_init.clone();
+            let mut counters = Counters::new();
+            compiled
+                .run_with(&inputs, &mut out, &mut ctx, Parallelism::threads(threads), &mut counters)
+                .unwrap();
+            assert_eq!(counters, c_interp, "t={threads}: clamped bulk counters must match exactly");
+            prop_assert!(bits(&out["y"]) == bits(&out_interp["y"]), "t={threads}: output bits");
         }
     }
 

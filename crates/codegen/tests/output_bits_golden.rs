@@ -1,22 +1,20 @@
 //! Golden output *bits*: an FNV-1a hash over every output value's
 //! `to_bits()` for the eight paper kernels × five storage formats ×
-//! both lane modes × serial and two-thread execution (plus a handful of
-//! naive programs covering the runner shapes the paper kernels do not
-//! reach), diffed against the checked-in `golden/output_bits.golden`.
+//! serial and two-thread execution (plus a handful of naive programs
+//! covering the runner shapes the paper kernels do not reach), diffed
+//! against the checked-in `golden/output_bits.golden`. Every cell runs
+//! twice, and the rerun must hash the same.
 //!
-//! The differential tiers only hold lane mode to 1e-9 of the
-//! interpreter where a closed form runs, so they cannot tell a runner
-//! change that reassociates a lane fold (different last bits, still
-//! within tolerance) from one that does not. This snapshot can: any
-//! change to which lane an element lands in, the merge order, the
-//! short-window cutover, or the chunk merge shows up as a hash diff.
-//! Only the closed forms (`Dot`, `DotAxpy`) lane, so every cell that runs
-//! none has the same `lanes` and `scalar` hashes.
+//! The differential tiers hold every serial run to the interpreter's
+//! bits, but a two-thread run's reduced outputs only to 1e-9, so they
+//! cannot tell a change to the chunk merge (different last bits, still
+//! within tolerance) from none. This snapshot can: any change to a fold
+//! order or to the chunk merge shows up as a hash diff.
 //!
 //! Beside it, `golden/dispatch.golden` is the selection census: one
 //! `dispatch <kernel> <format> runner=n …` line per group of cells, the
-//! `systec_fused_dispatch_total` counts its runs added (`none` when no
-//! vector loop or row nest ran at all). A kernel that silently drops
+//! `systec_fused_dispatch_total` counts its four runs added (`none` when
+//! no vector loop or row nest ran at all). A kernel that silently drops
 //! from a nest to the scalar path fails there as a readable diff, not
 //! as a timing. The registry is process-global, which is why this is
 //! the only test in its binary.
@@ -28,8 +26,8 @@
 //! that still exist, so the generic runner walks fewer padded entries.
 //!
 //! Workspace rows (`src/fuse.rs`, "Workspace rows") move no output bit:
-//! the fold still visits row `i ∩ row j` in ascending `k` at one lane, in
-//! the same operand order. `ssyrk csr` counts `workspace_dot`: row `i` is
+//! the fold still visits row `i ∩ row j` in ascending `k`, in the same
+//! operand order. `ssyrk csr` counts `workspace_dot`: row `i` is
 //! scattered once and the `j ≥ i` sweep is a row nest gather-dotting each
 //! row `j`, which counts one entry wherever the merge's driver window
 //! was non-empty, as the merge did. `naive-isect csr*csr` does too
@@ -39,7 +37,7 @@
 //! run on the general path — a compressed head over row `i` and a probe
 //! per coordinate, since a vector loop drives one fiber — so their census
 //! lines read `none`, and their output bits are the ones a merge would
-//! give: the general path folds in the same order at one lane.
+//! give: the general path folds in the same order.
 //!
 //! Regenerate after an *intentional* association or selection change
 //! with:
@@ -49,14 +47,13 @@
 //! ```
 //!
 //! Inputs come from a generator local to this file (no dependency on
-//! the `rand` stand-in), sized so the long rows clear the lane cutover
-//! and the short ones stay under it.
+//! the `rand` stand-in), with both long and short rows.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use systec_codegen::{CompiledKernel, ExecContext, LaneMode, Parallelism};
+use systec_codegen::{CompiledKernel, ExecContext, Parallelism};
 use systec_core::Compiler;
 use systec_exec::{alloc_outputs, hoist_conditions, lower, prepare_variants, Counters};
 use systec_ir::build::*;
@@ -65,7 +62,7 @@ use systec_kernels::defs::{self, InputData, InputFormat, KernelDef};
 use systec_telemetry::{global, RUNNER_KINDS};
 use systec_tensor::{CooTensor, DenseTensor, LevelFormat, SparseTensor, Tensor};
 
-/// Columns of the dense factor matrices (above the lane cutover).
+/// Columns of the dense factor matrices.
 const RANK: usize = 20;
 
 /// (root, leaf) level formats — the five matrix formats of the
@@ -115,7 +112,7 @@ fn extent(rank: usize) -> usize {
 /// Random coordinates whose values come from a four-entry palette of
 /// full-mantissa numbers, with leaf-mode run extension (so run-length
 /// leaves form real runs and products still round); every third matrix
-/// row is near-full so windows land on both sides of the lane cutover.
+/// row is near-full, so windows are both long and short.
 fn random_coo(rank: usize, s: &mut Stream) -> CooTensor {
     let n = extent(rank);
     let palette: [f64; 4] = std::array::from_fn(|_| s.value());
@@ -208,10 +205,10 @@ struct Snapshots {
     dispatch: String,
 }
 
-/// Runs the programs in order over shared outputs under every lane
-/// mode × parallelism cell, appending one `label lanes|scalar serial|t2
-/// hash` line per cell (outputs hashed in name order) and one census
-/// line for the four cells together.
+/// Runs the programs in order over shared outputs twice under each
+/// parallelism, appending one `label serial|t2 hash` line per cell
+/// (outputs hashed in name order; the rerun must hash the same) and one
+/// census line for the four runs together.
 fn hash_cells(
     snaps: &mut Snapshots,
     label: &str,
@@ -231,10 +228,10 @@ fn hash_cells(
             CompiledKernel::compile(&lowered, &all_inputs, &outputs_init).expect("compiles")
         })
         .collect();
-    for (lname, lane_mode) in [("lanes", LaneMode::Lanes), ("scalar", LaneMode::Scalar)] {
-        for (pname, par) in [("serial", Parallelism::Serial), ("t2", Parallelism::threads(2))] {
+    for (pname, par) in [("serial", Parallelism::Serial), ("t2", Parallelism::threads(2))] {
+        let mut ctx = ExecContext::new();
+        let mut run = || {
             let mut outputs = outputs_init.clone();
-            let mut ctx = ExecContext::new().with_lane_mode(lane_mode);
             let mut counters = Counters::new();
             for kernel in &compiled {
                 kernel
@@ -250,8 +247,11 @@ fn hash_cells(
                     fnv1a(&mut hash, &v.to_bits().to_le_bytes());
                 }
             }
-            writeln!(text, "{label} {lname} {pname} {hash:016x}").unwrap();
-        }
+            hash
+        };
+        let hash = run();
+        assert_eq!(run(), hash, "{label} {pname}: the rerun moved an output bit");
+        writeln!(text, "{label} {pname} {hash:016x}").unwrap();
     }
     let mut census = String::new();
     for ((runner, after), before) in RUNNER_KINDS.iter().zip(dispatched()).zip(before) {
@@ -394,11 +394,7 @@ fn output_bits_match_golden() {
     }
     runner_shape_cells(&mut snaps);
 
-    check_golden(
-        "output_bits.golden",
-        &snaps.bits,
-        "a runner change moved an association, cutover or merge order",
-    );
+    check_golden("output_bits.golden", &snaps.bits, "a runner change moved a fold or merge order");
     check_golden(
         "dispatch.golden",
         &snaps.dispatch,

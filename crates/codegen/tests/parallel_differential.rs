@@ -1,17 +1,18 @@
 //! Differential tests of row-parallel execution: on randomized einsums
 //! over randomized storage formats and thread counts (1, 2, 4, 7 — plus
 //! `SYSTEC_TEST_THREADS`, which CI sets to exercise the parallel paths
-//! on every push), the parallel VM must agree with the serial-compiled
-//! VM, the tree-walking interpreter, and brute-force reference
-//! evaluation within 1e-9, with **exact** merged-counter parity. A
-//! separate determinism test pins bit-identical outputs and counters
-//! across repeated parallel runs.
+//! on every push), the VM must agree with the tree-walking interpreter
+//! bit for bit, except for a reduced output merged over several chunks
+//! (within 1e-9), and with brute-force reference evaluation within 1e-9,
+//! with **exact** merged-counter parity. A separate determinism test
+//! pins bit-identical outputs and counters across repeated parallel
+//! runs.
 
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use systec_codegen::{CompiledKernel, ExecContext, LaneMode, Parallelism};
+use systec_codegen::{CompiledKernel, ExecContext, MergeKind, Parallelism};
 use systec_core::{Compiler, SymmetrySpec};
 use systec_exec::reference::reference_einsum;
 use systec_exec::{
@@ -36,12 +37,41 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-/// Compiles `prog` once and runs it on every backend × thread-count
-/// cell: the interpreter anchors the expectation, the scalar-mode
-/// serial VM must match it bit-for-bit (the PR 1 guarantee, preserved
-/// in scalar mode), the lane-mode serial VM must match within [`TOL`],
-/// and every parallel run must match within [`TOL`] with exactly equal
-/// counters. Returns the serial lane-mode outputs and counters.
+/// The outputs of `kernel` that a run at `threads` threads merges by
+/// reduction over several chunks, which reassociates them.
+fn reduced(kernel: &CompiledKernel, threads: usize) -> Vec<String> {
+    let classes = if threads > 1 { kernel.split_outputs() } else { None };
+    classes
+        .unwrap_or_default()
+        .into_iter()
+        .filter_map(|(name, kind)| matches!(kind, MergeKind::Reduce(_)).then_some(name))
+        .collect()
+}
+
+/// Asserts `got` is the interpreter's `want` bit for bit, except the
+/// `reduced` outputs, which must be within [`TOL`] of it.
+fn assert_outputs(
+    got: &HashMap<String, DenseTensor>,
+    want: &HashMap<String, DenseTensor>,
+    reduced: &[String],
+    label: &str,
+) {
+    for (name, t) in want {
+        if reduced.contains(name) {
+            let diff = got[name].max_abs_diff(t).expect(label);
+            assert!(diff < TOL, "{label}: output {name} off by {diff:e}");
+        } else {
+            let bits =
+                |t: &DenseTensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got[name]), bits(t), "{label}: output {name} differs bit for bit");
+        }
+    }
+}
+
+/// Compiles `prog` once and runs it on every thread count: the
+/// interpreter anchors the expectation and every run must match it
+/// ([`assert_outputs`]) with exactly equal counters. Returns the serial
+/// outputs and counters.
 fn run_matrix(
     prog: &Stmt,
     inputs: &HashMap<String, Tensor>,
@@ -58,21 +88,7 @@ fn run_matrix(
     let mut out_serial = outputs_init.clone();
     let c_serial = kernel.run(inputs, &mut out_serial).expect(label);
     assert_eq!(c_serial, c_interp, "{label}: serial VM counter parity");
-    for (name, t) in &out_interp {
-        let diff = out_serial[name].max_abs_diff(t).expect(label);
-        assert!(diff < TOL, "{label}: serial lane-mode output {name} off by {diff:e}");
-    }
-
-    let mut scalar_ctx = ExecContext::new().with_lane_mode(LaneMode::Scalar);
-    let mut out_scalar = outputs_init.clone();
-    let mut c_scalar = Counters::new();
-    kernel
-        .run_with(inputs, &mut out_scalar, &mut scalar_ctx, Parallelism::Serial, &mut c_scalar)
-        .expect(label);
-    assert_eq!(c_scalar, c_interp, "{label}: scalar-mode counter parity");
-    for (name, t) in &out_interp {
-        assert_eq!(&out_scalar[name], t, "{label}: scalar-mode VM output {name}");
-    }
+    assert_outputs(&out_serial, &out_interp, &[], &format!("{label}: serial"));
 
     let mut ctx = ExecContext::new();
     for threads in thread_counts() {
@@ -82,10 +98,8 @@ fn run_matrix(
             .run_with(inputs, &mut out_par, &mut ctx, Parallelism::threads(threads), &mut c_par)
             .expect(label);
         assert_eq!(c_par, c_interp, "{label}: t={threads} merged-counter parity");
-        for (name, t) in &out_interp {
-            let diff = out_par[name].max_abs_diff(t).expect(label);
-            assert!(diff < TOL, "{label}: t={threads} output {name} off by {diff:e}");
-        }
+        let reduced = reduced(&kernel, threads);
+        assert_outputs(&out_par, &out_interp, &reduced, &format!("{label}: t={threads}"));
     }
     (out_serial, c_serial)
 }
@@ -502,20 +516,15 @@ fn chunked_gathers_survive_hostile_window_splits() {
         let mut out_interp = outputs_init.clone();
         let c_interp = run_lowered(&lowered, inputs, &mut out_interp).expect(label);
         let mut ctx = ExecContext::new();
-        let mut scalar_ctx = ExecContext::new().with_lane_mode(LaneMode::Scalar);
         for threads in [1usize, 2, 3, 4, 5, 7, 9] {
-            for (mode, c) in [(&mut ctx, "lanes"), (&mut scalar_ctx, "scalar")] {
-                let mut out = outputs_init.clone();
-                let mut counters = Counters::new();
-                kernel
-                    .run_with(inputs, &mut out, mode, Parallelism::threads(threads), &mut counters)
-                    .expect(label);
-                assert_eq!(counters, c_interp, "{label}: t={threads} {c} counter parity");
-                for (name, t) in &out_interp {
-                    let diff = out[name].max_abs_diff(t).expect(label);
-                    assert!(diff < TOL, "{label}: t={threads} {c} output {name} off by {diff:e}");
-                }
-            }
+            let mut out = outputs_init.clone();
+            let mut counters = Counters::new();
+            kernel
+                .run_with(inputs, &mut out, &mut ctx, Parallelism::threads(threads), &mut counters)
+                .expect(label);
+            assert_eq!(counters, c_interp, "{label}: t={threads} counter parity");
+            let reduced = reduced(&kernel, threads);
+            assert_outputs(&out, &out_interp, &reduced, &format!("{label}: t={threads}"));
         }
     };
 

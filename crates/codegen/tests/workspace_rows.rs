@@ -3,11 +3,11 @@
 //! compiled as one scatter of row `i` per outer iteration plus a loop
 //! over row `j` that folds only where the scatter left a member. Every
 //! plan here must select that form (asserted by name), and in every cell
-//! of lane mode × {serial, 2 threads, `SYSTEC_TEST_THREADS`} × chunked
-//! execution `k` of `n ∈ {2, 3, 7}` it must reproduce the tree-walking
-//! interpreter with output *bits* and every counter equal: the fold
-//! visits `row i ∩ row j` in ascending `k` at one lane, exactly as the
-//! merge it replaces, and every output here is owned by its row `i`.
+//! of {serial, 2 threads, `SYSTEC_TEST_THREADS`} × chunked execution `k`
+//! of `n ∈ {2, 3, 7}` it must reproduce the tree-walking interpreter with
+//! output *bits* and every counter equal: the fold visits `row i ∩ row j`
+//! in ascending `k`, exactly as the merge it replaces, and every output
+//! here is owned by its row `i`.
 //!
 //! The inputs are built so that folding non-members — a workspace that
 //! is zero-filled instead of recording membership — shows: stored zeros,
@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use systec_codegen::{CompiledKernel, ExecContext, LaneMode, Parallelism};
+use systec_codegen::{CompiledKernel, ExecContext, Parallelism};
 use systec_core::Compiler;
 use systec_exec::{alloc_outputs, hoist_conditions, lower, prepare_variants, Counters};
 use systec_ir::build::*;
@@ -48,8 +48,8 @@ fn matrix(
 
 /// Rows that hit every edge of the gather: empty rows, a row whose
 /// columns no other row holds (empty intersections), stored zeros,
-/// `±inf`, and rows longer than the lane cutover (16) with members and
-/// non-members interleaved.
+/// `±inf`, and rows of twenty entries with members and non-members
+/// interleaved.
 fn edges(formats: [LevelFormat; 2]) -> Tensor {
     let long_a: Vec<(usize, f64)> =
         (0..40).step_by(2).map(|k| (k, 0.3 + k as f64 * 0.17)).collect();
@@ -151,51 +151,49 @@ fn check_plan(programs: &[Stmt], inputs: &HashMap<String, Tensor>, fill: f64, la
     let want = bits(&want);
 
     // One context for every cell: a stale workspace would show here too.
-    for mode in [LaneMode::Scalar, LaneMode::Lanes] {
-        let mut ctx = ExecContext::new().with_lane_mode(mode);
-        for par in thread_modes() {
-            let label = format!("{label} {mode:?} {par:?}");
-            let mut got = outputs_init.clone();
-            let mut counters = Counters::new();
-            for kernel in &kernels {
-                let mut c = Counters::new();
-                kernel.run_with(&all_inputs, &mut got, &mut ctx, par, &mut c).expect(&label);
-                counters.merge(&c);
-            }
-            assert_eq!(counters, want_counters, "{label}: counters differ");
-            assert_eq!(bits(&got), want, "{label}: outputs are not bit-identical");
+    let mut ctx = ExecContext::new();
+    for par in thread_modes() {
+        let label = format!("{label} {par:?}");
+        let mut got = outputs_init.clone();
+        let mut counters = Counters::new();
+        for kernel in &kernels {
+            let mut c = Counters::new();
+            kernel.run_with(&all_inputs, &mut got, &mut ctx, par, &mut c).expect(&label);
+            counters.merge(&c);
         }
+        assert_eq!(counters, want_counters, "{label}: counters differ");
+        assert_eq!(bits(&got), want, "{label}: outputs are not bit-identical");
+    }
 
-        // The first program in chunks, as a shard would run it, merged
-        // per its split classification; any later program (SSYRK's
-        // replication) then runs whole over the merged outputs.
-        let classes = kernels[0].split_outputs().expect("row-owned plans are splittable");
-        for n in [2usize, 3, 7] {
-            let label = format!("{label} {mode:?} chunks-of-{n}");
-            let mut merged = outputs_init.clone();
-            let mut counters = Counters::new();
-            for k in 0..n {
-                let mut part = outputs_init.clone();
-                let mut c = Counters::new();
-                kernels[0]
-                    .run_chunk_with(&all_inputs, &mut part, &mut ctx, &mut c, k, n)
-                    .expect(&label);
-                counters.merge(&c);
-                for (name, kind) in &classes {
-                    let (acc, src) = (merged.get_mut(name).unwrap(), &part[name]);
-                    kind.merge_into(acc.as_mut_slice(), src.as_slice(), src.dims(), k, n);
-                }
+    // The first program in chunks, as a shard would run it, merged per
+    // its split classification; any later program (SSYRK's replication)
+    // then runs whole over the merged outputs.
+    let classes = kernels[0].split_outputs().expect("row-owned plans are splittable");
+    for n in [2usize, 3, 7] {
+        let label = format!("{label} chunks-of-{n}");
+        let mut merged = outputs_init.clone();
+        let mut counters = Counters::new();
+        for k in 0..n {
+            let mut part = outputs_init.clone();
+            let mut c = Counters::new();
+            kernels[0]
+                .run_chunk_with(&all_inputs, &mut part, &mut ctx, &mut c, k, n)
+                .expect(&label);
+            counters.merge(&c);
+            for (name, kind) in &classes {
+                let (acc, src) = (merged.get_mut(name).unwrap(), &part[name]);
+                kind.merge_into(acc.as_mut_slice(), src.as_slice(), src.dims(), k, n);
             }
-            for kernel in &kernels[1..] {
-                let mut c = Counters::new();
-                kernel
-                    .run_with(&all_inputs, &mut merged, &mut ctx, Parallelism::Serial, &mut c)
-                    .expect(&label);
-                counters.merge(&c);
-            }
-            assert_eq!(counters, want_counters, "{label}: merged counters differ");
-            assert_eq!(bits(&merged), want, "{label}: merged outputs are not bit-identical");
         }
+        for kernel in &kernels[1..] {
+            let mut c = Counters::new();
+            kernel
+                .run_with(&all_inputs, &mut merged, &mut ctx, Parallelism::Serial, &mut c)
+                .expect(&label);
+            counters.merge(&c);
+        }
+        assert_eq!(counters, want_counters, "{label}: merged counters differ");
+        assert_eq!(bits(&merged), want, "{label}: merged outputs are not bit-identical");
     }
 }
 

@@ -13,8 +13,7 @@
 //! Every run executes on the bytecode VM in `systec-codegen`. The
 //! tree-walking interpreter in `systec-exec` stays the differential
 //! oracle, reachable through [`Prepared::run_interpreted`]: identical
-//! [`Counters`] always, and identical results wherever no closed form
-//! folded in lanes.
+//! [`Counters`], and identical results bit for bit on a serial run.
 //!
 //! Kernel *plans* — the compiled program (symmetrization + §4.2 passes),
 //! its hoisted/lowered form, and its bytecode — depend only on the
@@ -542,8 +541,8 @@ impl Prepared {
     /// tree-walking interpreter (`systec_exec::run_lowered`) instead of
     /// the VM: main loops, then replication. The interpreter is the
     /// differential oracle the VM is tested against — its counters are
-    /// the VM's exactly, and its outputs bit for bit wherever no closed
-    /// form folded in lanes. It is not a production path.
+    /// the VM's exactly, and its outputs those of a serial VM run bit for
+    /// bit. It is not a production path.
     ///
     /// # Errors
     ///
@@ -606,20 +605,11 @@ mod tests {
     fn backends_agree_on_results_and_counters() {
         let (def, inputs) = ssymv_setup(32, 13);
         let compiled = Prepared::compile(&def, &inputs).unwrap();
-        // The default lane mode reassociates the closed forms'
-        // register-held folds: values agree within 1e-9, counters exactly.
         let (yc, cc) = compiled.run_full().unwrap();
         let (yi, ci) = compiled.run_interpreted().unwrap();
-        assert!(yc["y"].max_abs_diff(&yi["y"]).unwrap() < 1e-9, "lane-mode values");
+        let bits = |t: &DenseTensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&yc["y"]), bits(&yi["y"]), "the VM must agree bit for bit");
         assert_eq!(cc, ci, "counter parity across backends");
-        // Scalar lane mode keeps the bit-for-bit guarantee.
-        let mut ctx =
-            systec_codegen::ExecContext::new().with_lane_mode(systec_codegen::LaneMode::Scalar);
-        let mut ys = HashMap::new();
-        let mut cs = Counters::new();
-        compiled.run_full_into(&mut ys, &mut ctx, &mut cs).unwrap();
-        assert_eq!(ys["y"], yi["y"], "scalar mode must agree bit-for-bit");
-        assert_eq!(cs, ci, "scalar-mode counter parity");
     }
 
     #[test]

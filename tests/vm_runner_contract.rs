@@ -3,10 +3,7 @@
 //! through the public `systec_kernels` API only, five paper kernels over
 //! CSR, DCSR and run-length storage must agree with the tree-walking
 //! interpreter (`Prepared::run_interpreted`, replication included) —
-//! **byte for byte** in scalar lane mode, and in the default lane mode
-//! byte for byte for every plan that runs no closed form (only the
-//! closed forms lane) and within 1e-9 otherwise; work counters exact in
-//! both.
+//! outputs **byte for byte**, work counters exactly.
 //!
 //! (The codegen crate's own differential, golden and proptest tiers run
 //! only under `cargo test --workspace`; this is their tier-1 slice.)
@@ -15,7 +12,7 @@ use std::collections::HashMap;
 
 use systec::ir::parse_einsum;
 use systec::kernels::defs::{self, InputData, InputFormat};
-use systec::kernels::{Counters, ExecContext, KernelDef, LaneMode, Parallelism, Prepared};
+use systec::kernels::{Counters, ExecContext, KernelDef, Parallelism, Prepared};
 use systec::tensor::generate::{
     random_dense, rng, sprand, symmetric_block_plateau, symmetric_erdos_renyi,
 };
@@ -60,61 +57,30 @@ fn bits(outputs: &HashMap<String, DenseTensor>) -> Vec<(&String, Vec<u64>)> {
     all
 }
 
-/// One prepared plan: interpreter vs scalar-mode VM vs lane-mode VM.
-/// `unlaned`: the plan runs no closed form, so lane mode must reproduce
-/// the interpreter bit for bit too.
-fn assert_plan(vm: &Prepared, label: &str, unlaned: bool) {
+/// One prepared plan: the VM against the interpreter, bit for bit.
+fn assert_plan(vm: &Prepared, label: &str) {
     let (want, want_counters) = vm.run_interpreted().expect(label);
-    for mode in [LaneMode::Scalar, LaneMode::Lanes] {
-        let mut ctx = ExecContext::new().with_lane_mode(mode);
-        let mut got = HashMap::new();
-        let mut counters = Counters::new();
-        vm.run_full_into(&mut got, &mut ctx, &mut counters).expect(label);
-        assert_eq!(counters, want_counters, "{label} {mode:?}: counters differ");
-        if mode == LaneMode::Scalar || unlaned {
-            assert_eq!(bits(&got), bits(&want), "{label} {mode:?}: not bit-identical");
-        }
-        for (name, t) in &want {
-            let diff = got[name].max_abs_diff(t).expect(label);
-            assert!(diff <= 1e-9, "{label} {mode:?}: output {name} off by {diff:e}");
-        }
-    }
+    let (mut got, mut counters) = (HashMap::new(), Counters::new());
+    vm.run_full_into(&mut got, &mut ExecContext::new(), &mut counters).expect(label);
+    assert_eq!(counters, want_counters, "{label}: counters differ");
+    assert_eq!(bits(&got), bits(&want), "{label}: not bit-identical");
 }
 
-/// The kernel's symmetric and naive plans; `unlaned` names the ones
-/// that run no closed form.
-fn assert_contract(
-    def: &KernelDef,
-    inputs: &HashMap<String, Tensor>,
-    label: &str,
-    unlaned: &[&str],
-) {
+/// The kernel's symmetric and naive plans.
+fn assert_contract(def: &KernelDef, inputs: &HashMap<String, Tensor>, label: &str) {
     let plans = [
         ("sym", Prepared::compile(def, inputs).expect(label)),
         ("naive", Prepared::naive(def, inputs).expect(label)),
     ];
     for (plan, vm) in plans {
-        assert_plan(&vm, &format!("{label} {plan}"), unlaned.contains(&plan));
-    }
-}
-
-/// The rank-2 plans that run no closed form on `fname`: DCSR's
-/// symmetric plans probe a compressed root from a counted row loop, so
-/// their inner loops never vectorize. Every naive rank-2 plan — naive
-/// SYPRD too, whose `x[i]` the row prologue reads — runs `Dot` or
-/// `DotAxpy`.
-fn rank2_unlaned(fname: &str) -> &'static [&'static str] {
-    if fname == "dcsr" {
-        &["sym"]
-    } else {
-        &[]
+        assert_plan(&vm, &format!("{label} {plan}"));
     }
 }
 
 #[test]
 fn rank2_symmetric_kernels_match_the_interpreter() {
-    // Block plateaus: real runs for the run-length leaf, and rows on
-    // both sides of the lane cutover.
+    // Block plateaus: real runs for the run-length leaf, and rows both
+    // shorter and longer than eight entries.
     let n = 48;
     let mut r = rng(11);
     let a = symmetric_block_plateau(n, 6, 0.45, &mut r);
@@ -125,19 +91,18 @@ fn rank2_symmetric_kernels_match_the_interpreter() {
         {
             let inputs = pack(&def, root, leaf, a.clone().into(), Some((vec_name, x.clone())));
             let label = format!("{} {fname}", def.name);
-            assert_contract(&def, &inputs, &label, rank2_unlaned(fname));
+            assert_contract(&def, &inputs, &label);
         }
     }
 }
 
 #[test]
 fn generic_dots_fold_at_one_lane() {
-    // Two dots that run no closed form, each into `y[i]` over rows past
-    // the lane cutover, where a laned fold would reassociate: a dense
-    // mat-vec on the generic runner (no driver value, so no closed form)
-    // and a merge against a probe into a dense level (an intersection the
-    // workspace rewrite cannot re-drive, so it runs on the general path).
-    // Both fold at one lane, in the interpreter's order.
+    // Two dots that run no closed form, each into `y[i]` over 48-wide
+    // rows: a dense mat-vec on the generic runner (no driver value, so no
+    // closed form) and a merge against a probe into a dense level (an
+    // intersection the workspace rewrite cannot re-drive, so it runs on
+    // the general path). Both fold in the interpreter's order.
     let n = 48;
     let mut r = rng(15);
     let d = Tensor::Dense(random_dense(vec![n, n], &mut r));
@@ -145,7 +110,7 @@ fn generic_dots_fold_at_one_lane() {
     let mv = parse_einsum("for i, j: y[i] += D[i, j] * x[j]").expect("parses");
     let inputs = HashMap::from([("D".to_string(), d), ("x".to_string(), x)]);
     let vm = Prepared::naive_einsum(&mv, &inputs).expect("prepares");
-    assert_plan(&vm, "dense mat-vec", true);
+    assert_plan(&vm, "dense mat-vec");
 
     let random = |formats: &[LevelFormat], r: &mut _| {
         let coo = sprand(n, n, 1400, r);
@@ -156,7 +121,7 @@ fn generic_dots_fold_at_one_lane() {
     let isect = parse_einsum("for i, k: y[i] += A[i, k] * B[i, k]").expect("parses");
     let inputs = HashMap::from([("A".to_string(), a), ("B".to_string(), b)]);
     let vm = Prepared::naive_einsum(&isect, &inputs).expect("prepares");
-    assert_plan(&vm, "csr * dense-probe intersection", true);
+    assert_plan(&vm, "csr * dense-probe intersection");
 }
 
 #[test]
@@ -182,7 +147,7 @@ fn many_short_rows_match_the_interpreter() {
         {
             let inputs = pack(&def, root, leaf, a.clone().into(), Some((vec_name, x.clone())));
             let label = format!("{} {fname} short rows", def.name);
-            assert_contract(&def, &inputs, &label, rank2_unlaned(fname));
+            assert_contract(&def, &inputs, &label);
         }
     }
 }
@@ -194,7 +159,7 @@ fn ssyrk_intersection_matches_the_interpreter() {
     let def = defs::ssyrk();
     for &(fname, root, leaf) in FORMATS {
         let inputs = pack(&def, root, leaf, a.clone().into(), None);
-        assert_contract(&def, &inputs, &format!("ssyrk {fname}"), &["sym", "naive"]);
+        assert_contract(&def, &inputs, &format!("ssyrk {fname}"));
     }
 }
 
@@ -207,7 +172,7 @@ fn mttkrp3_matches_the_interpreter() {
     let def = defs::mttkrp(3);
     for &(fname, root, leaf) in FORMATS {
         let inputs = pack(&def, root, leaf, a.clone().into(), Some(("B", b.clone())));
-        assert_contract(&def, &inputs, &format!("mttkrp3 {fname}"), &["sym", "naive"]);
+        assert_contract(&def, &inputs, &format!("mttkrp3 {fname}"));
     }
 }
 
