@@ -77,25 +77,16 @@ fn filter_tree(stmt: &Stmt, chain: &[Index], want: Class) -> Option<Option<Stmt>
             c if c == want => Some(Some(stmt.clone())),
             _ => Some(None),
         },
-        Stmt::Loop { index, body } => Some(
-            filter_tree(body, chain, want)?
-                .map(|b| Stmt::Loop { index: index.clone(), body: Box::new(b) }),
-        ),
-        Stmt::Let { name, value, body } => {
-            Some(filter_tree(body, chain, want)?.map(|b| Stmt::Let {
-                name: name.clone(),
-                value: value.clone(),
-                body: Box::new(b),
-            }))
-        }
-        Stmt::Workspace { name, init, body } => {
-            Some(filter_tree(body, chain, want)?.map(|b| Stmt::Workspace {
-                name: name.clone(),
-                init: *init,
-                body: Box::new(b),
-            }))
-        }
         Stmt::Assign { .. } => Some(Some(stmt.clone())),
+        // A loop, `let` or workspace keeps its header around whatever
+        // of its one body survives.
+        Stmt::Loop { .. } | Stmt::Let { .. } | Stmt::Workspace { .. } => {
+            let Some(body) = filter_tree(&stmt.children()[0], chain, want)? else {
+                return Some(None);
+            };
+            let mut body = Some(body);
+            Some(Some(stmt.clone().map_children(&mut |_| body.take().expect("one body"))))
+        }
     }
 }
 

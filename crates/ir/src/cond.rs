@@ -93,33 +93,29 @@ impl Cond {
     /// The set of indices mentioned by the condition.
     pub fn indices(&self) -> BTreeSet<Index> {
         let mut out = BTreeSet::new();
-        self.collect_indices(&mut out);
+        self.for_each(&mut |c| {
+            if let Cond::Cmp(_, a, b) = c {
+                out.extend([a.clone(), b.clone()]);
+            }
+        });
         out
-    }
-
-    fn collect_indices(&self, out: &mut BTreeSet<Index>) {
-        match self {
-            Cond::True => {}
-            Cond::Cmp(_, a, b) => {
-                out.insert(a.clone());
-                out.insert(b.clone());
-            }
-            Cond::And(cs) | Cond::Or(cs) => {
-                for c in cs {
-                    c.collect_indices(out);
-                }
-            }
-        }
     }
 
     /// Applies an index substitution.
     pub fn substitute(&self, map: &HashMap<Index, Index>) -> Cond {
-        let sub = |i: &Index| map.get(i).cloned().unwrap_or_else(|| i.clone());
-        match self {
+        self.clone().into_substituted(map)
+    }
+
+    /// [`Cond::substitute`] on an owned condition: comparisons are
+    /// renamed, and conjunctions and disjunctions rebuilt through
+    /// [`Cond::and`] / [`Cond::or`], which flatten them.
+    fn into_substituted(self, map: &HashMap<Index, Index>) -> Cond {
+        let sub = |i: Index| map.get(&i).cloned().unwrap_or(i);
+        match self.map_children(&mut |c| c.into_substituted(map)) {
+            Cond::Cmp(op, a, b) => Cond::Cmp(op, sub(a), sub(b)),
+            Cond::And(cs) => Cond::and(cs),
+            Cond::Or(cs) => Cond::or(cs),
             Cond::True => Cond::True,
-            Cond::Cmp(op, a, b) => Cond::Cmp(*op, sub(a), sub(b)),
-            Cond::And(cs) => Cond::and(cs.iter().map(|c| c.substitute(map))),
-            Cond::Or(cs) => Cond::or(cs.iter().map(|c| c.substitute(map))),
         }
     }
 

@@ -230,18 +230,18 @@ impl Expr {
 
     /// Applies an index substitution throughout the expression.
     pub fn substitute(&self, map: &HashMap<Index, Index>) -> Expr {
-        let sub = |i: &Index| map.get(i).cloned().unwrap_or_else(|| i.clone());
+        self.clone().into_substituted(map)
+    }
+
+    /// [`Expr::substitute`] on an owned tree: the leaves that name
+    /// indices are renamed, every other node is rebuilt around its
+    /// renamed children.
+    pub(crate) fn into_substituted(self, map: &HashMap<Index, Index>) -> Expr {
+        let sub = |i: Index| map.get(&i).cloned().unwrap_or(i);
         match self {
-            Expr::Literal(v) => Expr::Literal(*v),
-            Expr::Scalar(s) => Expr::Scalar(s.clone()),
             Expr::Access(a) => Expr::Access(a.substitute(map)),
-            Expr::Call { op, args } => {
-                Expr::Call { op: *op, args: args.iter().map(|a| a.substitute(map)).collect() }
-            }
-            Expr::CmpVal { op, lhs, rhs } => Expr::CmpVal { op: *op, lhs: sub(lhs), rhs: sub(rhs) },
-            Expr::Lookup { table, index } => {
-                Expr::Lookup { table: table.clone(), index: Box::new(index.substitute(map)) }
-            }
+            Expr::CmpVal { op, lhs, rhs } => Expr::CmpVal { op, lhs: sub(lhs), rhs: sub(rhs) },
+            other => other.map_children(&mut |c| c.into_substituted(map)),
         }
     }
 
@@ -292,18 +292,16 @@ impl Expr {
     /// Sorts the operands of commutative calls recursively, producing the
     /// canonical operand order the normalization stage requires.
     pub fn sort_commutative(&self) -> Expr {
-        match self {
-            Expr::Call { op, args } => {
-                let mut args: Vec<Expr> = args.iter().map(|a| a.sort_commutative()).collect();
-                if op.is_commutative() {
-                    args.sort_by(|a, b| a.total_cmp(b));
-                }
-                Expr::Call { op: *op, args }
+        self.clone().into_sorted()
+    }
+
+    fn into_sorted(self) -> Expr {
+        match self.map_children(&mut Expr::into_sorted) {
+            Expr::Call { op, mut args } if op.is_commutative() => {
+                args.sort_by(|a, b| a.total_cmp(b));
+                Expr::Call { op, args }
             }
-            Expr::Lookup { table, index } => {
-                Expr::Lookup { table: table.clone(), index: Box::new(index.sort_commutative()) }
-            }
-            other => other.clone(),
+            other => other,
         }
     }
 }

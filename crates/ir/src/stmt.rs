@@ -134,33 +134,29 @@ impl Stmt {
 
     /// Applies an index substitution throughout the statement.
     pub fn substitute(&self, map: &HashMap<Index, Index>) -> Stmt {
-        match self {
-            Stmt::Block(ss) => Stmt::Block(ss.iter().map(|s| s.substitute(map)).collect()),
-            Stmt::Loop { index, body } => Stmt::Loop {
-                index: map.get(index).cloned().unwrap_or_else(|| index.clone()),
-                body: Box::new(body.substitute(map)),
-            },
-            Stmt::If { cond, body } => {
-                Stmt::If { cond: cond.substitute(map), body: Box::new(body.substitute(map)) }
+        self.clone().into_substituted(map)
+    }
+
+    /// [`Stmt::substitute`] on an owned tree: each node that names
+    /// indices is renamed around its renamed children.
+    fn into_substituted(self, map: &HashMap<Index, Index>) -> Stmt {
+        match self.map_children(&mut |s| s.into_substituted(map)) {
+            Stmt::Loop { index, body } => {
+                Stmt::Loop { index: map.get(&index).cloned().unwrap_or(index), body }
             }
-            Stmt::Let { name, value, body } => Stmt::Let {
-                name: name.clone(),
-                value: value.substitute(map),
-                body: Box::new(body.substitute(map)),
-            },
-            Stmt::Workspace { name, init, body } => Stmt::Workspace {
-                name: name.clone(),
-                init: *init,
-                body: Box::new(body.substitute(map)),
-            },
+            Stmt::If { cond, body } => Stmt::If { cond: cond.substitute(map), body },
+            Stmt::Let { name, value, body } => {
+                Stmt::Let { name, value: value.into_substituted(map), body }
+            }
             Stmt::Assign { lhs, op, rhs } => Stmt::Assign {
                 lhs: match lhs {
                     Lhs::Tensor(a) => Lhs::Tensor(a.substitute(map)),
-                    Lhs::Scalar(s) => Lhs::Scalar(s.clone()),
+                    scalar @ Lhs::Scalar(_) => scalar,
                 },
-                op: *op,
-                rhs: rhs.substitute(map),
+                op,
+                rhs: rhs.into_substituted(map),
             },
+            other => other,
         }
     }
 

@@ -6,7 +6,7 @@
 //! sets). Walkers that carry context down the tree (bound loops, guard
 //! stacks) keep their own recursion and hand every other node back here.
 
-use crate::{Access, AssignOp, Expr, Lhs, Stmt};
+use crate::{Access, AssignOp, Cond, Expr, Lhs, Stmt};
 
 impl Expr {
     /// Rebuilds the expression with each direct child replaced by
@@ -166,6 +166,38 @@ impl Stmt {
             }
             _ => {}
         });
+    }
+}
+
+impl Cond {
+    /// Rebuilds the condition with each direct child replaced by
+    /// `f(child)`. Leaves are returned unchanged.
+    pub fn map_children(self, f: &mut impl FnMut(Cond) -> Cond) -> Cond {
+        match self {
+            Cond::And(cs) => Cond::And(cs.into_iter().map(&mut *f).collect()),
+            Cond::Or(cs) => Cond::Or(cs.into_iter().map(&mut *f).collect()),
+            leaf @ (Cond::True | Cond::Cmp(..)) => leaf,
+        }
+    }
+
+    /// The direct children.
+    pub fn children(&self) -> &[Cond] {
+        match self {
+            Cond::And(cs) | Cond::Or(cs) => cs,
+            Cond::True | Cond::Cmp(..) => &[],
+        }
+    }
+
+    /// Calls `f` on every node, parents before children, left to right.
+    pub fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a Cond)) {
+        self.for_each_dyn(f)
+    }
+
+    fn for_each_dyn<'a>(&'a self, f: &mut dyn FnMut(&'a Cond)) {
+        f(self);
+        for c in self.children() {
+            c.for_each_dyn(f);
+        }
     }
 }
 

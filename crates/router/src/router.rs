@@ -21,12 +21,20 @@
 //! * `run` on a shard-prepared kernel fans out one row-range
 //!   sub-request per shard (`"shard":[k,n]`), pipelined — all requests
 //!   written before any response is read — then merges the partials in
-//!   fixed shard order: row-owned outputs window-concatenate,
-//!   reduction outputs fold with the advertised rule's operator
-//!   (`MergeRule::kind`, the compiler's own `MergeKind::merge_into`). Because
-//!   every worker initializes reduced outputs to the fold identity and
-//!   counters are integers, the merged response is **byte-identical**
-//!   to one process executing the same n chunk windows in shard order.
+//!   fixed shard order, as text (`protocol::merge_run`): a row-owned
+//!   cell is copied from the leg owning its row window; a reduced cell
+//!   that every leg but one left at the fold identity's text (`0`,
+//!   `"inf"`, `"-inf"`) is copied from that one, unless it reads `-0`
+//!   or `"nan"`; any other cell is parsed from every leg, folded with
+//!   the advertised rule's operator (`MergeRule::kind`, the compiler's
+//!   own fold) and printed again. A copy is exact: folding with the
+//!   identity returns the other operand bit for bit except for `0 + -0`
+//!   and `min`/`max` against NaN, which fold, and every leg is printed
+//!   by the one shortest printer, whose output reads back and prints to
+//!   the same bytes. Because every worker initializes reduced outputs
+//!   to the fold identity and counters are integers, the merged
+//!   response is **byte-identical** to one process executing the same
+//!   n chunk windows in shard order.
 //!   Against the *unsharded* run that is also byte-identical for
 //!   counters and row-owned outputs, and for `min` / `max` folds
 //!   (associative, so order-free up to the sign of a zero); an `add`
@@ -53,8 +61,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use systec_serve::protocol::{
-    CounterPayload, ErrorCode, MergeRule, OutputPayload, Placement, Request, Response,
-    RouterCountsPayload, ShardStatPayload,
+    merge_run, ErrorCode, MergeRule, Placement, Request, Response, RouterCountsPayload,
+    ShardStatPayload,
 };
 use systec_serve::wire::Record as _;
 use systec_serve::{
@@ -140,10 +148,15 @@ record! {
         /// sharded prepares, shutdown).
         pub broadcasts: u64
             => counter("systec_router_broadcasts_total", "Requests broadcast to every shard."),
-        /// Sharded-run merges performed (one per fan-out that came back
-        /// healthy on every shard).
+        /// Sharded-run merges performed (one per fan-out every shard
+        /// answered; a leg's error reply is relayed by the merge).
         pub merges: u64
             => counter("systec_router_merges_total", "Sharded-run merges performed."),
+        /// Merged cells copied as text from the one leg that wrote them
+        /// (or the leg owning their row window).
+        pub merge_cells_copied: u64 => MERGE_CELLS.with("path", "copied"),
+        /// Merged cells parsed from every leg, folded and printed again.
+        pub merge_cells_folded: u64 => MERGE_CELLS.with("path", "folded"),
         /// Transport failures talking to shards (dropped connections,
         /// refused connects).
         pub shard_errors: u64 => counter(
@@ -172,8 +185,14 @@ record! {
     live pub struct RouterMetrics;
 }
 
-/// Merge latency in microseconds (split extraction + reduction fold +
-/// re-encode).
+/// The cells of sharded-run merges, by how the merge wrote them.
+const MERGE_CELLS: Metric = counter(
+    "systec_router_merge_cells_total",
+    "Sharded-run merge cells, copied as one leg's text or parsed, folded and printed again.",
+);
+
+/// Merge latency in microseconds (reading the legs' text, the copies
+/// and folds, and writing the merged line).
 const MERGE_US: Metric =
     histogram("systec_router_merge_us", "Sharded-run merge latency in microseconds.");
 
@@ -685,29 +704,10 @@ impl Router {
             Err(k) => return self.unavailable(st, k),
         };
         let started = Instant::now();
-        let mut legs = Vec::with_capacity(responses.len());
-        for (k, response) in responses.iter().enumerate() {
-            match Response::decode(response) {
-                Ok(Response::Ran { outputs, counters }) => legs.push((outputs, counters)),
-                // A failed leg answers for the whole run: the first
-                // failing shard's structured error relays verbatim, so
-                // a panic on one shard is still a retryable
-                // internal_error at the front.
-                Ok(Response::Error { .. }) => return response.clone(),
-                _ => {
-                    return Response::error(
-                        ErrorCode::Internal,
-                        format!("shard {k} answered a row-range run with the wrong reply kind"),
-                    )
-                    .encode()
-                }
-            }
-        }
-        let merged = match merge_legs(legs, merge) {
-            Ok(response) => response.encode(),
-            Err(message) => Response::error(ErrorCode::Internal, message).encode(),
-        };
+        let (merged, cells) = merge_run(&responses, merge);
         self.metrics.merges.inc();
+        self.metrics.merge_cells_copied.add(cells.copied);
+        self.metrics.merge_cells_folded.add(cells.folded);
         let us = started.elapsed().as_micros();
         self.merge_us.record(u64::try_from(us).unwrap_or(u64::MAX));
         merged
@@ -775,47 +775,6 @@ fn referenced_inputs(einsum: &str, bindings: &[(String, String)]) -> Option<Vec<
     names.sort();
     names.dedup();
     Some(names)
-}
-
-/// Merges per-shard `Ran` legs into the response of one process that
-/// ran the same windows in shard order, with the compiler's own fold
-/// (`MergeKind::merge_into`): leg 0 seeds the accumulators (every worker
-/// initializes reduced outputs to the fold identity), later legs merge
-/// in fixed shard order, counters sum (exact, integers).
-fn merge_legs(
-    legs: Vec<(Vec<OutputPayload>, CounterPayload)>,
-    merge: &[(String, MergeRule)],
-) -> Result<Response, String> {
-    let shards = legs.len();
-    let mut legs = legs.into_iter();
-    let (mut outputs, mut counters) = legs.next().ok_or("a fan-out needs at least one leg")?;
-    for (k, (leg_outputs, leg_counters)) in legs.enumerate() {
-        let k = k + 1; // leg 0 seeded the accumulators
-        if leg_outputs.len() != outputs.len() {
-            return Err(format!("shard {k} returned a different output set than shard 0"));
-        }
-        for (accumulated, leg) in outputs.iter_mut().zip(leg_outputs) {
-            if leg.name != accumulated.name
-                || leg.dims != accumulated.dims
-                || leg.values.len() != accumulated.values.len()
-            {
-                return Err(format!(
-                    "shard {k} returned a mismatched shape for output `{}`",
-                    accumulated.name
-                ));
-            }
-            let rule = merge
-                .iter()
-                .find(|(name, _)| *name == accumulated.name)
-                .map(|(_, rule)| *rule)
-                .ok_or_else(|| format!("no merge rule for output `{}`", accumulated.name))?;
-            rule.kind().merge_into(&mut accumulated.values, &leg.values, &leg.dims, k, shards);
-        }
-        // A leg only reports tensors its row window touched; the sum
-        // keeps the union sorted by name, as the single process does.
-        counters.merge(leg_counters);
-    }
-    Ok(Response::Ran { outputs, counters })
 }
 
 // ---------------------------------------------------------------------
@@ -899,6 +858,20 @@ pub fn route(
 mod tests {
     use super::*;
 
+    use systec_serve::protocol::{CounterPayload, MergedCells, OutputPayload};
+
+    /// Each leg encoded as its worker prints it, then merged as text.
+    fn merged(
+        legs: Vec<(Vec<OutputPayload>, CounterPayload)>,
+        merge: &[(String, MergeRule)],
+    ) -> (String, MergedCells) {
+        let lines: Vec<String> = legs
+            .into_iter()
+            .map(|(outputs, counters)| Response::Ran { outputs, counters }.encode())
+            .collect();
+        merge_run(&lines, merge)
+    }
+
     #[test]
     fn merge_folds_reduced_outputs_and_windows_row_outputs() {
         let out = |values: Vec<f64>| OutputPayload { name: "y".into(), dims: vec![4], values };
@@ -920,17 +893,24 @@ mod tests {
             ),
         ];
         let merge = vec![("y".to_string(), MergeRule::Add), ("z".to_string(), MergeRule::Rows)];
-        let Ok(Response::Ran { outputs, counters }) = merge_legs(legs, &merge) else {
-            panic!("merge failed")
+        let (line, cells) = merged(legs, &merge);
+        let expected = Response::Ran {
+            // Shard 1 owns rows 2..4 of the 4×2 output: its last four
+            // values replace shard 0's window.
+            outputs: vec![
+                out(vec![1.0, 3.0, 3.0, 4.0]),
+                rows(vec![9.0, 9.0, 9.0, 9.0, 5.0, 6.0, 7.0, 8.0]),
+            ],
+            counters: CounterPayload {
+                flops: 15,
+                writes: 2,
+                iterations: 4,
+                reads: vec![("A".to_string(), 6)],
+            },
         };
-        assert_eq!(outputs[0].values, vec![1.0, 3.0, 3.0, 4.0]);
-        // Shard 1 owns rows 2..4 of the 4×2 output: its last four
-        // values replace shard 0's window.
-        assert_eq!(outputs[1].values, vec![9.0, 9.0, 9.0, 9.0, 5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(counters.flops, 15);
-        assert_eq!(counters.writes, 2);
-        assert_eq!(counters.iterations, 4);
-        assert_eq!(counters.reads, vec![("A".to_string(), 6)]);
+        assert_eq!(line, expected.encode());
+        // Only `y[1]` was written on both legs; every row cell is copied.
+        assert_eq!(cells, MergedCells { copied: 11, folded: 1 });
     }
 
     #[test]
@@ -948,15 +928,14 @@ mod tests {
             ),
             (
                 vec![out("lo", vec![f64::INFINITY, 2.0]), out("hi", vec![f64::NEG_INFINITY, 4.0])],
-                counters,
+                counters.clone(),
             ),
         ];
         let merge = vec![("hi".to_string(), MergeRule::Max), ("lo".to_string(), MergeRule::Min)];
-        let Ok(Response::Ran { outputs, .. }) = merge_legs(legs, &merge) else {
-            panic!("merge failed")
-        };
-        assert_eq!(outputs[0].values, vec![3.0, 2.0]);
-        assert_eq!(outputs[1].values, vec![1.0, 4.0]);
+        let (line, cells) = merged(legs, &merge);
+        let outputs = vec![out("lo", vec![3.0, 2.0]), out("hi", vec![1.0, 4.0])];
+        assert_eq!(line, Response::Ran { outputs, counters }.encode());
+        assert_eq!(cells, MergedCells { copied: 4, folded: 0 });
     }
 
     #[test]

@@ -331,6 +331,119 @@ impl fmt::Write for Writer {
     }
 }
 
+/// A line that a [`Writer`] wrote, read back piece by piece with the
+/// same calls and no tree: a piece that is not there reads as `None`.
+/// Strings and numbers go through the tree parser's own readers.
+pub(crate) struct Reader<'a> {
+    p: Parser<'a>,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `line`.
+    pub(crate) fn new(line: &'a str) -> Reader<'a> {
+        Reader { p: Parser { text: line, bytes: line.as_bytes(), pos: 0 } }
+    }
+
+    /// The byte offset of the next piece.
+    pub(crate) fn pos(&self) -> usize {
+        self.p.pos
+    }
+
+    /// Consumes `text` exactly.
+    pub(crate) fn raw(&mut self, text: &str) -> Option<()> {
+        self.p.bytes[self.p.pos..].starts_with(text.as_bytes()).then(|| self.p.pos += text.len())
+    }
+
+    /// A quoted JSON string, unescaped.
+    pub(crate) fn str(&mut self) -> Option<String> {
+        self.p.string().ok()
+    }
+
+    /// A JSON number, as [`Json::parse`] reads it.
+    pub(crate) fn num(&mut self) -> Option<f64> {
+        match self.p.peek()? {
+            b'-' | b'0'..=b'9' => self.p.number().ok(),
+            _ => None,
+        }
+    }
+
+    /// Comma-separated items, each read by `get`, up to (not past)
+    /// `close`; none when `close` is next.
+    pub(crate) fn list(
+        &mut self,
+        close: u8,
+        mut get: impl FnMut(&mut Reader<'a>) -> Option<()>,
+    ) -> Option<()> {
+        if self.p.peek() == Some(close) {
+            return Some(());
+        }
+        loop {
+            get(self)?;
+            if self.p.eat(b',').is_none() {
+                return Some(());
+            }
+        }
+    }
+
+    /// One value exactly as the shortest printer writes it, or a
+    /// non-finite value's spelling — `-?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?`,
+    /// `"inf"`, `"-inf"` or `"nan"` — whose number reads as a finite
+    /// `f64`. A longer run of number characters (`01`, `1.50`, `1e5`)
+    /// leaves the rest unread for the caller to refuse.
+    pub(crate) fn printed(&mut self) -> Option<()> {
+        let rest = &self.p.bytes[self.p.pos..];
+        if *rest.first()? == b'"' {
+            let text = NON_FINITE.iter().find(|text| rest.starts_with(text.as_bytes()))?;
+            self.p.pos += text.len();
+            return Some(());
+        }
+        let digits = |from: usize| rest[from..].iter().take_while(|c| c.is_ascii_digit()).count();
+        let sign = usize::from(rest[0] == b'-');
+        let int = match digits(sign) {
+            0 => return None,
+            n if n > 1 && rest[sign] == b'0' => return None,
+            n => n,
+        };
+        let mut end = sign + int;
+        if rest.get(end) == Some(&b'.') {
+            let fraction = digits(end + 1);
+            if fraction == 0 || rest[end + fraction] == b'0' {
+                return None;
+            }
+            end += 1 + fraction;
+        }
+        // Below 10^308 every such number is finite; longer ones go
+        // through the number reader to see whether they overflow.
+        if int > 308 {
+            Reader::new(&self.p.text[self.p.pos..self.p.pos + end]).num()?;
+        }
+        self.p.pos += end;
+        Some(())
+    }
+
+    /// Whether the whole line was read.
+    pub(crate) fn at_end(&self) -> bool {
+        self.p.pos == self.p.bytes.len()
+    }
+}
+
+/// The wire spellings of the non-finite values, as JSON strings.
+const NON_FINITE: [&str; 3] = ["\"inf\"", "\"-inf\"", "\"nan\""];
+
+/// The value of one token [`Reader::printed`] accepted.
+///
+/// # Panics
+///
+/// If `text` is not such a token.
+pub(crate) fn printed_value(text: &str) -> f64 {
+    match text {
+        "\"inf\"" => f64::INFINITY,
+        "\"-inf\"" => f64::NEG_INFINITY,
+        "\"nan\"" => f64::NAN,
+        number => Reader::new(number).num().expect("a printed token reads as a number"),
+    }
+}
+
 struct Parser<'a> {
     /// The input, for slicing out number text without re-validating it.
     text: &'a str,
@@ -811,6 +924,36 @@ mod tests {
         // Depth at the limit still parses.
         let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn printed_tokens_are_exactly_the_printer_grammar() {
+        let reads = |text: &str| {
+            let mut r = Reader::new(text);
+            r.printed().is_some() && r.at_end()
+        };
+        for v in [0.0, -0.0, 1.5, -2.5e-8, 0.1, 1e21, 5e-324, f64::MAX, -f64::MAX] {
+            let mut w = Writer::with_capacity(32);
+            w.num(v);
+            let text = w.finish();
+            assert!(reads(&text), "`{text}` is the printer's own");
+            assert_eq!(printed_value(&text).to_bits(), v.to_bits());
+        }
+        for (text, v) in NON_FINITE.into_iter().zip([f64::INFINITY, f64::NEG_INFINITY]) {
+            assert!(reads(text));
+            assert_eq!(printed_value(text), v);
+        }
+        assert!(printed_value("\"nan\"").is_nan());
+        // 309 digits: below f64::MAX it reads, past it the number is
+        // not finite and the token is refused.
+        assert!(reads(&format!("1{}", "0".repeat(308))));
+        let too_long = format!("2{}", "0".repeat(308));
+        for text in ["", "01", "00", "-", "+1", ".5", "1.", "1.50", "-0.0", "1e5", "1E5"] {
+            assert!(!reads(text), "`{text}` is not printed");
+        }
+        for text in ["\"Inf\"", "\"x\"", "null", "[1]", &too_long] {
+            assert!(!reads(text), "`{text}` is not printed");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! | `register_tensor` | `name`, `dims`, `dense` *or* `coo` \[, `format`, `placement`\] | `reply:"registered"`, `name`, `nnz`, `generation` |
 //! | `unregister` | `name` | `reply:"unregistered"`, `name`, `existed` |
 //! | `prepare` | `einsum` \[, `sym`, `inputs`, `variant`, `threads`, `sharded`\] | `reply:"prepared"`, `kernel`, `splittable` \[, `split`, `warning`\] |
-//! | `run` | `kernel` \[, `full`, `shard`\] | `reply:"run"`, `outputs`, `counters` |
+//! | `run` | `kernel` \[, `full`, `shard`\] | `reply:"run"`, `outputs`, `counters` (a router's sharded run: its legs' replies merged as text by [`merge_run`]) |
 //! | `stats` | — | `reply:"stats"`, `cache`, `requests`, `pool`, `serve`, `kernels`, `slow` |
 //! | `metrics` | — | `reply:"metrics"`, `text` (Prometheus exposition) |
 //! | `ping` | — | `reply:"pong"` |
@@ -63,7 +63,10 @@
 //! the tree on the way out: [`Response::encode`] writes it straight into
 //! the line — names through the tree's escaper, values, dims and
 //! counters through its number printer — and [`Response::to_json`]
-//! keeps the tree as that writer's differential oracle.
+//! keeps the tree as that writer's differential oracle. A router reads
+//! its shard legs' `run` replies back in that same layout, without a
+//! tree, and [`merge_run`] writes the merged reply through the same
+//! writer, copying each cell's text where one leg decides it.
 //!
 //! Determinism: run responses contain **no timing** (latency lives in
 //! `stats` medians), output/counter maps are serialized in sorted name
@@ -73,12 +76,13 @@
 //! direct-execution oracle.
 
 use std::fmt;
+use std::ops::Range;
 
-use systec_codegen::{Counters, MergeKind};
+use systec_codegen::{chunk_window, Counters, MergeKind};
 use systec_ir::AssignOp;
 use systec_telemetry::prom::{counter, gauge, Metric};
 
-use crate::json::{exact_u64, Cells, Document, Json, Writer};
+use crate::json::{exact_u64, printed_value, Cells, Document, Json, Reader, Writer};
 use crate::wire::{need, opt, pairs_from_json, pairs_to_json, Field, Obj, Wire};
 use crate::{record, wire_enum};
 
@@ -886,21 +890,29 @@ fn encode_run(outputs: &[OutputPayload], counters: &CounterPayload) -> String {
     /// Room for a 17-digit value, its sign, point and comma.
     const BYTES_PER_VALUE: usize = 24;
     let values: usize = outputs.iter().map(|o| o.values.len()).sum();
-    let mut w = Writer::with_capacity(256 + BYTES_PER_VALUE * values);
+    let heads = outputs.iter().map(|o| (o.name.as_str(), o.dims.as_slice(), o));
+    write_run(256 + BYTES_PER_VALUE * values, heads, counters, |w, o| {
+        w.list(&o.values, |w, &v| write_value(w, v));
+    })
+}
+
+/// The one layout of the `run` reply: each output's name and dims,
+/// its values as `values` writes them, then the counters.
+fn write_run<'a, T>(
+    capacity: usize,
+    outputs: impl IntoIterator<Item = (&'a str, &'a [usize], T)>,
+    counters: &CounterPayload,
+    mut values: impl FnMut(&mut Writer, T),
+) -> String {
+    let mut w = Writer::with_capacity(capacity);
     w.raw(r#"{"ok":true,"reply":"run","outputs":{"#);
-    w.list(outputs, |w, o| {
-        w.str(&o.name).raw(r#":{"dims":["#);
-        w.list(&o.dims, |w, &d| {
+    w.list(outputs, |w, (name, dims, o)| {
+        w.str(name).raw(r#":{"dims":["#);
+        w.list(dims, |w, &d| {
             w.num(d as f64);
         });
         w.raw(r#"],"values":["#);
-        w.list(&o.values, |w, &v| {
-            if v.is_finite() {
-                w.num(v);
-            } else {
-                w.str(non_finite_name(v));
-            }
-        });
+        values(w, o);
         w.raw("]}");
     });
     w.raw(r#"},"counters":{"flops":"#).num(counters.flops as f64);
@@ -912,6 +924,256 @@ fn encode_run(outputs: &[OutputPayload], counters: &CounterPayload) -> String {
     });
     w.raw("}}}");
     w.finish()
+}
+
+/// One output value: a number, or a non-finite value's string.
+fn write_value(w: &mut Writer, v: f64) {
+    if v.is_finite() {
+        w.num(v);
+    } else {
+        w.str(non_finite_name(v));
+    }
+}
+
+/// How many cells of a merged `run` reply [`merge_run`] copied from one
+/// leg's text, and how many it parsed, folded and printed again.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MergedCells {
+    /// Cells copied as text: a row-owned cell from its owner, and a
+    /// reduced cell that every leg but at most one left at the identity.
+    pub copied: u64,
+    /// Cells folded through `f64`s.
+    pub folded: u64,
+}
+
+/// One output of a leg's `run` reply, as [`merge_run`] reads it.
+struct LegOutput {
+    name: String,
+    dims: Vec<usize>,
+    /// Where each `values` element ends in the leg's line; it starts
+    /// at `start`, or one comma past the one before.
+    ends: Vec<usize>,
+    start: usize,
+}
+
+impl LegOutput {
+    /// The byte span of element `i`.
+    fn cell(&self, i: usize) -> Range<usize> {
+        (if i == 0 { self.start } else { self.ends[i - 1] + 1 })..self.ends[i]
+    }
+}
+
+/// A leg's `run` reply read without a tree: its outputs' shapes, the
+/// span of every value, and its counters. `None` for any line that is not
+/// [`write_run`]'s layout with every value as the printer writes it.
+fn read_run(line: &str) -> Option<(Vec<LegOutput>, CounterPayload)> {
+    let mut r = Reader::new(line);
+    let mut outputs = Vec::new();
+    r.raw(r#"{"ok":true,"reply":"run","outputs":{"#)?;
+    r.list(b'}', |r| {
+        let name = r.str()?;
+        r.raw(r#":{"dims":["#)?;
+        let mut dims = Vec::new();
+        r.list(b']', |r| {
+            dims.push(usize::try_from(exact_u64(r.num()?)?).ok()?);
+            Some(())
+        })?;
+        r.raw(r#"],"values":["#)?;
+        let start = r.pos();
+        // No printed value holds a `]`, and each takes a byte and a comma.
+        let most = line[start..].find(']').map_or(0, |len| len / 2 + 1);
+        let mut ends = Vec::with_capacity(most);
+        r.list(b']', |r| {
+            r.printed()?;
+            ends.push(r.pos());
+            Some(())
+        })?;
+        outputs.push(LegOutput { name, dims, ends, start });
+        r.raw("]}")
+    })?;
+    let int = |r: &mut Reader| exact_u64(r.num()?);
+    r.raw(r#"},"counters":{"flops":"#)?;
+    let flops = int(&mut r)?;
+    r.raw(r#","writes":"#)?;
+    let writes = int(&mut r)?;
+    r.raw(r#","iterations":"#)?;
+    let iterations = int(&mut r)?;
+    r.raw(r#","reads":{"#)?;
+    let mut reads = Vec::new();
+    r.list(b'}', |r| {
+        let name = r.str()?;
+        r.raw(":")?;
+        reads.push((name, int(r)?));
+        Some(())
+    })?;
+    r.raw("}}}")?;
+    r.at_end().then_some((outputs, CounterPayload { flops, writes, iterations, reads }))
+}
+
+/// Merges the replies of a sharded `run`'s legs, one per shard in shard
+/// order, into the reply of one process that ran the same row windows
+/// in that order — as text, without a tree or an `f64` buffer.
+///
+/// Each leg is read in [`write_run`]'s layout, every value checked
+/// against the printer's grammar; a leg that is not is malformed. A
+/// leg that answers an error is relayed verbatim, the first in shard
+/// order. Names, dims and value counts must agree with leg 0's and every
+/// output needs a rule in `merge` (with one leg, none is read), or the
+/// reply is an `internal_error`; counters sum with
+/// [`CounterPayload::merge`]. The reply is written through the same
+/// [`write_run`] as [`Response::encode`]:
+///
+/// * a `rows` cell is copied from the leg whose [`chunk_window`] of
+///   leading rows holds it (leg 0 keeps what no later window covers,
+///   as [`MergeKind::merge_into`] seeds it);
+/// * an `add`, `min` or `max` cell whose text is the identity (`0`,
+///   `"inf"`, `"-inf"`) on every leg but at most one, and that one's
+///   text is not `-0` or `"nan"`, is that one's text (or the identity);
+/// * any other cell is read from every leg, folded in shard order with
+///   [`AssignOp::apply`] — [`MergeKind::merge_into`]'s fold — and
+///   printed again.
+///
+/// So the bytes are those of decoding every leg, merging with
+/// [`MergeKind::merge_into`] and encoding the result. Folding with the
+/// identity returns the other operand bit for bit, except `0 + -0` and
+/// a `min` or `max` against a NaN, which take the fold. And the
+/// shortest printer's output is a fixed point of print ∘ parse, so a
+/// copied cell holds the bytes the printer would write again. That
+/// rests on every leg having been printed by [`crate::shortest`], as
+/// every worker's is; the grammar refuses what it can see is not.
+pub fn merge_run(legs: &[String], merge: &[(String, MergeRule)]) -> (String, MergedCells) {
+    let internal = |message: String| {
+        (Response::error(ErrorCode::Internal, message).encode(), MergedCells::default())
+    };
+    let mut read = Vec::with_capacity(legs.len());
+    for (k, line) in legs.iter().enumerate() {
+        let Some(leg) = read_run(line) else {
+            // A failed leg answers for the whole run: the first failing
+            // shard's structured error relays verbatim, so a panic on
+            // one shard is still a retryable error at the front.
+            return match Response::decode(line) {
+                Ok(Response::Error { .. }) => (line.clone(), MergedCells::default()),
+                _ => internal(format!(
+                    "shard {k} answered a row-range run with a malformed or wrong-kind reply"
+                )),
+            };
+        };
+        read.push(leg);
+    }
+    let rules = match merge_rules(&read, merge) {
+        Ok(rules) => rules,
+        Err(message) => return internal(message),
+    };
+    let (outputs, counters): (Vec<_>, Vec<_>) = read.into_iter().unzip();
+    let mut counters = counters.into_iter();
+    let mut sum = counters.next().expect("merge_rules refuses no legs");
+    for leg in counters {
+        // A leg only reports tensors its row window touched; the sum
+        // keeps the union sorted by name, as the single process does.
+        sum.merge(leg);
+    }
+    let mut tally = MergedCells::default();
+    let heads = outputs[0].iter().zip(rules).enumerate();
+    let heads = heads.map(|(at, (o, rule))| (o.name.as_str(), &o.dims[..], (at, rule)));
+    let merged = write_run(legs.iter().map(String::len).sum(), heads, &sum, |w, (at, rule)| {
+        let cells: Vec<(&str, &LegOutput)> =
+            legs.iter().zip(&outputs).map(|(line, leg)| (line.as_str(), &leg[at])).collect();
+        merge_values(w, &cells, rule.kind(), &mut tally);
+    });
+    (merged, tally)
+}
+
+/// Writes one output's merged values from its text in every leg (a
+/// line and that output in it), by [`merge_run`]'s rules.
+fn merge_values(
+    w: &mut Writer,
+    legs: &[(&str, &LegOutput)],
+    kind: MergeKind,
+    tally: &mut MergedCells,
+) {
+    let (n, (_, first)) = (legs.len(), legs[0]);
+    let (count, dims) = (first.ends.len(), &first.dims);
+    let identity = match kind {
+        MergeKind::Reduce(op) => {
+            let mut identity = Writer::with_capacity(8);
+            write_value(&mut identity, op.identity().expect("a merge rule's fold has one"));
+            identity.finish()
+        }
+        MergeKind::Rows => String::new(),
+    };
+    let extent = dims.first().copied().unwrap_or(1).max(1);
+    let stride = count / extent;
+    let mut owner = 0;
+    w.list(0..count, |w, i| {
+        let text = |k: usize| {
+            let (line, leg) = legs[k];
+            &line[leg.cell(i)]
+        };
+        // The leg whose text is the merged cell's.
+        let from = match kind {
+            MergeKind::Rows => {
+                let row = i.checked_div(stride).unwrap_or(extent);
+                while owner + 1 < n && row >= chunk_window(extent, owner, n).end {
+                    owner += 1;
+                }
+                // Cells past the last whole row stay leg 0's, as
+                // `merge_into` seeds them.
+                if row < extent {
+                    owner
+                } else {
+                    0
+                }
+            }
+            MergeKind::Reduce(op) => {
+                let mut written = (0..n).filter(|&k| text(k) != identity);
+                match (written.next(), written.next()) {
+                    (None, _) => 0,
+                    (Some(k), None) if text(k) != "-0" && text(k) != "\"nan\"" => k,
+                    _ => {
+                        let cells = (0..n).map(|k| printed_value(text(k)));
+                        let folded = cells.reduce(|acc, v| op.apply(acc, v));
+                        write_value(w, folded.expect("at least one leg"));
+                        tally.folded += 1;
+                        return;
+                    }
+                }
+            }
+        };
+        w.raw(text(from));
+        tally.copied += 1;
+    });
+}
+
+/// Each output's merge rule, checked against leg 0 leg by leg in shard
+/// order: the output count, then output by output its name, dims and
+/// value count, then its rule. With one leg no rule is read: it owns
+/// every row.
+fn merge_rules(
+    legs: &[(Vec<LegOutput>, CounterPayload)],
+    merge: &[(String, MergeRule)],
+) -> Result<Vec<MergeRule>, String> {
+    let ((first, _), rest) = legs.split_first().ok_or("a fan-out needs at least one leg")?;
+    let mut rules = vec![MergeRule::Rows; first.len()];
+    for (k, (outputs, _)) in rest.iter().enumerate() {
+        let k = k + 1; // leg 0 is the seed
+        if outputs.len() != first.len() {
+            return Err(format!("shard {k} returned a different output set than shard 0"));
+        }
+        for ((o, seed), rule) in outputs.iter().zip(first).zip(&mut rules) {
+            if o.name != seed.name || o.dims != seed.dims || o.ends.len() != seed.ends.len() {
+                return Err(format!(
+                    "shard {k} returned a mismatched shape for output `{}`",
+                    seed.name
+                ));
+            }
+            *rule = merge
+                .iter()
+                .find(|(name, _)| *name == seed.name)
+                .map(|(_, rule)| *rule)
+                .ok_or_else(|| format!("no merge rule for output `{}`", seed.name))?;
+        }
+    }
+    Ok(rules)
 }
 
 pub(crate) fn value_from_json(v: &Json) -> Option<f64> {

@@ -12,14 +12,21 @@
 //!   the same through the flat-cell reader ([`Request::decode`],
 //!   [`JournalRecord::decode`]) as through the `Json` tree
 //!   ([`Request::from_json`], [`JournalRecord::from_json`]): the same
-//!   value or the same error, for every prefix of the line too.
+//!   value or the same error, for every prefix of the line too;
+//! * a sharded run's legs merged as text ([`merge_run`]) give the bytes
+//!   of decoding them, folding the numbers in shard order and encoding
+//!   the result — 1–4 legs, every merge rule, ±0, NaN, ±∞, subnormals,
+//!   17-digit values and computed identities — and a malformed leg
+//!   (truncated, a wrong count, name or dims, a token the printer never
+//!   writes) answers a structured `internal_error`, never a panic.
 
 use proptest::prelude::*;
 use systec_serve::durability::Record as JournalRecord;
 use systec_serve::json::Json;
 use systec_serve::protocol::{
-    CounterPayload, ErrorCode, KernelStatPayload, MergeRule, OutputPayload, Placement, Request,
-    Response, ShardStatPayload, StorageFormat, TensorPayload, Variant, Warning, WarningKind,
+    merge_run, CounterPayload, ErrorCode, KernelStatPayload, MergeRule, OutputPayload, Placement,
+    Request, Response, ShardStatPayload, StorageFormat, TensorPayload, Variant, Warning,
+    WarningKind,
 };
 use systec_serve::wire::Record;
 
@@ -580,5 +587,267 @@ proptest! {
             let _ = Response::decode(&s);
             let _ = Request::decode(&s);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The text merge of a sharded run's legs
+// ---------------------------------------------------------------------
+
+/// One leg's `run` reply: its outputs and counters.
+type Leg = (Vec<OutputPayload>, CounterPayload);
+
+/// The numeric merge [`merge_run`] replaced, kept as its oracle: leg 0
+/// seeds the accumulators (every worker initializes reduced outputs to
+/// the fold identity), later legs merge in fixed shard order with the
+/// compiler's own fold (`MergeKind::merge_into`), counters sum.
+fn merge_legs(legs: Vec<Leg>, merge: &[(String, MergeRule)]) -> Result<Response, String> {
+    let shards = legs.len();
+    let mut legs = legs.into_iter();
+    let (mut outputs, mut counters) = legs.next().ok_or("a fan-out needs at least one leg")?;
+    for (k, (leg_outputs, leg_counters)) in legs.enumerate() {
+        let k = k + 1; // leg 0 seeded the accumulators
+        if leg_outputs.len() != outputs.len() {
+            return Err(format!("shard {k} returned a different output set than shard 0"));
+        }
+        for (accumulated, leg) in outputs.iter_mut().zip(leg_outputs) {
+            if leg.name != accumulated.name
+                || leg.dims != accumulated.dims
+                || leg.values.len() != accumulated.values.len()
+            {
+                return Err(format!(
+                    "shard {k} returned a mismatched shape for output `{}`",
+                    accumulated.name
+                ));
+            }
+            let rule = merge
+                .iter()
+                .find(|(name, _)| *name == accumulated.name)
+                .map(|(_, rule)| *rule)
+                .ok_or_else(|| format!("no merge rule for output `{}`", accumulated.name))?;
+            rule.kind().merge_into(&mut accumulated.values, &leg.values, &leg.dims, k, shards);
+        }
+        counters.merge(leg_counters);
+    }
+    Ok(Response::Ran { outputs, counters })
+}
+
+/// The reply the router gave before the text merge: decode every leg
+/// (relaying the first error, refusing any other kind), merge the
+/// numbers with [`merge_legs`], encode.
+fn numeric_merge(lines: &[String], merge: &[(String, MergeRule)]) -> String {
+    let internal = |message: String| Response::error(ErrorCode::Internal, message).encode();
+    let mut legs = Vec::new();
+    for (k, line) in lines.iter().enumerate() {
+        match Response::decode(line) {
+            Ok(Response::Ran { outputs, counters }) => legs.push((outputs, counters)),
+            Ok(Response::Error { .. }) => return line.clone(),
+            _ => {
+                return internal(format!(
+                    "shard {k} answered a row-range run with a malformed or wrong-kind reply"
+                ))
+            }
+        }
+    }
+    merge_legs(legs, merge).map_or_else(internal, |response| response.encode())
+}
+
+/// Values a leg may print: both zeros, the non-finite values, the
+/// subnormal extremes, 17-digit values, and the largest finite ones.
+const EDGE_VALUES: [f64; 20] = [
+    0.0,
+    -0.0,
+    1.0,
+    -2.5,
+    0.1,
+    0.30000000000000004,
+    1.0 / 3.0,
+    -123456789.12345678,
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,
+    2.2250738585072014e-308,
+    1e21,
+    1e308,
+    f64::MAX,
+    -f64::MAX,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -0.1,
+];
+
+impl Tape {
+    /// Any `f64`: an edge value, or one drawn bit pattern (NaNs and
+    /// infinities included).
+    fn value(&mut self) -> f64 {
+        if self.pick(2) == 0 {
+            return self.one(&EDGE_VALUES);
+        }
+        let bits = (0..4).fold(0u64, |bits, _| bits << 16 | self.pick(1 << 16) as u64);
+        f64::from_bits(bits)
+    }
+}
+
+/// The legs of one sharded run, as their workers print them, and its
+/// merge schedule: 1–4 legs, 1–3 outputs under every rule (scalars,
+/// leading extents the leg count does not divide, and value counts the
+/// dims do not match), cells that no leg, one leg, several or every leg
+/// wrote.
+fn sharded_run(t: &mut Tape) -> (Vec<Leg>, Vec<(String, MergeRule)>) {
+    let legs = 1 + t.pick(4);
+    let mut names = ["y", "w\"q", "z\\\n", "é"];
+    names.rotate_left(t.pick(4));
+    let mut shapes: Vec<(String, MergeRule, Vec<usize>)> = (0..1 + t.pick(3))
+        .map(|k| {
+            let dims = match t.pick(4) {
+                0 => vec![],
+                1 => vec![t.pick(8)],
+                _ => vec![t.pick(8), 1 + t.pick(3)],
+            };
+            (names[k].to_string(), t.one(MergeRule::ALL), dims)
+        })
+        .collect();
+    shapes.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut outputs: Vec<Vec<OutputPayload>> = vec![Vec::new(); legs];
+    for (name, rule, dims) in &shapes {
+        // Now and then a value count the dims do not account for, the
+        // same on every leg: the merge still windows and folds it.
+        let product: usize = dims.iter().product();
+        let cells = match t.pick(8) {
+            0 => product + 1 + t.pick(3),
+            1 => product.saturating_sub(1 + t.pick(3)),
+            _ => product,
+        };
+        let identity = match rule {
+            MergeRule::Rows => None,
+            MergeRule::Add => Some(0.0),
+            MergeRule::Min => Some(f64::INFINITY),
+            MergeRule::Max => Some(f64::NEG_INFINITY),
+        };
+        let mut values = vec![Vec::with_capacity(cells); legs];
+        for _ in 0..cells {
+            // Who wrote this cell: nobody, one leg, every leg, or each
+            // leg by a coin. A row-owned cell is written by every leg.
+            let pattern = if identity.is_none() { 2 } else { t.pick(4) };
+            let writer = t.pick(legs);
+            for (k, leg) in values.iter_mut().enumerate() {
+                let wrote = match pattern {
+                    0 => false,
+                    1 => k == writer,
+                    2 => true,
+                    _ => t.pick(2) == 0,
+                };
+                leg.push(match identity {
+                    Some(identity) if !wrote => identity,
+                    // Sometimes a leg computes the identity itself.
+                    Some(identity) if t.pick(8) == 0 => identity,
+                    _ => t.value(),
+                });
+            }
+        }
+        for (leg, values) in outputs.iter_mut().zip(values) {
+            leg.push(OutputPayload { name: name.clone(), dims: dims.clone(), values });
+        }
+    }
+    let legs = outputs
+        .into_iter()
+        .map(|outputs| {
+            let mut reads = vec![("A".to_string(), t.pick(1000) as u64)];
+            if t.pick(2) == 0 {
+                reads.push(("x".to_string(), t.pick(1000) as u64));
+            }
+            let counters =
+                CounterPayload { flops: t.pick(1000) as u64, writes: 1, iterations: 2, reads };
+            (outputs, counters)
+        })
+        .collect();
+    let merge = shapes.into_iter().map(|(name, rule, _)| (name, rule)).collect();
+    (legs, merge)
+}
+
+fn encode_legs(legs: &[Leg]) -> Vec<String> {
+    legs.iter()
+        .map(|(outputs, counters)| {
+            Response::Ran { outputs: outputs.clone(), counters: counters.clone() }.encode()
+        })
+        .collect()
+}
+
+/// Whether `line` is the structured `internal_error` reply.
+fn is_internal_error(line: &str) -> bool {
+    matches!(Response::decode(line), Ok(Response::Error { code: ErrorCode::Internal, .. }))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn text_merge_equals_the_numeric_merge(tape in prop::collection::vec(0u32..1 << 16, 600)) {
+        let mut t = Tape(tape.into_iter());
+        let (legs, merge) = sharded_run(&mut t);
+        let lines = encode_legs(&legs);
+        let (merged, cells) = merge_run(&lines, &merge);
+        prop_assert_eq!(&merged, &numeric_merge(&lines, &merge));
+        let total: usize = legs[0].0.iter().map(|o| o.values.len()).sum();
+        prop_assert_eq!(cells.copied + cells.folded, total as u64);
+    }
+
+    #[test]
+    fn malformed_legs_answer_a_structured_error(tape in prop::collection::vec(0u32..1 << 16, 600)) {
+        let mut t = Tape(tape.into_iter());
+        let (mut legs, mut merge) = sharded_run(&mut t);
+        let k = t.pick(legs.len());
+        // A shape only disagrees with another leg's.
+        let shape = legs.len() > 1 && !legs[k].0.is_empty();
+        let o = t.pick(legs[k].0.len().max(1));
+        let mut lines = encode_legs(&legs);
+        let bad = ["01", "1e5", "\"x\"", "1.50", "-", ".5", "+1", "1.", "-0.0", "\"Inf\"", "00", "1E5", "null"];
+        match t.pick(8) {
+            // Truncated anywhere: inside `values` or elsewhere.
+            0 => {
+                let cut = t.pick(lines[k].len());
+                lines[k].truncate(cut);
+            }
+            1 if shape => {
+                let values = &mut legs[k].0[o].values;
+                if values.pop().is_none() {
+                    values.push(1.0);
+                }
+                lines = encode_legs(&legs);
+            }
+            2 if shape => {
+                legs[k].0[o].name.push('!');
+                lines = encode_legs(&legs);
+            }
+            3 if shape => {
+                legs[k].0[o].dims.push(1);
+                lines = encode_legs(&legs);
+            }
+            4 if legs.len() > 1 => {
+                let gone = t.pick(merge.len());
+                merge.remove(gone);
+            }
+            5 => {
+                let code = t.one(ErrorCode::ALL);
+                lines[k] = Response::error(code, "leg failed").encode();
+            }
+            6 => lines[k] = Response::Pong.encode(),
+            _ => {
+                // One value token the printer never writes.
+                let Some(at) = legs[k].0.iter().position(|o| !o.values.is_empty()) else {
+                    return Ok(());
+                };
+                legs[k].0[at].values[0] = 4242.4242;
+                lines = encode_legs(&legs);
+                lines[k] = lines[k].replacen("4242.4242", t.one(&bad), 1);
+                let (merged, _) = merge_run(&lines, &merge);
+                let relayed = lines[..k].iter().any(|l| l.starts_with("{\"ok\":false"));
+                prop_assert!(relayed || is_internal_error(&merged), "{merged}");
+                return Ok(());
+            }
+        }
+        let (merged, _) = merge_run(&lines, &merge);
+        prop_assert_eq!(&merged, &numeric_merge(&lines, &merge));
     }
 }

@@ -14,7 +14,10 @@
 //! The same counter bounds the register decode: a `coo` payload reads
 //! straight into flat buffers, so [`Request::decode`] of a 10 000-entry
 //! line allocates about as often as that of a 10-entry one — buffer
-//! growth, not a node or a `Vec` per entry.
+//! growth, not a node or a `Vec` per entry. And a router's merge of two
+//! shard legs ([`merge_run`]) reads their text in place and writes one
+//! line: two 40 000-value legs cost about as many allocations as two
+//! 10-value ones.
 //!
 //! The count is per thread and armed only around the measured runs, so
 //! nothing else in the test process can charge them — not the other
@@ -27,8 +30,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use systec_serve::protocol::{
-    CounterPayload, OutputPayload, Placement, Request, Response, StorageFormat, TensorPayload,
-    Variant,
+    merge_run, CounterPayload, MergeRule, MergedCells, OutputPayload, Placement, Request, Response,
+    StorageFormat, TensorPayload, Variant,
 };
 use systec_serve::Engine;
 
@@ -249,6 +252,47 @@ fn run_reply_encode_allocates_per_line_not_per_value() {
     };
     let (small, large) = (count(10), count(40_000));
     assert!(large < 16, "a 40 000-value run reply allocated {large} times");
+    assert!(
+        large <= small + 2,
+        "allocations grow with the values: {small} for 10, {large} for 40 000"
+    );
+}
+
+/// The two legs of a two-shard SSYMV run over `n` rows, as their
+/// workers print them: each leg writes its own half of `y` and the few
+/// cells past it that a band of 12 reaches, and leaves every other cell
+/// at the `add` identity.
+fn ssymv_legs(n: usize) -> Vec<String> {
+    let Response::Ran { outputs, counters } = run_reply(n) else { unreachable!() };
+    let full = &outputs[0].values;
+    (0..2)
+        .map(|k| {
+            let rows = k * n / 2..(k + 1) * n / 2;
+            let reach = rows.start..(rows.end + 12).min(n);
+            let values = (0..n).map(|i| if reach.contains(&i) { full[i] } else { 0.0 }).collect();
+            let outputs = vec![OutputPayload { name: "y".into(), dims: vec![n], values }];
+            Response::Ran { outputs, counters: counters.clone() }.encode()
+        })
+        .collect()
+}
+
+#[test]
+fn leg_merge_allocates_per_line_not_per_value() {
+    let merge = [("y".to_string(), MergeRule::Add)];
+    let count = |n: usize| {
+        let legs = ssymv_legs(n);
+        let mut merged = (String::new(), MergedCells::default());
+        let allocs = allocations_in(|| merged = merge_run(&legs, &merge));
+        let (line, cells) = merged;
+        let Ok(Response::Ran { outputs, .. }) = Response::decode(&line) else {
+            panic!("the merge answered {line:.200}")
+        };
+        assert_eq!(outputs[0].values.len(), n);
+        assert_eq!(cells.copied + cells.folded, n as u64);
+        allocs
+    };
+    let (small, large) = (count(10), count(40_000));
+    assert!(large < 48, "merging two 40 000-value legs allocated {large} times");
     assert!(
         large <= small + 2,
         "allocations grow with the values: {small} for 10, {large} for 40 000"
