@@ -322,9 +322,10 @@ pub(crate) enum Runner {
     /// stored-list drive, runs coordinate by coordinate as `Generic`
     /// does. Counters are the body's recipe ([`Fused::bulk`]), in bulk.
     Jam,
-    /// Any other body (sparse-driven axpys, gathers, register-held or
-    /// miss-checked folds): resolved per entry, driven coordinate by
-    /// coordinate.
+    /// Any other body (sparse-driven axpys, register-held folds):
+    /// resolved per entry, driven coordinate by coordinate. No load of
+    /// such a body can miss, so every fold stores at every coordinate.
+    /// Counters are the body's recipe ([`Fused::bulk`]), in bulk.
     Generic,
 }
 
@@ -385,25 +386,6 @@ pub(crate) enum FLoad {
     /// Strided dense element `dense[tensor][offset(u, base) + coord·stride]`
     /// (counted per iteration, in bulk).
     Dense { tensor: usize, base: Box<[Term]>, stride: usize },
-    /// Non-concordant (`ReadSparseRandom`) read: a per-level search from
-    /// the tensor's root at the current index values. When the loop
-    /// index appears in exactly one subscript position (`var_mode =
-    /// Some(k)`, the position of that mode in `modes`), the invariant
-    /// prefix path `modes[..k]` resolves once at loop entry, position
-    /// `k` advances a monotone cursor in the scratch slot `id` (a gallop
-    /// for compressed levels, a run cursor for run-length levels, direct
-    /// addressing for dense levels), and the loop-invariant suffix
-    /// `modes[k+1..]` descends per hit. `var_mode = None` (the index
-    /// appears in several positions) searches the full path per
-    /// coordinate. Counted on a hit; fill + miss bit (when `set_miss`)
-    /// otherwise.
-    Gather {
-        tensor: usize,
-        id: usize,
-        modes: Box<[usize]>,
-        var_mode: Option<usize>,
-        set_miss: bool,
-    },
 }
 
 /// One operand of a fused fold.
@@ -446,9 +428,9 @@ pub(crate) struct FFold {
 }
 
 /// Per-iteration loop-invariant counter contributions of a fused body:
-/// the fused runners account these in bulk (`recipe × iterations`) and
-/// count only hit-dependent work (probe/gather reads, miss-checked
-/// store sides) per element.
+/// the fused runners account these in bulk (`recipe × iterations`);
+/// only [`Runner::WorkspaceDot`] counts hit-dependent work (the driven
+/// read and the miss-checked store side) per hit.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BulkCounts {
     /// Element reads per iteration, per tensor slot.
@@ -555,8 +537,6 @@ pub(crate) struct BytecodeProgram {
     pub tables: Vec<Box<[f64]>>,
     /// Number of per-loop fiber caches (one per driven loop).
     pub n_caches: usize,
-    /// Number of gather-cursor scratch slots ([`FLoad::Gather`]).
-    pub n_vec_gathers: usize,
     /// Position slots across all [`Workspace`]s.
     pub ws_len: usize,
     /// Per-slot binding metadata, in slot order.

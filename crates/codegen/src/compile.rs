@@ -157,7 +157,6 @@ pub(crate) fn compile(
         temp_max: 0,
         tables: Vec::new(),
         n_caches: 0,
-        n_vec_gathers: 0,
         never_miss,
         split_pending,
         split_heads: Vec::new(),
@@ -188,7 +187,6 @@ pub(crate) fn compile(
         tables: c.tables,
         tensors: infos,
         n_caches: c.n_caches,
-        n_vec_gathers: c.n_vec_gathers,
         ws_len: c.ws_len,
         level_base,
         n_levels,
@@ -441,7 +439,6 @@ struct Compiler<'a> {
     temp_max: usize,
     tables: Vec<Box<[f64]>>,
     n_caches: usize,
-    n_vec_gathers: usize,
     /// Per (access, level): whether the position register is provably
     /// never [`MISS`] in the current scope — levels bound by a driver
     /// loop, or dense-level probes of a never-miss parent. Enables
@@ -824,9 +821,9 @@ impl Compiler<'_> {
     ///
     /// Conforming bodies contain only: guards that are conjunctions of
     /// comparisons over *outer* indices (loop-invariant after
-    /// hoisting), `let`s binding dense reads, the driver's value, the
-    /// probed value, or random-access gathers, and assignments folding
-    /// scalars / literals / any of those loads — and every item seals
+    /// hoisting), `let`s binding dense reads, the driver's value or the
+    /// probed value, and assignments folding scalars / literals / any of
+    /// those loads — and every item seals
     /// into a fused body the loop's other items are independent of and
     /// exclusive with (`crate::fuse` has the rules). Drivers may walk a
     /// compressed or run-length level. A two-way intersection vectorizes
@@ -878,7 +875,6 @@ impl Compiler<'_> {
         };
 
         let mut builder = VecBuilder::default();
-        let saved = self.n_vec_gathers;
         let ok = self.vec_stmt(body, idx, shape, &mut builder)
             && builder.flush()
             && !builder.items.is_empty()
@@ -891,7 +887,6 @@ impl Compiler<'_> {
             (ok, ..) => ok.then(|| builder.items.into()),
         };
         let Some(items) = items else {
-            self.n_vec_gathers = saved;
             return false;
         };
         match (shape.driver, shape.probe) {
@@ -1018,8 +1013,8 @@ impl Compiler<'_> {
                     && self.vec_stmt(body, idx, shape, b)
             }
             LStmt::Assign { target, op, rhs, can_miss } => {
-                // Operand loads that can actually miss (probes, gathers)
-                // set their miss bit; the fold then guards its store
+                // Operand loads that can actually miss (probes) set
+                // their miss bit; the fold then guards its store
                 // exactly like the interpreter's miss-checked
                 // assignment. Bodies without such operands keep the
                 // unguarded form (and its bulk counters).
@@ -1063,7 +1058,7 @@ impl Compiler<'_> {
     }
 
     /// The fold operand for `e`, appending a load for dense / driver /
-    /// probe / gather reads. `None` = not vectorizable. Sets `missable`
+    /// probe reads. `None` = not vectorizable. Sets `missable`
     /// when the appended load can miss.
     fn vec_operand(
         &mut self,
@@ -1095,7 +1090,6 @@ impl Compiler<'_> {
         b: &mut VecBuilder,
         missable: &mut bool,
     ) -> Option<FOp> {
-        let in_assign = dst.is_none();
         match e {
             LExpr::ReadDense { tensor, modes } => {
                 let (base, stride) = self.split_terms(*tensor, modes, idx);
@@ -1112,33 +1106,15 @@ impl Compiler<'_> {
                     return Some(b.open.load(dst, FLoad::Val, Some(*tensor)));
                 }
                 if shape.probe.is_some_and(leaf) {
-                    let set_miss = in_assign && *annihilator;
+                    let set_miss = dst.is_none() && *annihilator;
                     *missable |= set_miss;
                     let load = FLoad::Probe { set_miss };
                     return Some(b.open.load(dst, load, None));
                 }
                 None
             }
-            LExpr::ReadSparseRandom { tensor, modes, annihilator } => {
-                // A monotone cursor exists exactly when the loop index
-                // appears at one subscript position: the prefix path is
-                // loop-invariant (cached at entry) and the suffix
-                // descends per hit. Multiple occurrences fall back to
-                // the full per-coordinate search.
-                let occurrences = modes.iter().filter(|&&m| m == idx).count();
-                let var_mode =
-                    (occurrences == 1).then(|| modes.iter().position(|&m| m == idx).unwrap());
-                let set_miss = in_assign && *annihilator;
-                *missable |= set_miss;
-                let load = FLoad::Gather {
-                    tensor: *tensor,
-                    id: self.alloc_vec_gather(),
-                    modes: modes.iter().copied().collect(),
-                    var_mode,
-                    set_miss,
-                };
-                Some(b.open.load(dst, load, None))
-            }
+            // A random-access (`ReadSparseRandom`) read leaves the loop on
+            // the general path, one search per coordinate.
             _ => None,
         }
     }
@@ -1155,11 +1131,6 @@ impl Compiler<'_> {
             }
         }
         (base.into(), stride)
-    }
-
-    fn alloc_vec_gather(&mut self) -> usize {
-        self.n_vec_gathers += 1;
-        self.n_vec_gathers - 1
     }
 
     /// Compiles `e` and returns the register holding its value. Plain

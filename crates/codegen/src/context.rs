@@ -35,32 +35,7 @@ pub enum LaneMode {
     Lanes,
 }
 
-/// Per-vector-loop gather state in structure-of-arrays layout: for
-/// gather slot `i`, `prefix[i]` is the invariant-prefix position a
-/// mode-varying gather load resolved at loop entry (or the miss
-/// sentinel) and `cursor[i]` is the monotone merge cursor into the
-/// varying-mode fiber. Splitting the two keeps the per-coordinate
-/// cursor updates on a dense `usize` stream the vectorizer can
-/// address with one base register.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct GatherBank {
-    /// Position after descending the invariant prefix levels.
-    pub prefix: Vec<usize>,
-    /// Absolute position of the varying-mode cursor.
-    pub cursor: Vec<usize>,
-}
-
-impl GatherBank {
-    /// Resets both arrays to `n` zeroed slots, reusing capacity.
-    pub fn reset(&mut self, n: usize) {
-        self.prefix.clear();
-        self.prefix.resize(n, 0);
-        self.cursor.clear();
-        self.cursor.resize(n, 0);
-    }
-}
-
-/// Per-worker execution state: register files, vector-loop scratch, a
+/// Per-worker execution state: register files, workspace-row slots, a
 /// counter bank, and private reduction buffers.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Bank {
@@ -68,9 +43,6 @@ pub(crate) struct Bank {
     pub u: Vec<usize>,
     /// The `f64` register file (scalars + temporaries).
     pub f: Vec<f64>,
-    /// Vector-loop gather cursors (cursor state for gather loads), SoA
-    /// so the per-coordinate cursor stream stays lane-friendly.
-    pub gathers: GatherBank,
     /// Workspace-row position slots, grown to the program's
     /// `ws_len` on first use and never cleared: a slot reads as a member
     /// only while it points into its current scattered window, so

@@ -2,8 +2,8 @@
 //! runner that executes it.
 //!
 //! An innermost loop body that dominates a real kernel (axpy, dot,
-//! scale-store, gathered variants, MTTKRP/TTM-style multi-store jams)
-//! is a fixed sequence of loads feeding a fixed sequence of folds.
+//! scale-store, MTTKRP/TTM-style multi-store jams) is a fixed sequence of
+//! loads feeding a fixed sequence of folds.
 //! `crate::compile` appends exactly that — loads into local slots, folds
 //! over locals and loop-invariant registers, a positional miss mask per
 //! fold, a bulk counter recipe — through a [`BodyBuilder`] as it walks
@@ -20,6 +20,9 @@
 //! fold / operand caps below), the items are [`independent`], and, when
 //! there are several, their guards are pairwise [`exclusive`]:
 //!
+//! * every load is a strided dense read, the driver's value or an
+//!   intersection's probe — a random-access (`ReadSparseRandom`) read
+//!   leaves the loop on the general path, one search per coordinate;
 //! * every fold operand is an earlier load of its own body or a register
 //!   nothing in the loop writes (so its value is loop-invariant and can
 //!   be snapshot once at loop entry);
@@ -133,11 +136,10 @@ impl BodyBuilder {
 
     /// Appends a load binding `dst` and returns its local. `counted` is
     /// the tensor whose element read the load counts per iteration
-    /// (probe reads count per hit as the workspace form's hits, gather
-    /// reads per hit in the generic runner).
+    /// (probe reads count per hit, as the workspace form's hits).
     pub(crate) fn load(&mut self, dst: Option<usize>, load: FLoad, counted: Option<usize>) -> FOp {
         let local = self.loads.len();
-        if let FLoad::Probe { set_miss: true } | FLoad::Gather { set_miss: true, .. } = load {
+        if let FLoad::Probe { set_miss: true } = load {
             self.pending_miss.push(local);
         }
         if let Some(tensor) = counted {

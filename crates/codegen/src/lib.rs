@@ -17,10 +17,9 @@
 //! * **Vectorized innermost loops** — conforming innermost loops
 //!   collapse into single vector-loop instructions with bulk counter
 //!   accounting. A vector loop drives one stored fiber or one dense range
-//!   — counted loops, compressed and run-length drivers — with
-//!   random-access gather operands (leaf-varying gathers cache their
-//!   invariant prefix path and advance a monotone cursor), and runs at
-//!   most one body per entry.
+//!   — counted loops, compressed and run-length drivers — and runs at
+//!   most one body per entry. A random-access (`ReadSparseRandom`) read
+//!   leaves its loop on the general path, one search per coordinate.
 //! * **One body form** — a vector loop's body has exactly one
 //!   executable form: per-coordinate loads into local slots feeding
 //!   straight-line folds (`fuse`). The compiler appends that form
@@ -28,10 +27,10 @@
 //!   an operand that reads an accumulator of the loop, a body over the
 //!   load / fold caps — leaves the loop on the general head / advance
 //!   path, the reference for every non-conforming loop. Sealing a body
-//!   also picks its runner, once — closed or generic: the canonical dot
-//!   against a strided operand and SSYMV's dot-axpy pair run closed-form
-//!   folds; every other body (axpy, scale-store, gathered variants,
-//!   multi-store jams) the generic resolved runner. Every runner folds
+//!   also picks its runner, once: the canonical dot against a strided
+//!   operand and SSYMV's dot-axpy pair run closed-form folds; dense
+//!   multi-store jams run fold by fold; every other body (axpys,
+//!   register-held folds) the generic resolved runner. Every runner folds
 //!   left to right as the interpreter does, accumulators in machine
 //!   registers, operands resolved to slices at loop entry, invariant counter
 //!   contributions accounted in bulk. Several guarded items share a loop
@@ -168,12 +167,15 @@ pub enum MergeKind {
 }
 
 /// The half-open index range `[k·extent/n, (k+1)·extent/n)` that chunk
-/// `k` of `n` owns — of a split loop's coordinates and of a row-owned
+/// `k < n` owns — of a split loop's coordinates and of a row-owned
 /// output's leading dimension alike. VM workers, engine shard runs and
-/// router legs all cut by this one rule, so their windows line up.
+/// router legs all cut by this one rule, so their windows line up. The
+/// products are taken in `u128`, where no `usize` pair overflows, so the
+/// window is exact for any ordinal a request can carry.
 #[inline]
 pub fn chunk_window(extent: usize, k: usize, n: usize) -> std::ops::Range<usize> {
-    k * extent / n..(k + 1) * extent / n
+    let cut = |k: usize| (k as u128 * extent as u128 / n as u128) as usize;
+    cut(k)..cut(k + 1)
 }
 
 /// `acc[i] = op(acc[i], part[i])`: one step of a fixed-order reduction.
@@ -734,30 +736,47 @@ mod tests {
     }
 
     #[test]
-    fn random_access_gather_vectorizes() {
-        // B[j, i] binds j (mode 0) at the inner loop: a discordant read
-        // that previously forced the whole loop onto general dispatch.
-        let prog = Stmt::loops(
+    fn random_access_reads_run_on_the_general_path() {
+        // A random-access read inside the innermost loop leaves it on the
+        // general head / advance path: one `ReadSparseRandom` search per
+        // coordinate, with no vector loop around it.
+        let general = |prog: &Stmt, inputs: &HashMap<String, Tensor>, label: &str| {
+            let dis = disassembly(prog, inputs);
+            assert!(
+                dis.contains("ReadSparseRandom")
+                    && !dis.contains("Vec")
+                    && !dis.contains("RowNest"),
+                "{label} runs on the general path:\n{dis}"
+            );
+            both(prog, inputs)
+        };
+        let mut inputs = HashMap::new();
+        inputs.insert("A".to_string(), csr(&[(0, 1, 2.0), (2, 2, 4.0), (2, 0, 3.0)], 3));
+        inputs.insert("B".to_string(), csr(&[(1, 0, 10.0), (2, 1, 7.0), (0, 0, 5.0)], 3));
+
+        // Root-varying: `B[j, i]` binds the inner index `j` at mode 0.
+        let root = Stmt::loops(
             [idx("i"), idx("j")],
             assign(access("y", ["i"]), mul([access("A", ["i", "j"]), access("B", ["j", "i"])])),
         );
-        let mut inputs = HashMap::new();
-        inputs.insert("A".to_string(), csr(&[(0, 1, 2.0), (2, 2, 4.0)], 3));
-        inputs.insert("B".to_string(), csr(&[(1, 0, 10.0), (2, 1, 7.0)], 3));
-        let dis = disassembly(&prog, &inputs);
-        assert!(dis.contains("Gather {"), "random reads gather inside the vector loop:\n{dis}");
-        let (out, c) = both(&prog, &inputs);
+        let (out, c) = general(&root, &inputs, "root-varying read");
         assert_eq!(out["y"].get(&[0]), 2.0 * 10.0);
-        assert_eq!(out["y"].get(&[2]), 0.0, "B[2, 2] is unstored: the store annihilates");
-        assert_eq!(c.reads_of("B"), 1, "gather reads count only on hits");
-    }
+        assert_eq!(out["y"].get(&[2]), 0.0, "B[0, 2] and B[2, 2] are unstored: stores annihilate");
+        assert_eq!(c.reads_of("B"), 1, "random reads count only on hits");
 
-    #[test]
-    fn leaf_varying_gather_uses_invariant_prefix() {
-        // s[] += A[k, i, j] * x[j] under loops (i, k, j): mode 0 binds
-        // second (discordant), and only the leaf subscript varies in the
-        // innermost loop — the gallop-cursor fast path.
-        let prog = Stmt::loops(
+        // Diagonal: `B[j, j]` carries the inner index at both modes.
+        let diag = Stmt::loops(
+            [idx("i"), idx("j")],
+            assign(access("y", ["i"]), mul([access("A", ["i", "j"]), access("B", ["j", "j"])])),
+        );
+        let (out, c) = general(&diag, &inputs, "diagonal read");
+        assert_eq!(out["y"].get(&[2]), 3.0 * 5.0);
+        assert_eq!(c.reads_of("B"), 1, "only B[0, 0] is stored on the diagonal");
+
+        // Leaf-varying: `A[k, i, j]` under loops (i, k, j) binds mode 0
+        // second, so the whole read is random; only its leaf subscript
+        // varies in the innermost loop.
+        let leaf = Stmt::loops(
             [idx("i"), idx("k"), idx("j")],
             assign(
                 access("s", [] as [&str; 0]),
@@ -768,25 +787,30 @@ mod tests {
         coo.push(&[0, 1, 0], 2.0);
         coo.push(&[0, 1, 2], 3.0);
         coo.push(&[2, 0, 1], 5.0);
+        let csf = [LevelFormat::Dense, LevelFormat::Sparse, LevelFormat::Sparse];
         let mut inputs = HashMap::new();
-        inputs.insert(
-            "A".to_string(),
-            Tensor::Sparse(
-                SparseTensor::from_coo(
-                    &coo,
-                    &[LevelFormat::Dense, LevelFormat::Sparse, LevelFormat::Sparse],
-                )
-                .unwrap(),
-            ),
-        );
+        inputs.insert("A".to_string(), Tensor::Sparse(SparseTensor::from_coo(&coo, &csf).unwrap()));
         inputs.insert("x".to_string(), dense_vec(&[1.0, 10.0, 100.0]));
-        let dis = disassembly(&prog, &inputs);
-        assert!(
-            dis.contains("var_mode: Some(2)"),
-            "leaf-varying gathers must take the cached-prefix cursor path:\n{dis}"
-        );
-        let (out, _) = both(&prog, &inputs);
+        let (out, _) = general(&leaf, &inputs, "leaf-varying read");
         assert_eq!(out["s"].get(&[]), 2.0 * 1.0 + 3.0 * 100.0 + 5.0 * 10.0);
+    }
+
+    #[test]
+    fn chunk_windows_are_exact_for_any_ordinal() {
+        let exact = |extent: usize, k: usize, n: usize| {
+            let cut = |k: u128| (k * extent as u128 / n as u128) as usize;
+            cut(k as u128)..cut(k as u128 + 1)
+        };
+        let big = usize::MAX;
+        for extent in [0, 1, 4, 40_000, big / 3, big] {
+            for (k, n) in [(0, 1), (1, 3), (1 << 62, 1 << 63), (big - 2, big - 1), (big - 1, big)] {
+                assert_eq!(chunk_window(extent, k, n), exact(extent, k, n), "{extent} {k}/{n}");
+            }
+            // The first and last windows of `n = usize::MAX` meet the ends.
+            assert_eq!(chunk_window(extent, 0, big).start, 0);
+            assert_eq!(chunk_window(extent, big - 1, big).end, extent);
+        }
+        assert_eq!(chunk_window(40_000, 1 << 62, 1 << 63), 20_000..20_000);
     }
 
     #[test]

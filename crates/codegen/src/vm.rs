@@ -56,7 +56,7 @@ use crate::bytecode::{
     Bound, BulkCounts, BytecodeProgram, ClosedForm, DenseOperand, DotShape, FAcc, FFold, FLoad,
     FOp, Fused, Instr, NestRows, RowNest, Runner, SplitInfo, Term, VItem, Workspace, MISS,
 };
-use crate::context::{Bank, ExecContext, GatherBank};
+use crate::context::{Bank, ExecContext};
 use crate::fuse::{MAX_FUSED_FOLDS, MAX_FUSED_LOADS, MAX_FUSED_SRCS, MAX_NEST_STEPS};
 use crate::{MergeKind, Parallelism};
 
@@ -154,7 +154,7 @@ fn offset(u: &[usize], terms: &[Term]) -> usize {
     }
 }
 
-/// Descends levels `lvs` of `tensor` from position `p`, following the
+/// Descends every level of `tensor` from the root, following the
 /// subscripts `u[modes[lv]]`; `None` when the path is unstored.
 #[inline]
 fn descend(
@@ -163,11 +163,10 @@ fn descend(
     u: &[usize],
     tensor: usize,
     modes: &[usize],
-    lvs: std::ops::Range<usize>,
-    mut p: usize,
 ) -> Option<usize> {
-    for lv in lvs {
-        p = level(levels, lvl_base, tensor, lv).find(p, u[modes[lv]])?;
+    let mut p = 0;
+    for (lv, &m) in modes.iter().enumerate() {
+        p = level(levels, lvl_base, tensor, lv).find(p, u[m])?;
     }
     Some(p)
 }
@@ -256,77 +255,6 @@ macro_rules! with_semi {
 // ---------------------------------------------------------------------------
 // Drives: how a vector loop walks its coordinates
 // ---------------------------------------------------------------------------
-
-/// Forward-only cursor over the fiber a gather's loop index varies in —
-/// one variant per level format. Driver coordinates are monotone, so
-/// every variant's cursor only moves forward.
-#[derive(Clone, Copy)]
-enum ProbeCur<'a> {
-    /// Compressed fiber: gallop over `crd[cur..end]`.
-    Crd { crd: &'a [usize], cur: usize, end: usize },
-    /// Dense fiber: direct index, hit iff `coord < size`.
-    Dense { base: usize, size: usize },
-    /// Run-length fiber: walk runs `cur..end`, hit iff the current
-    /// run covers `coord`; the hit position is the run index.
-    Runs { run_start: &'a [usize], run_end: &'a [usize], cur: usize, end: usize },
-}
-
-impl<'a> ProbeCur<'a> {
-    /// The cursor over fiber `p` of `view`.
-    fn open(view: LevelView<'a>, p: usize) -> Self {
-        match view {
-            LevelView::Sparse { pos, crd, .. } => {
-                ProbeCur::Crd { crd, cur: pos[p], end: pos[p + 1] }
-            }
-            LevelView::Dense { size } => ProbeCur::Dense { base: p * size, size },
-            LevelView::RunLength { pos, run_start, run_end, .. } => {
-                ProbeCur::Runs { run_start, run_end, cur: pos[p], end: pos[p + 1] }
-            }
-        }
-    }
-
-    /// The cursor's position within the fiber (0 for the cursor-less
-    /// variants), and the same cursor resumed at a saved position —
-    /// gathers park theirs in the [`GatherBank`] between coordinates.
-    #[inline(always)]
-    fn cursor(&self) -> usize {
-        match self {
-            ProbeCur::Crd { cur, .. } | ProbeCur::Runs { cur, .. } => *cur,
-            ProbeCur::Dense { .. } => 0,
-        }
-    }
-
-    #[inline(always)]
-    fn at(mut self, cursor: usize) -> Self {
-        if let ProbeCur::Crd { cur, .. } | ProbeCur::Runs { cur, .. } = &mut self {
-            *cur = cursor;
-        }
-        self
-    }
-
-    /// Advances the cursor to `coord` and returns the value position on
-    /// a hit. Coordinates are monotone within a loop, so the cursor only
-    /// moves forward: compressed fibers gallop past gaps in one
-    /// `partition_point`, run-length fibers walk one run at a time.
-    #[inline(always)]
-    fn find(&mut self, coord: usize) -> Option<usize> {
-        match self {
-            ProbeCur::Crd { crd, cur, end } => {
-                if *cur < *end && crd[*cur] < coord {
-                    *cur += crd[*cur..*end].partition_point(|&x| x < coord);
-                }
-                (*cur < *end && crd[*cur] == coord).then_some(*cur)
-            }
-            ProbeCur::Dense { base, size } => (coord < *size).then(|| *base + coord),
-            ProbeCur::Runs { run_start, run_end, cur, end } => {
-                while *cur < *end && run_end[*cur] < coord {
-                    *cur += 1;
-                }
-                (*cur < *end && run_start[*cur] <= coord).then_some(*cur)
-            }
-        }
-    }
-}
 
 /// One maximal stretch of a drive window: a coordinate source (a stored
 /// list or a contiguous span) paired with a value source (one value per
@@ -693,13 +621,11 @@ fn fold_dot_axpy<S: Semi, D: Drive>(
 /// An entry-resolved per-coordinate load: dense operands are concrete
 /// slices with their invariant base offsets folded in.
 #[derive(Clone, Copy)]
-enum RLoad<'a, 'p> {
+enum RLoad<'a> {
     /// The driver's value at the current position.
     Val,
     /// `slice[base + coord * stride]`.
     Dense { slice: &'a [f64], base: usize, stride: usize },
-    /// Random-access gather ([`LoopRun::gather`]).
-    Gather { tensor: usize, id: usize, modes: &'p [usize], var_mode: Option<usize>, set_miss: bool },
 }
 
 /// An entry-resolved fold operand: loop-invariant registers become
@@ -716,9 +642,8 @@ enum RAcc {
     /// `f[slot]`, held in [`RFold::accv`] across the loop.
     Slot { slot: usize },
     /// A loop-invariant output cell (stride 0, single fold),
-    /// register-held likewise — the write *counts* stay
-    /// per-iteration (bulk) / per-hit exactly as if every store
-    /// happened.
+    /// register-held likewise — the write *counts* stay per-iteration
+    /// (bulk) exactly as if every store happened.
     Cell { ord: usize, off: usize },
     /// A strided output store per coordinate.
     Out { ord: usize, off: usize, stride: usize },
@@ -738,24 +663,16 @@ struct RFold {
     accv: f64,
     bin: BinOp,
     op: AssignOp,
-    check_miss: bool,
-    /// Per-hit store-side counter contributions (miss-checked folds).
-    hit_write: bool,
-    hit_flop: bool,
-    /// Bitmask over load locals gating this fold's store.
-    miss_mask: u32,
 }
 
 /// The entry-resolved executable form of a [`Fused`] body.
-struct RBody<'a, 'p> {
-    loads: [RLoad<'a, 'p>; MAX_FUSED_LOADS],
+struct RBody<'a> {
+    loads: [RLoad<'a>; MAX_FUSED_LOADS],
     n_loads: usize,
     folds: [RFold; MAX_FUSED_FOLDS],
     n_folds: usize,
-    /// The loop's index register (set per coordinate only when a
-    /// full-search gather reads it; set once at exit otherwise).
+    /// The loop's index register (set once, at exit).
     idx: usize,
-    needs_u_idx: bool,
 }
 
 #[inline(always)]
@@ -792,7 +709,7 @@ impl JamOperand<'_> {
 /// Operand `src` of a [`Runner::Jam`] fold at the `n` coordinates from
 /// `c0` (every load of a jam body is dense).
 #[inline(always)]
-fn jam_operand<'s>(loads: &[RLoad<'s, '_>], src: RSrc, c0: usize, n: usize) -> JamOperand<'s> {
+fn jam_operand<'s>(loads: &[RLoad<'s>], src: RSrc, c0: usize, n: usize) -> JamOperand<'s> {
     match src {
         RSrc::Const(v) => JamOperand::Const(v),
         RSrc::Local(i) => match loads[i] {
@@ -802,9 +719,7 @@ fn jam_operand<'s>(loads: &[RLoad<'s, '_>], src: RSrc, c0: usize, n: usize) -> J
             RLoad::Dense { slice, base, stride } => {
                 JamOperand::Strided { xs: slice, at: base + c0 * stride, stride }
             }
-            RLoad::Val | RLoad::Gather { .. } => {
-                unreachable!("every load of a jam body is a dense read")
-            }
+            RLoad::Val => unreachable!("every load of a jam body is a dense read"),
         },
     }
 }
@@ -854,7 +769,6 @@ fn apart(a: RAcc, b: RAcc, first: usize, len: usize) -> bool {
 /// Bulk (per-iteration) counters come from the body's compile-time
 /// recipe; only hit-dependent work is counted per element.
 struct LoopRun<'r, 'a, 'o> {
-    gathers: &'r mut GatherBank,
     /// The worker's workspace-row slots (see [`Scattered`]).
     ws: &'r [usize],
     u: &'r mut [usize],
@@ -891,49 +805,6 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
             Some(item) => self.fused(&item.body, idx, iters, drive),
             None => self.u[idx] = drive.segments(|_| {}),
         }
-    }
-
-    /// Resolves the invariant prefix position (and forward cursor at the
-    /// varying mode) of one single-varying-mode gather at loop entry.
-    fn init_gather(&mut self, tensor: usize, id: usize, modes: &[usize], var_mode: usize) {
-        let prefix = descend(self.levels, self.lvl_base, self.u, tensor, modes, 0..var_mode, 0);
-        self.gathers.prefix[id] = prefix.unwrap_or(MISS);
-        self.gathers.cursor[id] = prefix.map_or(0, |p| {
-            ProbeCur::open(level(self.levels, self.lvl_base, tensor, var_mode), p).cursor()
-        });
-    }
-
-    /// Resolves a gather at `coord` to its value. With `var_mode:
-    /// Some(k)` the loop index appears at exactly one subscript position
-    /// `k`: the invariant prefix position is cached
-    /// ([`Self::init_gather`]), position `k` advances a forward-only
-    /// [`ProbeCur`], and the invariant suffix descends per hit
-    /// (leaf-varying gathers have an empty suffix, so this is free).
-    /// With `None` the index appears at several positions, so no single
-    /// monotone cursor exists and the full path is searched.
-    #[inline]
-    fn gather(
-        &mut self,
-        tensor: usize,
-        id: usize,
-        modes: &[usize],
-        var_mode: Option<usize>,
-        coord: usize,
-    ) -> Option<f64> {
-        let (levels, lvl_base) = (self.levels, self.lvl_base);
-        let pos = match var_mode {
-            None => descend(levels, lvl_base, self.u, tensor, modes, 0..modes.len(), 0)?,
-            Some(_) if self.gathers.prefix[id] == MISS => return None,
-            Some(vm) => {
-                let view = level(levels, lvl_base, tensor, vm);
-                let mut cur =
-                    ProbeCur::open(view, self.gathers.prefix[id]).at(self.gathers.cursor[id]);
-                let hit = cur.find(coord);
-                self.gathers.cursor[id] = cur.cursor();
-                descend(levels, lvl_base, self.u, tensor, modes, vm + 1..modes.len(), hit?)?
-            }
-        };
-        Some(self.vals[tensor][pos])
     }
 
     /// The cell behind a register-held accumulator target: read at loop
@@ -1017,7 +888,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     }
 
     /// Writes a finished body's register-held accumulators back.
-    fn flush(&mut self, body: &RBody<'a, '_>) {
+    fn flush(&mut self, body: &RBody<'a>) {
         for fold in &body.folds[..body.n_folds] {
             if let Some(cell) = self.acc_cell(fold.acc) {
                 *cell = fold.accv;
@@ -1026,10 +897,10 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     }
 
     /// Resolves a fused body against the current bindings: dense bases
-    /// and invariant registers are snapshot once, gather cursors open,
-    /// accumulators load their starting values, and a single fold's
-    /// loop-invariant output cell lives in a register.
-    fn resolve<'p>(&mut self, fu: &'p Fused, idx: usize) -> RBody<'a, 'p> {
+    /// and invariant registers are snapshot once, accumulators load their
+    /// starting values, and a single fold's loop-invariant output cell
+    /// lives in a register.
+    fn resolve(&mut self, fu: &Fused, idx: usize) -> RBody<'a> {
         let mut body = RBody {
             loads: [RLoad::Val; MAX_FUSED_LOADS],
             n_loads: fu.loads.len(),
@@ -1042,14 +913,9 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
                 accv: 0.0,
                 bin: BinOp::Add,
                 op: AssignOp::Add,
-                check_miss: false,
-                hit_write: false,
-                hit_flop: false,
-                miss_mask: 0,
             }; MAX_FUSED_FOLDS],
             n_folds: fu.folds.len(),
             idx,
-            needs_u_idx: false,
         };
         for (i, ld) in fu.loads.iter().enumerate() {
             body.loads[i] = match ld {
@@ -1061,23 +927,11 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
                     base: offset(self.u, base),
                     stride: *stride,
                 },
-                FLoad::Gather { tensor, id, modes, var_mode, set_miss } => {
-                    match var_mode {
-                        Some(vm) => self.init_gather(*tensor, *id, modes, *vm),
-                        None => body.needs_u_idx = true,
-                    }
-                    RLoad::Gather {
-                        tensor: *tensor,
-                        id: *id,
-                        modes,
-                        var_mode: *var_mode,
-                        set_miss: *set_miss,
-                    }
-                }
             };
         }
         let hold_cell = fu.folds.len() == 1;
         for (j, fold) in fu.folds.iter().enumerate() {
+            debug_assert!(!fold.check_miss, "no load of a jam or generic body can miss");
             let rf = &mut body.folds[j];
             for op in fold.srcs.iter() {
                 match op {
@@ -1112,10 +966,6 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
             rf.accv = self.acc_cell(rf.acc).map_or(0.0, |cell| *cell);
             rf.bin = fold.bin;
             rf.op = fold.op;
-            rf.check_miss = fold.check_miss;
-            rf.hit_write = fold.check_miss && matches!(fold.acc, FAcc::Out { .. });
-            rf.hit_flop = fold.check_miss && fold.op != AssignOp::Overwrite;
-            rf.miss_mask = fold.miss.iter().fold(0u32, |m, &l| m | (1 << l));
         }
         body
     }
@@ -1128,7 +978,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     /// per-coordinate loop does not share its registers with the rest of
     /// [`Self::fused`].
     #[inline(never)]
-    fn drive<S: Semi, D: Drive>(&mut self, body: &mut RBody<'a, '_>, s: S, jam: bool, drive: &D) {
+    fn drive<S: Semi, D: Drive>(&mut self, body: &mut RBody<'a>, s: S, jam: bool, drive: &D) {
         let jam = jam && <D::Seg as Segment>::CONTIGUOUS;
         let last = drive.segments(|seg| {
             if jam && stores_apart(&body.folds[..body.n_folds], seg.first(), seg.len()) {
@@ -1149,7 +999,7 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     /// updates from two folds at different coordinates, so each cell's
     /// updates arrive in the same order as coordinate by coordinate.
     #[inline(never)]
-    fn jam<S: Semi>(&mut self, body: &RBody<'a, '_>, s: S, first: usize, len: usize) {
+    fn jam<S: Semi>(&mut self, body: &RBody<'a>, s: S, first: usize, len: usize) {
         let mut buf = [0f64; JAM];
         let mut start = 0;
         while start < len {
@@ -1201,33 +1051,13 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
     /// Executes the body for one coordinate (the generic fused path:
     /// loads once into locals, then the straight-line folds).
     #[inline(always)]
-    fn coord<S: Semi>(&mut self, body: &mut RBody<'a, '_>, s: S, coord: usize, val: Option<f64>) {
-        if body.needs_u_idx {
-            self.u[body.idx] = coord;
-        }
+    fn coord<S: Semi>(&mut self, body: &mut RBody<'a>, s: S, coord: usize, val: Option<f64>) {
         let mut locals = [0f64; MAX_FUSED_LOADS];
-        let mut miss: u32 = 0;
-        for (i, ld) in body.loads[..body.n_loads].iter().enumerate() {
-            // Gather loads: the value and a counted read on a hit, the
-            // fill and the load's miss bit otherwise.
-            let (tensor, set_miss, hit) = match *ld {
-                RLoad::Val => {
-                    locals[i] = val.expect("driver value in a driven fused loop");
-                    continue;
-                }
-                RLoad::Dense { slice, base, stride } => {
-                    locals[i] = slice[base + coord * stride];
-                    continue;
-                }
-                RLoad::Gather { tensor, id, modes, var_mode, set_miss } => {
-                    (tensor, set_miss, self.gather(tensor, id, modes, var_mode, coord))
-                }
+        for (local, ld) in locals.iter_mut().zip(&body.loads[..body.n_loads]) {
+            *local = match *ld {
+                RLoad::Val => val.expect("driver value in a driven fused loop"),
+                RLoad::Dense { slice, base, stride } => slice[base + coord * stride],
             };
-            locals[i] = hit.unwrap_or(0.0);
-            match hit {
-                Some(_) => self.reads[tensor] += 1,
-                None => miss |= u32::from(set_miss) << i,
-            }
         }
         for fold in body.folds[..body.n_folds].iter_mut() {
             let mut k = 0usize;
@@ -1241,19 +1071,15 @@ impl<'r, 'a> LoopRun<'r, 'a, '_> {
                 v = s.bin(fold.bin, v, src_val(fold.srcs[k], &locals));
                 k += 1;
             }
-            if !(fold.check_miss && (miss & fold.miss_mask) != 0) {
-                match fold.acc {
-                    RAcc::Slot { .. } | RAcc::Cell { .. } => {
-                        fold.accv = s.red(fold.op, fold.accv, v);
-                    }
-                    RAcc::Out { ord, off, stride } => {
-                        let ob = self.outs[ord].as_mut().expect("output bound");
-                        let cell = &mut ob.data[off + coord * stride - ob.base];
-                        *cell = s.red(fold.op, *cell, v);
-                    }
+            match fold.acc {
+                RAcc::Slot { .. } | RAcc::Cell { .. } => {
+                    fold.accv = s.red(fold.op, fold.accv, v);
                 }
-                self.writes += u64::from(fold.hit_write);
-                self.flops += u64::from(fold.hit_flop);
+                RAcc::Out { ord, off, stride } => {
+                    let ob = self.outs[ord].as_mut().expect("output bound");
+                    let cell = &mut ob.data[off + coord * stride - ob.base];
+                    *cell = s.red(fold.op, *cell, v);
+                }
             }
         }
     }
@@ -1834,17 +1660,15 @@ fn run_range<'a>(
     outs: &mut [Option<OutBind<'_>>],
     u: &mut Vec<usize>,
     f: &mut Vec<f64>,
-    gathers: &mut GatherBank,
     ws: &mut Vec<usize>,
     counters: &mut CounterBank,
     chunk: Option<Chunk<'_>>,
 ) {
-    // Reset register files and vector-loop scratch (reusing capacity).
+    // Reset the register files (reusing capacity).
     u.clear();
     u.extend_from_slice(&program.u_init);
     f.clear();
     f.resize(program.n_f, 0.0);
-    gathers.reset(program.n_vec_gathers);
     // Workspace slots only grow: their contents are validated per read.
     if ws.len() < program.ws_len {
         ws.resize(program.ws_len, 0);
@@ -1894,7 +1718,6 @@ fn run_range<'a>(
     macro_rules! vec_loop {
         (|$lr:ident| $run:expr) => {{
             let mut $lr = LoopRun {
-                gathers: &mut *gathers,
                 ws: &*ws,
                 u: &mut *u,
                 f: &mut *f,
@@ -2013,42 +1836,25 @@ fn run_range<'a>(
                 hi,
                 exit,
             } => {
-                let p = u[*parent];
-                if p == MISS {
-                    pc = *exit;
-                    continue;
-                }
                 let (lo_v, hi_v) = loop_window(u, lo, hi, i64::MAX, chunk, pc);
-                if lo_v > hi_v {
+                let fiber = level(levels, lvl_base, *tensor, *lv);
+                let drive = rle_drive(fiber, vals[*tensor], u[*parent], lo_v, hi_v);
+                let Some(d) = drive.filter(|d| d.start < d.stop) else {
                     pc = *exit;
                     continue;
-                }
-                let LevelView::RunLength { pos, run_start, run_end, .. } =
-                    level(levels, lvl_base, *tensor, *lv)
-                else {
-                    unreachable!("rle loop over a non-rle level");
                 };
-                let begin = pos[p];
-                let stop = pos[p + 1];
-                let start = begin + run_end[begin..stop].partition_point(|&c| (c as i64) < lo_v);
-                if start >= stop {
+                let c0 = d.run_start[d.start].max(d.lo);
+                if c0 > d.hi {
                     pc = *exit;
                     continue;
                 }
-                let c0 = run_start[start].max(lo_v as usize);
-                // 0 <= lo_v <= hi_v holds here, so the cast is exact.
-                let hi_u = hi_v as usize;
-                if c0 > hi_u {
-                    pc = *exit;
-                    continue;
-                }
-                fibers[*cache] = Fiber::Runs(run_start, run_end);
-                u[*run] = start;
-                u[*run_end_reg] = stop;
+                fibers[*cache] = Fiber::Runs(d.run_start, d.run_end);
+                u[*run] = d.start;
+                u[*run_end_reg] = d.stop;
                 u[*coord] = c0;
-                u[*hi_reg] = hi_u;
+                u[*hi_reg] = d.hi;
                 u[*idx] = c0;
-                u[*child] = start;
+                u[*child] = d.start;
                 iterations += 1;
                 pc += 1;
             }
@@ -2146,7 +1952,7 @@ fn run_range<'a>(
                 pc += 1;
             }
             Instr::ReadSparseRandom { dst, tensor, modes, annihilator } => {
-                match descend(levels, lvl_base, u, *tensor, modes, 0..modes.len(), 0) {
+                match descend(levels, lvl_base, u, *tensor, modes) {
                     Some(p) => {
                         f[*dst] = vals[*tensor][p];
                         reads[*tensor] += 1;
@@ -2368,8 +2174,8 @@ fn execute_inner(
             };
             let bank = &mut ctx.banks(1)[0];
             bank.counters.reset(n_slots);
-            let Bank { u, f, gathers, ws, counters, .. } = bank;
-            run_range(program, dense, vals, levels, outs, u, f, gathers, ws, counters, chunk);
+            let Bank { u, f, ws, counters, .. } = bank;
+            run_range(program, dense, vals, levels, outs, u, f, ws, counters, chunk);
             bank.counters.write_to(program.tensors.iter().map(|t| t.name.as_str()), out_counters);
         }
         Some((split, n_chunks, threads)) => {
@@ -2465,7 +2271,7 @@ fn run_parallel<'a>(
                     let identity = op.identity().expect("reduced outputs use reducing ops");
                     bank.reset_reduce(r, len, identity);
                 }
-                let Bank { u, f, gathers, ws, counters, reduce } = bank;
+                let Bank { u, f, ws, counters, reduce } = bank;
                 for (k, owned) in chunks {
                     let mut outs_t: OutTable<'_> = Scratch::new(program.n_outputs);
                     let w_outs = outs_t.as_mut_slice();
@@ -2484,7 +2290,6 @@ fn run_parallel<'a>(
                         w_outs,
                         u,
                         f,
-                        gathers,
                         ws,
                         counters,
                         Some(chunk),
@@ -2590,10 +2395,6 @@ mod tests {
             accv: 0.0,
             bin: BinOp::Mul,
             op: AssignOp::Add,
-            check_miss: false,
-            hit_write: false,
-            hit_flop: false,
-            miss_mask: 0,
         };
         let rows = [fold(out(0, 0, 1)), fold(out(0, 4, 1)), fold(out(0, 8, 1))];
         assert!(stores_apart(&rows, 0, 4));

@@ -410,10 +410,10 @@ fn self_intersection_with_bounds_matches_reference() {
 
 #[test]
 fn random_access_gathers_match_reference() {
-    // Forces `ReadSparseRandom` operands through vector loops: (a) a
-    // leaf-varying gather in a dense innermost loop (invariant prefix +
-    // gallop cursor), (b) a root-varying gather riding a compressed
-    // driver (full per-coordinate search, miss-checked store).
+    // `ReadSparseRandom` operands in the innermost loop, which stays on
+    // the general path (a full search per coordinate): (a) a
+    // leaf-varying read in a dense innermost loop, (b) a root-varying
+    // read beside a compressed driver (miss-checked store).
     for (k, formats) in CSF_FORMATS.iter().enumerate() {
         for seed in 0..3u64 {
             let mut r = StdRng::seed_from_u64(8600 + 10 * k as u64 + seed);

@@ -129,7 +129,8 @@ fn runners_match_the_interpreter_on_hostile_floats() {
         assert_matches_interpreter(&minplus, &inputs, &format!("min-plus {fmt:?}"));
     }
 
-    // Gather dot: the generic runner with miss-annihilating loads.
+    // Gather dot: a random-access read on the general path, its misses
+    // annihilating the store.
     let mut inputs = HashMap::new();
     inputs.insert("A".to_string(), hostile_matrix(n, &[LevelFormat::Dense, LevelFormat::Sparse]));
     inputs.insert("B".to_string(), hostile_matrix(n, &[LevelFormat::Sparse, LevelFormat::Sparse]));

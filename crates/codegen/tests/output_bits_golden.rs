@@ -269,7 +269,7 @@ fn matrix(root: LevelFormat, leaf: LevelFormat, s: &mut Stream) -> Tensor {
 
 /// Naive programs reaching the runner shapes the paper kernels do not:
 /// dense-range and sparse-root drives, probes into every level format,
-/// a driven gather, and a
+/// random-access reads (which keep their loop on the general path), and a
 /// dot chain with invariant factors around the driver (the compiler
 /// loads its `x[i]` per coordinate, so the chain runs generic).
 fn runner_shape_cells(text: &mut Snapshots) {
@@ -328,8 +328,8 @@ fn runner_shape_cells(text: &mut Snapshots) {
         ("B".to_string(), matrix(Dense, Sparse, &mut s)),
     ]);
     hash_cells(text, "naive-gather csr*csr", std::slice::from_ref(&gather), &inputs);
-    // Dense-range drives: a dense matvec (two strided loads) and a
-    // leaf-varying gather riding the innermost dense loop.
+    // A dense-range drive (a dense matvec, two strided loads) and a
+    // leaf-varying random-access read in the innermost dense loop.
     let dense_mv = Stmt::loops(
         [idx("i"), idx("j")],
         assign(access("y", ["i"]), mul([access("D", ["i", "j"]), access("x", ["j"])])),

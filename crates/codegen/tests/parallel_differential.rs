@@ -339,7 +339,8 @@ fn new_vector_paths_parallel_match() {
     // Every loop shape this backend vectorizes beyond conforming
     // driver-only bodies — two-way sparse–sparse intersections (both
     // the fused dot form and the general item form), windowed
-    // run-length drivers, and random-access gathers — must agree with
+    // run-length drivers, and random-access reads (which keep their
+    // loop on the general path) — must agree with
     // the interpreter with exact merged counters at every thread count.
     for (k, formats) in MATRIX_FORMATS.iter().enumerate() {
         for seed in 0..2u64 {
@@ -498,16 +499,14 @@ fn plain_row_kernels_are_splittable() {
 
 #[test]
 fn chunked_gathers_survive_hostile_window_splits() {
-    // The gather bank's monotone gallop cursors are re-derived at every
-    // vector-loop entry, including entries whose drive window was
-    // clamped by a parallel chunk split, and worker contexts are reused
-    // across consecutive chunks. This ladder makes those boundaries
-    // hostile — thread counts that leave single-row and empty chunks on
-    // tiny and prime-sized iteration spaces — across every gather
-    // shape: root-varying with a gallop cursor, leaf-varying under an
-    // invariant prefix, middle-varying with both an invariant prefix
-    // and a per-hit suffix descent, and the diagonal self-gather whose
-    // two varying positions force the stateless full-path search.
+    // Random-access reads search their full path per coordinate on the
+    // general path, under loop heads clamped by a parallel chunk split,
+    // and worker contexts are reused across consecutive chunks. This
+    // ladder makes those boundaries hostile — thread counts that leave
+    // single-row and empty chunks on tiny and prime-sized iteration
+    // spaces — across every read shape: root-varying, leaf-varying,
+    // middle-varying, and the diagonal self-read whose index occurs at
+    // two positions.
     let hostile = |prog: &Stmt, inputs: &HashMap<String, Tensor>, label: &str| {
         let hoisted = hoist_conditions(prog.clone());
         let outputs_init = alloc_outputs(&hoisted, inputs).expect(label);
@@ -536,7 +535,7 @@ fn chunked_gathers_survive_hostile_window_splits() {
             inputs.insert("B".to_string(), random_matrix(n, 2 * n, MATRIX_FORMATS[1], &mut r));
             inputs.insert("x".to_string(), random_dense_vec(n, &mut r));
 
-            // Root-varying gather: B's cursor gallops along j per row.
+            // Root-varying read: B's row j varies along each row of A.
             let driven = Einsum::new(
                 access("y", ["i"]),
                 AssignOp::Add,
@@ -549,8 +548,7 @@ fn chunked_gathers_survive_hostile_window_splits() {
                 &format!("hostile-driven n={n} formats={formats:?}"),
             );
 
-            // Diagonal self-gather: j occurs at both of B's positions,
-            // so there is no cursor — every coordinate is a full search.
+            // Diagonal self-read: j occurs at both of B's positions.
             let diag = Einsum::new(
                 access("y", ["i"]),
                 AssignOp::Add,
@@ -565,7 +563,7 @@ fn chunked_gathers_survive_hostile_window_splits() {
         }
 
         // Leaf-varying (empty suffix) and middle-varying (prefix and
-        // suffix both non-empty) gathers into 3-d CSF storage.
+        // suffix both non-empty) reads into 3-d CSF storage.
         let csf: &[LevelFormat] = &[LevelFormat::Dense, LevelFormat::Sparse, LevelFormat::Sparse];
         let mut r = StdRng::seed_from_u64(13_500 + n as u64);
         let mut inputs = HashMap::new();

@@ -1444,6 +1444,21 @@ mod tests {
     }
 
     #[test]
+    fn an_absurd_shard_ordinal_runs_its_exact_window() {
+        let engine = ssymv_engine();
+        let (kernel, _) = prepare_sharded(&engine);
+        // Shard 2^62 of 2^63: `k·extent` overflows a machine word, but
+        // the window `[k·E/n, (k+1)·E/n)` is exact, and empty here.
+        let shard = Some((1 << 62, 1 << 63));
+        let resp = engine.handle(&Request::Run { kernel, full: false, shard });
+        let Response::Ran { outputs, .. } = resp else { panic!("{resp:?}") };
+        assert!(outputs[0].values.iter().all(|&v| v == 0.0), "{:?}", outputs[0].values);
+        // The handle is not quarantined: a plain run still serves.
+        let resp = engine.handle(&Request::Run { kernel, full: false, shard: None });
+        assert!(matches!(resp, Response::Ran { .. }), "{resp:?}");
+    }
+
+    #[test]
     fn journal_write_failure_refuses_mutations_without_side_effects() {
         let dir = std::env::temp_dir().join(format!("systec-engine-jfail-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
